@@ -14,7 +14,6 @@ import (
 	"repro/internal/doctor"
 	"repro/internal/engine"
 	"repro/internal/model"
-	"repro/internal/page"
 )
 
 // The corruption matrix: ≥200 seeded fault points across four fault
@@ -87,15 +86,22 @@ func copyDir(t *testing.T, src string) string {
 }
 
 func rowsOf(db *engine.DB, tbl *catalog.Table) (*model.Table, error) {
-	out := &model.Table{Ordered: tbl.Type.Ordered}
-	err := db.ScanTable(tbl, 0, func(_ page.TID, tup model.Tuple) error {
-		out.Tuples = append(out.Tuples, tup.Clone())
-		return nil
-	})
+	sc, err := db.Runtime().OpenScan(tbl, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	defer sc.Close()
+	out := &model.Table{Ordered: tbl.Type.Ordered}
+	for {
+		_, tup, ok, err := sc.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return out, nil
+		}
+		out.Tuples = append(out.Tuples, tup)
+	}
 }
 
 // typedFailure reports whether err is a loud, classified corruption

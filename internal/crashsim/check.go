@@ -74,13 +74,14 @@ func checkPages(eng *engine.DB) error {
 // checkObjects materializes every tuple of every table and, for
 // complex tables, walks the full physical object structure.
 func checkObjects(eng *engine.DB) error {
+	rt := eng.Runtime()
 	for _, t := range eng.Catalog().Tables() {
 		refs, err := eng.Refs(t.Name)
 		if err != nil {
 			return fmt.Errorf("crashsim: directory of %s: %w", t.Name, err)
 		}
 		for _, ref := range refs {
-			tup, err := eng.ReadRef(t, ref, 0)
+			tup, err := rt.OpenRef(t, ref, 0, nil)
 			if err != nil {
 				return fmt.Errorf("crashsim: read %s %v: %w", t.Name, ref, err)
 			}
@@ -173,7 +174,7 @@ func checkIndexes(eng *engine.DB) error {
 func resolveEntry(eng *engine.DB, t *catalog.Table, ix *index.Index, addr index.Addr, atomPos int, key []byte) error {
 	if len(addr.Path) == 0 {
 		// Flat (or root-TID) address: the tuple itself must exist.
-		if _, err := eng.ReadRef(t, addr.TID, 0); err != nil {
+		if _, err := eng.Runtime().OpenRef(t, addr.TID, 0, nil); err != nil {
 			return err
 		}
 		return nil
@@ -202,17 +203,24 @@ func resolveEntry(eng *engine.DB, t *catalog.Table, ix *index.Index, addr index.
 // indexedOccurrences collects every value the index ought to contain
 // by walking the logical data along the index path.
 func indexedOccurrences(eng *engine.DB, t *catalog.Table, path []string) ([]occurrence, error) {
-	var occs []occurrence
-	err := eng.ScanTable(t, 0, func(ref page.TID, tup model.Tuple) error {
-		for _, v := range pathValues(t.Type, tup, path) {
-			occs = append(occs, occurrence{ref: ref, val: v})
-		}
-		return nil
-	})
+	sc, err := eng.Runtime().OpenScan(t, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("crashsim: scan %s: %w", t.Name, err)
 	}
-	return occs, nil
+	defer sc.Close()
+	var occs []occurrence
+	for {
+		ref, tup, ok, err := sc.Next()
+		if err != nil {
+			return nil, fmt.Errorf("crashsim: scan %s: %w", t.Name, err)
+		}
+		if !ok {
+			return occs, nil
+		}
+		for _, v := range pathValues(t.Type, tup, path) {
+			occs = append(occs, occurrence{ref: ref, val: v})
+		}
+	}
 }
 
 // pathValues walks one tuple along an attribute path, descending

@@ -8,7 +8,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/model"
-	"repro/internal/page"
 )
 
 // stmtCount is the length of the generated DML sequence per workload.
@@ -221,15 +220,22 @@ func histSnapshot(eng *engine.DB, ts int64) (*snapshot, error) {
 // tableRows materializes a stored table (optionally as of an instant)
 // into a table value for comparison.
 func tableRows(eng *engine.DB, t *catalog.Table, asof int64) (*model.Table, error) {
-	tbl := &model.Table{Ordered: t.Type.Ordered}
-	err := eng.ScanTable(t, asof, func(_ page.TID, tup model.Tuple) error {
-		tbl.Tuples = append(tbl.Tuples, tup.Clone())
-		return nil
-	})
+	sc, err := eng.Runtime().OpenScan(t, asof, nil)
 	if err != nil {
 		return nil, err
 	}
-	return tbl, nil
+	defer sc.Close()
+	tbl := &model.Table{Ordered: t.Type.Ordered}
+	for {
+		_, tup, ok, err := sc.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return tbl, nil
+		}
+		tbl.Tuples = append(tbl.Tuples, tup)
+	}
 }
 
 // replayEngine executes the statements on a fresh in-memory engine:

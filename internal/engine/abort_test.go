@@ -218,10 +218,10 @@ func TestRollbackFailurePoisons(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "needs reopen") {
 		t.Fatalf("want poisoning error, got %v", err)
 	}
-	if _, _, qerr := db.Query(`SELECT x.ENO FROM x IN EMP`); !errors.Is(qerr, db.fatalErr) {
+	if _, _, qerr := db.Query(`SELECT x.ENO FROM x IN EMP`); !errors.Is(qerr, db.fatal()) {
 		t.Fatalf("poisoned database served a query: %v", qerr)
 	}
-	if _, err2 := db.Exec(`INSERT INTO EMP VALUES (5, 'E', 500)`); !errors.Is(err2, db.fatalErr) {
+	if _, err2 := db.Exec(`INSERT INTO EMP VALUES (5, 'E', 500)`); !errors.Is(err2, db.fatal()) {
 		t.Fatalf("poisoned database accepted DML: %v", err2)
 	}
 	// Reopen resolves the failed statement like an in-doubt transaction

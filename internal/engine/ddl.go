@@ -219,10 +219,14 @@ func (db *DB) BuildShadowIndex(def *catalog.IndexDef) (*index.Index, *textindex.
 		}
 	} else {
 		m := db.mgrs[t.Name]
-		if err := db.dirScan(t, 0, func(ref page.TID) error {
-			return ix.AddObject(m, t.Type, ref)
-		}); err != nil {
+		refs, err := db.dirRefs(t)
+		if err != nil {
 			return nil, nil, err
+		}
+		for _, ref := range refs {
+			if err := ix.AddObject(m, t.Type, ref); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	return ix, nil, nil
@@ -281,8 +285,12 @@ func (db *DB) forEachText(t *catalog.Table, path []string, fn func(text string, 
 		return fmt.Errorf("engine: text index requires a STRING attribute, got %s", kind)
 	}
 	m := db.mgrs[t.Name]
-	return db.dirScan(t, 0, func(ref page.TID) error {
-		return m.EnumLevel(t.Type, ref, tablePath, func(dpath []page.MiniTID, atoms []model.Value) error {
+	refs, err := db.dirRefs(t)
+	if err != nil {
+		return err
+	}
+	for _, ref := range refs {
+		err := m.EnumLevel(t.Type, ref, tablePath, func(dpath []page.MiniTID, atoms []model.Value) error {
 			if atomPos >= len(atoms) {
 				return nil // attribute added after this subtuple was written
 			}
@@ -291,7 +299,11 @@ func (db *DB) forEachText(t *catalog.Table, path []string, fn func(text string, 
 			}
 			return nil
 		})
-	})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // forEachTextOfObject enumerates text occurrences of one object (for

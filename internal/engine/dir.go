@@ -7,7 +7,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/dberr"
 	"repro/internal/page"
-	"repro/internal/subtuple"
 )
 
 // The object directory is the persistent list of root MD subtuple
@@ -119,52 +118,3 @@ func (db *DB) dirRemove(t *catalog.Table, ref page.TID) error {
 	}
 	return fmt.Errorf("engine: object %v not in directory of %s", ref, t.Name)
 }
-
-// dirScan streams the object roots, optionally as of an instant.
-func (db *DB) dirScan(t *catalog.Table, asof int64, fn func(ref page.TID) error) error {
-	st := db.stores[t.Seg]
-	cur := t.DirHead
-	for !cur.Nil() {
-		var raw []byte
-		var err error
-		skip := false
-		if asof != 0 {
-			var ok bool
-			raw, ok, err = st.ReadAsOf(cur, asof)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				// The chunk did not exist at asof, but older chunks
-				// further down the chain may have; chunk next pointers
-				// never change after creation, so read the current
-				// version just to follow the chain.
-				raw, err = st.Read(cur)
-				if err != nil {
-					return err
-				}
-				skip = true
-			}
-		} else {
-			raw, err = st.Read(cur)
-			if err != nil {
-				return err
-			}
-		}
-		next, refs, err := decodeDirChunk(raw)
-		if err != nil {
-			return err
-		}
-		if !skip {
-			for _, r := range refs {
-				if err := fn(r); err != nil {
-					return err
-				}
-			}
-		}
-		cur = next
-	}
-	return nil
-}
-
-var _ = subtuple.ErrNotFound

@@ -98,31 +98,16 @@ type Options struct {
 
 // DB is one database instance.
 type DB struct {
-	mu sync.Mutex
-	// The engine's concurrency control is split into three locks so
-	// that readers can stream result rows while a writer commits:
-	//
-	//   - applyMu serializes all storage mutation: implicit (auto-
-	//     commit) DML statements, transaction commit application, DDL,
-	//     and statement rollback. Exactly one writer touches pages at a
-	//     time; readers never take it.
-	//   - snapMu orders commit publication against snapshot
-	//     acquisition: a writer holds it exclusively while its changes
-	//     become visible (so every version it writes carries one
-	//     timestamp), and Begin/read-snapshot acquisition samples the
-	//     clock under the shared side. A snapshot therefore sits
-	//     strictly before or strictly after any commit, never inside
-	//     one.
-	//   - healMu is the recovery barrier: every reader holds the shared
-	//     side for the duration of one page-visiting call (a Rows.Next,
-	//     a materializing query), and only statement rollback and DDL —
-	//     the operations that rebuild pages or runtime structures under
-	//     the readers' feet — take the exclusive side. A normal commit
-	//     never does, which is what lets an open cursor keep streaming
-	//     while a transaction commits.
-	//
-	// Lock order: applyMu ≻ snapMu and applyMu ≻ healMu; snapMu and
-	// healMu are never held together.
+	// Concurrency control is six mutexes with one lock order, written
+	// down once in DESIGN.md §6 "Lock order": applyMu ≻ (snapMu |
+	// healMu) ≻ mu ≻ (txnMu | quarMu). In one line each: mu serializes
+	// the DDL entry points and runtime reloads; applyMu admits one
+	// storage mutator at a time (readers never take it); snapMu keeps
+	// snapshot acquisition out of a commit's publication window; healMu
+	// is the barrier that drains readers before pages or runtime
+	// structures are rebuilt under them (rollback, DDL) — a normal
+	// commit never takes it, so open cursors stream across commits.
+	mu      sync.Mutex
 	applyMu sync.Mutex
 	snapMu  sync.RWMutex
 	healMu  sync.RWMutex
@@ -151,23 +136,22 @@ type DB struct {
 
 	// quarMu guards the corruption-containment state: the set of
 	// quarantined objects and the out-of-service (degraded) indexes.
-	// See quarantine.go.
+	// See quarantine.go. A leaf lock.
 	quarMu   sync.Mutex
 	quar     map[quarKey]*QuarantineError
 	degraded map[string]string
 
 	// fatalErr poisons the database after a failed statement rollback:
 	// the live state can no longer be trusted, so every subsequent
-	// statement returns this error until the database is reopened.
-	// Guarded by fatalMu; use fatal()/setFatal.
-	fatalMu  sync.RWMutex
-	fatalErr error
+	// statement returns this error until the database is reopened. An
+	// atomic pointer like lastStmt; use fatal()/setFatal.
+	fatalErr atomic.Pointer[error]
 
 	// Transaction manager state (see txn.go): the id counter, the
 	// active-transaction registry, the in-flight write locks for
 	// first-writer-wins conflict detection, and the commit stamps of
 	// recently written objects (pruned whenever no transaction is
-	// active). All guarded by txnMu.
+	// active). All guarded by txnMu, a leaf lock.
 	txnMu      sync.Mutex
 	nextTxn    uint64
 	activeTxns map[uint64]*Txn
@@ -220,16 +204,13 @@ func (db *DB) bumpEpoch() { db.epoch.Add(1) }
 
 // fatal returns the poison error, if any.
 func (db *DB) fatal() error {
-	db.fatalMu.RLock()
-	defer db.fatalMu.RUnlock()
-	return db.fatalErr
+	if p := db.fatalErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
-func (db *DB) setFatal(err error) {
-	db.fatalMu.Lock()
-	db.fatalErr = err
-	db.fatalMu.Unlock()
-}
+func (db *DB) setFatal(err error) { db.fatalErr.Store(&err) }
 
 // Open creates or reopens a database.
 func Open(opts Options) (*DB, error) {
@@ -395,8 +376,9 @@ func (db *DB) reloadRuntime() error {
 	for _, t := range cat.Tables() {
 		if db.opts.Replica {
 			// A replica redoes page writes only; it never maintains the
-			// memory-resident indexes, and its executor ignores them
-			// (replicaRuntime). Promotion rebuilds them from base data.
+			// memory-resident indexes, and its reads are pinned to a
+			// horizon they would not reflect (runtime.Indexes). Promotion
+			// rebuilds them from base data.
 			break
 		}
 		for _, def := range cat.Indexes(t.Name) {
@@ -414,7 +396,7 @@ func (db *DB) reloadRuntime() error {
 			db.clearDegraded(def.Name)
 		}
 	}
-	db.exec = &exec.Executor{RT: (*runtime)(db), Plan: plan.Choose}
+	db.exec = &exec.Executor{RT: &runtime{db: db}, Plan: plan.Choose}
 	// The whole runtime was just rebuilt; any plan bound before now may
 	// reference stale structures.
 	db.bumpEpoch()
@@ -591,7 +573,7 @@ func (db *DB) Close() error {
 
 // Runtime exposes the engine's executor runtime (used by planner
 // tests and external tools that call plan.Choose directly).
-func (db *DB) Runtime() exec.Runtime { return (*runtime)(db) }
+func (db *DB) Runtime() exec.Runtime { return &runtime{db: db} }
 
 // Executor exposes the SQL executor; experiment harnesses toggle its
 // FullPaths flag to compare pruned against full-object execution.

@@ -94,15 +94,6 @@ func (db *DB) quarCheck(table string, ref page.TID) error {
 	return nil
 }
 
-// quarCheckScan is quarCheck for table scans, which a quarantined
-// directory also blocks.
-func (db *DB) quarCheckScan(table string, ref page.TID) error {
-	if err := db.quarCheck(table, page.TID{}); err != nil {
-		return err
-	}
-	return db.quarCheck(table, ref)
-}
-
 // guardRead converts a corruption error from a read of the given
 // object into its quarantine entry; other errors pass through. A
 // flat.TupleError pins the quarantine to the tuple it names.

@@ -22,14 +22,14 @@ func TestQuarantineContainsObject(t *testing.T) {
 	db.QuarantineObject("DEPARTMENTS", bad, dberr.Corruptf("test: injected"))
 
 	// Point read of the quarantined object: typed failure.
-	if _, err := db.ReadRef(tbl, bad, 0); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("ReadRef(bad) = %v, want ErrQuarantined", err)
+	if _, err := db.Runtime().OpenRef(tbl, bad, 0, nil); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("OpenRef(bad) = %v, want ErrQuarantined", err)
 	} else if !dberr.IsCorrupt(err) {
 		t.Fatalf("quarantine error should unwrap to dberr.ErrCorrupt, got %v", err)
 	}
 	// Point read of a healthy sibling: fine.
-	if _, err := db.ReadRef(tbl, refs[1], 0); err != nil {
-		t.Fatalf("ReadRef(healthy) = %v", err)
+	if _, err := db.Runtime().OpenRef(tbl, refs[1], 0, nil); err != nil {
+		t.Fatalf("OpenRef(healthy) = %v", err)
 	}
 	// A scan that would include the object fails loudly — never a
 	// silently shortened result.
@@ -51,7 +51,7 @@ func TestQuarantineContainsObject(t *testing.T) {
 		t.Fatalf("Quarantined() = %+v", qs)
 	}
 	db.Unquarantine("DEPARTMENTS", bad)
-	if _, err := db.ReadRef(tbl, bad, 0); err != nil {
+	if _, err := db.Runtime().OpenRef(tbl, bad, 0, nil); err != nil {
 		t.Fatalf("after Unquarantine: %v", err)
 	}
 }
@@ -66,7 +66,7 @@ func TestQuarantineDirectoryBlocksScansOnly(t *testing.T) {
 	if _, _, err := db.Query(`SELECT x.DNO FROM x IN DEPARTMENTS`); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("scan = %v, want ErrQuarantined", err)
 	}
-	if _, err := db.ReadRef(tbl, refs[0], 0); err != nil {
+	if _, err := db.Runtime().OpenRef(tbl, refs[0], 0, nil); err != nil {
 		t.Fatalf("point read under dir quarantine: %v", err)
 	}
 }

@@ -10,14 +10,10 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
-	"repro/internal/index"
-	"repro/internal/model"
-	"repro/internal/object"
 	"repro/internal/page"
 	"repro/internal/plan"
 	"repro/internal/segment"
 	"repro/internal/subtuple"
-	"repro/internal/textindex"
 	"repro/internal/wal"
 )
 
@@ -29,63 +25,19 @@ var ErrReadOnlyReplica = errors.New("engine: read replica is read-only")
 
 // --- replica reads -------------------------------------------------------
 
-// replicaRuntime is the storage interface a replica's queries run
-// against. Reads of versioned tables are pinned to the replication
-// visibility horizon — the commit timestamp of the last fully applied
-// group — so a query (or an open cursor) observes one consistent
-// committed snapshot even while the applier publishes newer commits
-// under it. Explicit ASOF reads keep their user-specified instant, as
-// everywhere else; reads of non-versioned tables see latest applied
-// state, like a primary reader racing a committing writer.
-//
-// Indexes are nil: the applier redoes page writes only, so the
-// memory-resident indexes a primary maintains do not exist here and
-// every query falls back to base-table scans (promotion rebuilds them;
-// see RestoreSnapshot and the failover drill in internal/replsim).
-type replicaRuntime struct {
-	*runtime
-	ts int64
-}
-
-func (r *replicaRuntime) pin(t *catalog.Table, asof int64) int64 {
-	if asof != 0 || !t.Versioned || r.ts == 0 {
-		return asof
-	}
-	return r.ts
-}
-
-func (r *replicaRuntime) ScanTable(t *catalog.Table, asof int64, fn func(ref page.TID, tup model.Tuple) error) error {
-	return r.runtime.ScanTable(t, r.pin(t, asof), fn)
-}
-
-func (r *replicaRuntime) ReadRef(t *catalog.Table, ref page.TID, asof int64) (model.Tuple, error) {
-	return r.runtime.ReadRef(t, ref, r.pin(t, asof))
-}
-
-func (r *replicaRuntime) OpenScan(t *catalog.Table, asof int64, ps *object.PathSet) (exec.ScanCursor, error) {
-	return r.runtime.OpenScan(t, r.pin(t, asof), ps)
-}
-
-func (r *replicaRuntime) OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object.PathSet) (model.Tuple, error) {
-	return r.runtime.OpenRef(t, ref, r.pin(t, asof), ps)
-}
-
-func (r *replicaRuntime) Indexes(string) []*index.Index { return nil }
-
-func (r *replicaRuntime) TextIndexes(string) []*textindex.Index { return nil }
-
 // readExec returns the executor a read statement should run through:
 // the database's own on a primary, and on a replica a fresh executor
 // whose runtime pins this statement (or cursor) to the visibility
-// horizon sampled now. Sampling once per call is what makes an open
-// cursor snapshot-stable across concurrently applied groups.
+// horizon sampled now (snapshot.ts). Sampling once per call is what
+// makes an open cursor snapshot-stable across concurrently applied
+// groups.
 func (db *DB) readExec() *exec.Executor {
 	if !db.opts.Replica {
 		return db.exec
 	}
 	base := db.exec
 	return &exec.Executor{
-		RT:        &replicaRuntime{runtime: (*runtime)(db), ts: db.ReplCounters().VisibleTS.Load()},
+		RT:        &runtime{db: db, snap: snapshot{ts: db.ReplCounters().VisibleTS.Load()}},
 		Plan:      plan.Choose,
 		Trace:     base.Trace,
 		FullPaths: base.FullPaths,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
-	"repro/internal/dberr"
 	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/model"
@@ -14,53 +13,99 @@ import (
 	"repro/internal/tname"
 )
 
-// runtime adapts DB to the executor's Runtime interface.
-type runtime DB
+// snapshot is the read policy of a runtime: which committed state a
+// read without an explicit ASOF observes. The zero value reads the
+// current committed state through the live indexes. ts alone pins
+// versioned tables to a replica's visibility horizon — the commit
+// timestamp of the last fully applied group — so a query (or an open
+// cursor) observes one consistent committed snapshot while the applier
+// publishes newer commits under it. tx pins them to the transaction's
+// begin timestamp (the ordinary ASOF version-chain walk: snapshot
+// isolation costs nothing the time-travel machinery does not already
+// pay) and overlays the transaction's buffered writes. Explicit ASOF
+// reads keep their instant and skip the overlay: they are historical
+// queries, not reads of the snapshot's world. Unversioned tables keep
+// no history, so every policy reads their latest state.
+type snapshot struct {
+	ts int64
+	tx *Txn
+}
 
-func (r *runtime) db() *DB { return (*DB)(r) }
+// pin resolves the instant a read of t at asof observes (0 = current).
+func (s snapshot) pin(t *catalog.Table, asof int64) int64 {
+	if asof != 0 || !t.Versioned {
+		return asof
+	}
+	if s.tx != nil {
+		return s.tx.snapTS
+	}
+	return s.ts
+}
+
+// overlay returns the transaction whose buffered writes a read at asof
+// must see, nil if none.
+func (s snapshot) overlay(asof int64) *Txn {
+	if asof != 0 {
+		return nil
+	}
+	return s.tx
+}
+
+// runtime implements exec.Runtime over a DB: the reads (scan.go) under
+// a snapshot policy, the writes as auto-commit storage mutations
+// (txnRuntime replaces those with buffered ones).
+type runtime struct {
+	db   *DB
+	snap snapshot
+}
 
 // Table implements exec.Runtime.
-func (r *runtime) Table(name string) (*catalog.Table, bool) { return r.db().cat.Table(name) }
+func (r *runtime) Table(name string) (*catalog.Table, bool) { return r.db.cat.Table(name) }
 
-// ScanTable implements exec.Runtime.
-func (r *runtime) ScanTable(t *catalog.Table, asof int64, fn func(ref page.TID, tup model.Tuple) error) error {
-	return r.db().ScanTable(t, asof, fn)
+// Indexes implements exec.Runtime. Only the zero snapshot reads through
+// indexes: their entries reflect the current committed state, not a
+// pinned instant, and know nothing of buffered writes (a replica builds
+// none at all — its applier redoes page writes only; promotion rebuilds
+// them). Everything else falls back to base-table scans.
+func (r *runtime) Indexes(table string) []*index.Index {
+	if r.snap != (snapshot{}) {
+		return nil
+	}
+	return r.db.indexes[table]
 }
 
-// ReadRef implements exec.Runtime.
-func (r *runtime) ReadRef(t *catalog.Table, ref page.TID, asof int64) (model.Tuple, error) {
-	return r.db().ReadRef(t, ref, asof)
+// TextIndexes implements exec.Runtime (nil under the same rule as
+// Indexes).
+func (r *runtime) TextIndexes(table string) []*textindex.Index {
+	if r.snap != (snapshot{}) {
+		return nil
+	}
+	return r.db.textIdx[table]
 }
-
-// Indexes implements exec.Runtime.
-func (r *runtime) Indexes(table string) []*index.Index { return r.db().indexes[table] }
-
-// TextIndexes implements exec.Runtime.
-func (r *runtime) TextIndexes(table string) []*textindex.Index { return r.db().textIdx[table] }
 
 // InsertTuple implements exec.Runtime.
 func (r *runtime) InsertTuple(t *catalog.Table, tup model.Tuple) error {
-	return r.db().Insert(t.Name, tup)
+	return r.db.Insert(t.Name, tup)
 }
 
 // DeleteTuple implements exec.Runtime.
 func (r *runtime) DeleteTuple(t *catalog.Table, ref page.TID) error {
-	return r.db().Delete(t.Name, ref)
+	return r.db.Delete(t.Name, ref)
 }
 
 // UpdateAtoms implements exec.Runtime.
 func (r *runtime) UpdateAtoms(t *catalog.Table, ref page.TID, steps []object.Step, vals []model.Value) error {
-	return r.db().UpdateAtoms(t.Name, ref, steps, vals)
+	return r.db.UpdateAtoms(t.Name, ref, steps, vals)
 }
 
 // InsertMember implements exec.Runtime.
 func (r *runtime) InsertMember(t *catalog.Table, ref page.TID, steps []object.Step, attr int, member model.Tuple) error {
-	return r.db().InsertMember(t.Name, ref, steps, attr, member)
+	return r.db.InsertMember(t.Name, ref, steps, attr, member)
 }
 
 // DeleteMember implements exec.Runtime.
 func (r *runtime) DeleteMember(t *catalog.Table, ref page.TID, steps []object.Step, attr, pos int) error {
-	return r.db().DeleteMember(t.Name, ref, steps, attr, pos)
+	return r.db.DeleteMember(t.Name, ref, steps, attr, pos)
 }
 
 // ParseTime implements exec.Runtime.
@@ -69,8 +114,10 @@ func (r *runtime) ParseTime(v model.Value) (int64, error) { return exec.ParseTim
 // TName implements exec.Runtime: it mints a tuple name for the
 // (sub)object a query variable is bound to.
 func (r *runtime) TName(t *catalog.Table, ref page.TID, steps []object.Step) (string, error) {
-	db := r.db()
-	m, ok := db.mgrs[t.Name]
+	if ref.Page >= synthBase {
+		return "", fmt.Errorf("engine: TNAME of a tuple inserted in this transaction is unavailable before commit")
+	}
+	m, ok := r.db.mgrs[t.Name]
 	if !ok {
 		return "", fmt.Errorf("engine: TNAME requires an NF² table, %q is flat", t.Name)
 	}
@@ -82,90 +129,6 @@ func (r *runtime) TName(t *catalog.Table, ref page.TID, steps []object.Step) (st
 	return n.Encode(), nil
 }
 
-// --- public data access ------------------------------------------------
-
-// ScanTable streams all tuples of a table with their references,
-// optionally as of an instant. Hitting a corrupt or quarantined
-// object fails the scan with a typed *QuarantineError — never a
-// silently shortened result.
-func (db *DB) ScanTable(t *catalog.Table, asof int64, fn func(ref page.TID, tup model.Tuple) error) error {
-	if err := db.quarCheck(t.Name, page.TID{}); err != nil {
-		return err
-	}
-	if t.Kind == catalog.Flat {
-		fs := db.flats[t.Name]
-		if asof == 0 {
-			return db.guardRead(t.Name, page.TID{}, fs.Scan(func(tid page.TID, tup model.Tuple) error {
-				if err := db.quarCheck(t.Name, tid); err != nil {
-					return err
-				}
-				return fn(tid, tup)
-			}))
-		}
-		return db.guardRead(t.Name, page.TID{}, fs.Subtuples().ScanAsOf(asof, func(tid page.TID, raw []byte) error {
-			if err := db.quarCheck(t.Name, tid); err != nil {
-				return err
-			}
-			vals, err := model.DecodeAtoms(raw)
-			if err != nil {
-				return db.guardRead(t.Name, tid, err)
-			}
-			if len(vals) > len(t.Type.Attrs) {
-				return db.guardRead(t.Name, tid,
-					dberr.Corruptf("engine: stored tuple has %d values, schema %d", len(vals), len(t.Type.Attrs)))
-			}
-			// Versions written before an ALTER TABLE ADD are shorter;
-			// the new attributes read as null.
-			for len(vals) < len(t.Type.Attrs) {
-				vals = append(vals, model.Null{})
-			}
-			return fn(tid, model.Tuple(vals))
-		}))
-	}
-	m := db.mgrs[t.Name]
-	return db.guardDir(t.Name, db.dirScan(t, asof, func(ref page.TID) error {
-		if err := db.quarCheck(t.Name, ref); err != nil {
-			return err
-		}
-		tup, err := m.ReadAsOf(t.Type, ref, asof)
-		if err != nil {
-			if dberr.IsCorrupt(err) {
-				// A broken object must not read as "absent at asof".
-				return db.guardRead(t.Name, ref, err)
-			}
-			if asof != 0 {
-				return nil // object did not exist at asof
-			}
-			return err
-		}
-		return fn(ref, tup)
-	}))
-}
-
-// ReadRef materializes one tuple by reference.
-func (db *DB) ReadRef(t *catalog.Table, ref page.TID, asof int64) (model.Tuple, error) {
-	if err := db.quarCheck(t.Name, ref); err != nil {
-		return nil, err
-	}
-	if t.Kind == catalog.Flat {
-		fs := db.flats[t.Name]
-		if asof == 0 {
-			tup, err := fs.Read(ref)
-			return tup, db.guardRead(t.Name, ref, err)
-		}
-		tup, ok, err := fs.ReadAsOf(ref, asof)
-		if err != nil {
-			return nil, db.guardRead(t.Name, ref, err)
-		}
-		if !ok {
-			return nil, fmt.Errorf("engine: tuple %v did not exist at %d", ref, asof)
-		}
-		return tup, nil
-	}
-	tup, err := db.mgrs[t.Name].ReadAsOf(t.Type, ref, asof)
-	return tup, db.guardRead(t.Name, ref, err)
-}
-
 // Refs returns the object references of a complex table (or tuple
 // TIDs of a flat one).
 func (db *DB) Refs(table string) ([]page.TID, error) {
@@ -173,18 +136,15 @@ func (db *DB) Refs(table string) ([]page.TID, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: no table %q", table)
 	}
-	var refs []page.TID
 	if t.Kind == catalog.Flat {
+		var refs []page.TID
 		err := db.flats[table].Scan(func(tid page.TID, _ model.Tuple) error {
 			refs = append(refs, tid)
 			return nil
 		})
 		return refs, db.guardRead(table, page.TID{}, err)
 	}
-	err := db.dirScan(t, 0, func(ref page.TID) error {
-		refs = append(refs, ref)
-		return nil
-	})
+	refs, err := db.dirRefs(t)
 	return refs, db.guardDir(table, err)
 }
 

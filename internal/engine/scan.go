@@ -14,49 +14,87 @@ import (
 	"repro/internal/subtuple"
 )
 
-// Cursor-based table access: the pull counterpart of ScanTable. A
-// cursor pins buffer pages only inside a single Next call, so an
+// The one read path. Every stored-table read — FROM items, stored-table
+// quantifiers, index candidates, a transaction's base images, crashsim,
+// scrub — is an OpenScan or an OpenRef on a runtime:
+//
+//	flatCursor | objectCursor (over dirCursor)   stored state at snap.pin
+//	txnScanCursor                                only when snap.overlay
+//
+// A cursor pins buffer pages only inside a single Next call, so an
 // abandoned cursor (one never Closed) holds no pool resources — the
 // pinned-page invariant the statement layer relies on.
+//
+// What a scan does with an object it cannot read is decided here once:
+// corruption (of the object, or of a directory chunk) fails the scan
+// with a typed *QuarantineError, never a silently shortened result; an
+// object listed in a directory chunk that is absent at the read instant
+// — nonexistent at asof, or deleted since the chunk was read, which the
+// per-Next statement lock of a Rows cursor allows — is skipped:
+// read-committed-per-row. Any other error fails the scan as it is.
 
 // OpenScan implements exec.Runtime: it opens a pull cursor over the
 // table, fetching only the paths in ps of each complex object (nil =
 // full objects; flat tables are one data subtuple and ignore ps).
 func (r *runtime) OpenScan(t *catalog.Table, asof int64, ps *object.PathSet) (exec.ScanCursor, error) {
-	return r.db().OpenScan(t, asof, ps)
-}
-
-// OpenRef implements exec.Runtime.
-func (r *runtime) OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object.PathSet) (model.Tuple, error) {
-	return r.db().OpenRef(t, ref, asof, ps)
-}
-
-// OpenScan opens a streaming cursor over a table (see runtime.OpenScan).
-func (db *DB) OpenScan(t *catalog.Table, asof int64, ps *object.PathSet) (exec.ScanCursor, error) {
+	db, tx := r.db, r.snap.overlay(asof)
+	asof = r.snap.pin(t, asof)
 	if err := db.quarCheck(t.Name, page.TID{}); err != nil {
 		return nil, err
 	}
+	var sc exec.ScanCursor
 	if t.Kind == catalog.Flat {
 		fc, err := db.flats[t.Name].NewCursor(asof)
 		if err != nil {
-			return nil, err
+			return nil, db.guardRead(t.Name, page.TID{}, err)
 		}
-		return &flatCursor{db: db, table: t.Name, c: fc}, nil
+		sc = &flatCursor{db: db, table: t.Name, c: fc}
+	} else {
+		sc = &objectCursor{db: db, t: t, m: db.mgrs[t.Name], asof: asof, ps: ps, dir: db.openDir(t, asof)}
 	}
-	return &objectCursor{db: db, t: t, m: db.mgrs[t.Name], asof: asof, ps: ps,
-		dir: dirCursor{st: db.stores[t.Seg], cur: t.DirHead, asof: asof}}, nil
+	if tx != nil {
+		sc = tx.overlayScan(t, sc)
+	}
+	return sc, nil
 }
 
-// OpenRef reads one tuple by reference, pruned to ps.
-func (db *DB) OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object.PathSet) (model.Tuple, error) {
-	if t.Kind == catalog.Flat {
-		return db.ReadRef(t, ref, asof)
+// OpenRef implements exec.Runtime: it reads one tuple by reference,
+// pruned to ps. Buffered images are returned whole; projection pruning
+// is an optimization for stored objects only.
+func (r *runtime) OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object.PathSet) (model.Tuple, error) {
+	db := r.db
+	if tx := r.snap.overlay(asof); tx != nil {
+		if p, ok := tx.pending[wkey{t.Name, ref}]; ok {
+			if p.deleted {
+				return nil, subtuple.ErrNotFound
+			}
+			return p.tup.Clone(), nil
+		}
+		if ref.Page >= synthBase {
+			return nil, subtuple.ErrNotFound
+		}
 	}
+	asof = r.snap.pin(t, asof)
 	if err := db.quarCheck(t.Name, ref); err != nil {
 		return nil, err
 	}
-	tup, err := db.mgrs[t.Name].ReadPruned(t.Type, ref, asof, ps)
-	return tup, db.guardRead(t.Name, ref, err)
+	if t.Kind == catalog.Complex {
+		tup, err := db.mgrs[t.Name].ReadPruned(t.Type, ref, asof, ps)
+		return tup, db.guardRead(t.Name, ref, err)
+	}
+	fs := db.flats[t.Name]
+	if asof == 0 {
+		tup, err := fs.Read(ref)
+		return tup, db.guardRead(t.Name, ref, err)
+	}
+	tup, ok, err := fs.ReadAsOf(ref, asof)
+	if err != nil {
+		return nil, db.guardRead(t.Name, ref, err)
+	}
+	if !ok {
+		return nil, fmt.Errorf("engine: tuple %v did not exist at %d", ref, asof)
+	}
+	return tup, nil
 }
 
 // flatCursor adapts a flat-store cursor to exec.ScanCursor.
@@ -82,10 +120,6 @@ func (fc *flatCursor) Close() error { return fc.c.Close() }
 
 // objectCursor streams the complex objects of a table: a lazy walk of
 // the directory chunk chain supplies the roots, each fetched pruned.
-// Because the statement lock may be released between Next calls (the
-// public Rows cursor acquires it per call), an object listed in a
-// chunk can vanish before it is read; such objects are skipped —
-// read-committed-per-row semantics.
 type objectCursor struct {
 	db   *DB
 	t    *catalog.Table
@@ -144,6 +178,25 @@ type dirCursor struct {
 	done bool
 }
 
+// openDir starts a walk of the table's directory as of an instant
+// (0 = current).
+func (db *DB) openDir(t *catalog.Table, asof int64) dirCursor {
+	return dirCursor{st: db.stores[t.Seg], cur: t.DirHead, asof: asof}
+}
+
+// dirRefs lists the object roots currently in the table's directory.
+func (db *DB) dirRefs(t *catalog.Table) ([]page.TID, error) {
+	dc := db.openDir(t, 0)
+	var refs []page.TID
+	for {
+		ref, ok, err := dc.next()
+		if err != nil || !ok {
+			return refs, err
+		}
+		refs = append(refs, ref)
+	}
+}
+
 func (dc *dirCursor) next() (page.TID, bool, error) {
 	for {
 		if dc.done {
@@ -164,28 +217,24 @@ func (dc *dirCursor) next() (page.TID, bool, error) {
 	}
 }
 
-// loadChunk reads the chunk at dc.cur and advances the chain,
-// mirroring dirScan's ASOF handling: a chunk that did not exist at
-// asof still has its (immutable) next pointer followed, but its refs
-// are skipped.
+// loadChunk reads the chunk at dc.cur and advances the chain. A chunk
+// that did not exist at asof contributes no refs, but older chunks
+// further down the chain may have existed; next pointers are immutable,
+// so its current version is read just to follow the chain.
 func (dc *dirCursor) loadChunk() error {
-	var raw []byte
-	var err error
-	skip := false
+	var (
+		raw []byte
+		ok  bool
+		err error
+	)
 	if dc.asof != 0 {
-		var ok bool
 		raw, ok, err = dc.st.ReadAsOf(dc.cur, dc.asof)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			raw, err = dc.st.Read(dc.cur)
-			if err != nil {
-				return err
-			}
-			skip = true
-		}
-	} else {
+	}
+	skip := dc.asof != 0 && !ok
+	if !ok {
 		raw, err = dc.st.Read(dc.cur)
 		if err != nil {
 			return err
@@ -195,12 +244,75 @@ func (dc *dirCursor) loadChunk() error {
 	if err != nil {
 		return err
 	}
-	dc.cur = next
-	dc.i = 0
 	if skip {
-		dc.refs = nil
-	} else {
-		dc.refs = refs
+		refs = nil
+	}
+	dc.cur, dc.refs, dc.i = next, refs, 0
+	return nil
+}
+
+// txnScanCursor overlays a transaction's buffered writes onto a
+// stored-table cursor: committed tuples stream through (substituted or
+// suppressed when the transaction wrote them), then the transaction's
+// own inserts follow.
+type txnScanCursor struct {
+	tx    *Txn
+	t     *catalog.Table
+	under exec.ScanCursor // nil once exhausted
+	pend  []page.TID
+	i     int
+}
+
+// overlayScan wraps a stored-table cursor with the transaction's
+// buffered writes. The synthetic refs are snapshotted now; entries stay
+// in tx.order for the transaction's lifetime, and deletes are
+// re-checked per Next.
+func (tx *Txn) overlayScan(t *catalog.Table, under exec.ScanCursor) exec.ScanCursor {
+	var pend []page.TID
+	for _, k := range tx.order {
+		if k.table == t.Name && k.ref.Page >= synthBase {
+			pend = append(pend, k.ref)
+		}
+	}
+	return &txnScanCursor{tx: tx, t: t, under: under, pend: pend}
+}
+
+func (c *txnScanCursor) Next() (page.TID, model.Tuple, bool, error) {
+	for c.under != nil {
+		ref, tup, ok, err := c.under.Next()
+		if err != nil {
+			return page.TID{}, nil, false, err
+		}
+		if !ok {
+			c.under.Close()
+			c.under = nil
+			break
+		}
+		if p, hit := c.tx.pending[wkey{c.t.Name, ref}]; hit {
+			if p.deleted {
+				continue
+			}
+			return ref, p.tup.Clone(), true, nil
+		}
+		return ref, tup, true, nil
+	}
+	for c.i < len(c.pend) {
+		ref := c.pend[c.i]
+		c.i++
+		p := c.tx.pending[wkey{c.t.Name, ref}]
+		if p == nil || p.deleted {
+			continue
+		}
+		return ref, p.tup.Clone(), true, nil
+	}
+	return page.TID{}, nil, false, nil
+}
+
+func (c *txnScanCursor) Close() error {
+	if c.under != nil {
+		err := c.under.Close()
+		c.under = nil
+		return err
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/object"
@@ -129,7 +128,7 @@ func (db *DB) Begin() (*Txn, error) {
 		pending: make(map[wkey]*pendingObj),
 		locked:  make(map[wkey]bool),
 	}
-	tx.exec = &exec.Executor{RT: &txnRuntime{tx: tx}, Plan: plan.Choose}
+	tx.exec = &exec.Executor{RT: &txnRuntime{runtime{db: db, snap: snapshot{tx: tx}}}, Plan: plan.Choose}
 	db.txnMu.Lock()
 	db.nextTxn++
 	tx.id = db.nextTxn
@@ -559,18 +558,4 @@ func (tx *Txn) runStmt(ctx context.Context, st sql.Statement, text string, param
 func (tx *Txn) newSynthRef() page.TID {
 	tx.synth++
 	return page.TID{Page: synthBase + tx.synth}
-}
-
-// visibleTS returns the as-of timestamp transaction reads of a table
-// use: the caller's explicit ASOF if given, else the snapshot
-// timestamp for versioned tables, else 0 (current state — unversioned
-// tables keep no history to read).
-func (tx *Txn) visibleTS(t *catalog.Table, asof int64) int64 {
-	if asof != 0 {
-		return asof
-	}
-	if t.Versioned {
-		return tx.snapTS
-	}
-	return 0
 }

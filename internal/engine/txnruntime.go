@@ -4,202 +4,21 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
-	"repro/internal/exec"
-	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/object"
 	"repro/internal/page"
-	"repro/internal/subtuple"
-	"repro/internal/textindex"
 )
 
 // txnRuntime is the storage interface a transaction's executor runs
-// against. Reads of versioned tables are redirected to the
-// transaction's snapshot timestamp (the ordinary ASOF version-chain
-// walk — snapshot isolation costs nothing the time-travel machinery
-// does not already pay), overlaid with the transaction's own buffered
-// writes; writes go to the buffer instead of storage. Explicit ASOF
-// reads keep their user-specified instant and skip the overlay: they
-// are historical queries, not reads of the transaction's world.
+// against: the reads are the shared runtime's under snapshot{tx: tx}
+// (runtime.go, scan.go); the writes below go to the transaction's
+// buffer instead of storage. Each mutation starts from OpenRef(t, ref,
+// 0, nil), which under this snapshot is a private copy of the object's
+// current image in the transaction: the buffered one if the transaction
+// wrote it, else the committed image at the snapshot.
 type txnRuntime struct {
-	tx *Txn
+	runtime
 }
-
-// Table implements exec.Runtime.
-func (rt *txnRuntime) Table(name string) (*catalog.Table, bool) { return rt.tx.db.cat.Table(name) }
-
-// Indexes implements exec.Runtime. Transactions read through full
-// scans only: index entries reflect current committed state, not the
-// snapshot, and know nothing of the transaction's buffered writes.
-func (rt *txnRuntime) Indexes(string) []*index.Index { return nil }
-
-// TextIndexes implements exec.Runtime (nil for the same reason as
-// Indexes).
-func (rt *txnRuntime) TextIndexes(string) []*textindex.Index { return nil }
-
-// ParseTime implements exec.Runtime.
-func (rt *txnRuntime) ParseTime(v model.Value) (int64, error) { return exec.ParseTimeValue(v) }
-
-// TName implements exec.Runtime.
-func (rt *txnRuntime) TName(t *catalog.Table, ref page.TID, steps []object.Step) (string, error) {
-	if ref.Page >= synthBase {
-		return "", fmt.Errorf("engine: TNAME of a tuple inserted in this transaction is unavailable before commit")
-	}
-	return (*runtime)(rt.tx.db).TName(t, ref, steps)
-}
-
-// ScanTable implements exec.Runtime: the committed snapshot with the
-// transaction's deletes filtered, updates substituted, and inserts
-// appended.
-func (rt *txnRuntime) ScanTable(t *catalog.Table, asof int64, fn func(ref page.TID, tup model.Tuple) error) error {
-	tx := rt.tx
-	overlay := asof == 0
-	err := tx.db.ScanTable(t, tx.visibleTS(t, asof), func(ref page.TID, tup model.Tuple) error {
-		if overlay {
-			if p, ok := tx.pending[wkey{t.Name, ref}]; ok {
-				if p.deleted {
-					return nil
-				}
-				return fn(ref, p.tup.Clone())
-			}
-		}
-		return fn(ref, tup)
-	})
-	if err != nil || !overlay {
-		return err
-	}
-	return tx.scanPendingInserts(t, fn)
-}
-
-// scanPendingInserts streams the transaction's not-yet-committed
-// inserts into a table, in insertion order.
-func (tx *Txn) scanPendingInserts(t *catalog.Table, fn func(ref page.TID, tup model.Tuple) error) error {
-	for _, k := range tx.order {
-		if k.table != t.Name || k.ref.Page < synthBase {
-			continue
-		}
-		p := tx.pending[k]
-		if p == nil || p.deleted {
-			continue
-		}
-		if err := fn(k.ref, p.tup.Clone()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadRef implements exec.Runtime.
-func (rt *txnRuntime) ReadRef(t *catalog.Table, ref page.TID, asof int64) (model.Tuple, error) {
-	tx := rt.tx
-	if asof == 0 {
-		if p, ok := tx.pending[wkey{t.Name, ref}]; ok {
-			if p.deleted {
-				return nil, subtuple.ErrNotFound
-			}
-			return p.tup.Clone(), nil
-		}
-		if ref.Page >= synthBase {
-			return nil, subtuple.ErrNotFound
-		}
-	}
-	return tx.db.ReadRef(t, ref, tx.visibleTS(t, asof))
-}
-
-// OpenRef implements exec.Runtime. Buffered images are returned whole;
-// projection pruning is an optimization for stored objects only.
-func (rt *txnRuntime) OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object.PathSet) (model.Tuple, error) {
-	tx := rt.tx
-	if asof == 0 {
-		if p, ok := tx.pending[wkey{t.Name, ref}]; ok {
-			if p.deleted {
-				return nil, subtuple.ErrNotFound
-			}
-			return p.tup.Clone(), nil
-		}
-		if ref.Page >= synthBase {
-			return nil, subtuple.ErrNotFound
-		}
-	}
-	return tx.db.OpenRef(t, ref, tx.visibleTS(t, asof), ps)
-}
-
-// OpenScan implements exec.Runtime: the stored-table cursor wrapped
-// with the transaction's overlay.
-func (rt *txnRuntime) OpenScan(t *catalog.Table, asof int64, ps *object.PathSet) (exec.ScanCursor, error) {
-	tx := rt.tx
-	overlay := asof == 0
-	under, err := tx.db.OpenScan(t, tx.visibleTS(t, asof), ps)
-	if err != nil {
-		return nil, err
-	}
-	if !overlay {
-		return under, nil
-	}
-	// Snapshot the synthetic refs now; entries stay in tx.order for the
-	// transaction's lifetime, and deletes are re-checked per Next.
-	var pend []page.TID
-	for _, k := range tx.order {
-		if k.table == t.Name && k.ref.Page >= synthBase {
-			pend = append(pend, k.ref)
-		}
-	}
-	return &txnScanCursor{tx: tx, t: t, under: under, pend: pend}, nil
-}
-
-// txnScanCursor overlays a transaction's buffered writes onto a
-// stored-table cursor: committed tuples stream through (substituted or
-// suppressed when the transaction wrote them), then the transaction's
-// own inserts follow.
-type txnScanCursor struct {
-	tx    *Txn
-	t     *catalog.Table
-	under exec.ScanCursor // nil once exhausted
-	pend  []page.TID
-	i     int
-}
-
-func (c *txnScanCursor) Next() (page.TID, model.Tuple, bool, error) {
-	for c.under != nil {
-		ref, tup, ok, err := c.under.Next()
-		if err != nil {
-			return page.TID{}, nil, false, err
-		}
-		if !ok {
-			c.under.Close()
-			c.under = nil
-			break
-		}
-		if p, hit := c.tx.pending[wkey{c.t.Name, ref}]; hit {
-			if p.deleted {
-				continue
-			}
-			return ref, p.tup.Clone(), true, nil
-		}
-		return ref, tup, true, nil
-	}
-	for c.i < len(c.pend) {
-		ref := c.pend[c.i]
-		c.i++
-		p := c.tx.pending[wkey{c.t.Name, ref}]
-		if p == nil || p.deleted {
-			continue
-		}
-		return ref, p.tup.Clone(), true, nil
-	}
-	return page.TID{}, nil, false, nil
-}
-
-func (c *txnScanCursor) Close() error {
-	if c.under != nil {
-		err := c.under.Close()
-		c.under = nil
-		return err
-	}
-	return nil
-}
-
-// --- buffered writes ----------------------------------------------------
 
 // setPending records the new image of one object, keeping insertion
 // order for stable scans. Entries are replaced whole, never mutated:
@@ -209,26 +28,6 @@ func (tx *Txn) setPending(k wkey, p *pendingObj) {
 		tx.order = append(tx.order, k)
 	}
 	tx.pending[k] = p
-}
-
-// baseImage returns a private copy of the object's current image in
-// this transaction: the buffered one if the transaction wrote it, else
-// the committed image at the snapshot.
-func (tx *Txn) baseImage(t *catalog.Table, k wkey) (model.Tuple, error) {
-	if p, ok := tx.pending[k]; ok {
-		if p.deleted {
-			return nil, subtuple.ErrNotFound
-		}
-		return p.tup.Clone(), nil
-	}
-	if k.ref.Page >= synthBase {
-		return nil, subtuple.ErrNotFound
-	}
-	tup, err := tx.db.ReadRef(t, k.ref, tx.visibleTS(t, 0))
-	if err != nil {
-		return nil, err
-	}
-	return tup.Clone(), nil
 }
 
 // wasInserted reports whether the pending entry (if any) belongs to a
@@ -242,7 +41,7 @@ func (tx *Txn) wasInserted(k wkey) bool {
 // and lives in the buffer until commit. A brand-new tuple cannot
 // conflict with anything, so no write lock is taken.
 func (rt *txnRuntime) InsertTuple(t *catalog.Table, tup model.Tuple) error {
-	tx := rt.tx
+	tx := rt.snap.tx
 	if err := model.Conform(t.Type, tup); err != nil {
 		return err
 	}
@@ -255,10 +54,10 @@ func (rt *txnRuntime) InsertTuple(t *catalog.Table, tup model.Tuple) error {
 
 // DeleteTuple implements exec.Runtime.
 func (rt *txnRuntime) DeleteTuple(t *catalog.Table, ref page.TID) error {
-	tx := rt.tx
+	tx := rt.snap.tx
 	k := wkey{t.Name, ref}
 	if ref.Page >= synthBase {
-		if _, err := tx.baseImage(t, k); err != nil {
+		if _, err := rt.OpenRef(t, ref, 0, nil); err != nil {
 			return err
 		}
 		// Deleting a tuple inserted in this transaction elides the
@@ -269,7 +68,7 @@ func (rt *txnRuntime) DeleteTuple(t *catalog.Table, ref page.TID) error {
 	if err := tx.registerWrite(k); err != nil {
 		return err
 	}
-	if _, err := tx.baseImage(t, k); err != nil {
+	if _, err := rt.OpenRef(t, ref, 0, nil); err != nil {
 		return err
 	}
 	tx.setPending(k, &pendingObj{deleted: true})
@@ -279,14 +78,14 @@ func (rt *txnRuntime) DeleteTuple(t *catalog.Table, ref page.TID) error {
 
 // UpdateAtoms implements exec.Runtime.
 func (rt *txnRuntime) UpdateAtoms(t *catalog.Table, ref page.TID, steps []object.Step, vals []model.Value) error {
-	tx := rt.tx
+	tx := rt.snap.tx
 	k := wkey{t.Name, ref}
 	if ref.Page < synthBase {
 		if err := tx.registerWrite(k); err != nil {
 			return err
 		}
 	}
-	img, err := tx.baseImage(t, k)
+	img, err := rt.OpenRef(t, ref, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -306,14 +105,14 @@ func (rt *txnRuntime) UpdateAtoms(t *catalog.Table, ref page.TID, steps []object
 
 // InsertMember implements exec.Runtime.
 func (rt *txnRuntime) InsertMember(t *catalog.Table, ref page.TID, steps []object.Step, attr int, member model.Tuple) error {
-	tx := rt.tx
+	tx := rt.snap.tx
 	k := wkey{t.Name, ref}
 	if ref.Page < synthBase {
 		if err := tx.registerWrite(k); err != nil {
 			return err
 		}
 	}
-	img, err := tx.baseImage(t, k)
+	img, err := rt.OpenRef(t, ref, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -333,14 +132,14 @@ func (rt *txnRuntime) InsertMember(t *catalog.Table, ref page.TID, steps []objec
 
 // DeleteMember implements exec.Runtime.
 func (rt *txnRuntime) DeleteMember(t *catalog.Table, ref page.TID, steps []object.Step, attr, pos int) error {
-	tx := rt.tx
+	tx := rt.snap.tx
 	k := wkey{t.Name, ref}
 	if ref.Page < synthBase {
 		if err := tx.registerWrite(k); err != nil {
 			return err
 		}
 	}
-	img, err := tx.baseImage(t, k)
+	img, err := rt.OpenRef(t, ref, 0, nil)
 	if err != nil {
 		return err
 	}

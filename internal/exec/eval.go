@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/page"
 	"repro/internal/sql"
 	"repro/internal/textindex"
 )
@@ -336,88 +335,67 @@ func truth(v value) (bool, error) {
 	return bool(b), nil
 }
 
-// evalQuant evaluates EXISTS/ALL over a subtable or stored table.
-// ALL over an empty table is vacuously true; EXISTS false.
+// evalQuant evaluates EXISTS/ALL over a subtable or stored table. One
+// tuple decides the quantifier — a witness for EXISTS, a counterexample
+// for ALL — and iteration stops there; undecided (including an empty or
+// null table) ALL is vacuously true and EXISTS false. A stored table is
+// read through the same cursor as a FROM item without ASOF, so it sees
+// the same snapshot; the deferred Close is the early stop.
 func (e *Executor) evalQuant(q *sql.Quant, en *env) (bool, error) {
-	iterate := func(fn func(tt *model.TableType, tup model.Tuple) (bool, error)) (bool, error) {
-		if q.Source.Table != "" {
-			t, ok := e.RT.Table(q.Source.Table)
-			if !ok {
-				return false, fmt.Errorf("exec: unknown table %q", q.Source.Table)
-			}
-			stop := fmt.Errorf("stop")
-			done := false
-			var verdict bool
-			err := e.RT.ScanTable(t, 0, func(_ page.TID, tup model.Tuple) error {
-				halt, err := fn(t.Type, tup)
-				if err != nil {
-					return err
-				}
-				if halt {
-					done = true
-					verdict = true
-					return stop
-				}
-				return nil
-			})
-			if err != nil && !done {
-				return false, err
-			}
-			return verdict, nil
-		}
-		v, err := e.evalPath(q.Source.Path, en)
-		if err != nil {
-			return false, err
-		}
-		if v.isNull() {
-			return false, nil
-		}
-		tbl, ok := v.atom.(*model.Table)
-		if !ok {
-			return false, fmt.Errorf("exec: quantifier source %s is not a table", q.Source.Path)
-		}
-		for _, tup := range tbl.Tuples {
-			halt, err := fn(v.tt, tup)
-			if err != nil {
-				return false, err
-			}
-			if halt {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-
-	if q.All {
-		allTrue := true
-		_, err := iterate(func(tt *model.TableType, tup model.Tuple) (bool, error) {
-			scope := newEnv(en)
-			scope.bind(q.Var, &binding{tt: tt, tup: tup})
-			ok, err := e.evalCond(q.Cond, scope)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				allTrue = false
-				return true, nil // early out: one counterexample suffices
-			}
-			return false, nil
-		})
-		if err != nil {
-			return false, err
-		}
-		return allTrue, nil
-	}
-	found, err := iterate(func(tt *model.TableType, tup model.Tuple) (bool, error) {
+	decides := func(tt *model.TableType, tup model.Tuple) (bool, error) {
 		scope := newEnv(en)
 		scope.bind(q.Var, &binding{tt: tt, tup: tup})
 		ok, err := e.evalCond(q.Cond, scope)
+		return ok != q.All, err
+	}
+	if q.Source.Table != "" {
+		t, ok := e.RT.Table(q.Source.Table)
+		if !ok {
+			return false, fmt.Errorf("exec: unknown table %q", q.Source.Table)
+		}
+		sc, err := e.RT.OpenScan(t, 0, nil)
 		if err != nil {
 			return false, err
 		}
-		return ok, nil // early out on first witness
-	})
-	return found, err
+		defer sc.Close()
+		for {
+			_, tup, ok, err := sc.Next()
+			if err != nil {
+				return false, err
+			}
+			if !ok {
+				return q.All, nil
+			}
+			d, err := decides(t.Type, tup)
+			if err != nil {
+				return false, err
+			}
+			if d {
+				return !q.All, nil
+			}
+		}
+	}
+	v, err := e.evalPath(q.Source.Path, en)
+	if err != nil {
+		return false, err
+	}
+	if v.isNull() {
+		return q.All, nil
+	}
+	tbl, ok := v.atom.(*model.Table)
+	if !ok {
+		return false, fmt.Errorf("exec: quantifier source %s is not a table", q.Source.Path)
+	}
+	for _, tup := range tbl.Tuples {
+		d, err := decides(v.tt, tup)
+		if err != nil {
+			return false, err
+		}
+		if d {
+			return !q.All, nil
+		}
+	}
+	return q.All, nil
 }
 
 func (e *Executor) evalCond(x sql.Expr, en *env) (bool, error) {

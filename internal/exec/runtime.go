@@ -27,16 +27,11 @@ import (
 type Runtime interface {
 	// Table resolves a stored table by name.
 	Table(name string) (*catalog.Table, bool)
-	// ScanTable streams all tuples of a stored table with their
-	// references (object root TIDs for complex tables, tuple TIDs for
-	// flat ones).
-	ScanTable(t *catalog.Table, asof int64, fn func(ref page.TID, tup model.Tuple) error) error
-	// ReadRef materializes one tuple by reference.
-	ReadRef(t *catalog.Table, ref page.TID, asof int64) (model.Tuple, error)
-	// OpenScan opens a pull cursor over a stored table that fetches
-	// only the paths in ps (nil = everything) of each object. The
-	// cursor must hold no buffer pages between calls, so abandoning it
-	// leaks nothing.
+	// OpenScan opens a pull cursor over a stored table, yielding each
+	// tuple with its reference (object root TID for complex tables,
+	// tuple TID for flat ones) and fetching only the paths in ps (nil =
+	// everything) of each object. The cursor must hold no buffer pages
+	// between calls, so abandoning it leaks nothing.
 	OpenScan(t *catalog.Table, asof int64, ps *object.PathSet) (ScanCursor, error)
 	// OpenRef reads one tuple by reference, fetching only the paths in
 	// ps (nil = everything).

@@ -165,6 +165,63 @@ func TestReplicaCursorSnapshotStable(t *testing.T) {
 	noPins(t, "replica", fdb)
 }
 
+// TestReplicaQuantifierReadsHorizon: a stored-table quantifier on a
+// replica reads at the horizon its statement sampled, exactly like a
+// FROM item. The cursor streams, so the quantifier of each later row is
+// evaluated after newer commits have replicated; it must not see them.
+func TestReplicaQuantifierReadsHorizon(t *testing.T) {
+	leakCheck(t)
+	primary, srv := startPrimary(t, engine.Options{})
+	f := startFollower(t, srv.Addr(), t.TempDir())
+	// The rows ship as commit groups (not inside the bootstrap snapshot),
+	// so the replica has a visibility horizon to pin reads to.
+	for i := 0; i < 20; i++ {
+		if _, err := primary.Exec(fmt.Sprintf(`INSERT INTO KV VALUES (%d, 0)`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	catchUp(t, primary, f)
+	fdb := f.DB()
+	if fdb.ReplCounters().VisibleTS.Load() == 0 {
+		t.Fatal("replica has no visibility horizon after applying commit groups")
+	}
+
+	const q = `SELECT x.K FROM x IN KV WHERE ALL y IN KV: y.K < 100`
+	rows, err := fdb.QueryRows(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	n := 0
+	for ; n < 5; n++ { // drain a prefix before the world moves
+		if !rows.Next() {
+			t.Fatalf("cursor died early: %v", rows.Err())
+		}
+	}
+	if _, err := primary.Exec(`INSERT INTO KV VALUES (100, 1)`); err != nil {
+		t.Fatal(err)
+	}
+	catchUp(t, primary, f)
+	for rows.Next() {
+		n++
+	}
+	if rows.Err() != nil {
+		t.Fatal(rows.Err())
+	}
+	if n != 20 {
+		t.Fatalf("cursor returned %d rows, want 20: its quantifier saw a post-open commit", n)
+	}
+	// A fresh statement samples the new horizon, where K=100 refutes ALL.
+	tab, _, err := fdb.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != 0 {
+		t.Fatalf("fresh replica query returned %d rows, want 0", tab.Len())
+	}
+	noPins(t, "replica", fdb)
+}
+
 // TestReplicaRefusesWrites pins the typed error: every write path on a
 // replica — DML, DDL, transactions, in process and across the wire —
 // fails with ErrReadOnlyReplica and nothing else.

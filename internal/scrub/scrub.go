@@ -257,9 +257,10 @@ func scrubComplexTable(db *engine.DB, t *catalog.Table, opts Options, r *Report)
 		return
 	}
 	m, _ := db.Manager(t.Name)
+	rt := db.Runtime()
 	for _, ref := range refs {
 		r.ObjectsChecked++
-		tup, err := db.ReadRef(t, ref, 0)
+		tup, err := rt.OpenRef(t, ref, 0, nil)
 		if err != nil {
 			r.add(Finding{Kind: Object, Table: t.Name, Ref: ref.String(),
 				Detail: fmt.Sprintf("object does not materialize: %v", err)})

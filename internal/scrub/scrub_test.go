@@ -110,7 +110,7 @@ func TestScrubDetectsIndexDivergence(t *testing.T) {
 	if err != nil || len(refs) == 0 {
 		t.Fatalf("refs: %v %v", refs, err)
 	}
-	tup, err := db.ReadRef(tbl, refs[0], 0)
+	tup, err := db.Runtime().OpenRef(tbl, refs[0], 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

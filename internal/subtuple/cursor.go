@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/buffer"
+	"repro/internal/dberr"
 	"repro/internal/page"
 )
 
@@ -103,6 +104,11 @@ func (c *Cursor) loadPage() error {
 	defer c.s.pool.Unpin(f, false)
 	f.RLatch()
 	defer f.RUnlatch()
+	if !f.Page.Initialized() {
+		// As in Scan: a zeroed allocated page must not read as "no
+		// records" — silent row loss rather than a detected fault.
+		return dberr.Corruptf("subtuple: allocated page %d.%d is uninitialized (zeroed?)", c.s.seg, pg)
+	}
 	n := f.Page.NumSlots()
 	for sl := 0; sl < n; sl++ {
 		rec, err := f.Page.Read(uint16(sl))

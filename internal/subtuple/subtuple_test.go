@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/buffer"
+	"repro/internal/dberr"
 	"repro/internal/page"
 	"repro/internal/segment"
 	"repro/internal/wal"
@@ -486,5 +487,34 @@ func TestScanAsOf(t *testing.T) {
 	at5 := snapshot(5)
 	if !at5["changed"] || !at5["late"] || len(at5) != 2 {
 		t.Errorf("asof 5 = %v", at5)
+	}
+}
+
+// A zeroed allocated page must fail a cursor the way it fails Scan —
+// never read as a page with no records.
+func TestCursorDetectsZeroedPage(t *testing.T) {
+	ms := segment.NewMemStore()
+	pool := buffer.NewPool(8)
+	pool.Register(1, ms)
+	if _, err := New(Config{Pool: pool, Seg: 1}).Insert([]byte("row")); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.WritePage(1, make([]byte, page.Size)); err != nil {
+		t.Fatal(err)
+	}
+	pool = buffer.NewPool(8)
+	pool.Register(1, ms)
+	s := New(Config{Pool: pool, Seg: 1})
+	for _, open := range []func() (*Cursor, error){s.NewCursor, func() (*Cursor, error) { return s.NewAsOfCursor(1) }} {
+		c, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, err := c.Next(); !dberr.IsCorrupt(err) {
+			t.Fatalf("Next over a zeroed page = ok %v, err %v; want a corruption error", ok, err)
+		}
 	}
 }
