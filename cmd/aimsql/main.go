@@ -89,7 +89,7 @@ func main() {
 	}
 	defer db.Close()
 
-	s := &session{db: db.Engine()}
+	s := newSession(db)
 	if *script != "" {
 		data, err := os.ReadFile(*script)
 		if err != nil {
@@ -105,29 +105,41 @@ func main() {
 	repl(s, os.Stdin)
 }
 
-// session holds the shell's connection state: the database plus the
-// open transaction, if a BEGIN is pending. Statements inside a
-// transaction read its snapshot and buffer their writes until COMMIT.
-// The session works on the engine handle directly so each input chunk
-// is parsed exactly once — the parsed statements drive execution, the
-// txn> prompt logic, and the streaming output alike.
+// session is the shell over the embedded engine: an engine session,
+// which owns the open transaction if a BEGIN is pending (statements
+// inside it read its snapshot and buffer their writes until COMMIT).
+// It works on the engine handle directly so each input chunk is parsed
+// exactly once — the parsed statements drive execution, the txn> prompt
+// logic, and the streaming output alike.
 type session struct {
-	db *engine.DB
-	tx *engine.Txn
+	eng *engine.Session
 }
 
-// inTxn reports whether a transaction is open.
-func (s *session) inTxn() bool { return s.tx != nil }
+func newSession(db *aim.DB) *session { return &session{eng: db.Engine().NewSession()} }
 
-// exec runs one parsed statement, printing its results.
-func (s *session) exec(st sql.Stmt) error { return execStmt(s, st) }
+// inTxn reports whether a transaction is open.
+func (s *session) inTxn() bool { return s.eng.InTxn() }
 
 // abort rolls back the open transaction, if any.
-func (s *session) abort() {
-	if s.tx != nil {
-		s.tx.Rollback()
-		s.tx = nil
+func (s *session) abort() { s.eng.Close() }
+
+// exec runs one statement under its own timeout. SELECTs go through
+// the streaming cursor — each result tuple is printed as it is
+// produced, so the first rows of a long scan appear immediately;
+// everything else (BEGIN, COMMIT and ROLLBACK included) executes
+// through the materializing API and prints its outcome.
+func (s *session) exec(st sql.Stmt) error {
+	ctx, cancel := execCtx()
+	defer cancel()
+	if _, ok := st.Statement.(*sql.Select); ok {
+		return s.streamSelect(ctx, st)
 	}
+	res, err := s.eng.Exec(ctx, st)
+	if err != nil {
+		return err
+	}
+	printResult(res)
+	return nil
 }
 
 // shell abstracts where statements execute: a session runs them on the
@@ -202,74 +214,10 @@ func runChunk(s shell, chunk string) {
 	}
 }
 
-// execStmt runs one statement under its own timeout. BEGIN, COMMIT
-// and ROLLBACK manage the session transaction; SELECTs go through the
-// streaming cursor — each result tuple is printed as it is produced,
-// so the first rows of a long scan appear immediately; everything
-// else executes through the materializing API (the session
-// transaction's, when one is open).
-func execStmt(s *session, st sql.Stmt) error {
-	ctx, cancel := execCtx()
-	defer cancel()
-	switch st.Statement.(type) {
-	case *sql.Begin:
-		if s.inTxn() {
-			return fmt.Errorf("BEGIN inside an open transaction (transactions do not nest)")
-		}
-		tx, err := s.db.Begin()
-		if err != nil {
-			return err
-		}
-		s.tx = tx
-		fmt.Println("transaction started")
-		return nil
-	case *sql.Commit:
-		if !s.inTxn() {
-			return fmt.Errorf("COMMIT without BEGIN")
-		}
-		tx := s.tx
-		s.tx = nil
-		if err := tx.Commit(); err != nil {
-			return err
-		}
-		fmt.Println("transaction committed")
-		return nil
-	case *sql.Rollback:
-		if !s.inTxn() {
-			return fmt.Errorf("ROLLBACK without BEGIN")
-		}
-		s.tx.Rollback()
-		s.tx = nil
-		fmt.Println("transaction rolled back")
-		return nil
-	case *sql.Select:
-		return streamSelect(ctx, s, st)
-	}
-	// Execute the already-parsed statement — no re-parse.
-	var res aim.Result
-	var err error
-	if s.inTxn() {
-		res, err = s.tx.ExecStmtContext(ctx, st)
-	} else {
-		res, err = s.db.ExecStmtContext(ctx, st)
-	}
-	if err != nil {
-		return err
-	}
-	printResult(res)
-	return nil
-}
-
 // streamSelect prints a query's rows as they stream from the cursor,
 // reusing the chunk's parse.
-func streamSelect(ctx context.Context, s *session, st sql.Stmt) error {
-	var rows *aim.Rows
-	var err error
-	if s.inTxn() {
-		rows, err = s.tx.QueryRowsStmt(ctx, st)
-	} else {
-		rows, err = s.db.QueryRowsStmt(ctx, st)
-	}
+func (s *session) streamSelect(ctx context.Context, st sql.Stmt) error {
+	rows, err := s.eng.QueryRows(ctx, st)
 	if err != nil {
 		return err
 	}

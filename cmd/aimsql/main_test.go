@@ -47,7 +47,7 @@ func TestRunScriptEndToEnd(t *testing.T) {
 	}
 	defer db.Close()
 	out := captureStdout(t, func() {
-		err = runScript(&session{db: db.Engine()}, `
+		err = runScript(newSession(db), `
 CREATE TABLE T (A INT, S TABLE OF (B STRING));
 INSERT INTO T VALUES (1, {('x'), ('y')});
 SELECT t.A, COUNT(t.S) AS N FROM t IN T;
@@ -82,7 +82,7 @@ SELECT f.X FROM f IN F;
 		t.Fatal(err)
 	}
 	out := captureStdout(t, func() {
-		err = runScript(&session{db: db.Engine()}, string(data))
+		err = runScript(newSession(db), string(data))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestDemoDatabaseLoads(t *testing.T) {
 	db := wrap(eng)
 	defer db.Close()
 	out := captureStdout(t, func() {
-		err = runScript(&session{db: db.Engine()}, `SELECT x.DNO FROM x IN DEPARTMENTS;`)
+		err = runScript(newSession(db), `SELECT x.DNO FROM x IN DEPARTMENTS;`)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestScriptErrorPropagates(t *testing.T) {
 	defer db.Close()
 	var err error
 	captureStdout(t, func() {
-		err = runScript(&session{db: db.Engine()}, `SELECT * FROM x IN NOPE;`)
+		err = runScript(newSession(db), `SELECT * FROM x IN NOPE;`)
 	})
 	if err == nil {
 		t.Error("bad script succeeded")
@@ -139,7 +139,7 @@ SELECT * FROM x IN MISSING;
 \q
 `)
 	out := captureStdout(t, func() {
-		repl(&session{db: db.Engine()}, input)
+		repl(newSession(db), input)
 	})
 	for _, want := range []string{"table R created", "1 tuple(s) inserted", "(1 tuple(s))", "Statements (terminate with ';')"} {
 		if !strings.Contains(out, want) {
@@ -158,7 +158,7 @@ func TestREPLEOF(t *testing.T) {
 	db, _ := aim.OpenMemory()
 	defer db.Close()
 	captureStdout(t, func() {
-		repl(&session{db: db.Engine()}, strings.NewReader("SELECT 1\n")) // no semicolon, then EOF
+		repl(newSession(db), strings.NewReader("SELECT 1\n")) // no semicolon, then EOF
 	})
 }
 
@@ -173,21 +173,21 @@ func TestTimeoutFailsStatement(t *testing.T) {
 		fmt.Fprintf(&setup, ";INSERT INTO BIG VALUES (%d)", i)
 	}
 	var err error
-	captureStdout(t, func() { err = runScript(&session{db: db.Engine()}, setup.String()) })
+	captureStdout(t, func() { err = runScript(newSession(db), setup.String()) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	stmtTimeout = time.Millisecond
 	defer func() { stmtTimeout = 0 }()
 	captureStdout(t, func() {
-		err = runScript(&session{db: db.Engine()}, `SELECT x.ID FROM x IN BIG, y IN BIG WHERE x.ID = y.ID;`)
+		err = runScript(newSession(db), `SELECT x.ID FROM x IN BIG, y IN BIG WHERE x.ID = y.ID;`)
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("want deadline error, got %v", err)
 	}
 	stmtTimeout = 0
 	out := captureStdout(t, func() {
-		err = runScript(&session{db: db.Engine()}, `SELECT x.ID FROM x IN BIG WHERE x.ID = 7;`)
+		err = runScript(newSession(db), `SELECT x.ID FROM x IN BIG WHERE x.ID = 7;`)
 	})
 	if err != nil {
 		t.Fatalf("database unusable after timeout: %v", err)
@@ -208,7 +208,7 @@ SELECT c.A FROM c IN C;
 \q
 `)
 	out := captureStdout(t, func() {
-		repl(&session{db: db.Engine()}, input)
+		repl(newSession(db), input)
 	})
 	for _, want := range []string{"table C created", "1 tuple(s) inserted", "(1 tuple(s))"} {
 		if !strings.Contains(out, want) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 
@@ -98,6 +99,19 @@ func (db *DB) abort(stmtErr error) error {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
 	return db.abortLocked(stmtErr)
+}
+
+// healIfPanic repairs the engine after a panic recovered on a path
+// that held only the shared heal barrier (a read, a transaction's
+// statement, a Rows.Next): pins may have leaked and in-memory state may
+// be partial even though nothing was written, so roll back to the last
+// commit under the exclusive barrier.
+func (db *DB) healIfPanic(err error) error {
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		err = db.abort(err)
+	}
+	return err
 }
 
 // recoverPanic converts a recovered panic into a PanicError; install

@@ -329,7 +329,7 @@ INSERT INTO y.MEMBERS FROM x IN DEPARTMENTS, y IN x.PROJECTS
 WHERE y.PNO = 17 VALUES (11111, 'Consultant')`); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ := db.MustQueryPair(`
+	got, _, _ := db.queryPair(`
 SELECT z.EMPNO FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS WHERE y.PNO = 17`)
 	if got.Len() != 4 {
 		t.Fatalf("members of 17 after insert = %d, want 4", got.Len())
@@ -337,7 +337,7 @@ SELECT z.EMPNO FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS WHERE y.PN
 	if _, err := db.Exec(`UPDATE x IN DEPARTMENTS SET BUDGET = 999999 WHERE x.DNO = 218`); err != nil {
 		t.Fatal(err)
 	}
-	b, _, _ := db.MustQueryPair(`SELECT x.BUDGET FROM x IN DEPARTMENTS WHERE x.DNO = 218`)
+	b, _, _ := db.queryPair(`SELECT x.BUDGET FROM x IN DEPARTMENTS WHERE x.DNO = 218`)
 	if b.Tuples[0][0].(model.Int) != 999999 {
 		t.Errorf("budget = %v", b.Tuples[0][0])
 	}
@@ -347,7 +347,7 @@ UPDATE z FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS
 SET FUNCTION = 'Manager' WHERE z.EMPNO = 39582`); err != nil {
 		t.Fatal(err)
 	}
-	f, _, _ := db.MustQueryPair(`
+	f, _, _ := db.queryPair(`
 SELECT z.FUNCTION FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS WHERE z.EMPNO = 39582`)
 	if f.Tuples[0][0].(model.Str) != "Manager" {
 		t.Errorf("function = %v", f.Tuples[0][0])
@@ -359,7 +359,7 @@ SELECT z.FUNCTION FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS WHERE z
 	if _, err := db.Exec(`DELETE x FROM x IN DEPARTMENTS WHERE x.DNO = 417`); err != nil {
 		t.Fatal(err)
 	}
-	d, _, _ := db.MustQueryPair(`SELECT x.DNO FROM x IN DEPARTMENTS`)
+	d, _, _ := db.queryPair(`SELECT x.DNO FROM x IN DEPARTMENTS`)
 	if d.Len() != 2 {
 		t.Errorf("departments after delete = %d", d.Len())
 	}
@@ -405,7 +405,7 @@ func TestIndexMaintenance(t *testing.T) {
 	}
 	q := `SELECT x.DNO FROM x IN DEPARTMENTS
 WHERE EXISTS y IN x.PROJECTS EXISTS z IN y.MEMBERS: z.FUNCTION = 'Consultant'`
-	before, _, _ := db.MustQueryPair(q)
+	before, _, _ := db.queryPair(q)
 	if before.Len() != 2 {
 		t.Fatalf("before = %d", before.Len())
 	}
@@ -415,7 +415,7 @@ INSERT INTO y.MEMBERS FROM x IN DEPARTMENTS, y IN x.PROJECTS
 WHERE y.PNO = 37 VALUES (77777, 'Consultant')`); err != nil {
 		t.Fatal(err)
 	}
-	after, _, _ := db.MustQueryPair(q)
+	after, _, _ := db.queryPair(q)
 	if after.Len() != 3 {
 		t.Errorf("after insert = %d, want 3", after.Len())
 	}
@@ -425,7 +425,7 @@ DELETE z FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS
 WHERE x.DNO = 218 AND z.FUNCTION = 'Consultant'`); err != nil {
 		t.Fatal(err)
 	}
-	after2, _, _ := db.MustQueryPair(q)
+	after2, _, _ := db.queryPair(q)
 	if after2.Len() != 2 {
 		t.Errorf("after delete = %d, want 2", after2.Len())
 	}
@@ -558,8 +558,8 @@ func TestCreateTableLayouts(t *testing.T) {
 	}
 }
 
-// MustQueryPair adapts MustQuery for tests wanting (table, type, nil).
-func (db *DB) MustQueryPair(q string) (*model.Table, *model.TableType, error) {
+// queryPair is Query for tests that cannot fail; it panics on error.
+func (db *DB) queryPair(q string) (*model.Table, *model.TableType, error) {
 	tbl, tt, err := db.Query(q)
 	if err != nil {
 		panic(err)
@@ -691,7 +691,7 @@ func TestAlterTableAdd(t *testing.T) {
 	if _, err := db.Exec(`UPDATE x IN DEPARTMENTS SET LOCATION = 'Heidelberg' WHERE x.DNO = 314`); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ = db.MustQueryPair(`SELECT x.LOCATION FROM x IN DEPARTMENTS WHERE x.DNO = 314`)
+	got, _, _ = db.queryPair(`SELECT x.LOCATION FROM x IN DEPARTMENTS WHERE x.DNO = 314`)
 	if got.Tuples[0][0].(model.Str) != "Heidelberg" {
 		t.Errorf("location = %v", got.Tuples[0][0])
 	}
@@ -809,32 +809,32 @@ func TestFlatDMLWithIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := `SELECT e.EMPNO FROM e IN EMPLOYEES_1NF WHERE e.LNAME = 'Schmidt'`
-	before, _, _ := db.MustQueryPair(q)
+	before, _, _ := db.queryPair(q)
 	if before.Len() != 1 {
 		t.Fatalf("before = %d", before.Len())
 	}
 	if _, err := db.Exec(`UPDATE e IN EMPLOYEES_1NF SET LNAME = 'Schmitt' WHERE e.EMPNO = 56194`); err != nil {
 		t.Fatal(err)
 	}
-	after, _, _ := db.MustQueryPair(q)
+	after, _, _ := db.queryPair(q)
 	if after.Len() != 0 {
 		t.Errorf("index kept stale entry after flat update")
 	}
-	renamed, _, _ := db.MustQueryPair(`SELECT e.EMPNO FROM e IN EMPLOYEES_1NF WHERE e.LNAME = 'Schmitt'`)
+	renamed, _, _ := db.queryPair(`SELECT e.EMPNO FROM e IN EMPLOYEES_1NF WHERE e.LNAME = 'Schmitt'`)
 	if renamed.Len() != 1 {
 		t.Errorf("updated entry missing from index")
 	}
 	if _, err := db.Exec(`DELETE e FROM e IN EMPLOYEES_1NF WHERE e.EMPNO = 56194`); err != nil {
 		t.Fatal(err)
 	}
-	gone, _, _ := db.MustQueryPair(`SELECT e.EMPNO FROM e IN EMPLOYEES_1NF WHERE e.LNAME = 'Schmitt'`)
+	gone, _, _ := db.queryPair(`SELECT e.EMPNO FROM e IN EMPLOYEES_1NF WHERE e.LNAME = 'Schmitt'`)
 	if gone.Len() != 0 {
 		t.Errorf("deleted tuple still indexed")
 	}
 	if _, err := db.Exec(`INSERT INTO EMPLOYEES_1NF VALUES (77, 'Schmitt', 'Neu', 'male')`); err != nil {
 		t.Fatal(err)
 	}
-	back, _, _ := db.MustQueryPair(`SELECT e.EMPNO FROM e IN EMPLOYEES_1NF WHERE e.LNAME = 'Schmitt'`)
+	back, _, _ := db.queryPair(`SELECT e.EMPNO FROM e IN EMPLOYEES_1NF WHERE e.LNAME = 'Schmitt'`)
 	if back.Len() != 1 {
 		t.Errorf("fresh insert not indexed")
 	}
@@ -870,7 +870,7 @@ func TestFlatVersionedASOF(t *testing.T) {
 	if old.Len() != 2 || old.Tuples[0][1].(model.Str) != "one" || old.Tuples[1][0].(model.Int) != 2 {
 		t.Errorf("flat ASOF = %v", old)
 	}
-	cur, _, _ := db.MustQueryPair(`SELECT v.A FROM v IN V ORDER BY v.A`)
+	cur, _, _ := db.queryPair(`SELECT v.A FROM v IN V ORDER BY v.A`)
 	if cur.Len() != 2 { // 1 and 3
 		t.Errorf("current = %v", cur)
 	}
@@ -944,7 +944,7 @@ func TestFlatASOFAfterAlter(t *testing.T) {
 	if old.Len() != 1 || old.Tuples[0][0].(model.Int) != 1 || !model.IsNull(old.Tuples[0][1]) {
 		t.Errorf("ASOF after ALTER = %v", old)
 	}
-	cur, _, _ := db.MustQueryPair(`SELECT v.A FROM v IN V`)
+	cur, _, _ := db.queryPair(`SELECT v.A FROM v IN V`)
 	if cur.Len() != 2 {
 		t.Errorf("current rows = %d", cur.Len())
 	}

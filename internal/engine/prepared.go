@@ -110,13 +110,22 @@ func (db *DB) planFor(st sql.Stmt, key string, epoch uint64) (*plan.Prepared, bo
 	return p, false, nil
 }
 
-// checkArgs validates the argument count against the statement's
-// placeholder count.
-func (ps *PreparedStmt) checkArgs(args []model.Value) error {
-	if len(args) != ps.st.Params {
-		return fmt.Errorf("engine: statement wants %d argument(s), got %d", ps.st.Params, len(args))
+// run executes the statement with the given arguments (one per `?`, in
+// order) in scope tx. Only auto-commit scope binds the plan: its
+// candidate lists come from the live indexes, which reflect committed
+// state, not a snapshot plus a transaction's buffered writes — the rule
+// runtime.Indexes states — so inside a transaction just the parse is
+// reused and the statement plans inline against the transaction's
+// runtime.
+func (ps *PreparedStmt) run(ctx context.Context, tx *Txn, args []model.Value, form resultForm) (Result, *Rows, error) {
+	s := stmt{Stmt: ps.st, args: args}
+	if tx == nil {
+		var err error
+		if s.prep, err = ps.bind(); err != nil {
+			return Result{}, nil, err
+		}
 	}
-	return nil
+	return ps.db.run(ctx, tx, s, form)
 }
 
 // Exec runs the prepared statement with the given arguments (one per
@@ -128,14 +137,8 @@ func (ps *PreparedStmt) Exec(args ...model.Value) (Result, error) {
 
 // ExecContext is Exec with cancellation.
 func (ps *PreparedStmt) ExecContext(ctx context.Context, args ...model.Value) (Result, error) {
-	if err := ps.checkArgs(args); err != nil {
-		return Result{}, err
-	}
-	prep, err := ps.bind()
-	if err != nil {
-		return Result{}, err
-	}
-	return ps.db.execOneArgs(ctx, ps.st.Statement, ps.st.Text, args, prep)
+	res, _, err := ps.run(ctx, nil, args, formAny)
+	return res, err
 }
 
 // Query runs the prepared statement (which must be a SELECT) with the
@@ -146,14 +149,8 @@ func (ps *PreparedStmt) Query(args ...model.Value) (*model.Table, *model.TableTy
 
 // QueryContext is Query with cancellation.
 func (ps *PreparedStmt) QueryContext(ctx context.Context, args ...model.Value) (*model.Table, *model.TableType, error) {
-	if _, ok := ps.st.Statement.(*sql.Select); !ok {
-		return nil, nil, fmt.Errorf("engine: Query requires a SELECT, got %T", ps.st.Statement)
-	}
-	res, err := ps.ExecContext(ctx, args...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Table, res.Type, nil
+	res, _, err := ps.run(ctx, nil, args, formTable)
+	return res.Table, res.Type, err
 }
 
 // QueryRows runs the prepared SELECT with the given arguments and
@@ -164,17 +161,8 @@ func (ps *PreparedStmt) QueryRows(args ...model.Value) (*Rows, error) {
 
 // QueryRowsContext is QueryRows with cancellation.
 func (ps *PreparedStmt) QueryRowsContext(ctx context.Context, args ...model.Value) (*Rows, error) {
-	if err := ps.checkArgs(args); err != nil {
-		return nil, err
-	}
-	prep, err := ps.bind()
-	if err != nil {
-		return nil, err
-	}
-	if prep.Sel == nil {
-		return nil, fmt.Errorf("engine: QueryRows requires a SELECT, got %T", ps.st.Statement)
-	}
-	return ps.db.queryRowsPrepared(ctx, prep, args)
+	_, rows, err := ps.run(ctx, nil, args, formRows)
+	return rows, err
 }
 
 // Explain renders the bound plan's access paths and fetch sets

@@ -1,16 +1,11 @@
 package engine
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/model"
-	"repro/internal/plan"
-	"repro/internal/sql"
 )
 
 // Rows is a streaming query cursor: result tuples are produced one
@@ -18,11 +13,11 @@ import (
 // storage. Only the shared heal barrier is held per Next call — never
 // for the cursor's lifetime — so an open (or abandoned) Rows never
 // blocks writers, and writers (including transaction commits) never
-// block readers. A cursor opened on the auto-commit path has
+// block readers. A cursor opened in auto-commit scope has
 // read-committed-per-row semantics — a mutation committed between two
-// Next calls can be visible to the second one; a cursor opened inside
-// a transaction (Txn.QueryRows) reads versioned tables at the
-// transaction's snapshot instead. No buffer pages are pinned between
+// Next calls can be visible to the second one; a cursor opened in a
+// transaction's scope reads versioned tables at the transaction's
+// snapshot instead. No buffer pages are pinned between
 // calls and none survive Close, so a Rows abandoned without Close
 // leaks nothing (Close still should be called: it records the
 // statement's access statistics).
@@ -47,119 +42,6 @@ type Rows struct {
 	rows   int
 	start  statsMark
 	closed bool
-}
-
-// QueryRows runs one SELECT and returns a streaming cursor over its
-// results.
-func (db *DB) QueryRows(q string) (*Rows, error) {
-	return db.QueryRowsContext(context.Background(), q)
-}
-
-// QueryRowsContext is QueryRows with cancellation: the context is
-// checked once per Next call.
-func (db *DB) QueryRowsContext(ctx context.Context, q string) (*Rows, error) {
-	return db.queryRows(ctx, db.readExec(), q)
-}
-
-// queryRows opens a streaming cursor through the given executor (the
-// DB's own, or a transaction's snapshot-reading one).
-func (db *DB) queryRows(ctx context.Context, ex *exec.Executor, q string) (*Rows, error) {
-	st, err := sql.ParseOne(q)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := st.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("engine: QueryRows requires a SELECT, got %T", st)
-	}
-	return db.queryRowsSel(ctx, ex, sel, strings.TrimSpace(q), nil)
-}
-
-// QueryRowsStmt runs one already-parsed SELECT and returns a
-// streaming cursor — the zero-reparse entry point for callers that
-// hold a sql.Stmt (the REPL parses each input chunk exactly once).
-func (db *DB) QueryRowsStmt(ctx context.Context, st sql.Stmt) (*Rows, error) {
-	sel, ok := st.Statement.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("engine: QueryRows requires a SELECT, got %T", st.Statement)
-	}
-	return db.queryRowsSel(ctx, db.readExec(), sel, st.Text, nil)
-}
-
-// QueryRowsStmt runs one already-parsed SELECT at the transaction's
-// snapshot and returns a streaming cursor.
-func (tx *Txn) QueryRowsStmt(ctx context.Context, st sql.Stmt) (*Rows, error) {
-	if tx.done {
-		return nil, ErrTxnDone
-	}
-	sel, ok := st.Statement.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("engine: QueryRows requires a SELECT, got %T", st.Statement)
-	}
-	return tx.db.queryRowsSel(ctx, tx.exec, sel, st.Text, nil)
-}
-
-// queryRowsSel opens a streaming cursor over an already-parsed select
-// with bound `?` parameter values — the zero-reparse path for
-// transactions executing prepared statements (their snapshot-reading
-// executor plans inline; cached candidate lists would not see the
-// transaction's own buffered writes).
-func (db *DB) queryRowsSel(ctx context.Context, ex *exec.Executor, sel *sql.Select, text string, params []model.Value) (*Rows, error) {
-	db.healMu.RLock()
-	if ferr := db.fatal(); ferr != nil {
-		db.healMu.RUnlock()
-		return nil, ferr
-	}
-	start := db.mark()
-	var cur *exec.Cursor
-	var err error
-	func() {
-		defer recoverPanic(text, &err)
-		cur, err = ex.OpenQueryArgs(ctx, sel, params)
-	}()
-	db.healMu.RUnlock()
-	if err != nil {
-		return nil, db.healIfPanic(err)
-	}
-	return &Rows{db: db, cur: cur, text: text, tt: cur.Type(), start: start}, nil
-}
-
-// queryRowsPrepared opens a streaming cursor from a bound plan: no
-// parse, no inference, no path derivation, no planner call — the
-// plan's access choices are evaluated against the live indexes and
-// the bound arguments, and the cursor reuses the cached result schema
-// and path sets.
-func (db *DB) queryRowsPrepared(ctx context.Context, prep *plan.Prepared, params []model.Value) (*Rows, error) {
-	db.healMu.RLock()
-	if ferr := db.fatal(); ferr != nil {
-		db.healMu.RUnlock()
-		return nil, ferr
-	}
-	start := db.mark()
-	var cur *exec.Cursor
-	var err error
-	func() {
-		defer recoverPanic(prep.Text, &err)
-		ex := db.readExec()
-		cands := prep.Candidates(ex.RT, params)
-		cur, err = ex.OpenPrepared(ctx, prep.Sel, prep.ResultType, prep.Paths, cands, params)
-	}()
-	db.healMu.RUnlock()
-	if err != nil {
-		return nil, db.healIfPanic(err)
-	}
-	return &Rows{db: db, cur: cur, text: prep.Text, tt: cur.Type(), start: start}, nil
-}
-
-// healIfPanic repairs the engine after a panic recovered on the read
-// path (leaked pins, partial in-memory state), like execOne does for
-// materializing queries.
-func (db *DB) healIfPanic(err error) error {
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		err = db.abort(err)
-	}
-	return err
 }
 
 // Next advances to the next result tuple. It returns false at the end

@@ -2,8 +2,8 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
@@ -26,303 +26,237 @@ type Result struct {
 	Message string
 }
 
-// Exec parses and runs a script of semicolon-separated statements.
-// Outside an explicit transaction each statement auto-commits; a
-// BEGIN ... COMMIT/ROLLBACK bracket inside the script runs its
-// statements as one snapshot-isolated transaction.
-func (db *DB) Exec(script string) ([]Result, error) {
-	return db.ExecContext(context.Background(), script)
+// stmt is one statement on its way through the engine: the parse (with
+// its source text and `?` count), the values bound to the placeholders,
+// and — for a prepared statement in auto-commit scope — the bound plan.
+// The scope it runs in is a second value, a *Txn (nil = auto-commit).
+// Every entry point (DB, Txn, PreparedStmt, Session methods) builds the
+// pair and hands it to DB.run.
+type stmt struct {
+	sql.Stmt
+	args []model.Value
+	prep *plan.Prepared
 }
 
-// ExecContext is Exec with cancellation: long scans check the context
-// once per tuple binding, so cancellation and deadlines fail the
-// current statement promptly (and, for mutating statements, roll it
-// back like any other statement failure). A script that ends with a
-// transaction still open rolls it back and reports an error.
-func (db *DB) ExecContext(ctx context.Context, script string) ([]Result, error) {
-	stmts, err := sql.ParseScript(script)
-	if err != nil {
-		return nil, err
-	}
-	var results []Result
-	var tx *Txn
-	defer func() {
-		if tx != nil {
-			tx.Rollback()
-		}
-	}()
-	for _, st := range stmts {
-		switch st.Statement.(type) {
-		case *sql.Begin:
-			if tx != nil {
-				return results, fmt.Errorf("engine: BEGIN inside an open transaction (transactions do not nest)")
-			}
-			if tx, err = db.Begin(); err != nil {
-				return results, err
-			}
-			results = append(results, Result{Message: "transaction started"})
-			continue
-		case *sql.Commit:
-			if tx == nil {
-				return results, fmt.Errorf("engine: COMMIT without BEGIN")
-			}
-			t := tx
-			tx = nil
-			if err := t.Commit(); err != nil {
-				return results, err
-			}
-			results = append(results, Result{Message: "transaction committed"})
-			continue
-		case *sql.Rollback:
-			if tx == nil {
-				return results, fmt.Errorf("engine: ROLLBACK without BEGIN")
-			}
-			tx.Rollback()
-			tx = nil
-			results = append(results, Result{Message: "transaction rolled back"})
-			continue
-		}
-		var res Result
-		if tx != nil {
-			res, err = tx.execOne(ctx, st.Statement, st.Text)
-		} else {
-			res, err = db.execOne(ctx, st.Statement, st.Text)
-		}
-		if err != nil {
-			return results, err
-		}
-		results = append(results, res)
-	}
-	if tx != nil {
-		tx.Rollback()
-		tx = nil
-		return results, fmt.Errorf("engine: script ended with an open transaction (missing COMMIT or ROLLBACK); rolled back")
-	}
-	return results, nil
-}
+// stmtClass decides what a statement locks (DESIGN.md §5.1, §6).
+type stmtClass uint8
 
-// Query runs a single SELECT and returns its result table and schema.
-// Queries may run concurrently with each other; mutating statements
-// are serialized by ExecStmt.
-func (db *DB) Query(q string) (*model.Table, *model.TableType, error) {
-	return db.QueryContext(context.Background(), q)
-}
+const (
+	classRead       stmtClass = iota // SELECT, EXPLAIN, SHOW TABLES, DESCRIBE
+	classDML                         // INSERT, UPDATE, DELETE
+	classDDL                         // everything that rewrites the runtime
+	classTxnControl                  // BEGIN, COMMIT, ROLLBACK (a Session's business)
+)
 
-// QueryContext is Query with cancellation.
-func (db *DB) QueryContext(ctx context.Context, q string) (*model.Table, *model.TableType, error) {
-	st, err := sql.ParseOne(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	sel, ok := st.(*sql.Select)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: Query requires a SELECT, got %T", st)
-	}
-	res, err := db.execOne(ctx, sel, strings.TrimSpace(q))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Table, res.Type, nil
-}
-
-// MustQuery is Query for tests and examples; it panics on error.
-func (db *DB) MustQuery(q string) (*model.Table, *model.TableType) {
-	tbl, tt, err := db.Query(q)
-	if err != nil {
-		panic(err)
-	}
-	return tbl, tt
-}
-
-// ExecStmt runs (and commits) one parsed statement.
-func (db *DB) ExecStmt(st sql.Statement) (Result, error) {
-	return db.execOne(context.Background(), st, fmt.Sprintf("%T", st))
-}
-
-// ExecStmtContext runs (and commits) one already-parsed statement —
-// the zero-reparse entry point for callers that hold a sql.Stmt (the
-// REPL parses each input chunk exactly once and executes through
-// here). BEGIN/COMMIT/ROLLBACK are rejected like in execOne; bracket
-// handling belongs to the caller (see ExecContext for the script
-// form).
-func (db *DB) ExecStmtContext(ctx context.Context, st sql.Stmt) (Result, error) {
-	return db.execOne(ctx, st.Statement, st.Text)
-}
-
-// execOne runs one auto-commit statement with full fault containment:
-// read-only statements hold only the shared heal barrier, so any
-// number can stream concurrently (even while a transaction commits);
-// mutating statements serialize on applyMu, commit on success, and
-// roll back to the pre-statement state on any error or recovered
-// panic — the next statement sees only committed data, without a
-// reopen.
-func (db *DB) execOne(ctx context.Context, st sql.Statement, text string) (Result, error) {
-	return db.execOneArgs(ctx, st, text, nil, nil)
-}
-
-// execOneArgs is execOne with bound `?` parameter values and an
-// optional pre-bound plan (the prepared-statement path: when prep is
-// non-nil and current, selects execute its cached bind products
-// instead of re-inferring and re-planning).
-func (db *DB) execOneArgs(ctx context.Context, st sql.Statement, text string, params []model.Value, prep *plan.Prepared) (Result, error) {
-	readOnly := false
+func classify(st sql.Statement) stmtClass {
 	switch st.(type) {
 	case *sql.Select, *sql.Explain, *sql.ShowTables, *sql.Describe:
-		readOnly = true
-	}
-	if readOnly {
-		db.healMu.RLock()
-		if err := db.fatal(); err != nil {
-			db.healMu.RUnlock()
-			return Result{}, err
-		}
-		start := db.mark()
-		res, err := db.runStmtArgs(ctx, st, text, params, prep)
-		// Snapshot the counters before releasing the barrier: since
-		// walks the per-table stores, which DDL replaces under the
-		// exclusive side.
-		var s StmtStats
-		if err == nil {
-			s = db.since(start)
-		}
-		db.healMu.RUnlock()
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			// A recovered panic may have leaked pins or left partial
-			// in-memory state even though the statement read nothing;
-			// heal under the exclusive barrier.
-			err = db.abort(err)
-		}
-		if err == nil {
-			s.Rows = res.Count
-			db.noteStmtStats(s)
-		}
-		return res, err
-	}
-	if db.opts.Replica {
-		return Result{}, fmt.Errorf("engine: %T: %w", st, ErrReadOnlyReplica)
-	}
-	switch st.(type) {
+		return classRead
+	case *sql.Insert, *sql.Update, *sql.Delete:
+		return classDML
 	case *sql.Begin, *sql.Commit, *sql.Rollback:
-		return Result{}, fmt.Errorf("engine: BEGIN/COMMIT/ROLLBACK take effect inside Exec scripts or via DB.Begin")
+		return classTxnControl
 	}
-	ddl := false
-	switch st.(type) {
-	case *sql.CreateTable, *sql.DropTable, *sql.CreateIndex, *sql.DropIndex, *sql.AlterTableAdd:
-		ddl = true
+	return classDDL
+}
+
+// resultForm is what the caller wants back from run.
+type resultForm uint8
+
+const (
+	formAny   resultForm = iota // whatever the statement yields, materialized
+	formTable                   // must be a SELECT; materialized
+	formRows                    // must be a SELECT; an open streaming *Rows
+)
+
+// run is the engine's one statement path: it classifies the statement,
+// takes the locks its class needs in scope tx, runs it inside the one
+// containment envelope (poison check, start counters, panic recovery,
+// rollback or heal on failure, statement statistics) and returns the
+// result in the requested form.
+//
+//   - read-only, and everything inside a transaction: the shared heal
+//     barrier only, so any number run concurrently, even while a
+//     transaction commits. A transaction's DML buffers its writes; a
+//     failure discards only that statement's buffered effects.
+//   - auto-commit DML: applyMu, then snapMu across statement plus
+//     commit-record append, so a snapshot never lands inside the write
+//     window. The record is synced after the locks drop, so overlapping
+//     committers share one fsync; it carries a timestamp sampled under
+//     snapMu (every version the statement wrote is strictly older), which
+//     a replica publishes as its visibility horizon.
+//   - auto-commit DDL: applyMu, then the exclusive heal barrier — DDL
+//     rewrites the managers, stores and index maps readers traverse
+//     without latches, and Begin samples its snapshot under the shared
+//     side — and a synchronous commit (too rare to gain from batching).
+//
+// A failed auto-commit writer rolls back to the last commit; a recovered
+// panic on a shared path heals the same way (it may have leaked pins).
+// Either way the next statement sees only committed data, no reopen.
+func (db *DB) run(ctx context.Context, tx *Txn, s stmt, form resultForm) (res Result, rows *Rows, err error) {
+	class := classify(s.Statement)
+	_, isSelect := s.Statement.(*sql.Select)
+	switch {
+	case len(s.args) != s.Params:
+		return Result{}, nil, fmt.Errorf("engine: statement wants %d argument(s), got %d (placeholders are bound through Prepare)", s.Params, len(s.args))
+	case form != formAny && !isSelect:
+		return Result{}, nil, fmt.Errorf("engine: query requires a SELECT, got %T", s.Statement)
+	case tx != nil && tx.done:
+		return Result{}, nil, ErrTxnDone
+	case tx == nil && class != classRead && db.opts.Replica:
+		return Result{}, nil, fmt.Errorf("engine: %T: %w", s.Statement, ErrReadOnlyReplica)
+	case class == classTxnControl:
+		return Result{}, nil, fmt.Errorf("engine: %T takes effect through a Session (Exec scripts, the shell, a server connection) or DB.Begin/Txn.Commit/Txn.Rollback", s.Statement)
+	case tx != nil && class == classDDL:
+		return Result{}, nil, ErrTxnDDL
 	}
-	db.applyMu.Lock()
-	if err := db.fatal(); err != nil {
-		db.applyMu.Unlock()
-		return Result{}, err
+	writer := tx == nil && class != classRead
+	if writer {
+		db.applyMu.Lock()
+	} else {
+		db.healMu.RLock()
+	}
+	if err = db.fatal(); err != nil {
+		if writer {
+			db.applyMu.Unlock()
+		} else {
+			db.healMu.RUnlock()
+		}
+		return Result{}, nil, err
 	}
 	start := db.mark()
-	var res Result
-	var err error
-	if ddl {
-		// DDL rewrites the in-memory runtime (managers, stores, index
-		// maps) that readers traverse without page latches, so it
-		// drains them via the heal barrier. New transactions cannot
-		// begin either — Begin samples its snapshot under the shared
-		// side of the same barrier. DDL commits synchronously: it is
-		// rare enough that joining a group-commit batch buys nothing.
+	if form == formRows {
+		rows = &Rows{db: db, text: s.Text, start: start}
+	}
+	var ex *exec.Executor
+	if tx != nil {
+		ex = tx.exec
+	} else {
+		ex = db.readExec() // a replica never gets here with a writer
+	}
+	var stats StmtStats
+	var end, epoch uint64
+	switch {
+	case !writer:
+		if class == classDML {
+			tx.beginStmt()
+		}
+		res, err = db.dispatch(ctx, ex, s, start, rows)
+		// Snapshot the counters before releasing the barrier: since walks
+		// the per-table stores, which DDL replaces under the exclusive side.
+		if err == nil && rows == nil {
+			stats = db.since(start)
+		}
+		if err != nil && class == classDML {
+			tx.undoStmt()
+		}
+		db.healMu.RUnlock()
+		if err != nil {
+			err = db.healIfPanic(err)
+		}
+	case class == classDDL:
 		db.healMu.Lock()
-		res, err = db.runStmtArgs(ctx, st, text, params, prep)
+		res, err = db.dispatch(ctx, ex, s, start, nil)
 		if err == nil {
 			if cerr := db.Commit(); cerr != nil {
 				err = fmt.Errorf("engine: commit: %w", cerr)
 			}
 		}
 		db.healMu.Unlock()
+	default:
+		db.stmtWrites = db.stmtWrites[:0]
+		db.snapMu.Lock()
+		res, err = db.dispatch(ctx, ex, s, start, nil)
+		if err == nil {
+			end, epoch, err = db.appendCommit(wal.CommitPayload(0, db.opts.Clock()))
+			if err != nil {
+				err = fmt.Errorf("engine: commit: %w", err)
+			} else {
+				db.publishStmtWrites()
+			}
+		}
+		db.snapMu.Unlock()
+	}
+	if writer {
 		if err != nil {
 			err = db.abortLocked(err)
-			db.applyMu.Unlock()
-			return Result{}, err
-		}
-		s := db.since(start)
-		s.Rows = res.Count
-		db.applyMu.Unlock()
-		db.noteStmtStats(s)
-		return res, nil
-	}
-	// DML mutates latched pages only; concurrent cursors keep
-	// streaming. snapMu is held across statement plus commit-record
-	// append so a transaction snapshot never lands inside the
-	// statement's write window.
-	db.stmtWrites = db.stmtWrites[:0]
-	var end, epoch uint64
-	db.snapMu.Lock()
-	res, err = db.runStmtArgs(ctx, st, text, params, prep)
-	if err == nil {
-		// The commit record is appended while the statement's locks are
-		// held but synced only after they drop, so overlapping
-		// committers share one fsync (group commit). A failed append
-		// aborts the statement like any other error. The record carries
-		// a timestamp sampled under snapMu: every version the statement
-		// wrote is strictly older, so a replica that applies this group
-		// can publish the timestamp as its visibility horizon.
-		end, epoch, err = db.appendCommit(wal.CommitPayload(0, db.opts.Clock()))
-		if err != nil {
-			err = fmt.Errorf("engine: commit: %w", err)
 		} else {
-			db.publishStmtWrites()
+			stats = db.since(start)
 		}
-	}
-	db.snapMu.Unlock()
-	if err != nil {
-		err = db.abortLocked(err)
 		db.applyMu.Unlock()
-		return Result{}, err
-	}
-	s := db.since(start)
-	s.Rows = res.Count
-	db.applyMu.Unlock()
-	// Establish durability outside the apply lock. The statement's
-	// effects are already visible to readers, but it is acknowledged
-	// only once its commit record is on disk.
-	if derr := db.waitCommitDurable(end, epoch); derr != nil {
-		lost, aerr := db.abandonCommit(end)
-		if lost {
-			if aerr != nil {
-				derr = fmt.Errorf("%v (discarding the record: %v)", derr, aerr)
-			}
-			return Result{}, db.abort(fmt.Errorf("engine: commit: %w", derr))
+		if err == nil && class == classDML {
+			err = db.awaitDurable(end, epoch, 0)
 		}
-		// An overlapping sync made the record durable after all: the
-		// commit stands.
 	}
-	db.noteStmtStats(s)
-	return res, nil
+	if err != nil {
+		return Result{}, nil, err
+	}
+	if rows != nil {
+		return Result{}, rows, nil // the statement ends at Rows.Close
+	}
+	stats.Rows = res.Count
+	db.noteStmtStats(stats)
+	return res, nil, nil
 }
 
-// runStmtArgs executes one statement, converting panics into errors
-// tagged with the statement text.
-func (db *DB) runStmtArgs(ctx context.Context, st sql.Statement, text string, params []model.Value, prep *plan.Prepared) (res Result, err error) {
-	defer recoverPanic(text, &err)
-	return db.execStmtArgs(ctx, st, params, prep)
+// awaitDurable establishes the durability of the commit record appended
+// at end, outside the apply lock (group commit): the writer's effects
+// are already visible to readers, but it is acknowledged only once the
+// record is on disk. If the record was lost the engine rolls back to
+// the last durable commit and the statement (txn == 0) or transaction
+// fails.
+func (db *DB) awaitDurable(end, epoch, txn uint64) error {
+	derr := db.waitCommitDurable(end, epoch)
+	if derr == nil {
+		return nil
+	}
+	lost, aerr := db.abandonCommit(end)
+	if !lost {
+		return nil // an overlapping sync made the record durable after all
+	}
+	if aerr != nil {
+		derr = fmt.Errorf("%v (discarding the record: %v)", derr, aerr)
+	}
+	what := "commit"
+	if txn != 0 {
+		what = fmt.Sprintf("transaction %d commit", txn)
+	}
+	return db.abort(fmt.Errorf("engine: %s: %w", what, derr))
 }
 
-// execStmtLocked dispatches one statement without parameters (the
-// unprepared path; transactions also route their catalog-inspection
-// statements through it).
-func (db *DB) execStmtLocked(ctx context.Context, st sql.Statement) (Result, error) {
-	return db.execStmtArgs(ctx, st, nil, nil)
-}
-
-func (db *DB) execStmtArgs(ctx context.Context, st sql.Statement, params []model.Value, prep *plan.Prepared) (Result, error) {
-	switch st := st.(type) {
+// dispatch executes one statement through executor ex, converting a
+// panic into a PanicError tagged with the statement text. A SELECT
+// streams into rows when rows is non-nil and is materialized otherwise.
+func (db *DB) dispatch(ctx context.Context, ex *exec.Executor, s stmt, start statsMark, rows *Rows) (res Result, err error) {
+	defer recoverPanic(s.Text, &err)
+	switch st := s.Statement.(type) {
 	case *sql.Select:
-		// A cached plan may have been bound from a different parse of
-		// the same normalized SQL; its own AST is the one its path sets
-		// and access choices were derived from, so execute that one.
-		if prep != nil && prep.Sel != nil {
-			return db.runPreparedSelect(ctx, prep, params)
-		}
-		tbl, tt, err := db.readExec().QueryArgs(ctx, st, params)
+		cur, err := db.openSelect(ctx, ex, st, s)
 		if err != nil {
 			return Result{}, err
 		}
-		return Result{Table: tbl, Type: tt, Count: tbl.Len()}, nil
+		if rows != nil {
+			rows.cur, rows.tt = cur, cur.Type()
+			return Result{}, nil
+		}
+		defer cur.Close()
+		out := &model.Table{Ordered: cur.Type().Ordered}
+		n, err := drain(cur, out)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Table: out, Type: cur.Type(), Count: n}, nil
+	case *sql.Explain:
+		return db.explain(ctx, ex, st.Sel, s, start)
+	case *sql.Insert:
+		n, err := ex.ExecInsertArgs(ctx, st, s.args)
+		return counted(n, "inserted", err)
+	case *sql.Delete:
+		n, err := ex.ExecDeleteArgs(ctx, st, s.args)
+		return counted(n, "deleted", err)
+	case *sql.Update:
+		n, err := ex.ExecUpdateArgs(ctx, st, s.args)
+		return counted(n, "updated", err)
 	case *sql.CreateTable:
 		var layout object.Layout
 		switch st.Layout {
@@ -336,56 +270,19 @@ func (db *DB) execStmtArgs(ctx context.Context, st sql.Statement, params []model
 		default:
 			return Result{}, fmt.Errorf("engine: unknown layout %q", st.Layout)
 		}
-		if err := db.CreateTable(st.Name, st.Type, TableOptions{Versioned: st.Versioned, Layout: layout}); err != nil {
-			return Result{}, err
-		}
-		return Result{Message: fmt.Sprintf("table %s created", st.Name)}, nil
+		err := db.CreateTable(st.Name, st.Type, TableOptions{Versioned: st.Versioned, Layout: layout})
+		return message(err, "table "+st.Name+" created")
 	case *sql.DropTable:
-		if err := db.DropTable(st.Name); err != nil {
-			return Result{}, err
-		}
-		return Result{Message: fmt.Sprintf("table %s dropped", st.Name)}, nil
+		return message(db.DropTable(st.Name), "table "+st.Name+" dropped")
 	case *sql.CreateIndex:
 		if st.Text {
-			if err := db.CreateTextIndex(st.Name, st.Table, st.Path); err != nil {
-				return Result{}, err
-			}
-			return Result{Message: fmt.Sprintf("text index %s created", st.Name)}, nil
+			return message(db.CreateTextIndex(st.Name, st.Table, st.Path), "text index "+st.Name+" created")
 		}
-		if err := db.CreateIndex(st.Name, st.Table, st.Path, st.Using); err != nil {
-			return Result{}, err
-		}
-		return Result{Message: fmt.Sprintf("index %s created", st.Name)}, nil
+		return message(db.CreateIndex(st.Name, st.Table, st.Path, st.Using), "index "+st.Name+" created")
 	case *sql.DropIndex:
-		if err := db.DropIndex(st.Name); err != nil {
-			return Result{}, err
-		}
-		return Result{Message: fmt.Sprintf("index %s dropped", st.Name)}, nil
-	case *sql.Insert:
-		n, err := db.exec.ExecInsertArgs(ctx, st, params)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Count: n, Message: fmt.Sprintf("%d tuple(s) inserted", n)}, nil
-	case *sql.Delete:
-		n, err := db.exec.ExecDeleteArgs(ctx, st, params)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Count: n, Message: fmt.Sprintf("%d tuple(s) deleted", n)}, nil
-	case *sql.Update:
-		n, err := db.exec.ExecUpdateArgs(ctx, st, params)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Count: n, Message: fmt.Sprintf("%d tuple(s) updated", n)}, nil
+		return message(db.DropIndex(st.Name), "index "+st.Name+" dropped")
 	case *sql.AlterTableAdd:
-		if err := db.AlterTableAdd(st.Table, st.Path, st.Type); err != nil {
-			return Result{}, err
-		}
-		return Result{Message: fmt.Sprintf("table %s altered", st.Table)}, nil
-	case *sql.Explain:
-		return db.explainArgs(ctx, st.Sel, params, prep)
+		return message(db.AlterTableAdd(st.Table, st.Path, st.Type), "table "+st.Table+" altered")
 	case *sql.ShowTables:
 		tt := model.MustTableType(false,
 			model.Attr{Name: "NAME", Type: model.AtomicType(model.KindString)},
@@ -412,31 +309,68 @@ func (db *DB) execStmtArgs(ctx context.Context, st sql.Statement, params []model
 		}
 		return Result{Message: t.Type.String()}, nil
 	}
-	return Result{}, fmt.Errorf("engine: unsupported statement %T", st)
+	return Result{}, fmt.Errorf("engine: unsupported statement %T", s.Statement)
 }
 
-// explainArgs reports the access path and fetch set per FROM item of
-// a query, then actually runs it through the streaming cursor
-// (results discarded) and appends the measured physical access
-// counters — pages fetched, buffer hits, physical reads, subtuples
-// decoded.
-func (db *DB) explainArgs(ctx context.Context, sel *sql.Select, params []model.Value, prep *plan.Prepared) (Result, error) {
-	start := db.mark()
-	cur, err := db.openSelect(ctx, sel, params, prep)
+// counted is the Result of a DML statement that affected n tuples.
+func counted(n int, verb string, err error) (Result, error) {
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Count: n, Message: strconv.Itoa(n) + " tuple(s) " + verb}, nil
+}
+
+// message is the Result of a statement that reports only an outcome
+// (DDL, transaction control).
+func message(err error, text string) (Result, error) {
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Message: text}, nil
+}
+
+// openSelect opens the cursor every SELECT (and EXPLAIN) reads through.
+// With a bound plan it evaluates the plan's access choices against the
+// live indexes and the bound arguments and reuses the cached result
+// schema and path sets — no inference, no path derivation, no planner
+// call — running the plan's own AST, the one those products were derived
+// from (a cached plan may stem from a different parse of the same
+// normalized SQL). Without one it binds and plans inline.
+func (db *DB) openSelect(ctx context.Context, ex *exec.Executor, sel *sql.Select, s stmt) (*exec.Cursor, error) {
+	if p := s.prep; p != nil && p.Sel != nil {
+		return ex.OpenPrepared(ctx, p.Sel, p.ResultType, p.Paths, p.Candidates(ex.RT, s.args), s.args)
+	}
+	return ex.OpenQueryArgs(ctx, sel, s.args)
+}
+
+// drain pulls cur to its end inside the caller's barrier hold, appending
+// the tuples to out when it is non-nil, and returns the row count.
+func drain(cur *exec.Cursor, out *model.Table) (int, error) {
+	for n := 0; ; n++ {
+		tup, ok, err := cur.Next()
+		if err != nil || !ok {
+			return n, err
+		}
+		if out != nil {
+			out.Append(tup)
+		}
+	}
+}
+
+// explain reports the access path and fetch set per FROM item of a
+// query, then actually runs it through the cursor (results discarded)
+// and appends the measured physical access counters since the
+// statement's start — pages fetched, buffer hits, physical reads,
+// subtuples decoded.
+func (db *DB) explain(ctx context.Context, ex *exec.Executor, sel *sql.Select, s stmt, start statsMark) (Result, error) {
+	cur, err := db.openSelect(ctx, ex, sel, s)
 	if err != nil {
 		return Result{}, err
 	}
 	defer cur.Close()
-	rows := 0
-	for {
-		_, ok, err := cur.Next()
-		if err != nil {
-			return Result{}, err
-		}
-		if !ok {
-			break
-		}
-		rows++
+	rows, err := drain(cur, nil)
+	if err != nil {
+		return Result{}, err
 	}
 	cur.Close()
 	stats := db.since(start)
@@ -450,39 +384,105 @@ func (db *DB) explainArgs(ctx context.Context, sel *sql.Select, params []model.V
 	return Result{Message: b.String(), Count: rows}, nil
 }
 
-// openSelect opens the streaming cursor for a select: through the
-// prepared plan's cached bind products when one is supplied (running
-// the plan's own AST — the one its path sets and access choices were
-// derived from), else through the full open path.
-func (db *DB) openSelect(ctx context.Context, sel *sql.Select, params []model.Value, prep *plan.Prepared) (*exec.Cursor, error) {
-	ex := db.readExec()
-	if prep != nil && prep.Sel != nil {
-		cands := prep.Candidates(ex.RT, params)
-		return ex.OpenPrepared(ctx, prep.Sel, prep.ResultType, prep.Paths, cands, params)
-	}
-	return ex.OpenQueryArgs(ctx, sel, params)
+// --- entry points: DB (auto-commit scope) -------------------------------
+
+// Exec parses and runs a script of semicolon-separated statements.
+// Outside an explicit transaction each statement auto-commits; a
+// BEGIN ... COMMIT/ROLLBACK bracket inside the script runs its
+// statements as one snapshot-isolated transaction.
+func (db *DB) Exec(script string) ([]Result, error) {
+	return db.ExecContext(context.Background(), script)
 }
 
-// runPreparedSelect materializes a prepared select: the plan's access
-// choices are evaluated against the live indexes and the bound
-// arguments, and the cursor runs with the cached result schema and
-// path sets — no inference, no path derivation, no planner call.
-func (db *DB) runPreparedSelect(ctx context.Context, prep *plan.Prepared, params []model.Value) (Result, error) {
-	cur, err := db.openSelect(ctx, prep.Sel, params, prep)
+// ExecContext is Exec with cancellation: long scans check the context
+// once per tuple binding, so cancellation and deadlines fail the
+// current statement promptly (and, for mutating statements, roll it
+// back like any other statement failure). A script that ends with a
+// transaction still open rolls it back and reports an error.
+func (db *DB) ExecContext(ctx context.Context, script string) ([]Result, error) {
+	s := db.NewSession()
+	results, err := s.ExecScript(ctx, script)
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	return results, err
+}
+
+// execScript parses a script and hands its statements to one in order,
+// stopping at the first error.
+func execScript(script string, one func(sql.Stmt) (Result, error)) ([]Result, error) {
+	stmts, err := sql.ParseScript(script)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	defer cur.Close()
-	out := &model.Table{Ordered: cur.Type().Ordered}
-	for {
-		tup, ok, err := cur.Next()
+	var results []Result
+	for _, st := range stmts {
+		res, err := one(st)
 		if err != nil {
-			return Result{}, err
+			return results, err
 		}
-		if !ok {
-			break
-		}
-		out.Append(tup)
+		results = append(results, res)
 	}
-	return Result{Table: out, Type: cur.Type(), Count: out.Len()}, nil
+	return results, nil
+}
+
+// queryText parses q as one statement and materializes it as a query in
+// scope tx.
+func (db *DB) queryText(ctx context.Context, tx *Txn, q string) (*model.Table, *model.TableType, error) {
+	st, err := sql.ParseOneStmt(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, _, err := db.run(ctx, tx, stmt{Stmt: st}, formTable)
+	return res.Table, res.Type, err
+}
+
+// streamText parses q as one statement and opens it as a streaming
+// query in scope tx.
+func (db *DB) streamText(ctx context.Context, tx *Txn, q string) (*Rows, error) {
+	st, err := sql.ParseOneStmt(q)
+	if err != nil {
+		return nil, err
+	}
+	_, rows, err := db.run(ctx, tx, stmt{Stmt: st}, formRows)
+	return rows, err
+}
+
+// Query runs a single SELECT and returns its result table and schema.
+// Queries may run concurrently with each other and with writers.
+func (db *DB) Query(q string) (*model.Table, *model.TableType, error) {
+	return db.queryText(context.Background(), nil, q)
+}
+
+// QueryContext is Query with cancellation.
+func (db *DB) QueryContext(ctx context.Context, q string) (*model.Table, *model.TableType, error) {
+	return db.queryText(ctx, nil, q)
+}
+
+// ExecStmtContext runs (and commits) one already-parsed statement —
+// the zero-reparse entry point for callers that hold a sql.Stmt.
+// BEGIN/COMMIT/ROLLBACK are rejected: the open transaction belongs to
+// a Session.
+func (db *DB) ExecStmtContext(ctx context.Context, st sql.Stmt) (Result, error) {
+	res, _, err := db.run(ctx, nil, stmt{Stmt: st}, formAny)
+	return res, err
+}
+
+// QueryRows runs one SELECT and returns a streaming cursor over its
+// results.
+func (db *DB) QueryRows(q string) (*Rows, error) {
+	return db.streamText(context.Background(), nil, q)
+}
+
+// QueryRowsContext is QueryRows with cancellation: the context is
+// checked once per Next call.
+func (db *DB) QueryRowsContext(ctx context.Context, q string) (*Rows, error) {
+	return db.streamText(ctx, nil, q)
+}
+
+// QueryRowsStmt runs one already-parsed SELECT and returns a
+// streaming cursor — the zero-reparse form of QueryRows.
+func (db *DB) QueryRowsStmt(ctx context.Context, st sql.Stmt) (*Rows, error) {
+	_, rows, err := db.run(ctx, nil, stmt{Stmt: st}, formRows)
+	return rows, err
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/exec"
 	"repro/internal/model"
@@ -75,7 +74,7 @@ type txOp struct {
 // pendingObj is the transaction-local image of one written object:
 // what this transaction's own reads see. Values are immutable once
 // stored (writers replace the whole entry), so statement-level
-// rollback can snapshot the map shallowly.
+// rollback only has to remember the pointers a statement replaced.
 type pendingObj struct {
 	tup      model.Tuple // nil when deleted
 	deleted  bool
@@ -105,6 +104,19 @@ type Txn struct {
 	order   []wkey // insertion order of pending keys, for stable scans
 	locked  map[wkey]bool
 	synth   uint32
+
+	// Statement-level rollback state (beginStmt/undoStmt): the pending
+	// entries the running statement replaced, and where its ops and
+	// order entries start.
+	undo               []pendingUndo
+	opsMark, orderMark int
+}
+
+// pendingUndo is one pending entry as it was before the running
+// statement replaced it (prev nil: the statement created the key).
+type pendingUndo struct {
+	k    wkey
+	prev *pendingObj
 }
 
 // Begin starts a transaction. The snapshot timestamp is sampled under
@@ -235,7 +247,7 @@ func (tx *Txn) Commit() error {
 	err := db.applyOps(tx)
 	var end, epoch uint64
 	if err == nil {
-		end, epoch, err = db.appendTxnCommit(tx.id, commitTS)
+		end, epoch, err = db.appendCommit(wal.CommitPayload(tx.id, commitTS))
 	}
 	for _, st := range db.stores {
 		st.ClearApply()
@@ -255,20 +267,9 @@ func (tx *Txn) Commit() error {
 		return err
 	}
 	db.applyMu.Unlock()
-	// Establish durability outside the apply lock (group commit): the
-	// transaction's effects are visible, but it is acknowledged only
-	// once its commit record is on disk.
-	if derr := db.waitCommitDurable(end, epoch); derr != nil {
-		lost, aerr := db.abandonCommit(end)
-		if lost {
-			if aerr != nil {
-				derr = fmt.Errorf("%v (discarding the record: %v)", derr, aerr)
-			}
-			err := db.abort(fmt.Errorf("engine: transaction %d commit: %w", tx.id, derr))
-			tx.finish(0)
-			return err
-		}
-		// An overlapping sync made the record durable after all.
+	if err := db.awaitDurable(end, epoch, tx.id); err != nil {
+		tx.finish(0)
+		return err
 	}
 	tx.finish(commitTS)
 	return nil
@@ -316,17 +317,6 @@ func (db *DB) applyOps(tx *Txn) error {
 	return nil
 }
 
-// appendTxnCommit appends the transaction's commit record (carrying
-// the id and commit timestamp) without forcing the log; the caller
-// establishes durability with waitCommitDurable after releasing its
-// locks. A no-op without a WAL.
-func (db *DB) appendTxnCommit(txn uint64, ts int64) (end, epoch uint64, err error) {
-	if db.log == nil {
-		return 0, 0, nil
-	}
-	return db.log.AppendCommit(wal.CommitPayload(txn, ts))
-}
-
 // autoConflict enrolls an auto-commit DML write in first-writer-wins
 // conflict detection. The runtime mutators call it before touching the
 // object (skipped while a transaction commit replays its own buffered
@@ -372,47 +362,35 @@ func (db *DB) publishStmtWrites() {
 }
 
 // --- statement surface --------------------------------------------------
+//
+// Every method here names the statement, binds the transaction as its
+// scope and hands both to DB.run (stmt.go). DML buffers; queries see the
+// snapshot plus the transaction's own writes (EXPLAIN included; SHOW
+// TABLES and DESCRIBE read current catalog metadata); DDL fails with
+// ErrTxnDDL. A failing statement rolls back only that statement's
+// buffered effects — the transaction stays usable.
 
 // Exec parses and runs a script of statements inside the transaction.
-// DML buffers; queries see the snapshot plus the transaction's own
-// writes. A failing statement rolls back only that statement's
-// buffered effects — the transaction stays usable.
 func (tx *Txn) Exec(script string) ([]Result, error) {
 	return tx.ExecContext(context.Background(), script)
 }
 
 // ExecContext is Exec with cancellation.
 func (tx *Txn) ExecContext(ctx context.Context, script string) ([]Result, error) {
-	stmts, err := sql.ParseScript(script)
-	if err != nil {
-		return nil, err
-	}
-	var results []Result
-	for _, st := range stmts {
-		res, err := tx.execOne(ctx, st.Statement, st.Text)
-		if err != nil {
-			return results, err
-		}
-		results = append(results, res)
-	}
-	return results, nil
+	return execScript(script, func(st sql.Stmt) (Result, error) { return tx.ExecStmtContext(ctx, st) })
+}
+
+// ExecStmtContext runs one already-parsed statement inside the
+// transaction (the zero-reparse entry point mirroring
+// DB.ExecStmtContext).
+func (tx *Txn) ExecStmtContext(ctx context.Context, st sql.Stmt) (Result, error) {
+	res, _, err := tx.db.run(ctx, tx, stmt{Stmt: st}, formAny)
+	return res, err
 }
 
 // Query runs one SELECT at the transaction's snapshot.
 func (tx *Txn) Query(q string) (*model.Table, *model.TableType, error) {
-	st, err := sql.ParseOne(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	sel, ok := st.(*sql.Select)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: Query requires a SELECT, got %T", st)
-	}
-	res, err := tx.execOne(context.Background(), sel, strings.TrimSpace(q))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Table, res.Type, nil
+	return tx.db.queryText(context.Background(), tx, q)
 }
 
 // QueryRows runs one SELECT at the transaction's snapshot and returns
@@ -420,138 +398,59 @@ func (tx *Txn) Query(q string) (*model.Table, *model.TableType, error) {
 // transactions commit while it is open — it reads the version chains
 // as of the snapshot timestamp.
 func (tx *Txn) QueryRows(q string) (*Rows, error) {
-	return tx.QueryRowsContext(context.Background(), q)
+	return tx.db.streamText(context.Background(), tx, q)
 }
 
 // QueryRowsContext is QueryRows with cancellation.
 func (tx *Txn) QueryRowsContext(ctx context.Context, q string) (*Rows, error) {
-	if tx.done {
-		return nil, ErrTxnDone
-	}
-	return tx.db.queryRows(ctx, tx.exec, q)
+	return tx.db.streamText(ctx, tx, q)
 }
 
-// ExecStmtContext runs one already-parsed statement inside the
-// transaction (the zero-reparse entry point mirroring
-// DB.ExecStmtContext).
-func (tx *Txn) ExecStmtContext(ctx context.Context, st sql.Stmt) (Result, error) {
-	return tx.execOne(ctx, st.Statement, st.Text)
+// QueryRowsStmt runs one already-parsed SELECT at the transaction's
+// snapshot and returns a streaming cursor.
+func (tx *Txn) QueryRowsStmt(ctx context.Context, st sql.Stmt) (*Rows, error) {
+	_, rows, err := tx.db.run(ctx, tx, stmt{Stmt: st}, formRows)
+	return rows, err
 }
 
 // ExecPrepared runs a prepared statement inside the transaction with
-// the given arguments. The parse is reused; the plan's cached
-// candidate lists are NOT — index entries reflect committed state,
-// not the snapshot plus the transaction's buffered writes, so the
-// statement executes through the transaction's own snapshot-reading
-// executor (which plans inline against the transaction runtime; that
-// runtime exposes no indexes and every scan is a full snapshot scan).
+// the given arguments. The parse is reused; the bound plan is not (see
+// PreparedStmt.run).
 func (tx *Txn) ExecPrepared(ctx context.Context, ps *PreparedStmt, args ...model.Value) (Result, error) {
-	if err := ps.checkArgs(args); err != nil {
-		return Result{}, err
-	}
-	return tx.execOneArgs(ctx, ps.st.Statement, ps.st.Text, args)
+	res, _, err := ps.run(ctx, tx, args, formAny)
+	return res, err
 }
 
 // QueryRowsPrepared runs a prepared SELECT inside the transaction and
 // returns a streaming cursor at the transaction's snapshot.
 func (tx *Txn) QueryRowsPrepared(ctx context.Context, ps *PreparedStmt, args ...model.Value) (*Rows, error) {
-	if tx.done {
-		return nil, ErrTxnDone
-	}
-	if err := ps.checkArgs(args); err != nil {
-		return nil, err
-	}
-	sel, ok := ps.st.Statement.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("engine: QueryRows requires a SELECT, got %T", ps.st.Statement)
-	}
-	return tx.db.queryRowsSel(ctx, tx.exec, sel, ps.st.Text, args)
+	_, rows, err := ps.run(ctx, tx, args, formRows)
+	return rows, err
 }
 
-// execOne runs one parsed statement inside the transaction.
-func (tx *Txn) execOne(ctx context.Context, st sql.Statement, text string) (Result, error) {
-	return tx.execOneArgs(ctx, st, text, nil)
+// --- statement-level rollback ---------------------------------------------
+
+// beginStmt marks where a DML statement's buffered effects start:
+// setPending logs every entry the statement overwrites (pendingObj
+// values are immutable once stored, so the previous pointer is the
+// whole undo image), and the op and order logs only grow.
+func (tx *Txn) beginStmt() {
+	tx.undo = tx.undo[:0]
+	tx.opsMark, tx.orderMark = len(tx.ops), len(tx.order)
 }
 
-// execOneArgs is execOne with bound `?` parameter values.
-func (tx *Txn) execOneArgs(ctx context.Context, st sql.Statement, text string, params []model.Value) (Result, error) {
-	if tx.done {
-		return Result{}, ErrTxnDone
-	}
-	db := tx.db
-	db.healMu.RLock()
-	defer db.healMu.RUnlock()
-	if err := db.fatal(); err != nil {
-		return Result{}, err
-	}
-	// Statement-level rollback: snapshot the buffered state so a failed
-	// statement discards only its own ops (pendingObj values are
-	// immutable, so a shallow map copy suffices).
-	opsMark := len(tx.ops)
-	savedPending := make(map[wkey]*pendingObj, len(tx.pending))
-	for k, v := range tx.pending {
-		savedPending[k] = v
-	}
-	savedOrder := append([]wkey(nil), tx.order...)
-
-	res, err := tx.runStmt(ctx, st, text, params)
-	if err != nil {
-		tx.ops = tx.ops[:opsMark]
-		tx.pending = savedPending
-		tx.order = savedOrder
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			// The statement only read committed pages and buffered
-			// in-memory writes, but a recovered panic may still have
-			// leaked pins; heal like the auto-commit read path does.
-			db.healMu.RUnlock()
-			err = db.abort(err)
-			db.healMu.RLock()
+// undoStmt discards the buffered effects of the statement begun at the
+// last beginStmt, restoring exactly the keys it touched. Write locks it
+// took stay with the transaction.
+func (tx *Txn) undoStmt() {
+	for i := len(tx.undo) - 1; i >= 0; i-- {
+		if u := tx.undo[i]; u.prev == nil {
+			delete(tx.pending, u.k)
+		} else {
+			tx.pending[u.k] = u.prev
 		}
-		return Result{}, err
 	}
-	return res, nil
-}
-
-func (tx *Txn) runStmt(ctx context.Context, st sql.Statement, text string, params []model.Value) (res Result, err error) {
-	defer recoverPanic(text, &err)
-	switch st := st.(type) {
-	case *sql.Select:
-		tbl, tt, err := tx.exec.QueryArgs(ctx, st, params)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Table: tbl, Type: tt, Count: tbl.Len()}, nil
-	case *sql.Insert:
-		n, err := tx.exec.ExecInsertArgs(ctx, st, params)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Count: n, Message: fmt.Sprintf("%d tuple(s) inserted", n)}, nil
-	case *sql.Delete:
-		n, err := tx.exec.ExecDeleteArgs(ctx, st, params)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Count: n, Message: fmt.Sprintf("%d tuple(s) deleted", n)}, nil
-	case *sql.Update:
-		n, err := tx.exec.ExecUpdateArgs(ctx, st, params)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Count: n, Message: fmt.Sprintf("%d tuple(s) updated", n)}, nil
-	case *sql.Begin:
-		return Result{}, fmt.Errorf("engine: transactions do not nest")
-	case *sql.Commit, *sql.Rollback:
-		return Result{}, fmt.Errorf("engine: use Txn.Commit/Txn.Rollback to end a transaction")
-	case *sql.CreateTable, *sql.DropTable, *sql.CreateIndex, *sql.DropIndex, *sql.AlterTableAdd:
-		return Result{}, ErrTxnDDL
-	case *sql.ShowTables, *sql.Describe, *sql.Explain:
-		// Catalog inspection reads current metadata; harmless in a
-		// transaction. Delegate to the auto-commit reader path.
-		return tx.db.execStmtLocked(ctx, st)
-	}
-	return Result{}, fmt.Errorf("engine: unsupported statement %T in transaction", st)
+	tx.ops, tx.order = tx.ops[:tx.opsMark], tx.order[:tx.orderMark]
 }
 
 // newSynthRef mints a transaction-local ref for an inserted tuple.

@@ -553,3 +553,67 @@ func TestTxnUnversionedCurrentCommitted(t *testing.T) {
 		t.Errorf("versioned read outside txn: BAL(1) = %d, want 150", got)
 	}
 }
+
+// A failed statement late in a long transaction restores exactly its
+// own keys: the thousand earlier writes stay as they were, and the
+// statement's partial effects — an overwritten earlier write, a first
+// write to a stored row, a fresh insert — are undone.
+func TestTxnStmtRollbackRestoresOwnKeys(t *testing.T) {
+	db := openPathDB(t)
+	blocker, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blocker.Rollback()
+	if _, err := blocker.Exec(`UPDATE x IN T SET B = 'held' WHERE x.A = 3`); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	for i := 0; i < 999; i++ {
+		if _, err := tx.Exec(fmt.Sprintf(`INSERT INTO T VALUES (%d, 'w')`, 100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tx.Exec(`UPDATE x IN T SET B = 'kept' WHERE x.A = 1`); err != nil {
+		t.Fatal(err)
+	}
+	image := func() []string {
+		tbl, _, err := tx.Query(`SELECT x.A, x.B FROM x IN T`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sortedRows(tbl)
+	}
+	before := image()
+	pending, order, ops := len(tx.pending), len(tx.order), len(tx.ops)
+	if pending != 1000 {
+		t.Fatalf("%d buffered writes, want 1000", pending)
+	}
+	// Overwrites row 1's buffered image, writes row 2 for the first
+	// time, then hits the blocker's lock on row 3.
+	if _, err := tx.Exec(`UPDATE x IN T SET B = 'lost'`); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("update across a held row: %v, want ErrWriteConflict", err)
+	}
+	// Buffers its first tuple, then fails on the second.
+	if _, err := tx.Exec(`INSERT INTO T VALUES (5000, 'lost'), ('bad', 'y')`); err == nil {
+		t.Fatal("ill-typed insert succeeded")
+	}
+	if len(tx.pending) != pending || len(tx.order) != order || len(tx.ops) != ops {
+		t.Errorf("buffer after the failed statements: %d pending, %d order, %d ops; want %d, %d, %d",
+			len(tx.pending), len(tx.order), len(tx.ops), pending, order, ops)
+	}
+	if after := image(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("the failed statements changed the transaction's image (%d rows before, %d after)", len(before), len(after))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _, err := db.Query(`SELECT x.B FROM x IN T WHERE x.A <= 2 OR x.A = 5000`)
+	if got := fmt.Sprint(sortedRows(tbl)); err != nil || got != `[("b") ("kept")]` {
+		t.Errorf("committed rows 1, 2, 5000 = %s, %v", got, err)
+	}
+}

@@ -21,12 +21,14 @@ type txnRuntime struct {
 }
 
 // setPending records the new image of one object, keeping insertion
-// order for stable scans. Entries are replaced whole, never mutated:
-// statement-level rollback restores a shallow copy of the map.
+// order for stable scans. Entries are replaced whole, never mutated,
+// and the replaced one is logged for statement-level rollback (undoStmt).
 func (tx *Txn) setPending(k wkey, p *pendingObj) {
-	if _, ok := tx.pending[k]; !ok {
+	prev, ok := tx.pending[k]
+	if !ok {
 		tx.order = append(tx.order, k)
 	}
+	tx.undo = append(tx.undo, pendingUndo{k, prev})
 	tx.pending[k] = p
 }
 

@@ -11,23 +11,6 @@ import (
 	"repro/internal/sql"
 )
 
-// Query evaluates a top-level select and returns the result table
-// with its inferred schema. The context is checked once per range
-// variable binding, so cancellation and deadlines interrupt long
-// scans promptly.
-func (e *Executor) Query(ctx context.Context, sel *sql.Select) (*model.Table, *model.TableType, error) {
-	return e.QueryArgs(ctx, sel, nil)
-}
-
-// QueryArgs is Query with bound `?` parameter values (positional,
-// 1-based ordinals).
-func (e *Executor) QueryArgs(ctx context.Context, sel *sql.Select, params []model.Value) (*model.Table, *model.TableType, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return e.selectIn(ctx, sel, rootEnv(params), true)
-}
-
 // selectIn evaluates a select block in an outer environment by
 // opening a streaming cursor and draining it. planning enables index
 // access paths (only sensible for blocks over stored tables).

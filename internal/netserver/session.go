@@ -29,9 +29,9 @@ type frame struct {
 //     (Cancel, Fetch, StreamClose) are applied immediately so they work
 //     while a statement is executing or a stream is mid-flight.
 //   - the worker (run) owns the write side and all session state: the
-//     open transaction, the prepared-statement registry, the one open
-//     row stream. It executes one request at a time, so session state
-//     never needs a lock.
+//     engine session (which owns the open transaction), the
+//     prepared-statement registry, the one open row stream. It executes
+//     one request at a time, so session state never needs a lock.
 //
 // Teardown runs exactly once, in the worker, on every exit path —
 // clean Goodbye, dead peer, torn frame, protocol error, idle timeout,
@@ -68,8 +68,9 @@ type session struct {
 	drainCh   chan struct{}
 	drainOnce sync.Once
 
-	// Worker-owned state (no locks needed).
-	tx       *engine.Txn
+	// Worker-owned state (no locks needed). Every statement runs through
+	// eng, in whatever scope its BEGIN/COMMIT/ROLLBACK left.
+	eng      *engine.Session
 	stmts    map[uint64]*engine.PreparedStmt
 	nextStmt uint64
 
@@ -81,18 +82,19 @@ type session struct {
 func newSession(s *Server, id uint64, conn net.Conn) *session {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &session{
-		srv:     s,
-		id:      id,
-		conn:    conn,
-		br:      bufio.NewReader(conn),
-		ctx:     ctx,
-		cancel:  cancel,
+		srv:      s,
+		id:       id,
+		conn:     conn,
+		br:       bufio.NewReader(conn),
+		ctx:      ctx,
+		cancel:   cancel,
 		reqs:     make(chan frame, 1),
 		dying:    make(chan struct{}),
 		peerGone: make(chan struct{}),
-		flowCh:  make(chan struct{}, 1),
-		drainCh: make(chan struct{}),
-		stmts:   make(map[uint64]*engine.PreparedStmt),
+		flowCh:   make(chan struct{}, 1),
+		drainCh:  make(chan struct{}),
+		eng:      s.db.NewSession(),
+		stmts:    make(map[uint64]*engine.PreparedStmt),
 	}
 }
 
@@ -174,10 +176,7 @@ func (sess *session) setIdleDeadline() {
 func (sess *session) teardown() {
 	close(sess.dying)
 	sess.cancel()
-	if sess.tx != nil {
-		sess.tx.Rollback()
-		sess.tx = nil
-	}
+	sess.eng.Close()
 	sess.conn.Close()
 	ctr := sess.srv.ctr
 	ctr.SessionsOpen.Add(-1)
@@ -287,7 +286,7 @@ func (sess *session) writeErr(err error) bool {
 		Code:    code,
 		Message: err.Error(),
 		Detail:  detail,
-		TxnOpen: sess.tx != nil,
+		TxnOpen: sess.eng.InTxn(),
 	}
 	var se *netproto.ServerError
 	if errors.As(err, &se) {
@@ -427,75 +426,27 @@ func (sess *session) doExec(script string) bool {
 	return !sess.write(netproto.TypeResults, payload)
 }
 
-// runScript mirrors the local shell's statement loop: parse once, then
-// execute statement by statement, with BEGIN/COMMIT/ROLLBACK switching
-// the session transaction.
+// runScript runs a script through the engine session, which switches
+// the session transaction on BEGIN/COMMIT/ROLLBACK.
 func (sess *session) runScript(ctx context.Context, script string) (*netproto.Results, error) {
-	stmts, err := sql.ParseScript(script)
+	results, err := sess.eng.ExecScript(ctx, script)
 	if err != nil {
 		return nil, err
 	}
-	out := &netproto.Results{}
-	for _, st := range stmts {
-		r, err := sess.execStmt(ctx, st)
-		if err != nil {
-			return nil, err
-		}
-		out.Results = append(out.Results, r)
+	out := &netproto.Results{TxnOpen: sess.eng.InTxn()}
+	for _, res := range results {
+		out.Results = append(out.Results, netResult(res))
 	}
-	out.TxnOpen = sess.tx != nil
 	return out, nil
 }
 
-func (sess *session) execStmt(ctx context.Context, st sql.Stmt) (netproto.Result, error) {
-	switch st.Statement.(type) {
-	case *sql.Begin:
-		if sess.tx != nil {
-			return netproto.Result{}, errors.New("BEGIN inside an open transaction (transactions do not nest)")
-		}
-		tx, err := sess.srv.db.Begin()
-		if err != nil {
-			return netproto.Result{}, err
-		}
-		sess.tx = tx
-		return netproto.Result{Message: "transaction started"}, nil
-	case *sql.Commit:
-		if sess.tx == nil {
-			return netproto.Result{}, errors.New("COMMIT without BEGIN")
-		}
-		tx := sess.tx
-		sess.tx = nil
-		if err := tx.Commit(); err != nil {
-			return netproto.Result{}, err
-		}
-		return netproto.Result{Message: "transaction committed"}, nil
-	case *sql.Rollback:
-		if sess.tx == nil {
-			return netproto.Result{}, errors.New("ROLLBACK without BEGIN")
-		}
-		sess.tx.Rollback()
-		sess.tx = nil
-		return netproto.Result{Message: "transaction rolled back"}, nil
-	}
-	if st.Params > 0 {
-		return netproto.Result{}, errors.New("placeholders require a prepared statement (use Prepare)")
-	}
-	var res engine.Result
-	var err error
-	if sess.tx != nil {
-		res, err = sess.tx.ExecStmtContext(ctx, st)
-	} else {
-		res, err = sess.srv.db.ExecStmtContext(ctx, st)
-	}
-	if err != nil {
-		return netproto.Result{}, err
-	}
+func netResult(res engine.Result) netproto.Result {
 	return netproto.Result{
 		Count:   int64(res.Count),
 		Message: res.Message,
 		Type:    res.Type,
 		Table:   res.Table,
-	}, nil
+	}
 }
 
 // doPrepare parses and binds one statement, registering it under a
@@ -534,25 +485,12 @@ func (sess *session) doStmtExec(id uint64, args []model.Value) bool {
 	if err != nil {
 		return !sess.writeErr(err)
 	}
-	var res engine.Result
-	if sess.tx != nil {
-		res, err = sess.tx.ExecPrepared(ctx, ps, args...)
-	} else {
-		res, err = ps.ExecContext(ctx, args...)
-	}
+	res, err := sess.eng.ExecPrepared(ctx, ps, args...)
 	sess.endStmt(cancel)
 	if err != nil {
 		return !sess.writeErr(err)
 	}
-	out := &netproto.Results{
-		Results: []netproto.Result{{
-			Count:   int64(res.Count),
-			Message: res.Message,
-			Type:    res.Type,
-			Table:   res.Table,
-		}},
-		TxnOpen: sess.tx != nil,
-	}
+	out := &netproto.Results{Results: []netproto.Result{netResult(res)}, TxnOpen: sess.eng.InTxn()}
 	payload, err := out.Encode()
 	if err != nil {
 		return !sess.writeErr(err)
@@ -576,27 +514,14 @@ func (sess *session) doQuery(text string, window uint32) bool {
 	return !ok
 }
 
-// openQuery parses text as exactly one SELECT and opens its cursor
-// against the session transaction or the database.
+// openQuery parses text as exactly one statement and opens its cursor
+// in the session's scope (the engine rejects anything but a SELECT).
 func (sess *session) openQuery(ctx context.Context, text string) (*engine.Rows, error) {
-	stmts, err := sql.ParseScript(text)
+	st, err := sql.ParseOneStmt(text)
 	if err != nil {
 		return nil, err
 	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("Query takes exactly one statement, got %d", len(stmts))
-	}
-	st := stmts[0]
-	if _, ok := st.Statement.(*sql.Select); !ok {
-		return nil, errors.New("Query takes a SELECT; use Exec for other statements")
-	}
-	if st.Params > 0 {
-		return nil, errors.New("placeholders require a prepared statement (use Prepare)")
-	}
-	if sess.tx != nil {
-		return sess.tx.QueryRowsStmt(ctx, st)
-	}
-	return sess.srv.db.QueryRowsStmt(ctx, st)
+	return sess.eng.QueryRows(ctx, st)
 }
 
 // doStmtQuery streams a prepared SELECT with bound args.
@@ -609,12 +534,7 @@ func (sess *session) doStmtQuery(id uint64, window uint32, args []model.Value) b
 	if err != nil {
 		return !sess.writeErr(err)
 	}
-	var rows *engine.Rows
-	if sess.tx != nil {
-		rows, err = sess.tx.QueryRowsPrepared(ctx, ps, args...)
-	} else {
-		rows, err = ps.QueryRowsContext(ctx, args...)
-	}
+	rows, err := sess.eng.QueryRowsPrepared(ctx, ps, args...)
 	if err != nil {
 		sess.endStmt(cancel)
 		return !sess.writeErr(err)
@@ -652,7 +572,7 @@ func (sess *session) stream(ctx context.Context, rows *engine.Rows, window uint3
 	var sent uint64
 	for {
 		if sess.abort.Load() {
-			done := &netproto.Done{Rows: sent, TxnOpen: sess.tx != nil, Aborted: true}
+			done := &netproto.Done{Rows: sent, TxnOpen: sess.eng.InTxn(), Aborted: true}
 			return sess.write(netproto.TypeDone, done.Encode())
 		}
 		if err := sess.takeCredit(ctx); err != nil {
@@ -677,7 +597,7 @@ func (sess *session) stream(ctx context.Context, rows *engine.Rows, window uint3
 	if err := rows.Err(); err != nil {
 		return sess.writeErr(err)
 	}
-	done := &netproto.Done{Rows: sent, TxnOpen: sess.tx != nil}
+	done := &netproto.Done{Rows: sent, TxnOpen: sess.eng.InTxn()}
 	return sess.write(netproto.TypeDone, done.Encode())
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,78 +90,84 @@ func TestFailoverDrill(t *testing.T) {
 }
 
 // TestReplicaCursorSnapshotStable opens a streaming cursor on a
-// replica, lets replication publish new commits under it, and checks
-// the cursor never sees them: replica cursors read at the visible
-// timestamp sampled when they opened.
+// replica, lets replication apply new commits under it, and checks the
+// cursor never sees them: replica cursors read at the visible
+// timestamp sampled when they opened. The cursor opens after the first
+// applied groups (so there is a horizon to pin), has no ORDER BY
+// barrier (so it really streams), and the table spans several pages
+// (so most of it is read after the world moved).
 func TestReplicaCursorSnapshotStable(t *testing.T) {
 	leakCheck(t)
 	primary, srv := startPrimary(t, engine.Options{})
-	for i := 0; i < 20; i++ {
-		if _, err := primary.Exec(fmt.Sprintf(`INSERT INTO KV VALUES (%d, 0)`, i)); err != nil {
+	f := startFollower(t, srv.Addr(), t.TempDir())
+	const n = 600
+	for lo := 0; lo < n; lo += 100 {
+		var b strings.Builder
+		b.WriteString(`INSERT INTO KV VALUES `)
+		for k := lo; k < lo+100; k++ {
+			fmt.Fprintf(&b, "(%d, 0),", k)
+		}
+		if _, err := primary.Exec(strings.TrimSuffix(b.String(), ",")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f := startFollower(t, srv.Addr(), t.TempDir())
 	catchUp(t, primary, f)
 	fdb := f.DB()
+	if fdb.ReplCounters().VisibleTS.Load() == 0 {
+		t.Fatal("replica has no visibility horizon after applying commit groups")
+	}
 
-	rows, err := fdb.QueryRows(`SELECT x.K, x.V FROM x IN KV ORDER BY x.K`)
+	rows, err := fdb.QueryRows(`SELECT x.K, x.V FROM x IN KV`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rows.Close()
-	var ks []int64
-	for i := 0; i < 5; i++ { // drain a prefix before the world moves
-		if !rows.Next() {
-			t.Fatalf("cursor died early: %v", rows.Err())
-		}
+	seen := map[int64]bool{}
+	pull := func() {
 		var k, v int64
 		if err := rows.Scan(&k, &v); err != nil {
 			t.Fatal(err)
 		}
-		ks = append(ks, k)
+		if v != 0 || k >= n || seen[k] {
+			t.Fatalf("cursor row (K=%d, V=%d) is not the horizon's state", k, v)
+		}
+		seen[k] = true
 	}
+	if !rows.Next() { // one row before the world moves
+		t.Fatalf("cursor died early: %v", rows.Err())
+	}
+	pull()
 
-	// New commits land and replicate while the cursor is mid-stream.
-	for i := 0; i < 20; i++ {
-		if _, err := primary.Exec(fmt.Sprintf(`INSERT INTO KV VALUES (%d, 1)`, 100+i)); err != nil {
+	// Groups that change every remaining row land and are applied while
+	// the cursor is mid-stream.
+	for _, q := range []string{
+		`UPDATE x IN KV SET V = 7 WHERE x.K >= 0`,
+		fmt.Sprintf(`DELETE x FROM x IN KV WHERE x.K >= %d`, n/2),
+		`INSERT INTO KV VALUES (1000, 1), (1001, 1), (1002, 1)`,
+	} {
+		if _, err := primary.Exec(q); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := primary.Exec(`UPDATE x IN KV SET V = 7 WHERE x.K < 20`); err != nil {
-		t.Fatal(err)
 	}
 	catchUp(t, primary, f)
 
 	for rows.Next() {
-		var k, v int64
-		if err := rows.Scan(&k, &v); err != nil {
-			t.Fatal(err)
-		}
-		if v != 0 {
-			t.Fatalf("cursor saw post-open update V=%d at K=%d", v, k)
-		}
-		ks = append(ks, k)
+		pull()
 	}
 	if rows.Err() != nil {
 		t.Fatal(rows.Err())
 	}
-	if len(ks) != 20 {
-		t.Fatalf("snapshot cursor returned %d rows, want the 20 pre-open ones", len(ks))
-	}
-	for i, k := range ks {
-		if k != int64(i) {
-			t.Fatalf("cursor row %d has K=%d; post-open rows leaked in", i, k)
-		}
+	if len(seen) != n {
+		t.Fatalf("snapshot cursor returned %d rows, want the %d at its horizon", len(seen), n)
 	}
 
 	// A fresh query sees the replicated world.
-	tab, _, err := fdb.Query(`SELECT x.K FROM x IN KV WHERE x.K >= 100`)
+	tab, _, err := fdb.Query(`SELECT x.K FROM x IN KV WHERE x.V <> 0`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Len() != 20 {
-		t.Fatalf("fresh replica query sees %d new rows, want 20", tab.Len())
+	if tab.Len() != n/2+3 {
+		t.Fatalf("fresh replica query sees %d changed rows, want %d", tab.Len(), n/2+3)
 	}
 	noPins(t, "replica", fdb)
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/page"
 )
 
-// Cursor is the pull-based form of Scan/ScanAsOf: it streams every
+// Cursor is the pull-based form of Scan: it streams every
 // current subtuple of the segment one Next at a time, in the same
 // order and under the same TIDs as Scan. Pages are pinned only inside
 // a single Next call — the cursor buffers the (copied) records of one
@@ -40,9 +40,10 @@ func (s *Store) NewCursor() (*Cursor, error) {
 	return &Cursor{s: s, count: st.PageCount(), pg: 1}, nil
 }
 
-// NewAsOfCursor opens a cursor over the segment as of instant ts:
-// like ScanAsOf it visits tombstoned records (they may have been alive
-// at ts) and resolves each through its version chain.
+// NewAsOfCursor opens a cursor over the segment as of instant ts: every
+// subtuple that existed at ts, with its payload as of ts. Unlike the
+// current-state cursor it visits tombstoned records (they may have been
+// alive at ts) and resolves each through its version chain.
 func (s *Store) NewAsOfCursor(ts int64) (*Cursor, error) {
 	c, err := s.NewCursor()
 	if err != nil {

@@ -810,57 +810,6 @@ func (s *Store) Commit() error {
 	return s.log.Sync()
 }
 
-// ScanAsOf streams every subtuple that existed at instant ts with its
-// payload as of ts. Unlike Scan it visits tombstoned records (they may
-// have been alive at ts) and resolves each through its version chain.
-func (s *Store) ScanAsOf(ts int64, fn func(t page.TID, data []byte) error) error {
-	st := s.pool.Store(s.seg)
-	if st == nil {
-		return fmt.Errorf("subtuple: segment %d not registered", s.seg)
-	}
-	count := st.PageCount()
-	for pg := uint32(1); pg <= count; pg++ {
-		f, err := s.pool.Pin(buffer.PageKey{Seg: s.seg, Page: pg})
-		if err != nil {
-			return err
-		}
-		f.RLatch()
-		if !f.Page.Initialized() {
-			f.RUnlatch()
-			s.pool.Unpin(f, false)
-			return dberr.Corruptf("subtuple: allocated page %d.%d is uninitialized (zeroed?)", s.seg, pg)
-		}
-		n := f.Page.NumSlots()
-		var slots []uint16
-		for sl := 0; sl < n; sl++ {
-			rec, err := f.Page.Read(uint16(sl))
-			if err != nil {
-				continue
-			}
-			if rec[0]&(fFwd|fChunk|fOld) != 0 {
-				continue
-			}
-			slots = append(slots, uint16(sl))
-		}
-		f.RUnlatch()
-		s.pool.Unpin(f, false)
-		for _, sl := range slots {
-			tid := page.TID{Page: pg, Slot: sl}
-			data, ok, err := s.ReadAsOf(tid, ts)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := fn(tid, data); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Version is one state in a subtuple's history.
 type Version struct {
 	FromTS  int64

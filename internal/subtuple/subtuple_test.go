@@ -455,9 +455,10 @@ func TestHistoryWalkThroughTime(t *testing.T) {
 	}
 }
 
-// ScanAsOf reports the set of subtuples as of an instant, including
-// tombstoned ones that were alive then and excluding later inserts.
-func TestScanAsOf(t *testing.T) {
+// An ASOF cursor reports the set of subtuples as of an instant,
+// including tombstoned ones that were alive then and excluding later
+// inserts.
+func TestAsOfCursor(t *testing.T) {
 	s, _ := newStore(t, true)
 	t1, _ := s.Insert([]byte("early"))   // ts=1
 	t2, _ := s.Insert([]byte("doomed"))  // ts=2
@@ -468,13 +469,21 @@ func TestScanAsOf(t *testing.T) {
 	s.Insert([]byte("late"))        // ts=5
 	snapshot := func(ts int64) map[string]bool {
 		got := map[string]bool{}
-		if err := s.ScanAsOf(ts, func(_ page.TID, data []byte) error {
-			got[string(data)] = true
-			return nil
-		}); err != nil {
+		c, err := s.NewAsOfCursor(ts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return got
+		defer c.Close()
+		for {
+			_, data, ok, err := c.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return got
+			}
+			got[string(data)] = true
+		}
 	}
 	at2 := snapshot(2)
 	if !at2["early"] || !at2["doomed"] || len(at2) != 2 {
