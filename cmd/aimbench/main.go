@@ -167,14 +167,14 @@ func runExperiments(scale int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-6s %12s %10s %10s %8s %12s %12s %12s\n",
-		"layout", "MD subtuples", "MD bytes", "pointers", "pages", "build fetch", "read fetch", "nav fetch")
+	fmt.Printf("%-6s %12s %10s %10s %8s %12s %11s %13s %10s %12s\n",
+		"layout", "MD subtuples", "MD bytes", "pointers", "pages", "build fetch", "read pages", "read decoded", "nav pages", "nav decoded")
 	for _, r := range layoutRows {
-		fmt.Printf("%-6s %12d %10d %10d %8d %12d %12d %12d\n",
+		fmt.Printf("%-6s %12d %10d %10d %8d %12d %11d %13d %10d %12d\n",
 			r.Layout, r.MDSubtuples, r.MDBytes, r.Pointers, r.Pages,
-			r.BuildFetches, r.ReadFetches, r.NavFetches)
+			r.BuildFetches, r.ReadFetches, r.ReadDecoded, r.NavFetches, r.NavDecoded)
 	}
-	fmt.Println("shape: #MD subtuples SS1 > SS3 > SS2; SS3 navigates cheapest (AIM-II's compromise)")
+	fmt.Println("shape: #MD subtuples and subtuples decoded per read SS1 > SS3 > SS2; pages pinned per read = pages of the object under every layout")
 
 	fmt.Println("\n--- E2: index address strategies (Fig 7 at scale, §4.2) ---")
 	stratRes, err := core.CompareIndexStrategies(testdata.GenConfig{
@@ -185,9 +185,9 @@ func runExperiments(scale int) error {
 		return err
 	}
 	fmt.Printf("conjunctive query: project PNO=%d with a Consultant\n", stratRes.TargetPNO)
-	fmt.Printf("%-14s %16s %10s\n", "strategy", "subtuple fetches", "results")
+	fmt.Printf("%-14s %18s %13s %10s\n", "strategy", "subtuple accesses", "pages pinned", "results")
 	for _, r := range stratRes.Rows {
-		fmt.Printf("%-14s %16d %10d\n", r.Strategy, r.Fetches, r.Results)
+		fmt.Printf("%-14s %18d %13d %10d\n", r.Strategy, r.Decoded, r.Fetches, r.Results)
 	}
 	fmt.Println("shape: HIERARCHICAL << ROOT << DATA (hierarchical addresses avoid all scans)")
 
@@ -218,9 +218,9 @@ func runExperiments(scale int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%10s %16s %16s\n", "versions", "latest fetches", "oldest fetches")
+	fmt.Printf("%10s %16s %16s\n", "versions", "latest decoded", "oldest decoded")
 	for _, r := range asofRows {
-		fmt.Printf("%10d %16d %16d\n", r.Versions, r.FetchesLatest, r.FetchesOldest)
+		fmt.Printf("%10d %16d %16d\n", r.Versions, r.DecodedLatest, r.DecodedOldest)
 	}
 	fmt.Println("shape: current state is O(1); time travel walks the version chain")
 	return nil

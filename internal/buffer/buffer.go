@@ -16,7 +16,7 @@
 package buffer
 
 import (
-	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -47,7 +47,10 @@ type Frame struct {
 	buf   []byte
 	pins  int
 	dirty bool
-	lru   *list.Element
+	// prev/next link the frame into its shard's LRU ring while it is
+	// unpinned (both nil otherwise). The links live in the frame so that
+	// an Unpin allocates nothing.
+	prev, next *Frame
 
 	latch sync.RWMutex
 }
@@ -104,7 +107,7 @@ type shard struct {
 	mu       sync.Mutex
 	capacity int
 	frames   map[PageKey]*Frame
-	lru      *list.List // front = most recently used; only unpinned frames
+	lru      Frame // ring sentinel: lru.next = most recently used; only unpinned frames
 	reading  map[PageKey]*inflight
 	// sealed records every page known to hold a sealed (checksummed)
 	// image on its backing store: pages this shard wrote back plus
@@ -183,19 +186,41 @@ func NewPoolShards(capacity, shards int) *Pool {
 		stores: make(map[segment.ID]segment.Store),
 	}
 	for i := range p.shards {
-		p.shards[i] = &shard{
+		sh := &shard{
 			capacity: perShard,
 			frames:   make(map[PageKey]*Frame),
-			lru:      list.New(),
 			reading:  make(map[PageKey]*inflight),
 			sealed:   make(map[PageKey]struct{}),
 		}
+		sh.lruInit()
+		p.shards[i] = sh
 	}
 	return p
 }
 
+// lruInit empties the LRU ring.
+func (sh *shard) lruInit() { sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru }
+
+// lruInsert links f into the ring right after at.
+func (sh *shard) lruInsert(f, at *Frame) {
+	f.prev, f.next = at, at.next
+	at.next.prev = f
+	at.next = f
+}
+
+// lruRemove unlinks f from the ring.
+func (sh *shard) lruRemove(f *Frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
 // shardOf maps a page key to its stripe.
 func (p *Pool) shardOf(key PageKey) *shard { return p.shards[p.ShardIndex(key)] }
+
+// ShardFrames returns the capacity of one shard in frames: how many
+// pins can be outstanding on the pages of one stripe. A caller that
+// holds more than one pin at a time sizes that number from it.
+func (p *Pool) ShardFrames() int { return p.shards[0].capacity }
 
 // ShardCount returns the number of lock stripes.
 func (p *Pool) ShardCount() int { return len(p.shards) }
@@ -265,6 +290,12 @@ func (p *Pool) Allocate(id segment.ID) (uint32, error) {
 // the object that needed the page.
 var ErrCorrupt = fmt.Errorf("buffer: page failed verification: %w", dberr.ErrCorrupt)
 
+// ErrExhausted reports a pin that found every frame of the page's
+// shard pinned: more pins are outstanding than the pool has frames for.
+// It says nothing about the page, so the layers above pass it on as it
+// is and never read it as a broken reference.
+var ErrExhausted = errors.New("buffer: pool exhausted")
+
 // Pin fetches the page into a frame and pins it. Every Pin must be
 // matched by an Unpin.
 func (p *Pool) Pin(key PageKey) (*Frame, error) { return p.pin(key, true) }
@@ -280,9 +311,8 @@ func (p *Pool) pin(key PageKey, verify bool) (*Frame, error) {
 	sh.mu.Lock()
 	if f, ok := sh.frames[key]; ok {
 		sh.stats.hits.Add(1)
-		if f.lru != nil {
-			sh.lru.Remove(f.lru)
-			f.lru = nil
+		if f.next != nil {
+			sh.lruRemove(f)
 		}
 		f.pins++
 		sh.mu.Unlock()
@@ -398,7 +428,7 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 		panic("buffer: unpin of unpinned frame")
 	}
 	if f.pins == 0 {
-		f.lru = sh.lru.PushFront(f)
+		sh.lruInsert(f, &sh.lru)
 	}
 }
 
@@ -411,20 +441,18 @@ func (p *Pool) freeFrameLocked(sh *shard) (*Frame, error) {
 		return &Frame{buf: buf, Page: page.View(buf)}, nil
 	}
 	// Evict the least recently used unpinned frame.
-	el := sh.lru.Back()
-	if el == nil {
-		return nil, fmt.Errorf("buffer: pool exhausted (%d frames, all pinned)", sh.capacity)
+	victim := sh.lru.prev
+	if victim == &sh.lru {
+		return nil, fmt.Errorf("%w (%d frames, all pinned)", ErrExhausted, sh.capacity)
 	}
-	victim := el.Value.(*Frame)
-	sh.lru.Remove(el)
-	victim.lru = nil
+	sh.lruRemove(victim)
 	if victim.dirty {
 		if err := p.writeBackLocked(sh, victim); err != nil {
 			// Put the victim back on the LRU: it is still a valid
 			// buffered page. Leaving it off the list while it stays in
 			// sh.frames would make it unevictable forever, shrinking the
 			// pool by one frame per failed write-back.
-			victim.lru = sh.lru.PushBack(victim)
+			sh.lruInsert(victim, sh.lru.prev)
 			return nil, err
 		}
 	}
@@ -509,7 +537,7 @@ func (p *Pool) InvalidateAll() {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		sh.frames = make(map[PageKey]*Frame)
-		sh.lru.Init()
+		sh.lruInit()
 		sh.mu.Unlock()
 	}
 }

@@ -87,8 +87,8 @@ func TestPoolReusableAfterExhaustion(t *testing.T) {
 		t.Fatalf("PinnedCount = %d, want 2", got)
 	}
 	no, _ := p.Allocate(1)
-	if _, err := p.PinNew(PageKey{Seg: 1, Page: no}); err == nil {
-		t.Fatal("expected pool exhausted")
+	if _, err := p.PinNew(PageKey{Seg: 1, Page: no}); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("PinNew with every frame pinned = %v, want ErrExhausted", err)
 	}
 	for _, f := range frames {
 		p.Unpin(f, true)
@@ -131,4 +131,29 @@ func TestUnpinUnderflowPanics(t *testing.T) {
 		}
 	}()
 	p.Unpin(f, false)
+}
+
+// TestPinUnpinHitAllocatesNothing pins and unpins a buffered page: the
+// LRU links live in the frame, so moving it off and back onto the
+// replacement list costs no allocation.
+func TestPinUnpinHitAllocatesNothing(t *testing.T) {
+	p := NewPool(4)
+	p.Register(1, segment.NewMemStore())
+	no, _ := p.Allocate(1)
+	key := PageKey{Seg: 1, Page: no}
+	f, err := p.PinNew(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(f, true)
+	allocs := testing.AllocsPerRun(1000, func() {
+		f, err := p.Pin(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(f, false)
+	})
+	if allocs != 0 {
+		t.Errorf("a pin/unpin of a buffered page allocates %.0f times, want 0", allocs)
+	}
 }

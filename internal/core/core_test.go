@@ -63,7 +63,7 @@ func TestCompareIndexStrategiesShape(t *testing.T) {
 	byName := map[string]StrategyRow{}
 	for _, r := range res.Rows {
 		byName[r.Strategy] = r
-		t.Logf("%-14s fetches=%6d results=%d", r.Strategy, r.Fetches, r.Results)
+		t.Logf("%-14s subtuples=%6d pages=%6d results=%d", r.Strategy, r.Decoded, r.Fetches, r.Results)
 	}
 	d, r, h := byName["DATA"], byName["ROOT"], byName["HIERARCHICAL"]
 	if !(d.Results == r.Results && r.Results == h.Results) {
@@ -72,8 +72,12 @@ func TestCompareIndexStrategiesShape(t *testing.T) {
 	if h.Results == 0 {
 		t.Fatal("no matching departments; workload too sparse")
 	}
-	if !(h.Fetches < r.Fetches && r.Fetches < d.Fetches) {
+	if !(h.Decoded < r.Decoded && r.Decoded < d.Decoded) {
 		t.Errorf("access counts not hier < root < data: hier=%d root=%d data=%d",
+			h.Decoded, r.Decoded, d.Decoded)
+	}
+	if !(h.Fetches <= r.Fetches && r.Fetches < d.Fetches) {
+		t.Errorf("pages pinned not hier <= root < data: hier=%d root=%d data=%d",
 			h.Fetches, r.Fetches, d.Fetches)
 	}
 }
@@ -90,9 +94,9 @@ func TestCompareLayoutsShape(t *testing.T) {
 	by := map[object.Layout]LayoutRow{}
 	for _, r := range rows {
 		by[r.Layout] = r
-		t.Logf("%s: md=%d mdBytes=%d ptrs=%d pages=%d build=%d read=%d nav=%d",
+		t.Logf("%s: md=%d mdBytes=%d ptrs=%d pages=%d build=%d read=%d pages/%d subtuples nav=%d pages/%d subtuples",
 			r.Layout, r.MDSubtuples, r.MDBytes, r.Pointers, r.Pages,
-			r.BuildFetches, r.ReadFetches, r.NavFetches)
+			r.BuildFetches, r.ReadFetches, r.ReadDecoded, r.NavFetches, r.NavDecoded)
 	}
 	if !(by[object.SS1].MDSubtuples > by[object.SS3].MDSubtuples &&
 		by[object.SS3].MDSubtuples > by[object.SS2].MDSubtuples) {
@@ -101,6 +105,19 @@ func TestCompareLayoutsShape(t *testing.T) {
 	if by[object.SS1].DataBytes != by[object.SS2].DataBytes ||
 		by[object.SS2].DataBytes != by[object.SS3].DataBytes {
 		t.Errorf("data bytes differ across layouts (should be invariant)")
+	}
+	// A whole-object read decodes every subtuple once: more MD subtuples,
+	// more decodes. Navigation to one member follows C pointers: SS3
+	// reaches it through subtable MDs alone.
+	if !(by[object.SS1].ReadDecoded > by[object.SS3].ReadDecoded &&
+		by[object.SS3].ReadDecoded > by[object.SS2].ReadDecoded) {
+		t.Errorf("subtuples decoded per full read not SS1 > SS3 > SS2")
+	}
+	// ... and pins each page of the object once, whatever the layout.
+	for _, r := range rows {
+		if r.ReadFetches != uint64(r.Pages) {
+			t.Errorf("%s: full reads pinned %d pages, objects span %d", r.Layout, r.ReadFetches, r.Pages)
+		}
 	}
 }
 
@@ -151,12 +168,12 @@ func TestMeasureASOFShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		t.Logf("versions=%3d latest=%d oldest=%d", r.Versions, r.FetchesLatest, r.FetchesOldest)
+		t.Logf("versions=%3d latest=%d oldest=%d", r.Versions, r.DecodedLatest, r.DecodedOldest)
 	}
-	if rows[2].FetchesOldest <= rows[0].FetchesOldest {
+	if rows[2].DecodedOldest <= rows[0].DecodedOldest {
 		t.Error("oldest-version cost did not grow with chain depth")
 	}
-	if rows[2].FetchesLatest > 4 {
-		t.Errorf("latest-version read cost %d; should be constant", rows[2].FetchesLatest)
+	if rows[2].DecodedLatest > 4 {
+		t.Errorf("latest-version read cost %d; should be constant", rows[2].DecodedLatest)
 	}
 }

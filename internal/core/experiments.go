@@ -28,7 +28,8 @@ func newObjectWorld(poolPages int, layout object.Layout) (*buffer.Pool, *subtupl
 // StrategyRow is one row of the Fig 7 experiment.
 type StrategyRow struct {
 	Strategy string
-	Fetches  uint64 // logical subtuple/page fetches during evaluation
+	Decoded  uint64 // subtuples accessed (decoded) during evaluation
+	Fetches  uint64 // pages pinned during evaluation
 	Results  int
 }
 
@@ -40,8 +41,8 @@ type StrategyResult struct {
 
 // CompareIndexStrategies evaluates the paper's conjunctive query
 // "departments having a project PNO = P with a Consultant" under the
-// three index address implementations of §4.2, counting buffer
-// fetches. Project numbers repeat across departments (as the paper
+// three index address implementations of §4.2, counting subtuple
+// accesses and page pins. Project numbers repeat across departments (as the paper
 // allows), so the PNO index alone returns a superset.
 func CompareIndexStrategies(cfg testdata.GenConfig) (StrategyResult, error) {
 	if cfg.ProjectNoRange == 0 {
@@ -49,7 +50,7 @@ func CompareIndexStrategies(cfg testdata.GenConfig) (StrategyResult, error) {
 	}
 	data := testdata.GenDepartments(cfg)
 	tt := testdata.DepartmentsType()
-	pool, _, m := newObjectWorld(1<<16, object.SS3)
+	pool, st, m := newObjectWorld(1<<16, object.SS3)
 	var refs []object.Ref
 	for _, tup := range data.Tuples {
 		ref, err := m.Insert(tt, tup)
@@ -107,6 +108,7 @@ func CompareIndexStrategies(cfg testdata.GenConfig) (StrategyResult, error) {
 			}
 		}
 		pool.ResetStats()
+		decoded := st.DecodeCount()
 		results := 0
 		switch kind {
 		case index.DataTID:
@@ -169,6 +171,7 @@ func CompareIndexStrategies(cfg testdata.GenConfig) (StrategyResult, error) {
 		}
 		res.Rows = append(res.Rows, StrategyRow{
 			Strategy: kind.String(),
+			Decoded:  st.DecodeCount() - decoded,
 			Fetches:  pool.Stats().Fetches,
 			Results:  results,
 		})
@@ -187,21 +190,25 @@ type LayoutRow struct {
 	Pointers      int
 	Pages         int
 	BuildFetches  uint64
-	ReadFetches   uint64 // whole-object reads over the table
-	NavFetches    uint64 // partial retrieval: atoms of one member per object
+	ReadFetches   uint64 // whole-object reads over the table: pages pinned
+	ReadDecoded   uint64 // ... and subtuples decoded
+	NavFetches    uint64 // partial retrieval, atoms of one member per object: pages pinned
+	NavDecoded    uint64 // ... and subtuples decoded
 	CheckoutPages int    // pages copied by a page-level relocation
 }
 
 // CompareLayouts builds the same generated DEPARTMENTS workload under
 // SS1, SS2 and SS3 and measures MD size, buffer traffic for builds,
-// whole-object reads and partial navigation — the criteria of §4.1
-// and /DGW85/.
+// and pages pinned and subtuples decoded by whole-object reads and by
+// partial navigation — the criteria of §4.1 and /DGW85/. An object
+// read pins each page of the object once, so the three structures
+// differ in subtuples decoded, not in pages.
 func CompareLayouts(cfg testdata.GenConfig) ([]LayoutRow, error) {
 	data := testdata.GenDepartments(cfg)
 	tt := testdata.DepartmentsType()
 	var rows []LayoutRow
 	for _, layout := range []object.Layout{object.SS1, object.SS2, object.SS3} {
-		pool, _, m := newObjectWorld(1<<16, layout)
+		pool, st, m := newObjectWorld(1<<16, layout)
 		pool.ResetStats()
 		var refs []object.Ref
 		for _, tup := range data.Tuples {
@@ -224,13 +231,15 @@ func CompareLayouts(cfg testdata.GenConfig) ([]LayoutRow, error) {
 			row.Pages += s.Pages
 		}
 		pool.ResetStats()
+		decoded := st.DecodeCount()
 		for _, ref := range refs {
 			if _, err := m.Read(tt, ref); err != nil {
 				return nil, err
 			}
 		}
-		row.ReadFetches = pool.Stats().Fetches
+		row.ReadFetches, row.ReadDecoded = pool.Stats().Fetches, st.DecodeCount()-decoded
 		pool.ResetStats()
+		decoded = st.DecodeCount()
 		for _, ref := range refs {
 			// Partial retrieval: atoms of the second member of the
 			// first project, touching only structural information on
@@ -239,7 +248,7 @@ func CompareLayouts(cfg testdata.GenConfig) ([]LayoutRow, error) {
 				return nil, err
 			}
 		}
-		row.NavFetches = pool.Stats().Fetches
+		row.NavFetches, row.NavDecoded = pool.Stats().Fetches, st.DecodeCount()-decoded
 		snap, err := m.Export(refs[0])
 		if err != nil {
 			return nil, err
@@ -410,8 +419,8 @@ func MeasureCheckout(memberCounts []int) ([]CheckoutRow, error) {
 // ASOFRow measures one version depth.
 type ASOFRow struct {
 	Versions      int
-	FetchesLatest uint64
-	FetchesOldest uint64
+	DecodedLatest uint64 // subtuple versions decoded reading the newest state
+	DecodedOldest uint64 // ... and the oldest
 }
 
 // MeasureASOF updates one subtuple repeatedly and compares the cost
@@ -433,17 +442,16 @@ func MeasureASOF(depths []int) ([]ASOFRow, error) {
 				return nil, err
 			}
 		}
-		pool.ResetStats()
+		base := st.DecodeCount()
 		if _, _, err := st.ReadAsOf(tid, ts); err != nil {
 			return nil, err
 		}
-		latest := pool.Stats().Fetches
-		pool.ResetStats()
+		latest := st.DecodeCount() - base
 		if _, _, err := st.ReadAsOf(tid, 1); err != nil {
 			return nil, err
 		}
-		oldest := pool.Stats().Fetches
-		rows = append(rows, ASOFRow{Versions: d + 1, FetchesLatest: latest, FetchesOldest: oldest})
+		oldest := st.DecodeCount() - base - latest
+		rows = append(rows, ASOFRow{Versions: d + 1, DecodedLatest: latest, DecodedOldest: oldest})
 	}
 	return rows, nil
 }

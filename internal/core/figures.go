@@ -220,9 +220,9 @@ func figureF7() (Report, error) {
 	var b strings.Builder
 	b.WriteString("Conjunctive query: departments having a project with PNO = P that employs a Consultant\n")
 	fmt.Fprintf(&b, "Workload: %d departments × %d projects × %d members\n\n", 50, 8, 12)
-	fmt.Fprintf(&b, "%-28s %16s %14s\n", "address strategy (§4.2)", "subtuple fetches", "result size")
+	fmt.Fprintf(&b, "%-28s %18s %14s %14s\n", "address strategy (§4.2)", "subtuple accesses", "pages pinned", "result size")
 	for _, row := range res.Rows {
-		fmt.Fprintf(&b, "%-28s %16d %14d\n", row.Strategy, row.Fetches, row.Results)
+		fmt.Fprintf(&b, "%-28s %18d %14d %14d\n", row.Strategy, row.Decoded, row.Fetches, row.Results)
 	}
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "=> DATA-TID addresses cannot locate the containing objects: full scan (Fig 7a's dead end).\n")

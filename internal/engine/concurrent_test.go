@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,5 +143,210 @@ func TestConcurrentReadersEquivalence(t *testing.T) {
 	}
 	if got := db.Pool().PinnedCount(); got != 0 {
 		t.Errorf("PinnedCount = %d after all statements finished, want 0", got)
+	}
+}
+
+// TestRetainedRowsAreNotScratch keeps every row of Examples 2 and 4
+// exactly as Rows handed it out — no clone — until the cursor is
+// closed and a second statement has run over the same objects, then
+// compares them with the materialized result. The cursor stack reuses
+// its bindings and the reader its window from row to row; nothing a
+// returned tuple references may be part of that.
+func TestRetainedRowsAreNotScratch(t *testing.T) {
+	db, err := core.OfficeWith(engine.Options{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, q := range core.ExampleQueries() {
+		if q.ID != "E2" && q.ID != "E4" {
+			continue
+		}
+		rows, err := db.QueryRows(q.Text)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		var kept []model.Tuple
+		for rows.Next() {
+			kept = append(kept, rows.Tuple())
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		want, tt, err := db.Query(q.Text)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		got := &model.Table{Ordered: want.Ordered, Tuples: kept}
+		if !model.TableEqual(got, want) {
+			t.Errorf("%s: retained rows differ from the materialized result\n%s\n%s",
+				q.ID, model.FormatTable("retained", tt, got), model.FormatTable("materialized", tt, want))
+		}
+	}
+}
+
+// TestScansAndWriterOnTheSameObjects runs two streaming scans of a
+// nested table against one writer that keeps updating atoms of, and
+// inserting and deleting members in, the very objects being scanned —
+// the same pages, under -race. The scans run in transactions, so each
+// reads the versioned table at its snapshot and must see every object
+// whole, whatever the writer has reached (an auto-commit cursor is
+// read-committed-per-row and may skip an object the writer is in the
+// middle of). The reader holds pins across a whole object but a latch
+// only across one subtuple, and never a latch while it pins: the writer
+// must get its exclusive latches and nobody may deadlock.
+func TestScansAndWriterOnTheSameObjects(t *testing.T) {
+	db, err := engine.Open(engine.Options{PoolPages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const objects = 12
+	exec := func(q string) {
+		t.Helper()
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	exec(`CREATE TABLE D (K INT, NOTE STRING, S TABLE OF (V INT, W STRING)) VERSIONED`)
+	for k := 0; k < objects; k++ {
+		exec(fmt.Sprintf(`INSERT INTO D VALUES (%d, 'n', {(1, 'a'), (2, 'b'), (3, 'c')})`, k))
+	}
+	scan := func() (int, error) {
+		tx, err := db.Begin()
+		if err != nil {
+			return 0, err
+		}
+		defer tx.Rollback()
+		rows, err := tx.QueryRows(`SELECT x.K, x.NOTE, S = (SELECT y.V, y.W FROM y IN x.S) FROM x IN D`)
+		if err != nil {
+			return 0, err
+		}
+		n := 0
+		for rows.Next() {
+			if members := rows.Tuple()[2].(*model.Table).Len(); members < 3 || members > 4 {
+				return n, fmt.Errorf("object with %d members", members)
+			}
+			n++
+		}
+		return n, rows.Close()
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if n, err := scan(); err != nil || n != objects {
+					t.Errorf("scan %d: %d rows, %v; want %d", r, n, err, objects)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 150; i++ {
+		k := i % objects
+		exec(fmt.Sprintf(`UPDATE x IN D SET NOTE = 'note %d' WHERE x.K = %d`, i, k))
+		exec(fmt.Sprintf(`INSERT INTO x.S FROM x IN D WHERE x.K = %d VALUES (%d, 'grown')`, k, 100+i))
+		exec(fmt.Sprintf(`DELETE y FROM x IN D, y IN x.S WHERE x.K = %d AND y.V = %d`, k, 100+i))
+	}
+	close(stop)
+	wg.Wait()
+	if n := db.Pool().PinnedCount(); n != 0 {
+		t.Fatalf("%d pages pinned after the run", n)
+	}
+}
+
+// TestManyReadersOnSmallPool runs more readers than fixed windows of
+// pinned pages would leave room for on an 8-frame pool: six snapshot
+// scans and a writer over objects of about 25 pages each. A reader's
+// window is its share of the pool (one pin at a time here), so the pool
+// never runs out of frames, no statement fails and nothing is
+// quarantined.
+func TestManyReadersOnSmallPool(t *testing.T) {
+	db, err := engine.Open(engine.Options{PoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const objects, members, readers = 6, 250, 6
+	exec := func(q string) {
+		t.Helper()
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("%.80s: %v", q, err)
+		}
+	}
+	exec(`CREATE TABLE D (K INT, NOTE STRING, S TABLE OF (V INT, W STRING)) VERSIONED`)
+	pad := strings.Repeat("w", 380)
+	for k := 0; k < objects; k++ {
+		var lit strings.Builder
+		for v := 0; v < members; v++ {
+			if v > 0 {
+				lit.WriteString(", ")
+			}
+			fmt.Fprintf(&lit, "(%d, '%s')", v, pad)
+		}
+		exec(fmt.Sprintf(`INSERT INTO D VALUES (%d, 'n', {%s})`, k, lit.String()))
+	}
+	scan := func() error {
+		tx, err := db.Begin()
+		if err != nil {
+			return err
+		}
+		defer tx.Rollback()
+		rows, err := tx.QueryRows(`SELECT x.K, S = (SELECT y.V, y.W FROM y IN x.S) FROM x IN D`)
+		if err != nil {
+			return err
+		}
+		n := 0
+		for rows.Next() {
+			if got := rows.Tuple()[1].(*model.Table).Len(); got < members || got > members+1 {
+				return fmt.Errorf("object with %d members, want %d or one more", got, members)
+			}
+			n++
+		}
+		if err := rows.Close(); err != nil || n != objects {
+			return fmt.Errorf("%d rows, %v; want %d", n, err, objects)
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := scan(); err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 60; i++ {
+		k := i % objects
+		exec(fmt.Sprintf(`UPDATE x IN D SET NOTE = 'note %d' WHERE x.K = %d`, i, k))
+		exec(fmt.Sprintf(`INSERT INTO x.S FROM x IN D WHERE x.K = %d VALUES (%d, 'grown')`, k, members+i))
+		exec(fmt.Sprintf(`DELETE y FROM x IN D, y IN x.S WHERE x.K = %d AND y.V = %d`, k, members+i))
+	}
+	close(stop)
+	wg.Wait()
+	if q := db.Quarantined(); len(q) != 0 {
+		t.Fatalf("quarantined: %v", q)
+	}
+	if n := db.Pool().PinnedCount(); n != 0 {
+		t.Fatalf("%d pages pinned after the run", n)
 	}
 }

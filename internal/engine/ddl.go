@@ -360,6 +360,8 @@ func (db *DB) AlterTableAdd(table string, path []string, typ model.Type) error {
 	if level.AttrIndex(attrName) >= 0 {
 		return fmt.Errorf("engine: attribute %q already exists", attrName)
 	}
+	// The level's cached attribute positions (model.TableType) are keyed
+	// on its attribute count, so the append invalidates them.
 	level.Attrs = append(level.Attrs, model.Attr{Name: attrName, Type: typ})
 	if err := newType.Validate(); err != nil {
 		return err

@@ -15,7 +15,7 @@ import "sync/atomic"
 // negative.
 type NetCounters struct {
 	SessionsOpen  atomic.Int64  // currently open sessions
-	SessionsPeak  atomic.Int64  // high-water mark of SessionsOpen
+	SessionsPeak  atomic.Int64  // high-water mark of SessionsOpen (never below it; see NoteSessionOpen)
 	SessionsTotal atomic.Uint64 // sessions ever admitted
 
 	StmtsInFlight atomic.Int64  // statements currently executing
@@ -35,12 +35,24 @@ type NetCounters struct {
 }
 
 // NoteSessionOpen records an admitted session, maintaining the peak.
+// The peak is raised to the value the gauge is about to take before the
+// gauge takes it, so a reader that loads the gauge and then the peak
+// (as Snapshot does) never sees the peak below the gauge. The price is
+// that the peak is an upper bound rather than the exact maximum: when a
+// session closes between the raise and the gauge's compare-and-swap,
+// the retry starts one lower and the peak keeps a value the gauge would
+// only have reached had that close come a moment later. It over-reports
+// by at most the closes that race with opens at the high-water mark.
 func (c *NetCounters) NoteSessionOpen() {
 	c.SessionsTotal.Add(1)
-	n := c.SessionsOpen.Add(1)
 	for {
-		peak := c.SessionsPeak.Load()
-		if n <= peak || c.SessionsPeak.CompareAndSwap(peak, n) {
+		open := c.SessionsOpen.Load()
+		for peak := c.SessionsPeak.Load(); peak <= open; peak = c.SessionsPeak.Load() {
+			if c.SessionsPeak.CompareAndSwap(peak, open+1) {
+				break
+			}
+		}
+		if c.SessionsOpen.CompareAndSwap(open, open+1) {
 			return
 		}
 	}

@@ -146,3 +146,47 @@ func TestScanSkipsObjectDeletedMidScan(t *testing.T) {
 		t.Fatalf("%d pages left pinned", got)
 	}
 }
+
+// A stored-table quantifier scans with the paths its condition touches,
+// not with full tuples: it answers the same and decodes strictly fewer
+// subtuples than the same statement under FullPaths.
+func TestStoredQuantifierFetchesPruned(t *testing.T) {
+	db := openNested(t, 50)
+	const q = `SELECT o.K FROM o IN ONE WHERE ALL b IN BIG: b.K >= 0`
+	run := func(full bool) uint64 {
+		t.Helper()
+		db.Executor().FullPaths = full
+		defer func() { db.Executor().FullPaths = false }()
+		tbl, _, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.Len() != 1 {
+			t.Fatalf("FullPaths=%v: %d rows, want 1", full, tbl.Len())
+		}
+		return db.LastStmtStats().Decoded
+	}
+	if pruned, full := run(false), run(true); pruned >= full {
+		t.Errorf("quantifier over BIG decoded %d subtuples, full reads %d: no pruning", pruned, full)
+	}
+}
+
+// A cursor abandoned in the middle of a complex table — the reader's
+// window was full of the last object's pages a moment ago — holds no
+// page.
+func TestAbandonedObjectCursorHoldsNoPins(t *testing.T) {
+	db := openNested(t, 50)
+	rows, err := db.QueryRows(`SELECT b.K, S = (SELECT s.V FROM s IN b.S) FROM b IN BIG`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		if !rows.Next() {
+			t.Fatalf("row %d: %v", i, rows.Err())
+		}
+		if got := db.pool.PinnedCount(); got != 0 {
+			t.Fatalf("%d pages pinned between Next calls", got)
+		}
+	}
+	// rows is never closed.
+}

@@ -42,6 +42,14 @@ type fromIter struct {
 	open bool
 	asof int64
 
+	// b is the item's range variable: advance overwrites it in place and
+	// the scope keeps pointing at it, so a binding costs no allocation.
+	// Nothing holds on to a binding or its steps across an advance:
+	// result construction and DML targets copy what they keep. steps is
+	// the storage b.steps is rebuilt in; it survives closeIter.
+	b     binding
+	steps []object.Step
+
 	// Stored-table source: either a scan cursor or a candidate list.
 	t        *catalog.Table
 	sc       ScanCursor
@@ -128,7 +136,7 @@ func (p *pipeline) step(i int) (bool, error) {
 func (p *pipeline) openIter(i int) error {
 	it := &p.iters[i]
 	fi := p.items[i]
-	*it = fromIter{open: true}
+	*it = fromIter{open: true, steps: it.steps[:0]}
 	if fi.AsOf != nil {
 		lit, ok := fi.AsOf.(*sql.Literal)
 		if !ok {
@@ -171,10 +179,12 @@ func (p *pipeline) openIter(i int) error {
 	return nil
 }
 
-// advance binds the next member of iterator i into the scope.
+// advance binds the next member of iterator i into the scope. The
+// variable is (re)bound on every advance, not once per open: a later
+// FROM item may rebind the same name.
 func (p *pipeline) advance(i int) (bool, error) {
 	it := &p.iters[i]
-	fi := p.items[i]
+	p.scope.bind(p.items[i].Var, &it.b)
 	if it.t != nil {
 		if it.candMode {
 			for it.refi < len(it.refs) {
@@ -187,7 +197,7 @@ func (p *pipeline) advance(i int) (bool, error) {
 					}
 					return false, err
 				}
-				p.scope.bind(fi.Var, &binding{tt: it.t.Type, tup: tup, tbl: it.t, ref: ref, asof: it.asof})
+				it.b = binding{tt: it.t.Type, tup: tup, tbl: it.t, ref: ref, asof: it.asof}
 				return true, nil
 			}
 			return false, nil
@@ -196,7 +206,7 @@ func (p *pipeline) advance(i int) (bool, error) {
 		if err != nil || !ok {
 			return false, err
 		}
-		p.scope.bind(fi.Var, &binding{tt: it.t.Type, tup: tup, tbl: it.t, ref: ref, asof: it.asof})
+		it.b = binding{tt: it.t.Type, tup: tup, tbl: it.t, ref: ref, asof: it.asof}
 		return true, nil
 	}
 	if it.tbl == nil || it.pos >= len(it.tbl.Tuples) {
@@ -204,14 +214,11 @@ func (p *pipeline) advance(i int) (bool, error) {
 	}
 	pos := it.pos
 	it.pos++
-	b := &binding{tt: it.mt, tup: it.tbl.Tuples[pos]}
+	it.b = binding{tt: it.mt, tup: it.tbl.Tuples[pos]}
 	if it.prov != nil {
-		b.tbl = it.prov.tbl
-		b.ref = it.prov.ref
-		b.steps = append(append([]object.Step(nil), it.prov.steps...), object.Step{Attr: it.prov.attr, Pos: pos})
-		b.asof = it.prov.asof
+		it.steps = append(append(it.steps[:0], it.prov.steps...), object.Step{Attr: it.prov.attr, Pos: pos})
+		it.b.tbl, it.b.ref, it.b.steps, it.b.asof = it.prov.tbl, it.prov.ref, it.steps, it.prov.asof
 	}
-	p.scope.bind(fi.Var, b)
 	return true, nil
 }
 
@@ -220,7 +227,7 @@ func (p *pipeline) closeIter(i int) {
 	if it.sc != nil {
 		it.sc.Close()
 	}
-	*it = fromIter{}
+	*it = fromIter{steps: it.steps[:0]}
 }
 
 // close releases every open iterator; idempotent.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -154,7 +155,11 @@ func (e *Executor) ExecInsertArgs(ctx context.Context, ins *sql.Insert, params [
 	if err != nil {
 		return 0, err
 	}
-	targets = dedupeTargets(targets)
+	targets = dedupeTargets(targets, func(tg target) targetKey {
+		k := newTargetKey(tg.tbl, tg.ref, tg.steps)
+		k.attr = tg.attr
+		return k
+	})
 	n := 0
 	for _, tg := range targets {
 		for _, row := range ins.Rows {
@@ -171,11 +176,34 @@ func (e *Executor) ExecInsertArgs(ctx context.Context, ins *sql.Insert, params [
 	return n, nil
 }
 
-func dedupeTargets[T any](ts []T) []T {
-	seen := map[string]bool{}
+// targetKey identifies one DML target for deduplication: the stored
+// (sub)object or subtable it addresses — table, object, encoded steps
+// and, for a subtable, its attribute — and, for an UPDATE, the values
+// to be written (the same level bound twice with different values is
+// two changes, applied in order).
+type targetKey struct {
+	table string
+	ref   page.TID
+	steps string
+	attr  int
+	vals  string
+}
+
+func newTargetKey(tbl *catalog.Table, ref page.TID, steps []object.Step) targetKey {
+	b := make([]byte, 0, 4*len(steps))
+	for _, st := range steps {
+		b = binary.AppendVarint(b, int64(st.Attr))
+		b = binary.AppendVarint(b, int64(st.Pos))
+	}
+	return targetKey{table: tbl.Name, ref: ref, steps: string(b)}
+}
+
+// dedupeTargets keeps the first target of every key, in order.
+func dedupeTargets[T any](ts []T, key func(T) targetKey) []T {
+	seen := make(map[targetKey]bool, len(ts))
 	out := ts[:0]
 	for _, t := range ts {
-		k := fmt.Sprintf("%+v", t)
+		k := key(t)
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, t)
@@ -228,7 +256,7 @@ func (e *Executor) ExecDeleteArgs(ctx context.Context, del *sql.Delete, params [
 	if err != nil {
 		return 0, err
 	}
-	victims = dedupeTargets(victims)
+	victims = dedupeTargets(victims, func(v victim) targetKey { return newTargetKey(v.tbl, v.ref, v.steps) })
 	// Delete nested members before whole objects, and members of the
 	// same subtable in descending position order so earlier positions
 	// stay valid.
@@ -339,7 +367,11 @@ func (e *Executor) ExecUpdateArgs(ctx context.Context, upd *sql.Update, params [
 	if err != nil {
 		return 0, err
 	}
-	changes = dedupeTargets(changes)
+	changes = dedupeTargets(changes, func(c change) targetKey {
+		k := newTargetKey(c.tbl, c.ref, c.steps)
+		k.vals = model.CanonicalTuple(c.vals)
+		return k
+	})
 	for _, c := range changes {
 		if err := e.RT.UpdateAtoms(c.tbl, c.ref, c.steps, c.vals); err != nil {
 			return 0, err

@@ -340,7 +340,8 @@ func truth(v value) (bool, error) {
 // for ALL — and iteration stops there; undecided (including an empty or
 // null table) ALL is vacuously true and EXISTS false. A stored table is
 // read through the same cursor as a FROM item without ASOF, so it sees
-// the same snapshot; the deferred Close is the early stop.
+// the same snapshot, fetching only the paths the condition touches; the
+// deferred Close is the early stop.
 func (e *Executor) evalQuant(q *sql.Quant, en *env) (bool, error) {
 	decides := func(tt *model.TableType, tup model.Tuple) (bool, error) {
 		scope := newEnv(en)
@@ -353,7 +354,7 @@ func (e *Executor) evalQuant(q *sql.Quant, en *env) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("exec: unknown table %q", q.Source.Table)
 		}
-		sc, err := e.RT.OpenScan(t, 0, nil)
+		sc, err := e.RT.OpenScan(t, 0, e.quantPaths(q, t.Type, en))
 		if err != nil {
 			return false, err
 		}

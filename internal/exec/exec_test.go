@@ -469,3 +469,50 @@ WHERE EXISTS y IN x.PROJECTS EXISTS z IN y.MEMBERS: z.FUNCTION = 'Leader'`)
 		t.Fatal(err)
 	}
 }
+
+// A DML target bound more than once is changed once: the outer variable
+// of a multi-item FROM is bound again for every inner member.
+func TestDMLTargetsAreDeduplicated(t *testing.T) {
+	db := openDB(t)
+	exec := func(q string, want int) {
+		t.Helper()
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := res[0].Count; got != want {
+			t.Errorf("%s: %d affected, want %d", q, got, want)
+		}
+	}
+	projects := one(t, db, `SELECT COUNT(x.PROJECTS) FROM x IN DEPARTMENTS WHERE x.DNO = 314`).(model.Int)
+	if projects < 2 {
+		t.Fatalf("department 314 has %d projects, want several", projects)
+	}
+	// x is bound once per project; the update and the insert count once.
+	exec(`UPDATE x FROM x IN DEPARTMENTS, y IN x.PROJECTS SET BUDGET = x.BUDGET + 1 WHERE x.DNO = 314`, 1)
+	if got := one(t, db, `SELECT x.BUDGET FROM x IN DEPARTMENTS WHERE x.DNO = 314`); got.(model.Int) != 320001 {
+		t.Errorf("budget = %v, want 320001", got)
+	}
+	exec(`INSERT INTO x.EQUIP FROM x IN DEPARTMENTS, y IN x.PROJECTS WHERE x.DNO = 314 VALUES (1, 'ONCE')`, 1)
+	// Distinct members of one subtable stay distinct targets.
+	exec(`DELETE y FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS WHERE x.DNO = 314`, int(projects))
+	// The whole object, bound once per remaining piece of equipment.
+	exec(`DELETE x FROM x IN DEPARTMENTS, v IN x.EQUIP WHERE x.DNO = 314`, 1)
+}
+
+// A FROM list may bind one name twice; the later item sees the earlier
+// binding while it opens and shadows it afterwards, on every row.
+func TestFromRebindsVariableName(t *testing.T) {
+	db := openDB(t)
+	got, _, err := db.Query(`SELECT x.PNO FROM x IN DEPARTMENTS, x IN x.PROJECTS`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := db.Query(`SELECT y.PNO FROM x IN DEPARTMENTS, y IN x.PROJECTS`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 || !model.TableEqual(got, want) {
+		t.Errorf("rebinding x: %v, want %v", got, want)
+	}
+}

@@ -65,6 +65,24 @@ func (e *Executor) derivePaths(sel *sql.Select, outer *pathScope) map[int]*objec
 	return roots
 }
 
+// quantPaths computes the PathSet of a quantifier over a stored table:
+// what its condition can touch through the quantified variable. The
+// enclosing variables are already bound, so marks against them are
+// discarded. nil (full objects) when pushdown is off or derivation
+// fails.
+func (e *Executor) quantPaths(q *sql.Quant, tt *model.TableType, en *env) *object.PathSet {
+	if e.FullPaths {
+		return nil
+	}
+	scope := newPathScope(throwawayScope(en))
+	ps := &object.PathSet{}
+	scope.vars[q.Var] = pathNode{ps: ps, tt: tt}
+	if err := e.markExpr(q.Cond, scope); err != nil {
+		return nil
+	}
+	return ps
+}
+
 // throwawayScope builds an outer pathScope from an executor env: each
 // already-bound variable gets a discard node (its tuple is already
 // fetched; marks recorded against it have no effect).
@@ -214,9 +232,10 @@ func (e *Executor) markExpr(x sql.Expr, scope *pathScope) error {
 	case *sql.Quant:
 		inner := newPathScope(scope)
 		if x.Source.Table != "" {
-			// Quantification over a stored table scans it with full
-			// tuples; the quantified variable imposes nothing on the
-			// block's roots.
+			// Quantification over a stored table opens its own scan
+			// (evalQuant derives that scan's paths with quantPaths);
+			// the quantified variable imposes nothing on the block's
+			// roots.
 			t, ok := e.RT.Table(x.Source.Table)
 			if !ok {
 				return fmt.Errorf("exec: unknown table %q", x.Source.Table)

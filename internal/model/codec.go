@@ -58,55 +58,85 @@ func DecodeAtoms(data []byte) ([]Value, error) {
 	if n > uint64(len(data)) {
 		return nil, dberr.Corruptf("model: corrupt atom payload: count %d exceeds payload", n)
 	}
-	vals := make([]Value, 0, n)
+	vals := make([]Value, n)
+	if _, err := DecodeAtomsInto(data, vals, nil); err != nil {
+		return nil, err
+	}
+	return vals, nil
+}
+
+// DecodeAtomsInto is DecodeAtoms writing straight into tuple slots:
+// atom i is stored at dst[slots[i]] (nil slots: at dst[i]), so a data
+// subtuple decodes into its place in a tuple without an intermediate
+// slice. It returns the number of atoms the payload held; a payload
+// with more atoms than there are slots is corrupt. data is only read:
+// every decoded value owns its bytes.
+func DecodeAtomsInto(data []byte, dst []Value, slots []int) (int, error) {
+	n, off := binary.Uvarint(data)
+	if off <= 0 {
+		return 0, dberr.Corruptf("model: corrupt atom payload: bad count")
+	}
+	room := len(dst)
+	if slots != nil {
+		room = len(slots)
+	}
+	if n > uint64(room) {
+		return 0, dberr.Corruptf("model: data subtuple has %d atoms, schema wants %d", n, room)
+	}
 	p := data[off:]
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < int(n); i++ {
 		if len(p) == 0 {
-			return nil, dberr.Corruptf("model: corrupt atom payload: truncated at value %d", i)
+			return 0, dberr.Corruptf("model: corrupt atom payload: truncated at value %d", i)
 		}
 		tag := Kind(p[0])
 		p = p[1:]
+		var v Value
 		switch tag {
 		case KindInvalid:
-			vals = append(vals, Null{})
+			v = Null{}
 		case KindInt, KindTime:
 			x, m := binary.Varint(p)
 			if m <= 0 {
-				return nil, dberr.Corruptf("model: corrupt atom payload: bad varint at value %d", i)
+				return 0, dberr.Corruptf("model: corrupt atom payload: bad varint at value %d", i)
 			}
 			p = p[m:]
 			if tag == KindInt {
-				vals = append(vals, Int(x))
+				v = Int(x)
 			} else {
-				vals = append(vals, Time(x))
+				v = Time(x)
 			}
 		case KindFloat:
 			if len(p) < 8 {
-				return nil, dberr.Corruptf("model: corrupt atom payload: short float at value %d", i)
+				return 0, dberr.Corruptf("model: corrupt atom payload: short float at value %d", i)
 			}
-			vals = append(vals, Float(math.Float64frombits(binary.LittleEndian.Uint64(p))))
+			v = Float(math.Float64frombits(binary.LittleEndian.Uint64(p)))
 			p = p[8:]
 		case KindString:
 			l, m := binary.Uvarint(p)
 			if m <= 0 || uint64(len(p)-m) < l {
-				return nil, dberr.Corruptf("model: corrupt atom payload: bad string at value %d", i)
+				return 0, dberr.Corruptf("model: corrupt atom payload: bad string at value %d", i)
 			}
-			vals = append(vals, Str(p[m:uint64(m)+l]))
+			v = Str(p[m : uint64(m)+l])
 			p = p[uint64(m)+l:]
 		case KindBool:
 			if len(p) < 1 {
-				return nil, dberr.Corruptf("model: corrupt atom payload: short bool at value %d", i)
+				return 0, dberr.Corruptf("model: corrupt atom payload: short bool at value %d", i)
 			}
-			vals = append(vals, Bool(p[0] != 0))
+			v = Bool(p[0] != 0)
 			p = p[1:]
 		default:
-			return nil, dberr.Corruptf("model: corrupt atom payload: unknown kind tag %d at value %d", tag, i)
+			return 0, dberr.Corruptf("model: corrupt atom payload: unknown kind tag %d at value %d", tag, i)
+		}
+		if slots != nil {
+			dst[slots[i]] = v
+		} else {
+			dst[i] = v
 		}
 	}
 	if len(p) != 0 {
-		return nil, dberr.Corruptf("model: corrupt atom payload: %d trailing bytes", len(p))
+		return 0, dberr.Corruptf("model: corrupt atom payload: %d trailing bytes", len(p))
 	}
-	return vals, nil
+	return int(n), nil
 }
 
 // EncodeKeyValue serializes a single atomic value into an

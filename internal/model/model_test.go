@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/dberr"
 )
 
 func deptType() *TableType {
@@ -172,6 +174,46 @@ func TestAtomsCodecCorrupt(t *testing.T) {
 	}
 }
 
+// DecodeAtomsInto places atom i in slot slots[i] of a tuple, leaves
+// the other slots alone, reports how many atoms the payload held (an
+// older, shorter data subtuple) and rejects a payload with more atoms
+// than slots. The values own their bytes: the payload may be reused.
+func TestDecodeAtomsInto(t *testing.T) {
+	enc, err := EncodeAtoms([]Value{Int(7), Str("abc"), Null{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := &Table{}
+	tup := Tuple{nil, sub, nil, nil, nil}
+	n, err := DecodeAtomsInto(enc, tup, []int{0, 2, 3, 4})
+	if err != nil || n != 3 {
+		t.Fatalf("DecodeAtomsInto = %d, %v", n, err)
+	}
+	for i := range enc {
+		enc[i] = 0xEE
+	}
+	want := Tuple{Int(7), sub, Str("abc"), Null{}, nil}
+	for i := range want {
+		if i == 1 || i == 4 {
+			if tup[i] != want[i] {
+				t.Errorf("slot %d touched: %v", i, tup[i])
+			}
+			continue
+		}
+		if !AtomEqual(tup[i], want[i]) {
+			t.Errorf("slot %d = %v, want %v", i, tup[i], want[i])
+		}
+	}
+	enc, _ = EncodeAtoms([]Value{Int(1), Int(2), Int(3)})
+	if _, err := DecodeAtomsInto(enc, make(Tuple, 3), []int{0, 1}); !dberr.IsCorrupt(err) {
+		t.Errorf("three atoms into two slots = %v, want corruption", err)
+	}
+	flat := make(Tuple, 3)
+	if n, err := DecodeAtomsInto(enc, flat, nil); err != nil || n != 3 || !AtomEqual(flat[2], Int(3)) {
+		t.Errorf("identity slots: %v, %d, %v", flat, n, err)
+	}
+}
+
 // Property: EncodeAtoms/DecodeAtoms round-trips arbitrary int/string
 // mixes.
 func TestAtomsCodecQuick(t *testing.T) {
@@ -284,5 +326,27 @@ func TestValueStrings(t *testing.T) {
 	}
 	if Bool(true).String() != "TRUE" || (Null{}).String() != "NULL" {
 		t.Error("atomic rendering wrong")
+	}
+}
+
+// The attribute positions are computed once per type and follow an
+// appended attribute (ALTER TABLE ADD, schema builders).
+func TestAttrPositionsFollowAppend(t *testing.T) {
+	tt := deptType()
+	first := tt.AtomicIndexes()
+	if again := tt.AtomicIndexes(); &again[0] != &first[0] {
+		t.Error("AtomicIndexes recomputed for an unchanged type")
+	}
+	n, atoms, tables := len(tt.Attrs), len(first), len(tt.TableIndexes())
+	tt.Attrs = append(tt.Attrs, Attr{Name: "NOTE", Type: AtomicType(KindString)},
+		Attr{Name: "EQUIP", Type: TableOf(false, Attr{Name: "QU", Type: AtomicType(KindInt)})})
+	if got := tt.AtomicIndexes(); len(got) != atoms+1 || got[atoms] != n {
+		t.Errorf("AtomicIndexes after append = %v", got)
+	}
+	if got := tt.TableIndexes(); len(got) != tables+1 || got[tables] != n+1 || tt.Flat() {
+		t.Errorf("TableIndexes after append = %v, Flat = %v", got, tt.Flat())
+	}
+	if cp := tt.Clone(); len(cp.AtomicIndexes()) != atoms+1 || !cp.Equal(tt) {
+		t.Errorf("clone positions = %v", cp.AtomicIndexes())
 	}
 }

@@ -13,7 +13,10 @@
 //     subtables are "subobjects", which are again complex or flat.
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Kind enumerates the kinds of attribute types in the extended NF²
 // data model. All kinds except KindTable are atomic.
@@ -114,6 +117,37 @@ func (a Attr) String() string { return a.Name + " " + a.Type.String() }
 type TableType struct {
 	Ordered bool
 	Attrs   []Attr
+
+	// pos caches the attribute positions by kind; see positions.
+	pos atomic.Pointer[attrPositions]
+}
+
+// attrPositions splits a level's attribute positions into atomic and
+// table-valued ones. n is len(Attrs) at the time it was computed:
+// attributes are only ever appended (ALTER TABLE ADD, schema
+// builders), so a cache whose n no longer matches is stale.
+type attrPositions struct {
+	n             int
+	atomic, table []int
+}
+
+// positions returns the cached attribute positions, computing them on
+// first use and again after an attribute was appended. Readers of one
+// type on many goroutines share the result; the slices are read-only.
+func (tt *TableType) positions() *attrPositions {
+	if p := tt.pos.Load(); p != nil && p.n == len(tt.Attrs) {
+		return p
+	}
+	p := &attrPositions{n: len(tt.Attrs)}
+	for i, a := range tt.Attrs {
+		if a.Type.Kind == KindTable {
+			p.table = append(p.table, i)
+		} else {
+			p.atomic = append(p.atomic, i)
+		}
+	}
+	tt.pos.Store(p)
+	return p
 }
 
 // NewTableType builds a TableType and validates attribute-name
@@ -184,41 +218,20 @@ func (tt *TableType) Attr(name string) (Attr, bool) {
 
 // AtomicIndexes returns the positions of the atomic attributes, in
 // declaration order. These are the values stored together in one data
-// subtuple ("first level atomic attribute values", §4.1).
-func (tt *TableType) AtomicIndexes() []int {
-	var idx []int
-	for i, a := range tt.Attrs {
-		if a.Type.Kind != KindTable {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
+// subtuple ("first level atomic attribute values", §4.1). The slice is
+// shared and must not be modified.
+func (tt *TableType) AtomicIndexes() []int { return tt.positions().atomic }
 
 // TableIndexes returns the positions of the table-valued attributes,
 // in declaration order. These correspond to the subtables of a complex
 // (sub)object and determine the "C" pointer groups of MD subtuples.
-func (tt *TableType) TableIndexes() []int {
-	var idx []int
-	for i, a := range tt.Attrs {
-		if a.Type.Kind == KindTable {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
+// The slice is shared and must not be modified.
+func (tt *TableType) TableIndexes() []int { return tt.positions().table }
 
 // Flat reports whether the table type is in first normal form, i.e.
 // all attributes are atomic. Flat tables are stored without Mini
 // Directories (§4.1).
-func (tt *TableType) Flat() bool {
-	for _, a := range tt.Attrs {
-		if a.Type.Kind == KindTable {
-			return false
-		}
-	}
-	return true
-}
+func (tt *TableType) Flat() bool { return len(tt.positions().table) == 0 }
 
 // Depth returns the nesting depth: 1 for a flat table, 1 + max depth
 // of subtables otherwise.

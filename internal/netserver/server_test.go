@@ -219,6 +219,10 @@ func TestCancelMidStream(t *testing.T) {
 		n++
 		if n == 3 {
 			cancel()
+			// Wait for the server to honor the cancel frame before
+			// draining on: a client that keeps granting credit can
+			// otherwise finish all 500 rows first.
+			waitFor(t, "cancel honored", func() bool { return db.NetStats().Cancels > 0 })
 		}
 	}
 	if err := rows.Err(); !errors.Is(err, context.Canceled) {

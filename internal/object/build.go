@@ -155,17 +155,23 @@ func entrySize(tt *model.TableType) int {
 	return page.EncodedMiniTIDLen * (1 + len(tt.TableIndexes()))
 }
 
-// parseNode decodes an object-node body produced by buildLevel.
-func (m *Manager) parseNode(tt *model.TableType, body []byte) (levelHandle, error) {
-	r := &reader{b: body}
-	h := levelHandle{d: r.mini()}
-	nsub := len(tt.TableIndexes())
+// parseNode decodes an object-node body produced by buildLevel, of a
+// level with nsub subtables, into h (d, and subC or groups; the other
+// fields are the caller's). The body may be a view of a page: nothing
+// in h aliases it. subC is stored in cs when the caller brings a
+// slab slice of nsub pointers, in a fresh slice otherwise.
+func (m *Manager) parseNode(h *levelHandle, nsub int, body []byte, cs []page.MiniTID) error {
+	r := reader{b: body}
+	h.d = r.mini()
 	switch m.layout {
 	case SS1, SS3:
-		h.subC = make([]page.MiniTID, nsub)
-		for i := range h.subC {
-			h.subC[i] = r.mini()
+		if cs == nil {
+			cs = make([]page.MiniTID, nsub)
 		}
+		for i := range cs {
+			cs[i] = r.mini()
+		}
+		h.subC = cs
 	case SS2:
 		h.groups = make([][]page.MiniTID, nsub)
 		for i := range h.groups {
@@ -174,7 +180,7 @@ func (m *Manager) parseNode(tt *model.TableType, body []byte) (levelHandle, erro
 			// count beyond the remaining body is rot — reject it before
 			// sizing the slice by it.
 			if n > len(r.b)/page.EncodedMiniTIDLen {
-				return levelHandle{}, dberr.Corruptf("object: member count %d exceeds node body", n)
+				return dberr.Corruptf("object: member count %d exceeds node body", n)
 			}
 			g := make([]page.MiniTID, n)
 			for j := range g {
@@ -184,12 +190,12 @@ func (m *Manager) parseNode(tt *model.TableType, body []byte) (levelHandle, erro
 		}
 	}
 	if r.err != nil {
-		return levelHandle{}, r.err
+		return r.err
 	}
 	if len(r.b) != 0 {
-		return levelHandle{}, dberr.Corruptf("object: trailing bytes in node body")
+		return dberr.Corruptf("object: trailing bytes in node body")
 	}
-	return h, nil
+	return nil
 }
 
 // encodeNode re-serializes a handle back into a node body.

@@ -13,14 +13,11 @@ import (
 // with D and C pointer markers. The rendering makes the structural
 // difference between SS1, SS2 and SS3 visible directly.
 func (m *Manager) DumpMD(tt *model.TableType, ref Ref) (string, error) {
-	o, body, err := m.loadCtx(ref, 0)
+	o, _, h, err := m.open(tt, ref, 0, nil)
 	if err != nil {
 		return "", err
 	}
-	h, err := m.rootHandle(tt, body)
-	if err != nil {
-		return "", err
-	}
+	defer o.release()
 	var b strings.Builder
 	fmt.Fprintf(&b, "[root MD subtuple %v, layout %s, page list %v]\n", ref, m.layout, o.pages)
 	if err := m.dumpLevel(o, tt, h, &b, "", true); err != nil {
@@ -44,7 +41,7 @@ func (m *Manager) dumpLevel(o *objCtx, tt *model.TableType, h levelHandle, b *st
 		case SS2:
 			fmt.Fprintf(b, "%s├─%s (%d member pointers inline)\n", indent, name, len(h.groups[gi]))
 		}
-		hs, err := m.memberHandles(o, sub, h, gi)
+		hs, err := o.memberHandles(sub, &h, gi)
 		if err != nil {
 			return err
 		}

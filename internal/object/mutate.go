@@ -30,18 +30,11 @@ func giOf(tt *model.TableType, attr int) (int, error) {
 // the Mini Directory is not changed at all — the separation of
 // structure and data at work.
 func (m *Manager) UpdateAtoms(tt *model.TableType, ref Ref, vals []model.Value, steps ...Step) error {
-	o, body, err := m.loadCtx(ref, 0)
+	o, lt, lh, err := m.open(tt, ref, 0, steps)
 	if err != nil {
 		return err
 	}
-	h, err := m.rootHandle(tt, body)
-	if err != nil {
-		return err
-	}
-	lt, lh, err := m.locate(o, tt, h, steps)
-	if err != nil {
-		return err
-	}
+	defer o.release()
 	idx := lt.AtomicIndexes()
 	if len(vals) != len(idx) {
 		return fmt.Errorf("object: %d atomic values, level has %d atomic attributes", len(vals), len(idx))
@@ -66,16 +59,16 @@ func (m *Manager) UpdateAtoms(tt *model.TableType, ref Ref, vals []model.Value, 
 // ordered subtables the position defines the list order). Only the
 // affected subtable's structural information is rewritten.
 func (m *Manager) InsertMember(tt *model.TableType, ref Ref, steps []Step, attr, pos int, member model.Tuple) error {
-	o, body, err := m.loadCtx(ref, 0)
+	o, rootBody, err := m.loadCtx(ref, 0)
 	if err != nil {
 		return err
 	}
-	rootBody := body
-	h, err := m.rootHandle(tt, body)
+	defer o.release()
+	h, err := m.rootHandle(tt, rootBody)
 	if err != nil {
 		return err
 	}
-	lt, lh, err := m.locate(o, tt, h, steps)
+	lt, lh, err := o.locate(tt, h, steps)
 	if err != nil {
 		return err
 	}
@@ -213,16 +206,16 @@ func encodePtrList(ptrs []page.MiniTID) []byte {
 // DeleteMember removes the member at position pos of subtable attr of
 // the (sub)object addressed by steps, freeing all its subtuples.
 func (m *Manager) DeleteMember(tt *model.TableType, ref Ref, steps []Step, attr, pos int) error {
-	o, body, err := m.loadCtx(ref, 0)
+	o, rootBody, err := m.loadCtx(ref, 0)
 	if err != nil {
 		return err
 	}
-	rootBody := body
-	h, err := m.rootHandle(tt, body)
+	defer o.release()
+	h, err := m.rootHandle(tt, rootBody)
 	if err != nil {
 		return err
 	}
-	lt, lh, err := m.locate(o, tt, h, steps)
+	lt, lh, err := o.locate(tt, h, steps)
 	if err != nil {
 		return err
 	}
@@ -231,7 +224,7 @@ func (m *Manager) DeleteMember(tt *model.TableType, ref Ref, steps []Step, attr,
 		return err
 	}
 	sub := lt.Attrs[attr].Type.Table
-	hs, err := m.memberHandles(o, sub, lh, gi)
+	hs, err := o.memberHandles(sub, &lh, gi)
 	if err != nil {
 		return err
 	}
@@ -322,7 +315,7 @@ func (m *Manager) DeleteMember(tt *model.TableType, ref Ref, steps []Step, attr,
 func (m *Manager) freeLevel(o *objCtx, tt *model.TableType, h levelHandle) error {
 	for gi, ti := range tt.TableIndexes() {
 		sub := tt.Attrs[ti].Type.Table
-		hs, err := m.memberHandles(o, sub, h, gi)
+		hs, err := o.memberHandles(sub, &h, gi)
 		if err != nil {
 			return err
 		}
@@ -355,14 +348,11 @@ func (m *Manager) freeLevel(o *objCtx, tt *model.TableType, h levelHandle) error
 // including the root. In a versioned store the subtuples are
 // tombstoned and the object remains readable with ReadAsOf.
 func (m *Manager) Delete(tt *model.TableType, ref Ref) error {
-	o, body, err := m.loadCtx(ref, 0)
+	o, _, h, err := m.open(tt, ref, 0, nil)
 	if err != nil {
 		return err
 	}
-	h, err := m.rootHandle(tt, body)
-	if err != nil {
-		return err
-	}
+	defer o.release()
 	if err := m.freeLevel(o, tt, h); err != nil {
 		return err
 	}

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/buffer"
 	"repro/internal/dberr"
 	"repro/internal/page"
 	"repro/internal/subtuple"
@@ -97,19 +98,24 @@ func (m *Manager) Layout() Layout { return m.layout }
 const recOverhead = 32
 
 // objCtx carries the state needed to work inside one complex object's
-// local address space: its root TID, its page list, and a free-space
-// cache so bulk builds do not re-probe every page per insert. The
-// page-list scan semantics follow §4.1: to place a new subtuple, the
-// pages already owned by the object are tried first; only when none
-// has room is a new page allocated and appended to the list (reusing
-// a gap if one exists).
+// local address space: its root TID, its page list, the window of
+// pinned pages its reads go through and, on the write path, a
+// free-space cache so bulk builds do not re-probe every page per
+// insert. The page-list scan semantics follow §4.1: to place a new
+// subtuple, the pages already owned by the object are tried first;
+// only when none has room is a new page allocated and appended to the
+// list (reusing a gap if one exists).
+//
+// Every context obtained from loadCtx must be released: its window
+// keeps each page the operation touched pinned until then.
 type objCtx struct {
 	m     *Manager
 	root  page.TID // zero until the root MD subtuple is stored
 	pages []uint32 // local page number -> segment page number; 0 = gap
-	dirty bool     // page list changed since load
-	free  map[int]int
-	asof  int64 // read-as-of timestamp; 0 = current state
+	asof  int64    // read-as-of timestamp; 0 = current state
+	win   subtuple.Reader
+	dirty bool        // page list changed since load
+	free  map[int]int // write path only, made on first use
 	// removedOn records local pages that lost subtuples, so reap can
 	// turn fully emptied pages into page-list gaps (§4.1: "when a page
 	// number is removed from the page list, the gap ... is not closed").
@@ -117,34 +123,66 @@ type objCtx struct {
 }
 
 func (m *Manager) newCtx() *objCtx {
-	return &objCtx{m: m, free: make(map[int]int), removedOn: make(map[int]bool)}
+	return &objCtx{m: m, win: m.st.Reader()}
 }
 
-// loadCtx reads the root MD subtuple and decodes the envelope.
+// loadCtx views the root MD subtuple and decodes the envelope: the
+// page list into the context, the root node body into a copy the
+// caller may keep. On success the caller owns the context and must
+// release it.
 func (m *Manager) loadCtx(ref Ref, asof int64) (*objCtx, []byte, error) {
-	var raw []byte
-	var err error
-	if asof != 0 {
-		var ok bool
-		raw, ok, err = m.st.ReadAsOf(ref, asof)
-		if err == nil && !ok {
-			return nil, nil, subtuple.ErrNotFound
+	o := &objCtx{m: m, root: ref, asof: asof, win: m.st.Reader()}
+	raw, err := o.viewTID(ref)
+	if err == nil {
+		var body []byte
+		if body, err = o.decodeEnvelope(raw); err == nil {
+			body = append([]byte(nil), body...)
+			o.done()
+			return o, body, nil
 		}
-	} else {
-		raw, err = m.st.Read(ref)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx := m.newCtx()
-	ctx.root = ref
-	ctx.asof = asof
-	body, err := ctx.decodeEnvelope(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ctx, body, nil
+	o.release()
+	return nil, nil, err
 }
+
+// viewTID returns the payload of the subtuple at t in place, as of the
+// context's instant. The bytes are the live page image under its
+// shared latch: the caller decodes them, calls done, and only then
+// views another subtuple (the latch is not reentrant, and nothing may
+// be pinned while it is held).
+func (o *objCtx) viewTID(t page.TID) ([]byte, error) {
+	asof := o.asof
+	if asof == 0 {
+		asof = subtuple.Current
+	}
+	data, ok, err := o.win.View(t, asof)
+	if err == nil && !ok {
+		err = subtuple.ErrNotFound
+	}
+	return data, err
+}
+
+// view is viewTID through a Mini TID of the object's local address
+// space.
+func (o *objCtx) view(mt page.MiniTID) ([]byte, error) {
+	t, err := o.resolve(mt)
+	if err != nil {
+		return nil, err
+	}
+	data, err := o.viewTID(t)
+	if err != nil {
+		return nil, o.classify(t, err)
+	}
+	return data, nil
+}
+
+// done ends the current view.
+func (o *objCtx) done() { o.win.Done() }
+
+// release unpins the context's window (and ends a view an error path
+// left open). Deferred by every operation that loads a context, so it
+// also runs when a decode panics.
+func (o *objCtx) release() { o.win.Release() }
 
 // envelope: [layout byte][pageCount uvarint][pageNo uint32 ...][body]
 func (o *objCtx) encodeEnvelope(body []byte) []byte {
@@ -194,36 +232,26 @@ func (o *objCtx) resolve(mt page.MiniTID) (page.TID, error) {
 	return page.TID{Page: o.pages[mt.Page], Slot: mt.Slot}, nil
 }
 
-// read fetches a subtuple through a Mini TID, honoring the context's
-// as-of timestamp.
+// read is view for callers that keep the bytes across further reads
+// and writes (the mutation path): the payload is copied out.
 func (o *objCtx) read(mt page.MiniTID) ([]byte, error) {
-	t, err := o.resolve(mt)
+	data, err := o.view(mt)
 	if err != nil {
 		return nil, err
 	}
-	if o.asof != 0 {
-		data, ok, err := o.m.st.ReadAsOf(t, o.asof)
-		if err != nil {
-			return nil, o.classify(t, err)
-		}
-		if !ok {
-			return nil, subtuple.ErrNotFound
-		}
-		return data, nil
-	}
-	data, err := o.m.st.Read(t)
-	if err != nil {
-		return nil, o.classify(t, err)
-	}
+	data = append([]byte(nil), data...)
+	o.done()
 	return data, nil
 }
 
 // classify marks read failures inside the object's local address
 // space as corruption: the page list and the MD pointers promised a
 // record at t, so any shape of failure there (unallocated page,
-// missing record aside) means the object structure lies.
+// missing record aside) means the object structure lies. A pool out
+// of frames is not such a failure: it says nothing about the object,
+// which must not be quarantined for it.
 func (o *objCtx) classify(t page.TID, err error) error {
-	if dberr.IsCorrupt(err) || errors.Is(err, subtuple.ErrNotFound) {
+	if dberr.IsCorrupt(err) || errors.Is(err, subtuple.ErrNotFound) || errors.Is(err, buffer.ErrExhausted) {
 		return err
 	}
 	return dberr.Corruptf("object: broken pointer to %v: %v", t, err)
@@ -233,6 +261,9 @@ func (o *objCtx) classify(t page.TID, err error) error {
 // space: scan the page list for a page with room, otherwise allocate
 // a new page and add it to the list (filling a gap if possible).
 func (o *objCtx) place(data []byte) (page.MiniTID, error) {
+	if o.free == nil {
+		o.free = make(map[int]int)
+	}
 	need := len(data) + recOverhead
 	for i, pg := range o.pages {
 		if pg == 0 {
@@ -311,6 +342,9 @@ func (o *objCtx) remove(mt page.MiniTID) error {
 	if err := o.m.st.Delete(t); err != nil {
 		return err
 	}
+	if o.removedOn == nil {
+		o.removedOn = make(map[int]bool)
+	}
 	o.removedOn[int(mt.Page)] = true
 	delete(o.free, int(mt.Page))
 	return nil
@@ -339,7 +373,7 @@ func (o *objCtx) reap() error {
 			o.dirty = true
 		}
 	}
-	o.removedOn = make(map[int]bool)
+	o.removedOn = nil
 	return nil
 }
 

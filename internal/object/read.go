@@ -22,215 +22,246 @@ type levelHandle struct {
 	groups [][]page.MiniTID // SS2: member pointers per subtable
 	self   page.MiniTID
 	isRoot bool
-	// SS3 members: location of the embedded entry.
-	parentMD  page.MiniTID
-	parentPos int
 }
 
 // rootHandle decodes the root node body.
 func (m *Manager) rootHandle(tt *model.TableType, body []byte) (levelHandle, error) {
-	h, err := m.parseNode(tt, body)
-	if err != nil {
-		return levelHandle{}, err
-	}
-	h.self = page.NilMini
-	h.isRoot = true
-	h.parentMD = page.NilMini
-	return h, nil
+	h := levelHandle{self: page.NilMini, isRoot: true}
+	err := m.parseNode(&h, len(tt.TableIndexes()), body, nil)
+	return h, err
 }
 
 // memberHandles returns the handles of all members of subtable gi
 // (index among table-valued attributes) of the object level h, in
 // stored order. For flat subtables the handles carry only the data
-// pointer.
-func (m *Manager) memberHandles(o *objCtx, sub *model.TableType, h levelHandle, gi int) ([]levelHandle, error) {
-	switch m.layout {
-	case SS1:
-		raw, err := o.read(h.subC[gi])
-		if err != nil {
-			return nil, err
+// pointer. The handles of one subtable are one slab, and so are their
+// C pointers under SS1 and SS3: decoding a subtable costs a fixed
+// number of allocations, not one per member.
+func (o *objCtx) memberHandles(sub *model.TableType, h *levelHandle, gi int) ([]levelHandle, error) {
+	if o.m.layout == SS2 {
+		hs := make([]levelHandle, len(h.groups[gi]))
+		for i, ptr := range h.groups[gi] {
+			hs[i] = levelHandle{d: ptr, self: page.NilMini}
 		}
-		r := &reader{b: raw}
-		n := r.count()
-		out := make([]levelHandle, 0, n)
-		for i := 0; i < n; i++ {
-			ptr := r.mini()
-			if sub.Flat() {
-				out = append(out, levelHandle{d: ptr, self: page.NilMini, parentMD: h.subC[gi], parentPos: i})
-				continue
-			}
-			nodeRaw, err := o.read(ptr)
-			if err != nil {
-				return nil, err
-			}
-			mh, err := m.parseNode(sub, nodeRaw)
-			if err != nil {
-				return nil, err
-			}
-			mh.self = ptr
-			mh.parentMD = h.subC[gi]
-			mh.parentPos = i
-			out = append(out, mh)
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		return out, nil
-	case SS2:
-		g := h.groups[gi]
-		out := make([]levelHandle, 0, len(g))
-		for i, ptr := range g {
-			if sub.Flat() {
-				out = append(out, levelHandle{d: ptr, self: page.NilMini, parentMD: page.NilMini, parentPos: i})
-				continue
-			}
-			nodeRaw, err := o.read(ptr)
-			if err != nil {
-				return nil, err
-			}
-			mh, err := m.parseNode(sub, nodeRaw)
-			if err != nil {
-				return nil, err
-			}
-			mh.self = ptr
-			mh.parentMD = page.NilMini
-			mh.parentPos = i
-			out = append(out, mh)
-		}
-		return out, nil
-	default: // SS3
-		raw, err := o.read(h.subC[gi])
-		if err != nil {
-			return nil, err
-		}
-		n, sz := binary.Uvarint(raw)
-		if sz <= 0 {
-			return nil, dberr.Corruptf("object: corrupt subtable MD")
-		}
-		body := raw[sz:]
-		es := entrySize(sub)
-		if sub.Flat() {
-			es = page.EncodedMiniTIDLen
-		}
-		if len(body) != int(n)*es {
-			return nil, dberr.Corruptf("object: subtable MD has %d bytes, want %d entries × %d", len(body), n, es)
-		}
-		out := make([]levelHandle, 0, n)
-		for i := 0; i < int(n); i++ {
-			chunk := body[i*es : (i+1)*es]
-			if sub.Flat() {
-				d, err := page.DecodeMiniTID(chunk)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, levelHandle{d: d, self: page.NilMini, parentMD: h.subC[gi], parentPos: i})
-				continue
-			}
-			mh, err := m.parseNode(sub, chunk)
-			if err != nil {
-				return nil, err
-			}
-			mh.self = page.NilMini // embedded entry, no own MD subtuple
-			mh.parentMD = h.subC[gi]
-			mh.parentPos = i
-			out = append(out, mh)
-		}
-		return out, nil
+		return hs, o.memberNodes(sub, hs)
 	}
+	raw, err := o.view(h.subC[gi])
+	if err != nil {
+		return nil, err
+	}
+	hs, err := o.m.parseSubtableMD(sub, raw)
+	o.done()
+	if err == nil && o.m.layout == SS1 {
+		err = o.memberNodes(sub, hs)
+	}
+	return hs, err
+}
+
+// parseSubtableMD decodes a subtable MD subtuple (SS1: a count and one
+// pointer per member; SS3: a count and one embedded entry per member)
+// in place. Under SS1 the pointer is left in each handle's d, for
+// memberNodes to follow.
+func (m *Manager) parseSubtableMD(sub *model.TableType, raw []byte) ([]levelHandle, error) {
+	n, sz := binary.Uvarint(raw)
+	if sz <= 0 {
+		return nil, dberr.Corruptf("object: corrupt subtable MD")
+	}
+	body := raw[sz:]
+	es := page.EncodedMiniTIDLen
+	nsub := len(sub.TableIndexes())
+	embedded := m.layout == SS3 && nsub > 0
+	if embedded {
+		es = entrySize(sub)
+	}
+	// Compare before multiplying: a rotten count must not size a slab.
+	if n > uint64(len(body)) || len(body) != int(n)*es {
+		return nil, dberr.Corruptf("object: subtable MD has %d bytes, want %d entries × %d", len(body), n, es)
+	}
+	hs := make([]levelHandle, n)
+	var cs []page.MiniTID
+	if embedded {
+		cs = make([]page.MiniTID, int(n)*nsub)
+	}
+	for i := range hs {
+		hs[i].self = page.NilMini
+		entry := body[i*es : (i+1)*es]
+		if !embedded {
+			d, err := page.DecodeMiniTID(entry)
+			if err != nil {
+				return nil, err
+			}
+			hs[i].d = d
+			continue
+		}
+		if err := m.parseNode(&hs[i], nsub, entry, cs[i*nsub:(i+1)*nsub]); err != nil {
+			return nil, err
+		}
+	}
+	return hs, nil
+}
+
+// memberNodes completes the handles of SS1 and SS2 members. The
+// pointer recorded in the parent structure (left in d) is the D
+// pointer of a flat member and the C pointer to the own MD subtuple of
+// a complex one, which is read here.
+func (o *objCtx) memberNodes(sub *model.TableType, hs []levelHandle) error {
+	nsub := len(sub.TableIndexes())
+	if nsub == 0 {
+		return nil
+	}
+	var cs []page.MiniTID
+	if o.m.layout == SS1 {
+		cs = make([]page.MiniTID, len(hs)*nsub)
+	}
+	for i := range hs {
+		self := hs[i].d
+		raw, err := o.view(self)
+		if err != nil {
+			return err
+		}
+		var c []page.MiniTID
+		if cs != nil {
+			c = cs[i*nsub : (i+1)*nsub]
+		}
+		err = o.m.parseNode(&hs[i], nsub, raw, c)
+		o.done()
+		if err != nil {
+			return err
+		}
+		hs[i].self = self
+	}
+	return nil
 }
 
 // readAtoms fetches and decodes the data subtuple of a level.
 func (o *objCtx) readAtoms(d page.MiniTID) ([]model.Value, error) {
-	raw, err := o.read(d)
+	raw, err := o.view(d)
 	if err != nil {
 		return nil, err
 	}
-	return model.DecodeAtoms(raw)
+	atoms, err := model.DecodeAtoms(raw)
+	o.done()
+	return atoms, err
 }
 
-// assemble builds a model.Tuple from atom values and subtable values
-// in schema order. Data subtuples written before an ALTER TABLE ADD
+// readAtomsInto decodes the data subtuple of a level straight into
+// the level's tuple. Data subtuples written before an ALTER TABLE ADD
 // carry fewer atoms than the current schema; the missing (newest)
 // attributes read as null.
-func assemble(tt *model.TableType, atoms []model.Value, subs []*model.Table) (model.Tuple, error) {
-	want := len(tt.AtomicIndexes())
-	if len(atoms) > want {
-		return nil, dberr.Corruptf("object: data subtuple has %d atoms, schema wants %d", len(atoms), want)
+func (o *objCtx) readAtomsInto(dst model.Tuple, tt *model.TableType, d page.MiniTID) error {
+	raw, err := o.view(d)
+	if err != nil {
+		return err
 	}
-	for len(atoms) < want {
-		atoms = append(atoms, model.Null{})
+	slots := tt.AtomicIndexes()
+	n, err := model.DecodeAtomsInto(raw, dst, slots)
+	o.done()
+	if err != nil {
+		return err
 	}
+	nullAtoms(dst, slots[n:])
+	return nil
+}
+
+func nullAtoms(dst model.Tuple, slots []int) {
+	for _, ai := range slots {
+		dst[ai] = model.Null{}
+	}
+}
+
+// fetch is the one materializer: it builds the (sub)object under the
+// handle as a fresh tuple of the full schema shape, reading only what
+// ps selects. Unrequested atomic attributes read as null and
+// unrequested subtables as empty tables; requested subtable levels
+// carry their true membership. Each subtuple is viewed in place,
+// decoded into its destination and let go before the next one is
+// touched; nothing the tuple references is shared with the reader.
+func (o *objCtx) fetch(tt *model.TableType, h *levelHandle, ps *PathSet) (model.Tuple, error) {
 	tup := make(model.Tuple, len(tt.Attrs))
-	ai, si := 0, 0
-	for i, a := range tt.Attrs {
-		if a.Type.Kind == model.KindTable {
-			tup[i] = subs[si]
-			si++
-		} else {
-			tup[i] = atoms[ai]
-			ai++
-		}
+	if err := o.fetchInto(tup, tt, h, ps); err != nil {
+		return nil, err
 	}
 	return tup, nil
 }
 
-// readLevelH materializes the full (sub)object under the handle.
-func (m *Manager) readLevelH(o *objCtx, tt *model.TableType, h levelHandle) (model.Tuple, error) {
-	atoms, err := o.readAtoms(h.d)
+func (o *objCtx) fetchInto(dst model.Tuple, tt *model.TableType, h *levelHandle, ps *PathSet) error {
+	if ps.All || ps.Atoms {
+		if err := o.readAtomsInto(dst, tt, h.d); err != nil {
+			return err
+		}
+	} else {
+		nullAtoms(dst, tt.AtomicIndexes())
+	}
+	for gi, ti := range tt.TableIndexes() {
+		sub := tt.Attrs[ti].Type.Table
+		sps := ps.sub(ti)
+		if sps == nil {
+			dst[ti] = &model.Table{Ordered: sub.Ordered}
+			continue
+		}
+		tbl, err := o.fetchSubtable(sub, h, gi, sps)
+		if err != nil {
+			return err
+		}
+		dst[ti] = tbl
+	}
+	return nil
+}
+
+// fetchSubtable materializes subtable gi of the level under h. The
+// member tuples are cut from one slab of values, each capped to its
+// own length so that appending to one cannot reach the next.
+func (o *objCtx) fetchSubtable(sub *model.TableType, h *levelHandle, gi int, ps *PathSet) (*model.Table, error) {
+	hs, err := o.memberHandles(sub, h, gi)
 	if err != nil {
 		return nil, err
 	}
-	tis := tt.TableIndexes()
-	subs := make([]*model.Table, len(tis))
-	for gi, ti := range tis {
-		sub := tt.Attrs[ti].Type.Table
-		hs, err := m.memberHandles(o, sub, h, gi)
-		if err != nil {
+	tbl := &model.Table{Ordered: sub.Ordered}
+	if len(hs) == 0 {
+		return tbl, nil
+	}
+	k := len(sub.Attrs)
+	vals := make([]model.Value, len(hs)*k)
+	tbl.Tuples = make([]model.Tuple, len(hs))
+	for i := range hs {
+		mt := model.Tuple(vals[i*k : (i+1)*k : (i+1)*k])
+		if err := o.fetchInto(mt, sub, &hs[i], ps); err != nil {
 			return nil, err
 		}
-		tbl := &model.Table{Ordered: sub.Ordered}
-		for _, mh := range hs {
-			var mt model.Tuple
-			if sub.Flat() {
-				matoms, err := o.readAtoms(mh.d)
-				if err != nil {
-					return nil, err
-				}
-				mt, err = assemble(sub, matoms, nil)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				mt, err = m.readLevelH(o, sub, mh)
-				if err != nil {
-					return nil, err
-				}
-			}
-			tbl.Append(mt)
-		}
-		subs[gi] = tbl
+		tbl.Tuples[i] = mt
 	}
-	return assemble(tt, atoms, subs)
+	return tbl, nil
 }
 
 // Read materializes the whole complex object.
 func (m *Manager) Read(tt *model.TableType, ref Ref) (model.Tuple, error) {
-	return m.ReadAsOf(tt, ref, 0)
+	return m.ReadPruned(tt, ref, 0, nil)
 }
 
 // ReadAsOf materializes the complex object as of the given instant
 // (0 means current state). The store must be versioned for non-zero
 // timestamps.
 func (m *Manager) ReadAsOf(tt *model.TableType, ref Ref, asof int64) (model.Tuple, error) {
-	o, body, err := m.loadCtx(ref, asof)
+	return m.ReadPruned(tt, ref, asof, nil)
+}
+
+// ReadPruned materializes only the parts of the object selected by ps
+// (nil ps reads everything), as of the given instant (0 = current).
+// This is the path-pruned read the access layer uses for projection
+// and predicate pushdown — the promise of §4.1: the read touches the
+// MD subtuples along the requested paths plus the data subtuples of
+// the levels whose atoms are requested, and pins each page of the
+// object once.
+func (m *Manager) ReadPruned(tt *model.TableType, ref Ref, asof int64, ps *PathSet) (model.Tuple, error) {
+	o, _, h, err := m.open(tt, ref, asof, nil)
 	if err != nil {
 		return nil, err
 	}
-	h, err := m.rootHandle(tt, body)
-	if err != nil {
-		return nil, err
+	defer o.release()
+	if ps == nil {
+		ps = allSet
 	}
-	return m.readLevelH(o, tt, h)
+	return o.fetch(tt, &h, ps)
 }
 
 // Step addresses one navigation move: descend into the table-valued
@@ -248,21 +279,15 @@ type Step struct {
 // done on the structural information without having to access the
 // data at all" (§4.1) — except SS2/SS1 member-node reads, which are
 // themselves MD subtuples.
-func (m *Manager) locate(o *objCtx, tt *model.TableType, h levelHandle, steps []Step) (*model.TableType, levelHandle, error) {
+func (o *objCtx) locate(tt *model.TableType, h levelHandle, steps []Step) (*model.TableType, levelHandle, error) {
 	cur, curT := h, tt
 	for _, st := range steps {
-		if st.Attr < 0 || st.Attr >= len(curT.Attrs) || curT.Attrs[st.Attr].Type.Kind != model.KindTable {
-			return nil, levelHandle{}, fmt.Errorf("%w: attr %d is not a subtable", ErrBadPath, st.Attr)
-		}
-		gi := 0
-		for _, ti := range curT.TableIndexes() {
-			if ti == st.Attr {
-				break
-			}
-			gi++
+		gi, err := giOf(curT, st.Attr)
+		if err != nil {
+			return nil, levelHandle{}, err
 		}
 		sub := curT.Attrs[st.Attr].Type.Table
-		hs, err := m.memberHandles(o, sub, cur, gi)
+		hs, err := o.memberHandles(sub, &cur, gi)
 		if err != nil {
 			return nil, levelHandle{}, err
 		}
@@ -274,101 +299,61 @@ func (m *Manager) locate(o *objCtx, tt *model.TableType, h levelHandle, steps []
 	return curT, cur, nil
 }
 
+// open loads the object's context as of an instant (0 = current) and
+// its root handle, and descends to the level addressed by steps. The
+// caller releases the context.
+func (m *Manager) open(tt *model.TableType, ref Ref, asof int64, steps []Step) (*objCtx, *model.TableType, levelHandle, error) {
+	o, body, err := m.loadCtx(ref, asof)
+	if err != nil {
+		return nil, nil, levelHandle{}, err
+	}
+	h, err := m.rootHandle(tt, body)
+	if err == nil {
+		var lt *model.TableType
+		if lt, h, err = o.locate(tt, h, steps); err == nil {
+			return o, lt, h, nil
+		}
+	}
+	o.release()
+	return nil, nil, levelHandle{}, err
+}
+
 // ReadSubobject materializes the subobject addressed by steps without
 // reading the rest of the object.
 func (m *Manager) ReadSubobject(tt *model.TableType, ref Ref, steps ...Step) (model.Tuple, error) {
-	o, body, err := m.loadCtx(ref, 0)
+	o, lt, lh, err := m.open(tt, ref, 0, steps)
 	if err != nil {
 		return nil, err
 	}
-	h, err := m.rootHandle(tt, body)
-	if err != nil {
-		return nil, err
-	}
-	lt, lh, err := m.locate(o, tt, h, steps)
-	if err != nil {
-		return nil, err
-	}
-	if lt.Flat() {
-		atoms, err := o.readAtoms(lh.d)
-		if err != nil {
-			return nil, err
-		}
-		return assemble(lt, atoms, nil)
-	}
-	return m.readLevelH(o, lt, lh)
+	defer o.release()
+	return o.fetch(lt, &lh, allSet)
 }
 
 // ReadSubtable materializes one subtable instance: steps address a
 // subobject (possibly none for the top level) and attr names the
 // table-valued attribute to read.
 func (m *Manager) ReadSubtable(tt *model.TableType, ref Ref, attr int, steps ...Step) (*model.Table, error) {
-	o, body, err := m.loadCtx(ref, 0)
+	o, lt, lh, err := m.open(tt, ref, 0, steps)
 	if err != nil {
 		return nil, err
 	}
-	h, err := m.rootHandle(tt, body)
+	defer o.release()
+	gi, err := giOf(lt, attr)
 	if err != nil {
 		return nil, err
 	}
-	lt, lh, err := m.locate(o, tt, h, steps)
-	if err != nil {
-		return nil, err
-	}
-	if attr < 0 || attr >= len(lt.Attrs) || lt.Attrs[attr].Type.Kind != model.KindTable {
-		return nil, fmt.Errorf("%w: attr %d is not a subtable", ErrBadPath, attr)
-	}
-	gi := 0
-	for _, ti := range lt.TableIndexes() {
-		if ti == attr {
-			break
-		}
-		gi++
-	}
-	sub := lt.Attrs[attr].Type.Table
-	hs, err := m.memberHandles(o, sub, lh, gi)
-	if err != nil {
-		return nil, err
-	}
-	tbl := &model.Table{Ordered: sub.Ordered}
-	for _, mh := range hs {
-		var mt model.Tuple
-		if sub.Flat() {
-			atoms, err := o.readAtoms(mh.d)
-			if err != nil {
-				return nil, err
-			}
-			mt, err = assemble(sub, atoms, nil)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			mt, err = m.readLevelH(o, sub, mh)
-			if err != nil {
-				return nil, err
-			}
-		}
-		tbl.Append(mt)
-	}
-	return tbl, nil
+	return o.fetchSubtable(lt.Attrs[attr].Type.Table, &lh, gi, allSet)
 }
 
 // ReadAtomsAt returns only the atomic attribute values of the
 // (sub)object addressed by steps — a partial retrieval that does not
 // touch the subobject's subtables.
 func (m *Manager) ReadAtomsAt(tt *model.TableType, ref Ref, steps ...Step) ([]model.Value, error) {
-	o, body, err := m.loadCtx(ref, 0)
+	o, _, lh, err := m.open(tt, ref, 0, steps)
 	if err != nil {
 		return nil, err
 	}
-	h, err := m.rootHandle(tt, body)
-	if err != nil {
-		return nil, err
-	}
-	_, lh, err := m.locate(o, tt, h, steps)
-	if err != nil {
-		return nil, err
-	}
+	defer o.release()
 	return o.readAtoms(lh.d)
 }
 
@@ -382,6 +367,7 @@ func (m *Manager) ReadDataPath(ref Ref, dpath []page.MiniTID) ([]model.Value, er
 	if err != nil {
 		return nil, err
 	}
+	defer o.release()
 	if len(dpath) == 0 {
 		return nil, fmt.Errorf("object: empty data path")
 	}
@@ -393,17 +379,15 @@ func (m *Manager) ReadDataPath(ref Ref, dpath []page.MiniTID) ([]model.Value, er
 // first; empty = the objects' top level) and calls fn with each
 // subobject's hierarchical data path (Fig 7b: data subtuple Mini TIDs
 // of the subobjects from nesting level 1 down to this one — for the
-// top level, just its own data subtuple) and its atomic values.
+// top level, just its own data subtuple) and its atomic values. The
+// path slice is reused from call to call; fn copies what it keeps.
 // Used to build indexes with hierarchical addresses.
 func (m *Manager) EnumLevel(tt *model.TableType, ref Ref, tablePath []int, fn func(dpath []page.MiniTID, atoms []model.Value) error) error {
-	o, body, err := m.loadCtx(ref, 0)
+	o, _, h, err := m.open(tt, ref, 0, nil)
 	if err != nil {
 		return err
 	}
-	h, err := m.rootHandle(tt, body)
-	if err != nil {
-		return err
-	}
+	defer o.release()
 	if len(tablePath) == 0 {
 		atoms, err := o.readAtoms(h.d)
 		if err != nil {
@@ -411,39 +395,32 @@ func (m *Manager) EnumLevel(tt *model.TableType, ref Ref, tablePath []int, fn fu
 		}
 		return fn([]page.MiniTID{h.d}, atoms)
 	}
-	return m.enumLevelRec(o, tt, h, tablePath, nil, fn)
+	return o.enumLevel(tt, &h, tablePath, make([]page.MiniTID, 0, len(tablePath)), fn)
 }
 
-func (m *Manager) enumLevelRec(o *objCtx, tt *model.TableType, h levelHandle, tablePath []int, prefix []page.MiniTID, fn func([]page.MiniTID, []model.Value) error) error {
-	attr := tablePath[0]
-	if attr < 0 || attr >= len(tt.Attrs) || tt.Attrs[attr].Type.Kind != model.KindTable {
-		return fmt.Errorf("%w: attr %d is not a subtable", ErrBadPath, attr)
-	}
-	gi := 0
-	for _, ti := range tt.TableIndexes() {
-		if ti == attr {
-			break
-		}
-		gi++
-	}
-	sub := tt.Attrs[attr].Type.Table
-	hs, err := m.memberHandles(o, sub, h, gi)
+func (o *objCtx) enumLevel(tt *model.TableType, h *levelHandle, tablePath []int, prefix []page.MiniTID, fn func([]page.MiniTID, []model.Value) error) error {
+	gi, err := giOf(tt, tablePath[0])
 	if err != nil {
 		return err
 	}
-	for _, mh := range hs {
-		path := append(append([]page.MiniTID(nil), prefix...), mh.d)
-		if len(tablePath) == 1 {
-			atoms, err := o.readAtoms(mh.d)
-			if err != nil {
-				return err
-			}
-			if err := fn(path, atoms); err != nil {
+	sub := tt.Attrs[tablePath[0]].Type.Table
+	hs, err := o.memberHandles(sub, h, gi)
+	if err != nil {
+		return err
+	}
+	for i := range hs {
+		path := append(prefix, hs[i].d)
+		if len(tablePath) > 1 {
+			if err := o.enumLevel(sub, &hs[i], tablePath[1:], path, fn); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := m.enumLevelRec(o, sub, mh, tablePath[1:], path, fn); err != nil {
+		atoms, err := o.readAtoms(hs[i].d)
+		if err != nil {
+			return err
+		}
+		if err := fn(path, atoms); err != nil {
 			return err
 		}
 	}
@@ -467,17 +444,18 @@ type Stats struct {
 // ObjectStats walks the object's Mini Directory and tallies its
 // physical composition.
 func (m *Manager) ObjectStats(tt *model.TableType, ref Ref) (Stats, error) {
-	o, body, err := m.loadCtx(ref, 0)
+	o, _, h, err := m.open(tt, ref, 0, nil)
 	if err != nil {
 		return Stats{}, err
 	}
-	s := Stats{Layout: m.layout, MDSubtuples: 1}
-	raw, err := m.st.Read(ref)
+	defer o.release()
+	s := Stats{Layout: m.layout, MDSubtuples: 1, PageListLen: len(o.pages)}
+	raw, err := o.viewTID(ref)
 	if err != nil {
 		return Stats{}, err
 	}
-	s.MDBytes += len(raw)
-	s.PageListLen = len(o.pages)
+	s.MDBytes = len(raw)
+	o.done()
 	for _, pg := range o.pages {
 		if pg != 0 {
 			s.Pages++
@@ -485,74 +463,76 @@ func (m *Manager) ObjectStats(tt *model.TableType, ref Ref) (Stats, error) {
 			s.PageListGaps++
 		}
 	}
-	h, err := m.rootHandle(tt, body)
-	if err != nil {
-		return Stats{}, err
-	}
-	if err := m.statsLevel(o, tt, h, &s); err != nil {
+	if err := o.statsLevel(tt, &h, &s); err != nil {
 		return Stats{}, err
 	}
 	return s, nil
 }
 
-func (m *Manager) statsLevel(o *objCtx, tt *model.TableType, h levelHandle, s *Stats) error {
-	raw, err := o.read(h.d)
+// size returns the payload length of a subtuple of the object.
+func (o *objCtx) size(mt page.MiniTID) (int, error) {
+	raw, err := o.view(mt)
+	o.done()
+	return len(raw), err
+}
+
+func (o *objCtx) statsLevel(tt *model.TableType, h *levelHandle, s *Stats) error {
+	n, err := o.size(h.d)
 	if err != nil {
 		return err
 	}
 	s.DataSubtuples++
-	s.DataBytes += len(raw)
+	s.DataBytes += n
 	// This level's own pointers: one D pointer plus, per layout, one C
 	// pointer per subtable (SS1/SS3) or one pointer per member in each
 	// inline group (SS2).
 	s.Pointers++
-	tis := tt.TableIndexes()
-	for gi, ti := range tis {
+	layout := o.m.layout
+	for gi, ti := range tt.TableIndexes() {
 		sub := tt.Attrs[ti].Type.Table
-		switch m.layout {
+		hs, err := o.memberHandles(sub, h, gi)
+		if err != nil {
+			return err
+		}
+		switch layout {
 		case SS1, SS3:
 			s.Pointers++ // C pointer to the subtable MD
-			mdRaw, err := o.read(h.subC[gi])
+			n, err := o.size(h.subC[gi])
 			if err != nil {
 				return err
 			}
 			s.MDSubtuples++
-			s.MDBytes += len(mdRaw)
-			if m.layout == SS1 || (m.layout == SS3 && sub.Flat()) {
+			s.MDBytes += n
+			if layout == SS1 || sub.Flat() {
 				// SS1: the subtable MD holds one pointer per member.
 				// SS3 with flat members: each entry is one D pointer.
-				r := &reader{b: mdRaw}
-				s.Pointers += r.count()
+				s.Pointers += len(hs)
 			}
 			// SS3 with complex members: the entries carry the members'
 			// own D and C pointers, counted in the recursion.
 		case SS2:
-			s.Pointers += len(h.groups[gi])
+			s.Pointers += len(hs)
 		}
-		hs, err := m.memberHandles(o, sub, h, gi)
-		if err != nil {
-			return err
-		}
-		for _, mh := range hs {
+		for i := range hs {
 			if sub.Flat() {
-				mraw, err := o.read(mh.d)
+				n, err := o.size(hs[i].d)
 				if err != nil {
 					return err
 				}
 				s.DataSubtuples++
-				s.DataBytes += len(mraw)
+				s.DataBytes += n
 				continue
 			}
-			if m.layout == SS1 || m.layout == SS2 {
+			if layout == SS1 || layout == SS2 {
 				// The complex member has its own MD subtuple.
-				nraw, err := o.read(mh.self)
+				n, err := o.size(hs[i].self)
 				if err != nil {
 					return err
 				}
 				s.MDSubtuples++
-				s.MDBytes += len(nraw)
+				s.MDBytes += n
 			}
-			if err := m.statsLevel(o, sub, mh, s); err != nil {
+			if err := o.statsLevel(sub, &hs[i], s); err != nil {
 				return err
 			}
 		}
@@ -568,6 +548,7 @@ func (m *Manager) ResolveDataMini(ref Ref, mt page.MiniTID) (page.TID, error) {
 	if err != nil {
 		return page.TID{}, err
 	}
+	defer o.release()
 	return o.resolve(mt)
 }
 
@@ -576,21 +557,18 @@ func (m *Manager) ResolveDataMini(ref Ref, mt page.MiniTID) (page.TID, error) {
 // target) for the subobject addressed by steps; empty steps address
 // the object itself, whose path is its own data subtuple.
 func (m *Manager) DataPathAt(tt *model.TableType, ref Ref, steps ...Step) ([]page.MiniTID, error) {
-	o, body, err := m.loadCtx(ref, 0)
+	o, _, h, err := m.open(tt, ref, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	h, err := m.rootHandle(tt, body)
-	if err != nil {
-		return nil, err
-	}
+	defer o.release()
 	if len(steps) == 0 {
 		return []page.MiniTID{h.d}, nil
 	}
 	var path []page.MiniTID
 	cur, curT := h, tt
 	for _, st := range steps {
-		curT, cur, err = m.locate(o, curT, cur, []Step{st})
+		curT, cur, err = o.locate(curT, cur, []Step{st})
 		if err != nil {
 			return nil, err
 		}
@@ -604,14 +582,11 @@ func (m *Manager) DataPathAt(tt *model.TableType, ref Ref, steps ...Step) ([]pag
 // DataPathAt, used to resolve tuple names and index addresses back to
 // subobjects.
 func (m *Manager) FindByDataPath(tt *model.TableType, ref Ref, dpath []page.MiniTID) ([]Step, error) {
-	o, body, err := m.loadCtx(ref, 0)
+	o, _, h, err := m.open(tt, ref, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	h, err := m.rootHandle(tt, body)
-	if err != nil {
-		return nil, err
-	}
+	defer o.release()
 	if len(dpath) == 1 && dpath[0] == h.d {
 		return []Step{}, nil
 	}
@@ -621,7 +596,7 @@ func (m *Manager) FindByDataPath(tt *model.TableType, ref Ref, dpath []page.Mini
 		found := false
 		for gi, ti := range curT.TableIndexes() {
 			sub := curT.Attrs[ti].Type.Table
-			hs, err := m.memberHandles(o, sub, cur, gi)
+			hs, err := o.memberHandles(sub, &cur, gi)
 			if err != nil {
 				return nil, err
 			}
@@ -649,18 +624,11 @@ func (m *Manager) FindByDataPath(tt *model.TableType, ref Ref, dpath []page.Mini
 // walk-through-time access of §5, surfaced at the object level but,
 // as in the paper, not at the language interface.
 func (m *Manager) HistoryAt(tt *model.TableType, ref Ref, steps ...Step) ([]AtomsVersion, error) {
-	o, body, err := m.loadCtx(ref, 0)
+	o, _, lh, err := m.open(tt, ref, 0, steps)
 	if err != nil {
 		return nil, err
 	}
-	h, err := m.rootHandle(tt, body)
-	if err != nil {
-		return nil, err
-	}
-	_, lh, err := m.locate(o, tt, h, steps)
-	if err != nil {
-		return nil, err
-	}
+	defer o.release()
 	tid, err := o.resolve(lh.d)
 	if err != nil {
 		return nil, err

@@ -35,72 +35,47 @@ func (m *Manager) Salvage(tt *model.TableType, ref Ref) (*SalvageResult, error) 
 		res.Lost = append(res.Lost, fmt.Sprintf("root MD subtuple %v: %v", ref, err))
 		return res, nil
 	}
+	defer o.release()
 	h, err := m.rootHandle(tt, body)
 	if err != nil {
 		res.Lost = append(res.Lost, fmt.Sprintf("root node of %v: %v", ref, err))
 		return res, nil
 	}
-	res.Tuple = m.salvageLevel(o, tt, h, "", res)
+	res.Tuple = o.salvageLevel(tt, &h, "", res)
 	res.Complete = len(res.Lost) == 0
 	return res, nil
 }
 
-// salvageLevel is readLevelH with every read fault degraded to a
-// recorded loss instead of an error.
-func (m *Manager) salvageLevel(o *objCtx, tt *model.TableType, h levelHandle, path string, res *SalvageResult) model.Tuple {
-	atoms, err := o.readAtoms(h.d)
-	if err != nil {
+// salvageLevel is fetch with every read fault degraded to a recorded
+// loss instead of an error.
+func (o *objCtx) salvageLevel(tt *model.TableType, h *levelHandle, path string, res *SalvageResult) model.Tuple {
+	tup := make(model.Tuple, len(tt.Attrs))
+	if err := o.readAtomsInto(tup, tt, h.d); err != nil {
 		res.Lost = append(res.Lost, fmt.Sprintf("data subtuple at %q: %v", path, err))
-		atoms = nil // all attributes read as null
+		nullAtoms(tup, tt.AtomicIndexes()) // all attributes read as null
 	}
-	want := len(tt.AtomicIndexes())
-	if len(atoms) > want {
-		res.Lost = append(res.Lost, fmt.Sprintf("data subtuple at %q: %d atoms, schema wants %d", path, len(atoms), want))
-		atoms = atoms[:want]
-	}
-	for len(atoms) < want {
-		atoms = append(atoms, model.Null{})
-	}
-	tis := tt.TableIndexes()
-	subs := make([]*model.Table, len(tis))
-	for gi, ti := range tis {
+	for gi, ti := range tt.TableIndexes() {
 		sub := tt.Attrs[ti].Type.Table
 		subPath := path + "/" + tt.Attrs[ti].Name
 		tbl := &model.Table{Ordered: sub.Ordered}
-		subs[gi] = tbl
-		hs, err := m.memberHandles(o, sub, h, gi)
+		tup[ti] = tbl
+		hs, err := o.memberHandles(sub, h, gi)
 		if err != nil {
 			res.Lost = append(res.Lost, fmt.Sprintf("subtable MD at %q: %v", subPath, err))
 			continue
 		}
-		for i, mh := range hs {
+		for i := range hs {
 			memberPath := fmt.Sprintf("%s[%d]", subPath, i)
-			if sub.Flat() {
-				matoms, err := o.readAtoms(mh.d)
-				if err != nil {
-					res.Lost = append(res.Lost, fmt.Sprintf("member %s: %v", memberPath, err))
-					continue
-				}
-				mt, err := assemble(sub, matoms, nil)
-				if err != nil {
-					res.Lost = append(res.Lost, fmt.Sprintf("member %s: %v", memberPath, err))
-					continue
-				}
-				tbl.Append(mt)
+			if !sub.Flat() {
+				tbl.Append(o.salvageLevel(sub, &hs[i], memberPath, res))
 				continue
 			}
-			tbl.Append(m.salvageLevel(o, sub, mh, memberPath, res))
-		}
-	}
-	tup := make(model.Tuple, len(tt.Attrs))
-	ai, si := 0, 0
-	for i, a := range tt.Attrs {
-		if a.Type.Kind == model.KindTable {
-			tup[i] = subs[si]
-			si++
-		} else {
-			tup[i] = atoms[ai]
-			ai++
+			mt := make(model.Tuple, len(sub.Attrs))
+			if err := o.readAtomsInto(mt, sub, hs[i].d); err != nil {
+				res.Lost = append(res.Lost, fmt.Sprintf("member %s: %v", memberPath, err))
+				continue
+			}
+			tbl.Append(mt)
 		}
 	}
 	return tup

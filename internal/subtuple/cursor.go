@@ -11,9 +11,10 @@ import (
 // Cursor is the pull-based form of Scan: it streams every
 // current subtuple of the segment one Next at a time, in the same
 // order and under the same TIDs as Scan. Pages are pinned only inside
-// a single Next call — the cursor buffers the (copied) records of one
-// page at a time — so an abandoned cursor holds no buffer resources
-// and Close is a plain bookkeeping call.
+// a single Next call — the cursor copies the records of one page at a
+// time into a buffer it reuses from page to page — so an abandoned
+// cursor holds no buffer resources and Close is a plain bookkeeping
+// call.
 type Cursor struct {
 	s      *Store
 	asof   int64
@@ -21,14 +22,15 @@ type Cursor struct {
 
 	count  uint32 // segment page count at open
 	pg     uint32 // next page to load
+	buf    []byte // current-state mode: the loaded page's records, back to back
 	items  []cursorItem
 	i      int
 	closed bool
 }
 
 type cursorItem struct {
-	tid page.TID
-	raw []byte // current-state mode: copied raw record, decoded on demand
+	tid      page.TID
+	off, end int // current-state mode: the raw record is buf[off:end]
 }
 
 // NewCursor opens a cursor over the current state of the segment.
@@ -74,7 +76,7 @@ func (c *Cursor) Next() (page.TID, []byte, bool, error) {
 				}
 				return it.tid, data, true, nil
 			}
-			d, err := c.s.decode(it.raw)
+			d, err := c.s.decode(c.buf[it.off:it.end])
 			if err != nil {
 				return page.TID{}, nil, false, err
 			}
@@ -96,7 +98,7 @@ func (c *Cursor) Next() (page.TID, []byte, bool, error) {
 func (c *Cursor) loadPage() error {
 	pg := c.pg
 	c.pg++
-	c.items = c.items[:0]
+	c.items, c.buf = c.items[:0], c.buf[:0]
 	c.i = 0
 	f, err := c.s.pool.Pin(buffer.PageKey{Seg: c.s.seg, Page: pg})
 	if err != nil {
@@ -126,9 +128,9 @@ func (c *Cursor) loadPage() error {
 		if rec[0]&(fFwd|fChunk|fOld|fTomb) != 0 {
 			continue
 		}
-		cp := make([]byte, len(rec))
-		copy(cp, rec)
-		c.items = append(c.items, cursorItem{tid: page.TID{Page: pg, Slot: uint16(sl)}, raw: cp})
+		off := len(c.buf)
+		c.buf = append(c.buf, rec...)
+		c.items = append(c.items, cursorItem{tid: page.TID{Page: pg, Slot: uint16(sl)}, off: off, end: len(c.buf)})
 	}
 	return nil
 }
@@ -137,6 +139,6 @@ func (c *Cursor) loadPage() error {
 // buffer pages between calls, so this never fails.
 func (c *Cursor) Close() error {
 	c.closed = true
-	c.items = nil
+	c.items, c.buf = nil, nil
 	return nil
 }

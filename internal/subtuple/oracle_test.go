@@ -1,0 +1,82 @@
+package subtuple
+
+import (
+	"errors"
+
+	"repro/internal/dberr"
+	"repro/internal/page"
+)
+
+// readCopying is ReadAsOf as it was before the Reader existed, kept as
+// the reference the Reader is tested against: every record on the way
+// — forwarding stubs, each version, overflow chunks — is pinned,
+// latched, copied out and unpinned on its own (readRaw), then parsed
+// from the copy, and the version walk guards against cycles with a map.
+//
+// One thing it does as the Reader does, not as the old read did: the
+// overflow chain is assembled for the version that is returned only,
+// not for every newer version walked past. The old read failed on a
+// broken chain of a version nobody asked for (FuzzReaderView found the
+// difference); not reading it is the point of the Reader.
+func readCopying(s *Store, t page.TID, ts int64) ([]byte, bool, error) {
+	raw, err := resolveCopying(s, t)
+	if err != nil {
+		return nil, false, err
+	}
+	d, err := s.decodeHeader(raw)
+	if err != nil {
+		return nil, false, err
+	}
+	seen := make(map[page.TID]bool)
+	for d.flags&fVer != 0 && d.fromTS > ts {
+		if d.prev.Nil() {
+			return nil, false, nil // did not exist yet
+		}
+		if seen[d.prev] {
+			return nil, false, dberr.Corruptf("subtuple: version chain cycle at %v", d.prev)
+		}
+		seen[d.prev] = true
+		if raw, err = s.readRaw(d.prev); err != nil {
+			return nil, false, broken("version chain", err)
+		}
+		if d, err = s.decodeHeader(raw); err != nil {
+			return nil, false, err
+		}
+	}
+	if d.flags&fLong != 0 {
+		if d.payload, err = s.readLong(d); err != nil {
+			return nil, false, err
+		}
+	}
+	if d.flags&fTomb != 0 {
+		return nil, false, nil
+	}
+	return d.payload, true, nil
+}
+
+// resolveCopying follows forwarding stubs one copied record at a time.
+func resolveCopying(s *Store, t page.TID) ([]byte, error) {
+	for hop := 0; ; hop++ {
+		raw, err := s.readRaw(t)
+		if err != nil {
+			if hop > 0 && !dberr.IsCorrupt(err) && !errors.Is(err, ErrNotFound) {
+				return nil, dberr.Corruptf("subtuple: broken forwarding chain at %v: %v", t, err)
+			}
+			return nil, err
+		}
+		if len(raw) == 0 {
+			return nil, dberr.Corruptf("subtuple: empty record at %v", t)
+		}
+		if raw[0]&fFwd == 0 {
+			return raw, nil
+		}
+		if hop > 8 {
+			return nil, dberr.Corruptf("subtuple: forwarding loop at %v", t)
+		}
+		next, err := page.DecodeTID(raw[1:])
+		if err != nil {
+			return nil, dberr.Corruptf("subtuple: corrupt forwarding stub at %v: %v", t, err)
+		}
+		t = next
+	}
+}

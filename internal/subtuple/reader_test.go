@@ -1,0 +1,335 @@
+package subtuple
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/buffer"
+	"repro/internal/dberr"
+	"repro/internal/page"
+	"repro/internal/segment"
+)
+
+// viewCopy reads t through a fresh Reader and copies the payload out.
+func viewCopy(s *Store, tid page.TID, asof int64) ([]byte, bool, error) {
+	r := s.Reader()
+	defer r.Release()
+	p, ok, err := r.View(tid, asof)
+	return append([]byte(nil), p...), ok, err
+}
+
+// TestReaderMatchesCopyingRead drives a store through random inserts,
+// growing and shrinking updates and deletes — which between them
+// produce forwarding stubs, re-forwarded records, overflow chains and,
+// in the versioned run, version chains and tombstones — and after
+// every step reads every subtuple through the in-place Reader and
+// through the copying reference read, at the current state and at
+// every instant so far. One Reader serves a whole pass, so on the
+// one-shard pool its window fills and recycles across records; on the
+// eight-shard pool the window is a single page.
+func TestReaderMatchesCopyingRead(t *testing.T) {
+	for _, c := range []struct {
+		versioned bool
+		shards    int
+	}{{false, 8}, {false, 1}, {true, 8}, {true, 1}} {
+		versioned := c.versioned
+		t.Run(fmt.Sprintf("versioned=%v/shards=%d", versioned, c.shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			pool := buffer.NewPoolShards(64, c.shards)
+			pool.Register(1, segment.NewMemStore())
+			var now int64
+			s := New(Config{Pool: pool, Seg: 1, Versioned: versioned, Clock: func() int64 { now++; return now }})
+			payload := func() []byte {
+				n := rng.Intn(300)
+				switch rng.Intn(6) {
+				case 0:
+					n = 1500 + rng.Intn(2000) // forces relocation on a filling page
+				case 1:
+					n = maxRecord + rng.Intn(3*page.Size) // overflow chain
+				}
+				return bytes.Repeat([]byte{byte('a' + rng.Intn(26))}, n)
+			}
+			var tids []page.TID
+			var sawFwd, sawLong bool
+			for step := 0; step < 400; step++ {
+				switch k := rng.Intn(10); {
+				case k < 4 || len(tids) == 0:
+					tid, err := s.Insert(payload())
+					if err != nil {
+						t.Fatal(err)
+					}
+					tids = append(tids, tid)
+				case k < 9:
+					if err := s.Update(tids[rng.Intn(len(tids))], payload()); err != nil && !errors.Is(err, ErrNotFound) {
+						t.Fatal(err)
+					}
+				default:
+					i := rng.Intn(len(tids))
+					if err := s.Delete(tids[i]); err != nil && !errors.Is(err, ErrNotFound) {
+						t.Fatal(err)
+					}
+					if !versioned {
+						// The slot is free for reuse: the TID names nothing now.
+						tids = append(tids[:i], tids[i+1:]...)
+					}
+				}
+				if step%20 != 19 {
+					continue
+				}
+				instants := []int64{Current}
+				if versioned {
+					instants = append(instants, 0, 1+rng.Int63n(now), now)
+				}
+				r := s.Reader()
+				for _, tid := range tids {
+					if loc, rec, err := s.resolve(tid); err == nil {
+						sawFwd = sawFwd || loc != tid
+						sawLong = sawLong || rec[0]&fLong != 0
+					}
+					for _, asof := range instants {
+						want, wantOK, wantErr := readCopying(s, tid, asof)
+						got, ok, err := r.View(tid, asof)
+						if n := pool.PinnedCount(); n > s.keep+1 {
+							t.Fatalf("step %d: %d pages pinned during a view, window is %d", step, n, s.keep+1)
+						}
+						if (err != nil) != (wantErr != nil) || ok != wantOK || !bytes.Equal(got, want) {
+							t.Fatalf("step %d %v asof %d: reader (%d bytes, %v, %v), copying read (%d bytes, %v, %v)",
+								step, tid, asof, len(got), ok, err, len(want), wantOK, wantErr)
+						}
+						r.Done()
+						if n := pool.PinnedCount(); n > s.keep {
+							t.Fatalf("step %d: %d pages pinned between views, want at most %d", step, n, s.keep)
+						}
+					}
+				}
+				r.Release()
+				if n := pool.PinnedCount(); n != 0 {
+					t.Fatalf("step %d: %d pages pinned between reads", step, n)
+				}
+			}
+			if !sawFwd || !sawLong {
+				t.Fatalf("workload produced no forwarded (%v) or no overflow (%v) record", sawFwd, sawLong)
+			}
+		})
+	}
+}
+
+// TestReaderDecodeCountMatches pins the meaning of DecodeCount: the
+// Reader counts a record as decoded exactly where the copying read
+// does, for a plain record and along a version chain.
+func TestReaderDecodeCountMatches(t *testing.T) {
+	s, _ := newStore(t, true)
+	tid, err := s.Insert([]byte("v0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 5; i++ {
+		if err := s.Update(tid, []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, asof := range []int64{Current, 3, 1, 0} {
+		base := s.DecodeCount()
+		if _, _, err := readCopying(s, tid, asof); err != nil {
+			t.Fatal(err)
+		}
+		copying := s.DecodeCount() - base
+		if _, _, err := viewCopy(s, tid, asof); err != nil {
+			t.Fatal(err)
+		}
+		if reader := s.DecodeCount() - base - copying; reader != copying {
+			t.Errorf("asof %d: reader decoded %d records, copying read %d", asof, reader, copying)
+		}
+	}
+}
+
+// TestReaderWindow checks the pinned-window rule on pools of every
+// window size: a reader's pins are an eighth of a shard and at most
+// five; that many pages are pinned during a view and one fewer between
+// views; a page in the window is not fetched again; Release returns
+// everything. On the smallest pools the window is one page and every
+// record costs one fetch, as the copying read did.
+func TestReaderWindow(t *testing.T) {
+	s, pool := newStore(t, false)
+	const pages, perPage = 7, 3
+	var tids []page.TID
+	for pg := 0; pg < pages; pg++ {
+		no, err := s.AllocatePage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < perPage; i++ {
+			tid, err := s.InsertOnPage(no, []byte{byte(pg), byte(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tids = append(tids, tid)
+		}
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ frames, window int }{{2, 1}, {8, 1}, {15, 1}, {16, 2}, {24, 3}, {40, 5}, {256, 5}} {
+		pool := buffer.NewPoolShards(c.frames, 1)
+		pool.Register(1, s.pool.Store(1))
+		s := New(Config{Pool: pool, Seg: 1})
+		if s.keep != c.window-1 {
+			t.Fatalf("%d frames: reader keeps %d pages, want %d", c.frames, s.keep, c.window-1)
+		}
+		r := s.Reader()
+		// Twice over the pages in order: the second pass finds the last
+		// pages of the first still in the window, oldest released first.
+		for pass := 0; pass < 2; pass++ {
+			for _, tid := range tids {
+				p, ok, err := r.View(tid, Current)
+				if err != nil || !ok || p[0] != byte(tid.Page-tids[0].Page) {
+					t.Fatalf("%d frames: view %v = %v, %v, %v", c.frames, tid, p, ok, err)
+				}
+				if n := pool.PinnedCount(); n > c.window {
+					t.Fatalf("%d frames: %d pages pinned during a view, window is %d", c.frames, n, c.window)
+				}
+				r.Done()
+				if n := pool.PinnedCount(); n > c.window-1 {
+					t.Fatalf("%d frames: %d pages pinned between views, want at most %d", c.frames, n, c.window-1)
+				}
+			}
+		}
+		want := uint64(2 * pages) // every page left the window before its turn came again
+		if c.window == 1 {
+			want = 2 * pages * perPage
+		}
+		if got := pool.Stats().Fetches; got != want {
+			t.Errorf("%d frames: %d page fetches for %d views, want %d", c.frames, got, 2*len(tids), want)
+		}
+		r.Release()
+		if n := pool.PinnedCount(); n != 0 {
+			t.Fatalf("%d frames: %d pages pinned after Release", c.frames, n)
+		}
+	}
+}
+
+// TestReaderErrorsReleaseEverything walks the Reader into each kind of
+// failure and checks that no latch and no pin survives it: a writer can
+// latch the page at once and the pool reports nothing pinned.
+func TestReaderErrorsReleaseEverything(t *testing.T) {
+	s, pool := newStore(t, true)
+	live, err := s.Insert([]byte("live"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := s.Insert([]byte("dead"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(dead); err != nil {
+		t.Fatal(err)
+	}
+	// A version record whose previous version is itself, and one whose
+	// previous version does not exist.
+	self := page.TID{Page: live.Page, Slot: 3}
+	cyc := page.AppendTID([]byte{fVer, 0x7e, 0}, self)
+	if tid, err := s.insertRawAnywhere(cyc); err != nil || tid != self {
+		t.Fatalf("planted cycle at %v, %v; want %v", tid, err, self)
+	}
+	dangling, err := s.insertRawAnywhere(page.AppendTID([]byte{fVer, 0x7e, 0}, page.TID{Page: live.Page, Slot: 99}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub, err := s.insertRawAnywhere(page.AppendTID([]byte{fFwd}, page.TID{Page: 9999, Slot: 0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		tid     page.TID
+		asof    int64
+		corrupt bool
+		missing bool
+	}{
+		{"tombstone", dead, Current, false, false},
+		{"before creation", live, 0, false, false},
+		{"no such slot", page.TID{Page: live.Page, Slot: 200}, Current, false, true},
+		{"version cycle", self, 1, true, false},
+		{"dangling previous version", dangling, 1, true, false},
+		{"forward into an unallocated page", stub, Current, true, false},
+	}
+	for _, c := range cases {
+		r := s.Reader()
+		_, ok, err := r.View(c.tid, c.asof)
+		if ok || dberr.IsCorrupt(err) != c.corrupt || errors.Is(err, ErrNotFound) != c.missing {
+			t.Errorf("%s: View = %v, %v", c.name, ok, err)
+		}
+		// No Done, no Release yet: an error or an absent record must
+		// leave nothing latched by itself.
+		f, perr := pool.Pin(buffer.PageKey{Seg: 1, Page: live.Page})
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		f.Latch()
+		f.Unlatch()
+		pool.Unpin(f, false)
+		r.Release()
+		if n := pool.PinnedCount(); n != 0 {
+			t.Errorf("%s: %d pages pinned after Release", c.name, n)
+		}
+	}
+}
+
+// TestExhaustedPoolIsNotCorruption: a forwarding stub or a version
+// record points at a page the pool has no frame for. That says nothing
+// about the record, so the read fails with buffer.ErrExhausted as it is,
+// not with a broken chain classified as corruption.
+func TestExhaustedPoolIsNotCorruption(t *testing.T) {
+	s, big := newStore(t, true)
+	first, err := s.AllocatePage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := s.AllocatePage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := s.InsertOnPage(other, []byte("there"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant := func(rec []byte) page.TID {
+		t.Helper()
+		slot, err := s.pageInsert(first, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return page.TID{Page: first, Slot: slot}
+	}
+	stub := plant(page.AppendTID([]byte{fFwd}, target))
+	newer := plant(page.AppendTID([]byte{fVer, 0x7e, 0}, target))
+	if err := big.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	pool := buffer.NewPoolShards(1, 1)
+	pool.Register(1, big.Store(1))
+	s = New(Config{Pool: pool, Seg: 1, Versioned: true, Clock: func() int64 { return 1 }})
+	held, err := pool.Pin(buffer.PageKey{Seg: 1, Page: first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tid := range map[string]page.TID{"forwarding stub": stub, "version chain": newer} {
+		_, _, err := viewCopy(s, tid, 1)
+		if !errors.Is(err, buffer.ErrExhausted) || dberr.IsCorrupt(err) {
+			t.Errorf("%s into a page without a frame: %v", name, err)
+		}
+	}
+	pool.Unpin(held, false)
+	for name, tid := range map[string]page.TID{"forwarding stub": stub, "version chain": newer} {
+		if got, ok, err := viewCopy(s, tid, 1); err != nil || !ok || string(got) != "there" {
+			t.Errorf("%s with a frame free: %q, %v, %v", name, got, ok, err)
+		}
+	}
+	if n := pool.PinnedCount(); n != 0 {
+		t.Fatalf("%d pages pinned", n)
+	}
+}

@@ -60,6 +60,7 @@ type Store struct {
 	log       *wal.Log
 	versioned bool
 	clock     func() int64
+	keep      int // pages a Reader keeps pinned between views, see keepPinned
 
 	mu         sync.Mutex
 	hint       uint32   // last page that accepted an insert
@@ -92,7 +93,8 @@ type Config struct {
 
 // New creates a store over a registered segment.
 func New(cfg Config) *Store {
-	s := &Store{pool: cfg.Pool, seg: cfg.Seg, log: cfg.Log, versioned: cfg.Versioned, clock: cfg.Clock}
+	s := &Store{pool: cfg.Pool, seg: cfg.Seg, log: cfg.Log, versioned: cfg.Versioned, clock: cfg.Clock,
+		keep: keepPinned(cfg.Pool)}
 	if s.versioned && s.clock == nil {
 		// Deliberately a panic, not an error: this is a construction-time
 		// misconfiguration by the embedding code (the engine always
@@ -363,89 +365,109 @@ func (s *Store) encodeBody(payload []byte, versioned bool, fromTS int64, txn uin
 	return hdr, nil
 }
 
-// decoded is a parsed record.
+// decoded is a parsed record header plus its payload.
 type decoded struct {
 	flags   byte
 	fromTS  int64
 	txn     uint64 // creator (tombstones: deleter) transaction id
 	prev    page.TID
-	payload []byte // assembled (chunks resolved)
+	payload []byte // the bytes after the header; for fLong records, see readLong
+	// fLong records only: declared payload length and first chunk.
+	total uint64
+	first page.TID
 }
 
-func (s *Store) decode(rec []byte) (*decoded, error) {
+// decodeHeader parses the record's header without copying anything:
+// payload aliases rec. For an fLong record payload is nil and
+// total/first describe the overflow chain, which readLong assembles.
+// This is the one place a record counts as decoded.
+func (s *Store) decodeHeader(rec []byte) (decoded, error) {
 	if len(rec) == 0 {
-		return nil, dberr.Corruptf("subtuple: empty record")
+		return decoded{}, dberr.Corruptf("subtuple: empty record")
 	}
 	s.nDecoded.Add(1)
-	d := &decoded{flags: rec[0]}
+	d := decoded{flags: rec[0]}
 	p := rec[1:]
 	if d.flags&fVer != 0 {
 		ts, n := binary.Varint(p)
 		if n <= 0 {
-			return nil, dberr.Corruptf("subtuple: corrupt version header")
+			return decoded{}, dberr.Corruptf("subtuple: corrupt version header")
 		}
 		d.fromTS = ts
 		p = p[n:]
 		txn, n := binary.Uvarint(p)
 		if n <= 0 {
-			return nil, dberr.Corruptf("subtuple: corrupt version header")
+			return decoded{}, dberr.Corruptf("subtuple: corrupt version header")
 		}
 		d.txn = txn
 		p = p[n:]
 		prev, err := page.DecodeTID(p)
 		if err != nil {
-			return nil, err
+			return decoded{}, err
 		}
 		d.prev = prev
 		p = p[page.EncodedTIDLen:]
 	}
-	if d.flags&fLong != 0 {
-		total, n := binary.Uvarint(p)
-		if n <= 0 {
-			return nil, dberr.Corruptf("subtuple: corrupt long header")
+	if d.flags&fLong == 0 {
+		d.payload = p
+		return d, nil
+	}
+	total, n := binary.Uvarint(p)
+	if n <= 0 {
+		return decoded{}, dberr.Corruptf("subtuple: corrupt long header")
+	}
+	first, err := page.DecodeTID(p[n:])
+	if err != nil {
+		return decoded{}, err
+	}
+	if total > maxLong {
+		return decoded{}, dberr.Corruptf("subtuple: long record declares %d bytes", total)
+	}
+	d.total, d.first = total, first
+	return d, nil
+}
+
+// readLong assembles the payload of an fLong record from its overflow
+// chain, copying every chunk out of its page. The caller holds no
+// frame latch.
+func (s *Store) readLong(d decoded) ([]byte, error) {
+	payload := make([]byte, 0, d.total)
+	cur := d.first
+	for !cur.Nil() {
+		raw, err := s.readRaw(cur)
+		if err != nil {
+			return nil, broken("overflow chain", err)
 		}
-		p = p[n:]
-		first, err := page.DecodeTID(p)
+		if len(raw) <= 1+page.EncodedTIDLen || raw[0]&fChunk == 0 {
+			return nil, dberr.Corruptf("subtuple: overflow chain hit non-chunk record")
+		}
+		next, err := page.DecodeTID(raw[1:])
 		if err != nil {
 			return nil, err
 		}
-		if total > maxLong {
-			return nil, dberr.Corruptf("subtuple: long record declares %d bytes", total)
+		payload = append(payload, raw[1+page.EncodedTIDLen:]...)
+		// Chunks are non-empty, so this also bounds a cyclic chain.
+		if uint64(len(payload)) > d.total {
+			return nil, dberr.Corruptf("subtuple: overflow chain exceeds declared length %d", d.total)
 		}
-		payload := make([]byte, 0, total)
-		cur := first
-		for !cur.Nil() {
-			raw, err := s.readRaw(cur)
-			if err != nil {
-				// A dangling chunk reference is lost data regardless of
-				// how the read failed (missing record, unallocated page).
-				if dberr.IsCorrupt(err) {
-					return nil, fmt.Errorf("subtuple: broken overflow chain: %w", err)
-				}
-				return nil, dberr.Corruptf("subtuple: broken overflow chain: %v", err)
-			}
-			if len(raw) <= 1+page.EncodedTIDLen || raw[0]&fChunk == 0 {
-				return nil, dberr.Corruptf("subtuple: overflow chain hit non-chunk record")
-			}
-			next, err := page.DecodeTID(raw[1:])
-			if err != nil {
-				return nil, err
-			}
-			payload = append(payload, raw[1+page.EncodedTIDLen:]...)
-			// Chunks are non-empty, so this also bounds a cyclic chain.
-			if uint64(len(payload)) > total {
-				return nil, dberr.Corruptf("subtuple: overflow chain exceeds declared length %d", total)
-			}
-			cur = next
-		}
-		if uint64(len(payload)) != total {
-			return nil, dberr.Corruptf("subtuple: overflow chain length %d, want %d", len(payload), total)
-		}
-		d.payload = payload
-		return d, nil
+		cur = next
 	}
-	d.payload = p
-	return d, nil
+	if uint64(len(payload)) != d.total {
+		return nil, dberr.Corruptf("subtuple: overflow chain length %d, want %d", len(payload), d.total)
+	}
+	return payload, nil
+}
+
+// decode parses a record copied out of its page (readRaw, resolve)
+// and resolves its overflow chain: the copying form the write path
+// works on, and the reference the in-place Reader is tested against.
+func (s *Store) decode(rec []byte) (decoded, error) {
+	d, err := s.decodeHeader(rec)
+	if err != nil || d.flags&fLong == 0 {
+		return d, err
+	}
+	d.payload, err = s.readLong(d)
+	return d, err
 }
 
 // freeOverflow releases the chunks of a long record.
@@ -483,49 +505,32 @@ func (s *Store) freeOverflow(rec []byte) error {
 	return nil
 }
 
-// readPrev reads one step of a version chain. A previous version that
-// cannot be read is lost history — classified corruption, whatever
-// shape the underlying failure takes.
-func (s *Store) readPrev(t page.TID) (*decoded, error) {
-	raw, err := s.readRaw(t)
-	if err != nil {
-		if dberr.IsCorrupt(err) {
-			return nil, fmt.Errorf("subtuple: broken version chain: %w", err)
-		}
-		return nil, dberr.Corruptf("subtuple: broken version chain: %v", err)
+// broken reports the failed read of a record that another record
+// points at. The pointer promised a record, so a dangling chunk or
+// version reference is lost data — classified corruption — however the
+// read failed (missing record, unallocated page). The one exception is
+// a pool out of frames, which says nothing about the record.
+func broken(chain string, err error) error {
+	switch {
+	case errors.Is(err, buffer.ErrExhausted):
+		return err
+	case dberr.IsCorrupt(err):
+		return fmt.Errorf("subtuple: broken %s: %w", chain, err)
 	}
-	return s.decode(raw)
+	return dberr.Corruptf("subtuple: broken %s: %v", chain, err)
 }
 
 // resolve follows forwarding stubs from the anchor and returns the
-// physical location plus the raw record found there.
+// physical location plus a copy of the raw record found there, for the
+// write path to rewrite.
 func (s *Store) resolve(t page.TID) (page.TID, []byte, error) {
-	for hop := 0; ; hop++ {
-		raw, err := s.readRaw(t)
-		if err != nil {
-			// The anchor may simply not exist (caller's problem), but a
-			// forwarding stub promised a record at t: any failure past
-			// hop 0 is a broken forwarding chain, i.e. corruption.
-			if hop > 0 && !dberr.IsCorrupt(err) && !errors.Is(err, ErrNotFound) {
-				return page.TID{}, nil, dberr.Corruptf("subtuple: broken forwarding chain at %v: %v", t, err)
-			}
-			return page.TID{}, nil, err
-		}
-		if len(raw) == 0 {
-			return page.TID{}, nil, dberr.Corruptf("subtuple: empty record at %v", t)
-		}
-		if raw[0]&fFwd == 0 {
-			return t, raw, nil
-		}
-		if hop > 8 {
-			return page.TID{}, nil, dberr.Corruptf("subtuple: forwarding loop at %v", t)
-		}
-		next, err := page.DecodeTID(raw[1:])
-		if err != nil {
-			return page.TID{}, nil, dberr.Corruptf("subtuple: corrupt forwarding stub at %v: %v", t, err)
-		}
-		t = next
+	r := s.single()
+	defer r.Release()
+	loc, rec, err := r.resolve(t)
+	if err != nil {
+		return page.TID{}, nil, err
 	}
+	return loc, append([]byte(nil), rec...), nil
 }
 
 // --- public record operations ---------------------------------------
@@ -563,59 +568,31 @@ func (s *Store) InsertOnPage(pageNo uint32, data []byte) (page.TID, error) {
 	return page.TID{Page: pageNo, Slot: slot}, nil
 }
 
-// Read returns the current payload of the subtuple.
+// Read returns the current payload of the subtuple, copied out of its
+// page: a one-record Reader view for callers that keep the bytes (the
+// write path, the catalog, scrub and doctor).
 func (s *Store) Read(t page.TID) ([]byte, error) {
-	_, raw, err := s.resolve(t)
-	if err != nil {
-		return nil, err
+	data, ok, err := s.ReadAsOf(t, Current)
+	if err == nil && !ok {
+		err = ErrNotFound
 	}
-	d, err := s.decode(raw)
-	if err != nil {
-		return nil, err
-	}
-	if d.flags&fTomb != 0 {
-		return nil, ErrNotFound
-	}
-	return d.payload, nil
+	return data, err
 }
 
-// ReadAsOf returns the payload of the subtuple as of instant ts. The
-// boolean reports whether the subtuple existed at that time.
+// ReadAsOf returns the payload of the subtuple as of instant ts,
+// copied out of its page. The boolean reports whether the subtuple
+// existed at that time.
 func (s *Store) ReadAsOf(t page.TID, ts int64) ([]byte, bool, error) {
-	_, raw, err := s.resolve(t)
-	if err != nil {
+	r := s.single()
+	defer r.Release()
+	p, ok, err := r.View(t, ts)
+	if err != nil || !ok {
 		return nil, false, err
 	}
-	d, err := s.decode(raw)
-	if err != nil {
-		return nil, false, err
+	if r.latched != nil {
+		p = append([]byte(nil), p...)
 	}
-	if d.flags&fVer == 0 {
-		if d.flags&fTomb != 0 {
-			return nil, false, nil
-		}
-		return d.payload, true, nil
-	}
-	seen := make(map[page.TID]bool)
-	for {
-		if d.fromTS <= ts {
-			if d.flags&fTomb != 0 {
-				return nil, false, nil
-			}
-			return d.payload, true, nil
-		}
-		if d.prev.Nil() {
-			return nil, false, nil // did not exist yet
-		}
-		if seen[d.prev] {
-			return nil, false, dberr.Corruptf("subtuple: version chain cycle at %v", d.prev)
-		}
-		seen[d.prev] = true
-		d, err = s.readPrev(d.prev)
-		if err != nil {
-			return nil, false, err
-		}
-	}
+	return p, true, nil
 }
 
 // Update replaces the subtuple's payload. The TID stays valid: if the
@@ -816,6 +793,15 @@ type Version struct {
 	Txn     uint64 // transaction that created this state (0 = none recorded)
 	Payload []byte
 	Deleted bool // tombstone: the subtuple did not exist from FromTS on
+}
+
+// readPrev reads one step of a version chain for History.
+func (s *Store) readPrev(t page.TID) (decoded, error) {
+	raw, err := s.readRaw(t)
+	if err != nil {
+		return decoded{}, broken("version chain", err)
+	}
+	return s.decode(raw)
 }
 
 // History returns the subtuple's versions, newest first — the
