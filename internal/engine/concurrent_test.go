@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -329,6 +330,102 @@ func TestManyReadersOnSmallPool(t *testing.T) {
 				default:
 				}
 				if err := scan(); err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 60; i++ {
+		k := i % objects
+		exec(fmt.Sprintf(`UPDATE x IN D SET NOTE = 'note %d' WHERE x.K = %d`, i, k))
+		exec(fmt.Sprintf(`INSERT INTO x.S FROM x IN D WHERE x.K = %d VALUES (%d, 'grown')`, k, members+i))
+		exec(fmt.Sprintf(`DELETE y FROM x IN D, y IN x.S WHERE x.K = %d AND y.V = %d`, k, members+i))
+	}
+	close(stop)
+	wg.Wait()
+	if q := db.Quarantined(); len(q) != 0 {
+		t.Fatalf("quarantined: %v", q)
+	}
+	if n := db.Pool().PinnedCount(); n != 0 {
+		t.Fatalf("%d pages pinned after the run", n)
+	}
+}
+
+// TestManyIndexedReadersOnSmallPool is TestManyReadersOnSmallPool with
+// an index on K: six snapshot readers look each object up through the
+// index (plus the objects written since their snapshot) while the
+// writer's DML locates its victims through it too, all on an 8-frame
+// pool. A candidate read that runs out of frames must fail its
+// statement with the transient error, never be skipped or quarantined:
+// every read finds its object and nothing is quarantined.
+func TestManyIndexedReadersOnSmallPool(t *testing.T) {
+	db, err := engine.Open(engine.Options{PoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const objects, members, readers = 6, 250, 6
+	exec := func(q string) {
+		t.Helper()
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("%.80s: %v", q, err)
+		}
+	}
+	exec(`CREATE TABLE D (K INT, NOTE STRING, S TABLE OF (V INT, W STRING)) VERSIONED; CREATE INDEX DK ON D (K)`)
+	pad := strings.Repeat("w", 380)
+	for k := 0; k < objects; k++ {
+		var lit strings.Builder
+		for v := 0; v < members; v++ {
+			if v > 0 {
+				lit.WriteString(", ")
+			}
+			fmt.Fprintf(&lit, "(%d, '%s')", v, pad)
+		}
+		exec(fmt.Sprintf(`INSERT INTO D VALUES (%d, 'n', {%s})`, k, lit.String()))
+	}
+	sel, err := db.Prepare(`SELECT x.K, S = (SELECT y.V, y.W FROM y IN x.S) FROM x IN D WHERE x.K = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(r int) error {
+		tx, err := db.Begin()
+		if err != nil {
+			return err
+		}
+		defer tx.Rollback()
+		for k := 0; k < objects; k++ {
+			key := (k + r) % objects
+			rows, err := tx.QueryRowsPrepared(context.Background(), sel, model.Int(key))
+			if err != nil {
+				return err
+			}
+			n := 0
+			for rows.Next() {
+				if got := rows.Tuple()[1].(*model.Table).Len(); got < members || got > members+1 {
+					return fmt.Errorf("object %d with %d members, want %d or one more", key, got, members)
+				}
+				n++
+			}
+			if err := rows.Close(); err != nil || n != 1 {
+				return fmt.Errorf("object %d: %d rows, %v; want 1", key, n, err)
+			}
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := read(r); err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}

@@ -155,14 +155,14 @@ type DB struct {
 	txnMu      sync.Mutex
 	nextTxn    uint64
 	activeTxns map[uint64]*Txn
-	writeLocks map[wkey]uint64
-	lastWrite  map[wkey]int64
+	writeLocks keyMap[uint64]
+	lastWrite  keyMap[int64]
 
 	// applying is true while a transaction commit replays its buffered
 	// ops through the runtime mutators; those calls must not re-enter
 	// auto-commit conflict detection. stmtWrites collects the conflict
 	// keys an auto-commit statement wrote, published to lastWrite when
-	// the statement commits. Both are guarded by applyMu.
+	// the statement ends. Both are guarded by applyMu.
 	applying   bool
 	stmtWrites []wkey
 
@@ -265,8 +265,8 @@ func Open(opts Options) (*DB, error) {
 		quar:        make(map[quarKey]*QuarantineError),
 		degraded:    make(map[string]string),
 		activeTxns:  make(map[uint64]*Txn),
-		writeLocks:  make(map[wkey]uint64),
-		lastWrite:   make(map[wkey]int64),
+		writeLocks:  make(keyMap[uint64]),
+		lastWrite:   make(keyMap[int64]),
 		plans:       newPlanCache(planCacheLimit),
 	}
 	if (opts.Dir != "" || opts.OpenWALFile != nil || opts.OpenWALStorage != nil) && !opts.DisableWAL {

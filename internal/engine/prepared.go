@@ -11,13 +11,14 @@ import (
 )
 
 // PreparedStmt is one statement parsed and bound ahead of execution.
-// Re-executing it performs no parser and (while the catalog epoch
-// holds) no planner work: the parse happened once in Prepare, and the
-// bind products — result schema, required path sets, access-path
-// choices — come from the statement's own last bind or the shared
-// plan cache. When DDL, an index change or an index degradation bumps
-// the catalog epoch, the next execution transparently re-binds from
-// the kept AST (still no re-parse).
+// Re-executing it — a query or DML, auto-commit or inside a
+// transaction — performs no parser and (while the catalog epoch holds)
+// no planner work: the parse happened once in Prepare, and the bind
+// products — result schema, required path sets, access-path choices —
+// come from the statement's own last bind or the shared plan cache.
+// When DDL, an index change or an index degradation bumps the catalog
+// epoch, the next execution transparently re-binds from the kept AST
+// (still no re-parse).
 //
 // A PreparedStmt is safe for concurrent use: the bound plan is
 // immutable and swapped atomically under a mutex.
@@ -64,19 +65,28 @@ func (ps *PreparedStmt) NumParams() int { return ps.st.Params }
 // Stmt returns the parsed statement (shared; do not mutate).
 func (ps *PreparedStmt) Stmt() sql.Statement { return ps.st.Statement }
 
-// bind returns a plan bound under the current catalog epoch: the
-// statement's own last plan when still current (the hot path — one
-// atomic epoch load and a pointer compare), else the shared cache,
-// else a fresh bind (which populates the cache). The epoch is read
-// and the bind performed under the shared heal barrier — DDL takes
-// the exclusive side, so the (epoch, catalog) pair is consistent.
-func (ps *PreparedStmt) bind() (*plan.Prepared, error) {
+// bind is bindLocked for callers outside a statement (Prepare,
+// Explain): it takes the shared heal barrier and turns a panic into a
+// *PanicError, as the statement envelope does for executions.
+func (ps *PreparedStmt) bind() (p *plan.Prepared, err error) {
 	db := ps.db
 	db.healMu.RLock()
 	defer db.healMu.RUnlock()
 	if err := db.fatal(); err != nil {
 		return nil, err
 	}
+	defer recoverPanic(ps.st.Text, &err)
+	return ps.bindLocked()
+}
+
+// bindLocked returns a plan bound under the current catalog epoch: the
+// statement's own last plan when still current (the hot path — one
+// atomic epoch load and a pointer compare), else the shared cache,
+// else a fresh bind (which populates the cache). The caller holds what
+// keeps DDL out — the shared heal barrier, or applyMu — and DDL bumps
+// the epoch under both, so the (epoch, catalog) pair is consistent.
+func (ps *PreparedStmt) bindLocked() (*plan.Prepared, error) {
+	db := ps.db
 	epoch := db.epoch.Load()
 	ps.mu.Lock()
 	if p := ps.plan; p != nil && p.Epoch == epoch {
@@ -97,7 +107,7 @@ func (ps *PreparedStmt) bind() (*plan.Prepared, error) {
 
 // planFor serves a plan for the statement under the given epoch from
 // the shared cache, binding (and caching) on a miss. Caller holds
-// healMu shared.
+// healMu shared or applyMu.
 func (db *DB) planFor(st sql.Stmt, key string, epoch uint64) (*plan.Prepared, bool, error) {
 	if p, ok := db.plans.get(key, epoch); ok {
 		return p, true, nil
@@ -111,21 +121,12 @@ func (db *DB) planFor(st sql.Stmt, key string, epoch uint64) (*plan.Prepared, bo
 }
 
 // run executes the statement with the given arguments (one per `?`, in
-// order) in scope tx. Only auto-commit scope binds the plan: its
-// candidate lists come from the live indexes, which reflect committed
-// state, not a snapshot plus a transaction's buffered writes — the rule
-// runtime.Indexes states — so inside a transaction just the parse is
-// reused and the statement plans inline against the transaction's
-// runtime.
+// order) in scope tx. The plan is bound by the statement envelope
+// (dispatch) in every scope: its access choices are evaluated against
+// the scope's runtime, whose IndexCut makes the live indexes sound for
+// a transaction's snapshot too.
 func (ps *PreparedStmt) run(ctx context.Context, tx *Txn, args []model.Value, form resultForm) (Result, *Rows, error) {
-	s := stmt{Stmt: ps.st, args: args}
-	if tx == nil {
-		var err error
-		if s.prep, err = ps.bind(); err != nil {
-			return Result{}, nil, err
-		}
-	}
-	return ps.db.run(ctx, tx, s, form)
+	return ps.db.run(ctx, tx, stmt{Stmt: ps.st, args: args, ps: ps}, form)
 }
 
 // Exec runs the prepared statement with the given arguments (one per

@@ -64,6 +64,85 @@ func TestPreparedZeroParsePlanWork(t *testing.T) {
 	if !strings.Contains(strings.Join(lines, "\n"), "DEPT_DNO") {
 		t.Errorf("prepared plan does not use DEPT_DNO:\n%s", strings.Join(lines, "\n"))
 	}
+
+	// Prepared DML plans once too — in auto-commit and in a transaction —
+	// and explains the access path and fetch set of its FROM list.
+	dml := []struct {
+		q     string
+		fetch string // the bound fetch set of x
+		args  func(i int, dno, pno model.Int) []model.Value
+	}{
+		{`UPDATE x IN DEPARTMENTS SET BUDGET = ? WHERE x.DNO = ?`, "fetch {atoms}",
+			func(i int, dno, _ model.Int) []model.Value { return []model.Value{model.Int(100000 + i), dno} }},
+		{`INSERT INTO y.MEMBERS FROM x IN DEPARTMENTS, y IN x.PROJECTS WHERE x.DNO = ? AND y.PNO = ? VALUES (?, ?)`,
+			"fetch {atoms, PROJECTS: {atoms, MEMBERS: {members}}}",
+			func(i int, dno, pno model.Int) []model.Value {
+				return []model.Value{dno, pno, model.Int(1000 + i), model.Str("Temp")}
+			}},
+		{`DELETE z FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS WHERE x.DNO = ? AND z.EMPNO = ?`,
+			"fetch {atoms, PROJECTS: {MEMBERS: {atoms}}}",
+			func(i int, dno, _ model.Int) []model.Value { return []model.Value{dno, model.Int(1000 + i)} }},
+	}
+	stmts := make([]*PreparedStmt, len(dml))
+	for j, d := range dml {
+		if stmts[j], err = db.Prepare(d.q); err != nil {
+			t.Fatal(err)
+		}
+		lines, _, err := stmts[j].Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan := strings.Join(lines, "\n"); !strings.Contains(plan, "index DEPT_DNO") || !strings.Contains(plan, d.fetch) {
+			t.Errorf("%s: plan %q lacks the DEPT_DNO access path or %q", d.q, plan, d.fetch)
+		}
+	}
+	ctx := context.Background()
+	runDML := func(i int, tx *Txn) {
+		t.Helper()
+		dno, pno := []model.Int{314, 218, 417}[i%3], []model.Int{17, 25, 37}[i%3]
+		for j, d := range dml {
+			var res Result
+			var err error
+			if tx != nil {
+				res, err = tx.ExecPrepared(ctx, stmts[j], d.args(i, dno, pno)...)
+			} else {
+				res, err = stmts[j].Exec(d.args(i, dno, pno)...)
+			}
+			if err != nil || res.Count != 1 {
+				t.Fatalf("iteration %d, txn %v: %s: %d affected, %v", i, tx != nil, d.q, res.Count, err)
+			}
+		}
+	}
+	inTxn := func(i int) {
+		t.Helper()
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runDML(i, tx)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runDML(0, nil)
+	inTxn(1)
+	parsed0, prepares0, chooses0 = sql.StatementsParsed(), plan.PrepareCount(), plan.ChooseCount()
+	for i := 2; i < 32; i++ {
+		if i%2 == 0 {
+			runDML(i, nil)
+		} else {
+			inTxn(i)
+		}
+	}
+	if d := sql.StatementsParsed() - parsed0; d != 0 {
+		t.Errorf("DML re-execution parsed %d statement(s), want 0", d)
+	}
+	if d := plan.PrepareCount() - prepares0; d != 0 {
+		t.Errorf("DML re-execution ran the bind phase %d time(s), want 0", d)
+	}
+	if d := plan.ChooseCount() - chooses0; d != 0 {
+		t.Errorf("DML re-execution ran the inline planner %d time(s), want 0", d)
+	}
 }
 
 // Two PreparedStmts over the same normalized SQL share one cached

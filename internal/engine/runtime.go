@@ -62,13 +62,15 @@ type runtime struct {
 // Table implements exec.Runtime.
 func (r *runtime) Table(name string) (*catalog.Table, bool) { return r.db.cat.Table(name) }
 
-// Indexes implements exec.Runtime. Only the zero snapshot reads through
-// indexes: their entries reflect the current committed state, not a
-// pinned instant, and know nothing of buffered writes (a replica builds
-// none at all — its applier redoes page writes only; promotion rebuilds
-// them). Everything else falls back to base-table scans.
+// Indexes implements exec.Runtime. The live indexes describe the
+// current committed state; auto-commit statements read exactly that,
+// and a transaction reads through them under the rule IndexCut states.
+// A replica horizon (snap.ts) exposes none: its applier redoes page
+// writes only and maintains no index (promotion rebuilds them). An
+// explicit ASOF never gets here — the planner keeps ASOF items on the
+// scan.
 func (r *runtime) Indexes(table string) []*index.Index {
-	if r.snap != (snapshot{}) {
+	if r.snap.ts != 0 {
 		return nil
 	}
 	return r.db.indexes[table]
@@ -77,11 +79,30 @@ func (r *runtime) Indexes(table string) []*index.Index {
 // TextIndexes implements exec.Runtime (nil under the same rule as
 // Indexes).
 func (r *runtime) TextIndexes(table string) []*textindex.Index {
-	if r.snap != (snapshot{}) {
+	if r.snap.ts != 0 {
 		return nil
 	}
 	return r.db.textIdx[table]
 }
+
+// IndexCut implements exec.Runtime. An auto-commit statement reads the
+// state the indexes describe and takes nothing (a writer calls in
+// holding snapMu exclusively; a reader's lookups are as current as its
+// reads). A transaction reads its snapshot, which the indexes may no
+// longer describe: an entry is removed when its key changes, so a key
+// changed after the snapshot hides the object from a lookup of the old
+// key. Under snapMu shared — no commit can publish between the lookups
+// and the list — changedSince names every object that may be so hidden.
+func (r *runtime) IndexCut() (func(table string) []page.TID, func()) {
+	tx := r.snap.tx
+	if tx == nil {
+		return nil, noCut
+	}
+	r.db.snapMu.RLock()
+	return tx.changedSince, r.db.snapMu.RUnlock
+}
+
+func noCut() {}
 
 // InsertTuple implements exec.Runtime.
 func (r *runtime) InsertTuple(t *catalog.Table, tup model.Tuple) error {

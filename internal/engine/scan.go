@@ -92,7 +92,10 @@ func (r *runtime) OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object
 		return nil, db.guardRead(t.Name, ref, err)
 	}
 	if !ok {
-		return nil, fmt.Errorf("engine: tuple %v did not exist at %d", ref, asof)
+		// Absent at the instant, as ReadPruned reports an object: a
+		// candidate read skips it (a transaction's index candidates
+		// include tuples inserted after its snapshot).
+		return nil, fmt.Errorf("engine: tuple %v did not exist at %d: %w", ref, asof, subtuple.ErrNotFound)
 	}
 	return tup, nil
 }

@@ -28,14 +28,14 @@ type Result struct {
 
 // stmt is one statement on its way through the engine: the parse (with
 // its source text and `?` count), the values bound to the placeholders,
-// and — for a prepared statement in auto-commit scope — the bound plan.
-// The scope it runs in is a second value, a *Txn (nil = auto-commit).
-// Every entry point (DB, Txn, PreparedStmt, Session methods) builds the
-// pair and hands it to DB.run.
+// and — for a prepared statement — the PreparedStmt whose plan dispatch
+// binds inside the envelope. The scope it runs in is a second value, a
+// *Txn (nil = auto-commit). Every entry point (DB, Txn, PreparedStmt,
+// Session methods) builds the pair and hands it to DB.run.
 type stmt struct {
 	sql.Stmt
 	args []model.Value
-	prep *plan.Prepared
+	ps   *PreparedStmt
 }
 
 // stmtClass decides what a statement locks (DESIGN.md §5.1, §6).
@@ -171,10 +171,9 @@ func (db *DB) run(ctx context.Context, tx *Txn, s stmt, form resultForm) (res Re
 			end, epoch, err = db.appendCommit(wal.CommitPayload(0, db.opts.Clock()))
 			if err != nil {
 				err = fmt.Errorf("engine: commit: %w", err)
-			} else {
-				db.publishStmtWrites()
 			}
 		}
+		db.publishStmtWrites() // a failed statement's too, see there
 		db.snapMu.Unlock()
 	}
 	if writer {
@@ -225,13 +224,21 @@ func (db *DB) awaitDurable(end, epoch, txn uint64) error {
 }
 
 // dispatch executes one statement through executor ex, converting a
-// panic into a PanicError tagged with the statement text. A SELECT
-// streams into rows when rows is non-nil and is materialized otherwise.
+// panic into a PanicError tagged with the statement text — a prepared
+// statement's bind included, so a re-bind after an epoch bump fails the
+// statement like any other panic. A SELECT streams into rows when rows
+// is non-nil and is materialized otherwise.
 func (db *DB) dispatch(ctx context.Context, ex *exec.Executor, s stmt, start statsMark, rows *Rows) (res Result, err error) {
 	defer recoverPanic(s.Text, &err)
+	var prep *plan.Prepared
+	if s.ps != nil {
+		if prep, err = s.ps.bindLocked(); err != nil {
+			return Result{}, err
+		}
+	}
 	switch st := s.Statement.(type) {
 	case *sql.Select:
-		cur, err := db.openSelect(ctx, ex, st, s)
+		cur, err := db.openSelect(ctx, ex, st, prep, s.args)
 		if err != nil {
 			return Result{}, err
 		}
@@ -247,15 +254,15 @@ func (db *DB) dispatch(ctx context.Context, ex *exec.Executor, s stmt, start sta
 		}
 		return Result{Table: out, Type: cur.Type(), Count: n}, nil
 	case *sql.Explain:
-		return db.explain(ctx, ex, st.Sel, s, start)
+		return db.explain(ctx, ex, st.Sel, prep, s.args, start)
 	case *sql.Insert:
-		n, err := ex.ExecInsertArgs(ctx, st, s.args)
+		n, err := execDML(ctx, ex, st, prep, s.args)
 		return counted(n, "inserted", err)
 	case *sql.Delete:
-		n, err := ex.ExecDeleteArgs(ctx, st, s.args)
+		n, err := execDML(ctx, ex, st, prep, s.args)
 		return counted(n, "deleted", err)
 	case *sql.Update:
-		n, err := ex.ExecUpdateArgs(ctx, st, s.args)
+		n, err := execDML(ctx, ex, st, prep, s.args)
 		return counted(n, "updated", err)
 	case *sql.CreateTable:
 		var layout object.Layout
@@ -331,16 +338,26 @@ func message(err error, text string) (Result, error) {
 
 // openSelect opens the cursor every SELECT (and EXPLAIN) reads through.
 // With a bound plan it evaluates the plan's access choices against the
-// live indexes and the bound arguments and reuses the cached result
+// scope's runtime and the bound arguments and reuses the cached result
 // schema and path sets — no inference, no path derivation, no planner
 // call — running the plan's own AST, the one those products were derived
 // from (a cached plan may stem from a different parse of the same
 // normalized SQL). Without one it binds and plans inline.
-func (db *DB) openSelect(ctx context.Context, ex *exec.Executor, sel *sql.Select, s stmt) (*exec.Cursor, error) {
-	if p := s.prep; p != nil && p.Sel != nil {
-		return ex.OpenPrepared(ctx, p.Sel, p.ResultType, p.Paths, p.Candidates(ex.RT, s.args), s.args)
+func (db *DB) openSelect(ctx context.Context, ex *exec.Executor, sel *sql.Select, p *plan.Prepared, args []model.Value) (*exec.Cursor, error) {
+	if p != nil && p.Sel != nil {
+		return ex.OpenPrepared(ctx, p.Sel, p.ResultType, p.Paths, p.Candidates(ex.RT, args), args)
 	}
-	return ex.OpenQueryArgs(ctx, sel, s.args)
+	return ex.OpenQueryArgs(ctx, sel, args)
+}
+
+// execDML runs an INSERT, UPDATE or DELETE the way openSelect opens a
+// query: a bound plan's path sets and evaluated access choices over its
+// own AST, else an inline bind.
+func execDML(ctx context.Context, ex *exec.Executor, st sql.Statement, p *plan.Prepared, args []model.Value) (int, error) {
+	if p != nil {
+		return ex.ExecPreparedDML(ctx, p.Stmt, p.Paths, p.Candidates(ex.RT, args), args)
+	}
+	return ex.ExecDML(ctx, st, args)
 }
 
 // drain pulls cur to its end inside the caller's barrier hold, appending
@@ -362,8 +379,8 @@ func drain(cur *exec.Cursor, out *model.Table) (int, error) {
 // and appends the measured physical access counters since the
 // statement's start — pages fetched, buffer hits, physical reads,
 // subtuples decoded.
-func (db *DB) explain(ctx context.Context, ex *exec.Executor, sel *sql.Select, s stmt, start statsMark) (Result, error) {
-	cur, err := db.openSelect(ctx, ex, sel, s)
+func (db *DB) explain(ctx context.Context, ex *exec.Executor, sel *sql.Select, p *plan.Prepared, args []model.Value, start statsMark) (Result, error) {
+	cur, err := db.openSelect(ctx, ex, sel, p, args)
 	if err != nil {
 		return Result{}, err
 	}

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/object"
 	"repro/internal/page"
-	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/wal"
 )
@@ -37,6 +37,33 @@ var (
 type wkey struct {
 	table string
 	ref   page.TID
+}
+
+// keyMap maps conflict units table by table, so changedSince walks only
+// the table it is asked about.
+type keyMap[V any] map[string]map[page.TID]V
+
+func (m keyMap[V]) get(k wkey) (V, bool) {
+	v, ok := m[k.table][k.ref]
+	return v, ok
+}
+
+func (m keyMap[V]) set(k wkey, v V) {
+	refs := m[k.table]
+	if refs == nil {
+		refs = make(map[page.TID]V)
+		m[k.table] = refs
+	}
+	refs[k.ref] = v
+}
+
+func (m keyMap[V]) del(k wkey) {
+	if refs := m[k.table]; refs != nil {
+		delete(refs, k.ref)
+		if len(refs) == 0 {
+			delete(m, k.table)
+		}
+	}
 }
 
 // synthBase is the first synthetic page number handed to refs of
@@ -119,9 +146,14 @@ type pendingUndo struct {
 	prev *pendingObj
 }
 
-// Begin starts a transaction. The snapshot timestamp is sampled under
-// the shared side of snapMu, so it can never land inside another
-// transaction's commit window.
+// Begin starts a transaction. The snapshot timestamp is sampled, and
+// the transaction registered, under the shared side of snapMu: the
+// snapshot can never land inside another commit's window, and every
+// writer that commits after it finds the transaction registered and
+// stamps lastWrite (were it registered after the release, a writer
+// committing in between would skip the stamp and lose its update to
+// the transaction). The executor takes db.exec's planner and path
+// settings.
 func (db *DB) Begin() (*Txn, error) {
 	db.healMu.RLock()
 	defer db.healMu.RUnlock()
@@ -131,21 +163,26 @@ func (db *DB) Begin() (*Txn, error) {
 	if db.opts.Replica {
 		return nil, ErrReadOnlyReplica
 	}
-	db.snapMu.RLock()
-	ts := db.opts.Clock()
-	db.snapMu.RUnlock()
 	tx := &Txn{
 		db:      db,
-		snapTS:  ts,
 		pending: make(map[wkey]*pendingObj),
 		locked:  make(map[wkey]bool),
 	}
-	tx.exec = &exec.Executor{RT: &txnRuntime{runtime{db: db, snap: snapshot{tx: tx}}}, Plan: plan.Choose}
+	base := db.exec
+	tx.exec = &exec.Executor{
+		RT:        &txnRuntime{runtime{db: db, snap: snapshot{tx: tx}}},
+		Plan:      base.Plan,
+		Trace:     base.Trace,
+		FullPaths: base.FullPaths,
+	}
+	db.snapMu.RLock()
+	tx.snapTS = db.opts.Clock()
 	db.txnMu.Lock()
 	db.nextTxn++
 	tx.id = db.nextTxn
 	db.activeTxns[tx.id] = tx
 	db.txnMu.Unlock()
+	db.snapMu.RUnlock()
 	return tx, nil
 }
 
@@ -160,23 +197,65 @@ func (tx *Txn) SnapshotTS() int64 { return tx.snapTS }
 // first-writer-wins, detected immediately (no waiting). It fails with
 // ErrWriteConflict when another active transaction holds the object's
 // write lock, or when a transaction committed a write to the object
-// after this transaction's snapshot.
+// after this transaction's snapshot. It runs under snapMu shared: an
+// auto-commit writer holds the exclusive side from its own check
+// (autoConflict) to its lastWrite stamp, so it has either not checked
+// yet — and will find this lock — or has stamped; a writer in flight
+// would otherwise pass both checks and lose its update.
 func (tx *Txn) registerWrite(k wkey) error {
 	if tx.locked[k] {
 		return nil
 	}
 	db := tx.db
+	db.snapMu.RLock()
+	defer db.snapMu.RUnlock()
 	db.txnMu.Lock()
 	defer db.txnMu.Unlock()
-	if holder, held := db.writeLocks[k]; held && holder != tx.id {
+	if holder, held := db.writeLocks.get(k); held && holder != tx.id {
 		return fmt.Errorf("%w (object %v of %s, held by transaction %d)", ErrWriteConflict, k.ref, k.table, holder)
 	}
-	if ts, ok := db.lastWrite[k]; ok && ts > tx.snapTS {
+	if ts, ok := db.lastWrite.get(k); ok && ts > tx.snapTS {
 		return fmt.Errorf("%w (object %v of %s, committed at %d after snapshot %d)", ErrWriteConflict, k.ref, k.table, ts, tx.snapTS)
 	}
-	db.writeLocks[k] = tx.id
+	db.writeLocks.set(k, tx.id)
 	tx.locked[k] = true
 	return nil
+}
+
+// changedSince lists, in TID order, the objects of table whose live
+// index entries may not describe them as of the snapshot: those stamped
+// in lastWrite after it (auto-commit writes, failed ones included, and
+// finished commits), those write-locked by any transaction (a commit
+// applies its writes before finish stamps them), and this transaction's
+// own pending objects, synthetic inserts included. Duplicates are
+// possible; the order is fixed so that a transaction's rows do not follow
+// map iteration. The caller holds snapMu shared, the cut its index
+// lookups are taken under (IndexCut).
+func (tx *Txn) changedSince(table string) []page.TID {
+	var refs []page.TID
+	db := tx.db
+	db.txnMu.Lock()
+	for ref, ts := range db.lastWrite[table] {
+		if ts > tx.snapTS {
+			refs = append(refs, ref)
+		}
+	}
+	for ref := range db.writeLocks[table] {
+		refs = append(refs, ref)
+	}
+	db.txnMu.Unlock()
+	for _, k := range tx.order {
+		if k.table == table {
+			refs = append(refs, k.ref)
+		}
+	}
+	sort.Slice(refs, func(i, j int) bool {
+		if refs[i].Page != refs[j].Page {
+			return refs[i].Page < refs[j].Page
+		}
+		return refs[i].Slot < refs[j].Slot
+	})
+	return refs
 }
 
 // finish unregisters the transaction and releases its write locks.
@@ -188,16 +267,16 @@ func (tx *Txn) finish(commitTS int64) {
 	db := tx.db
 	db.txnMu.Lock()
 	for k := range tx.locked {
-		if db.writeLocks[k] == tx.id {
-			delete(db.writeLocks, k)
+		if holder, _ := db.writeLocks.get(k); holder == tx.id {
+			db.writeLocks.del(k)
 		}
 		if commitTS != 0 {
-			db.lastWrite[k] = commitTS
+			db.lastWrite.set(k, commitTS)
 		}
 	}
 	delete(db.activeTxns, tx.id)
 	if len(db.activeTxns) == 0 {
-		db.lastWrite = make(map[wkey]int64)
+		db.lastWrite = make(keyMap[int64])
 	}
 	db.txnMu.Unlock()
 	tx.done = true
@@ -332,20 +411,26 @@ func (db *DB) autoConflict(table string, ref page.TID) error {
 	k := wkey{table, ref}
 	db.txnMu.Lock()
 	defer db.txnMu.Unlock()
-	if holder, held := db.writeLocks[k]; held {
+	if holder, held := db.writeLocks.get(k); held {
 		return fmt.Errorf("%w (object %v of %s, held by transaction %d)", ErrWriteConflict, k.ref, k.table, holder)
 	}
 	db.stmtWrites = append(db.stmtWrites, k)
 	return nil
 }
 
-// publishStmtWrites stamps the objects a successful auto-commit
-// statement wrote into lastWrite, under the statement's exclusive
-// snapMu — a transaction whose snapshot predates this commit will
-// conflict if it later writes one of them. With no transaction active
-// the stamps are skipped: no snapshot old enough to race can exist
-// (Begin samples its timestamp after snapMu is released), and finish
-// would only have to prune them again.
+// publishStmtWrites stamps the objects an auto-commit statement wrote
+// into lastWrite, under the statement's exclusive snapMu — a transaction
+// whose snapshot predates this commit will conflict if it later writes
+// one of them. A failed statement stamps too: its writes stay in the
+// pages and indexes until abortLocked rolls them back after snapMu is
+// released, and a transaction statement already holding the heal
+// barrier may take its index cut in between, so changedSince must name
+// them (the price is a spurious conflict on those objects for older
+// snapshots). With no transaction active the stamps are skipped: no
+// snapshot old enough to race can exist (Begin samples its timestamp and
+// registers the transaction under snapMu's shared side, so a transaction
+// not registered yet takes its snapshot after this statement), and
+// finish would only have to prune them again.
 func (db *DB) publishStmtWrites() {
 	if len(db.stmtWrites) == 0 {
 		return
@@ -354,7 +439,7 @@ func (db *DB) publishStmtWrites() {
 	if len(db.activeTxns) > 0 {
 		ts := db.opts.Clock()
 		for _, k := range db.stmtWrites {
-			db.lastWrite[k] = ts
+			db.lastWrite.set(k, ts)
 		}
 	}
 	db.txnMu.Unlock()
@@ -414,7 +499,7 @@ func (tx *Txn) QueryRowsStmt(ctx context.Context, st sql.Stmt) (*Rows, error) {
 }
 
 // ExecPrepared runs a prepared statement inside the transaction with
-// the given arguments. The parse is reused; the bound plan is not (see
+// the given arguments, reusing its parse and its bound plan (see
 // PreparedStmt.run).
 func (tx *Txn) ExecPrepared(ctx context.Context, ps *PreparedStmt, args ...model.Value) (Result, error) {
 	res, _, err := ps.run(ctx, tx, args, formAny)

@@ -276,27 +276,17 @@ func (e *Executor) OpenQueryArgs(ctx context.Context, sel *sql.Select, params []
 
 // --- bind-phase entry points -------------------------------------------
 //
-// The prepare path splits openCursor's per-execution work into a bind
-// phase (schema inference and path-set derivation, run once when a
-// statement is prepared) and an execute phase (OpenPrepared, run per
-// execution with the precomputed artifacts). Access-path choice — the
-// third bind product — lives in package plan, which builds on these.
+// The prepare path splits openCursor's and ExecDML's per-execution work
+// into a bind phase (schema inference and path-set derivation, run once
+// when a statement is prepared) and an execute phase (OpenPrepared,
+// ExecPreparedDML: run per execution with the precomputed artifacts).
+// Access-path choice — the third bind product — lives in package plan,
+// which builds on these.
 
 // InferSelect computes the result schema of a top-level select
 // (bind-phase half of openCursor).
 func (e *Executor) InferSelect(sel *sql.Select) (*model.TableType, error) {
 	return e.inferSelect(sel, newTypeEnv(nil))
-}
-
-// DeriveSelectPaths computes the projection-pushdown path sets of a
-// top-level select's stored-table FROM items (bind-phase half of
-// openCursor). nil means full object reads — either FullPaths is set
-// or derivation could not prove a narrow fetch.
-func (e *Executor) DeriveSelectPaths(sel *sql.Select) map[int]*object.PathSet {
-	if e.FullPaths {
-		return nil
-	}
-	return e.derivePaths(sel, newPathScope(nil))
 }
 
 // OpenPrepared opens a streaming cursor over a top-level select whose
@@ -331,15 +321,8 @@ func (e *Executor) openCursor(ctx context.Context, sel *sql.Select, outer *env, 
 		paths = e.derivePaths(sel, throwawayScope(outer))
 	}
 	var cands map[int]*Candidates
-	if planning && e.Plan != nil {
-		cands = e.Plan(sel, e.RT)
-		if e.Trace != nil {
-			for i, c := range cands {
-				if c != nil {
-					e.Trace(fmt.Sprintf("from item %d (%s): %s (%d candidates)", i, sel.From[i].Var, c.Why, len(c.Refs)))
-				}
-			}
-		}
+	if planning {
+		cands = e.choose(sel.From, sel.Where, outer.args())
 	}
 	scope := newEnv(outer)
 	c := &Cursor{
@@ -349,6 +332,24 @@ func (e *Executor) openCursor(ctx context.Context, sel *sql.Select, outer *env, 
 		plan: describePlan(e, sel, cands, paths),
 	}
 	return c, nil
+}
+
+// choose runs the inline planner over a top-level FROM list under its
+// WHERE clause, `?` operands resolved against params, and traces the
+// decisions; nil without a planner.
+func (e *Executor) choose(from []sql.FromItem, where sql.Expr, params []model.Value) map[int]*Candidates {
+	if e.Plan == nil {
+		return nil
+	}
+	cands := e.Plan(from, where, e.RT, params)
+	if e.Trace != nil {
+		for i, c := range cands {
+			if c != nil {
+				e.Trace(fmt.Sprintf("from item %d (%s): %s (%d candidates)", i, from[i].Var, c.Why, len(c.Refs)))
+			}
+		}
+	}
+	return cands
 }
 
 // describePlan renders the chosen access path and fetch set of each

@@ -88,17 +88,61 @@ func (e *Executor) coerceTuple(x sql.Expr, tt *model.TableType, en *env) (model.
 	return tup, nil
 }
 
-// ExecInsert runs an INSERT statement, returning the number of
-// inserted tuples/members.
-func (e *Executor) ExecInsert(ctx context.Context, ins *sql.Insert) (int, error) {
-	return e.ExecInsertArgs(ctx, ins, nil)
+// FromList returns the FROM list and WHERE clause a statement ranges
+// over — a SELECT's, or the part of an UPDATE, a DELETE or an INSERT
+// INTO a subtable that locates its targets — and false for a statement
+// without one.
+func FromList(st sql.Statement) ([]sql.FromItem, sql.Expr, bool) {
+	switch s := st.(type) {
+	case *sql.Select:
+		return s.From, s.Where, true
+	case *sql.Update:
+		return s.From, s.Where, true
+	case *sql.Delete:
+		return s.From, s.Where, true
+	case *sql.Insert:
+		return s.From, s.Where, s.Path != nil
+	}
+	return nil, nil, false
 }
 
-// ExecInsertArgs is ExecInsert with bound `?` parameter values.
-func (e *Executor) ExecInsertArgs(ctx context.Context, ins *sql.Insert, params []model.Value) (int, error) {
+// ExecDML runs an INSERT, UPDATE or DELETE with bound `?` parameter
+// values (nil for none), binding it inline: a FROM list gets path sets
+// and candidate lists exactly as a SELECT's does, and the statement
+// runs as ExecPreparedDML.
+func (e *Executor) ExecDML(ctx context.Context, st sql.Statement, params []model.Value) (int, error) {
+	var paths map[int]*object.PathSet
+	var cands map[int]*Candidates
+	if from, where, ok := FromList(st); ok {
+		paths, cands = e.DerivePaths(st), e.choose(from, where, params)
+	}
+	return e.ExecPreparedDML(ctx, st, paths, cands, params)
+}
+
+// ExecPreparedDML runs an INSERT, UPDATE or DELETE whose FROM list was
+// bound ahead of time — path sets (nil = full objects) and candidate
+// lists (nil = full scans) — returning the number of tuples or members
+// it inserted, updated or deleted. Targets are located through the
+// same pipeline a SELECT reads through, the WHERE re-tested on every
+// binding, and collected before anything is written.
+func (e *Executor) ExecPreparedDML(ctx context.Context, st sql.Statement, paths map[int]*object.PathSet, cands map[int]*Candidates, params []model.Value) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	switch s := st.(type) {
+	case *sql.Insert:
+		return e.execInsert(ctx, s, paths, cands, params)
+	case *sql.Delete:
+		return e.execDelete(ctx, s, paths, cands, params)
+	case *sql.Update:
+		return e.execUpdate(ctx, s, paths, cands, params)
+	}
+	return 0, fmt.Errorf("exec: %T is not an INSERT, UPDATE or DELETE", st)
+}
+
+// execInsert adds whole tuples to a stored table, or members to the
+// subtable addressed by ins.Path for every binding of its FROM list.
+func (e *Executor) execInsert(ctx context.Context, ins *sql.Insert, paths map[int]*object.PathSet, cands map[int]*Candidates, params []model.Value) (int, error) {
 	if ins.Table != "" {
 		t, ok := e.RT.Table(ins.Table)
 		if !ok {
@@ -127,21 +171,11 @@ func (e *Executor) ExecInsertArgs(ctx context.Context, ins *sql.Insert, params [
 	}
 	var targets []target
 	scope := rootEnv(params)
-	err := e.forEach(ctx, ins.From, scope, nil, func() error {
-		if ins.Where != nil {
-			ok, err := e.evalCond(ins.Where, scope)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-		tbl, memberType, prov, err := e.evalFromPath(ins.Path, scope)
+	err := e.forEach(ctx, ins.From, ins.Where, scope, cands, paths, func() error {
+		_, memberType, prov, err := e.evalFromPath(ins.Path, scope)
 		if err != nil {
 			return err
 		}
-		_ = tbl
 		if prov == nil {
 			return fmt.Errorf("exec: INSERT target %s is not updatable (no stored provenance)", ins.Path)
 		}
@@ -212,20 +246,11 @@ func dedupeTargets[T any](ts []T, key func(T) targetKey) []T {
 	return out
 }
 
-// ExecDelete runs a DELETE statement: the target variable's bindings
-// are collected during iteration and removed afterwards — whole
-// objects when the variable ranges over a stored table, subtable
-// members when it ranges over a subtable (deleting "arbitrary parts
-// of complex objects", §4.1).
-func (e *Executor) ExecDelete(ctx context.Context, del *sql.Delete) (int, error) {
-	return e.ExecDeleteArgs(ctx, del, nil)
-}
-
-// ExecDeleteArgs is ExecDelete with bound `?` parameter values.
-func (e *Executor) ExecDeleteArgs(ctx context.Context, del *sql.Delete, params []model.Value) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// execDelete collects the target variable's bindings and removes them
+// afterwards — whole objects when the variable ranges over a stored
+// table, subtable members when it ranges over a subtable (deleting
+// "arbitrary parts of complex objects", §4.1).
+func (e *Executor) execDelete(ctx context.Context, del *sql.Delete, paths map[int]*object.PathSet, cands map[int]*Candidates, params []model.Value) (int, error) {
 	type victim struct {
 		tbl   *catalog.Table
 		ref   page.TID
@@ -233,16 +258,7 @@ func (e *Executor) ExecDeleteArgs(ctx context.Context, del *sql.Delete, params [
 	}
 	var victims []victim
 	scope := rootEnv(params)
-	err := e.forEach(ctx, del.From, scope, nil, func() error {
-		if del.Where != nil {
-			ok, err := e.evalCond(del.Where, scope)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
+	err := e.forEach(ctx, del.From, del.Where, scope, cands, paths, func() error {
 		b, ok := scope.lookup(del.Var)
 		if !ok {
 			return fmt.Errorf("exec: DELETE variable %q is not bound", del.Var)
@@ -290,17 +306,9 @@ func (e *Executor) ExecDeleteArgs(ctx context.Context, del *sql.Delete, params [
 	return n, nil
 }
 
-// ExecUpdate runs an UPDATE statement against the atomic attributes
-// of the target variable's level.
-func (e *Executor) ExecUpdate(ctx context.Context, upd *sql.Update) (int, error) {
-	return e.ExecUpdateArgs(ctx, upd, nil)
-}
-
-// ExecUpdateArgs is ExecUpdate with bound `?` parameter values.
-func (e *Executor) ExecUpdateArgs(ctx context.Context, upd *sql.Update, params []model.Value) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// execUpdate overwrites the atomic attributes of the target variable's
+// level.
+func (e *Executor) execUpdate(ctx context.Context, upd *sql.Update, paths map[int]*object.PathSet, cands map[int]*Candidates, params []model.Value) (int, error) {
 	type change struct {
 		tbl   *catalog.Table
 		ref   page.TID
@@ -309,16 +317,7 @@ func (e *Executor) ExecUpdateArgs(ctx context.Context, upd *sql.Update, params [
 	}
 	var changes []change
 	scope := rootEnv(params)
-	err := e.forEach(ctx, upd.From, scope, nil, func() error {
-		if upd.Where != nil {
-			ok, err := e.evalCond(upd.Where, scope)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
+	err := e.forEach(ctx, upd.From, upd.Where, scope, cands, paths, func() error {
 		b, ok := scope.lookup(upd.Var)
 		if !ok {
 			return fmt.Errorf("exec: UPDATE variable %q is not bound", upd.Var)

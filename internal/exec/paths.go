@@ -65,6 +65,62 @@ func (e *Executor) derivePaths(sel *sql.Select, outer *pathScope) map[int]*objec
 	return roots
 }
 
+// DerivePaths computes the projection-pushdown path sets of the
+// stored-table FROM items of a top-level statement — a SELECT, or the
+// FROM list of a DML statement (bind-phase half of openCursor and
+// ExecDML). nil means full object reads: FullPaths is set, the statement
+// has no FROM list, or derivation could not prove a narrow fetch.
+func (e *Executor) DerivePaths(st sql.Statement) map[int]*object.PathSet {
+	if e.FullPaths {
+		return nil
+	}
+	if sel, ok := st.(*sql.Select); ok {
+		return e.derivePaths(sel, newPathScope(nil))
+	}
+	roots := make(map[int]*object.PathSet)
+	if err := e.deriveDML(st, newPathScope(nil), roots); err != nil {
+		return nil
+	}
+	return roots
+}
+
+// deriveDML walks what a DML statement reads of its bindings: the WHERE
+// clause; for an UPDATE the target level's atoms (they are rewritten
+// whole) and the SET expressions; for an INSERT INTO a subtable the
+// membership along the target path. A DELETE needs nothing more than
+// its WHERE: a victim is addressed by its reference plus member
+// positions, and binding a FROM path already requests the membership
+// those positions come from.
+func (e *Executor) deriveDML(st sql.Statement, scope *pathScope, roots map[int]*object.PathSet) error {
+	from, where, ok := FromList(st)
+	if !ok {
+		return fmt.Errorf("exec: %T has no FROM list", st)
+	}
+	if err := e.bindFrom(from, scope, roots); err != nil {
+		return err
+	}
+	if err := e.markExpr(where, scope); err != nil {
+		return err
+	}
+	switch s := st.(type) {
+	case *sql.Update:
+		n, ok := scope.lookup(s.Var)
+		if !ok {
+			return fmt.Errorf("exec: UPDATE variable %q is not bound", s.Var)
+		}
+		n.ps.MarkAtoms()
+		for _, set := range s.Set {
+			if err := e.markExpr(set.Expr, scope); err != nil {
+				return err
+			}
+		}
+	case *sql.Insert:
+		_, _, err := e.walkPath(s.Path, scope)
+		return err
+	}
+	return nil
+}
+
 // quantPaths computes the PathSet of a quantifier over a stored table:
 // what its condition can touch through the quantified variable. The
 // enclosing variables are already bound, so marks against them are
@@ -102,30 +158,8 @@ func throwawayScope(en *env) *pathScope {
 // root nodes for stored tables into roots) and walks every expression
 // of the block.
 func (e *Executor) deriveBlock(sel *sql.Select, scope *pathScope, roots map[int]*object.PathSet) error {
-	for i, fi := range sel.From {
-		if fi.Source.Table != "" {
-			t, ok := e.RT.Table(fi.Source.Table)
-			if !ok {
-				return fmt.Errorf("exec: unknown table %q", fi.Source.Table)
-			}
-			ps := &object.PathSet{}
-			scope.vars[fi.Var] = pathNode{ps: ps, tt: t.Type}
-			if roots != nil {
-				roots[i] = ps
-			}
-			continue
-		}
-		n, atomic, err := e.walkPath(fi.Source.Path, scope)
-		if err != nil {
-			return err
-		}
-		if atomic {
-			return fmt.Errorf("exec: FROM %s does not denote a table", fi.Source.Path)
-		}
-		// Iterating the subtable needs its membership, which Descend
-		// along the walk already requested; the members' contents are
-		// whatever the block marks through this variable.
-		scope.vars[fi.Var] = n
+	if err := e.bindFrom(sel.From, scope, roots); err != nil {
+		return err
 	}
 	if sel.Star {
 		if len(sel.From) != 1 {
@@ -155,6 +189,37 @@ func (e *Executor) deriveBlock(sel *sql.Select, scope *pathScope, roots map[int]
 		if err := e.markExpr(ob.Expr, scope); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// bindFrom binds a FROM list's variables into scope, recording a fresh
+// root node per stored-table item into roots (when non-nil).
+func (e *Executor) bindFrom(from []sql.FromItem, scope *pathScope, roots map[int]*object.PathSet) error {
+	for i, fi := range from {
+		if fi.Source.Table != "" {
+			t, ok := e.RT.Table(fi.Source.Table)
+			if !ok {
+				return fmt.Errorf("exec: unknown table %q", fi.Source.Table)
+			}
+			ps := &object.PathSet{}
+			scope.vars[fi.Var] = pathNode{ps: ps, tt: t.Type}
+			if roots != nil {
+				roots[i] = ps
+			}
+			continue
+		}
+		n, atomic, err := e.walkPath(fi.Source.Path, scope)
+		if err != nil {
+			return err
+		}
+		if atomic {
+			return fmt.Errorf("exec: FROM %s does not denote a table", fi.Source.Path)
+		}
+		// Iterating the subtable needs its membership, which Descend
+		// along the walk already requested; the members' contents are
+		// whatever the block marks through this variable.
+		scope.vars[fi.Var] = n
 	}
 	return nil
 }

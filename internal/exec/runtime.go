@@ -36,10 +36,20 @@ type Runtime interface {
 	// OpenRef reads one tuple by reference, fetching only the paths in
 	// ps (nil = everything).
 	OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object.PathSet) (model.Tuple, error)
-	// Indexes returns the live value indexes of a table.
+	// Indexes returns the live value indexes of a table (none where the
+	// runtime reads at an instant nobody maintains them for).
 	Indexes(table string) []*index.Index
 	// TextIndexes returns the live text indexes of a table.
 	TextIndexes(table string) []*textindex.Index
+	// IndexCut holds the live indexes at one cut of the committed state
+	// until release is called: every index lookup in between, and every
+	// call of changed, observes the same instant. The indexes describe the
+	// current state; changed(table) lists the references of table whose
+	// entries may disagree with what this runtime reads (objects written
+	// since its snapshot), which the planner adds to every candidate list
+	// of that table. changed is nil when the indexes answer for the
+	// runtime's reads exactly.
+	IndexCut() (changed func(table string) []page.TID, release func())
 
 	// InsertTuple adds a tuple to a stored table.
 	InsertTuple(t *catalog.Table, tup model.Tuple) error
@@ -77,9 +87,11 @@ type Candidates struct {
 	Why string
 }
 
-// Planner chooses access paths for the top-level FROM items of a
-// select; nil entries mean full scan. It may return nil entirely.
-type Planner func(sel *sql.Select, rt Runtime) map[int]*Candidates
+// Planner chooses access paths for the stored-table items of a
+// top-level FROM list — a SELECT's or a DML statement's — under its
+// WHERE clause, resolving `?` operands against params; nil entries mean
+// full scan. It may return nil entirely.
+type Planner func(from []sql.FromItem, where sql.Expr, rt Runtime, params []model.Value) map[int]*Candidates
 
 // Executor evaluates statements.
 type Executor struct {
@@ -133,15 +145,21 @@ func rootEnv(params []model.Value) *env {
 	return e
 }
 
-// param resolves a 1-based `?` ordinal against the scope chain.
-func (e *env) param(ord int) (model.Value, bool) {
+// args returns the statement's bound `?` arguments, held by the root
+// scope.
+func (e *env) args() []model.Value {
 	for s := e; s != nil; s = s.parent {
 		if s.params != nil {
-			if ord >= 1 && ord <= len(s.params) {
-				return s.params[ord-1], true
-			}
-			return nil, false
+			return s.params
 		}
+	}
+	return nil
+}
+
+// param resolves a 1-based `?` ordinal against the scope chain.
+func (e *env) param(ord int) (model.Value, bool) {
+	if a := e.args(); ord >= 1 && ord <= len(a) {
+		return a[ord-1], true
 	}
 	return nil, false
 }

@@ -36,20 +36,28 @@ func (e *Executor) selectIn(ctx context.Context, sel *sql.Select, outer *env, pl
 // forEach performs the nested-loop binding of range variables: "a
 // good mental model ... is to associate them with a loop which runs
 // over all tuples of the relation they are bound to" (§3). It pulls
-// complete bindings from a pipeline (full object reads — DML callers
-// mutate through the bindings) and invokes body once per binding. The
-// context is checked once per binding, so a cancelled scan stops
-// within one tuple's worth of work, with no pages left pinned.
-func (e *Executor) forEach(ctx context.Context, items []sql.FromItem, scope *env, cands map[int]*Candidates, body func() error) error {
-	p := newPipeline(e, ctx, items, scope, cands, nil)
+// complete bindings from the same pipeline a SELECT reads through —
+// candidate lists and path sets included — re-tests where on every one
+// (a candidate list is only a superset) and invokes body once per
+// binding that satisfies it. The context is checked once per binding,
+// so a cancelled scan stops within one tuple's worth of work, with no
+// pages left pinned.
+func (e *Executor) forEach(ctx context.Context, items []sql.FromItem, where sql.Expr, scope *env, cands map[int]*Candidates, paths map[int]*object.PathSet, body func() error) error {
+	p := newPipeline(e, ctx, items, scope, cands, paths)
 	defer p.close()
 	for {
 		ok, err := p.next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
+		if where != nil {
+			keep, err := e.evalCond(where, scope)
+			if err != nil {
+				return err
+			}
+			if !keep {
+				continue
+			}
 		}
 		if err := body(); err != nil {
 			return err

@@ -1,6 +1,8 @@
-// Package plan selects access paths for NF² queries. Following §4.2
-// of the paper, it inspects the conjuncts of a query's WHERE clause
-// for predicates that an index can answer:
+// Package plan selects access paths for NF² statements. Following §4.2
+// of the paper, it inspects the conjuncts of a WHERE clause — a
+// query's, or the one by which an UPDATE, a DELETE or an INSERT INTO a
+// subtable locates its targets — for predicates that an index can
+// answer:
 //
 //   - direct restrictions x.A = literal on a top-level attribute;
 //   - EXISTS chains like EXISTS y IN x.PROJECTS EXISTS z IN
@@ -17,9 +19,10 @@
 // cached plan stores. The execute phase (evalChoice) resolves the
 // operand against the bound arguments and runs the index lookup,
 // producing the candidate root set for this execution. Conjunctions
-// intersect the sets. Data-TID indexes are never chosen: as §4.2
-// shows, their addresses cannot locate the containing complex object
-// at all. The executor re-verifies the full WHERE clause on the
+// intersect the sets; objects the runtime reports written since its
+// snapshot are added back (evalAccess). Data-TID indexes are never
+// chosen: as §4.2 shows, their addresses cannot locate the containing
+// complex object at all. The executor re-verifies the full WHERE clause on the
 // candidates, so planning only needs superset correctness — a choice
 // that cannot be evaluated (missing index, unbound parameter) simply
 // falls back to a full scan.
@@ -89,27 +92,30 @@ func operandString(x sql.Expr) string {
 }
 
 // Choose implements exec.Planner: the inline (unprepared) path binds
-// and evaluates in one go. Choices whose operand is an unbound
-// parameter are skipped — soundly widening to a full scan.
-func Choose(sel *sql.Select, rt exec.Runtime) map[int]*exec.Candidates {
+// and evaluates in one go, `?` operands resolved against params.
+// Choices whose operand is an unbound parameter are skipped — soundly
+// widening to a full scan.
+func Choose(from []sql.FromItem, where sql.Expr, rt exec.Runtime, params []model.Value) map[int]*exec.Candidates {
 	chooses.Add(1)
-	return evalAccess(chooseAccess(sel, rt), rt, nil)
+	return evalAccess(chooseAccess(from, where, rt), rt, params)
 }
 
-// chooseAccess records the access choices for every top-level FROM
-// item of a select (keyed by item index). Only uncorrelated
-// current-state stored tables are considered.
-func chooseAccess(sel *sql.Select, rt exec.Runtime) map[int][]AccessChoice {
-	if sel.Where == nil {
+// chooseAccess records the access choices for every item of a
+// top-level FROM list — a SELECT's or a DML statement's — keyed by item
+// index. Only uncorrelated stored tables read without an explicit ASOF
+// are considered: the indexes describe the current state, and nothing
+// records which entries an older instant had.
+func chooseAccess(from []sql.FromItem, where sql.Expr, rt exec.Runtime) map[int][]AccessChoice {
+	if where == nil {
 		return nil
 	}
 	out := make(map[int][]AccessChoice)
-	for i, fi := range sel.From {
+	for i, fi := range from {
 		if fi.Source.Table == "" || fi.AsOf != nil {
 			continue
 		}
 		var choices []AccessChoice
-		for _, conj := range conjuncts(sel.Where) {
+		for _, conj := range conjuncts(where) {
 			if c, ok := tryConjunct(conj, fi.Var, fi.Source.Table, rt); ok {
 				choices = append(choices, c)
 			}
@@ -125,11 +131,20 @@ func chooseAccess(sel *sql.Select, rt exec.Runtime) map[int][]AccessChoice {
 }
 
 // evalAccess evaluates recorded choices against the live runtime and
-// the bound parameters, intersecting the root sets per FROM item.
+// the bound parameters, intersecting the root sets per FROM item. The
+// lookups run inside one index cut of the runtime, and the references
+// it reports changed since the runtime's snapshot join every candidate
+// list of their table: an object that satisfied the predicate at the
+// snapshot either still carries the entries that find it, or was
+// written since and is among the changed (DESIGN.md §5.1, "Access
+// paths per scope"). The executor re-tests the WHERE on whatever it
+// reads, so the union only has to be a superset.
 func evalAccess(access map[int][]AccessChoice, rt exec.Runtime, params []model.Value) map[int]*exec.Candidates {
 	if len(access) == 0 {
 		return nil
 	}
+	changed, release := rt.IndexCut()
+	defer release()
 	out := make(map[int]*exec.Candidates)
 	for i, choices := range access {
 		var sets []rootSet
@@ -146,6 +161,12 @@ func evalAccess(access map[int][]AccessChoice, rt exec.Runtime, params []model.V
 		for _, s := range sets[1:] {
 			refs = intersectRefs(refs, s.refs)
 			why += " ∩ " + s.why
+		}
+		if changed != nil {
+			if extra := changed(choices[0].Table); len(extra) > 0 {
+				refs = unionRefs(refs, extra)
+				why += " ∪ written since the snapshot"
+			}
 		}
 		out[i] = &exec.Candidates{Refs: refs, Why: why}
 	}
@@ -418,6 +439,21 @@ func samePath(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// unionRefs appends to a the references of b it lacks.
+func unionRefs(a, b []page.TID) []page.TID {
+	seen := make(map[page.TID]bool, len(a)+len(b))
+	for _, r := range a {
+		seen[r] = true
+	}
+	for _, r := range b {
+		if !seen[r] {
+			seen[r] = true
+			a = append(a, r)
+		}
+	}
+	return a
 }
 
 func intersectRefs(a, b []page.TID) []page.TID {

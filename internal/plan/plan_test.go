@@ -55,7 +55,7 @@ func choose(t *testing.T, db *engine.DB, q string) map[int]*exec.Candidates {
 		t.Fatal(err)
 	}
 	sel := st.(*sql.Select)
-	return plan.Choose(sel, db.Runtime())
+	return plan.Choose(sel.From, sel.Where, db.Runtime(), nil)
 }
 
 func TestChooseDirectEquality(t *testing.T) {

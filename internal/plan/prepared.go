@@ -20,13 +20,14 @@ var prepares atomic.Uint64
 func PrepareCount() uint64 { return prepares.Load() }
 
 // Prepared is the immutable product of the bind/plan phase for one
-// statement: the parsed AST plus, for selects, everything openCursor
-// would otherwise compute per execution — result schema, required
-// path sets, and access-path choices. A Prepared is self-contained
-// and safe for concurrent use: executing one reads these fields but
-// never mutates them, and every data-dependent decision (resolving
-// `?` operands, index lookups) happens at execute time against the
-// live runtime.
+// statement: the parsed AST plus everything execution would otherwise
+// compute per run — for a select the result schema, and for the FROM
+// list of a select or a DML statement the required path sets and the
+// access-path choices. A Prepared is self-contained and safe for
+// concurrent use: executing one reads these fields but never mutates
+// them, and every data-dependent decision (resolving `?` operands,
+// index lookups) happens at execute time against the live runtime of
+// the scope it runs in.
 type Prepared struct {
 	// SQL is the normalized statement text — the plan-cache key.
 	SQL string
@@ -42,22 +43,25 @@ type Prepared struct {
 	// re-binds on mismatch (DDL, index create/drop, quarantine).
 	Epoch uint64
 
-	// Bind products for selects (nil/empty otherwise).
+	// ResultType is the result schema of a select (nil otherwise).
 	ResultType *model.TableType
-	Paths      map[int]*object.PathSet
-	Access     map[int][]AccessChoice
+	// Bind products of the FROM list of a select or a DML statement
+	// (nil/empty for statements without one).
+	Paths  map[int]*object.PathSet
+	Access map[int][]AccessChoice
 	// Desc is the bind-time plan description per FROM item, rendered
 	// for EXPLAIN without executing.
 	Desc []string
 }
 
 // Prepare runs the bind/plan phase: for selects it infers the result
-// schema, derives required path sets and records access-path choices;
-// for other statements the kept AST is the whole bind product (their
-// execution is data-driven, not plan-driven). norm is the statement's
-// normalized text (sql.Normalize — computed once by the caller, who
-// also uses it as the cache key); epoch is the catalog epoch the
-// caller observed while holding the catalog stable.
+// schema; for the FROM list of a select, an UPDATE, a DELETE or an
+// INSERT INTO a subtable it derives the required path sets and records
+// access-path choices (none when ex has no planner). For other
+// statements the kept AST is the whole bind product. norm is the
+// statement's normalized text (sql.Normalize — computed once by the
+// caller, who also uses it as the cache key); epoch is the catalog
+// epoch the caller observed while holding the catalog stable.
 func Prepare(st sql.Stmt, norm string, ex *exec.Executor, epoch uint64) (*Prepared, error) {
 	prepares.Add(1)
 	p := &Prepared{
@@ -67,22 +71,24 @@ func Prepare(st sql.Stmt, norm string, ex *exec.Executor, epoch uint64) (*Prepar
 		NumParams: st.Params,
 		Epoch:     epoch,
 	}
-	sel, ok := st.Statement.(*sql.Select)
-	if !ok {
-		if e, isExplain := st.Statement.(*sql.Explain); isExplain {
-			sel = e.Sel
-		}
+	planned := st.Statement // the statement whose FROM list is planned
+	if e, ok := planned.(*sql.Explain); ok {
+		planned = e.Sel
 	}
-	if sel != nil {
+	if sel, ok := planned.(*sql.Select); ok {
 		tt, err := ex.InferSelect(sel)
 		if err != nil {
 			return nil, err
 		}
 		p.Sel = sel
 		p.ResultType = tt
-		p.Paths = ex.DeriveSelectPaths(sel)
-		p.Access = chooseAccess(sel, ex.RT)
-		p.Desc = describeAccess(ex, sel, p.Access, p.Paths)
+	}
+	if from, where, ok := exec.FromList(planned); ok {
+		p.Paths = ex.DerivePaths(planned)
+		if ex.Plan != nil {
+			p.Access = chooseAccess(from, where, ex.RT)
+		}
+		p.Desc = describeAccess(ex, from, p.Access, p.Paths)
 	}
 	return p, nil
 }
@@ -97,10 +103,10 @@ func (p *Prepared) Candidates(rt exec.Runtime, params []model.Value) map[int]*ex
 }
 
 // Describe renders the bind-time plan (access choices and fetch sets
-// per FROM item) without executing anything. Non-select statements
-// report a single generic line.
+// per FROM item) without executing anything. Statements without a FROM
+// list report a single generic line.
 func (p *Prepared) Describe() []string {
-	if p.Sel == nil {
+	if p.Desc == nil {
 		return []string{fmt.Sprintf("%T: direct execution (no access-path plan)", p.Stmt)}
 	}
 	return p.Desc
@@ -109,9 +115,9 @@ func (p *Prepared) Describe() []string {
 // describeAccess is the bind-time analogue of exec's plan
 // description: it renders the chosen access paths without candidate
 // counts (those exist only after evaluation).
-func describeAccess(ex *exec.Executor, sel *sql.Select, access map[int][]AccessChoice, paths map[int]*object.PathSet) []string {
-	out := make([]string, len(sel.From))
-	for i, fi := range sel.From {
+func describeAccess(ex *exec.Executor, from []sql.FromItem, access map[int][]AccessChoice, paths map[int]*object.PathSet) []string {
+	out := make([]string, len(from))
+	for i, fi := range from {
 		source := fi.Source.Table
 		if source == "" {
 			out[i] = fmt.Sprintf("%s IN %s: iterate subtable of outer binding", fi.Var, fi.Source.Path)

@@ -33,6 +33,11 @@ type Config struct {
 	Seed    int64
 	Steps   int // schedule length (default 50)
 	MaxTxns int // max concurrently open transactions (default 4)
+	// Indexed adds hierarchical indexes on DEPARTMENTS.DNO and
+	// PROJECTS.MEMBERS.FUNCTION, so every read and write of the schedule
+	// locates its object through the DNO index — inside transactions
+	// under the written-since rule of engine IndexCut.
+	Indexed bool
 }
 
 // Result counts what one run exercised. Checks is the number of
@@ -87,6 +92,16 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	defer db.Close()
+	if cfg.Indexed {
+		for name, path := range map[string][]string{
+			"DEPT_DNO":      {"DNO"},
+			"DEPT_FUNCTION": {"PROJECTS", "MEMBERS", "FUNCTION"},
+		} {
+			if err := db.CreateIndex(name, "DEPARTMENTS", path, "HIERARCHICAL"); err != nil {
+				return Result{}, err
+			}
+		}
+	}
 
 	s := &sim{
 		db:         db,

@@ -2,6 +2,7 @@ package txsim
 
 import (
 	"flag"
+	"fmt"
 	"testing"
 )
 
@@ -17,9 +18,19 @@ var seedFlag = flag.Int64("txsim.seed", 0, "replay a single txsim seed")
 // produce at least 200 comparison points, and among them committed
 // writes and detected conflicts — a schedule mix that never
 // conflicts or never commits would prove nothing.
-func TestMatrix(t *testing.T) {
+func TestMatrix(t *testing.T) { runMatrix(t, false) }
+
+// TestMatrixIndexed is the same matrix with hierarchical indexes on
+// DEPARTMENTS.DNO and PROJECTS.MEMBERS.FUNCTION: every lookup of the
+// schedule goes through the DNO index — auto-commit directly, inside a
+// transaction through the index plus the objects written since its
+// snapshot — so the oracle judges indexed snapshot reads too.
+func TestMatrixIndexed(t *testing.T) { runMatrix(t, true) }
+
+func runMatrix(t *testing.T, indexed bool) {
+	replay := fmt.Sprintf("go test ./internal/txsim -run '%s$'", t.Name())
 	if *seedFlag != 0 {
-		res, err := Run(Config{Seed: *seedFlag})
+		res, err := Run(Config{Seed: *seedFlag, Indexed: indexed})
 		t.Logf("seed %d: %+v", *seedFlag, res)
 		if err != nil {
 			t.Fatal(err)
@@ -29,9 +40,9 @@ func TestMatrix(t *testing.T) {
 	var total Result
 	const seeds = 12
 	for seed := int64(1); seed <= seeds; seed++ {
-		res, err := Run(Config{Seed: seed})
+		res, err := Run(Config{Seed: seed, Indexed: indexed})
 		if err != nil {
-			t.Fatalf("replay with: go test ./internal/txsim -run TestMatrix -txsim.seed=%d\n%v", seed, err)
+			t.Fatalf("replay with: %s -txsim.seed=%d\n%v", replay, seed, err)
 		}
 		total.Steps += res.Steps
 		total.Reads += res.Reads
