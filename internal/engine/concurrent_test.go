@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/testdata"
 )
 
 // TestConcurrentReadersEquivalence is the end-to-end stress test of
@@ -183,6 +185,112 @@ func TestRetainedRowsAreNotScratch(t *testing.T) {
 			t.Errorf("%s: retained rows differ from the materialized result\n%s\n%s",
 				q.ID, model.FormatTable("retained", tt, got), model.FormatTable("materialized", tt, want))
 		}
+	}
+}
+
+// TestRetainedRowsSurviveGCAndWrites keeps every row of Examples 1-8
+// and of the seven scan_cold statements exactly as Rows handed it out.
+// The atoms of those rows live in the readers' slabs; the test then
+// collects garbage, runs every statement again, rewrites every object
+// they were read from, collects again, and compares the kept rows with
+// the oracle computed up front by full-object execution. Nothing a row
+// holds may alias a page or a slab chunk that is reused. Run under
+// -race, which also checks the slab's pointer conversions.
+func TestRetainedRowsSurviveGCAndWrites(t *testing.T) {
+	db, err := core.OfficeWith(engine.Options{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	gen := testdata.GenDepartments(testdata.GenConfig{Departments: 16, ProjsPerDept: 4, MembersPerProj: 6, EquipPerDept: 3, ConsultantEvery: 4, Seed: 22})
+	for _, d := range gen.Tuples {
+		if err := db.Insert("DEPARTMENTS", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []string{
+		// A department every member of which is a consultant, so that the
+		// ALL ... ALL statement has a survivor.
+		`INSERT INTO DEPARTMENTS VALUES (999, 1, {(77, 'VLSI Design', {(1, 'Consultant'), (2, 'Consultant')})}, 5000, {})`,
+		`CREATE INDEX DEPT_FUNCTION ON DEPARTMENTS (PROJECTS.MEMBERS.FUNCTION) USING HIERARCHICAL`,
+		`CREATE TEXT INDEX DEPT_PNAME ON DEPARTMENTS (PROJECTS.PNAME)`,
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	var texts []string
+	for _, q := range core.ExampleQueries() {
+		texts = append(texts, q.Text)
+	}
+	texts = append(texts, scanColdStatements(77)...)
+
+	oracle := make([]string, len(texts))
+	db.Executor().FullPaths = true
+	for i, q := range texts {
+		tbl, tt, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		oracle[i] = model.FormatTable("", tt, tbl)
+	}
+	db.Executor().FullPaths = false
+
+	kept := make([]*model.Table, len(texts))
+	types := make([]*model.TableType, len(texts))
+	for i, q := range texts {
+		rows, err := db.QueryRows(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		kept[i] = &model.Table{Ordered: rows.Type().Ordered}
+		for rows.Next() {
+			kept[i].Append(rows.Tuple())
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		types[i] = rows.Type()
+	}
+	if kept[len(kept)-4].Len() == 0 {
+		t.Fatal("the ALL ... ALL statement has no survivor")
+	}
+
+	runtime.GC()
+	for _, q := range texts {
+		if _, _, err := db.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	for _, q := range []string{
+		`UPDATE x IN DEPARTMENTS SET BUDGET = x.BUDGET + 1`,
+		`UPDATE y FROM x IN DEPARTMENTS, y IN x.PROJECTS SET PNAME = 'renamed' WHERE x.DNO = 999`,
+		`INSERT INTO x.EQUIP FROM x IN DEPARTMENTS VALUES (9, 'PC/AT')`,
+		`DELETE z FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS WHERE z.FUNCTION = 'Consultant'`,
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	runtime.GC()
+	for i, q := range texts {
+		if got := model.FormatTable("", types[i], kept[i]); got != oracle[i] {
+			t.Errorf("%.60s: kept rows changed\ngot:\n%s\nwant:\n%s", q, got, oracle[i])
+		}
+	}
+}
+
+// scanColdStatements is the statement cycle of the scan_cold workload
+// (bench/scan.go) with the Fig 7 statement on project pno.
+func scanColdStatements(pno int) []string {
+	return []string{
+		`SELECT x.DNO, x.MGRNO, PROJECTS = (SELECT y.PNO, y.PNAME, MEMBERS = (SELECT z.EMPNO, z.FUNCTION FROM z IN y.MEMBERS) FROM y IN x.PROJECTS), x.BUDGET, EQUIP = (SELECT v.QU, v.TYPE FROM v IN x.EQUIP) FROM x IN DEPARTMENTS`,
+		`SELECT x.DNO, x.MGRNO, y.PNO, y.PNAME, z.EMPNO, z.FUNCTION FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS`,
+		`SELECT x.DNO, x.MGRNO, x.BUDGET FROM x IN DEPARTMENTS WHERE EXISTS y IN x.EQUIP: y.TYPE = 'PC/AT'`,
+		`SELECT x.DNO, x.MGRNO, x.BUDGET FROM x IN DEPARTMENTS WHERE ALL y IN x.PROJECTS ALL z IN y.MEMBERS: z.FUNCTION = 'Consultant'`,
+		`SELECT x.DNO, x.BUDGET FROM x IN DEPARTMENTS`,
+		`SELECT x.DNO FROM x IN DEPARTMENTS WHERE EXISTS y IN x.PROJECTS: y.PNAME CONTAINS '*VLSI*'`,
+		fmt.Sprintf(`SELECT x.DNO, x.MGRNO FROM x IN DEPARTMENTS WHERE EXISTS y IN x.PROJECTS: (y.PNO = %d AND EXISTS z IN y.MEMBERS: z.FUNCTION = 'Consultant')`, pno),
 	}
 }
 

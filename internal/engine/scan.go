@@ -31,7 +31,9 @@ import (
 // object listed in a directory chunk that is absent at the read instant
 // — nonexistent at asof, or deleted since the chunk was read, which the
 // per-Next statement lock of a Rows cursor allows — is skipped:
-// read-committed-per-row. Any other error fails the scan as it is.
+// read-committed-per-row. Any other error fails the scan as it is. An
+// object that fails the path set's pre-test is no error at all: it is
+// skipped, or handed to a transaction's overlay (objectCursor).
 
 // OpenScan implements exec.Runtime: it opens a pull cursor over the
 // table, fetching only the paths in ps of each complex object (nil =
@@ -50,7 +52,7 @@ func (r *runtime) OpenScan(t *catalog.Table, asof int64, ps *object.PathSet) (ex
 		}
 		sc = &flatCursor{db: db, table: t.Name, c: fc}
 	} else {
-		sc = &objectCursor{db: db, t: t, m: db.mgrs[t.Name], asof: asof, ps: ps, dir: db.openDir(t, asof)}
+		sc = &objectCursor{db: db, t: t, m: db.mgrs[t.Name], asof: asof, ps: ps, dir: db.openDir(t, asof), keepRejected: tx != nil}
 	}
 	if tx != nil {
 		sc = tx.overlayScan(t, sc)
@@ -123,13 +125,19 @@ func (fc *flatCursor) Close() error { return fc.c.Close() }
 
 // objectCursor streams the complex objects of a table: a lazy walk of
 // the directory chunk chain supplies the roots, each fetched pruned.
+// An object whose stored version fails the path set's pre-test is
+// skipped — unless a transaction's overlay sits on top (keepRejected):
+// the transaction may have rewritten the object so that it passes, and
+// the overlay only substitutes its image for refs the cursor yields, so
+// the ref is yielded with a nil tuple for the overlay to decide on.
 type objectCursor struct {
-	db   *DB
-	t    *catalog.Table
-	m    *object.Manager
-	asof int64
-	ps   *object.PathSet
-	dir  dirCursor
+	db           *DB
+	t            *catalog.Table
+	m            *object.Manager
+	asof         int64
+	ps           *object.PathSet
+	dir          dirCursor
+	keepRejected bool
 }
 
 func (oc *objectCursor) Next() (page.TID, model.Tuple, bool, error) {
@@ -156,6 +164,9 @@ func (oc *objectCursor) Next() (page.TID, model.Tuple, bool, error) {
 				continue // nonexistent at asof, or deleted since the chunk was read
 			}
 			return page.TID{}, nil, false, err
+		}
+		if tup == nil && !oc.keepRejected {
+			continue // ruled out by the pre-test
 		}
 		return ref, tup, true, nil
 	}
@@ -257,7 +268,9 @@ func (dc *dirCursor) loadChunk() error {
 // txnScanCursor overlays a transaction's buffered writes onto a
 // stored-table cursor: committed tuples stream through (substituted or
 // suppressed when the transaction wrote them), then the transaction's
-// own inserts follow.
+// own inserts follow. A committed object that failed the pre-test comes
+// through as a nil tuple: its buffered image, if any, replaces it, and
+// otherwise it is dropped here.
 type txnScanCursor struct {
 	tx    *Txn
 	t     *catalog.Table
@@ -296,6 +309,9 @@ func (c *txnScanCursor) Next() (page.TID, model.Tuple, bool, error) {
 				continue
 			}
 			return ref, p.tup.Clone(), true, nil
+		}
+		if tup == nil {
+			continue // the stored version failed the pre-test, and is all there is
 		}
 		return ref, tup, true, nil
 	}

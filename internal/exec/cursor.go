@@ -197,6 +197,9 @@ func (p *pipeline) advance(i int) (bool, error) {
 					}
 					return false, err
 				}
+				if tup == nil {
+					continue // the pre-test ruled the candidate out
+				}
 				it.b = binding{tt: it.t.Type, tup: tup, tbl: it.t, ref: ref, asof: it.asof}
 				return true, nil
 			}
@@ -253,7 +256,6 @@ type Cursor struct {
 	scope *env
 	pipe  *pipeline
 	seen  map[string]bool // DISTINCT filter
-	plan  []string        // access-path description per FROM item
 
 	sorted  []model.Tuple // ORDER BY buffer after the sort barrier
 	sorti   int
@@ -303,7 +305,6 @@ func (e *Executor) OpenPrepared(ctx context.Context, sel *sql.Select, tt *model.
 		e: e, ctx: ctx, sel: sel, tt: tt, scope: scope,
 		pipe: newPipeline(e, ctx, sel.From, scope, cands, paths),
 		seen: make(map[string]bool),
-		plan: describePlan(e, sel, cands, paths),
 	}, nil
 }
 
@@ -329,7 +330,6 @@ func (e *Executor) openCursor(ctx context.Context, sel *sql.Select, outer *env, 
 		e: e, ctx: ctx, sel: sel, tt: resultType, scope: scope,
 		pipe: newPipeline(e, ctx, sel.From, scope, cands, paths),
 		seen: make(map[string]bool),
-		plan: describePlan(e, sel, cands, paths),
 	}
 	return c, nil
 }
@@ -352,8 +352,8 @@ func (e *Executor) choose(from []sql.FromItem, where sql.Expr, params []model.Va
 	return cands
 }
 
-// describePlan renders the chosen access path and fetch set of each
-// FROM item for EXPLAIN output.
+// describePlan renders the chosen access path, fetch set and pre-test
+// of each FROM item for EXPLAIN output.
 func describePlan(e *Executor, sel *sql.Select, cands map[int]*Candidates, paths map[int]*object.PathSet) []string {
 	out := make([]string, len(sel.From))
 	for i, fi := range sel.From {
@@ -370,7 +370,7 @@ func describePlan(e *Executor, sel *sql.Select, cands map[int]*Candidates, paths
 		if t, ok := e.RT.Table(source); ok && paths != nil {
 			fetch = paths[i].Describe(t.Type)
 		}
-		out[i] = fmt.Sprintf("%s IN %s: %s, fetch %s", fi.Var, source, access, fetch)
+		out[i] = fmt.Sprintf("%s IN %s: %s, fetch %s, %s", fi.Var, source, access, fetch, paths[i].DescribeTest())
 	}
 	return out
 }
@@ -378,8 +378,11 @@ func describePlan(e *Executor, sel *sql.Select, cands map[int]*Candidates, paths
 // Type returns the result schema.
 func (c *Cursor) Type() *model.TableType { return c.tt }
 
-// AccessPlan returns the access-path description of each FROM item.
-func (c *Cursor) AccessPlan() []string { return c.plan }
+// AccessPlan returns the access-path description of each FROM item,
+// rendered on demand: only EXPLAIN asks.
+func (c *Cursor) AccessPlan() []string {
+	return describePlan(c.e, c.sel, c.pipe.cands, c.pipe.paths)
+}
 
 // Next returns the next result tuple; false means the result is
 // exhausted (or the cursor was closed). After an error the cursor is

@@ -222,22 +222,7 @@ func (e *Executor) evalBinary(x *sql.Binary, en *env) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		var res bool
-		switch x.Op {
-		case "=":
-			res = c == 0
-		case "<>":
-			res = c != 0
-		case "<":
-			res = c < 0
-		case "<=":
-			res = c <= 0
-		case ">":
-			res = c > 0
-		case ">=":
-			res = c >= 0
-		}
-		return atomVal(model.Bool(res)), nil
+		return atomVal(model.Bool(cmpHolds(x.Op, c))), nil
 	case "+", "-", "*", "/":
 		l, err := e.evalExpr(x.L, en)
 		if err != nil {
@@ -340,12 +325,16 @@ func truth(v value) (bool, error) {
 // for ALL — and iteration stops there; undecided (including an empty or
 // null table) ALL is vacuously true and EXISTS false. A stored table is
 // read through the same cursor as a FROM item without ASOF, so it sees
-// the same snapshot, fetching only the paths the condition touches; the
-// deferred Close is the early stop.
+// the same snapshot, fetching only the paths the condition touches and
+// skipping the objects its pre-test rules out; the deferred Close is the
+// early stop. The quantified variable has one scope and one binding,
+// rebound in place for every member tested.
 func (e *Executor) evalQuant(q *sql.Quant, en *env) (bool, error) {
+	var b binding
+	scope := newEnv(en)
+	scope.bind(q.Var, &b)
 	decides := func(tt *model.TableType, tup model.Tuple) (bool, error) {
-		scope := newEnv(en)
-		scope.bind(q.Var, &binding{tt: tt, tup: tup})
+		b = binding{tt: tt, tup: tup}
 		ok, err := e.evalCond(q.Cond, scope)
 		return ok != q.All, err
 	}
@@ -354,7 +343,7 @@ func (e *Executor) evalQuant(q *sql.Quant, en *env) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("exec: unknown table %q", q.Source.Table)
 		}
-		sc, err := e.RT.OpenScan(t, 0, e.quantPaths(q, t.Type, en))
+		sc, err := e.RT.OpenScan(t, 0, e.quantPaths(q, t, en))
 		if err != nil {
 			return false, err
 		}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 
+	"repro/internal/catalog"
 	"repro/internal/model"
 	"repro/internal/object"
 	"repro/internal/sql"
@@ -54,22 +55,25 @@ func (s *pathScope) lookup(name string) (pathNode, bool) {
 // be rebound within one FROM list, so the index is the stable key).
 // outer supplies nodes for variables bound by enclosing blocks (for
 // the top-level block these are throwaway nodes: the enclosing fetch
-// already satisfied their requirements). On any analysis failure it
-// returns nil and the caller reads full objects.
+// already satisfied their requirements). Each root carries the pre-test
+// compiled from the block's WHERE (pretest.go). On any analysis failure
+// it returns nil and the caller reads full objects.
 func (e *Executor) derivePaths(sel *sql.Select, outer *pathScope) map[int]*object.PathSet {
 	scope := newPathScope(outer)
 	roots := make(map[int]*object.PathSet)
 	if err := e.deriveBlock(sel, scope, roots); err != nil {
 		return nil
 	}
+	e.pushTests(sel.From, sel.Where, roots)
 	return roots
 }
 
-// DerivePaths computes the projection-pushdown path sets of the
-// stored-table FROM items of a top-level statement — a SELECT, or the
-// FROM list of a DML statement (bind-phase half of openCursor and
-// ExecDML). nil means full object reads: FullPaths is set, the statement
-// has no FROM list, or derivation could not prove a narrow fetch.
+// DerivePaths computes the projection-pushdown path sets, pre-tests
+// included, of the stored-table FROM items of a top-level statement — a
+// SELECT, or the FROM list of a DML statement (bind-phase half of
+// openCursor and ExecDML). nil means full object reads and no pre-tests:
+// FullPaths is set, the statement has no FROM list, or derivation could
+// not prove a narrow fetch.
 func (e *Executor) DerivePaths(st sql.Statement) map[int]*object.PathSet {
 	if e.FullPaths {
 		return nil
@@ -81,6 +85,8 @@ func (e *Executor) DerivePaths(st sql.Statement) map[int]*object.PathSet {
 	if err := e.deriveDML(st, newPathScope(nil), roots); err != nil {
 		return nil
 	}
+	from, where, _ := FromList(st)
+	e.pushTests(from, where, roots)
 	return roots
 }
 
@@ -122,20 +128,21 @@ func (e *Executor) deriveDML(st sql.Statement, scope *pathScope, roots map[int]*
 }
 
 // quantPaths computes the PathSet of a quantifier over a stored table:
-// what its condition can touch through the quantified variable. The
-// enclosing variables are already bound, so marks against them are
-// discarded. nil (full objects) when pushdown is off or derivation
-// fails.
-func (e *Executor) quantPaths(q *sql.Quant, tt *model.TableType, en *env) *object.PathSet {
+// what its condition can touch through the quantified variable, and the
+// pre-test that rules out objects that cannot decide it. The enclosing
+// variables are already bound, so marks against them are discarded. nil
+// (full objects, no pre-test) when pushdown is off or derivation fails.
+func (e *Executor) quantPaths(q *sql.Quant, t *catalog.Table, en *env) *object.PathSet {
 	if e.FullPaths {
 		return nil
 	}
 	scope := newPathScope(throwawayScope(en))
 	ps := &object.PathSet{}
-	scope.vars[q.Var] = pathNode{ps: ps, tt: tt}
+	scope.vars[q.Var] = pathNode{ps: ps, tt: t.Type}
 	if err := e.markExpr(q.Cond, scope); err != nil {
 		return nil
 	}
+	ps.Test = quantTest(q, t)
 	return ps
 }
 

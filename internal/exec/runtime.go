@@ -30,11 +30,13 @@ type Runtime interface {
 	// OpenScan opens a pull cursor over a stored table, yielding each
 	// tuple with its reference (object root TID for complex tables,
 	// tuple TID for flat ones) and fetching only the paths in ps (nil =
-	// everything) of each object. The cursor must hold no buffer pages
-	// between calls, so abandoning it leaks nothing.
+	// everything) of each object. Objects that fail ps's pre-test may be
+	// left out. The cursor must hold no buffer pages between calls, so
+	// abandoning it leaks nothing.
 	OpenScan(t *catalog.Table, asof int64, ps *object.PathSet) (ScanCursor, error)
 	// OpenRef reads one tuple by reference, fetching only the paths in
-	// ps (nil = everything).
+	// ps (nil = everything). It returns a nil tuple and no error for an
+	// object that fails ps's pre-test.
 	OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object.PathSet) (model.Tuple, error)
 	// Indexes returns the live value indexes of a table (none where the
 	// runtime reads at an instant nobody maintains them for).

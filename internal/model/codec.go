@@ -50,6 +50,7 @@ func EncodeAtoms(vals []Value) ([]byte, error) {
 }
 
 // DecodeAtoms parses a data-subtuple payload produced by EncodeAtoms.
+// The values share one slab.
 func DecodeAtoms(data []byte) ([]Value, error) {
 	n, off := binary.Uvarint(data)
 	if off <= 0 {
@@ -59,7 +60,8 @@ func DecodeAtoms(data []byte) ([]Value, error) {
 		return nil, dberr.Corruptf("model: corrupt atom payload: count %d exceeds payload", n)
 	}
 	vals := make([]Value, n)
-	if _, err := DecodeAtomsInto(data, vals, nil); err != nil {
+	var slab Slab
+	if _, err := DecodeAtomsInto(data, vals, nil, &slab); err != nil {
 		return nil, err
 	}
 	return vals, nil
@@ -70,21 +72,18 @@ func DecodeAtoms(data []byte) ([]Value, error) {
 // subtuple decodes into its place in a tuple without an intermediate
 // slice. It returns the number of atoms the payload held; a payload
 // with more atoms than there are slots is corrupt. data is only read:
-// every decoded value owns its bytes.
-func DecodeAtomsInto(data []byte, dst []Value, slots []int) (int, error) {
-	n, off := binary.Uvarint(data)
-	if off <= 0 {
-		return 0, dberr.Corruptf("model: corrupt atom payload: bad count")
-	}
+// every decoded value owns its bytes. With a slab the values live in it
+// (see Slab); with nil each is a heap box of its own.
+func DecodeAtomsInto(data []byte, dst []Value, slots []int, slab *Slab) (int, error) {
 	room := len(dst)
 	if slots != nil {
 		room = len(slots)
 	}
-	if n > uint64(room) {
-		return 0, dberr.Corruptf("model: data subtuple has %d atoms, schema wants %d", n, room)
+	n, p, err := atomCount(data, room)
+	if err != nil {
+		return 0, err
 	}
-	p := data[off:]
-	for i := 0; i < int(n); i++ {
+	for i := 0; i < n; i++ {
 		if len(p) == 0 {
 			return 0, dberr.Corruptf("model: corrupt atom payload: truncated at value %d", i)
 		}
@@ -100,23 +99,19 @@ func DecodeAtomsInto(data []byte, dst []Value, slots []int) (int, error) {
 				return 0, dberr.Corruptf("model: corrupt atom payload: bad varint at value %d", i)
 			}
 			p = p[m:]
-			if tag == KindInt {
-				v = Int(x)
-			} else {
-				v = Time(x)
-			}
+			v = slab.word(tag, uint64(x), n-i)
 		case KindFloat:
 			if len(p) < 8 {
 				return 0, dberr.Corruptf("model: corrupt atom payload: short float at value %d", i)
 			}
-			v = Float(math.Float64frombits(binary.LittleEndian.Uint64(p)))
+			v = slab.word(tag, binary.LittleEndian.Uint64(p), n-i)
 			p = p[8:]
 		case KindString:
 			l, m := binary.Uvarint(p)
 			if m <= 0 || uint64(len(p)-m) < l {
 				return 0, dberr.Corruptf("model: corrupt atom payload: bad string at value %d", i)
 			}
-			v = Str(p[m : uint64(m)+l])
+			v = slab.str(p[m:uint64(m)+l], n-i, len(p))
 			p = p[uint64(m)+l:]
 		case KindBool:
 			if len(p) < 1 {
@@ -136,7 +131,161 @@ func DecodeAtomsInto(data []byte, dst []Value, slots []int) (int, error) {
 	if len(p) != 0 {
 		return 0, dberr.Corruptf("model: corrupt atom payload: %d trailing bytes", len(p))
 	}
-	return int(n), nil
+	return n, nil
+}
+
+// atomCount reads the atom count of a data-subtuple payload for a level
+// with room atomic attributes and returns the bytes after it.
+func atomCount(data []byte, room int) (int, []byte, error) {
+	n, off := binary.Uvarint(data)
+	if off <= 0 {
+		return 0, nil, dberr.Corruptf("model: corrupt atom payload: bad count")
+	}
+	if n > uint64(room) {
+		return 0, nil, dberr.Corruptf("model: data subtuple has %d atoms, schema wants %d", n, room)
+	}
+	return int(n), data[off:], nil
+}
+
+// Atom is one atom of an encoded data subtuple, cut out in place: its
+// kind tag (KindInvalid for null) and its value — the bits of an Int,
+// Time, Float or Bool, or the bytes of a String, which alias the payload
+// it was cut from.
+type Atom struct {
+	Kind Kind
+	w    uint64
+	b    []byte
+}
+
+// AtomAt validates an encoded data subtuple of a level with room atomic
+// attributes, exactly as strictly as DecodeAtomsInto does, and returns
+// its atom i in place without building a Value. An atom beyond the end
+// of a payload written before its attribute was added (ALTER TABLE ADD)
+// is null, as it decodes. The walk mirrors DecodeAtomsInto's;
+// FuzzEncodedTest holds the two to the same verdicts and values.
+func AtomAt(data []byte, room, i int) (Atom, error) {
+	n, p, err := atomCount(data, room)
+	if err != nil {
+		return Atom{}, err
+	}
+	var at Atom
+	for k := 0; k < n; k++ {
+		if len(p) == 0 {
+			return Atom{}, dberr.Corruptf("model: corrupt atom payload: truncated at value %d", k)
+		}
+		a := Atom{Kind: Kind(p[0])}
+		p = p[1:]
+		switch a.Kind {
+		case KindInvalid:
+		case KindInt, KindTime:
+			x, m := binary.Varint(p)
+			if m <= 0 {
+				return Atom{}, dberr.Corruptf("model: corrupt atom payload: bad varint at value %d", k)
+			}
+			a.w, p = uint64(x), p[m:]
+		case KindFloat:
+			if len(p) < 8 {
+				return Atom{}, dberr.Corruptf("model: corrupt atom payload: short float at value %d", k)
+			}
+			a.w, p = binary.LittleEndian.Uint64(p), p[8:]
+		case KindString:
+			l, m := binary.Uvarint(p)
+			if m <= 0 || uint64(len(p)-m) < l {
+				return Atom{}, dberr.Corruptf("model: corrupt atom payload: bad string at value %d", k)
+			}
+			a.b, p = p[m:uint64(m)+l], p[uint64(m)+l:]
+		case KindBool:
+			if len(p) < 1 {
+				return Atom{}, dberr.Corruptf("model: corrupt atom payload: short bool at value %d", k)
+			}
+			a.w, p = uint64(p[0]), p[1:]
+		default:
+			return Atom{}, dberr.Corruptf("model: corrupt atom payload: unknown kind tag %d at value %d", a.Kind, k)
+		}
+		if k == i {
+			at = a
+		}
+	}
+	if len(p) != 0 {
+		return Atom{}, dberr.Corruptf("model: corrupt atom payload: %d trailing bytes", len(p))
+	}
+	return at, nil
+}
+
+// IsNull reports whether the atom is null.
+func (a Atom) IsNull() bool { return a.Kind == KindInvalid }
+
+// Bytes returns a String atom's bytes in place.
+func (a Atom) Bytes() []byte { return a.b }
+
+func (a Atom) int() int64 { return int64(a.w) }
+
+func (a Atom) float() float64 { return math.Float64frombits(a.w) }
+
+// value decodes the atom into a heap-boxed Value that owns its bytes.
+func (a Atom) value() Value {
+	switch a.Kind {
+	case KindInt:
+		return Int(a.int())
+	case KindTime:
+		return Time(a.int())
+	case KindFloat:
+		return Float(a.float())
+	case KindString:
+		return Str(a.b)
+	case KindBool:
+		return Bool(a.w != 0)
+	}
+	return Null{}
+}
+
+// Compare is Compare(decoded atom, v) without decoding the atom: the
+// same order, the same Int/Float promotion and the same errors.
+func (a Atom) Compare(v Value) (int, error) {
+	switch {
+	case a.IsNull() && IsNull(v):
+		return 0, nil
+	case a.IsNull():
+		return -1, nil
+	case IsNull(v):
+		return 1, nil
+	}
+	switch x := v.(type) {
+	case Int:
+		switch a.Kind {
+		case KindInt:
+			return cmpOrdered(a.int(), int64(x)), nil
+		case KindFloat:
+			return cmpOrdered(a.float(), float64(x)), nil
+		}
+	case Float:
+		switch a.Kind {
+		case KindInt:
+			return cmpOrdered(float64(a.int()), float64(x)), nil
+		case KindFloat:
+			return cmpOrdered(a.float(), float64(x)), nil
+		}
+	case Str:
+		// Written out so that the conversions do not copy the bytes.
+		if a.Kind == KindString {
+			switch s := string(x); {
+			case string(a.b) < s:
+				return -1, nil
+			case string(a.b) > s:
+				return 1, nil
+			}
+			return 0, nil
+		}
+	case Time:
+		if a.Kind == KindTime {
+			return cmpOrdered(a.int(), int64(x)), nil
+		}
+	case Bool:
+		if a.Kind == KindBool {
+			return Compare(Bool(a.w != 0), x)
+		}
+	}
+	return Compare(a.value(), v)
 }
 
 // EncodeKeyValue serializes a single atomic value into an

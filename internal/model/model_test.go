@@ -178,39 +178,42 @@ func TestAtomsCodecCorrupt(t *testing.T) {
 // the other slots alone, reports how many atoms the payload held (an
 // older, shorter data subtuple) and rejects a payload with more atoms
 // than slots. The values own their bytes: the payload may be reused.
+// All of it holds with heap boxes and with a slab.
 func TestDecodeAtomsInto(t *testing.T) {
-	enc, err := EncodeAtoms([]Value{Int(7), Str("abc"), Null{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := &Table{}
-	tup := Tuple{nil, sub, nil, nil, nil}
-	n, err := DecodeAtomsInto(enc, tup, []int{0, 2, 3, 4})
-	if err != nil || n != 3 {
-		t.Fatalf("DecodeAtomsInto = %d, %v", n, err)
-	}
-	for i := range enc {
-		enc[i] = 0xEE
-	}
-	want := Tuple{Int(7), sub, Str("abc"), Null{}, nil}
-	for i := range want {
-		if i == 1 || i == 4 {
-			if tup[i] != want[i] {
-				t.Errorf("slot %d touched: %v", i, tup[i])
+	for _, slab := range []*Slab{nil, new(Slab)} {
+		enc, err := EncodeAtoms([]Value{Int(7000), Str("abc"), Null{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := &Table{}
+		tup := Tuple{nil, sub, nil, nil, nil}
+		n, err := DecodeAtomsInto(enc, tup, []int{0, 2, 3, 4}, slab)
+		if err != nil || n != 3 {
+			t.Fatalf("DecodeAtomsInto = %d, %v", n, err)
+		}
+		for i := range enc {
+			enc[i] = 0xEE
+		}
+		want := Tuple{Int(7000), sub, Str("abc"), Null{}, nil}
+		for i := range want {
+			if i == 1 || i == 4 {
+				if tup[i] != want[i] {
+					t.Errorf("slot %d touched: %v", i, tup[i])
+				}
+				continue
 			}
-			continue
+			if !AtomEqual(tup[i], want[i]) {
+				t.Errorf("slot %d = %v, want %v", i, tup[i], want[i])
+			}
 		}
-		if !AtomEqual(tup[i], want[i]) {
-			t.Errorf("slot %d = %v, want %v", i, tup[i], want[i])
+		enc, _ = EncodeAtoms([]Value{Int(1), Int(2), Int(3)})
+		if _, err := DecodeAtomsInto(enc, make(Tuple, 3), []int{0, 1}, slab); !dberr.IsCorrupt(err) {
+			t.Errorf("three atoms into two slots = %v, want corruption", err)
 		}
-	}
-	enc, _ = EncodeAtoms([]Value{Int(1), Int(2), Int(3)})
-	if _, err := DecodeAtomsInto(enc, make(Tuple, 3), []int{0, 1}); !dberr.IsCorrupt(err) {
-		t.Errorf("three atoms into two slots = %v, want corruption", err)
-	}
-	flat := make(Tuple, 3)
-	if n, err := DecodeAtomsInto(enc, flat, nil); err != nil || n != 3 || !AtomEqual(flat[2], Int(3)) {
-		t.Errorf("identity slots: %v, %d, %v", flat, n, err)
+		flat := make(Tuple, 3)
+		if n, err := DecodeAtomsInto(enc, flat, nil, slab); err != nil || n != 3 || !AtomEqual(flat[2], Int(3)) {
+			t.Errorf("identity slots: %v, %d, %v", flat, n, err)
+		}
 	}
 }
 

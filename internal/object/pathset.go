@@ -30,6 +30,11 @@ type PathSet struct {
 	// of the table-valued attribute. A missing key means the subtable
 	// is not read at all: its members appear as an empty table.
 	Subs map[int]*PathSet
+	// Test, on the root node of a read, is a pre-test the object must
+	// pass to be materialized at all (nil: every object is). It only
+	// narrows: a reader of the object re-checks whatever it was compiled
+	// from, so it must be false only where that predicate is false.
+	Test *Test
 }
 
 // AllPaths returns a PathSet requesting the complete object — the
@@ -65,7 +70,8 @@ func (ps *PathSet) MarkAtoms() {
 	}
 }
 
-// MarkAll requests the complete subtree under this node.
+// MarkAll requests the complete subtree under this node. A pre-test
+// stays.
 func (ps *PathSet) MarkAll() {
 	ps.All = true
 	ps.Atoms = false
@@ -97,6 +103,15 @@ func (ps *PathSet) Describe(tt *model.TableType) string {
 		return "{members}"
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
+}
+
+// DescribeTest renders the pre-test for EXPLAIN output: "test …" or
+// "no test".
+func (ps *PathSet) DescribeTest() string {
+	if ps == nil || ps.Test == nil {
+		return "no test"
+	}
+	return "test " + ps.Test.String()
 }
 
 // sub returns the set of the subtable at attribute index attr: the

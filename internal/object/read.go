@@ -145,16 +145,17 @@ func (o *objCtx) readAtoms(d page.MiniTID) ([]model.Value, error) {
 }
 
 // readAtomsInto decodes the data subtuple of a level straight into
-// the level's tuple. Data subtuples written before an ALTER TABLE ADD
-// carry fewer atoms than the current schema; the missing (newest)
-// attributes read as null.
-func (o *objCtx) readAtomsInto(dst model.Tuple, tt *model.TableType, d page.MiniTID) error {
+// the level's tuple, its atoms into the read's slab (nil: a heap box
+// each). Data subtuples
+// written before an ALTER TABLE ADD carry fewer atoms than the current
+// schema; the missing (newest) attributes read as null.
+func (o *objCtx) readAtomsInto(dst model.Tuple, tt *model.TableType, d page.MiniTID, slab *model.Slab) error {
 	raw, err := o.view(d)
 	if err != nil {
 		return err
 	}
 	slots := tt.AtomicIndexes()
-	n, err := model.DecodeAtomsInto(raw, dst, slots)
+	n, err := model.DecodeAtomsInto(raw, dst, slots, slab)
 	o.done()
 	if err != nil {
 		return err
@@ -175,18 +176,20 @@ func nullAtoms(dst model.Tuple, slots []int) {
 // unrequested subtables as empty tables; requested subtable levels
 // carry their true membership. Each subtuple is viewed in place,
 // decoded into its destination and let go before the next one is
-// touched; nothing the tuple references is shared with the reader.
-func (o *objCtx) fetch(tt *model.TableType, h *levelHandle, ps *PathSet) (model.Tuple, error) {
+// touched; nothing the tuple references is shared with the reader. The
+// atoms of one read share slab, which lives no longer than the read
+// itself: only the Values it handed out keep its chunks.
+func (o *objCtx) fetch(tt *model.TableType, h *levelHandle, ps *PathSet, slab *model.Slab) (model.Tuple, error) {
 	tup := make(model.Tuple, len(tt.Attrs))
-	if err := o.fetchInto(tup, tt, h, ps); err != nil {
+	if err := o.fetchInto(tup, tt, h, ps, slab); err != nil {
 		return nil, err
 	}
 	return tup, nil
 }
 
-func (o *objCtx) fetchInto(dst model.Tuple, tt *model.TableType, h *levelHandle, ps *PathSet) error {
+func (o *objCtx) fetchInto(dst model.Tuple, tt *model.TableType, h *levelHandle, ps *PathSet, slab *model.Slab) error {
 	if ps.All || ps.Atoms {
-		if err := o.readAtomsInto(dst, tt, h.d); err != nil {
+		if err := o.readAtomsInto(dst, tt, h.d, slab); err != nil {
 			return err
 		}
 	} else {
@@ -199,7 +202,7 @@ func (o *objCtx) fetchInto(dst model.Tuple, tt *model.TableType, h *levelHandle,
 			dst[ti] = &model.Table{Ordered: sub.Ordered}
 			continue
 		}
-		tbl, err := o.fetchSubtable(sub, h, gi, sps)
+		tbl, err := o.fetchSubtable(sub, h, gi, sps, slab)
 		if err != nil {
 			return err
 		}
@@ -211,7 +214,7 @@ func (o *objCtx) fetchInto(dst model.Tuple, tt *model.TableType, h *levelHandle,
 // fetchSubtable materializes subtable gi of the level under h. The
 // member tuples are cut from one slab of values, each capped to its
 // own length so that appending to one cannot reach the next.
-func (o *objCtx) fetchSubtable(sub *model.TableType, h *levelHandle, gi int, ps *PathSet) (*model.Table, error) {
+func (o *objCtx) fetchSubtable(sub *model.TableType, h *levelHandle, gi int, ps *PathSet, slab *model.Slab) (*model.Table, error) {
 	hs, err := o.memberHandles(sub, h, gi)
 	if err != nil {
 		return nil, err
@@ -225,7 +228,7 @@ func (o *objCtx) fetchSubtable(sub *model.TableType, h *levelHandle, gi int, ps 
 	tbl.Tuples = make([]model.Tuple, len(hs))
 	for i := range hs {
 		mt := model.Tuple(vals[i*k : (i+1)*k : (i+1)*k])
-		if err := o.fetchInto(mt, sub, &hs[i], ps); err != nil {
+		if err := o.fetchInto(mt, sub, &hs[i], ps, slab); err != nil {
 			return nil, err
 		}
 		tbl.Tuples[i] = mt
@@ -251,7 +254,9 @@ func (m *Manager) ReadAsOf(tt *model.TableType, ref Ref, asof int64) (model.Tupl
 // and predicate pushdown — the promise of §4.1: the read touches the
 // MD subtuples along the requested paths plus the data subtuples of
 // the levels whose atoms are requested, and pins each page of the
-// object once.
+// object once. When ps carries a pre-test, it runs first, in the same
+// window of pinned pages; an object that fails it is reported as a nil
+// tuple with a nil error, and nothing of it is materialized.
 func (m *Manager) ReadPruned(tt *model.TableType, ref Ref, asof int64, ps *PathSet) (model.Tuple, error) {
 	o, _, h, err := m.open(tt, ref, asof, nil)
 	if err != nil {
@@ -261,7 +266,11 @@ func (m *Manager) ReadPruned(tt *model.TableType, ref Ref, asof int64, ps *PathS
 	if ps == nil {
 		ps = allSet
 	}
-	return o.fetch(tt, &h, ps)
+	if ok, err := o.passes(tt, &h, ps); !ok || err != nil {
+		return nil, err
+	}
+	var slab model.Slab
+	return o.fetch(tt, &h, ps, &slab)
 }
 
 // Step addresses one navigation move: descend into the table-valued
@@ -326,7 +335,8 @@ func (m *Manager) ReadSubobject(tt *model.TableType, ref Ref, steps ...Step) (mo
 		return nil, err
 	}
 	defer o.release()
-	return o.fetch(lt, &lh, allSet)
+	var slab model.Slab
+	return o.fetch(lt, &lh, allSet, &slab)
 }
 
 // ReadSubtable materializes one subtable instance: steps address a
@@ -342,7 +352,8 @@ func (m *Manager) ReadSubtable(tt *model.TableType, ref Ref, attr int, steps ...
 	if err != nil {
 		return nil, err
 	}
-	return o.fetchSubtable(lt.Attrs[attr].Type.Table, &lh, gi, allSet)
+	var slab model.Slab
+	return o.fetchSubtable(lt.Attrs[attr].Type.Table, &lh, gi, allSet, &slab)
 }
 
 // ReadAtomsAt returns only the atomic attribute values of the

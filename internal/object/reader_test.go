@@ -323,17 +323,17 @@ func TestReadPinsEachPageOnce(t *testing.T) {
 // for one Table 5 department (314: three projects, seven members, two
 // pieces of equipment): the whole object, and its root atoms alone.
 // What is left is the result itself — one slab of values and one of
-// tuples per subtable, a box per non-small atom — plus a fixed handful
-// per object and per subtable for the context and the handles. A
-// change that allocates per subtuple again breaks the budget under
-// every layout.
+// tuples per subtable, the atom slab's chunks, which grow
+// geometrically — plus a fixed handful per object and per subtable for
+// the context and the handles. A change that allocates per subtuple or
+// per atom again breaks the budget under every layout.
 func TestReadPrunedAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	tt := testdata.DepartmentsType()
 	dept := testdata.Departments().Tuples[0]
-	budgets := map[Layout][2]float64{SS1: {56, 10}, SS2: {61, 12}, SS3: {56, 10}}
+	budgets := map[Layout][2]float64{SS1: {34, 8}, SS2: {39, 10}, SS3: {34, 8}}
 	for _, layout := range []Layout{SS1, SS2, SS3} {
 		st, _ := newTestStore(t, false)
 		m := NewManager(st, layout)

@@ -113,8 +113,9 @@ func (p *Prepared) Describe() []string {
 }
 
 // describeAccess is the bind-time analogue of exec's plan
-// description: it renders the chosen access paths without candidate
-// counts (those exist only after evaluation).
+// description: it renders the chosen access paths, fetch sets and
+// pre-tests without candidate counts (those exist only after
+// evaluation).
 func describeAccess(ex *exec.Executor, from []sql.FromItem, access map[int][]AccessChoice, paths map[int]*object.PathSet) []string {
 	out := make([]string, len(from))
 	for i, fi := range from {
@@ -135,7 +136,7 @@ func describeAccess(ex *exec.Executor, from []sql.FromItem, access map[int][]Acc
 		if t, ok := ex.RT.Table(source); ok && paths != nil {
 			fetch = paths[i].Describe(t.Type)
 		}
-		out[i] = fmt.Sprintf("%s IN %s: %s, fetch %s", fi.Var, source, descr, fetch)
+		out[i] = fmt.Sprintf("%s IN %s: %s, fetch %s, %s", fi.Var, source, descr, fetch, paths[i].DescribeTest())
 	}
 	return out
 }

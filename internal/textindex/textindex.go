@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/index"
 	"repro/internal/page"
@@ -320,14 +321,82 @@ func (ix *Index) Search(mask string) []index.Addr {
 }
 
 // Contains is the evaluator's fallback when no text index exists: it
-// reports whether any word of the text matches the mask.
-func Contains(text, mask string) bool {
-	for _, w := range Tokenize(text) {
-		if MatchMask(mask, w) {
-			return true
+// reports whether any word of the text matches the mask. It is
+// Tokenize followed by MatchMask on every word, matched in place:
+// nothing is allocated.
+func Contains(text, mask string) bool { return contains(text, mask) }
+
+// ContainsBytes is Contains on text held as bytes — a string atom
+// viewed in place on its page.
+func ContainsBytes(text []byte, mask string) bool { return contains(text, mask) }
+
+func contains[T string | []byte](text T, mask string) bool {
+	start := -1 // byte offset of the word being scanned
+	for i := 0; i <= len(text); {
+		r, n := rune(0), 1
+		if i < len(text) {
+			r, n = decodeRune(text, i)
 		}
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			if matchWord(mask, text[start:i]) {
+				return true
+			}
+			start = -1
+		}
+		i += n
 	}
 	return false
+}
+
+// decodeRune decodes the rune at byte offset i of s, as ranging over a
+// string does (an invalid byte is utf8.RuneError of width one).
+func decodeRune[T string | []byte](s T, i int) (rune, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	var buf [utf8.UTFMax]byte
+	return utf8.DecodeRune(buf[:copy(buf[:], s[i:])])
+}
+
+// matchWord is MatchMask(mask, w) for a word w of letters and digits not
+// yet lowered: both sides are lowered rune by rune as they are read.
+// '*' matches any run of runes and '?' one rune; the match backtracks to
+// the last '*' only, which decides the same language as MatchMask's
+// recursion.
+func matchWord[T string | []byte](mask string, w T) bool {
+	mi, wi := 0, 0
+	star, starW := -1, 0 // position after the last '*' in mask; its match start in w
+	for wi < len(w) {
+		if mi < len(mask) {
+			mr, mn := utf8.DecodeRuneInString(mask[mi:])
+			mr = unicode.ToLower(mr)
+			wr, wn := decodeRune(w, wi)
+			switch {
+			case mr == '*':
+				mi += mn
+				star, starW = mi, wi
+				continue
+			case mr == '?' || mr == unicode.ToLower(wr):
+				mi += mn
+				wi += wn
+				continue
+			}
+		}
+		if star < 0 {
+			return false
+		}
+		_, wn := decodeRune(w, starW)
+		starW += wn
+		mi, wi = star, starW
+	}
+	for mi < len(mask) && mask[mi] == '*' {
+		mi++
+	}
+	return mi == len(mask)
 }
 
 // DistinctRoots deduplicates search results to object roots.

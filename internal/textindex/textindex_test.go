@@ -1,6 +1,8 @@
 package textindex
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +171,50 @@ func TestContainsFallback(t *testing.T) {
 	}
 	if Contains("Office Automation", "*comput*") {
 		t.Error("fallback Contains false positive")
+	}
+}
+
+// containsOracle is Contains as it was first written: tokenize, then
+// match every word.
+func containsOracle(text, mask string) bool {
+	for _, w := range Tokenize(text) {
+		if MatchMask(mask, w) {
+			return true
+		}
+	}
+	return false
+}
+
+// Property: the in-place Contains and ContainsBytes answer exactly as
+// Tokenize + MatchMask, over texts and masks drawn from an alphabet with
+// non-ASCII letters whose case differs, digits, separators, wildcards,
+// invalid UTF-8 and the empty string — and allocate nothing.
+func TestContainsMatchesTokenize(t *testing.T) {
+	alphabet := []string{"a", "B", "c", "É", "é", "ß", "Σ", "σ", "ς", "İ", "1", "9", "٣", " ", "-", ".", "\xff", "*", "?", ""}
+	rng := rand.New(rand.NewSource(22))
+	draw := func(n int) string {
+		var b strings.Builder
+		for i := rng.Intn(n + 1); i > 0; i-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	for i := 0; i < 20000; i++ {
+		text, mask := draw(12), draw(5)
+		want := containsOracle(text, mask)
+		if got := Contains(text, mask); got != want {
+			t.Fatalf("Contains(%q, %q) = %v, want %v", text, mask, got, want)
+		}
+		if got := ContainsBytes([]byte(text), mask); got != want {
+			t.Fatalf("ContainsBytes(%q, %q) = %v, want %v", text, mask, got, want)
+		}
+	}
+	text, bytes := "Très Computer Aided Design 2000", []byte("Très Computer Aided Design 2000")
+	if n := testing.AllocsPerRun(100, func() {
+		Contains(text, "*DESIGN*")
+		ContainsBytes(bytes, "*é?")
+	}); n != 0 {
+		t.Errorf("Contains allocates %.0f times", n)
 	}
 }
 
