@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -375,7 +377,8 @@ func TestPreparedArgCount(t *testing.T) {
 
 // Property matrix: prepared execution with bound arguments is
 // observationally identical to unprepared execution with the literals
-// inlined, over seeded random nested schemas and values.
+// inlined, and both to execution without projection pushdown, over
+// seeded random nested schemas and values.
 func TestPreparedMatchesUnpreparedMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for round := 0; round < 5; round++ {
@@ -386,10 +389,40 @@ func TestPreparedMatchesUnpreparedMatrix(t *testing.T) {
 	}
 }
 
-// runPreparedMatrixRound builds one random two-level schema in two
+// matrixQuery is one statement of the prepared-vs-unprepared matrix: its
+// prepared text, a generator of arguments, the same statement with the
+// arguments inlined as literals and, for a statement with sub-blocks, its
+// answer computed here from the rows of T read whole (K, NAME, KIDS of
+// (N, TAG, GK of (G)), W), which no sub-block took part in.
+type matrixQuery struct {
+	sql     string
+	argf    func() []model.Value
+	inlinef func(args []model.Value) string
+	oracle  func(all []model.Tuple, args []model.Value) *model.Table
+}
+
+// members returns the member tuples of a table value.
+func members(v model.Value) []model.Tuple { return v.(*model.Table).Tuples }
+
+// relation builds an unordered table of the rows for which keep holds,
+// each shaped by row.
+func relation[T any](items []T, keep func(T) bool, row func(T) model.Tuple) *model.Table {
+	out := &model.Table{}
+	for _, it := range items {
+		if keep(it) {
+			out.Append(row(it))
+		}
+	}
+	return out
+}
+
+func always[T any](T) bool { return true }
+
+// runPreparedMatrixRound builds one random three-level schema in two
 // identical databases, then drives the prepared API against one and
 // the literal-inlined unprepared API against the other; after every
-// statement both databases must agree exactly.
+// statement both databases must agree exactly, and the unprepared
+// statement must return the same under FullPaths.
 func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool) {
 	open := func() *DB {
 		ts := int64(0)
@@ -403,7 +436,7 @@ func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool) {
 	defer dbP.Close()
 	defer dbU.Close()
 
-	schema := `CREATE TABLE T (K INT, NAME STRING, KIDS TABLE OF (N INT, TAG STRING), W INT)`
+	schema := `CREATE TABLE T (K INT, NAME STRING, KIDS TABLE OF (N INT, TAG STRING, GK TABLE OF (G INT)), W INT)`
 	for _, db := range []*DB{dbP, dbU} {
 		if _, err := db.Exec(schema); err != nil {
 			t.Fatal(err)
@@ -425,6 +458,14 @@ func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	insKid, err := dbP.Prepare(`INSERT INTO x.KIDS FROM x IN T WHERE x.K = ? AND x.NAME = ? VALUES (?, ?, {})`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insGrandkid, err := dbP.Prepare(`INSERT INTO y.GK FROM x IN T, y IN x.KIDS WHERE x.K = ? AND x.NAME = ? AND y.N = ? VALUES (?)`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := 5 + rng.Intn(10)
 	for i := 0; i < rows; i++ {
 		k := model.Int(rng.Intn(8))
@@ -436,47 +477,53 @@ func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool) {
 		if _, err := dbU.Exec(fmt.Sprintf(`INSERT INTO T VALUES (%d, '%s', {}, %d)`, k, name, w)); err != nil {
 			t.Fatal(err)
 		}
-		// Grow the nested level through both APIs too.
-		kids := rng.Intn(3)
-		insKid, err := dbP.Prepare(`INSERT INTO x.KIDS FROM x IN T WHERE x.K = ? AND x.NAME = ? VALUES (?, ?)`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < kids; j++ {
+		// Grow the nested levels through both APIs too; some objects and
+		// some members keep an empty subtable.
+		for j := rng.Intn(4); j > 0; j-- {
 			n := model.Int(rng.Intn(5))
 			tag := tags[rng.Intn(len(tags))]
 			if _, err := insKid.Exec(k, model.Str(name), n, model.Str(tag)); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := dbU.Exec(fmt.Sprintf(
-				`INSERT INTO x.KIDS FROM x IN T WHERE x.K = %d AND x.NAME = '%s' VALUES (%d, '%s')`, k, name, n, tag)); err != nil {
+				`INSERT INTO x.KIDS FROM x IN T WHERE x.K = %d AND x.NAME = '%s' VALUES (%d, '%s', {})`, k, name, n, tag)); err != nil {
 				t.Fatal(err)
+			}
+			for g := rng.Intn(3); g > 0; g-- {
+				gv := model.Int(rng.Intn(10))
+				if _, err := insGrandkid.Exec(k, model.Str(name), n, gv); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dbU.Exec(fmt.Sprintf(
+					`INSERT INTO y.GK FROM x IN T, y IN x.KIDS WHERE x.K = %d AND x.NAME = '%s' AND y.N = %d VALUES (%d)`, k, name, n, gv)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
 
-	queries := []struct {
-		sql     string
-		argf    func() []model.Value
-		inlinef func(args []model.Value) string
-	}{
+	anInt := func(n int) func() []model.Value {
+		return func() []model.Value { return []model.Value{model.Int(rng.Intn(n))} }
+	}
+	aTag := func() model.Value { return model.Str(tags[rng.Intn(len(tags))]) }
+	queries := []matrixQuery{
 		{
 			sql:  `SELECT x.K, x.NAME, x.W FROM x IN T WHERE x.K = ?`,
-			argf: func() []model.Value { return []model.Value{model.Int(rng.Intn(8))} },
+			argf: anInt(8),
 			inlinef: func(a []model.Value) string {
 				return fmt.Sprintf(`SELECT x.K, x.NAME, x.W FROM x IN T WHERE x.K = %d`, a[0])
 			},
 		},
 		{
 			sql:  `SELECT x.K, x.W FROM x IN T WHERE x.W < ?`,
-			argf: func() []model.Value { return []model.Value{model.Int(rng.Intn(1000))} },
+			argf: anInt(1000),
 			inlinef: func(a []model.Value) string {
 				return fmt.Sprintf(`SELECT x.K, x.W FROM x IN T WHERE x.W < %d`, a[0])
 			},
 		},
 		{
 			sql:  `SELECT x.K, x.NAME FROM x IN T WHERE EXISTS y IN x.KIDS: y.N = ?`,
-			argf: func() []model.Value { return []model.Value{model.Int(rng.Intn(5))} },
+			argf: anInt(5),
 			inlinef: func(a []model.Value) string {
 				return fmt.Sprintf(`SELECT x.K, x.NAME FROM x IN T WHERE EXISTS y IN x.KIDS: y.N = %d`, a[0])
 			},
@@ -484,7 +531,7 @@ func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool) {
 		{
 			sql: `SELECT x.K, KIDS = (SELECT y.N, y.TAG FROM y IN x.KIDS WHERE y.TAG = ?) FROM x IN T WHERE x.K >= ?`,
 			argf: func() []model.Value {
-				return []model.Value{model.Str(tags[rng.Intn(len(tags))]), model.Int(rng.Intn(8))}
+				return []model.Value{aTag(), model.Int(rng.Intn(8))}
 			},
 			inlinef: func(a []model.Value) string {
 				return fmt.Sprintf(
@@ -492,6 +539,146 @@ func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool) {
 					a[0], a[1])
 			},
 		},
+		// Three nesting levels, empty subtables at the second and third.
+		{
+			sql:  `SELECT x.K, KIDS = (SELECT y.N, GK = (SELECT g.G FROM g IN y.GK WHERE g.G > ?) FROM y IN x.KIDS) FROM x IN T`,
+			argf: anInt(10),
+			inlinef: func(a []model.Value) string {
+				return fmt.Sprintf(`SELECT x.K, KIDS = (SELECT y.N, GK = (SELECT g.G FROM g IN y.GK WHERE g.G > %d) FROM y IN x.KIDS) FROM x IN T`, a[0])
+			},
+			oracle: func(all []model.Tuple, a []model.Value) *model.Table {
+				return relation(all, always, func(x model.Tuple) model.Tuple {
+					return model.Tuple{x[0], relation(members(x[2]), always, func(y model.Tuple) model.Tuple {
+						return model.Tuple{y[0], relation(members(y[2]),
+							func(g model.Tuple) bool { return g[0].(model.Int) > a[0].(model.Int) },
+							func(g model.Tuple) model.Tuple { return model.Tuple{g[0]} })}
+					})}
+				})
+			},
+		},
+		// DISTINCT, ORDER BY and a `?` WHERE inside a sub-block.
+		{
+			sql:  `SELECT x.K, x.NAME, TAGS = (SELECT DISTINCT y.TAG FROM y IN x.KIDS WHERE y.N <> ? ORDER BY y.TAG DESC) FROM x IN T ORDER BY x.K, x.NAME`,
+			argf: anInt(5),
+			inlinef: func(a []model.Value) string {
+				return fmt.Sprintf(`SELECT x.K, x.NAME, TAGS = (SELECT DISTINCT y.TAG FROM y IN x.KIDS WHERE y.N <> %d ORDER BY y.TAG DESC) FROM x IN T ORDER BY x.K, x.NAME`, a[0])
+			},
+			oracle: func(all []model.Tuple, a []model.Value) *model.Table {
+				out := relation(all, always, func(x model.Tuple) model.Tuple {
+					var tags []string
+					for _, y := range members(x[2]) {
+						if tag := string(y[1].(model.Str)); y[0] != a[0] && !slices.Contains(tags, tag) {
+							tags = append(tags, tag)
+						}
+					}
+					sort.Sort(sort.Reverse(sort.StringSlice(tags)))
+					sub := &model.Table{Ordered: true}
+					for _, tag := range tags {
+						sub.Append(model.Tuple{model.Str(tag)})
+					}
+					return model.Tuple{x[0], x[1], sub}
+				})
+				out.Ordered = true
+				sort.SliceStable(out.Tuples, func(i, j int) bool {
+					a, b := out.Tuples[i], out.Tuples[j]
+					return a[0].(model.Int) < b[0].(model.Int) || a[0] == b[0] && a[1].(model.Str) < b[1].(model.Str)
+				})
+				return out
+			},
+		},
+		// A sub-block over the stored table, correlated with the outer
+		// variable, with a sub-block of its own.
+		{
+			sql:  `SELECT x.K, x.W, PEERS = (SELECT u.NAME, u.W, NS = (SELECT v.N FROM v IN u.KIDS) FROM u IN T WHERE u.K = x.K AND u.W <> ?) FROM x IN T WHERE x.K < ?`,
+			argf: func() []model.Value { return []model.Value{model.Int(rng.Intn(1000)), model.Int(rng.Intn(8))} },
+			inlinef: func(a []model.Value) string {
+				return fmt.Sprintf(`SELECT x.K, x.W, PEERS = (SELECT u.NAME, u.W, NS = (SELECT v.N FROM v IN u.KIDS) FROM u IN T WHERE u.K = x.K AND u.W <> %d) FROM x IN T WHERE x.K < %d`, a[0], a[1])
+			},
+			oracle: func(all []model.Tuple, a []model.Value) *model.Table {
+				return relation(all, func(x model.Tuple) bool { return x[0].(model.Int) < a[1].(model.Int) }, func(x model.Tuple) model.Tuple {
+					return model.Tuple{x[0], x[3], relation(all,
+						func(u model.Tuple) bool { return u[0] == x[0] && u[3] != a[0] },
+						func(u model.Tuple) model.Tuple {
+							return model.Tuple{u[1], u[3], relation(members(u[2]), always, func(v model.Tuple) model.Tuple { return model.Tuple{v[0]} })}
+						})}
+				})
+			},
+		},
+		// A quantifier over the stored table inside a sub-block.
+		{
+			sql:  `SELECT x.K, KIDS = (SELECT y.N FROM y IN x.KIDS WHERE EXISTS u IN T: (u.K = y.N AND u.W > ?)) FROM x IN T`,
+			argf: anInt(1000),
+			inlinef: func(a []model.Value) string {
+				return fmt.Sprintf(`SELECT x.K, KIDS = (SELECT y.N FROM y IN x.KIDS WHERE EXISTS u IN T: (u.K = y.N AND u.W > %d)) FROM x IN T`, a[0])
+			},
+			oracle: func(all []model.Tuple, a []model.Value) *model.Table {
+				return relation(all, always, func(x model.Tuple) model.Tuple {
+					return model.Tuple{x[0], relation(members(x[2]),
+						func(y model.Tuple) bool {
+							return slices.ContainsFunc(all, func(u model.Tuple) bool { return u[0] == y[0] && u[3].(model.Int) > a[0].(model.Int) })
+						},
+						func(y model.Tuple) model.Tuple { return model.Tuple{y[0]} })}
+				})
+			},
+		},
+		// A sub-block that rebinds the outer variable's name: its FROM
+		// path is evaluated before its own x is bound, on every outer row.
+		{
+			sql:  `SELECT x.K, KIDS = (SELECT x.N, x.TAG FROM x IN x.KIDS WHERE x.N >= ?), x.W FROM x IN T`,
+			argf: anInt(5),
+			inlinef: func(a []model.Value) string {
+				return fmt.Sprintf(`SELECT x.K, KIDS = (SELECT x.N, x.TAG FROM x IN x.KIDS WHERE x.N >= %d), x.W FROM x IN T`, a[0])
+			},
+			oracle: func(all []model.Tuple, a []model.Value) *model.Table {
+				return relation(all, always, func(x model.Tuple) model.Tuple {
+					return model.Tuple{x[0], relation(members(x[2]),
+						func(y model.Tuple) bool { return y[0].(model.Int) >= a[0].(model.Int) },
+						func(y model.Tuple) model.Tuple { return model.Tuple{y[0], y[1]} }), x[3]}
+				})
+			},
+		},
+		// SELECT * and COUNT in sub-blocks: two sub-blocks after a plain
+		// item, so each is found by its own item's position.
+		{
+			sql:  `SELECT x.K, ALLK = (SELECT * FROM y IN x.KIDS WHERE y.TAG <> ?), NGK = (SELECT y.N, COUNT(y.GK) AS C FROM y IN x.KIDS) FROM x IN T`,
+			argf: func() []model.Value { return []model.Value{aTag()} },
+			inlinef: func(a []model.Value) string {
+				return fmt.Sprintf(`SELECT x.K, ALLK = (SELECT * FROM y IN x.KIDS WHERE y.TAG <> '%s'), NGK = (SELECT y.N, COUNT(y.GK) AS C FROM y IN x.KIDS) FROM x IN T`, a[0])
+			},
+			oracle: func(all []model.Tuple, a []model.Value) *model.Table {
+				return relation(all, always, func(x model.Tuple) model.Tuple {
+					return model.Tuple{x[0],
+						relation(members(x[2]), func(y model.Tuple) bool { return y[1] != a[0] }, func(y model.Tuple) model.Tuple { return y }),
+						relation(members(x[2]), always, func(y model.Tuple) model.Tuple {
+							return model.Tuple{y[0], model.Int(len(members(y[2])))}
+						})}
+				})
+			},
+		},
+		// A null subtable: the second member's grandchildren, where there
+		// is no second member.
+		{
+			sql:  `SELECT x.K, SECOND = (SELECT g.G FROM g IN x.KIDS[2].GK WHERE g.G <> ?) FROM x IN T`,
+			argf: anInt(10),
+			inlinef: func(a []model.Value) string {
+				return fmt.Sprintf(`SELECT x.K, SECOND = (SELECT g.G FROM g IN x.KIDS[2].GK WHERE g.G <> %d) FROM x IN T`, a[0])
+			},
+			oracle: func(all []model.Tuple, a []model.Value) *model.Table {
+				return relation(all, always, func(x model.Tuple) model.Tuple {
+					var gks []model.Tuple
+					if kids := members(x[2]); len(kids) >= 2 {
+						gks = members(kids[1][2])
+					}
+					return model.Tuple{x[0], relation(gks,
+						func(g model.Tuple) bool { return g[0] != a[0] },
+						func(g model.Tuple) model.Tuple { return model.Tuple{g[0]} })}
+				})
+			},
+		},
+	}
+	whole, _, err := dbP.Query(`SELECT * FROM x IN T`)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for qi, q := range queries {
 		ps, err := dbP.Prepare(q.sql)
@@ -508,14 +695,35 @@ func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool) {
 			if err != nil {
 				t.Fatalf("query %d unprepared: %v", qi, err)
 			}
-			if !ttP.Equal(ttU) {
-				t.Fatalf("query %d args %v: schema mismatch: %s vs %s", qi, args, ttP, ttU)
+			dbU.exec.FullPaths = true
+			gotF, ttF, err := dbU.Query(q.inlinef(args))
+			dbU.exec.FullPaths = false
+			if err != nil {
+				t.Fatalf("query %d without pushdown: %v", qi, err)
+			}
+			if !ttP.Equal(ttU) || !ttU.Equal(ttF) {
+				t.Fatalf("query %d args %v: schema mismatch: %s vs %s vs %s", qi, args, ttP, ttU, ttF)
 			}
 			if !model.TableEqual(gotP, gotU) {
 				t.Fatalf("query %d args %v: prepared and unprepared disagree:\n%s\n%s",
 					qi, args,
 					model.FormatTable("prepared", ttP, gotP),
 					model.FormatTable("unprepared", ttU, gotU))
+			}
+			if !model.TableEqual(gotU, gotF) {
+				t.Fatalf("query %d args %v: pushdown and full objects disagree:\n%s\n%s",
+					qi, args,
+					model.FormatTable("pushdown", ttU, gotU),
+					model.FormatTable("full objects", ttF, gotF))
+			}
+			if q.oracle == nil {
+				continue
+			}
+			if want := q.oracle(whole.Tuples, args); !model.TableEqual(gotP, want) {
+				t.Fatalf("query %d args %v: result differs from the oracle:\n%s\n%s",
+					qi, args,
+					model.FormatTable("prepared", ttP, gotP),
+					model.FormatTable("oracle", ttP, want))
 			}
 		}
 	}
@@ -641,6 +849,73 @@ func TestPreparedConcurrentDDL(t *testing.T) {
 	}
 	if s := db.PlanCacheStats(); s.Invalidations <= inv0 {
 		t.Errorf("final DDL produced no plan-cache invalidation: %+v", s)
+	}
+
+	// One prepared statement with sub-blocks, executed by eight
+	// goroutines while an index is created and dropped over and over:
+	// every epoch bump binds the block tree again under the running
+	// executions, which keep their own tree and sub-block cursors. The
+	// answers must equal the full-object oracle computed up front.
+	const nested = `SELECT x.DNO, PROJECTS = (SELECT y.PNO, MEMBERS = (SELECT z.EMPNO, z.FUNCTION FROM z IN y.MEMBERS WHERE z.FUNCTION <> 'Staff') FROM y IN x.PROJECTS), EQUIP = (SELECT e.TYPE FROM e IN x.EQUIP) FROM x IN DEPARTMENTS WHERE x.DNO = ?`
+	dnos := []model.Int{314, 218, 417}
+	oracle := map[model.Int]*model.Table{}
+	db.Executor().FullPaths = true
+	for _, dno := range dnos {
+		tbl, _, err := db.Query(strings.Replace(nested, "?", dno.String(), 1))
+		if err != nil || tbl.Len() != 1 {
+			t.Fatalf("oracle for DNO %v: %v", dno, err)
+		}
+		oracle[dno] = tbl
+	}
+	db.Executor().FullPaths = false
+	nps, err := db.Prepare(nested)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop = make(chan struct{})
+	errCh = make(chan error, 16)
+	var readers sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		readers.Add(1)
+		go func(c int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				dno := dnos[(c+i)%len(dnos)]
+				tbl, _, err := nps.Query(dno)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if !model.TableEqual(tbl, oracle[dno]) {
+					errCh <- fmt.Errorf("reader %d: DNO %v returned %v, want %v", c, dno, tbl.Tuples, oracle[dno].Tuples)
+					return
+				}
+			}
+		}(c)
+	}
+	epoch0 := db.CatalogEpoch()
+	for i := 0; i < 20; i++ {
+		if _, err := db.Exec(`CREATE INDEX DEPT_BUDGET ON DEPARTMENTS (BUDGET) USING HIERARCHICAL; DROP INDEX DEPT_BUDGET`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatal(err)
+	default:
+	}
+	if db.CatalogEpoch() == epoch0 {
+		t.Errorf("creating and dropping an index did not move the catalog epoch")
+	}
+	if n := db.Pool().PinnedCount(); n != 0 {
+		t.Errorf("%d pages pinned after the nested readers finished", n)
 	}
 }
 

@@ -283,6 +283,17 @@ func preTestRound(t *testing.T, rnd *rand.Rand, layout object.Layout, round int)
 	return rejected
 }
 
+// rootPaths returns the fetch set and pre-test q binds for its first FROM
+// item.
+func rootPaths(t *testing.T, db *DB, q string) *object.PathSet {
+	t.Helper()
+	blk, err := db.exec.Bind(mustStmt(t, q).Statement)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return blk.Paths[0]
+}
+
 func mustStmt(t *testing.T, q string) sql.Stmt {
 	t.Helper()
 	st, err := sql.ParseOneStmt(q)
@@ -298,7 +309,7 @@ func mustStmt(t *testing.T, q string) sql.Stmt {
 // many objects were rejected.
 func checkRejections(t *testing.T, db *DB, name, q string, asof int64) int {
 	t.Helper()
-	ps := db.exec.DerivePaths(mustStmt(t, q).Statement)[0]
+	ps := rootPaths(t, db, q)
 	if ps == nil || ps.Test == nil {
 		t.Fatalf("%s: %s: no pre-test pushed", name, q)
 	}
@@ -430,7 +441,7 @@ INSERT INTO x.S FROM x IN D WHERE x.K = 3 VALUES (2, 'hit')`
 		// as ErrNotFound or corruption.
 		tbl, _ := db.cat.Table("D")
 		refs, _ := db.Refs("D")
-		ps := db.exec.DerivePaths(mustStmt(t, byNote).Statement)[0]
+		ps := rootPaths(t, db, byNote)
 		for _, ref := range refs {
 			if tup, err := db.Runtime().OpenRef(tbl, ref, 0, ps); err != nil {
 				t.Errorf("OpenRef through a pre-test = %v", err)

@@ -338,24 +338,24 @@ func message(err error, text string) (Result, error) {
 
 // openSelect opens the cursor every SELECT (and EXPLAIN) reads through.
 // With a bound plan it evaluates the plan's access choices against the
-// scope's runtime and the bound arguments and reuses the cached result
-// schema and path sets — no inference, no path derivation, no planner
-// call — running the plan's own AST, the one those products were derived
-// from (a cached plan may stem from a different parse of the same
-// normalized SQL). Without one it binds and plans inline.
+// scope's runtime and the bound arguments and runs the cached block tree
+// — no inference, no path derivation, no planner call — over the plan's
+// own AST, the one the tree was bound from (a cached plan may stem from
+// a different parse of the same normalized SQL). Without one it binds
+// and plans inline.
 func (db *DB) openSelect(ctx context.Context, ex *exec.Executor, sel *sql.Select, p *plan.Prepared, args []model.Value) (*exec.Cursor, error) {
-	if p != nil && p.Sel != nil {
-		return ex.OpenPrepared(ctx, p.Sel, p.ResultType, p.Paths, p.Candidates(ex.RT, args), args)
+	if p != nil {
+		return ex.OpenPrepared(ctx, p.Block, p.Candidates(ex.RT, args), args)
 	}
 	return ex.OpenQueryArgs(ctx, sel, args)
 }
 
 // execDML runs an INSERT, UPDATE or DELETE the way openSelect opens a
-// query: a bound plan's path sets and evaluated access choices over its
-// own AST, else an inline bind.
+// query: a bound plan's block and evaluated access choices over its own
+// AST, else an inline bind.
 func execDML(ctx context.Context, ex *exec.Executor, st sql.Statement, p *plan.Prepared, args []model.Value) (int, error) {
 	if p != nil {
-		return ex.ExecPreparedDML(ctx, p.Stmt, p.Paths, p.Candidates(ex.RT, args), args)
+		return ex.ExecPreparedDML(ctx, p.Stmt, p.Block, p.Candidates(ex.RT, args), args)
 	}
 	return ex.ExecDML(ctx, st, args)
 }

@@ -57,18 +57,38 @@ type fromIter struct {
 	refi     int
 	candMode bool
 
-	// Path source: the subtable of the current outer binding.
-	tbl  *model.Table
-	mt   *model.TableType
-	prov *provenance
-	pos  int
+	// Path source: the subtable of the current outer binding, and where
+	// it lives when it has stored provenance (hasProv). prov.steps, like
+	// steps, is storage that survives closeIter.
+	tbl     *model.Table
+	mt      *model.TableType
+	prov    provenance
+	hasProv bool
+	pos     int
 }
 
-func newPipeline(e *Executor, ctx context.Context, items []sql.FromItem, scope *env, cands map[int]*Candidates, paths map[int]*object.PathSet) *pipeline {
-	return &pipeline{
+func (p *pipeline) init(e *Executor, ctx context.Context, items []sql.FromItem, scope *env, cands map[int]*Candidates, paths map[int]*object.PathSet) {
+	*p = pipeline{
 		e: e, ctx: ctx, items: items, scope: scope, cands: cands, paths: paths,
 		iters: make([]fromIter, len(items)),
 	}
+}
+
+// rewind closes every open iterator and makes the pipeline start over at
+// the next call of next, against the outer bindings current then.
+func (p *pipeline) rewind() {
+	p.close()
+	p.started, p.exhausted = false, false
+}
+
+// sizeHint is the number of members of the subtable the first FROM item
+// iterates (0 for a stored table, or before it is open): the result size
+// of a sub-block that projects one subtable.
+func (p *pipeline) sizeHint() int {
+	if len(p.iters) == 0 || p.iters[0].tbl == nil {
+		return 0
+	}
+	return len(p.iters[0].tbl.Tuples)
 }
 
 // next advances to the next complete binding of all range variables
@@ -136,7 +156,7 @@ func (p *pipeline) step(i int) (bool, error) {
 func (p *pipeline) openIter(i int) error {
 	it := &p.iters[i]
 	fi := p.items[i]
-	*it = fromIter{open: true, steps: it.steps[:0]}
+	*it = fromIter{open: true, steps: it.steps[:0], prov: provenance{steps: it.prov.steps[:0]}}
 	if fi.AsOf != nil {
 		lit, ok := fi.AsOf.(*sql.Literal)
 		if !ok {
@@ -169,14 +189,9 @@ func (p *pipeline) openIter(i int) error {
 		it.sc = sc
 		return nil
 	}
-	tbl, mt, prov, err := p.e.evalFromPath(fi.Source.Path, p.scope)
-	if err != nil {
-		return err
-	}
-	it.tbl = tbl // nil table (null subtable) yields no bindings
-	it.mt = mt
-	it.prov = prov
-	return nil
+	var err error
+	it.tbl, it.mt, it.hasProv, err = p.e.evalFromPath(fi.Source.Path, p.scope, &it.prov)
+	return err // a nil table (null subtable) yields no bindings
 }
 
 // advance binds the next member of iterator i into the scope. The
@@ -218,7 +233,7 @@ func (p *pipeline) advance(i int) (bool, error) {
 	pos := it.pos
 	it.pos++
 	it.b = binding{tt: it.mt, tup: it.tbl.Tuples[pos]}
-	if it.prov != nil {
+	if it.hasProv {
 		it.steps = append(append(it.steps[:0], it.prov.steps...), object.Step{Attr: it.prov.attr, Pos: pos})
 		it.b.tbl, it.b.ref, it.b.steps, it.b.asof = it.prov.tbl, it.prov.ref, it.steps, it.prov.asof
 	}
@@ -230,7 +245,7 @@ func (p *pipeline) closeIter(i int) {
 	if it.sc != nil {
 		it.sc.Close()
 	}
-	*it = fromIter{steps: it.steps[:0]}
+	*it = fromIter{steps: it.steps[:0], prov: provenance{steps: it.prov.steps[:0]}}
 }
 
 // close releases every open iterator; idempotent.
@@ -248,14 +263,27 @@ func (p *pipeline) close() {
 // clause, and deduplicated under DISTINCT. ORDER BY forces a
 // materialize-and-sort barrier on the first Next (sorting cannot
 // stream), after which the sorted rows replay one at a time.
+//
+// A cursor runs a bound block (Bind). The cursor of a sub-block is opened
+// on the first outer row that needs it and rewound, not rebuilt, for every
+// later one — its pipeline, iterators, scope and provenance included —
+// while each nested result it produces is fresh (subTable).
 type Cursor struct {
 	e     *Executor
 	ctx   context.Context
+	blk   *Block
 	sel   *sql.Select
-	tt    *model.TableType
-	scope *env
-	pipe  *pipeline
-	seen  map[string]bool // DISTINCT filter
+	scope env
+	pipe  pipeline
+	seen  map[string]bool // DISTINCT filter, made on first use
+	subs  []*Cursor       // sub-block cursors by select item, opened on first use
+
+	// A sub-block's cursor cuts its result tuples from slab, a run of
+	// values fresh for each nested result; slabRows is the row count of
+	// the last piece, which the next one doubles.
+	nested   bool
+	slab     []model.Value
+	slabRows int
 
 	sorted  []model.Tuple // ORDER BY buffer after the sort barrier
 	sorti   int
@@ -268,70 +296,35 @@ func (e *Executor) OpenQuery(ctx context.Context, sel *sql.Select) (*Cursor, err
 	return e.OpenQueryArgs(ctx, sel, nil)
 }
 
-// OpenQueryArgs is OpenQuery with bound `?` parameter values.
+// OpenQueryArgs is OpenQuery with bound `?` parameter values: it binds
+// the statement (Bind, once per execution) and plans its FROM list
+// inline. No data is read until the first Next.
 func (e *Executor) OpenQueryArgs(ctx context.Context, sel *sql.Select, params []model.Value) (*Cursor, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return e.openCursor(ctx, sel, rootEnv(params), true)
-}
-
-// --- bind-phase entry points -------------------------------------------
-//
-// The prepare path splits openCursor's and ExecDML's per-execution work
-// into a bind phase (schema inference and path-set derivation, run once
-// when a statement is prepared) and an execute phase (OpenPrepared,
-// ExecPreparedDML: run per execution with the precomputed artifacts).
-// Access-path choice — the third bind product — lives in package plan,
-// which builds on these.
-
-// InferSelect computes the result schema of a top-level select
-// (bind-phase half of openCursor).
-func (e *Executor) InferSelect(sel *sql.Select) (*model.TableType, error) {
-	return e.inferSelect(sel, newTypeEnv(nil))
-}
-
-// OpenPrepared opens a streaming cursor over a top-level select whose
-// bind products — result schema, path sets, candidate lists — were
-// computed ahead of time. It performs no inference, no path
-// derivation and no access-path planning; the plan-cache hit path runs
-// through here.
-func (e *Executor) OpenPrepared(ctx context.Context, sel *sql.Select, tt *model.TableType, paths map[int]*object.PathSet, cands map[int]*Candidates, params []model.Value) (*Cursor, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	scope := rootEnv(params)
-	return &Cursor{
-		e: e, ctx: ctx, sel: sel, tt: tt, scope: scope,
-		pipe: newPipeline(e, ctx, sel.From, scope, cands, paths),
-		seen: make(map[string]bool),
-	}, nil
-}
-
-// openCursor prepares a cursor for a select block in an outer
-// environment: infer the result schema, derive the required path set
-// per stored-table variable, choose access paths, and set up the
-// binding pipeline. No data is read until the first Next.
-func (e *Executor) openCursor(ctx context.Context, sel *sql.Select, outer *env, planning bool) (*Cursor, error) {
-	resultType, err := e.inferSelect(sel, typeEnvFrom(outer))
+	blk, err := e.Bind(sel)
 	if err != nil {
 		return nil, err
 	}
-	var paths map[int]*object.PathSet
-	if !e.FullPaths {
-		paths = e.derivePaths(sel, throwawayScope(outer))
+	return e.OpenPrepared(ctx, blk, e.choose(sel.From, sel.Where, params), params)
+}
+
+// OpenPrepared opens a streaming cursor over a top-level select bound
+// ahead of time (Bind), with the candidate lists of this execution. It
+// performs no inference, no path derivation and no access-path planning;
+// the plan-cache hit path runs through here.
+func (e *Executor) OpenPrepared(ctx context.Context, blk *Block, cands map[int]*Candidates, params []model.Value) (*Cursor, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	var cands map[int]*Candidates
-	if planning {
-		cands = e.choose(sel.From, sel.Where, outer.args())
-	}
-	scope := newEnv(outer)
-	c := &Cursor{
-		e: e, ctx: ctx, sel: sel, tt: resultType, scope: scope,
-		pipe: newPipeline(e, ctx, sel.From, scope, cands, paths),
-		seen: make(map[string]bool),
-	}
-	return c, nil
+	return e.newCursor(ctx, blk, nil, params, cands), nil
+}
+
+// newCursor sets up the cursor of a bound block in an outer scope (nil
+// at the top).
+func (e *Executor) newCursor(ctx context.Context, blk *Block, outer *env, params []model.Value, cands map[int]*Candidates) *Cursor {
+	c := &Cursor{e: e, ctx: ctx, blk: blk, sel: blk.Sel}
+	c.scope = env{slots: make([]slot, 0, len(blk.Sel.From)), parent: outer, params: params, blk: blk}
+	c.pipe.init(e, ctx, blk.Sel.From, &c.scope, cands, blk.Paths)
+	return c
 }
 
 // choose runs the inline planner over a top-level FROM list under its
@@ -352,36 +345,79 @@ func (e *Executor) choose(from []sql.FromItem, where sql.Expr, params []model.Va
 	return cands
 }
 
-// describePlan renders the chosen access path, fetch set and pre-test
-// of each FROM item for EXPLAIN output.
-func describePlan(e *Executor, sel *sql.Select, cands map[int]*Candidates, paths map[int]*object.PathSet) []string {
-	out := make([]string, len(sel.From))
-	for i, fi := range sel.From {
-		source := fi.Source.Table
-		if source == "" {
-			out[i] = fmt.Sprintf("%s IN %s: iterate subtable of outer binding", fi.Var, fi.Source.Path)
-			continue
+// Type returns the result schema.
+func (c *Cursor) Type() *model.TableType { return c.blk.Type }
+
+// AccessPlan renders the block tree with the chosen access path of each
+// top-level FROM item (Block.Describe), on demand: only EXPLAIN asks.
+func (c *Cursor) AccessPlan() []string {
+	return c.blk.Describe(c.e.RT, c.sel.From, func(i int) string {
+		if cd := c.pipe.cands[i]; cd != nil {
+			return fmt.Sprintf("%s -> %d candidate object(s)", cd.Why, len(cd.Refs))
 		}
-		access := "full table scan"
-		if c := cands[i]; c != nil {
-			access = fmt.Sprintf("%s -> %d candidate object(s)", c.Why, len(c.Refs))
-		}
-		fetch := "*"
-		if t, ok := e.RT.Table(source); ok && paths != nil {
-			fetch = paths[i].Describe(t.Type)
-		}
-		out[i] = fmt.Sprintf("%s IN %s: %s, fetch %s, %s", fi.Var, source, access, fetch, paths[i].DescribeTest())
-	}
-	return out
+		return ""
+	})
 }
 
-// Type returns the result schema.
-func (c *Cursor) Type() *model.TableType { return c.tt }
+// subTable evaluates the sub-block of select item i for the current
+// bindings. Its cursor, opened on the first outer row, is rewound for
+// every later one; the rows are collected into a fresh table sized from
+// the subtable the sub-block iterates, because the nested result is part
+// of a row the caller may keep.
+func (c *Cursor) subTable(i int) (*model.Table, error) {
+	if c.subs == nil {
+		c.subs = make([]*Cursor, len(c.sel.Items))
+	}
+	sub := c.subs[i]
+	if sub == nil {
+		sub = c.e.newCursor(c.ctx, c.blk.Subs[i], &c.scope, c.scope.params, nil)
+		sub.nested = true
+		c.subs[i] = sub
+	} else {
+		sub.rewind()
+	}
+	out := &model.Table{Ordered: sub.blk.Type.Ordered}
+	for {
+		tup, ok, err := sub.Next()
+		if err != nil || !ok {
+			return out, err
+		}
+		if out.Tuples == nil {
+			out.Tuples = make([]model.Tuple, 0, max(sub.pipe.sizeHint(), len(sub.sorted)))
+		}
+		out.Append(tup)
+	}
+}
 
-// AccessPlan returns the access-path description of each FROM item,
-// rendered on demand: only EXPLAIN asks.
-func (c *Cursor) AccessPlan() []string {
-	return describePlan(c.e, c.sel, c.pipe.cands, c.pipe.paths)
+// rewind resets a sub-block's cursor for the next outer row: the
+// pipeline starts over, the scope forgets the previous row's bindings
+// (a FROM path is evaluated before its own variable is bound, and must
+// not see the variable's last binding), and the DISTINCT and ORDER BY
+// state and the slab start empty.
+func (c *Cursor) rewind() {
+	c.pipe.rewind()
+	c.scope.slots = c.scope.slots[:0]
+	clear(c.seen)
+	c.slab, c.slabRows = nil, 0
+	c.sorted, c.sorti, c.drained, c.closed = nil, 0, false, false
+}
+
+// newTuple returns storage for one result tuple of n attributes. A
+// top-level row is allocated on its own; a sub-block cuts its rows from
+// the slab, with capped capacity so that no row can grow into the next,
+// and starts a new piece — at first as many rows as the iterated
+// subtable has members, then twice the last — when it runs out.
+func (c *Cursor) newTuple(n int) model.Tuple {
+	if !c.nested {
+		return make(model.Tuple, n)
+	}
+	if len(c.slab) < n {
+		c.slabRows = max(c.pipe.sizeHint(), 2*c.slabRows, 4)
+		c.slab = make([]model.Value, c.slabRows*n)
+	}
+	tup := c.slab[:n:n]
+	c.slab = c.slab[n:]
+	return tup
 }
 
 // Next returns the next result tuple; false means the result is
@@ -428,6 +464,9 @@ func (c *Cursor) distinctDup(tup model.Tuple) bool {
 	if !c.sel.Distinct {
 		return false
 	}
+	if c.seen == nil {
+		c.seen = make(map[string]bool)
+	}
 	key := model.CanonicalTuple(tup)
 	if c.seen[key] {
 		return true
@@ -445,7 +484,7 @@ func (c *Cursor) nextUnfiltered() (model.Tuple, bool, error) {
 			return nil, false, err
 		}
 		if c.sel.Where != nil {
-			keep, err := c.e.evalCond(c.sel.Where, c.scope)
+			keep, err := c.e.evalCond(c.sel.Where, &c.scope)
 			if err != nil {
 				return nil, false, err
 			}
@@ -453,7 +492,7 @@ func (c *Cursor) nextUnfiltered() (model.Tuple, bool, error) {
 				continue
 			}
 		}
-		tup, err := c.e.buildResult(c.ctx, c.sel, c.tt, c.scope)
+		tup, err := c.buildResult()
 		if err != nil {
 			return nil, false, err
 		}
@@ -479,7 +518,7 @@ func (c *Cursor) drainSorted() error {
 		}
 		k := keyed{tup: tup}
 		for _, ob := range c.sel.OrderBy {
-			v, err := c.e.evalExpr(ob.Expr, c.scope)
+			v, err := c.e.evalExpr(ob.Expr, &c.scope)
 			if err != nil {
 				return err
 			}
@@ -518,8 +557,9 @@ func (c *Cursor) drainSorted() error {
 	return nil
 }
 
-// Close releases the cursor's resources (open scans). It is
-// idempotent and never fails; no buffer pages survive it.
+// Close releases the cursor's resources (open scans, its sub-blocks'
+// included). It is idempotent and never fails; no buffer pages survive
+// it.
 func (c *Cursor) Close() error {
 	if c.closed {
 		return nil
@@ -527,5 +567,10 @@ func (c *Cursor) Close() error {
 	c.closed = true
 	c.pipe.close()
 	c.sorted = nil
+	for _, sub := range c.subs {
+		if sub != nil {
+			sub.Close()
+		}
+	}
 	return nil
 }

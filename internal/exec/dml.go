@@ -111,38 +111,42 @@ func FromList(st sql.Statement) ([]sql.FromItem, sql.Expr, bool) {
 // and candidate lists exactly as a SELECT's does, and the statement
 // runs as ExecPreparedDML.
 func (e *Executor) ExecDML(ctx context.Context, st sql.Statement, params []model.Value) (int, error) {
-	var paths map[int]*object.PathSet
+	blk, err := e.Bind(st)
+	if err != nil {
+		return 0, err
+	}
 	var cands map[int]*Candidates
 	if from, where, ok := FromList(st); ok {
-		paths, cands = e.DerivePaths(st), e.choose(from, where, params)
+		cands = e.choose(from, where, params)
 	}
-	return e.ExecPreparedDML(ctx, st, paths, cands, params)
+	return e.ExecPreparedDML(ctx, st, blk, cands, params)
 }
 
 // ExecPreparedDML runs an INSERT, UPDATE or DELETE whose FROM list was
-// bound ahead of time — path sets (nil = full objects) and candidate
+// bound ahead of time — its block (Bind: path sets, nil for full
+// objects, and quantifier fetch sets) and this execution's candidate
 // lists (nil = full scans) — returning the number of tuples or members
 // it inserted, updated or deleted. Targets are located through the
 // same pipeline a SELECT reads through, the WHERE re-tested on every
 // binding, and collected before anything is written.
-func (e *Executor) ExecPreparedDML(ctx context.Context, st sql.Statement, paths map[int]*object.PathSet, cands map[int]*Candidates, params []model.Value) (int, error) {
+func (e *Executor) ExecPreparedDML(ctx context.Context, st sql.Statement, blk *Block, cands map[int]*Candidates, params []model.Value) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	switch s := st.(type) {
 	case *sql.Insert:
-		return e.execInsert(ctx, s, paths, cands, params)
+		return e.execInsert(ctx, s, blk, cands, params)
 	case *sql.Delete:
-		return e.execDelete(ctx, s, paths, cands, params)
+		return e.execDelete(ctx, s, blk, cands, params)
 	case *sql.Update:
-		return e.execUpdate(ctx, s, paths, cands, params)
+		return e.execUpdate(ctx, s, blk, cands, params)
 	}
 	return 0, fmt.Errorf("exec: %T is not an INSERT, UPDATE or DELETE", st)
 }
 
 // execInsert adds whole tuples to a stored table, or members to the
 // subtable addressed by ins.Path for every binding of its FROM list.
-func (e *Executor) execInsert(ctx context.Context, ins *sql.Insert, paths map[int]*object.PathSet, cands map[int]*Candidates, params []model.Value) (int, error) {
+func (e *Executor) execInsert(ctx context.Context, ins *sql.Insert, blk *Block, cands map[int]*Candidates, params []model.Value) (int, error) {
 	if ins.Table != "" {
 		t, ok := e.RT.Table(ins.Table)
 		if !ok {
@@ -150,7 +154,7 @@ func (e *Executor) execInsert(ctx context.Context, ins *sql.Insert, paths map[in
 		}
 		n := 0
 		for _, row := range ins.Rows {
-			tup, err := e.coerceTuple(row, t.Type, rootEnv(params))
+			tup, err := e.coerceTuple(row, t.Type, rootEnv(params, blk))
 			if err != nil {
 				return n, err
 			}
@@ -170,13 +174,14 @@ func (e *Executor) execInsert(ctx context.Context, ins *sql.Insert, paths map[in
 		tt    *model.TableType
 	}
 	var targets []target
-	scope := rootEnv(params)
-	err := e.forEach(ctx, ins.From, ins.Where, scope, cands, paths, func() error {
-		_, memberType, prov, err := e.evalFromPath(ins.Path, scope)
+	var prov provenance
+	scope := rootEnv(params, blk)
+	err := e.forEach(ctx, ins.From, ins.Where, scope, cands, blk.Paths, func() error {
+		_, memberType, hasProv, err := e.evalFromPath(ins.Path, scope, &prov)
 		if err != nil {
 			return err
 		}
-		if prov == nil {
+		if !hasProv {
 			return fmt.Errorf("exec: INSERT target %s is not updatable (no stored provenance)", ins.Path)
 		}
 		targets = append(targets, target{
@@ -197,7 +202,7 @@ func (e *Executor) execInsert(ctx context.Context, ins *sql.Insert, paths map[in
 	n := 0
 	for _, tg := range targets {
 		for _, row := range ins.Rows {
-			member, err := e.coerceTuple(row, tg.tt, rootEnv(params))
+			member, err := e.coerceTuple(row, tg.tt, rootEnv(params, blk))
 			if err != nil {
 				return n, err
 			}
@@ -250,15 +255,15 @@ func dedupeTargets[T any](ts []T, key func(T) targetKey) []T {
 // afterwards — whole objects when the variable ranges over a stored
 // table, subtable members when it ranges over a subtable (deleting
 // "arbitrary parts of complex objects", §4.1).
-func (e *Executor) execDelete(ctx context.Context, del *sql.Delete, paths map[int]*object.PathSet, cands map[int]*Candidates, params []model.Value) (int, error) {
+func (e *Executor) execDelete(ctx context.Context, del *sql.Delete, blk *Block, cands map[int]*Candidates, params []model.Value) (int, error) {
 	type victim struct {
 		tbl   *catalog.Table
 		ref   page.TID
 		steps []object.Step
 	}
 	var victims []victim
-	scope := rootEnv(params)
-	err := e.forEach(ctx, del.From, del.Where, scope, cands, paths, func() error {
+	scope := rootEnv(params, blk)
+	err := e.forEach(ctx, del.From, del.Where, scope, cands, blk.Paths, func() error {
 		b, ok := scope.lookup(del.Var)
 		if !ok {
 			return fmt.Errorf("exec: DELETE variable %q is not bound", del.Var)
@@ -308,7 +313,7 @@ func (e *Executor) execDelete(ctx context.Context, del *sql.Delete, paths map[in
 
 // execUpdate overwrites the atomic attributes of the target variable's
 // level.
-func (e *Executor) execUpdate(ctx context.Context, upd *sql.Update, paths map[int]*object.PathSet, cands map[int]*Candidates, params []model.Value) (int, error) {
+func (e *Executor) execUpdate(ctx context.Context, upd *sql.Update, blk *Block, cands map[int]*Candidates, params []model.Value) (int, error) {
 	type change struct {
 		tbl   *catalog.Table
 		ref   page.TID
@@ -316,8 +321,8 @@ func (e *Executor) execUpdate(ctx context.Context, upd *sql.Update, paths map[in
 		vals  []model.Value
 	}
 	var changes []change
-	scope := rootEnv(params)
-	err := e.forEach(ctx, upd.From, upd.Where, scope, cands, paths, func() error {
+	scope := rootEnv(params, blk)
+	err := e.forEach(ctx, upd.From, upd.Where, scope, cands, blk.Paths, func() error {
 		b, ok := scope.lookup(upd.Var)
 		if !ok {
 			return fmt.Errorf("exec: UPDATE variable %q is not bound", upd.Var)

@@ -326,16 +326,22 @@ func truth(v value) (bool, error) {
 // null table) ALL is vacuously true and EXISTS false. A stored table is
 // read through the same cursor as a FROM item without ASOF, so it sees
 // the same snapshot, fetching only the paths the condition touches and
-// skipping the objects its pre-test rules out; the deferred Close is the
-// early stop. The quantified variable has one scope and one binding,
-// rebound in place for every member tested.
+// skipping the objects its pre-test rules out — both bound with the
+// enclosing block; the deferred Close is the early stop. The quantified
+// variable has one scope and one binding, rebound in place for every
+// member tested, allocated together (scopes chain through evalQuant's
+// recursion, so the compiler keeps none of them on the stack).
 func (e *Executor) evalQuant(q *sql.Quant, en *env) (bool, error) {
-	var b binding
-	scope := newEnv(en)
-	scope.bind(q.Var, &b)
+	qs := &struct {
+		scope env
+		slot  [1]slot
+		b     binding
+	}{}
+	qs.slot[0] = slot{q.Var, &qs.b}
+	qs.scope = env{slots: qs.slot[:], parent: en, params: en.params, blk: en.blk}
 	decides := func(tt *model.TableType, tup model.Tuple) (bool, error) {
-		b = binding{tt: tt, tup: tup}
-		ok, err := e.evalCond(q.Cond, scope)
+		qs.b = binding{tt: tt, tup: tup}
+		ok, err := e.evalCond(q.Cond, &qs.scope)
 		return ok != q.All, err
 	}
 	if q.Source.Table != "" {
@@ -343,7 +349,7 @@ func (e *Executor) evalQuant(q *sql.Quant, en *env) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("exec: unknown table %q", q.Source.Table)
 		}
-		sc, err := e.RT.OpenScan(t, 0, e.quantPaths(q, t, en))
+		sc, err := e.RT.OpenScan(t, 0, en.blk.quantFetch(q))
 		if err != nil {
 			return false, err
 		}

@@ -7,38 +7,6 @@ import (
 	"repro/internal/sql"
 )
 
-// typeEnv tracks range-variable types for result schema inference.
-type typeEnv struct {
-	vars   map[string]*model.TableType
-	parent *typeEnv
-}
-
-func newTypeEnv(parent *typeEnv) *typeEnv {
-	return &typeEnv{vars: make(map[string]*model.TableType), parent: parent}
-}
-
-func (te *typeEnv) lookup(name string) (*model.TableType, bool) {
-	for s := te; s != nil; s = s.parent {
-		if tt, ok := s.vars[name]; ok {
-			return tt, true
-		}
-	}
-	return nil, false
-}
-
-// typeEnvFrom exposes the types of the bindings in a value env.
-func typeEnvFrom(en *env) *typeEnv {
-	te := newTypeEnv(nil)
-	for s := en; s != nil; s = s.parent {
-		for name, b := range s.vars {
-			if _, shadowed := te.vars[name]; !shadowed {
-				te.vars[name] = b.tt
-			}
-		}
-	}
-	return te
-}
-
 // inferred is the static type of an expression: an atomic kind, a
 // table type, or a tuple type (the result of [k] indexing).
 type inferred struct {
@@ -65,7 +33,7 @@ func (in inferred) atomType() (model.Type, error) {
 }
 
 // inferExpr computes the static type of an expression.
-func (e *Executor) inferExpr(x sql.Expr, te *typeEnv) (inferred, error) {
+func (e *Executor) inferExpr(x sql.Expr, scope *pathScope) (inferred, error) {
 	switch x := x.(type) {
 	case *sql.Literal:
 		if model.IsNull(x.Val) {
@@ -77,22 +45,22 @@ func (e *Executor) inferExpr(x sql.Expr, te *typeEnv) (inferred, error) {
 		// the null literal it defaults to string for schema purposes.
 		return inferred{kind: model.KindString}, nil
 	case *sql.PathExpr:
-		return e.inferPath(x, te)
+		return e.inferPath(x, scope)
 	case *sql.Unary:
 		if x.Op == "NOT" {
 			return inferred{kind: model.KindBool}, nil
 		}
-		return e.inferExpr(x.E, te)
+		return e.inferExpr(x.E, scope)
 	case *sql.Binary:
 		switch x.Op {
 		case "AND", "OR", "=", "<>", "<", "<=", ">", ">=":
 			return inferred{kind: model.KindBool}, nil
 		}
-		l, err := e.inferExpr(x.L, te)
+		l, err := e.inferExpr(x.L, scope)
 		if err != nil {
 			return inferred{}, err
 		}
-		r, err := e.inferExpr(x.R, te)
+		r, err := e.inferExpr(x.R, scope)
 		if err != nil {
 			return inferred{}, err
 		}
@@ -114,12 +82,12 @@ func (e *Executor) inferExpr(x sql.Expr, te *typeEnv) (inferred, error) {
 }
 
 // inferPath types a path expression.
-func (e *Executor) inferPath(p *sql.PathExpr, te *typeEnv) (inferred, error) {
-	tt, ok := te.lookup(p.Var)
+func (e *Executor) inferPath(p *sql.PathExpr, scope *pathScope) (inferred, error) {
+	n, ok := scope.lookup(p.Var)
 	if !ok {
 		return inferred{}, fmt.Errorf("exec: unknown variable %q", p.Var)
 	}
-	cur := inferred{tuple: tt}
+	cur := inferred{tuple: n.tt}
 	for _, st := range p.Steps {
 		if st.Name != "" {
 			if !cur.isTuple() {
@@ -145,7 +113,7 @@ func (e *Executor) inferPath(p *sql.PathExpr, te *typeEnv) (inferred, error) {
 }
 
 // sourceType resolves the element type of a FROM source.
-func (e *Executor) sourceType(src sql.TableRef, te *typeEnv) (*model.TableType, error) {
+func (e *Executor) sourceType(src sql.TableRef, scope *pathScope) (*model.TableType, error) {
 	if src.Table != "" {
 		t, ok := e.RT.Table(src.Table)
 		if !ok {
@@ -153,7 +121,7 @@ func (e *Executor) sourceType(src sql.TableRef, te *typeEnv) (*model.TableType, 
 		}
 		return t.Type, nil
 	}
-	in, err := e.inferPath(src.Path, te)
+	in, err := e.inferPath(src.Path, scope)
 	if err != nil {
 		return nil, err
 	}
@@ -161,66 +129,4 @@ func (e *Executor) sourceType(src sql.TableRef, te *typeEnv) (*model.TableType, 
 		return nil, fmt.Errorf("exec: FROM source %s is not a table", src.Path)
 	}
 	return in.table, nil
-}
-
-// inferSelect computes the result schema of a select block.
-func (e *Executor) inferSelect(sel *sql.Select, outer *typeEnv) (*model.TableType, error) {
-	te := newTypeEnv(outer)
-	for _, fi := range sel.From {
-		tt, err := e.sourceType(fi.Source, te)
-		if err != nil {
-			return nil, err
-		}
-		te.vars[fi.Var] = tt
-	}
-	ordered := e.selectOrdered(sel, te)
-	if sel.Star {
-		if len(sel.From) != 1 {
-			return nil, fmt.Errorf("exec: SELECT * requires exactly one FROM item; list the attributes instead")
-		}
-		src := te.vars[sel.From[0].Var].Clone()
-		src.Ordered = ordered
-		return src, nil
-	}
-	var attrs []model.Attr
-	for i, item := range sel.Items {
-		name := item.ResultName()
-		if name == "" {
-			name = fmt.Sprintf("COL%d", i+1)
-		}
-		if item.Sub != nil {
-			sub, err := e.inferSelect(item.Sub, te)
-			if err != nil {
-				return nil, err
-			}
-			attrs = append(attrs, model.Attr{Name: name, Type: model.Type{Kind: model.KindTable, Table: sub}})
-			continue
-		}
-		in, err := e.inferExpr(item.Expr, te)
-		if err != nil {
-			return nil, err
-		}
-		typ, err := in.atomType()
-		if err != nil {
-			return nil, fmt.Errorf("exec: select item %d: %w", i+1, err)
-		}
-		attrs = append(attrs, model.Attr{Name: name, Type: typ})
-	}
-	return model.NewTableType(ordered, attrs...)
-}
-
-// selectOrdered decides whether the result is an ordered table: an
-// explicit ORDER BY always orders, and a plain projection of a single
-// ordered source preserves its order (so selecting from a list yields
-// a list).
-func (e *Executor) selectOrdered(sel *sql.Select, te *typeEnv) bool {
-	if len(sel.OrderBy) > 0 {
-		return true
-	}
-	if len(sel.From) == 1 {
-		if tt, ok := te.lookup(sel.From[0].Var); ok && tt != nil {
-			return tt.Ordered
-		}
-	}
-	return false
 }

@@ -3,14 +3,13 @@ package exec
 import (
 	"fmt"
 
-	"repro/internal/catalog"
 	"repro/internal/model"
 	"repro/internal/object"
 	"repro/internal/sql"
 )
 
-// Required-path derivation: before a select block opens its scans,
-// the executor walks the block's entire expression tree (projections,
+// Required-path derivation: while a statement is bound (Bind), the
+// executor walks each block's entire expression tree (projections,
 // WHERE, EXISTS/ALL chains, CONTAINS, COUNT, ORDER BY, nested
 // sub-selects) and computes, per range variable over a stored table,
 // the set of paths the block can possibly touch. The storage layer
@@ -30,15 +29,24 @@ type pathNode struct {
 	tt *model.TableType
 }
 
-// pathScope is a chained var → pathNode environment mirroring the
-// executor's env chains (so shadowing behaves identically).
+// pathScope is the bind-time scope: a chained var → pathNode
+// environment mirroring the executor's env chains (so shadowing behaves
+// identically). A node's schema level types the block's expressions; its
+// PathSet collects what they read. blk is the block whose expressions the
+// scope binds, which records the quantifiers over stored tables found in
+// them.
 type pathScope struct {
 	vars   map[string]pathNode
 	parent *pathScope
+	blk    *Block
 }
 
 func newPathScope(parent *pathScope) *pathScope {
-	return &pathScope{vars: make(map[string]pathNode), parent: parent}
+	s := &pathScope{vars: make(map[string]pathNode), parent: parent}
+	if parent != nil {
+		s.blk = parent.blk
+	}
+	return s
 }
 
 func (s *pathScope) lookup(name string) (pathNode, bool) {
@@ -48,46 +56,6 @@ func (s *pathScope) lookup(name string) (pathNode, bool) {
 		}
 	}
 	return pathNode{}, false
-}
-
-// derivePaths computes the PathSet of every FROM item of sel that
-// ranges over a stored table, keyed by item index (variable names can
-// be rebound within one FROM list, so the index is the stable key).
-// outer supplies nodes for variables bound by enclosing blocks (for
-// the top-level block these are throwaway nodes: the enclosing fetch
-// already satisfied their requirements). Each root carries the pre-test
-// compiled from the block's WHERE (pretest.go). On any analysis failure
-// it returns nil and the caller reads full objects.
-func (e *Executor) derivePaths(sel *sql.Select, outer *pathScope) map[int]*object.PathSet {
-	scope := newPathScope(outer)
-	roots := make(map[int]*object.PathSet)
-	if err := e.deriveBlock(sel, scope, roots); err != nil {
-		return nil
-	}
-	e.pushTests(sel.From, sel.Where, roots)
-	return roots
-}
-
-// DerivePaths computes the projection-pushdown path sets, pre-tests
-// included, of the stored-table FROM items of a top-level statement — a
-// SELECT, or the FROM list of a DML statement (bind-phase half of
-// openCursor and ExecDML). nil means full object reads and no pre-tests:
-// FullPaths is set, the statement has no FROM list, or derivation could
-// not prove a narrow fetch.
-func (e *Executor) DerivePaths(st sql.Statement) map[int]*object.PathSet {
-	if e.FullPaths {
-		return nil
-	}
-	if sel, ok := st.(*sql.Select); ok {
-		return e.derivePaths(sel, newPathScope(nil))
-	}
-	roots := make(map[int]*object.PathSet)
-	if err := e.deriveDML(st, newPathScope(nil), roots); err != nil {
-		return nil
-	}
-	from, where, _ := FromList(st)
-	e.pushTests(from, where, roots)
-	return roots
 }
 
 // deriveDML walks what a DML statement reads of its bindings: the WHERE
@@ -127,105 +95,28 @@ func (e *Executor) deriveDML(st sql.Statement, scope *pathScope, roots map[int]*
 	return nil
 }
 
-// quantPaths computes the PathSet of a quantifier over a stored table:
-// what its condition can touch through the quantified variable, and the
-// pre-test that rules out objects that cannot decide it. The enclosing
-// variables are already bound, so marks against them are discarded. nil
-// (full objects, no pre-test) when pushdown is off or derivation fails.
-func (e *Executor) quantPaths(q *sql.Quant, t *catalog.Table, en *env) *object.PathSet {
-	if e.FullPaths {
-		return nil
-	}
-	scope := newPathScope(throwawayScope(en))
-	ps := &object.PathSet{}
-	scope.vars[q.Var] = pathNode{ps: ps, tt: t.Type}
-	if err := e.markExpr(q.Cond, scope); err != nil {
-		return nil
-	}
-	ps.Test = quantTest(q, t)
-	return ps
-}
-
-// throwawayScope builds an outer pathScope from an executor env: each
-// already-bound variable gets a discard node (its tuple is already
-// fetched; marks recorded against it have no effect).
-func throwawayScope(en *env) *pathScope {
-	s := newPathScope(nil)
-	for c := en; c != nil; c = c.parent {
-		for name, b := range c.vars {
-			if _, shadowed := s.vars[name]; !shadowed {
-				s.vars[name] = pathNode{ps: &object.PathSet{}, tt: b.tt}
-			}
-		}
-	}
-	return s
-}
-
-// deriveBlock binds sel's FROM variables into scope (recording fresh
-// root nodes for stored tables into roots) and walks every expression
-// of the block.
-func (e *Executor) deriveBlock(sel *sql.Select, scope *pathScope, roots map[int]*object.PathSet) error {
-	if err := e.bindFrom(sel.From, scope, roots); err != nil {
-		return err
-	}
-	if sel.Star {
-		if len(sel.From) != 1 {
-			return fmt.Errorf("exec: SELECT * requires exactly one FROM item")
-		}
-		if n, ok := scope.lookup(sel.From[0].Var); ok {
-			n.ps.MarkAll()
-		}
-	}
-	for _, item := range sel.Items {
-		if item.Sub != nil {
-			if err := e.deriveBlock(item.Sub, newPathScope(scope), nil); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := e.markExpr(item.Expr, scope); err != nil {
-			return err
-		}
-	}
-	if sel.Where != nil {
-		if err := e.markExpr(sel.Where, scope); err != nil {
-			return err
-		}
-	}
-	for _, ob := range sel.OrderBy {
-		if err := e.markExpr(ob.Expr, scope); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // bindFrom binds a FROM list's variables into scope, recording a fresh
-// root node per stored-table item into roots (when non-nil).
+// root node per stored-table item into roots. A source that is not a
+// table is an error.
 func (e *Executor) bindFrom(from []sql.FromItem, scope *pathScope, roots map[int]*object.PathSet) error {
 	for i, fi := range from {
-		if fi.Source.Table != "" {
-			t, ok := e.RT.Table(fi.Source.Table)
-			if !ok {
-				return fmt.Errorf("exec: unknown table %q", fi.Source.Table)
-			}
-			ps := &object.PathSet{}
-			scope.vars[fi.Var] = pathNode{ps: ps, tt: t.Type}
-			if roots != nil {
-				roots[i] = ps
-			}
-			continue
-		}
-		n, atomic, err := e.walkPath(fi.Source.Path, scope)
+		tt, err := e.sourceType(fi.Source, scope)
 		if err != nil {
 			return err
 		}
-		if atomic {
-			return fmt.Errorf("exec: FROM %s does not denote a table", fi.Source.Path)
+		if fi.Source.Table != "" {
+			ps := &object.PathSet{}
+			scope.vars[fi.Var] = pathNode{ps: ps, tt: tt}
+			roots[i] = ps
+			continue
 		}
 		// Iterating the subtable needs its membership, which Descend
-		// along the walk already requested; the members' contents are
-		// whatever the block marks through this variable.
+		// along the walk requests; the members' contents are whatever
+		// the block marks through this variable.
+		n, _, err := e.walkPath(fi.Source.Path, scope)
+		if err != nil {
+			return err
+		}
 		scope.vars[fi.Var] = n
 	}
 	return nil
@@ -304,25 +195,34 @@ func (e *Executor) markExpr(x sql.Expr, scope *pathScope) error {
 	case *sql.Quant:
 		inner := newPathScope(scope)
 		if x.Source.Table != "" {
-			// Quantification over a stored table opens its own scan
-			// (evalQuant derives that scan's paths with quantPaths);
-			// the quantified variable imposes nothing on the block's
-			// roots.
+			// Quantification over a stored table opens its own scan,
+			// which fetches what the condition reads through the
+			// quantified variable and is pre-tested with quantTest; the
+			// block records both for evalQuant. The quantified variable
+			// imposes nothing on the block's roots.
 			t, ok := e.RT.Table(x.Source.Table)
 			if !ok {
 				return fmt.Errorf("exec: unknown table %q", x.Source.Table)
 			}
-			inner.vars[x.Var] = pathNode{ps: &object.PathSet{}, tt: t.Type}
-		} else {
-			n, atomic, err := e.walkPath(x.Source.Path, scope)
-			if err != nil {
-				return err
+			ps := &object.PathSet{}
+			inner.vars[x.Var] = pathNode{ps: ps, tt: t.Type}
+			err := e.markExpr(x.Cond, inner)
+			if err != nil || e.FullPaths {
+				ps = nil
+			} else {
+				ps.Test = quantTest(x, t)
 			}
-			if atomic || n.tt == nil {
-				return fmt.Errorf("exec: quantifier source %s is not a table", x.Source.Path)
-			}
-			inner.vars[x.Var] = n
+			scope.blk.quants = append(scope.blk.quants, boundQuant{x, ps})
+			return err
 		}
+		n, atomic, err := e.walkPath(x.Source.Path, scope)
+		if err != nil {
+			return err
+		}
+		if atomic || n.tt == nil {
+			return fmt.Errorf("exec: quantifier source %s is not a table", x.Source.Path)
+		}
+		inner.vars[x.Var] = n
 		return e.markExpr(x.Cond, inner)
 	case *sql.Contains:
 		return e.markExpr(x.Text, scope)

@@ -55,7 +55,11 @@ func TestPreTestCompiles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.q, err)
 		}
-		if got := db.Executor().DerivePaths(st)[0].DescribeTest(); got != c.want {
+		blk, err := db.Executor().Bind(st)
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		if got := blk.Paths[0].DescribeTest(); got != c.want {
 			t.Errorf("%s:\n got %s\nwant %s", c.q, got, c.want)
 		}
 	}
@@ -63,7 +67,8 @@ func TestPreTestCompiles(t *testing.T) {
 
 // EXPLAIN renders each FROM item's pre-test next to its access path and
 // fetch set. Pinned for the seven scan_cold statements, over the same
-// indexes the workload creates.
+// indexes the workload creates, and for the whole block tree of the first
+// and of a correlated sub-block.
 func TestExplainShowsPreTest(t *testing.T) {
 	db := openDB(t)
 	if err := db.CreateIndex("DEPT_FUNCTION", "DEPARTMENTS", []string{"PROJECTS", "MEMBERS", "FUNCTION"}, "HIERARCHICAL"); err != nil {
@@ -88,6 +93,59 @@ func TestExplainShowsPreTest(t *testing.T) {
 		}
 		if got := strings.Split(res[0].Message, "\n")[0]; got != want[i] {
 			t.Errorf("statement %d:\n got %s\nwant %s", i+1, got, want[i])
+		}
+	}
+
+	// The whole block tree: each sub-block's FROM items indented under the
+	// select item that owns it — a path iteration, or a stored scan with
+	// its fetch set and pre-test — and the fetch set and pre-test of each
+	// quantifier over a stored table, in the block whose expression holds
+	// it. The prepared plan renders the same tree, with the access path
+	// chosen at bind time.
+	if err := db.CreateIndex("DEPT_DNO", "DEPARTMENTS", []string{"DNO"}, "HIERARCHICAL"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    string
+		want []string
+	}{
+		{scanColdStatements(17)[0], []string{
+			`x IN DEPARTMENTS: full table scan, fetch {atoms, PROJECTS: {atoms, MEMBERS: {atoms}}, EQUIP: {atoms}}, no test`,
+			`PROJECTS = (SELECT …):`,
+			`  y IN x.PROJECTS: iterate subtable of outer binding`,
+			`  MEMBERS = (SELECT …):`,
+			`    z IN y.MEMBERS: iterate subtable of outer binding`,
+			`EQUIP = (SELECT …):`,
+			`  v IN x.EQUIP: iterate subtable of outer binding`,
+		}},
+		{`SELECT x.DNO, PEERS = (SELECT d.DNO, d.BUDGET FROM d IN DEPARTMENTS WHERE d.MGRNO <> x.MGRNO AND d.BUDGET > 100 AND EXISTS r IN REPORTS: EXISTS a IN r.AUTHORS: a.NAME = 'Jones') FROM x IN DEPARTMENTS WHERE x.DNO = 314`, []string{
+			`x IN DEPARTMENTS: index DEPT_DNO(DNO)=314 -> 1 candidate object(s), fetch {atoms}, test DNO = 314`,
+			`PEERS = (SELECT …):`,
+			`  d IN DEPARTMENTS: full table scan, fetch {atoms}, test BUDGET > 100`,
+			`  EXISTS r IN REPORTS: full table scan, fetch {AUTHORS: {atoms}}, test EXISTS AUTHORS (NAME = 'Jones')`,
+		}},
+	} {
+		res, err := db.Exec(`EXPLAIN ` + c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		lines := strings.Split(res[0].Message, "\n")
+		if got := strings.Join(lines[:min(len(lines), len(c.want))], "\n"); got != strings.Join(c.want, "\n") {
+			t.Errorf("%s:\n got %s\nwant %s", c.q, res[0].Message, strings.Join(c.want, "\n"))
+		}
+		if strings.Contains(lines[len(c.want)], " IN ") {
+			t.Errorf("%s: more plan lines than the tree has:\n%s", c.q, res[0].Message)
+		}
+		ps, err := db.Prepare(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, _, err := ps.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := strings.Join(bound[1:], "\n"), strings.Join(c.want[1:], "\n"); got != want {
+			t.Errorf("%s: prepared plan:\n got %s\nwant %s", c.q, got, want)
 		}
 	}
 }

@@ -126,56 +126,61 @@ type binding struct {
 	asof int64
 }
 
-// env is a chained variable scope. The root scope of a statement may
-// carry the positional parameter values of a prepared execution;
-// lookups walk the chain, so nested blocks and quantifier scopes see
-// the same arguments.
+// env is one scope of a chained variable scope: the range variables a
+// FROM list or a quantifier binds, as a short slice searched from the
+// innermost scope outward (a scope binds one to a handful of names, so a
+// string compare per slot beats hashing). Every scope of a statement
+// carries the statement's bound `?` arguments and the block whose
+// expressions it evaluates, copied from its parent when it is opened, so
+// neither is looked for along the chain.
 type env struct {
-	vars   map[string]*binding
+	slots  []slot
 	parent *env
-	params []model.Value // bound `?` arguments (root scope only)
+	params []model.Value // bound `?` arguments
+	blk    *Block        // the enclosing block's bind products; nil outside a block
 }
 
-func newEnv(parent *env) *env {
-	return &env{vars: make(map[string]*binding), parent: parent}
+type slot struct {
+	name string
+	b    *binding
 }
 
-// rootEnv creates a statement root scope carrying bound parameters.
-func rootEnv(params []model.Value) *env {
-	e := newEnv(nil)
-	e.params = params
-	return e
+// rootEnv creates a statement root scope carrying bound parameters and,
+// for a statement with a FROM list, its block.
+func rootEnv(params []model.Value, blk *Block) *env {
+	return &env{params: params, blk: blk}
 }
 
-// args returns the statement's bound `?` arguments, held by the root
-// scope.
-func (e *env) args() []model.Value {
-	for s := e; s != nil; s = s.parent {
-		if s.params != nil {
-			return s.params
-		}
-	}
-	return nil
-}
-
-// param resolves a 1-based `?` ordinal against the scope chain.
+// param resolves a 1-based `?` ordinal.
 func (e *env) param(ord int) (model.Value, bool) {
-	if a := e.args(); ord >= 1 && ord <= len(a) {
-		return a[ord-1], true
+	if ord >= 1 && ord <= len(e.params) {
+		return e.params[ord-1], true
 	}
 	return nil, false
 }
 
 func (e *env) lookup(name string) (*binding, bool) {
 	for s := e; s != nil; s = s.parent {
-		if b, ok := s.vars[name]; ok {
-			return b, true
+		for i := range s.slots {
+			if s.slots[i].name == name {
+				return s.slots[i].b, true
+			}
 		}
 	}
 	return nil, false
 }
 
-func (e *env) bind(name string, b *binding) { e.vars[name] = b }
+// bind points name at b in this scope, replacing an earlier binding of
+// the same name here.
+func (e *env) bind(name string, b *binding) {
+	for i := range e.slots {
+		if e.slots[i].name == name {
+			e.slots[i].b = b
+			return
+		}
+	}
+	e.slots = append(e.slots, slot{name, b})
+}
 
 // ParseTimeValue is the default ASOF literal convention: Int values
 // are raw timestamps (logical ticks or nanoseconds), Time values

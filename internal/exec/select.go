@@ -11,28 +11,6 @@ import (
 	"repro/internal/sql"
 )
 
-// selectIn evaluates a select block in an outer environment by
-// opening a streaming cursor and draining it. planning enables index
-// access paths (only sensible for blocks over stored tables).
-func (e *Executor) selectIn(ctx context.Context, sel *sql.Select, outer *env, planning bool) (*model.Table, *model.TableType, error) {
-	c, err := e.openCursor(ctx, sel, outer, planning)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer c.Close()
-	out := &model.Table{Ordered: c.tt.Ordered}
-	for {
-		tup, ok, err := c.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			return out, c.tt, nil
-		}
-		out.Append(tup)
-	}
-}
-
 // forEach performs the nested-loop binding of range variables: "a
 // good mental model ... is to associate them with a loop which runs
 // over all tuples of the relation they are bound to" (§3). It pulls
@@ -43,7 +21,8 @@ func (e *Executor) selectIn(ctx context.Context, sel *sql.Select, outer *env, pl
 // so a cancelled scan stops within one tuple's worth of work, with no
 // pages left pinned.
 func (e *Executor) forEach(ctx context.Context, items []sql.FromItem, where sql.Expr, scope *env, cands map[int]*Candidates, paths map[int]*object.PathSet, body func() error) error {
-	p := newPipeline(e, ctx, items, scope, cands, paths)
+	var p pipeline
+	p.init(e, ctx, items, scope, cands, paths)
 	defer p.close()
 	for {
 		ok, err := p.next()
@@ -75,32 +54,33 @@ type provenance struct {
 	asof  int64
 }
 
-// evalFromPath evaluates a FROM path to the table to iterate, its
-// member type, and — when the base variable is bound to a stored
-// object and every traversal is positional — the provenance needed to
-// mutate through the new variable.
-func (e *Executor) evalFromPath(p *sql.PathExpr, scope *env) (*model.Table, *model.TableType, *provenance, error) {
+// evalFromPath evaluates a FROM path to the table to iterate and its
+// member type. When the base variable is bound to a stored object and
+// every traversal is positional it also fills prov — reusing its steps
+// storage — with the provenance needed to mutate through the new
+// variable, and reports so.
+func (e *Executor) evalFromPath(p *sql.PathExpr, scope *env, prov *provenance) (*model.Table, *model.TableType, bool, error) {
 	b, ok := scope.lookup(p.Var)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("exec: unknown variable %q", p.Var)
+		return nil, nil, false, fmt.Errorf("exec: unknown variable %q", p.Var)
 	}
 	cur := value{tup: b.tup, tt: b.tt}
-	var prov *provenance
-	if b.tbl != nil {
-		prov = &provenance{tbl: b.tbl, ref: b.ref, steps: append([]object.Step(nil), b.steps...), asof: b.asof}
+	hasProv := b.tbl != nil
+	if hasProv {
+		*prov = provenance{tbl: b.tbl, ref: b.ref, steps: append(prov.steps[:0], b.steps...), asof: b.asof}
 	}
 	pendingAttr := -1 // table attribute awaiting a position
 	for _, st := range p.Steps {
 		if cur.isNull() {
-			return nil, nil, nil, nil
+			return nil, nil, false, nil
 		}
 		if st.Name != "" {
 			if !cur.isTuple() {
-				return nil, nil, nil, fmt.Errorf("exec: FROM %s: attribute %q applied to a non-tuple", p, st.Name)
+				return nil, nil, false, fmt.Errorf("exec: FROM %s: attribute %q applied to a non-tuple", p, st.Name)
 			}
 			ai := cur.tt.AttrIndex(st.Name)
 			if ai < 0 {
-				return nil, nil, nil, fmt.Errorf("exec: FROM %s: no attribute %q in %s", p, st.Name, cur.tt)
+				return nil, nil, false, fmt.Errorf("exec: FROM %s: no attribute %q in %s", p, st.Name, cur.tt)
 			}
 			attr := cur.tt.Attrs[ai]
 			v := cur.tup[ai]
@@ -108,57 +88,56 @@ func (e *Executor) evalFromPath(p *sql.PathExpr, scope *env) (*model.Table, *mod
 				pendingAttr = ai
 				cur = value{atom: v, tt: attr.Type.Table}
 			} else {
-				return nil, nil, nil, fmt.Errorf("exec: FROM %s: %q is atomic", p, st.Name)
+				return nil, nil, false, fmt.Errorf("exec: FROM %s: %q is atomic", p, st.Name)
 			}
 			continue
 		}
 		tbl, ok := cur.atom.(*model.Table)
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("exec: FROM %s: [%d] applied to a non-table", p, st.Index)
+			return nil, nil, false, fmt.Errorf("exec: FROM %s: [%d] applied to a non-table", p, st.Index)
 		}
 		if st.Index > tbl.Len() {
-			return nil, nil, nil, nil
+			return nil, nil, false, nil
 		}
-		if prov != nil && pendingAttr >= 0 {
+		if hasProv && pendingAttr >= 0 {
 			prov.steps = append(prov.steps, object.Step{Attr: pendingAttr, Pos: st.Index - 1})
 		}
 		pendingAttr = -1
 		cur = value{tup: tbl.Tuples[st.Index-1], tt: cur.tt}
 	}
 	if cur.isTuple() || cur.atom == nil {
-		return nil, nil, nil, fmt.Errorf("exec: FROM %s does not denote a table", p)
+		return nil, nil, false, fmt.Errorf("exec: FROM %s does not denote a table", p)
 	}
 	tbl, ok := cur.atom.(*model.Table)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("exec: FROM %s does not denote a table", p)
+		return nil, nil, false, fmt.Errorf("exec: FROM %s does not denote a table", p)
 	}
-	if prov != nil {
-		if pendingAttr < 0 {
-			prov = nil // path did not end in an attribute traversal
-		} else {
-			prov.attr = pendingAttr
-		}
+	// A path that did not end in an attribute traversal has no place to
+	// insert into or delete from.
+	hasProv = hasProv && pendingAttr >= 0
+	if hasProv {
+		prov.attr = pendingAttr
 	}
-	return tbl, cur.tt, prov, nil
+	return tbl, cur.tt, hasProv, nil
 }
 
 // buildResult constructs one result tuple for the current bindings.
-func (e *Executor) buildResult(ctx context.Context, sel *sql.Select, rt *model.TableType, scope *env) (model.Tuple, error) {
-	if sel.Star {
-		b, _ := scope.lookup(sel.From[0].Var)
+func (c *Cursor) buildResult() (model.Tuple, error) {
+	if c.sel.Star {
+		b, _ := c.scope.lookup(c.sel.From[0].Var)
 		return b.tup.Clone(), nil
 	}
-	tup := make(model.Tuple, len(sel.Items))
-	for i, item := range sel.Items {
+	tup := c.newTuple(len(c.sel.Items))
+	for i, item := range c.sel.Items {
 		if item.Sub != nil {
-			sub, _, err := e.selectIn(ctx, item.Sub, scope, false)
+			sub, err := c.subTable(i)
 			if err != nil {
 				return nil, err
 			}
 			tup[i] = sub
 			continue
 		}
-		v, err := e.evalExpr(item.Expr, scope)
+		v, err := c.e.evalExpr(item.Expr, &c.scope)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/model"
-	"repro/internal/object"
 	"repro/internal/sql"
 )
 
@@ -21,21 +20,21 @@ func PrepareCount() uint64 { return prepares.Load() }
 
 // Prepared is the immutable product of the bind/plan phase for one
 // statement: the parsed AST plus everything execution would otherwise
-// compute per run — for a select the result schema, and for the FROM
-// list of a select or a DML statement the required path sets and the
-// access-path choices. A Prepared is self-contained and safe for
-// concurrent use: executing one reads these fields but never mutates
-// them, and every data-dependent decision (resolving `?` operands,
-// index lookups) happens at execute time against the live runtime of
-// the scope it runs in.
+// compute per run — the block tree (exec.Block: for a select every
+// block's result schema, path sets and quantifier fetch sets; for the
+// FROM list of a DML statement its path sets) and the access-path
+// choices of the top-level FROM list. A Prepared is self-contained and
+// safe for concurrent use: executing one reads these fields but never
+// mutates them, and every data-dependent decision (resolving `?`
+// operands, index lookups) happens at execute time against the live
+// runtime of the scope it runs in.
 type Prepared struct {
 	// SQL is the normalized statement text — the plan-cache key.
 	SQL string
 	// Text is the original statement text, kept for error tagging.
 	Text string
-	// Stmt is the parsed statement; Sel aliases it for selects.
+	// Stmt is the parsed statement.
 	Stmt sql.Statement
-	Sel  *sql.Select
 	// NumParams is the number of `?` placeholders.
 	NumParams int
 	// Epoch is the catalog epoch the plan was bound under. A cache
@@ -43,25 +42,26 @@ type Prepared struct {
 	// re-binds on mismatch (DDL, index create/drop, quarantine).
 	Epoch uint64
 
-	// ResultType is the result schema of a select (nil otherwise).
-	ResultType *model.TableType
-	// Bind products of the FROM list of a select or a DML statement
-	// (nil/empty for statements without one).
-	Paths  map[int]*object.PathSet
+	// Block is the bound block tree of the statement that is planned — a
+	// SELECT, the SELECT an EXPLAIN names, or a DML statement — never
+	// nil. Embedded, so that its select (Sel), result schema (Type) and
+	// root path sets (Paths) read as fields of the plan.
+	*exec.Block
+	// Access holds the access-path choices per top-level FROM item.
 	Access map[int][]AccessChoice
-	// Desc is the bind-time plan description per FROM item, rendered
-	// for EXPLAIN without executing.
+	// Desc is the bind-time plan description, rendered for EXPLAIN
+	// without executing.
 	Desc []string
 }
 
-// Prepare runs the bind/plan phase: for selects it infers the result
-// schema; for the FROM list of a select, an UPDATE, a DELETE or an
-// INSERT INTO a subtable it derives the required path sets and records
-// access-path choices (none when ex has no planner). For other
-// statements the kept AST is the whole bind product. norm is the
-// statement's normalized text (sql.Normalize — computed once by the
-// caller, who also uses it as the cache key); epoch is the catalog
-// epoch the caller observed while holding the catalog stable.
+// Prepare runs the bind/plan phase: it binds the statement's block tree
+// (exec.Executor.Bind) and, for the FROM list of a select, an UPDATE, a
+// DELETE or an INSERT INTO a subtable, records access-path choices (none
+// when ex has no planner). For other statements the kept AST is the
+// whole bind product. norm is the statement's normalized text
+// (sql.Normalize — computed once by the caller, who also uses it as the
+// cache key); epoch is the catalog epoch the caller observed while
+// holding the catalog stable.
 func Prepare(st sql.Stmt, norm string, ex *exec.Executor, epoch uint64) (*Prepared, error) {
 	prepares.Add(1)
 	p := &Prepared{
@@ -75,20 +75,21 @@ func Prepare(st sql.Stmt, norm string, ex *exec.Executor, epoch uint64) (*Prepar
 	if e, ok := planned.(*sql.Explain); ok {
 		planned = e.Sel
 	}
-	if sel, ok := planned.(*sql.Select); ok {
-		tt, err := ex.InferSelect(sel)
-		if err != nil {
-			return nil, err
-		}
-		p.Sel = sel
-		p.ResultType = tt
+	var err error
+	if p.Block, err = ex.Bind(planned); err != nil {
+		return nil, err
 	}
 	if from, where, ok := exec.FromList(planned); ok {
-		p.Paths = ex.DerivePaths(planned)
 		if ex.Plan != nil {
 			p.Access = chooseAccess(from, where, ex.RT)
 		}
-		p.Desc = describeAccess(ex, from, p.Access, p.Paths)
+		p.Desc = p.Block.Describe(ex.RT, from, func(i int) string {
+			parts := make([]string, len(p.Access[i]))
+			for j, c := range p.Access[i] {
+				parts[j] = c.String()
+			}
+			return strings.Join(parts, " ∩ ")
+		})
 	}
 	return p, nil
 }
@@ -110,33 +111,4 @@ func (p *Prepared) Describe() []string {
 		return []string{fmt.Sprintf("%T: direct execution (no access-path plan)", p.Stmt)}
 	}
 	return p.Desc
-}
-
-// describeAccess is the bind-time analogue of exec's plan
-// description: it renders the chosen access paths, fetch sets and
-// pre-tests without candidate counts (those exist only after
-// evaluation).
-func describeAccess(ex *exec.Executor, from []sql.FromItem, access map[int][]AccessChoice, paths map[int]*object.PathSet) []string {
-	out := make([]string, len(from))
-	for i, fi := range from {
-		source := fi.Source.Table
-		if source == "" {
-			out[i] = fmt.Sprintf("%s IN %s: iterate subtable of outer binding", fi.Var, fi.Source.Path)
-			continue
-		}
-		descr := "full table scan"
-		if choices := access[i]; len(choices) > 0 {
-			parts := make([]string, len(choices))
-			for j, c := range choices {
-				parts[j] = c.String()
-			}
-			descr = strings.Join(parts, " ∩ ")
-		}
-		fetch := "*"
-		if t, ok := ex.RT.Table(source); ok && paths != nil {
-			fetch = paths[i].Describe(t.Type)
-		}
-		out[i] = fmt.Sprintf("%s IN %s: %s, fetch %s, %s", fi.Var, source, descr, fetch, paths[i].DescribeTest())
-	}
-	return out
 }
