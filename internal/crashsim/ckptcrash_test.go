@@ -23,7 +23,7 @@ func TestCkptCrashMatrix(t *testing.T) {
 		if ws != wseed {
 			wseed = ws
 			var err error
-			total, err = CkptTotalOps(wseed)
+			total, err = RunCrash(Checkpointing, wseed, -1, -1)
 			if err != nil {
 				t.Fatalf("workload %d probe: %v", wseed, err)
 			}
@@ -36,7 +36,7 @@ func TestCkptCrashMatrix(t *testing.T) {
 		if i%7 == 2 {
 			recBudget = 1 + int64(i)%29 // also crash the recovery run
 		}
-		if err := RunCkptCrash(wseed, budget, recBudget); err != nil {
+		if _, err := RunCrash(Checkpointing, wseed, budget, recBudget); err != nil {
 			t.Fatalf("workload %d budget %d/%d recBudget %d: %v", wseed, budget, total, recBudget, err)
 		}
 	}
@@ -46,7 +46,7 @@ func TestCkptCrashMatrix(t *testing.T) {
 // full workload with periodic checkpoints, clean close, reopen, and
 // the state must equal the full replay.
 func TestCkptCleanRun(t *testing.T) {
-	if err := RunCkptCrash(9, -1, -1); err != nil {
+	if _, err := RunCrash(Checkpointing, 9, -1, -1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -57,7 +57,7 @@ func TestCkptCleanRun(t *testing.T) {
 // attempted, nothing duplicates.
 func TestGroupCommitCrashMatrix(t *testing.T) {
 	writers := 4
-	total, err := GCTotalOps(writers)
+	total, err := RunGroupCommitCrash(1, -1, writers)
 	if err != nil {
 		t.Fatalf("group-commit probe: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestGroupCommitCrashMatrix(t *testing.T) {
 	}
 	for i := 0; i < iterations; i++ {
 		budget := 1 + (int64(i)*2654435761)%total
-		if err := RunGroupCommitCrash(int64(i+1), budget, writers); err != nil {
+		if _, err := RunGroupCommitCrash(int64(i+1), budget, writers); err != nil {
 			t.Fatalf("seed %d budget %d/%d: %v", i+1, budget, total, err)
 		}
 	}
@@ -108,7 +108,7 @@ func replayTailAfter(t *testing.T, h int) (tail, end uint64, segs int) {
 	clock := func() int64 { return clk.Add(1) }
 	d := NewDisk()
 	s := d.Open(1, -1)
-	eng, err := openCkptSession(s, clock, 8)
+	eng, err := Checkpointing.open(s, clock, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func replayTailAfter(t *testing.T, h int) (tail, end uint64, segs int) {
 		if _, err := eng.Exec(stmt); err != nil {
 			t.Fatalf("statement %d: %v", i, err)
 		}
-		if (i+1)%ckptEvery == 0 {
+		if (i+1)%Checkpointing.CkptEvery == 0 {
 			if err := eng.WALCheckpoint(); err != nil {
 				t.Fatalf("checkpoint after statement %d: %v", i, err)
 			}
@@ -126,7 +126,7 @@ func replayTailAfter(t *testing.T, h int) (tail, end uint64, segs int) {
 		t.Fatal(err)
 	}
 	rs := d.Open(2, -1)
-	eng2, err := openCkptSession(rs, clock, 64)
+	eng2, err := Checkpointing.open(rs, clock, 64)
 	if err != nil {
 		t.Fatalf("reopen after %d statements: %v", h, err)
 	}

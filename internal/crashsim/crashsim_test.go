@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/page"
+	"repro/internal/wal"
 )
 
 // TestCrashMatrix sweeps seeded crash points across the whole
@@ -27,7 +29,7 @@ func TestCrashMatrix(t *testing.T) {
 		if ws != wseed {
 			wseed = ws
 			var err error
-			total, err = TotalOps(wseed)
+			total, err = RunCrash(Plain, wseed, -1, -1)
 			if err != nil {
 				t.Fatalf("workload %d probe: %v", wseed, err)
 			}
@@ -40,7 +42,7 @@ func TestCrashMatrix(t *testing.T) {
 		if i%9 == 3 {
 			recBudget = 1 + int64(i)%23 // also crash the recovery run
 		}
-		if err := RunCrash(wseed, budget, recBudget); err != nil {
+		if _, err := RunCrash(Plain, wseed, budget, recBudget); err != nil {
 			t.Fatalf("workload %d budget %d/%d recBudget %d: %v", wseed, budget, total, recBudget, err)
 		}
 	}
@@ -49,7 +51,7 @@ func TestCrashMatrix(t *testing.T) {
 // TestCleanRun exercises the no-crash path: run everything, close,
 // settle, recover, and the state must equal the full replay.
 func TestCleanRun(t *testing.T) {
-	if err := RunCrash(12, -1, -1); err != nil {
+	if _, err := RunCrash(Plain, 12, -1, -1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -119,37 +121,54 @@ func TestFaultStoreCrash(t *testing.T) {
 	}
 }
 
+// openWAL opens, creating it if need be, a segment file of the
+// session's log.
+func openWAL(s *Session, name string) (wal.File, error) {
+	st, err := s.OpenWALStorage()
+	if err != nil {
+		return nil, err
+	}
+	return st.Open(name)
+}
+
 // TestSettleDeterminism: identical seeds and operations must settle to
-// identical durable state, or crash points would not be reproducible.
+// identical durable state — pages, log segment contents, segment
+// creations and removals — or crash points would not be reproducible.
 func TestSettleDeterminism(t *testing.T) {
 	build := func() *Disk {
 		d := NewDisk()
-		s := d.Open(99, 7)
+		s := d.Open(98, -1)
+		old, _ := openWAL(s, "wal.log")
+		old.Write([]byte("durable head"))
+		old.Sync()
+		s = d.Open(99, 9) // crashes in the middle of the fourth log write
 		st, _ := s.OpenStore(3)
-		f, _ := s.OpenWALFile()
-		for i := 0; i < 10; i++ {
+		ws, _ := s.OpenWALStorage()
+		f, err := ws.Open("wal-00000000000000000012.log")
+		for i := 0; err == nil && i < 10; i++ {
 			no := st.Allocate()
 			buf := bytes.Repeat([]byte{byte(i + 1)}, page.Size)
-			if err := st.WritePage(no, buf); err != nil {
+			if err = st.WritePage(no, buf); err != nil {
 				break
 			}
 			if i%3 == 0 {
-				if _, err := f.Write([]byte(fmt.Sprintf("record-%d", i))); err != nil {
+				if _, err = f.Write([]byte(fmt.Sprintf("record-%d", i))); err != nil {
 					break
 				}
 			}
 			if i%4 == 0 {
-				if err := f.Sync(); err != nil {
-					break
-				}
+				err = f.Sync()
+			}
+			if i == 2 {
+				err = ws.Remove("wal.log")
 			}
 		}
 		d.Open(100, -1) // settle
 		return d
 	}
 	a, b := build(), build()
-	if !bytes.Equal(a.wal, b.wal) {
-		t.Fatalf("durable WAL differs between identical runs")
+	if !reflect.DeepEqual(a.walSegs, b.walSegs) {
+		t.Fatalf("durable log segments differ between identical runs")
 	}
 	if len(a.segs) != len(b.segs) {
 		t.Fatalf("segment sets differ")
@@ -167,34 +186,141 @@ func TestSettleDeterminism(t *testing.T) {
 	}
 }
 
-// TestWALPrefixSettlement: the durable log after a crash is always a
-// prefix of what was written, and never shorter than the synced
-// boundary.
+// TestWALPrefixSettlement: a log segment file after a crash always
+// holds a prefix of what was written, never shorter than the synced
+// boundary — whether the crash hits a write (torn), a sync, or the
+// file's creation.
 func TestWALPrefixSettlement(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		d := NewDisk()
-		s := d.Open(seed, 5)
-		f, _ := s.OpenWALFile()
+		s := d.Open(seed, 1+seed%7)
+		f, err := openWAL(s, "wal.log")
 		var written []byte
 		var synced int
-		for i := 0; ; i++ {
+		for i := 0; err == nil; i++ {
 			chunk := bytes.Repeat([]byte{byte(i + 1)}, 64)
-			n, err := f.Write(chunk)
+			var n int
+			n, err = f.Write(chunk)
 			written = append(written, chunk[:n]...)
-			if err != nil {
-				break
+			if err == nil {
+				if err = f.Sync(); err == nil {
+					synced = len(written)
+				}
 			}
-			if err := f.Sync(); err != nil {
-				break
-			}
-			synced = len(written)
 		}
 		d.Open(seed+1000, -1) // settle
-		if d.WALSize() < synced {
-			t.Fatalf("seed %d: durable log %d shorter than synced boundary %d", seed, d.WALSize(), synced)
+		got, ok := d.walSegs["wal.log"]
+		if !ok {
+			if synced > 0 {
+				t.Fatalf("seed %d: a synced segment file vanished", seed)
+			}
+			continue
 		}
-		if !bytes.Equal(d.wal, written[:d.WALSize()]) {
+		if len(got) < synced || len(got) > len(written) {
+			t.Fatalf("seed %d: durable log %d bytes, want between the synced %d and the written %d", seed, len(got), synced, len(written))
+		}
+		if !bytes.Equal(got, written[:len(got)]) {
 			t.Fatalf("seed %d: durable log is not a prefix of the written bytes", seed)
 		}
 	}
+}
+
+// TestWALSegmentSettlement pins what a crash may leave of log segment
+// files beyond the synced prefix: a file created and never synced
+// vanishes or keeps a prefix of its bytes, a pending removal either
+// reached the directory or left the durable file intact, and a clean
+// exit makes everything durable. (TestSettleDeterminism covers that
+// the same seed settles the same way.)
+func TestWALSegmentSettlement(t *testing.T) {
+	written := make([]byte, 300)
+	for i := range written {
+		written[i] = byte(i)
+	}
+
+	t.Run("created_unsynced", func(t *testing.T) {
+		var gone, kept int
+		for seed := int64(0); seed < 40; seed++ {
+			d := NewDisk()
+			s := d.Open(seed, -1)
+			f, err := openWAL(s, "wal.log")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(written); err != nil {
+				t.Fatal(err)
+			}
+			s.Kill()
+			d.Open(seed+1000, -1) // settle
+			got, ok := d.walSegs["wal.log"]
+			if !ok {
+				gone++
+				continue
+			}
+			kept++
+			if len(got) > len(written) || !bytes.Equal(got, written[:len(got)]) {
+				t.Fatalf("seed %d: unsynced new file settled to %d bytes that are not a prefix of what was written", seed, len(got))
+			}
+		}
+		if gone == 0 || kept == 0 {
+			t.Fatalf("over 40 seeds the unsynced file vanished %d times and survived %d times; want both outcomes", gone, kept)
+		}
+	})
+
+	t.Run("pending_remove", func(t *testing.T) {
+		var gone, kept int
+		for seed := int64(0); seed < 40; seed++ {
+			d := NewDisk()
+			s := d.Open(seed, -1)
+			f, _ := openWAL(s, "wal.log")
+			f.Write(written)
+			f.Sync()
+			s = d.Open(seed+500, -1) // clean settle: the file is durable
+			f, _ = openWAL(s, "wal.log")
+			f.Write([]byte("unsynced tail"))
+			st, _ := s.OpenWALStorage()
+			if err := st.Remove("wal.log"); err != nil {
+				t.Fatal(err)
+			}
+			s.Kill()
+			d.Open(seed+1000, -1) // settle
+			got, ok := d.walSegs["wal.log"]
+			switch {
+			case !ok:
+				gone++
+			case bytes.Equal(got, written):
+				kept++
+			default:
+				t.Fatalf("seed %d: removed file settled to %d bytes, neither gone nor its durable %d", seed, len(got), len(written))
+			}
+		}
+		if gone == 0 || kept == 0 {
+			t.Fatalf("over 40 seeds the removal persisted %d times and was lost %d times; want both outcomes", gone, kept)
+		}
+	})
+
+	t.Run("clean_close", func(t *testing.T) {
+		d := NewDisk()
+		s := d.Open(1, -1)
+		st, _ := s.OpenWALStorage()
+		head, _ := st.Open("wal.log")
+		head.Write(written[:100])
+		head.Sync()
+		head.Write(written[100:]) // never synced
+		next, _ := st.Open("wal-00000000000000000300.log")
+		next.Write([]byte("created, never synced"))
+		old, _ := st.Open("stale.log")
+		old.Write([]byte("removed"))
+		old.Sync()
+		if err := st.Remove("stale.log"); err != nil {
+			t.Fatal(err)
+		}
+		d.Open(2, -1) // a clean exit settles everything
+		want := map[string][]byte{
+			"wal.log":                      written,
+			"wal-00000000000000000300.log": []byte("created, never synced"),
+		}
+		if !reflect.DeepEqual(d.walSegs, want) {
+			t.Fatalf("after a clean exit the log files are %q, want %q", d.walSegs, want)
+		}
+	})
 }

@@ -2,14 +2,12 @@ package crashsim
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"sync"
 
 	"repro/internal/page"
 	"repro/internal/segment"
-	"repro/internal/wal"
 )
 
 // sectorSize is the granularity at which a torn write mixes old and
@@ -25,14 +23,13 @@ type segImage struct {
 }
 
 // Disk models stable storage across simulated reboots: the durable
-// page images of every segment and the durable prefix of the log
-// file. A Disk outlives the sessions that run on it; opening a new
-// session first settles the unsynced writes of the previous one.
+// page images of every segment and the durable content of every log
+// segment file. A Disk outlives the sessions that run on it; opening a
+// new session first settles the unsynced writes of the previous one.
 type Disk struct {
 	mu      sync.Mutex
 	segs    map[segment.ID]*segImage
-	wal     []byte            // single-file log (OpenWALFile sessions)
-	walSegs map[string][]byte // segmented log files (OpenWALStorage sessions)
+	walSegs map[string][]byte // log segment files by name
 	sess    *Session
 }
 
@@ -54,11 +51,9 @@ type Session struct {
 	stores map[segment.ID]*faultStore
 	pend   map[segment.ID]map[uint32][]byte // unsynced page writes
 	counts map[segment.ID]uint32            // visible segment extents
-	wal    []byte                           // full visible log content
-	synced int                              // durable log prefix length
 
-	walSegFiles map[string]*sessWALSeg // segmented log: session view per file
-	walRemoved  map[string]bool        // segmented log: removals pending settle
+	walSegFiles map[string]*sessWALSeg // log: session view per segment file
+	walRemoved  map[string]bool        // log: removals pending settle
 }
 
 // Open settles the previous session (if any) using outcomes drawn
@@ -74,11 +69,9 @@ func (d *Disk) Open(seed, budget int64) *Session {
 		stores:      make(map[segment.ID]*faultStore),
 		pend:        make(map[segment.ID]map[uint32][]byte),
 		counts:      make(map[segment.ID]uint32),
-		wal:         append([]byte(nil), d.wal...),
 		walSegFiles: make(map[string]*sessWALSeg),
 		walRemoved:  make(map[string]bool),
 	}
-	s.synced = len(s.wal)
 	d.sess = s
 	return s
 }
@@ -87,7 +80,8 @@ func (d *Disk) Open(seed, budget int64) *Session {
 // After a clean exit everything is promoted (a graceful shutdown
 // flushes the page cache); after a crash each pending page write
 // independently survives, vanishes, or tears at sector granularity,
-// and the unsynced log tail survives as a seeded prefix.
+// and each log segment file keeps its synced prefix plus a seeded
+// part of its unsynced tail.
 func (d *Disk) settleLocked(rng *rand.Rand) {
 	s := d.sess
 	if s == nil {
@@ -134,13 +128,7 @@ func (d *Disk) settleLocked(rng *rand.Rand) {
 		}
 	}
 
-	keep := len(s.wal)
-	if crashed {
-		keep = s.synced + rng.Intn(len(s.wal)-s.synced+1)
-	}
-	d.wal = append([]byte(nil), s.wal[:keep]...)
-
-	// Segmented log files. Removals settle first: after a crash each
+	// Log segment files. Removals settle first: after a crash each
 	// one independently reached the directory or not (an unsynced
 	// metadata operation). Then the surviving content of every file the
 	// session touched: a file created but never synced may vanish
@@ -193,14 +181,6 @@ func (img *segImage) put(no uint32, buf []byte) {
 	}
 }
 
-// WALSize returns the durable log length; directed tests use it to
-// observe settlement outcomes.
-func (d *Disk) WALSize() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.wal)
-}
-
 // Crashed reports whether this session has hit its crash point.
 func (s *Session) Crashed() bool { return s.inj.Crashed() }
 
@@ -225,12 +205,6 @@ func (s *Session) OpenStore(id segment.ID) (segment.Store, error) {
 		s.stores[id] = fs
 	}
 	return fs, nil
-}
-
-// OpenWALFile returns the fault-injecting log file; it is the
-// engine.Options.OpenWALFile hook.
-func (s *Session) OpenWALFile() (wal.File, error) {
-	return &faultFile{s: s}, nil
 }
 
 // countOf returns the visible extent of a segment, initializing it
@@ -362,95 +336,3 @@ func (fs *faultStore) Sync() error {
 }
 
 func (fs *faultStore) Close() error { return nil }
-
-// faultFile implements wal.File over the session's view of the log.
-// Write and Sync are failpoints.
-type faultFile struct {
-	s *Session
-}
-
-func (f *faultFile) Write(p []byte) (int, error) {
-	crashNow, err := f.s.inj.step()
-	if err != nil {
-		return 0, err
-	}
-	s := f.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if crashNow {
-		k := f.s.inj.intn(len(p) + 1)
-		s.wal = append(s.wal, p[:k]...)
-		return k, ErrCrashed
-	}
-	s.wal = append(s.wal, p...)
-	return len(p), nil
-}
-
-func (f *faultFile) Sync() error {
-	crashNow, err := f.s.inj.step()
-	if err != nil {
-		return err
-	}
-	if crashNow {
-		return ErrCrashed
-	}
-	s := f.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.synced = len(s.wal)
-	return nil
-}
-
-func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.s.inj.Crashed() {
-		return 0, ErrCrashed
-	}
-	s := f.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if off >= int64(len(s.wal)) {
-		return 0, io.EOF
-	}
-	n := copy(p, s.wal[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// Seek only repositions the append cursor conceptually; the session
-// always appends at the end of the visible log, which is where the
-// engine seeks to after scanning for the last complete record.
-func (f *faultFile) Seek(offset int64, whence int) (int64, error) {
-	if f.s.inj.Crashed() {
-		return 0, ErrCrashed
-	}
-	f.s.mu.Lock()
-	defer f.s.mu.Unlock()
-	switch whence {
-	case io.SeekStart:
-		return offset, nil
-	case io.SeekEnd:
-		return int64(len(f.s.wal)) + offset, nil
-	default:
-		return 0, fmt.Errorf("crashsim: unsupported seek whence %d", whence)
-	}
-}
-
-func (f *faultFile) Truncate(size int64) error {
-	if f.s.inj.Crashed() {
-		return ErrCrashed
-	}
-	s := f.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if size < int64(len(s.wal)) {
-		s.wal = s.wal[:size]
-	}
-	if s.synced > int(size) {
-		s.synced = int(size)
-	}
-	return nil
-}
-
-func (f *faultFile) Close() error { return nil }

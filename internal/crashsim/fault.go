@@ -1,10 +1,11 @@
 // Package crashsim is a deterministic fault-injection harness for the
-// storage stack. It wraps the segment stores and the write-ahead log
-// file of an engine in fault-injecting implementations that crash the
-// "machine" after a seeded budget of mutating I/O operations, models
-// what an operating system may do to unsynced writes at a crash
-// (survive, vanish, or tear at sector granularity), and checks that
-// recovery restores exactly the committed state.
+// storage stack. It wraps the segment stores and the write-ahead log's
+// segment files of an engine in fault-injecting implementations that
+// crash the "machine" after a seeded budget of mutating I/O operations,
+// models what an operating system may do to unsynced writes at a crash
+// (survive, vanish, or tear at sector granularity; a new log segment
+// may vanish, a removed one may come back), and checks that recovery
+// restores exactly the committed state.
 //
 // The pieces:
 //
@@ -18,7 +19,11 @@
 //   - CheckInvariants audits a recovered engine: page checksums and
 //     LSN bounds, Mini-Directory walks, index round-trips (check.go);
 //   - RunCrash drives one crash-recover-verify cycle against a replay
-//     oracle (harness.go).
+//     oracle, in the log and checkpoint shape a Config names
+//     (harness.go); RunTxnCrash and RunGroupCommitCrash check
+//     transaction atomicity and the group-commit acknowledgement
+//     contract (txncrash.go, gccrash.go). At budget -1 each runs
+//     crash-free and returns the operation count a matrix sweeps.
 package crashsim
 
 import (
@@ -33,10 +38,10 @@ import (
 var ErrCrashed = errors.New("crashsim: simulated crash")
 
 // Injector decides when the crash happens. Every mutating I/O
-// operation (page write, store sync, log append, log sync) consumes
-// one unit of budget; the operation that exhausts the budget is
-// applied partially (torn) and fails with ErrCrashed, and every
-// operation after it fails immediately.
+// operation (page write, store sync, log append, log sync, log segment
+// creation and removal) consumes one unit of budget; the operation
+// that exhausts the budget is applied partially (torn) and fails with
+// ErrCrashed, and every operation after it fails immediately.
 type Injector struct {
 	mu      sync.Mutex
 	rng     *rand.Rand

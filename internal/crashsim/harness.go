@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -20,50 +21,62 @@ type snapshot struct {
 	rows *model.Table
 }
 
-// openSession opens an engine over a disk session with a small buffer
-// pool, so eviction steals uncommitted dirty pages and the recovery
-// path has to cope with them.
-func openSession(s *Session, clock func() int64, poolPages int) (*engine.DB, error) {
+// Config is the engine shape a crash cycle runs on. Every shape opens
+// the production segmented log, over the session's fault-injecting
+// segment files.
+type Config struct {
+	// SegmentBytes is engine.Options.WALSegmentBytes: zero for the
+	// production default, tiny to make segment rolls frequent.
+	SegmentBytes int64
+	// CkptEvery writes a fuzzy checkpoint after every CkptEvery
+	// statements (zero: never). After recovery a checkpointing run
+	// also checks that a fresh checkpoint leaves a one-segment chain
+	// whose replay tail starts at the checkpoint record.
+	CkptEvery int
+	// GroupCommitWait is engine.Options.GroupCommitWait.
+	GroupCommitWait time.Duration
+}
+
+// Plain is the production log shape without checkpoints: the crash
+// matrix lands inside statements, commits and recovery.
+var Plain = Config{}
+
+// Checkpointing splits the log into tiny segments (so rolls are
+// frequent) and checkpoints at a fixed statement cadence. Because
+// segment creation, removal, every log write and every sync are all
+// failpoints, the budget sweep lands inside segment switches, inside
+// the checkpoint's flush and record write, and inside recycling — the
+// recovered database must be indistinguishable from a clean replay of
+// the committed statements no matter which of those the crash
+// interrupts.
+var Checkpointing = Config{SegmentBytes: 8 << 10, CkptEvery: 6}
+
+// open opens an engine over a disk session. The faulted runs use a
+// small buffer pool, so eviction steals uncommitted dirty pages and
+// the recovery path has to cope with them.
+func (c Config) open(s *Session, clock func() int64, poolPages int) (*engine.DB, error) {
 	return engine.Open(engine.Options{
-		PoolPages:   poolPages,
-		Clock:       clock,
-		OpenStore:   s.OpenStore,
-		OpenWALFile: s.OpenWALFile,
+		PoolPages:       poolPages,
+		Clock:           clock,
+		OpenStore:       s.OpenStore,
+		OpenWALStorage:  s.OpenWALStorage,
+		WALSegmentBytes: c.SegmentBytes,
+		GroupCommitWait: c.GroupCommitWait,
 	})
 }
 
-// TotalOps runs the workload to completion with no crash and returns
-// how many mutating I/O operations it issues; the crash matrix sweeps
-// budgets across this range.
-func TotalOps(wseed int64) (int64, error) {
-	w := NewWorkload(wseed, stmtCount)
-	var clk atomic.Int64
-	clock := func() int64 { return clk.Add(1) }
-	d := NewDisk()
-	s := d.Open(1, -1)
-	eng, err := openSession(s, clock, 8)
-	if err != nil {
-		return 0, err
-	}
-	for _, stmt := range append(append([]string{}, w.Setup...), w.Stmts...) {
-		if _, err := eng.Exec(stmt); err != nil {
-			return 0, fmt.Errorf("crashsim: probe statement failed: %w\n%s", err, stmt)
-		}
-	}
-	if err := eng.Close(); err != nil {
-		return 0, err
-	}
-	return s.Ops(), nil
-}
-
-// RunCrash executes one crash-recover-verify cycle: run the seeded
-// workload until the injected crash at the budget-th mutating I/O
-// operation, settle the disk with seeded torn/lost-write outcomes,
-// recover (with recBudget >= 0 the recovery itself is crashed once and
-// retried), and verify every invariant plus state equivalence against
-// a clean replay of the committed statements. Budget < 0 exercises the
-// crash-free path (clean close, settle, reopen).
-func RunCrash(wseed, budget, recBudget int64) error {
+// RunCrash executes one crash-recover-verify cycle in the shape c: run
+// the seeded workload (checkpointing every c.CkptEvery statements)
+// until the injected crash at the budget-th mutating I/O operation,
+// settle the disk with seeded torn/lost-write outcomes, recover (with
+// recBudget >= 0 the recovery itself is crashed once and retried), and
+// verify every invariant plus state equivalence against a clean replay
+// of the committed statements, the ASOF history, the checkpoint
+// bookkeeping and continued usability. Budget < 0 exercises the
+// crash-free path (clean close, settle, reopen); it is the matrix's
+// probe. The returned count is the mutating I/O operations of the
+// faulted session, the range a matrix sweeps crash budgets across.
+func RunCrash(c Config, wseed, budget, recBudget int64) (int64, error) {
 	w := NewWorkload(wseed, stmtCount)
 	all := append(append([]string{}, w.Setup...), w.Stmts...)
 	var clk atomic.Int64
@@ -74,17 +87,17 @@ func RunCrash(wseed, budget, recBudget int64) error {
 	committed := 0
 	inFlight := false
 	var snaps []snapshot
-	eng, err := openSession(s, clock, 8)
+	eng, err := c.open(s, clock, 8)
 	if err != nil {
 		if !s.Crashed() {
-			return fmt.Errorf("crashsim: initial open failed without a crash: %w", err)
+			return 0, fmt.Errorf("crashsim: initial open failed without a crash: %w", err)
 		}
 	} else {
 	loop:
 		for i, stmt := range all {
 			if _, err := eng.Exec(stmt); err != nil {
 				if !s.Crashed() {
-					return fmt.Errorf("crashsim: statement %d failed without a crash: %w\n%s", i, err, stmt)
+					return 0, fmt.Errorf("crashsim: statement %d failed without a crash: %w\n%s", i, err, stmt)
 				}
 				inFlight = true
 				break
@@ -95,16 +108,26 @@ func RunCrash(wseed, budget, recBudget int64) error {
 			switch snap, err := histSnapshot(eng, clk.Add(1)); {
 			case err != nil:
 				if !s.Crashed() {
-					return fmt.Errorf("crashsim: snapshot after statement %d failed without a crash: %w", i, err)
+					return 0, fmt.Errorf("crashsim: snapshot after statement %d failed without a crash: %w", i, err)
 				}
 				break loop
 			case snap != nil:
 				snaps = append(snaps, *snap)
 			}
+			if c.CkptEvery > 0 && (i+1)%c.CkptEvery == 0 {
+				// A crash inside the checkpoint interrupts no statement:
+				// the state to recover is exactly the committed prefix.
+				if err := eng.WALCheckpoint(); err != nil {
+					if !s.Crashed() {
+						return 0, fmt.Errorf("crashsim: checkpoint after statement %d failed without a crash: %w", i, err)
+					}
+					break loop
+				}
+			}
 		}
 		if !s.Crashed() {
 			if err := eng.Close(); err != nil && !s.Crashed() {
-				return fmt.Errorf("crashsim: clean close failed: %w", err)
+				return 0, fmt.Errorf("crashsim: clean close failed: %w", err)
 			}
 		}
 	}
@@ -112,21 +135,20 @@ func RunCrash(wseed, budget, recBudget int64) error {
 	// Recover. With recBudget >= 0 the first recovery attempt is
 	// itself crashed (wherever its budget lands) and retried on a
 	// clean session — recovery must be idempotent.
-	var eng2 *engine.DB
 	if recBudget >= 0 {
 		rs := d.Open(wseed*57+budget+1, recBudget)
-		if _, err := openSession(rs, clock, 8); err != nil && !rs.Crashed() {
-			return fmt.Errorf("crashsim: budgeted recovery failed without a crash: %w", err)
+		if _, err := c.open(rs, clock, 8); err != nil && !rs.Crashed() {
+			return 0, fmt.Errorf("crashsim: budgeted recovery failed without a crash: %w", err)
 		}
 	}
 	rs := d.Open(wseed*91+budget+7, -1)
-	eng2, err = openSession(rs, clock, 64)
+	eng2, err := c.open(rs, clock, 64)
 	if err != nil {
-		return fmt.Errorf("crashsim: recovery failed: %w", err)
+		return 0, fmt.Errorf("crashsim: recovery failed: %w", err)
 	}
 
 	if err := CheckInvariants(eng2); err != nil {
-		return err
+		return 0, err
 	}
 
 	// State equivalence: the recovered database must equal a clean
@@ -135,36 +157,59 @@ func RunCrash(wseed, budget, recBudget int64) error {
 	// durable log, the replay including that statement.
 	refA, err := replayEngine(all[:committed], clock)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	diffA := compareState(eng2, refA)
 	if diffA != "" {
 		if !inFlight {
-			return fmt.Errorf("crashsim: recovered state differs from committed replay: %s", diffA)
+			return 0, fmt.Errorf("crashsim: recovered state differs from committed replay: %s", diffA)
 		}
 		refB, err := replayEngine(all[:committed+1], clock)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if diffB := compareState(eng2, refB); diffB != "" {
-			return fmt.Errorf("crashsim: recovered state matches neither replay\nwithout in-flight: %s\nwith in-flight: %s", diffA, diffB)
+			return 0, fmt.Errorf("crashsim: recovered state matches neither replay\nwithout in-flight: %s\nwith in-flight: %s", diffA, diffB)
 		}
 	}
 
 	// ASOF: history rebuilt from the log must reproduce the snapshots
 	// the faulted run saw. Every recorded snapshot followed a
-	// successfully committed statement, so all of them must hold.
+	// successfully committed statement, so all of them must hold —
+	// recycling must never eat versions a snapshot needs (versions
+	// live in pages, not in the log).
 	for _, sn := range snaps {
 		t, ok := eng2.Catalog().Table("HIST")
 		if !ok {
-			return fmt.Errorf("crashsim: HIST vanished despite a recorded snapshot")
+			return 0, fmt.Errorf("crashsim: HIST vanished despite a recorded snapshot")
 		}
 		rows, err := tableRows(eng2, t, sn.ts)
 		if err != nil {
-			return fmt.Errorf("crashsim: ASOF %d scan: %w", sn.ts, err)
+			return 0, fmt.Errorf("crashsim: ASOF %d scan: %w", sn.ts, err)
 		}
 		if !model.TableEqual(rows, sn.rows) {
-			return fmt.Errorf("crashsim: HIST ASOF %d differs from the snapshot taken before the crash", sn.ts)
+			return 0, fmt.Errorf("crashsim: HIST ASOF %d differs from the snapshot taken before the crash", sn.ts)
+		}
+	}
+
+	// Checkpoint bookkeeping on the recovered handle: a fresh
+	// checkpoint must leave a one-segment chain whose replay tail is
+	// the checkpoint record.
+	if c.CkptEvery > 0 {
+		if err := eng2.WALCheckpoint(); err != nil {
+			return 0, fmt.Errorf("crashsim: post-recovery checkpoint: %w", err)
+		}
+		ws := eng2.WALStats()
+		if ws.End > 0 && ws.CheckpointLSN == 0 {
+			return 0, fmt.Errorf("crashsim: post-recovery checkpoint left no checkpoint LSN (stats %+v)", ws)
+		}
+		if ws.CheckpointLSN > 0 {
+			if ws.TailStart != ws.CheckpointLSN-1 {
+				return 0, fmt.Errorf("crashsim: replay tail %d does not start at the checkpoint record %d", ws.TailStart, ws.CheckpointLSN)
+			}
+			if ws.Segments != 1 {
+				return 0, fmt.Errorf("crashsim: %d segments retained after checkpoint, want 1", ws.Segments)
+			}
 		}
 	}
 
@@ -173,34 +218,34 @@ func RunCrash(wseed, budget, recBudget int64) error {
 	// to a state from before CREATE TABLE EMP committed.
 	if _, ok := eng2.Catalog().Table("EMP"); !ok {
 		if _, err := eng2.Exec(w.Setup[0]); err != nil {
-			return fmt.Errorf("crashsim: post-recovery create: %w", err)
+			return 0, fmt.Errorf("crashsim: post-recovery create: %w", err)
 		}
 	}
 	if _, err := eng2.Exec(`INSERT INTO EMP VALUES (999999, 'POST', 1)`); err != nil {
-		return fmt.Errorf("crashsim: post-recovery insert: %w", err)
+		return 0, fmt.Errorf("crashsim: post-recovery insert: %w", err)
 	}
 	if err := eng2.Close(); err != nil {
-		return fmt.Errorf("crashsim: post-recovery close: %w", err)
+		return 0, fmt.Errorf("crashsim: post-recovery close: %w", err)
 	}
 	fs := d.Open(wseed*101+budget+11, -1)
-	eng3, err := openSession(fs, clock, 64)
+	eng3, err := c.open(fs, clock, 64)
 	if err != nil {
-		return fmt.Errorf("crashsim: reopen after recovery: %w", err)
+		return 0, fmt.Errorf("crashsim: reopen after recovery: %w", err)
 	}
 	if err := CheckInvariants(eng3); err != nil {
-		return fmt.Errorf("crashsim: after clean reopen: %w", err)
+		return 0, fmt.Errorf("crashsim: after clean reopen: %w", err)
 	}
 	t, _ := eng3.Catalog().Table("EMP")
 	rows, err := tableRows(eng3, t, 0)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for _, tup := range rows.Tuples {
 		if v, ok := tup[0].(model.Int); ok && int64(v) == 999999 {
-			return nil
+			return s.Ops(), nil
 		}
 	}
-	return fmt.Errorf("crashsim: post-recovery insert not visible after reopen")
+	return 0, fmt.Errorf("crashsim: post-recovery insert not visible after reopen")
 }
 
 // histSnapshot captures the current HIST rows (nil before the table

@@ -51,43 +51,12 @@ func txnPrefix(wseed int64) []string {
 	return all
 }
 
-// TxnTotalOps measures the mutating I/O operations of a crash-free
-// prefix+transaction run, for sweeping crash budgets.
-func TxnTotalOps(wseed int64) (int64, error) {
-	var clk atomic.Int64
-	clock := func() int64 { return clk.Add(1) }
-	d := NewDisk()
-	s := d.Open(1, -1)
-	eng, err := openSession(s, clock, 8)
-	if err != nil {
-		return 0, err
-	}
-	for _, stmt := range txnPrefix(wseed) {
-		if _, err := eng.Exec(stmt); err != nil {
-			return 0, fmt.Errorf("crashsim: txn probe prefix failed: %w\n%s", err, stmt)
-		}
-	}
-	tx, err := eng.Begin()
-	if err != nil {
-		return 0, err
-	}
-	for _, stmt := range txnBlock() {
-		if _, err := tx.Exec(stmt); err != nil {
-			return 0, fmt.Errorf("crashsim: txn probe block failed: %w\n%s", err, stmt)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		return 0, err
-	}
-	if err := eng.Close(); err != nil {
-		return 0, err
-	}
-	return s.Ops(), nil
-}
-
 // RunTxnCrash executes one transactional crash-recover-verify cycle
-// with the crash at the budget-th mutating I/O operation.
-func RunTxnCrash(wseed, budget int64) error {
+// on the Plain shape, with the crash at the budget-th mutating I/O
+// operation. Budget < 0 runs crash-free; it is the matrix's probe. The
+// returned count is the mutating I/O operations of the faulted
+// session.
+func RunTxnCrash(wseed, budget int64) (int64, error) {
 	prefix := txnPrefix(wseed)
 	block := txnBlock()
 	var clk atomic.Int64
@@ -96,19 +65,19 @@ func RunTxnCrash(wseed, budget int64) error {
 	d := NewDisk()
 	s := d.Open(wseed*37+budget, budget)
 	committed := 0
-	inFlight := false       // a prefix statement crashed mid-apply
+	inFlight := false        // a prefix statement crashed mid-apply
 	commitAttempted := false // tx.Commit was called
 	committedTxn := false    // tx.Commit returned success
-	eng, err := openSession(s, clock, 8)
+	eng, err := Plain.open(s, clock, 8)
 	if err != nil {
 		if !s.Crashed() {
-			return fmt.Errorf("crashsim: txn initial open failed without a crash: %w", err)
+			return 0, fmt.Errorf("crashsim: txn initial open failed without a crash: %w", err)
 		}
 	} else {
 		for i, stmt := range prefix {
 			if _, err := eng.Exec(stmt); err != nil {
 				if !s.Crashed() {
-					return fmt.Errorf("crashsim: txn prefix statement %d failed without a crash: %w\n%s", i, err, stmt)
+					return 0, fmt.Errorf("crashsim: txn prefix statement %d failed without a crash: %w\n%s", i, err, stmt)
 				}
 				inFlight = true
 				break
@@ -118,7 +87,7 @@ func RunTxnCrash(wseed, budget int64) error {
 		if !s.Crashed() {
 			tx, err := eng.Begin()
 			if err != nil {
-				return fmt.Errorf("crashsim: begin failed: %w", err)
+				return 0, fmt.Errorf("crashsim: begin failed: %w", err)
 			}
 			buffered := true
 			for i, stmt := range block {
@@ -127,7 +96,7 @@ func RunTxnCrash(wseed, budget int64) error {
 					// here can only be a crash surfacing through a
 					// snapshot read.
 					if !s.Crashed() {
-						return fmt.Errorf("crashsim: txn statement %d failed without a crash: %w\n%s", i, err, stmt)
+						return 0, fmt.Errorf("crashsim: txn statement %d failed without a crash: %w\n%s", i, err, stmt)
 					}
 					buffered = false
 					break
@@ -137,7 +106,7 @@ func RunTxnCrash(wseed, budget int64) error {
 				commitAttempted = true
 				if err := tx.Commit(); err != nil {
 					if !s.Crashed() {
-						return fmt.Errorf("crashsim: commit failed without a crash: %w", err)
+						return 0, fmt.Errorf("crashsim: commit failed without a crash: %w", err)
 					}
 				} else {
 					committedTxn = true
@@ -145,7 +114,7 @@ func RunTxnCrash(wseed, budget int64) error {
 			}
 			if !s.Crashed() {
 				if err := eng.Close(); err != nil && !s.Crashed() {
-					return fmt.Errorf("crashsim: txn clean close failed: %w", err)
+					return 0, fmt.Errorf("crashsim: txn clean close failed: %w", err)
 				}
 			}
 		}
@@ -153,12 +122,12 @@ func RunTxnCrash(wseed, budget int64) error {
 
 	// Recover on a clean session.
 	rs := d.Open(wseed*73+budget+3, -1)
-	eng2, err := openSession(rs, clock, 64)
+	eng2, err := Plain.open(rs, clock, 64)
 	if err != nil {
-		return fmt.Errorf("crashsim: txn recovery failed: %w", err)
+		return 0, fmt.Errorf("crashsim: txn recovery failed: %w", err)
 	}
 	if err := CheckInvariants(eng2); err != nil {
-		return err
+		return 0, err
 	}
 
 	// Atomicity by ID range: of the transaction's three marker
@@ -170,19 +139,19 @@ func RunTxnCrash(wseed, budget int64) error {
 	if committed == len(prefix) {
 		gotTxn, err = txnEffects(eng2)
 		if err != nil {
-			return err
+			return 0, err
 		}
 	}
 	switch {
 	case gotTxn == "none":
 	case gotTxn == "all" && commitAttempted:
 	case gotTxn == "all" && !commitAttempted:
-		return fmt.Errorf("crashsim: transaction effects survived recovery but COMMIT was never invoked")
+		return 0, fmt.Errorf("crashsim: transaction effects survived recovery but COMMIT was never invoked")
 	default:
-		return fmt.Errorf("crashsim: partial transaction survived recovery: %s (commit attempted: %v)", gotTxn, commitAttempted)
+		return 0, fmt.Errorf("crashsim: partial transaction survived recovery: %s (commit attempted: %v)", gotTxn, commitAttempted)
 	}
 	if committedTxn && gotTxn != "all" {
-		return fmt.Errorf("crashsim: COMMIT returned success but the transaction did not survive recovery")
+		return 0, fmt.Errorf("crashsim: COMMIT returned success but the transaction did not survive recovery")
 	}
 
 	// State equivalence against clean replays: the committed prefix
@@ -202,16 +171,16 @@ func RunTxnCrash(wseed, budget int64) error {
 	for _, stmts := range candidates {
 		ref, err := replayEngine(stmts, clock)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		diff := compareState(eng2, ref)
 		ref.Close()
 		if diff == "" {
-			return nil
+			return s.Ops(), nil
 		}
 		diffs = append(diffs, diff)
 	}
-	return fmt.Errorf("crashsim: txn-recovered state matches no replay candidate: %v", diffs)
+	return 0, fmt.Errorf("crashsim: txn-recovered state matches no replay candidate: %v", diffs)
 }
 
 // txnEffects audits the recovered database for the transaction's

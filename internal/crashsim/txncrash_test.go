@@ -20,7 +20,7 @@ func TestTxnCrashMatrix(t *testing.T) {
 		if ws != wseed {
 			wseed = ws
 			var err error
-			total, err = TxnTotalOps(wseed)
+			total, err = RunTxnCrash(wseed, -1)
 			if err != nil {
 				t.Fatalf("txn workload %d probe: %v", wseed, err)
 			}
@@ -37,7 +37,7 @@ func TestTxnCrashMatrix(t *testing.T) {
 				budget = 1
 			}
 		}
-		if err := RunTxnCrash(wseed, budget); err != nil {
+		if _, err := RunTxnCrash(wseed, budget); err != nil {
 			t.Fatalf("wseed=%d budget=%d: %v", wseed, budget, err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestTxnCrashMatrix(t *testing.T) {
 // the committed transaction must be fully present after a clean
 // close and reopen.
 func TestTxnCleanRun(t *testing.T) {
-	if err := RunTxnCrash(5, -1); err != nil {
+	if _, err := RunTxnCrash(5, -1); err != nil {
 		t.Fatal(err)
 	}
 }

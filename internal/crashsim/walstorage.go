@@ -111,9 +111,9 @@ func (st *faultWALStorage) Remove(name string) error {
 	return nil
 }
 
-// faultSegFile is one segment file of the session's segmented log.
-// Write and Sync are failpoints, exactly like the single-file
-// faultFile.
+// faultSegFile is one segment file of the session's log. Write and
+// Sync are failpoints; a crashing Write keeps a seeded prefix of its
+// bytes.
 type faultSegFile struct {
 	s  *Session
 	ws *sessWALSeg

@@ -20,6 +20,7 @@ type togglableWAL struct {
 	failWrite    int
 	failSync     int
 	failTruncate int
+	closed       bool
 }
 
 var errToggled = errors.New("togglableWAL: injected fault")
@@ -73,7 +74,22 @@ func (f *togglableWAL) Truncate(size int64) error {
 	return nil
 }
 
-func (f *togglableWAL) Close() error { return nil }
+func (f *togglableWAL) Close() error { f.closed = true; return nil }
+
+// oneLog is a wal.Storage holding a single wal.log that outlives the
+// engine handle. The tests stay far below the default segment size,
+// so the log never rolls to a second file.
+type oneLog struct{ f wal.File }
+
+func (s oneLog) Open(name string) (wal.File, error) {
+	if name != "wal.log" {
+		return nil, fmt.Errorf("oneLog: no segment %q", name)
+	}
+	return s.f, nil
+}
+
+func (s oneLog) Remove(name string) error { return fmt.Errorf("oneLog: cannot remove %q", name) }
+func (s oneLog) List() ([]string, error)  { return []string{"wal.log"}, nil }
 
 // faultDB is a WAL-backed in-memory database whose backing state
 // outlives the engine handle.
@@ -93,7 +109,7 @@ func (fd *faultDB) open(t *testing.T) *DB {
 			}
 			return st, nil
 		},
-		OpenWALFile: func() (wal.File, error) { return fd.walFile, nil },
+		OpenWALStorage: func() (wal.Storage, error) { return oneLog{fd.walFile}, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,5 +257,54 @@ func TestRollbackFailurePoisons(t *testing.T) {
 	}
 	if got := rowCount(t, db2, "EMP"); got != 4 {
 		t.Fatalf("%d rows, want 4", got)
+	}
+}
+
+// brokenStore fails every page read persistently and records whether
+// it was closed.
+type brokenStore struct {
+	segment.Store
+	closed bool
+}
+
+var errBroken = errors.New("brokenStore: unreadable page")
+
+func (s *brokenStore) ReadPage(uint32, []byte) error { return errBroken }
+func (s *brokenStore) Close() error                  { s.closed = true; return s.Store.Close() }
+
+// TestFailedOpenClosesEverything: an Open that fails after the log is
+// up — here recovery cannot read a single page — must close the log
+// file and every store it opened.
+func TestFailedOpenClosesEverything(t *testing.T) {
+	db, fd := openFaultDB(t)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fd.walFile.closed = false
+	var stores []*brokenStore
+	_, err := Open(Options{
+		OpenStore: func(id segment.ID) (segment.Store, error) {
+			st := &brokenStore{Store: fd.stores[id]}
+			if st.Store == nil {
+				st.Store = segment.NewMemStore()
+			}
+			stores = append(stores, st)
+			return st, nil
+		},
+		OpenWALStorage: func() (wal.Storage, error) { return oneLog{fd.walFile}, nil },
+	})
+	if !errors.Is(err, errBroken) {
+		t.Fatalf("open over unreadable stores: %v, want the read fault", err)
+	}
+	if !fd.walFile.closed {
+		t.Error("failed open left the log file open")
+	}
+	if len(stores) == 0 {
+		t.Fatal("open failed before it opened a store")
+	}
+	for i, st := range stores {
+		if !st.closed {
+			t.Errorf("failed open left store %d of %d open", i+1, len(stores))
+		}
 	}
 }

@@ -85,9 +85,9 @@ func openWALMem(t *testing.T, log wal.File) *DB {
 func openWALMemClock(t *testing.T, log wal.File, clock func() int64) *DB {
 	t.Helper()
 	db, err := Open(Options{
-		Clock:       clock,
-		OpenStore:   func(segment.ID) (segment.Store, error) { return segment.NewMemStore(), nil },
-		OpenWALFile: func() (wal.File, error) { return log, nil },
+		Clock:          clock,
+		OpenStore:      func(segment.ID) (segment.Store, error) { return segment.NewMemStore(), nil },
+		OpenWALStorage: func() (wal.Storage, error) { return oneLog{log}, nil },
 	})
 	if err != nil {
 		t.Fatal(err)

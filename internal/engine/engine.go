@@ -47,28 +47,22 @@ type Options struct {
 	// is wall-clock nanoseconds. Tests use logical clocks.
 	Clock func() int64
 	// OpenStore, when set, supplies the backing store of a segment
-	// instead of the default file (Dir set) or memory store. Used by
-	// the crash-simulation harness to inject faults and by alternative
-	// storage backends.
+	// instead of the default file (Dir set) or memory store. The
+	// fault-injection harnesses and tests use it to fail or crash page
+	// I/O.
 	OpenStore func(id segment.ID) (segment.Store, error)
-	// OpenWALFile, when set, supplies the backing file of the
-	// write-ahead log instead of the default file under Dir. When set,
-	// the WAL is enabled even for databases without a directory. A
-	// single-file log never rolls segments and never recycles.
-	OpenWALFile func() (wal.File, error)
 	// OpenWALStorage, when set, supplies the segment-file namespace of
 	// the write-ahead log instead of the default directory layout
 	// under Dir. When set, the WAL is enabled even for databases
-	// without a directory; takes precedence over OpenWALFile. Used by
-	// the crash-simulation harness to make segment creation and
-	// retirement crash points.
+	// without a directory. The fault-injection harnesses and tests use
+	// it to fail or crash log I/O, segment creation and retirement
+	// included.
 	OpenWALStorage func() (wal.Storage, error)
 	// WALSegmentBytes bounds the size of one WAL segment file: the log
 	// rolls to a new segment when a record would cross the bound, and
 	// whole segments below the checkpoint horizon are retired by
 	// WALCheckpoint. Zero means DefaultWALSegmentBytes; negative
-	// disables rolling (one unbounded segment). Ignored for
-	// single-file logs (OpenWALFile).
+	// disables rolling (one unbounded segment).
 	WALSegmentBytes int64
 	// CheckpointEvery starts a background goroutine that writes a
 	// fuzzy checkpoint (flush dirty pages, log an OpCheckpoint record,
@@ -269,7 +263,7 @@ func Open(opts Options) (*DB, error) {
 		lastWrite:   make(keyMap[int64]),
 		plans:       newPlanCache(planCacheLimit),
 	}
-	if (opts.Dir != "" || opts.OpenWALFile != nil || opts.OpenWALStorage != nil) && !opts.DisableWAL {
+	if (opts.Dir != "" || opts.OpenWALStorage != nil) && !opts.DisableWAL {
 		segBytes := opts.WALSegmentBytes
 		if segBytes == 0 {
 			segBytes = DefaultWALSegmentBytes
@@ -280,20 +274,13 @@ func Open(opts Options) (*DB, error) {
 		cfg := wal.Config{SegmentBytes: segBytes, Retry: opts.Retry}
 		var log *wal.Log
 		var err error
-		switch {
-		case opts.OpenWALStorage != nil:
+		if opts.OpenWALStorage != nil {
 			var st wal.Storage
 			st, err = opts.OpenWALStorage()
 			if err == nil {
 				log, err = wal.OpenStorage(st, cfg)
 			}
-		case opts.OpenWALFile != nil:
-			var f wal.File
-			f, err = opts.OpenWALFile()
-			if err == nil {
-				log, err = wal.OpenFile(wal.WithRetry(f, opts.Retry))
-			}
-		default:
+		} else {
 			log, err = wal.OpenDir(opts.Dir, cfg)
 		}
 		if err != nil {
@@ -304,10 +291,24 @@ func Open(opts Options) (*DB, error) {
 			return log.EnsureDurable(lsn) // the write-ahead rule
 		}
 	}
-	// Register the meta segment, then every segment the WAL mentions,
-	// and recover.
-	if err := db.registerSegment(catalog.MetaSegment, false); err != nil {
+	if err := db.recoverAndLoad(); err != nil {
+		db.abandon()
 		return nil, err
+	}
+	if db.log != nil && opts.CheckpointEvery > 0 && !opts.Replica {
+		db.ckptStop = make(chan struct{})
+		db.ckptDone = make(chan struct{})
+		go db.checkpointLoop(opts.CheckpointEvery)
+	}
+	return db, nil
+}
+
+// recoverAndLoad registers the meta segment and every segment the WAL's
+// replay tail mentions, replays the log onto them, and builds the
+// runtime structures.
+func (db *DB) recoverAndLoad() error {
+	if err := db.registerSegment(catalog.MetaSegment, false); err != nil {
+		return err
 	}
 	if db.log != nil {
 		// Only the replay tail's segments are needed before recovery;
@@ -319,34 +320,40 @@ func Open(opts Options) (*DB, error) {
 			}
 			return nil
 		}); err != nil {
-			return nil, err
+			return err
 		}
 		for id := range segs {
 			if err := db.registerSegment(id, false); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if err := subtuple.Recover(db.log, db.pool); err != nil {
-			return nil, fmt.Errorf("engine: recovery failed: %w", err)
+			return fmt.Errorf("engine: recovery failed: %w", err)
 		}
 		if err := db.sealHoles(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if opts.Replica {
+	if db.opts.Replica {
 		if err := db.replicaRecover(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := db.reloadRuntime(); err != nil {
-		return nil, err
+	return db.reloadRuntime()
+}
+
+// abandon releases what a failed Open acquired: the log's segment
+// files and every registered store. Nothing is flushed — the pages
+// and log records of a half-finished recovery must not reach storage.
+func (db *DB) abandon() {
+	if db.log != nil {
+		db.log.Abandon()
 	}
-	if db.log != nil && opts.CheckpointEvery > 0 && !opts.Replica {
-		db.ckptStop = make(chan struct{})
-		db.ckptDone = make(chan struct{})
-		go db.checkpointLoop(opts.CheckpointEvery)
+	for id := range db.stores {
+		if st := db.pool.Store(id); st != nil {
+			st.Close()
+		}
 	}
-	return db, nil
 }
 
 // reloadRuntime (re)builds every in-memory runtime structure from the

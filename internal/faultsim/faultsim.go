@@ -11,7 +11,7 @@
 //   - Injector counts I/O operations flowing through the wrappers and
 //     fails the ones inside a seeded burst window (faultsim.go);
 //   - WrapStore and WrapWAL interpose the injector between the engine
-//     and a backing segment.Store / wal.File — typically a crashsim
+//     and a backing segment.Store / wal.Storage — typically a crashsim
 //     Session, so a run can end with a power cut on top of the soft
 //     faults (wrap.go);
 //   - RunFaults drives one workload with a fault burst at a chosen

@@ -44,12 +44,12 @@ func openLive(s *crashsim.Session, inj *Injector, clock func() int64, pool int) 
 			}
 			return inj.WrapStore(st), nil
 		},
-		OpenWALFile: func() (wal.File, error) {
-			f, err := s.OpenWALFile()
+		OpenWALStorage: func() (wal.Storage, error) {
+			st, err := s.OpenWALStorage()
 			if err != nil {
 				return nil, err
 			}
-			return inj.WrapWAL(f), nil
+			return inj.WrapWAL(st), nil
 		},
 		Retry: segment.RetryPolicy{Tries: retryTries},
 	})
@@ -199,7 +199,7 @@ func RunFaults(wseed, at, burst int64, transient bool) error {
 	rs := d.Open(wseed*91+at+7, -1)
 	eng2, err := engine.Open(engine.Options{
 		PoolPages: 64, Clock: clock,
-		OpenStore: rs.OpenStore, OpenWALFile: rs.OpenWALFile,
+		OpenStore: rs.OpenStore, OpenWALStorage: rs.OpenWALStorage,
 	})
 	if err != nil {
 		return fmt.Errorf("faultsim: recovery after kill failed: %w", err)

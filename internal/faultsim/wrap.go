@@ -43,14 +43,31 @@ func (s *store) PageCount() uint32 { return s.st.PageCount() }
 func (s *store) Allocate() uint32  { return s.st.Allocate() }
 func (s *store) Close() error      { return s.st.Close() }
 
-// WrapWAL interposes the injector between the log and its backing
-// file: Write, Sync and ReadAt become fault points. Seek and Truncate
-// pass through — they are the rollback path's own tools, and faulting
-// them would only test that a rollback can fail, which the poisoned
+// WrapWAL interposes the injector between the log and its segment
+// files: Write, Sync and ReadAt of every file the log opens become
+// fault points. Seek, Truncate, List and Remove pass through — Seek
+// and Truncate are the rollback path's own tools, and faulting them
+// would only test that a rollback can fail, which the poisoned
 // fatalErr path covers directly.
-func (in *Injector) WrapWAL(f wal.File) wal.File {
-	return &file{in: in, f: f}
+func (in *Injector) WrapWAL(st wal.Storage) wal.Storage {
+	return &storage{in: in, st: st}
 }
+
+type storage struct {
+	in *Injector
+	st wal.Storage
+}
+
+func (s *storage) Open(name string) (wal.File, error) {
+	f, err := s.st.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &file{in: s.in, f: f}, nil
+}
+
+func (s *storage) Remove(name string) error { return s.st.Remove(name) }
+func (s *storage) List() ([]string, error)  { return s.st.List() }
 
 type file struct {
 	in *Injector

@@ -135,7 +135,6 @@ func (f *Follower) engineOpts() engine.Options {
 	o.DisableWAL = false
 	o.CheckpointEvery = 0
 	o.OpenStore = nil
-	o.OpenWALFile = nil
 	o.OpenWALStorage = nil
 	return o
 }

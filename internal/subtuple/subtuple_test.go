@@ -310,7 +310,7 @@ func TestStoreOpsQuick(t *testing.T) {
 // stores.
 func TestWALRecovery(t *testing.T) {
 	dir := t.TempDir()
-	log, err := wal.Open(filepath.Join(dir, "wal"))
+	log, err := wal.OpenDir(dir, wal.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestWALRecovery(t *testing.T) {
 	fileStore.Close()
 
 	// Reopen and recover.
-	log2, err := wal.Open(filepath.Join(dir, "wal"))
+	log2, err := wal.OpenDir(dir, wal.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestWALRecovery(t *testing.T) {
 // commit are not replayed.
 func TestWALUncommittedTailIgnored(t *testing.T) {
 	dir := t.TempDir()
-	log, _ := wal.Open(filepath.Join(dir, "wal"))
+	log, _ := wal.OpenDir(dir, wal.Config{})
 	fs, _ := segment.OpenFileStore(filepath.Join(dir, "seg1"))
 	pool := buffer.NewPool(64)
 	pool.Register(1, fs)
@@ -394,7 +394,7 @@ func TestWALUncommittedTailIgnored(t *testing.T) {
 	log.Close()
 	fs.Close()
 
-	log2, _ := wal.Open(filepath.Join(dir, "wal"))
+	log2, _ := wal.OpenDir(dir, wal.Config{})
 	defer log2.Close()
 	fs2, _ := segment.OpenFileStore(filepath.Join(dir, "seg1"))
 	defer fs2.Close()

@@ -64,11 +64,12 @@ func DecodeCheckpointInfo(p []byte) (CheckpointInfo, bool) {
 // WriteCheckpoint appends a checkpoint record and makes it durable.
 // In a rolling log the record is placed at the front of a fresh
 // segment, so reopen finds it with an O(1) probe of each segment's
-// first record; in a single-file log it lands mid-file and reopen
-// finds it by scanning. On success the record becomes the new replay
-// start and a new full-page-image era begins. The caller must have
-// flushed every dirty page first — that ordering, not the payload, is
-// what makes the records before the checkpoint dead weight.
+// first record; in a log that never rolls it lands mid-file and
+// reopen finds it by scanning. On success the record becomes the new
+// replay start and a new full-page-image era begins. The caller must
+// have flushed every dirty page first — that ordering, not the
+// payload, is what makes the records before the checkpoint dead
+// weight.
 func (l *Log) WriteCheckpoint(info CheckpointInfo) (uint64, error) {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()

@@ -11,8 +11,9 @@ import (
 )
 
 // flakyFile is an in-memory wal.File whose Write/Sync/ReadAt can be made
-// to fail on demand; the tests below use it to model flaky storage
-// without touching the filesystem.
+// to fail on demand; the tests use it to model flaky storage without
+// touching the filesystem, and unarmed as a plain in-memory log file
+// whose bytes stay addressable for checks against the raw input.
 type flakyFile struct {
 	mu        sync.Mutex
 	data      []byte
@@ -101,6 +102,21 @@ func (m *flakyFile) Sync() error {
 
 func (m *flakyFile) Close() error { return nil }
 
+// oneLog is a Storage holding a single wal.log. The logs the tests
+// open over it never roll (Config.SegmentBytes is zero), so no other
+// segment is ever created or removed.
+type oneLog struct{ f File }
+
+func (s oneLog) Open(name string) (File, error) {
+	if name != legacySegName {
+		return nil, fmt.Errorf("oneLog: no segment %q", name)
+	}
+	return s.f, nil
+}
+
+func (s oneLog) Remove(name string) error { return fmt.Errorf("oneLog: cannot remove %q", name) }
+func (s oneLog) List() ([]string, error)  { return []string{legacySegName}, nil }
+
 func record(op Op, payload string) *Record {
 	return &Record{Op: op, Seg: 3, Page: 7, Slot: 1, Payload: []byte(payload)}
 }
@@ -119,7 +135,7 @@ func countRecords(t *testing.T, l *Log) int {
 // fsync failed — are discarded, and the log accepts appends again.
 func TestDiscardUnflushedDropsBufferedTail(t *testing.T) {
 	mf := &flakyFile{}
-	l, err := OpenFile(mf)
+	l, err := OpenStorage(oneLog{mf}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +197,7 @@ func TestDiscardUnflushedDropsBufferedTail(t *testing.T) {
 // must clear it.
 func TestDiscardUnflushedClearsStickyError(t *testing.T) {
 	mf := &flakyFile{}
-	l, err := OpenFile(mf)
+	l, err := OpenStorage(oneLog{mf}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +237,7 @@ func TestDiscardUnflushedClearsStickyError(t *testing.T) {
 // truncate the committed history.
 func TestReplayPropagatesRealReadErrors(t *testing.T) {
 	mf := &flakyFile{}
-	l, err := OpenFile(mf)
+	l, err := OpenStorage(oneLog{mf}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +277,7 @@ func TestRetryFileResumesPartialWrites(t *testing.T) {
 // keeps working when faults stay within the retry budget.
 func TestRetryFileAbsorbsTransientSyncs(t *testing.T) {
 	mf := &flakyFile{transient: true}
-	l, err := OpenFile(WithRetry(mf, segment.RetryPolicy{Tries: 4}))
+	l, err := OpenStorage(oneLog{mf}, Config{Retry: segment.RetryPolicy{Tries: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,56 +2,14 @@ package wal
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
-	"io"
 	"testing"
 )
 
-// memFile is an in-memory wal.File for tests and fuzzing: it keeps
-// the log bytes addressable so properties can be checked against the
-// raw input.
-type memFile struct {
-	b []byte
-}
-
-func (m *memFile) Write(p []byte) (int, error) { m.b = append(m.b, p...); return len(p), nil }
-
-func (m *memFile) ReadAt(p []byte, off int64) (int, error) {
-	if off >= int64(len(m.b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, m.b[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (m *memFile) Seek(off int64, whence int) (int64, error) {
-	switch whence {
-	case io.SeekStart:
-		return off, nil
-	case io.SeekEnd:
-		return int64(len(m.b)) + off, nil
-	}
-	return 0, fmt.Errorf("memFile: unsupported whence %d", whence)
-}
-
-func (m *memFile) Truncate(size int64) error {
-	if size < int64(len(m.b)) {
-		m.b = m.b[:size]
-	}
-	return nil
-}
-
-func (m *memFile) Sync() error  { return nil }
-func (m *memFile) Close() error { return nil }
-
 // sampleLogBytes builds a valid log image for seed corpora.
 func sampleLogBytes(tb testing.TB, recs []*Record) []byte {
-	mf := &memFile{}
-	l, err := OpenFile(mf)
+	mf := &flakyFile{}
+	l, err := OpenStorage(oneLog{mf}, Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -63,7 +21,7 @@ func sampleLogBytes(tb testing.TB, recs []*Record) []byte {
 	if err := l.Sync(); err != nil {
 		tb.Fatal(err)
 	}
-	return append([]byte(nil), mf.b...)
+	return append([]byte(nil), mf.data...)
 }
 
 var sampleRecs = []*Record{
@@ -91,8 +49,8 @@ func FuzzReplay(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mf := &memFile{b: append([]byte(nil), data...)}
-		l, err := OpenFile(mf)
+		mf := &flakyFile{data: append([]byte(nil), data...)}
+		l, err := OpenStorage(oneLog{mf}, Config{})
 		if err != nil {
 			return // rejecting garbage is fine; panicking is not
 		}
@@ -132,16 +90,16 @@ func TestTornTailEveryOffset(t *testing.T) {
 	// Byte offset where the last record begins.
 	lastStart := len(full) - sampleRecs[len(sampleRecs)-1].Size()
 	for cut := lastStart; cut < len(full); cut++ {
-		mf := &memFile{b: append([]byte(nil), full[:cut]...)}
-		l, err := OpenFile(mf)
+		mf := &flakyFile{data: append([]byte(nil), full[:cut]...)}
+		l, err := OpenStorage(oneLog{mf}, Config{})
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
 		if got := l.End(); got != uint64(lastStart) {
 			t.Fatalf("cut %d: End() = %d, want %d", cut, got, lastStart)
 		}
-		if len(mf.b) != lastStart {
-			t.Fatalf("cut %d: torn tail not truncated: %d bytes, want %d", cut, len(mf.b), lastStart)
+		if len(mf.data) != lastStart {
+			t.Fatalf("cut %d: torn tail not truncated: %d bytes, want %d", cut, len(mf.data), lastStart)
 		}
 		n := 0
 		if err := l.Replay(func(r Record) error { n++; return nil }); err != nil {
@@ -170,8 +128,8 @@ func TestTornTailEveryOffset(t *testing.T) {
 // after the truncation point disappear and the log continues from the
 // new end.
 func TestTruncateTail(t *testing.T) {
-	mf := &memFile{}
-	l, err := OpenFile(mf)
+	mf := &flakyFile{}
+	l, err := OpenStorage(oneLog{mf}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

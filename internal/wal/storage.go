@@ -82,7 +82,12 @@ type DirStorage struct {
 func NewDirStorage(dir string) *DirStorage { return &DirStorage{dir: dir} }
 
 func (d *DirStorage) Open(name string) (File, error) {
-	return OpenPathFile(filepath.Join(d.dir, name))
+	path := filepath.Join(d.dir, name)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+	}
+	return f, nil
 }
 
 func (d *DirStorage) Remove(name string) error {
@@ -106,37 +111,11 @@ func (d *DirStorage) List() ([]string, error) {
 	return names, nil
 }
 
-// singleFileStorage adapts one already-open File to the Storage
-// interface: the chain is exactly that file, nothing can be created
-// or removed. It backs the OpenFile/Open compatibility paths (tests
-// and harnesses that hand the log a single fault-injected file); a
-// log over it never rolls and never recycles.
-type singleFileStorage struct {
-	f    File
-	used bool
-}
-
-func (s *singleFileStorage) Open(name string) (File, error) {
-	if name != legacySegName || s.used {
-		return nil, fmt.Errorf("wal: single-file log cannot open segment %q", name)
-	}
-	s.used = true
-	return s.f, nil
-}
-
-func (s *singleFileStorage) Remove(name string) error {
-	return fmt.Errorf("wal: single-file log cannot remove segment %q", name)
-}
-
-func (s *singleFileStorage) List() ([]string, error) {
-	return []string{legacySegName}, nil
-}
-
 // Config tunes a segmented log.
 type Config struct {
 	// SegmentBytes rolls the log to a new segment file when appending
 	// a record would grow the active segment past this size. Zero
-	// disables rolling (single-file behavior). A record larger than
+	// disables rolling (one unbounded segment). A record larger than
 	// SegmentBytes is written whole into a fresh segment of its own —
 	// records never span segment files.
 	SegmentBytes int64

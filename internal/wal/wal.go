@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -184,36 +183,6 @@ type Log struct {
 	// or the chain is reshaped. Both are guarded by mu.
 	cuts   []tailCut
 	tailCh chan struct{}
-}
-
-// Open opens (or creates) a single-file log at path and positions
-// appends after the last complete record. The log never rolls; it is
-// the compatibility constructor for callers that manage one file.
-func Open(path string) (*Log, error) {
-	f, err := OpenPathFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return OpenFile(f)
-}
-
-// OpenPathFile opens (or creates) the backing file at path without
-// building a Log over it; callers that want to interpose a wrapper
-// (retry, fault injection) between the file and the Log use it with
-// OpenFile.
-func OpenPathFile(path string) (File, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	return f, nil
-}
-
-// OpenFile opens a log over an already-open backing file and positions
-// appends after the last complete record (truncating a torn tail).
-// The log never rolls or recycles: the chain is exactly this file.
-func OpenFile(f File) (*Log, error) {
-	return OpenStorage(&singleFileStorage{f: f}, Config{})
 }
 
 // header: totalLen uint32 | crc uint32; body: op 1 | seg 2 | page 4 |
@@ -707,6 +676,19 @@ func (l *Log) Close() error {
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
+	return l.closeFilesLocked()
+}
+
+// Abandon closes every segment file without flushing the append
+// buffer: records appended but never written are dropped, as a crash
+// drops them. A failed engine open uses it to release the log.
+func (l *Log) Abandon() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.closeFilesLocked()
+}
+
+func (l *Log) closeFilesLocked() error {
 	var first error
 	for _, sf := range l.segs {
 		if err := sf.f.Close(); err != nil && first == nil {

@@ -8,7 +8,7 @@ import (
 
 func openLog(t *testing.T, dir string) *Log {
 	t.Helper()
-	l, err := Open(filepath.Join(dir, "wal"))
+	l, err := OpenDir(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestReopenAppendsAfterLast(t *testing.T) {
 // A torn tail (partial record at the end) is truncated on reopen.
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal")
-	l, _ := Open(path)
+	path := filepath.Join(dir, "wal.log")
+	l, _ := OpenDir(dir, Config{})
 	l.Append(&Record{Op: OpInsert, Seg: 1, Page: 1, Payload: []byte("keep")})
 	l.Append(&Record{Op: OpCommit})
 	l.Sync()
@@ -96,7 +96,7 @@ func TestTornTailTruncated(t *testing.T) {
 	f.Write([]byte{42, 0, 0, 0, 1, 2})
 	f.Close()
 
-	l2, err := Open(path)
+	l2, err := OpenDir(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestTornTailTruncated(t *testing.T) {
 // A corrupted byte in the middle invalidates the tail from there.
 func TestCorruptRecordStopsReplay(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal")
-	l, _ := Open(path)
+	path := filepath.Join(dir, "wal.log")
+	l, _ := OpenDir(dir, Config{})
 	l.Append(&Record{Op: OpInsert, Seg: 1, Page: 1, Payload: []byte("first")})
 	r2 := &Record{Op: OpInsert, Seg: 1, Page: 1, Slot: 1, Payload: []byte("second")}
 	lsn2, _ := l.Append(r2)
@@ -135,7 +135,7 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 	data[lsn2-1+8+13] ^= 0xFF
 	os.WriteFile(path, data, 0o644)
 
-	l2, err := Open(path)
+	l2, err := OpenDir(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
