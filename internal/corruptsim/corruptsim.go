@@ -1,5 +1,5 @@
-// Package corruptsim injects silent storage corruption — the faults a
-// checksum-less DBMS would never notice — into an on-disk database:
+// Package corruptsim plans silent storage corruption — the faults a
+// checksum-less DBMS would never notice — against an on-disk database:
 //
 //   - BitFlip: media rot flips a byte of a durable page image.
 //   - ZeroPage: a page reads back as zeroes (unwritten/remapped block).
@@ -9,11 +9,12 @@
 //     page is stale and another holds a page sealed for a different
 //     identity.
 //
-// At-rest faults (BitFlip, ZeroPage) are applied directly to segment
-// files between runs (Inject). Write-path faults (LostWrite,
-// MisdirectedWrite) need a live write to subvert: Disk wraps the
-// engine's file stores via engine.Options.OpenStore and fires armed
-// faults when the targeted page is written.
+// The kinds are simkit.PageFault kinds. At-rest faults (BitFlip,
+// ZeroPage) are rot of a file, not of an I/O path: Plan aims them and
+// Inject applies them to segment files between runs. Write-path faults
+// (LostWrite, MisdirectedWrite) need a live write to subvert: WritePath
+// aims them, and the matrix arms them on a simkit.Injector wrapping the
+// engine's file stores, which fires each on the next write of its page.
 //
 // The corruption-matrix test drives hundreds of seeded fault points
 // through this package and asserts the paper-prototype's robustness
@@ -29,57 +30,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/page"
 	"repro/internal/segment"
+	"repro/internal/simkit"
 )
-
-// Kind is a silent-corruption fault kind.
-type Kind int
-
-const (
-	BitFlip Kind = iota
-	ZeroPage
-	LostWrite
-	MisdirectedWrite
-)
-
-func (k Kind) String() string {
-	switch k {
-	case BitFlip:
-		return "bit-flip"
-	case ZeroPage:
-		return "zero-page"
-	case LostWrite:
-		return "lost-write"
-	case MisdirectedWrite:
-		return "misdirected-write"
-	}
-	return "kind(" + strconv.Itoa(int(k)) + ")"
-}
-
-// Fault is one fault point: a kind aimed at one durable page.
-type Fault struct {
-	Seg  segment.ID
-	Page uint32
-	Kind Kind
-	// Off is the in-page byte offset a BitFlip corrupts.
-	Off int
-	// Target is the page a MisdirectedWrite actually lands on.
-	Target uint32
-}
-
-func (f Fault) String() string {
-	s := fmt.Sprintf("%v@%d.%d", f.Kind, f.Seg, f.Page)
-	switch f.Kind {
-	case BitFlip:
-		s += "+" + strconv.Itoa(f.Off)
-	case MisdirectedWrite:
-		s += "->" + strconv.Itoa(int(f.Target))
-	}
-	return s
-}
 
 func segPath(dir string, id segment.ID) string {
 	return filepath.Join(dir, fmt.Sprintf("seg_%d.dat", id))
@@ -111,12 +66,11 @@ func Pages(dir string) (map[segment.ID]uint32, error) {
 	return out, nil
 }
 
-// Plan generates n seeded fault points of the given kinds (round
-// robin) aimed at existing pages of the database under dir.
-func Plan(seed int64, dir string, kinds []Kind, n int) ([]Fault, error) {
+// pagedSegments returns the segments holding durable pages, in order.
+func pagedSegments(dir string) (map[segment.ID]uint32, []segment.ID, error) {
 	counts, err := Pages(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var segs []segment.ID
 	for id, c := range counts {
@@ -125,33 +79,70 @@ func Plan(seed int64, dir string, kinds []Kind, n int) ([]Fault, error) {
 		}
 	}
 	if len(segs) == 0 {
-		return nil, fmt.Errorf("corruptsim: no durable pages under %s", dir)
+		return nil, nil, fmt.Errorf("corruptsim: no durable pages under %s", dir)
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
+	return counts, segs, nil
+}
+
+// Plan generates n seeded at-rest fault points of the given kinds
+// (round robin) aimed at existing pages of the database under dir.
+func Plan(seed int64, dir string, kinds []simkit.PageFaultKind, n int) ([]simkit.PageFault, error) {
+	for _, k := range kinds {
+		if k != simkit.BitFlip && k != simkit.ZeroPage {
+			return nil, fmt.Errorf("corruptsim: %v is a write-path fault; aim it with WritePath", k)
+		}
+	}
+	counts, segs, err := pagedSegments(dir)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(seed))
-	faults := make([]Fault, 0, n)
+	faults := make([]simkit.PageFault, 0, n)
 	for i := 0; i < n; i++ {
 		id := segs[rng.Intn(len(segs))]
-		f := Fault{
+		faults = append(faults, simkit.PageFault{
 			Seg:  id,
 			Page: 1 + uint32(rng.Intn(int(counts[id]))),
 			Kind: kinds[i%len(kinds)],
 			Off:  rng.Intn(page.Size),
+		})
+	}
+	return faults, nil
+}
+
+// WritePath aims one write-path fault of kind at every durable page of
+// the database under dir. A misdirected write lands on a seeded other
+// page of its segment — never its own page, which would corrupt
+// nothing — so a one-page segment gets none.
+func WritePath(seed int64, dir string, kind simkit.PageFaultKind) ([]simkit.PageFault, error) {
+	counts, segs, err := pagedSegments(dir)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var faults []simkit.PageFault
+	for _, id := range segs {
+		c := counts[id]
+		if kind == simkit.MisdirectedWrite && c < 2 {
+			continue
 		}
-		if f.Kind == MisdirectedWrite {
-			f.Target = 1 + uint32(rng.Intn(int(counts[id])))
-			if f.Target == f.Page { // a self-directed write is no fault
-				f.Target = 1 + f.Target%counts[id]
+		for p := uint32(1); p <= c; p++ {
+			f := simkit.PageFault{Seg: id, Page: p, Kind: kind}
+			if kind == simkit.MisdirectedWrite {
+				if f.Target = 1 + uint32(rng.Intn(int(c-1))); f.Target >= p {
+					f.Target++
+				}
 			}
+			faults = append(faults, f)
 		}
-		faults = append(faults, f)
 	}
 	return faults, nil
 }
 
 // Inject applies an at-rest fault (BitFlip or ZeroPage) to the
 // durable segment file under dir.
-func Inject(dir string, f Fault) error {
+func Inject(dir string, f simkit.PageFault) error {
 	fl, err := os.OpenFile(segPath(dir, f.Seg), os.O_RDWR, 0)
 	if err != nil {
 		return err
@@ -159,7 +150,7 @@ func Inject(dir string, f Fault) error {
 	defer fl.Close()
 	off := int64(f.Page-1) * page.Size
 	switch f.Kind {
-	case BitFlip:
+	case simkit.BitFlip:
 		b := make([]byte, 1)
 		if _, err := fl.ReadAt(b, off+int64(f.Off)); err != nil {
 			return err
@@ -167,102 +158,9 @@ func Inject(dir string, f Fault) error {
 		b[0] ^= 0xFF
 		_, err = fl.WriteAt(b, off+int64(f.Off))
 		return err
-	case ZeroPage:
+	case simkit.ZeroPage:
 		_, err = fl.WriteAt(make([]byte, page.Size), off)
 		return err
 	}
-	return fmt.Errorf("corruptsim: %v is a write-path fault; arm it on a Disk", f.Kind)
-}
-
-// Disk opens the database's segment files with write-path fault
-// injection. Wire OpenStore into engine.Options.OpenStore.
-type Disk struct {
-	dir string
-
-	mu    sync.Mutex
-	armed map[[2]uint64][]Fault
-	// Fired records the faults that actually subverted a write.
-	Fired []Fault
-}
-
-// NewDisk wraps the segment files under dir.
-func NewDisk(dir string) *Disk {
-	return &Disk{dir: dir, armed: make(map[[2]uint64][]Fault)}
-}
-
-// Arm schedules a write-path fault: the next WritePage to the
-// fault's page fires it (and disarms it).
-func (d *Disk) Arm(f Fault) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	k := dkey(f.Seg, f.Page)
-	d.armed[k] = append(d.armed[k], f)
-}
-
-// FiredCount reports how many armed faults have fired so far.
-func (d *Disk) FiredCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.Fired)
-}
-
-func dkey(id segment.ID, no uint32) [2]uint64 {
-	return [2]uint64{uint64(id), uint64(no)}
-}
-
-// OpenStore implements engine.Options.OpenStore.
-func (d *Disk) OpenStore(id segment.ID) (segment.Store, error) {
-	st, err := segment.OpenFileStore(segPath(d.dir, id))
-	if err != nil {
-		return nil, err
-	}
-	return &faultStore{d: d, id: id, Store: st}, nil
-}
-
-type faultStore struct {
-	segment.Store
-	d  *Disk
-	id segment.ID
-}
-
-// WritePage fires at most one armed fault aimed at (seg, page); the
-// rest of the writes pass through untouched.
-func (fs *faultStore) WritePage(no uint32, buf []byte) error {
-	fs.d.mu.Lock()
-	k := dkey(fs.id, no)
-	pending := fs.d.armed[k]
-	var f Fault
-	fire := len(pending) > 0
-	if fire {
-		f = pending[0]
-		if len(pending) == 1 {
-			delete(fs.d.armed, k)
-		} else {
-			fs.d.armed[k] = pending[1:]
-		}
-		fs.d.Fired = append(fs.d.Fired, f)
-	}
-	fs.d.mu.Unlock()
-	if !fire {
-		return fs.Store.WritePage(no, buf)
-	}
-	switch f.Kind {
-	case LostWrite:
-		return nil // acked and dropped
-	case MisdirectedWrite:
-		return fs.Store.WritePage(f.Target, buf)
-	default:
-		// At-rest kinds armed on a Disk corrupt the image in flight.
-		img := make([]byte, len(buf))
-		copy(img, buf)
-		switch f.Kind {
-		case BitFlip:
-			img[f.Off%len(img)] ^= 0xFF
-		case ZeroPage:
-			for i := range img {
-				img[i] = 0
-			}
-		}
-		return fs.Store.WritePage(no, img)
-	}
+	return fmt.Errorf("corruptsim: %v is a write-path fault; arm it on a simkit.Injector", f.Kind)
 }

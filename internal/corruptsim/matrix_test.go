@@ -2,18 +2,17 @@ package corruptsim
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/crashsim"
 	"repro/internal/dberr"
 	"repro/internal/doctor"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/segment"
+	"repro/internal/simkit"
 )
 
 // The corruption matrix: ≥200 seeded fault points across four fault
@@ -49,23 +48,6 @@ func buildTemplate(t *testing.T, dir string, w *crashsim.Workload, disableWAL bo
 	}
 }
 
-// replay executes statements on a fresh in-memory engine: the oracle.
-func replay(t *testing.T, stmts ...[]string) *engine.DB {
-	t.Helper()
-	db, err := engine.Open(engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, group := range stmts {
-		for _, stmt := range group {
-			if _, err := db.Exec(stmt); err != nil {
-				t.Fatalf("oracle: %v\n%s", err, stmt)
-			}
-		}
-	}
-	return db
-}
-
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -85,25 +67,6 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-func rowsOf(db *engine.DB, tbl *catalog.Table) (*model.Table, error) {
-	sc, err := db.Runtime().OpenScan(tbl, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer sc.Close()
-	out := &model.Table{Ordered: tbl.Type.Ordered}
-	for {
-		_, tup, ok, err := sc.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out.Tuples = append(out.Tuples, tup)
-	}
-}
-
 // typedFailure reports whether err is a loud, classified corruption
 // outcome (the only acceptable kind of failure).
 func typedFailure(err error) bool {
@@ -121,7 +84,7 @@ func checkNoSilentWrongAnswers(t *testing.T, ctx string, db, orc *engine.DB) int
 		if !ok {
 			t.Fatalf("%s: table %s missing from catalog", ctx, wt.Name)
 		}
-		got, err := rowsOf(db, gt)
+		got, err := crashsim.TableRows(db, gt, 0)
 		if err != nil {
 			if !typedFailure(err) {
 				t.Fatalf("%s: scan %s failed with untyped error: %v", ctx, wt.Name, err)
@@ -129,7 +92,7 @@ func checkNoSilentWrongAnswers(t *testing.T, ctx string, db, orc *engine.DB) int
 			loud++
 			continue
 		}
-		want, err := rowsOf(orc, wt)
+		want, err := crashsim.TableRows(orc, wt, 0)
 		if err != nil {
 			t.Fatalf("oracle scan %s: %v", wt.Name, err)
 		}
@@ -164,7 +127,10 @@ func multisetSubset(got, want *model.Table) bool {
 func TestCorruptionMatrix(t *testing.T) {
 	per := pointsPerCell(t)
 	w := crashsim.NewWorkload(1, 50)
-	orc := replay(t, w.Setup, w.Stmts)
+	orc, err := crashsim.Replay(nil, w.Setup, w.Stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer orc.Close()
 
 	walTpl := t.TempDir()
@@ -178,8 +144,8 @@ func TestCorruptionMatrix(t *testing.T) {
 	// the damaged pages exactly; the reopened database equals the
 	// oracle with no repair tooling involved.
 	t.Run("AtRestWithWAL", func(t *testing.T) {
-		for _, kind := range []Kind{BitFlip, ZeroPage} {
-			faults, err := Plan(matrixSeed+int64(kind), walTpl, []Kind{kind}, per)
+		for _, kind := range []simkit.PageFaultKind{simkit.BitFlip, simkit.ZeroPage} {
+			faults, err := Plan(matrixSeed+int64(kind), walTpl, []simkit.PageFaultKind{kind}, per)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,8 +171,8 @@ func TestCorruptionMatrix(t *testing.T) {
 	// fail loudly or answer exactly; aimdoctor repair must converge,
 	// and any missing row afterwards must be a reported loss.
 	t.Run("AtRestNoWAL", func(t *testing.T) {
-		for _, kind := range []Kind{BitFlip, ZeroPage} {
-			faults, err := Plan(matrixSeed+int64(kind), rawTpl, []Kind{kind}, per)
+		for _, kind := range []simkit.PageFaultKind{simkit.BitFlip, simkit.ZeroPage} {
+			faults, err := Plan(matrixSeed+int64(kind), rawTpl, []simkit.PageFaultKind{kind}, per)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,11 +212,11 @@ func TestCorruptionMatrix(t *testing.T) {
 				lost := false
 				for _, wt := range orc.Catalog().Tables() {
 					gt, _ := db.Catalog().Table(wt.Name)
-					got, err := rowsOf(db, gt)
+					got, err := crashsim.TableRows(db, gt, 0)
 					if err != nil {
 						t.Fatalf("%v: post-repair scan %s: %v", f, wt.Name, err)
 					}
-					want, _ := rowsOf(orc, wt)
+					want, _ := crashsim.TableRows(orc, wt, 0)
 					if !multisetSubset(got, want) {
 						t.Fatalf("%v: post-repair %s has rows the oracle never had", f, wt.Name)
 					}
@@ -272,32 +238,28 @@ func TestCorruptionMatrix(t *testing.T) {
 	// runs, and recovery at the next open must still reach exact
 	// oracle equality.
 	t.Run("WritePathWithWAL", func(t *testing.T) {
-		fired := 0
-		for _, kind := range []Kind{LostWrite, MisdirectedWrite} {
+		kinds := []simkit.PageFaultKind{simkit.LostWrite, simkit.MisdirectedWrite}
+		fired := make(map[simkit.PageFaultKind]int)
+		for _, kind := range kinds {
 			for i := 0; i < per; i++ {
 				dir := copyDir(t, walTpl)
 				extra := crashsim.NewWorkload(matrixSeed+int64(kind)*1000+int64(i), 12)
-				counts, err := Pages(dir)
+				faults, err := WritePath(matrixSeed+int64(i), dir, kind)
 				if err != nil {
 					t.Fatal(err)
 				}
-				d := NewDisk(dir)
-				rng := rand.New(rand.NewSource(matrixSeed + int64(i)))
-				for id, c := range counts {
-					for p := uint32(1); p <= c; p++ {
-						f := Fault{Seg: id, Page: p, Kind: kind}
-						if kind == MisdirectedWrite && c > 1 {
-							f.Target = 1 + uint32(rng.Intn(int(c)))
-							if f.Target == p {
-								f.Target = 1 + f.Target%c
-							}
-						} else if kind == MisdirectedWrite {
-							continue // nowhere else to land in a 1-page segment
-						}
-						d.Arm(f)
-					}
+				in := simkit.NewInjector(0, -1)
+				for _, f := range faults {
+					in.ArmPage(f)
 				}
-				db, err := engine.Open(engine.Options{Dir: dir, OpenStore: d.OpenStore})
+				openStore := func(id segment.ID) (segment.Store, error) {
+					st, err := segment.OpenFileStore(segPath(dir, id))
+					if err != nil {
+						return nil, err
+					}
+					return in.WrapStore(id, st), nil
+				}
+				db, err := engine.Open(engine.Options{Dir: dir, OpenStore: openStore})
 				if err != nil {
 					t.Fatalf("point %v/%d: open: %v", kind, i, err)
 				}
@@ -309,26 +271,31 @@ func TestCorruptionMatrix(t *testing.T) {
 				if err := db.Close(); err != nil {
 					t.Fatalf("point %v/%d: close: %v", kind, i, err)
 				}
-				fired += d.FiredCount()
+				n := len(in.Fired())
+				fired[kind] += n
 
-				porc := replay(t, w.Setup, w.Stmts, extra.Stmts)
+				porc, err := crashsim.Replay(nil, w.Setup, w.Stmts, extra.Stmts)
+				if err != nil {
+					t.Fatal(err)
+				}
 				db, err = engine.Open(engine.Options{Dir: dir})
 				if err != nil {
 					t.Fatalf("point %v/%d: reopen: %v", kind, i, err)
 				}
 				if msg := crashsim.CompareState(db, porc); msg != "" {
-					t.Fatalf("point %v/%d: recovery did not mask %d %v faults: %s",
-						kind, i, d.FiredCount(), kind, msg)
+					t.Fatalf("point %v/%d: recovery did not mask %d %v faults: %s", kind, i, n, kind, msg)
 				}
 				db.Close()
 				porc.Close()
 				points++
 			}
 		}
-		if fired == 0 {
-			t.Fatal("no write-path fault ever fired; the cell is vacuous")
+		for _, kind := range kinds {
+			if fired[kind] == 0 {
+				t.Fatalf("no %v fault ever fired; the cell is vacuous for it", kind)
+			}
 		}
-		t.Logf("write-path faults fired: %d", fired)
+		t.Logf("write-path faults fired: %v", fired)
 	})
 
 	// Cell D — rot under a live engine (after its open): reads must
@@ -336,8 +303,8 @@ func TestCorruptionMatrix(t *testing.T) {
 	// serving oracle-identical answers; aimdoctor repair (whose open
 	// replays the WAL) must then restore full equality.
 	t.Run("OnlineRotWithWAL", func(t *testing.T) {
-		for _, kind := range []Kind{BitFlip, ZeroPage} {
-			faults, err := Plan(matrixSeed+77+int64(kind), walTpl, []Kind{kind}, per)
+		for _, kind := range []simkit.PageFaultKind{simkit.BitFlip, simkit.ZeroPage} {
+			faults, err := Plan(matrixSeed+77+int64(kind), walTpl, []simkit.PageFaultKind{kind}, per)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,7 +353,10 @@ func TestCorruptionMatrix(t *testing.T) {
 // deterministic fault point.
 func TestCorruptionContainment(t *testing.T) {
 	w := crashsim.NewWorkload(2, 40)
-	orc := replay(t, w.Setup, w.Stmts)
+	orc, err := crashsim.Replay(nil, w.Setup, w.Stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer orc.Close()
 	tpl := t.TempDir()
 	buildTemplate(t, tpl, w, false)
@@ -399,12 +369,12 @@ func TestCorruptionContainment(t *testing.T) {
 	}
 	defer db.Close()
 	emp, _ := db.Catalog().Table("EMP")
-	if err := Inject(dir, Fault{Seg: emp.Seg, Page: 1, Kind: BitFlip, Off: 300}); err != nil {
+	if err := Inject(dir, simkit.PageFault{Seg: emp.Seg, Page: 1, Kind: simkit.BitFlip, Off: 300}); err != nil {
 		t.Fatal(err)
 	}
 	db.Pool().InvalidateAll()
 
-	if _, err := rowsOf(db, emp); !typedFailure(err) {
+	if _, err := crashsim.TableRows(db, emp, 0); !typedFailure(err) {
 		t.Fatalf("scan of rotten EMP: want typed corruption failure, got %v", err)
 	}
 	if len(db.Quarantined()) == 0 {
@@ -413,15 +383,13 @@ func TestCorruptionContainment(t *testing.T) {
 	for _, name := range []string{"DEPT1", "DEPT2", "DEPT3", "HIST"} {
 		gt, _ := db.Catalog().Table(name)
 		wt, _ := orc.Catalog().Table(name)
-		got, err := rowsOf(db, gt)
+		got, err := crashsim.TableRows(db, gt, 0)
 		if err != nil {
 			t.Fatalf("healthy table %s failed during quarantine: %v", name, err)
 		}
-		want, _ := rowsOf(orc, wt)
+		want, _ := crashsim.TableRows(orc, wt, 0)
 		if !model.TableEqual(got, want) {
 			t.Fatalf("healthy table %s diverged during quarantine", name)
 		}
 	}
 }
-
-var _ = fmt.Sprint // keep fmt for debug scaffolding in failures

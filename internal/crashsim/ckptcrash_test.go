@@ -3,6 +3,9 @@ package crashsim
 import (
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/segment"
+	"repro/internal/simkit"
 )
 
 // TestCkptCrashMatrix sweeps seeded crash points across the
@@ -38,6 +41,35 @@ func TestCkptCrashMatrix(t *testing.T) {
 		}
 		if _, err := RunCrash(Checkpointing, wseed, budget, recBudget); err != nil {
 			t.Fatalf("workload %d budget %d/%d recBudget %d: %v", wseed, budget, total, recBudget, err)
+		}
+	}
+}
+
+// TestCompositeFaults arms a transient burst longer than the retry
+// budget and a crash budget on the same injector during a
+// checkpointing run: the burst aborts whatever statement, snapshot or
+// checkpoint it lands in, the engine rolls that back live, and the
+// crash cuts the power later. The recovered database must equal the
+// replay of the statements that committed (with or without the one the
+// crash interrupted) and pass every invariant; RunCrash refuses a
+// point where either fault did not fire.
+func TestCompositeFaults(t *testing.T) {
+	seeds, points := int64(6), int64(3)
+	if testing.Short() {
+		seeds, points = 3, 1
+	}
+	for wseed := int64(1); wseed <= seeds; wseed++ {
+		total, err := RunCrash(Checkpointing, wseed, -1, -1)
+		if err != nil {
+			t.Fatalf("workload %d probe: %v", wseed, err)
+		}
+		for j := int64(0); j < points; j++ {
+			c := Checkpointing
+			c.Burst = simkit.Burst{At: total/8 + j*total/16, N: int64(segment.DefaultRetry.Tries) + 1, Transient: true, Mask: simkit.DataPath}
+			budget := total/2 + j*total/8
+			if _, err := RunCrash(c, wseed, budget, -1); err != nil {
+				t.Fatalf("workload %d burst at %d, crash at %d/%d: %v", wseed, c.Burst.At, budget, total, err)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/page"
+	"repro/internal/simkit"
 	"repro/internal/wal"
 )
 
@@ -56,26 +57,40 @@ func TestCleanRun(t *testing.T) {
 	}
 }
 
-// TestInjector pins the budget semantics: ops before the budget
-// succeed, the budget-th op fires the crash, and everything after is
-// dead.
+// TestInjector pins the budget semantics of a session: mutating ops
+// before the budget succeed, the budget-th op fires the crash, and
+// everything after is dead — pages and log alike — and uncounted.
 func TestInjector(t *testing.T) {
-	in := NewInjector(7, 3)
-	for i := 0; i < 2; i++ {
-		crashNow, err := in.step()
-		if crashNow || err != nil {
-			t.Fatalf("op %d: crashNow=%v err=%v, want clean", i+1, crashNow, err)
-		}
+	s := NewDisk().Open(7, 3)
+	st, err := s.OpenStore(5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	crashNow, err := in.step()
-	if !crashNow || err != nil {
-		t.Fatalf("op 3: crashNow=%v err=%v, want crash", crashNow, err)
+	no := st.Allocate()
+	buf := make([]byte, page.Size)
+	if _, err := openWAL(s, "wal-000001"); err != nil {
+		t.Fatalf("op 1: %v, want clean", err)
 	}
-	if !in.Crashed() {
+	if err := st.WritePage(no, buf); err != nil {
+		t.Fatalf("op 2: %v, want clean", err)
+	}
+	if s.Crashed() {
+		t.Fatal("crashed before the budget")
+	}
+	if err := st.Sync(); !errors.Is(err, simkit.ErrCrashed) {
+		t.Fatalf("op 3: err=%v, want ErrCrashed", err)
+	}
+	if !s.Crashed() {
 		t.Fatal("injector not crashed after firing")
 	}
-	if _, err := in.step(); !errors.Is(err, ErrCrashed) {
+	if err := st.WritePage(no, buf); !errors.Is(err, simkit.ErrCrashed) {
 		t.Fatalf("op 4: err=%v, want ErrCrashed", err)
+	}
+	if _, err := openWAL(s, "wal-000002"); !errors.Is(err, simkit.ErrCrashed) {
+		t.Fatalf("log create after crash: err=%v, want ErrCrashed", err)
+	}
+	if n := s.Ops(simkit.Mutating); n != 3 {
+		t.Fatalf("counted %d mutating ops, want 3", n)
 	}
 }
 
@@ -94,13 +109,13 @@ func TestFaultStoreCrash(t *testing.T) {
 		t.Fatalf("first write: %v", err)
 	}
 	twos := bytes.Repeat([]byte{0xBB}, page.Size)
-	if err := st.WritePage(no, twos); !errors.Is(err, ErrCrashed) {
+	if err := st.WritePage(no, twos); !errors.Is(err, simkit.ErrCrashed) {
 		t.Fatalf("second write: err=%v, want ErrCrashed", err)
 	}
-	if err := st.ReadPage(no, make([]byte, page.Size)); !errors.Is(err, ErrCrashed) {
+	if err := st.ReadPage(no, make([]byte, page.Size)); !errors.Is(err, simkit.ErrCrashed) {
 		t.Fatalf("read after crash: err=%v, want ErrCrashed", err)
 	}
-	if err := st.Sync(); !errors.Is(err, ErrCrashed) {
+	if err := st.Sync(); !errors.Is(err, simkit.ErrCrashed) {
 		t.Fatalf("sync after crash: err=%v, want ErrCrashed", err)
 	}
 	// The torn image mixes whole sectors of old and new content.
@@ -111,10 +126,10 @@ func TestFaultStoreCrash(t *testing.T) {
 		if err := st2.ReadPage(no, got); err != nil {
 			t.Fatal(err)
 		}
-		for off := 0; off < page.Size; off += sectorSize {
-			sec := got[off : off+sectorSize]
-			if !bytes.Equal(sec, ones[:sectorSize]) && !bytes.Equal(sec, twos[:sectorSize]) &&
-				!bytes.Equal(sec, make([]byte, sectorSize)) {
+		for off := 0; off < page.Size; off += simkit.SectorSize {
+			sec := got[off : off+simkit.SectorSize]
+			if !bytes.Equal(sec, ones[:simkit.SectorSize]) && !bytes.Equal(sec, twos[:simkit.SectorSize]) &&
+				!bytes.Equal(sec, make([]byte, simkit.SectorSize)) {
 				t.Fatalf("sector at %d is neither old, new, nor zero", off)
 			}
 		}

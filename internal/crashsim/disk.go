@@ -8,12 +8,8 @@ import (
 
 	"repro/internal/page"
 	"repro/internal/segment"
+	"repro/internal/simkit"
 )
-
-// sectorSize is the granularity at which a torn write mixes old and
-// new content, modelling a disk that persists individual sectors of a
-// page atomically but not the page as a whole.
-const sectorSize = 512
 
 // segImage is the durable image of one segment: the pages that ever
 // reached stable storage plus the allocated extent.
@@ -39,16 +35,16 @@ func NewDisk() *Disk {
 }
 
 // Session is one process lifetime on the disk: it sees the durable
-// state plus its own unsynced writes, counts mutating I/O against the
-// injector's budget, and dies at the crash point. What its unsynced
-// writes leave on the disk is decided when the NEXT session opens
-// (settle), exactly like an operating system losing its page cache.
+// state plus its own unsynced writes. Every fault decision is its
+// Injector's — the stores and log it hands out are wrapped by it, and
+// a burst or a kill is armed on it directly. What the unsynced writes
+// leave on the disk is decided when the NEXT session opens (settle),
+// exactly like an operating system losing its page cache.
 type Session struct {
-	d   *Disk
-	inj *Injector
+	*simkit.Injector
+	d *Disk
 
 	mu     sync.Mutex
-	stores map[segment.ID]*faultStore
 	pend   map[segment.ID]map[uint32][]byte // unsynced page writes
 	counts map[segment.ID]uint32            // visible segment extents
 
@@ -57,16 +53,15 @@ type Session struct {
 }
 
 // Open settles the previous session (if any) using outcomes drawn
-// from seed and starts a new session that crashes after budget
-// mutating I/O operations (budget < 0: never).
+// from seed and starts a new session whose injector crashes after
+// budget mutating I/O operations (budget < 0: never).
 func (d *Disk) Open(seed, budget int64) *Session {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.settleLocked(rand.New(rand.NewSource(seed*7919 + 13)))
 	s := &Session{
+		Injector:    simkit.NewInjector(seed, budget),
 		d:           d,
-		inj:         NewInjector(seed, budget),
-		stores:      make(map[segment.ID]*faultStore),
 		pend:        make(map[segment.ID]map[uint32][]byte),
 		counts:      make(map[segment.ID]uint32),
 		walSegFiles: make(map[string]*sessWALSeg),
@@ -88,7 +83,7 @@ func (d *Disk) settleLocked(rng *rand.Rand) {
 		return
 	}
 	d.sess = nil
-	crashed := s.inj.Crashed()
+	crashed := s.Crashed()
 
 	ids := make([]segment.ID, 0, len(s.pend))
 	for id := range s.pend {
@@ -118,9 +113,9 @@ func (d *Disk) settleLocked(rng *rand.Rand) {
 				if old != nil {
 					copy(mixed, old)
 				}
-				for off := 0; off < page.Size; off += sectorSize {
+				for off := 0; off < page.Size; off += simkit.SectorSize {
 					if rng.Intn(2) == 1 {
-						copy(mixed[off:off+sectorSize], buf[off:off+sectorSize])
+						copy(mixed[off:off+simkit.SectorSize], buf[off:off+simkit.SectorSize])
 					}
 				}
 				img.put(no, mixed)
@@ -181,30 +176,10 @@ func (img *segImage) put(no uint32, buf []byte) {
 	}
 }
 
-// Crashed reports whether this session has hit its crash point.
-func (s *Session) Crashed() bool { return s.inj.Crashed() }
-
-// Kill crashes the session immediately: all later I/O fails with
-// ErrCrashed and the next Open settles the unsynced writes with
-// seeded survive/vanish/tear outcomes, exactly as for a budgeted
-// crash.
-func (s *Session) Kill() { s.inj.Kill() }
-
-// Ops returns the mutating I/O operations counted so far; probe runs
-// use it to size the crash matrix.
-func (s *Session) Ops() int64 { return s.inj.Ops() }
-
-// OpenStore returns the fault-injecting store of a segment; it is the
-// engine.Options.OpenStore hook.
+// OpenStore returns the session's store of a segment behind its
+// injector; it is the engine.Options.OpenStore hook.
 func (s *Session) OpenStore(id segment.ID) (segment.Store, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fs := s.stores[id]
-	if fs == nil {
-		fs = &faultStore{s: s, id: id}
-		s.stores[id] = fs
-	}
-	return fs, nil
+	return s.WrapStore(id, &memStore{s: s, id: id}), nil
 }
 
 // countOf returns the visible extent of a segment, initializing it
@@ -223,116 +198,81 @@ func (s *Session) countOf(id segment.ID) uint32 {
 	return c
 }
 
-// faultStore implements segment.Store over the session's view of one
-// segment. WritePage and Sync are failpoints.
-type faultStore struct {
+// memStore implements segment.Store over the session's view of one
+// segment: reads see the unsynced writes over the durable image, Sync
+// makes them durable.
+type memStore struct {
 	s  *Session
 	id segment.ID
 }
 
-func (fs *faultStore) ReadPage(no uint32, buf []byte) error {
-	if fs.s.inj.Crashed() {
-		return ErrCrashed
-	}
-	s := fs.s
+func (ms *memStore) ReadPage(no uint32, buf []byte) error {
+	s := ms.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if no == 0 || no > s.countOf(fs.id) {
-		return fmt.Errorf("crashsim: read of unallocated page %d.%d", fs.id, no)
+	if no == 0 || no > s.countOf(ms.id) {
+		return fmt.Errorf("crashsim: read of unallocated page %d.%d", ms.id, no)
 	}
-	if p := s.pend[fs.id][no]; p != nil {
+	if p := s.pend[ms.id][no]; p != nil {
 		copy(buf, p)
 		return nil
 	}
 	s.d.mu.Lock()
 	defer s.d.mu.Unlock()
-	if img := s.d.segs[fs.id]; img != nil && img.pages[no] != nil {
+	if img := s.d.segs[ms.id]; img != nil && img.pages[no] != nil {
 		copy(buf, img.pages[no])
 		return nil
 	}
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	return nil
 }
 
-func (fs *faultStore) WritePage(no uint32, buf []byte) error {
-	crashNow, err := fs.s.inj.step()
-	if err != nil {
-		return err
-	}
-	s := fs.s
+func (ms *memStore) WritePage(no uint32, buf []byte) error {
+	s := ms.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if no == 0 {
 		return fmt.Errorf("crashsim: write of page 0")
 	}
-	if no > s.countOf(fs.id) {
-		s.counts[fs.id] = no
+	if no > s.countOf(ms.id) {
+		s.counts[ms.id] = no
 	}
-	if s.pend[fs.id] == nil {
-		s.pend[fs.id] = make(map[uint32][]byte)
+	if s.pend[ms.id] == nil {
+		s.pend[ms.id] = make(map[uint32][]byte)
 	}
-	if !crashNow {
-		s.pend[fs.id][no] = append([]byte(nil), buf...)
-		return nil
-	}
-	// The crashing write applies a sector prefix over the previously
-	// visible content, then the process dies.
-	old := make([]byte, page.Size)
-	if p := s.pend[fs.id][no]; p != nil {
-		copy(old, p)
-	} else {
-		s.d.mu.Lock()
-		if img := s.d.segs[fs.id]; img != nil && img.pages[no] != nil {
-			copy(old, img.pages[no])
-		}
-		s.d.mu.Unlock()
-	}
-	k := fs.s.inj.intn(page.Size/sectorSize+1) * sectorSize
-	copy(old[:k], buf[:k])
-	s.pend[fs.id][no] = old
-	return ErrCrashed
+	s.pend[ms.id][no] = append([]byte(nil), buf...)
+	return nil
 }
 
-func (fs *faultStore) PageCount() uint32 {
-	fs.s.mu.Lock()
-	defer fs.s.mu.Unlock()
-	return fs.s.countOf(fs.id)
+func (ms *memStore) PageCount() uint32 {
+	ms.s.mu.Lock()
+	defer ms.s.mu.Unlock()
+	return ms.s.countOf(ms.id)
 }
 
-func (fs *faultStore) Allocate() uint32 {
+func (ms *memStore) Allocate() uint32 {
 	// Allocation only moves the in-memory extent (segment.Store has no
 	// error path here); a dead session's allocations are harmless
 	// because every subsequent write fails.
-	fs.s.mu.Lock()
-	defer fs.s.mu.Unlock()
-	c := fs.s.countOf(fs.id) + 1
-	fs.s.counts[fs.id] = c
+	ms.s.mu.Lock()
+	defer ms.s.mu.Unlock()
+	c := ms.s.countOf(ms.id) + 1
+	ms.s.counts[ms.id] = c
 	return c
 }
 
-func (fs *faultStore) Sync() error {
-	crashNow, err := fs.s.inj.step()
-	if err != nil {
-		return err
-	}
-	if crashNow {
-		// Power fails before the flush; settlement decides the fate of
-		// every pending write.
-		return ErrCrashed
-	}
-	s := fs.s
+func (ms *memStore) Sync() error {
+	s := ms.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.d.mu.Lock()
 	defer s.d.mu.Unlock()
-	img := s.d.segLocked(fs.id)
-	for no, buf := range s.pend[fs.id] {
+	img := s.d.segLocked(ms.id)
+	for no, buf := range s.pend[ms.id] {
 		img.put(no, buf)
 	}
-	delete(s.pend, fs.id)
+	delete(s.pend, ms.id)
 	return nil
 }
 
-func (fs *faultStore) Close() error { return nil }
+func (ms *memStore) Close() error { return nil }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/simkit"
 )
 
 // gcRowsPerWriter is how many inserts each concurrent committer
@@ -55,7 +56,7 @@ func RunGroupCommitCrash(seed, budget int64, writers int) (int64, error) {
 	}
 	present := make(map[int64]int)
 	if t, ok := eng2.Catalog().Table("GC"); ok {
-		rows, err := tableRows(eng2, t, 0)
+		rows, err := TableRows(eng2, t, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -81,7 +82,7 @@ func RunGroupCommitCrash(seed, budget int64, writers int) (int64, error) {
 			return 0, fmt.Errorf("crashsim: insert of GC row %d was acknowledged but is gone after recovery", id)
 		}
 	}
-	return s.Ops(), nil
+	return s.Ops(simkit.Mutating), nil
 }
 
 // runGCSession runs the concurrent-committer workload on one session

@@ -1,3 +1,30 @@
+// Package crashsim is a deterministic crash harness for the storage
+// stack. It runs an engine on an in-memory disk model whose stores and
+// log segment files are wrapped by one simkit.Injector per process
+// lifetime, crashes the "machine" at a seeded budget of mutating I/O
+// operations, models what an operating system may do to unsynced
+// writes at a crash (survive, vanish, or tear at sector granularity; a
+// new log segment may vanish, a removed one may come back), and checks
+// that recovery restores exactly the committed state.
+//
+// The pieces:
+//
+//   - Disk models durable storage across simulated reboots, Session is
+//     one process lifetime with its injector; its unsynced writes are
+//     settled with seeded outcomes when the next session opens
+//     (disk.go, walstorage.go);
+//   - Workload generates seeded NF² DDL/DML scripts covering flat
+//     tables, all three complex-object layouts, ordered subtables,
+//     overflow-length fields and versioned history (workload.go);
+//   - CheckInvariants audits a recovered engine: page checksums and
+//     LSN bounds, Mini-Directory walks, index round-trips (check.go);
+//   - RunCrash drives one crash-recover-verify cycle against a replay
+//     oracle, in the log and checkpoint shape a Config names, with an
+//     optional burst of soft faults on the same injector (harness.go);
+//     RunTxnCrash and RunGroupCommitCrash check transaction atomicity
+//     and the group-commit acknowledgement contract (txncrash.go,
+//     gccrash.go). At budget -1 each runs crash-free and returns the
+//     operation count a matrix sweeps.
 package crashsim
 
 import (
@@ -9,6 +36,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/simkit"
 )
 
 // stmtCount is the length of the generated DML sequence per workload.
@@ -35,6 +63,10 @@ type Config struct {
 	CkptEvery int
 	// GroupCommitWait is engine.Options.GroupCommitWait.
 	GroupCommitWait time.Duration
+	// Burst is armed on the faulted session's injector beside the
+	// crash budget. A statement, snapshot or checkpoint it fails is
+	// rolled back live and the run goes on; the oracle skips it.
+	Burst simkit.Burst
 }
 
 // Plain is the production log shape without checkpoints: the crash
@@ -66,70 +98,75 @@ func (c Config) open(s *Session, clock func() int64, poolPages int) (*engine.DB,
 }
 
 // RunCrash executes one crash-recover-verify cycle in the shape c: run
-// the seeded workload (checkpointing every c.CkptEvery statements)
-// until the injected crash at the budget-th mutating I/O operation,
-// settle the disk with seeded torn/lost-write outcomes, recover (with
-// recBudget >= 0 the recovery itself is crashed once and retried), and
-// verify every invariant plus state equivalence against a clean replay
-// of the committed statements, the ASOF history, the checkpoint
-// bookkeeping and continued usability. Budget < 0 exercises the
-// crash-free path (clean close, settle, reopen); it is the matrix's
+// the seeded workload (checkpointing every c.CkptEvery statements, with
+// c.Burst armed) until the injected crash at the budget-th mutating I/O
+// operation, settle the disk with seeded torn/lost-write outcomes,
+// recover (with recBudget >= 0 the recovery itself is crashed once and
+// retried), and verify every invariant plus state equivalence against a
+// clean replay of the committed statements, the ASOF history, the
+// checkpoint bookkeeping and continued usability. Budget < 0 exercises
+// the crash-free path (clean close, settle, reopen); it is the matrix's
 // probe. The returned count is the mutating I/O operations of the
-// faulted session, the range a matrix sweeps crash budgets across.
+// faulted session, the range a matrix sweeps crash budgets across. A
+// point that arms both a burst and a budget fails unless both fire.
 func RunCrash(c Config, wseed, budget, recBudget int64) (int64, error) {
 	w := NewWorkload(wseed, stmtCount)
-	all := append(append([]string{}, w.Setup...), w.Stmts...)
 	var clk atomic.Int64
 	clock := func() int64 { return clk.Add(1) }
 
 	d := NewDisk()
 	s := d.Open(wseed*31+budget, budget)
-	committed := 0
-	inFlight := false
+	s.Arm(c.Burst)
+	// An error of the faulted run is expected once a fault has fired.
+	injected := func() bool { return s.Crashed() || s.Faults() > 0 }
+	var done, inFlight []string // committed statements; the one the crash interrupted
 	var snaps []snapshot
 	eng, err := c.open(s, clock, 8)
 	if err != nil {
-		if !s.Crashed() {
-			return 0, fmt.Errorf("crashsim: initial open failed without a crash: %w", err)
+		if !injected() {
+			return 0, fmt.Errorf("crashsim: initial open failed without an injected fault: %w", err)
 		}
 	} else {
-	loop:
-		for i, stmt := range all {
+		for i, stmt := range append(append([]string{}, w.Setup...), w.Stmts...) {
 			if _, err := eng.Exec(stmt); err != nil {
-				if !s.Crashed() {
-					return 0, fmt.Errorf("crashsim: statement %d failed without a crash: %w\n%s", i, err, stmt)
+				if !injected() {
+					return 0, fmt.Errorf("crashsim: statement %d failed without an injected fault: %w\n%s", i, err, stmt)
 				}
-				inFlight = true
-				break
+				if s.Crashed() {
+					inFlight = []string{stmt}
+					break
+				}
+				continue // a burst aborted it and it rolled back
 			}
-			committed++
+			done = append(done, stmt)
 			// Tick the clock for the snapshot instant so ASOF ts is
 			// never 0 ("current") and strictly precedes later versions.
-			switch snap, err := histSnapshot(eng, clk.Add(1)); {
-			case err != nil:
-				if !s.Crashed() {
-					return 0, fmt.Errorf("crashsim: snapshot after statement %d failed without a crash: %w", i, err)
-				}
-				break loop
-			case snap != nil:
+			snap, err := histSnapshot(eng, clk.Add(1))
+			if snap != nil {
 				snaps = append(snaps, *snap)
 			}
-			if c.CkptEvery > 0 && (i+1)%c.CkptEvery == 0 {
+			if err == nil && c.CkptEvery > 0 && (i+1)%c.CkptEvery == 0 {
 				// A crash inside the checkpoint interrupts no statement:
 				// the state to recover is exactly the committed prefix.
-				if err := eng.WALCheckpoint(); err != nil {
-					if !s.Crashed() {
-						return 0, fmt.Errorf("crashsim: checkpoint after statement %d failed without a crash: %w", i, err)
-					}
-					break loop
+				err = eng.WALCheckpoint()
+			}
+			if err != nil {
+				if !injected() {
+					return 0, fmt.Errorf("crashsim: snapshot or checkpoint after statement %d failed without an injected fault: %w", i, err)
+				}
+				if s.Crashed() {
+					break
 				}
 			}
 		}
 		if !s.Crashed() {
-			if err := eng.Close(); err != nil && !s.Crashed() {
+			if err := eng.Close(); err != nil && !injected() {
 				return 0, fmt.Errorf("crashsim: clean close failed: %w", err)
 			}
 		}
+	}
+	if c.Burst.At > 0 && budget >= 0 && (s.Faults() == 0 || !s.Crashed()) {
+		return 0, fmt.Errorf("crashsim: composite point fired %d burst faults, crashed %v: it tests no combination", s.Faults(), s.Crashed())
 	}
 
 	// Recover. With recBudget >= 0 the first recovery attempt is
@@ -152,23 +189,23 @@ func RunCrash(c Config, wseed, budget, recBudget int64) (int64, error) {
 	}
 
 	// State equivalence: the recovered database must equal a clean
-	// replay of the committed prefix — or, when the crash interrupted
-	// a statement whose commit record may or may not have reached the
-	// durable log, the replay including that statement.
-	refA, err := replayEngine(all[:committed], clock)
+	// replay of the committed statements — or, when the crash
+	// interrupted a statement whose commit record may or may not have
+	// reached the durable log, the replay including that statement.
+	refA, err := Replay(clock, done)
 	if err != nil {
 		return 0, err
 	}
-	diffA := compareState(eng2, refA)
+	diffA := CompareState(eng2, refA)
 	if diffA != "" {
-		if !inFlight {
+		if inFlight == nil {
 			return 0, fmt.Errorf("crashsim: recovered state differs from committed replay: %s", diffA)
 		}
-		refB, err := replayEngine(all[:committed+1], clock)
+		refB, err := Replay(clock, done, inFlight)
 		if err != nil {
 			return 0, err
 		}
-		if diffB := compareState(eng2, refB); diffB != "" {
+		if diffB := CompareState(eng2, refB); diffB != "" {
 			return 0, fmt.Errorf("crashsim: recovered state matches neither replay\nwithout in-flight: %s\nwith in-flight: %s", diffA, diffB)
 		}
 	}
@@ -183,7 +220,7 @@ func RunCrash(c Config, wseed, budget, recBudget int64) (int64, error) {
 		if !ok {
 			return 0, fmt.Errorf("crashsim: HIST vanished despite a recorded snapshot")
 		}
-		rows, err := tableRows(eng2, t, sn.ts)
+		rows, err := TableRows(eng2, t, sn.ts)
 		if err != nil {
 			return 0, fmt.Errorf("crashsim: ASOF %d scan: %w", sn.ts, err)
 		}
@@ -236,13 +273,13 @@ func RunCrash(c Config, wseed, budget, recBudget int64) (int64, error) {
 		return 0, fmt.Errorf("crashsim: after clean reopen: %w", err)
 	}
 	t, _ := eng3.Catalog().Table("EMP")
-	rows, err := tableRows(eng3, t, 0)
+	rows, err := TableRows(eng3, t, 0)
 	if err != nil {
 		return 0, err
 	}
 	for _, tup := range rows.Tuples {
 		if v, ok := tup[0].(model.Int); ok && int64(v) == 999999 {
-			return s.Ops(), nil
+			return s.Ops(simkit.Mutating), nil
 		}
 	}
 	return 0, fmt.Errorf("crashsim: post-recovery insert not visible after reopen")
@@ -255,16 +292,20 @@ func histSnapshot(eng *engine.DB, ts int64) (*snapshot, error) {
 	if !ok {
 		return nil, nil
 	}
-	rows, err := tableRows(eng, t, 0)
+	rows, err := TableRows(eng, t, 0)
 	if err != nil {
 		return nil, err
 	}
 	return &snapshot{ts: ts, rows: rows}, nil
 }
 
-// tableRows materializes a stored table (optionally as of an instant)
+// The oracle helpers below are shared with the other simulators:
+// Replay builds the reference engine, TableRows reads a table through
+// the production cursor, CompareState diffs two engines.
+
+// TableRows materializes a stored table (optionally as of an instant)
 // into a table value for comparison.
-func tableRows(eng *engine.DB, t *catalog.Table, asof int64) (*model.Table, error) {
+func TableRows(eng *engine.DB, t *catalog.Table, asof int64) (*model.Table, error) {
 	sc, err := eng.Runtime().OpenScan(t, asof, nil)
 	if err != nil {
 		return nil, err
@@ -283,31 +324,28 @@ func tableRows(eng *engine.DB, t *catalog.Table, asof int64) (*model.Table, erro
 	}
 }
 
-// replayEngine executes the statements on a fresh in-memory engine:
-// the oracle for what the recovered database must contain.
-func replayEngine(stmts []string, clock func() int64) (*engine.DB, error) {
+// Replay executes the statement groups in order on a fresh in-memory
+// engine (clock nil: the engine's own): the oracle for what a
+// recovered or live faulted database must contain.
+func Replay(clock func() int64, stmts ...[]string) (*engine.DB, error) {
 	ref, err := engine.Open(engine.Options{Clock: clock})
 	if err != nil {
 		return nil, err
 	}
-	for i, stmt := range stmts {
-		if _, err := ref.Exec(stmt); err != nil {
-			return nil, fmt.Errorf("crashsim: oracle replay statement %d failed: %w\n%s", i, err, stmt)
+	for _, group := range stmts {
+		for _, stmt := range group {
+			if _, err := ref.Exec(stmt); err != nil {
+				return nil, fmt.Errorf("crashsim: oracle replay failed: %w\n%s", err, stmt)
+			}
 		}
 	}
 	return ref, nil
 }
 
-// CompareState reports a human-readable difference between two
-// engines' logical states ("" when equal); the soft-chaos harness
-// (internal/faultsim) reuses it to compare a live engine against its
-// oracle after an aborted statement.
-func CompareState(got, want *engine.DB) string { return compareState(got, want) }
-
-// compareState reports a human-readable difference between the two
+// CompareState reports a human-readable difference between the two
 // engines' logical states ("" when equal): same table set, and every
 // table equal as a (multi)set of deeply-compared tuples.
-func compareState(got, want *engine.DB) string {
+func CompareState(got, want *engine.DB) string {
 	gn := tableNames(got)
 	wn := tableNames(want)
 	if fmt.Sprint(gn) != fmt.Sprint(wn) {
@@ -316,11 +354,11 @@ func compareState(got, want *engine.DB) string {
 	for _, name := range gn {
 		gt, _ := got.Catalog().Table(name)
 		wt, _ := want.Catalog().Table(name)
-		grows, err := tableRows(got, gt, 0)
+		grows, err := TableRows(got, gt, 0)
 		if err != nil {
 			return fmt.Sprintf("scan recovered %s: %v", name, err)
 		}
-		wrows, err := tableRows(want, wt, 0)
+		wrows, err := TableRows(want, wt, 0)
 		if err != nil {
 			return fmt.Sprintf("scan replay %s: %v", name, err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/simkit"
 )
 
 // Transaction crash points: the crash matrix below runs a committed
@@ -169,14 +170,14 @@ func RunTxnCrash(wseed, budget int64) (int64, error) {
 	}
 	var diffs []string
 	for _, stmts := range candidates {
-		ref, err := replayEngine(stmts, clock)
+		ref, err := Replay(clock, stmts)
 		if err != nil {
 			return 0, err
 		}
-		diff := compareState(eng2, ref)
+		diff := CompareState(eng2, ref)
 		ref.Close()
 		if diff == "" {
-			return s.Ops(), nil
+			return s.Ops(simkit.Mutating), nil
 		}
 		diffs = append(diffs, diff)
 	}
@@ -192,7 +193,7 @@ func txnEffects(eng *engine.DB) (string, error) {
 		if !ok {
 			continue
 		}
-		rows, err := tableRows(eng, t, 0)
+		rows, err := TableRows(eng, t, 0)
 		if err != nil {
 			return "", err
 		}

@@ -18,22 +18,18 @@ type sessWALSeg struct {
 	created bool // did not exist durably when this session first opened it
 }
 
-// OpenWALStorage returns the fault-injecting segment-file namespace of
-// the log; it is the engine.Options.OpenWALStorage hook. Segment
-// creation and removal are failpoints of their own, so the crash
-// matrix lands inside rolls, checkpoints and recycling.
+// OpenWALStorage returns the session's log segment files behind its
+// injector; it is the engine.Options.OpenWALStorage hook.
 func (s *Session) OpenWALStorage() (wal.Storage, error) {
-	return &faultWALStorage{s: s}, nil
+	return s.WrapWAL(memWAL{s}), nil
 }
 
-type faultWALStorage struct {
+// memWAL is the session's view of the log directory.
+type memWAL struct {
 	s *Session
 }
 
-func (st *faultWALStorage) List() ([]string, error) {
-	if st.s.inj.Crashed() {
-		return nil, ErrCrashed
-	}
+func (st memWAL) List() ([]string, error) {
 	s := st.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -57,102 +53,56 @@ func (st *faultWALStorage) List() ([]string, error) {
 	return names, nil
 }
 
-func (st *faultWALStorage) Open(name string) (wal.File, error) {
+func (st memWAL) Open(name string) (wal.File, error) {
 	s := st.s
 	s.mu.Lock()
-	if ws := s.walSegFiles[name]; ws != nil {
-		s.mu.Unlock()
-		return &faultSegFile{s: s, ws: ws}, nil
-	}
-	if !s.walRemoved[name] {
+	defer s.mu.Unlock()
+	ws := s.walSegFiles[name]
+	if ws == nil {
 		s.d.mu.Lock()
 		durable, ok := s.d.walSegs[name]
-		if ok {
-			ws := &sessWALSeg{data: append([]byte(nil), durable...), synced: len(durable)}
-			s.walSegFiles[name] = ws
-			s.d.mu.Unlock()
-			s.mu.Unlock()
-			return &faultSegFile{s: s, ws: ws}, nil
-		}
 		s.d.mu.Unlock()
+		if ok && !s.walRemoved[name] {
+			ws = &sessWALSeg{data: append([]byte(nil), durable...), synced: len(durable)}
+		} else {
+			delete(s.walRemoved, name) // a re-create supersedes a pending removal
+			ws = &sessWALSeg{created: true}
+		}
+		s.walSegFiles[name] = ws
 	}
-	s.mu.Unlock()
-	// Creating a file is a mutating directory operation: a failpoint.
-	crashNow, err := s.inj.step()
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	delete(s.walRemoved, name) // a re-create supersedes a pending removal
-	ws := &sessWALSeg{created: true}
-	s.walSegFiles[name] = ws
-	s.mu.Unlock()
-	if crashNow {
-		return nil, ErrCrashed
-	}
-	return &faultSegFile{s: s, ws: ws}, nil
+	return &memFile{s: s, ws: ws}, nil
 }
 
-func (st *faultWALStorage) Remove(name string) error {
-	crashNow, err := st.s.inj.step()
-	if err != nil {
-		return err
-	}
+func (st memWAL) Remove(name string) error {
 	s := st.s
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	delete(s.walSegFiles, name)
 	s.walRemoved[name] = true
-	s.mu.Unlock()
-	if crashNow {
-		// The removal is pending; settle decides whether it reached the
-		// directory before the power failed.
-		return ErrCrashed
-	}
 	return nil
 }
 
-// faultSegFile is one segment file of the session's log. Write and
-// Sync are failpoints; a crashing Write keeps a seeded prefix of its
-// bytes.
-type faultSegFile struct {
+// memFile is one segment file of the session's log.
+type memFile struct {
 	s  *Session
 	ws *sessWALSeg
 }
 
-func (f *faultSegFile) Write(p []byte) (int, error) {
-	crashNow, err := f.s.inj.step()
-	if err != nil {
-		return 0, err
-	}
+func (f *memFile) Write(p []byte) (int, error) {
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
-	if crashNow {
-		k := f.s.inj.intn(len(p) + 1)
-		f.ws.data = append(f.ws.data, p[:k]...)
-		return k, ErrCrashed
-	}
 	f.ws.data = append(f.ws.data, p...)
 	return len(p), nil
 }
 
-func (f *faultSegFile) Sync() error {
-	crashNow, err := f.s.inj.step()
-	if err != nil {
-		return err
-	}
-	if crashNow {
-		return ErrCrashed
-	}
+func (f *memFile) Sync() error {
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
 	f.ws.synced = len(f.ws.data)
 	return nil
 }
 
-func (f *faultSegFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.s.inj.Crashed() {
-		return 0, ErrCrashed
-	}
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
 	if off >= int64(len(f.ws.data)) {
@@ -165,10 +115,7 @@ func (f *faultSegFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-func (f *faultSegFile) Seek(offset int64, whence int) (int64, error) {
-	if f.s.inj.Crashed() {
-		return 0, ErrCrashed
-	}
+func (f *memFile) Seek(offset int64, whence int) (int64, error) {
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
 	switch whence {
@@ -181,10 +128,7 @@ func (f *faultSegFile) Seek(offset int64, whence int) (int64, error) {
 	}
 }
 
-func (f *faultSegFile) Truncate(size int64) error {
-	if f.s.inj.Crashed() {
-		return ErrCrashed
-	}
+func (f *memFile) Truncate(size int64) error {
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
 	if size < int64(len(f.ws.data)) {
@@ -196,4 +140,4 @@ func (f *faultSegFile) Truncate(size int64) error {
 	return nil
 }
 
-func (f *faultSegFile) Close() error { return nil }
+func (f *memFile) Close() error { return nil }

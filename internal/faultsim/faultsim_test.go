@@ -7,12 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/crashsim"
+	"repro/internal/page"
 	"repro/internal/segment"
+	"repro/internal/simkit"
 )
 
 // TestSoftChaosMatrix sweeps seeded fault windows across the whole
-// workload: for each workload seed it measures the total number of
-// wrapped I/O operations, then arms bursts at operations striding
+// workload: for each workload seed a run with no window measures the
+// total number of data-path I/O operations, then arms bursts at
+// operations striding
 // that range — absorbed transient blips, statement-killing transient
 // storms, and persistent failures — verifying statement containment
 // against the oracle after every abort and finishing each run with a
@@ -36,34 +39,46 @@ func TestSoftChaosMatrix(t *testing.T) {
 		if ws != wseed {
 			wseed = ws
 			var err error
-			total, err = TotalOps(wseed)
+			total, err = RunFaults(wseed, 0, 0, false)
 			if err != nil {
 				t.Fatalf("workload %d probe: %v", wseed, err)
 			}
 			if total < 20 {
-				t.Fatalf("workload %d issues only %d wrapped ops; harness miswired", wseed, total)
+				t.Fatalf("workload %d issues only %d data-path ops; harness miswired", wseed, total)
 			}
 		}
 		at := 1 + (int64(i)*2654435761)%total
 		sh := shapes[i%len(shapes)]
-		if err := RunFaults(wseed, at, sh.burst, sh.transient); err != nil {
+		if _, err := RunFaults(wseed, at, sh.burst, sh.transient); err != nil {
 			t.Fatalf("workload %d at %d/%d burst %d transient %v: %v",
 				wseed, at, total, sh.burst, sh.transient, err)
 		}
 	}
 }
 
-// TestInjectorWindow pins the window semantics: operations are
-// counted across kinds, only masked kinds inside [at, at+burst)
-// fault, and the errors carry the transient flag the retry layer
-// keys on.
+// TestInjectorWindow pins the window semantics on a session's store:
+// operations are counted across kinds, only masked kinds inside
+// [at, at+burst) fault, and the errors carry the transient flag the
+// retry layer keys on.
 func TestInjectorWindow(t *testing.T) {
-	in := NewInjector()
-	in.Arm(3, 2, true, OpWrite)
-	seq := []OpKind{OpRead, OpWrite, OpRead, OpWrite, OpWrite, OpWrite}
+	s := crashsim.NewDisk().Open(1, -1)
+	s.Arm(simkit.Burst{At: 3, N: 2, Transient: true, Mask: simkit.PageWrite})
+	st, err := s.OpenStore(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	no := st.Allocate()
+	buf := make([]byte, page.Size)
+	seq := []simkit.OpKind{simkit.PageWrite, simkit.PageRead, simkit.PageRead, simkit.PageWrite, simkit.PageWrite, simkit.PageWrite}
 	var failed []int
 	for i, k := range seq {
-		if err := in.step(k); err != nil {
+		var err error
+		if k == simkit.PageRead {
+			err = st.ReadPage(no, buf)
+		} else {
+			err = st.WritePage(no, buf)
+		}
+		if err != nil {
 			failed = append(failed, i)
 			if !segment.IsTransient(err) {
 				t.Fatalf("op %d: armed transient, got %v", i, err)
@@ -75,13 +90,14 @@ func TestInjectorWindow(t *testing.T) {
 	if len(failed) != 1 || failed[0] != 3 {
 		t.Fatalf("faulted ops %v, want [3]", failed)
 	}
-	if in.Ops() != int64(len(seq)) || in.Faults() != 1 {
-		t.Fatalf("ops=%d faults=%d, want %d and 1", in.Ops(), in.Faults(), len(seq))
+	if s.Ops(simkit.DataPath) != int64(len(seq)) || s.Faults() != 1 {
+		t.Fatalf("ops=%d faults=%d, want %d and 1", s.Ops(simkit.DataPath), s.Faults(), len(seq))
 	}
 
-	in = NewInjector()
-	in.Arm(1, 1, false, OpAll)
-	err := in.step(OpSync)
+	s = crashsim.NewDisk().Open(2, -1)
+	s.Arm(simkit.Burst{At: 1, N: 1, Mask: simkit.DataPath})
+	st, _ = s.OpenStore(5)
+	err = st.Sync()
 	if err == nil || segment.IsTransient(err) {
 		t.Fatalf("persistent fault classified transient: %v", err)
 	}
@@ -92,7 +108,7 @@ func TestInjectorWindow(t *testing.T) {
 // persistent fault that must abort exactly one statement, and a
 // transient storm long enough to exhaust the retry budget.
 func TestDirectedFaults(t *testing.T) {
-	total, err := TotalOps(5)
+	total, err := RunFaults(5, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +117,11 @@ func TestDirectedFaults(t *testing.T) {
 		burst     int64
 		transient bool
 	}{
-		{2, true},                // absorbed
-		{1, false},               // persistent, aborts
+		{2, true},                 // absorbed
+		{1, false},                // persistent, aborts
 		{MaxTransientBurst, true}, // retry budget exhausted, aborts, rollback drains the tail
 	} {
-		if err := RunFaults(5, at, tc.burst, tc.transient); err != nil {
+		if _, err := RunFaults(5, at, tc.burst, tc.transient); err != nil {
 			t.Fatalf("at %d burst %d transient %v: %v", at, tc.burst, tc.transient, err)
 		}
 	}
@@ -123,8 +139,7 @@ func TestConcurrentReadersDuringAbort(t *testing.T) {
 	var clk atomic.Int64
 	clock := func() int64 { return clk.Add(1) }
 	s := crashsim.NewDisk().Open(7, -1)
-	inj := NewInjector()
-	eng, err := openLive(s, inj, clock, 32)
+	eng, err := openLive(s, clock, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +198,14 @@ func TestConcurrentReadersDuringAbort(t *testing.T) {
 		if i%3 == 2 {
 			burst, transient = 1, false
 		}
-		inj.Arm(inj.Ops()+2+int64(i%7), burst, transient, OpMutate)
+		s.Arm(simkit.Burst{At: s.Ops(simkit.DataPath) + 2 + int64(i%7), N: burst, Transient: transient, Mask: simkit.Mutating})
 		if _, err := eng.Exec(fmt.Sprintf(`INSERT INTO EMP VALUES (%d, 'W', %d)`, 1000+i, i)); err != nil {
 			aborted++
 		} else {
 			want++
 		}
 	}
-	inj.Arm(0, 0, false, 0)
+	s.Arm(simkit.Burst{})
 	close(stop)
 	wg.Wait()
 
