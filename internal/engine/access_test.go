@@ -96,10 +96,14 @@ func openWALMemClock(t *testing.T, log wal.File, clock func() int64) *DB {
 	return db
 }
 
-// scanOnly turns db into the full-scan reference: no planner, full
-// object reads. A heal (reloadRuntime) replaces db.exec, so callers
-// re-apply it before every statement and every Begin.
-func scanOnly(db *DB) { db.exec.Plan, db.exec.FullPaths = nil, true }
+// withIndexes appends the DDL of the indexes the indexed side creates
+// and the full-scan reference does not.
+func (s *equivSide) withIndexes(ddl, indexes string) string {
+	if s.scan {
+		return ddl
+	}
+	return ddl + "; " + indexes
+}
 
 // equivStmts are the statements the plan-equivalence matrix draws from:
 // UPDATE and DELETE of objects and of members, INSERT of objects and
@@ -187,9 +191,12 @@ func newOutcome(res Result, err error) outcome {
 	return o
 }
 
+// mode makes the full-scan reference read full objects (it never creates
+// an index, so every plan it runs scans). A heal (reloadRuntime) replaces
+// db.exec, so callers re-apply it before every statement and every Begin.
 func (s *equivSide) mode() {
 	if s.scan {
-		scanOnly(s.db)
+		s.db.exec.FullPaths = true
 	}
 }
 
@@ -247,13 +254,13 @@ func (s *equivSide) state(tx *Txn) *model.Table {
 // TestDMLPlanEquivalence is the plan-equivalence matrix: indexed DML —
 // candidates from the live indexes, pruned path sets — gives the same
 // affected counts, conflicts, query rows and final state as full-scan
-// DML (Executor.Plan nil plus FullPaths), over UPDATE / DELETE of
-// objects and members and INSERT INTO a subtable, in auto-commit, Txn
-// and Session BEGIN…COMMIT / BEGIN…ROLLBACK scope, on VERSIONED and
-// unversioned tables, with indexes degraded, dropped and rebuilt
-// between prepare and execute, and with a transaction whose snapshot
-// predates committed changes of the indexed key running statements
-// against them.
+// DML (a database that never creates the indexes, reading full
+// objects), over UPDATE / DELETE of objects and members and INSERT INTO
+// a subtable, in auto-commit, Txn and Session BEGIN…COMMIT /
+// BEGIN…ROLLBACK scope, on VERSIONED and unversioned tables, with
+// indexes degraded, dropped and rebuilt between prepare and execute (on
+// the indexed side), and with a transaction whose snapshot predates
+// committed changes of the indexed key running statements against them.
 func TestDMLPlanEquivalence(t *testing.T) {
 	for _, versioned := range []bool{false, true} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -274,7 +281,7 @@ func runDMLEquivalence(t *testing.T, versioned bool, seed int64) {
 		schema += ` VERSIONED`
 	}
 	for _, s := range sides {
-		mustExec(t, s.db, schema+`; CREATE INDEX T_K ON T (K); CREATE INDEX T_KID_N ON T (KIDS.N)`)
+		mustExec(t, s.db, s.withIndexes(schema, `CREATE INDEX T_K ON T (K); CREATE INDEX T_KID_N ON T (KIDS.N)`))
 		for _, e := range equivStmts {
 			ps, err := s.db.Prepare(e.sql)
 			if err != nil {
@@ -457,7 +464,7 @@ func oldSnapshotScenario(t *testing.T, schema, change string, scan bool) string 
 	if strings.Contains(schema, "KIDS") {
 		cols = `(1, 10, {(7)}), (2, 20, {})`
 	}
-	mustExec(t, db, schema+`; CREATE INDEX T_K ON T (K); INSERT INTO T VALUES `+cols)
+	mustExec(t, db, side.withIndexes(schema, `CREATE INDEX T_K ON T (K)`)+`; INSERT INTO T VALUES `+cols)
 	old := side.begin()
 	defer old.Rollback()
 	// A newer object with the old key: the index finds it, the snapshot
@@ -547,7 +554,7 @@ func failedWriterScenario(t *testing.T, schema, _ string, scan bool) string {
 	if strings.Contains(schema, "KIDS") {
 		cols, ins = `(1, 10, {(7)}), (2, 20, {})`, `INSERT INTO T VALUES (1, 30, {})`
 	}
-	mustExec(t, db, schema+`; CREATE INDEX T_K ON T (K); INSERT INTO T VALUES `+cols)
+	mustExec(t, db, side.withIndexes(schema, `CREATE INDEX T_K ON T (K)`)+`; INSERT INTO T VALUES `+cols)
 	old := side.begin()
 	defer old.Rollback()
 	side.mode()

@@ -19,7 +19,6 @@ import (
 	"repro/internal/flat"
 	"repro/internal/index"
 	"repro/internal/object"
-	"repro/internal/plan"
 	"repro/internal/segment"
 	"repro/internal/subtuple"
 	"repro/internal/textindex"
@@ -403,7 +402,7 @@ func (db *DB) reloadRuntime() error {
 			db.clearDegraded(def.Name)
 		}
 	}
-	db.exec = &exec.Executor{RT: &runtime{db: db}, Plan: plan.Choose}
+	db.exec = &exec.Executor{RT: &runtime{db: db}}
 	// The whole runtime was just rebuilt; any plan bound before now may
 	// reference stale structures.
 	db.bumpEpoch()
@@ -578,10 +577,13 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// Runtime exposes the engine's executor runtime (used by planner
-// tests and external tools that call plan.Choose directly).
+// Runtime exposes the engine's auto-commit runtime: the one a bound
+// plan's candidates are evaluated against outside a transaction (planner
+// tests call Prepared.Candidates with it).
 func (db *DB) Runtime() exec.Runtime { return &runtime{db: db} }
 
-// Executor exposes the SQL executor; experiment harnesses toggle its
-// FullPaths flag to compare pruned against full-object execution.
+// Executor exposes the auto-commit executor: cached plans are bound with
+// it (plan.Prepare), ad hoc statements outside a transaction too
+// (plan.Bind), and experiment harnesses toggle its FullPaths flag to
+// compare pruned against full-object execution.
 func (db *DB) Executor() *exec.Executor { return db.exec }

@@ -50,7 +50,7 @@ func (db *DB) Prepare(q string) (*PreparedStmt, error) {
 		return nil, err
 	}
 	ps := &PreparedStmt{db: db, st: st, key: key}
-	if _, err := ps.bind(); err != nil {
+	if err := ps.bind(nil); err != nil {
 		return nil, err
 	}
 	return ps, nil
@@ -66,17 +66,22 @@ func (ps *PreparedStmt) NumParams() int { return ps.st.Params }
 func (ps *PreparedStmt) Stmt() sql.Statement { return ps.st.Statement }
 
 // bind is bindLocked for callers outside a statement (Prepare,
-// Explain): it takes the shared heal barrier and turns a panic into a
-// *PanicError, as the statement envelope does for executions.
-func (ps *PreparedStmt) bind() (p *plan.Prepared, err error) {
+// Explain): it takes the shared heal barrier, hands the plan to use (when
+// non-nil) before releasing it, and turns a panic into a *PanicError, as
+// the statement envelope does for executions.
+func (ps *PreparedStmt) bind(use func(*plan.Prepared)) (err error) {
 	db := ps.db
 	db.healMu.RLock()
 	defer db.healMu.RUnlock()
 	if err := db.fatal(); err != nil {
-		return nil, err
+		return err
 	}
 	defer recoverPanic(ps.st.Text, &err)
-	return ps.bindLocked()
+	p, err := ps.bindLocked()
+	if err == nil && use != nil {
+		use(p)
+	}
+	return err
 }
 
 // bindLocked returns a plan bound under the current catalog epoch: the
@@ -171,12 +176,11 @@ func (ps *PreparedStmt) QueryRowsContext(ctx context.Context, args ...model.Valu
 // by the shared cache (false: this statement's own bind, or a fresh
 // bind after an invalidation).
 func (ps *PreparedStmt) Explain() (lines []string, fromCache bool, err error) {
-	prep, err := ps.bind()
-	if err != nil {
+	if err := ps.bind(func(p *plan.Prepared) { lines = p.Describe(ps.db.exec.RT) }); err != nil {
 		return nil, false, err
 	}
 	ps.mu.Lock()
 	fromCache = ps.fromCache
 	ps.mu.Unlock()
-	return prep.Describe(), fromCache, nil
+	return lines, fromCache, nil
 }

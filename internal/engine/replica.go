@@ -11,7 +11,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/page"
-	"repro/internal/plan"
 	"repro/internal/segment"
 	"repro/internal/subtuple"
 	"repro/internal/wal"
@@ -35,12 +34,9 @@ func (db *DB) readExec() *exec.Executor {
 	if !db.opts.Replica {
 		return db.exec
 	}
-	base := db.exec
 	return &exec.Executor{
 		RT:        &runtime{db: db, snap: snapshot{ts: db.ReplCounters().VisibleTS.Load()}},
-		Plan:      plan.Choose,
-		Trace:     base.Trace,
-		FullPaths: base.FullPaths,
+		FullPaths: db.exec.FullPaths,
 	}
 }
 

@@ -173,47 +173,57 @@ func (db *DB) Refs(table string) ([]page.TID, error) {
 
 // Insert adds a tuple to a table, maintaining all indexes.
 func (db *DB) Insert(table string, tup model.Tuple) error {
-	_, err := db.insertTuple(table, tup)
-	return err
-}
-
-// insertTuple is Insert returning the new tuple's reference (the
-// transaction apply path needs it to translate synthetic refs).
-func (db *DB) insertTuple(table string, tup model.Tuple) (page.TID, error) {
 	t, ok := db.cat.Table(table)
 	if !ok {
-		return page.TID{}, fmt.Errorf("engine: no table %q", table)
+		return fmt.Errorf("engine: no table %q", table)
 	}
 	if err := model.Conform(t.Type, tup); err != nil {
-		return page.TID{}, err
+		return err
 	}
 	if t.Kind == catalog.Flat {
 		tid, err := db.flats[table].Insert(tup)
 		if err != nil {
-			return page.TID{}, err
+			return err
 		}
-		for _, ix := range db.indexes[table] {
-			if err := ix.AddFlat(tid, tup, t.Type); err != nil {
-				return page.TID{}, err
-			}
-		}
-		for _, ti := range db.textIdx[table] {
-			ai := t.Type.AttrIndex(ti.Path[0])
-			if s, ok := tup[ai].(model.Str); ok {
-				ti.Add(string(s), index.Addr{TID: tid})
-			}
-		}
-		return tid, nil
+		return db.indexFlat(t, tid, tup, true)
 	}
 	m := db.mgrs[table]
 	ref, err := m.Insert(t.Type, tup)
 	if err != nil {
-		return page.TID{}, err
+		return err
 	}
 	if err := db.dirAdd(t, ref); err != nil {
-		return page.TID{}, db.guardDir(table, err)
+		return db.guardDir(table, err)
 	}
-	return ref, db.guardRead(table, ref, db.indexObject(t, ref, true))
+	return db.guardRead(table, ref, db.indexObject(t, ref, true))
+}
+
+// indexFlat adds (or removes) one flat tuple's entries in all the
+// table's value and text indexes.
+func (db *DB) indexFlat(t *catalog.Table, tid page.TID, tup model.Tuple, add bool) error {
+	for _, ix := range db.indexes[t.Name] {
+		var err error
+		if add {
+			err = ix.AddFlat(tid, tup, t.Type)
+		} else {
+			err = ix.RemoveFlat(tid, tup, t.Type)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	for _, ti := range db.textIdx[t.Name] {
+		s, ok := tup[t.Type.AttrIndex(ti.Path[0])].(model.Str)
+		if !ok {
+			continue
+		}
+		if add {
+			ti.Add(string(s), index.Addr{TID: tid})
+		} else {
+			ti.Remove(string(s), index.Addr{TID: tid})
+		}
+	}
+	return nil
 }
 
 // indexObject adds (or removes) one object's entries in all indexes.
@@ -264,16 +274,8 @@ func (db *DB) Delete(table string, ref page.TID) error {
 		if err != nil {
 			return db.guardRead(table, ref, err)
 		}
-		for _, ix := range db.indexes[table] {
-			if err := ix.RemoveFlat(ref, tup, t.Type); err != nil {
-				return err
-			}
-		}
-		for _, ti := range db.textIdx[table] {
-			ai := t.Type.AttrIndex(ti.Path[0])
-			if s, ok := tup[ai].(model.Str); ok {
-				ti.Remove(string(s), index.Addr{TID: ref})
-			}
+		if err := db.indexFlat(t, ref, tup, false); err != nil {
+			return err
 		}
 		return fs.Delete(ref)
 	}
@@ -305,32 +307,13 @@ func (db *DB) UpdateAtoms(table string, ref page.TID, steps []object.Step, vals 
 		if err != nil {
 			return db.guardRead(table, ref, err)
 		}
-		for _, ix := range db.indexes[table] {
-			if err := ix.RemoveFlat(ref, old, t.Type); err != nil {
-				return err
-			}
-		}
-		for _, ti := range db.textIdx[table] {
-			ai := t.Type.AttrIndex(ti.Path[0])
-			if s, ok := old[ai].(model.Str); ok {
-				ti.Remove(string(s), index.Addr{TID: ref})
-			}
+		if err := db.indexFlat(t, ref, old, false); err != nil {
+			return err
 		}
 		if err := fs.Update(ref, model.Tuple(vals)); err != nil {
 			return err
 		}
-		for _, ix := range db.indexes[table] {
-			if err := ix.AddFlat(ref, model.Tuple(vals), t.Type); err != nil {
-				return err
-			}
-		}
-		for _, ti := range db.textIdx[table] {
-			ai := t.Type.AttrIndex(ti.Path[0])
-			if s, ok := vals[ai].(model.Str); ok {
-				ti.Add(string(s), index.Addr{TID: ref})
-			}
-		}
-		return nil
+		return db.indexFlat(t, ref, model.Tuple(vals), true)
 	}
 	// Conservative index maintenance: withdraw the object's entries,
 	// mutate, re-add.

@@ -224,21 +224,27 @@ func (db *DB) awaitDurable(end, epoch, txn uint64) error {
 }
 
 // dispatch executes one statement through executor ex, converting a
-// panic into a PanicError tagged with the statement text — a prepared
-// statement's bind included, so a re-bind after an epoch bump fails the
-// statement like any other panic. A SELECT streams into rows when rows
-// is non-nil and is materialized otherwise.
+// panic into a PanicError tagged with the statement text — the bind
+// included, so a re-bind after an epoch bump fails the statement like
+// any other panic. Every statement runs a bound plan: a prepared one
+// from its own last bind or the plan cache, an ad hoc one bound here by
+// the scope's executor, off the heap and never cached. A SELECT streams
+// into rows when rows is non-nil and is materialized otherwise.
 func (db *DB) dispatch(ctx context.Context, ex *exec.Executor, s stmt, start statsMark, rows *Rows) (res Result, err error) {
 	defer recoverPanic(s.Text, &err)
-	var prep *plan.Prepared
+	var adhoc plan.Prepared
+	prep := &adhoc
 	if s.ps != nil {
-		if prep, err = s.ps.bindLocked(); err != nil {
-			return Result{}, err
-		}
+		prep, err = s.ps.bindLocked()
+	} else {
+		adhoc, err = plan.Bind(s.Stmt, ex)
+	}
+	if err != nil {
+		return Result{}, err
 	}
 	switch st := s.Statement.(type) {
 	case *sql.Select:
-		cur, err := db.openSelect(ctx, ex, st, prep, s.args)
+		cur, err := openSelect(ctx, ex, prep, s.args)
 		if err != nil {
 			return Result{}, err
 		}
@@ -254,15 +260,15 @@ func (db *DB) dispatch(ctx context.Context, ex *exec.Executor, s stmt, start sta
 		}
 		return Result{Table: out, Type: cur.Type(), Count: n}, nil
 	case *sql.Explain:
-		return db.explain(ctx, ex, st.Sel, prep, s.args, start)
+		return db.explain(ctx, ex, prep, s.args, start)
 	case *sql.Insert:
-		n, err := execDML(ctx, ex, st, prep, s.args)
+		n, err := execDML(ctx, ex, prep, s.args)
 		return counted(n, "inserted", err)
 	case *sql.Delete:
-		n, err := execDML(ctx, ex, st, prep, s.args)
+		n, err := execDML(ctx, ex, prep, s.args)
 		return counted(n, "deleted", err)
 	case *sql.Update:
-		n, err := execDML(ctx, ex, st, prep, s.args)
+		n, err := execDML(ctx, ex, prep, s.args)
 		return counted(n, "updated", err)
 	case *sql.CreateTable:
 		var layout object.Layout
@@ -336,28 +342,20 @@ func message(err error, text string) (Result, error) {
 	return Result{Message: text}, nil
 }
 
-// openSelect opens the cursor every SELECT (and EXPLAIN) reads through.
-// With a bound plan it evaluates the plan's access choices against the
-// scope's runtime and the bound arguments and runs the cached block tree
-// — no inference, no path derivation, no planner call — over the plan's
-// own AST, the one the tree was bound from (a cached plan may stem from
-// a different parse of the same normalized SQL). Without one it binds
-// and plans inline.
-func (db *DB) openSelect(ctx context.Context, ex *exec.Executor, sel *sql.Select, p *plan.Prepared, args []model.Value) (*exec.Cursor, error) {
-	if p != nil {
-		return ex.OpenPrepared(ctx, p.Block, p.Candidates(ex.RT, args), args)
-	}
-	return ex.OpenQueryArgs(ctx, sel, args)
+// openSelect opens the cursor every SELECT (and EXPLAIN) reads through:
+// it evaluates the plan's access choices against the scope's runtime and
+// the bound arguments and runs the plan's block tree — no inference, no
+// path derivation, no planner call — over the plan's own AST, the one the
+// tree was bound from (a cached plan may stem from a different parse of
+// the same normalized SQL).
+func openSelect(ctx context.Context, ex *exec.Executor, p *plan.Prepared, args []model.Value) (*exec.Cursor, error) {
+	return ex.OpenPrepared(ctx, p.Block, p.Candidates(ex.RT, args), args)
 }
 
 // execDML runs an INSERT, UPDATE or DELETE the way openSelect opens a
-// query: a bound plan's block and evaluated access choices over its own
-// AST, else an inline bind.
-func execDML(ctx context.Context, ex *exec.Executor, st sql.Statement, p *plan.Prepared, args []model.Value) (int, error) {
-	if p != nil {
-		return ex.ExecPreparedDML(ctx, p.Stmt, p.Block, p.Candidates(ex.RT, args), args)
-	}
-	return ex.ExecDML(ctx, st, args)
+// query: the plan's block and evaluated access choices over its own AST.
+func execDML(ctx context.Context, ex *exec.Executor, p *plan.Prepared, args []model.Value) (int, error) {
+	return ex.ExecPreparedDML(ctx, p.Stmt, p.Block, p.Candidates(ex.RT, args), args)
 }
 
 // drain pulls cur to its end inside the caller's barrier hold, appending
@@ -379,8 +377,8 @@ func drain(cur *exec.Cursor, out *model.Table) (int, error) {
 // and appends the measured physical access counters since the
 // statement's start — pages fetched, buffer hits, physical reads,
 // subtuples decoded.
-func (db *DB) explain(ctx context.Context, ex *exec.Executor, sel *sql.Select, p *plan.Prepared, args []model.Value, start statsMark) (Result, error) {
-	cur, err := db.openSelect(ctx, ex, sel, p, args)
+func (db *DB) explain(ctx context.Context, ex *exec.Executor, p *plan.Prepared, args []model.Value, start statsMark) (Result, error) {
+	cur, err := openSelect(ctx, ex, p, args)
 	if err != nil {
 		return Result{}, err
 	}

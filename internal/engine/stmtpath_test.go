@@ -640,8 +640,8 @@ func TestStmtPathPanicContained(t *testing.T) {
 		for what, run := range forms {
 			// Each heal bumps the catalog epoch; re-bind first so the panic
 			// lands in execution, not in the bind stage.
-			psSel.bind()
-			psIns.bind()
+			psSel.bind(nil)
+			psIns.bind(nil)
 			db.exec.RT = nil // the next statement panics on a nil runtime; the heal rebuilds it
 			check(t, db, what, run())
 		}

@@ -152,8 +152,7 @@ type pendingUndo struct {
 // writer that commits after it finds the transaction registered and
 // stamps lastWrite (were it registered after the release, a writer
 // committing in between would skip the stamp and lose its update to
-// the transaction). The executor takes db.exec's planner and path
-// settings.
+// the transaction). The executor takes db.exec's path setting.
 func (db *DB) Begin() (*Txn, error) {
 	db.healMu.RLock()
 	defer db.healMu.RUnlock()
@@ -168,12 +167,9 @@ func (db *DB) Begin() (*Txn, error) {
 		pending: make(map[wkey]*pendingObj),
 		locked:  make(map[wkey]bool),
 	}
-	base := db.exec
 	tx.exec = &exec.Executor{
 		RT:        &txnRuntime{runtime{db: db, snap: snapshot{tx: tx}}},
-		Plan:      base.Plan,
-		Trace:     base.Trace,
-		FullPaths: base.FullPaths,
+		FullPaths: db.exec.FullPaths,
 	}
 	db.snapMu.RLock()
 	tx.snapTS = db.opts.Clock()
@@ -371,7 +367,7 @@ func (db *DB) applyOps(tx *Txn) error {
 			if p == nil || p.deleted {
 				continue
 			}
-			if _, err := db.insertTuple(op.table, p.tup); err != nil {
+			if err := db.Insert(op.table, p.tup); err != nil {
 				return err
 			}
 			continue

@@ -291,26 +291,10 @@ type Cursor struct {
 	closed  bool
 }
 
-// OpenQuery opens a streaming cursor over a top-level select.
-func (e *Executor) OpenQuery(ctx context.Context, sel *sql.Select) (*Cursor, error) {
-	return e.OpenQueryArgs(ctx, sel, nil)
-}
-
-// OpenQueryArgs is OpenQuery with bound `?` parameter values: it binds
-// the statement (Bind, once per execution) and plans its FROM list
-// inline. No data is read until the first Next.
-func (e *Executor) OpenQueryArgs(ctx context.Context, sel *sql.Select, params []model.Value) (*Cursor, error) {
-	blk, err := e.Bind(sel)
-	if err != nil {
-		return nil, err
-	}
-	return e.OpenPrepared(ctx, blk, e.choose(sel.From, sel.Where, params), params)
-}
-
 // OpenPrepared opens a streaming cursor over a top-level select bound
 // ahead of time (Bind), with the candidate lists of this execution. It
 // performs no inference, no path derivation and no access-path planning;
-// the plan-cache hit path runs through here.
+// every query runs through here. No data is read until the first Next.
 func (e *Executor) OpenPrepared(ctx context.Context, blk *Block, cands map[int]*Candidates, params []model.Value) (*Cursor, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -325,24 +309,6 @@ func (e *Executor) newCursor(ctx context.Context, blk *Block, outer *env, params
 	c.scope = env{slots: make([]slot, 0, len(blk.Sel.From)), parent: outer, params: params, blk: blk}
 	c.pipe.init(e, ctx, blk.Sel.From, &c.scope, cands, blk.Paths)
 	return c
-}
-
-// choose runs the inline planner over a top-level FROM list under its
-// WHERE clause, `?` operands resolved against params, and traces the
-// decisions; nil without a planner.
-func (e *Executor) choose(from []sql.FromItem, where sql.Expr, params []model.Value) map[int]*Candidates {
-	if e.Plan == nil {
-		return nil
-	}
-	cands := e.Plan(from, where, e.RT, params)
-	if e.Trace != nil {
-		for i, c := range cands {
-			if c != nil {
-				e.Trace(fmt.Sprintf("from item %d (%s): %s (%d candidates)", i, from[i].Var, c.Why, len(c.Refs)))
-			}
-		}
-	}
-	return cands
 }
 
 // Type returns the result schema.

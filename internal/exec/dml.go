@@ -106,29 +106,14 @@ func FromList(st sql.Statement) ([]sql.FromItem, sql.Expr, bool) {
 	return nil, nil, false
 }
 
-// ExecDML runs an INSERT, UPDATE or DELETE with bound `?` parameter
-// values (nil for none), binding it inline: a FROM list gets path sets
-// and candidate lists exactly as a SELECT's does, and the statement
-// runs as ExecPreparedDML.
-func (e *Executor) ExecDML(ctx context.Context, st sql.Statement, params []model.Value) (int, error) {
-	blk, err := e.Bind(st)
-	if err != nil {
-		return 0, err
-	}
-	var cands map[int]*Candidates
-	if from, where, ok := FromList(st); ok {
-		cands = e.choose(from, where, params)
-	}
-	return e.ExecPreparedDML(ctx, st, blk, cands, params)
-}
-
 // ExecPreparedDML runs an INSERT, UPDATE or DELETE whose FROM list was
 // bound ahead of time — its block (Bind: path sets, nil for full
 // objects, and quantifier fetch sets) and this execution's candidate
 // lists (nil = full scans) — returning the number of tuples or members
 // it inserted, updated or deleted. Targets are located through the
 // same pipeline a SELECT reads through, the WHERE re-tested on every
-// binding, and collected before anything is written.
+// binding, and collected before anything is written. Every DML
+// statement runs through here.
 func (e *Executor) ExecPreparedDML(ctx context.Context, st sql.Statement, blk *Block, cands map[int]*Candidates, params []model.Value) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -17,7 +17,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/object"
 	"repro/internal/page"
-	"repro/internal/sql"
 	"repro/internal/textindex"
 )
 
@@ -89,27 +88,17 @@ type Candidates struct {
 	Why string
 }
 
-// Planner chooses access paths for the stored-table items of a
-// top-level FROM list — a SELECT's or a DML statement's — under its
-// WHERE clause, resolving `?` operands against params; nil entries mean
-// full scan. It may return nil entirely.
-type Planner func(from []sql.FromItem, where sql.Expr, rt Runtime, params []model.Value) map[int]*Candidates
-
-// Executor evaluates statements.
+// Executor binds statements (Bind) and runs bound ones (OpenPrepared,
+// ExecPreparedDML) against a runtime. Access paths come from the caller,
+// as candidate lists: the executor never plans.
 type Executor struct {
-	RT   Runtime
-	Plan Planner // optional
-	// Trace, when non-nil, receives access-path decisions.
-	Trace func(msg string)
+	RT Runtime
 	// FullPaths disables projection pushdown: every stored object is
 	// fetched completely, as the pre-cursor executor did. It exists as
 	// a verification aid (the property tests compare pruned against
 	// full execution) and as an escape hatch.
 	FullPaths bool
 }
-
-// New creates an executor over a runtime.
-func New(rt Runtime) *Executor { return &Executor{RT: rt} }
 
 // binding is the current value of one range variable, with the
 // provenance needed for DML through the variable.

@@ -16,9 +16,11 @@
 // usable one — which index, which operator, which operand expression.
 // The operand may be a `?` placeholder, so a choice is a pure
 // decision, independent of data and of parameter values; it is what a
-// cached plan stores. The execute phase (evalChoice) resolves the
-// operand against the bound arguments and runs the index lookup,
-// producing the candidate root set for this execution. Conjunctions
+// cached plan stores. Every statement is bound into a Prepared — by
+// Prepare for the plan cache, by Bind for a statement that runs once —
+// and runs the same way from there. The execute phase (evalChoice)
+// resolves the operand against the bound arguments and runs the index
+// lookup, producing the candidate root set for this execution. Conjunctions
 // intersect the sets; objects the runtime reports written since its
 // snapshot are added back (evalAccess). Data-TID indexes are never
 // chosen: as §4.2 shows, their addresses cannot locate the containing
@@ -41,13 +43,14 @@ import (
 	"repro/internal/textindex"
 )
 
-// chooses counts invocations of the inline planner; prepares (in
-// prepared.go) counts bind-phase invocations. The prepared-statement
-// tests assert both stay flat across PreparedStmt re-executions — the
-// "zero planner work" acceptance check.
+// chooses counts the binds of statements that run once and have a FROM
+// list to plan (Bind); prepares (in prepared.go) counts Prepare calls.
+// The prepared-statement tests assert both stay flat across PreparedStmt
+// re-executions — the "zero planner work" acceptance check.
 var chooses atomic.Uint64
 
-// ChooseCount returns the process-wide count of inline planning runs.
+// ChooseCount returns the process-wide count of ad hoc planning runs:
+// one per statement bound by Bind with a FROM list.
 func ChooseCount() uint64 { return chooses.Load() }
 
 // AccessChoice is one bind-time access-path decision: answer a WHERE
@@ -89,15 +92,6 @@ func operandString(x sql.Expr) string {
 		return fmt.Sprintf("?%d", o.Ord)
 	}
 	return fmt.Sprintf("%v", x)
-}
-
-// Choose implements exec.Planner: the inline (unprepared) path binds
-// and evaluates in one go, `?` operands resolved against params.
-// Choices whose operand is an unbound parameter are skipped — soundly
-// widening to a full scan.
-func Choose(from []sql.FromItem, where sql.Expr, rt exec.Runtime, params []model.Value) map[int]*exec.Candidates {
-	chooses.Add(1)
-	return evalAccess(chooseAccess(from, where, rt), rt, params)
 }
 
 // chooseAccess records the access choices for every item of a

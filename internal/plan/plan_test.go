@@ -48,14 +48,19 @@ func openIndexed(t testing.TB) *engine.DB {
 	return db
 }
 
+// choose binds q as an ad hoc statement and evaluates its access
+// choices against the auto-commit runtime.
 func choose(t *testing.T, db *engine.DB, q string) map[int]*exec.Candidates {
 	t.Helper()
-	st, err := sql.ParseOne(q)
+	st, err := sql.ParseOneStmt(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := st.(*sql.Select)
-	return plan.Choose(sel.From, sel.Where, db.Runtime(), nil)
+	p, err := plan.Bind(st, db.Executor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Candidates(db.Runtime(), nil)
 }
 
 func TestChooseDirectEquality(t *testing.T) {

@@ -29,7 +29,8 @@ func PrepareCount() uint64 { return prepares.Load() }
 // operands, index lookups) happens at execute time against the live
 // runtime of the scope it runs in.
 type Prepared struct {
-	// SQL is the normalized statement text — the plan-cache key.
+	// SQL is the normalized statement text — the plan-cache key (empty
+	// for a statement bound by Bind, which is never cached).
 	SQL string
 	// Text is the original statement text, kept for error tagging.
 	Text string
@@ -49,49 +50,60 @@ type Prepared struct {
 	*exec.Block
 	// Access holds the access-path choices per top-level FROM item.
 	Access map[int][]AccessChoice
-	// Desc is the bind-time plan description, rendered for EXPLAIN
-	// without executing.
-	Desc []string
 }
 
-// Prepare runs the bind/plan phase: it binds the statement's block tree
-// (exec.Executor.Bind) and, for the FROM list of a select, an UPDATE, a
-// DELETE or an INSERT INTO a subtable, records access-path choices (none
-// when ex has no planner). For other statements the kept AST is the
-// whole bind product. norm is the statement's normalized text
-// (sql.Normalize — computed once by the caller, who also uses it as the
-// cache key); epoch is the catalog epoch the caller observed while
-// holding the catalog stable.
+// Prepare runs the bind/plan phase for the plan cache: it binds the
+// statement's block tree (exec.Executor.Bind) and, for the FROM list of a
+// select, an UPDATE, a DELETE or an INSERT INTO a subtable, records
+// access-path choices. For other statements the kept AST is the whole
+// bind product. norm is the statement's normalized text (sql.Normalize —
+// computed once by the caller, who also uses it as the cache key); epoch
+// is the catalog epoch the caller observed while holding the catalog
+// stable.
 func Prepare(st sql.Stmt, norm string, ex *exec.Executor, epoch uint64) (*Prepared, error) {
 	prepares.Add(1)
-	p := &Prepared{
-		SQL:       norm,
-		Text:      st.Text,
-		Stmt:      st.Statement,
-		NumParams: st.Params,
-		Epoch:     epoch,
-	}
-	planned := st.Statement // the statement whose FROM list is planned
-	if e, ok := planned.(*sql.Explain); ok {
-		planned = e.Sel
-	}
-	var err error
-	if p.Block, err = ex.Bind(planned); err != nil {
+	p, _, err := bind(st, ex)
+	if err != nil {
 		return nil, err
 	}
-	if from, where, ok := exec.FromList(planned); ok {
-		if ex.Plan != nil {
-			p.Access = chooseAccess(from, where, ex.RT)
-		}
-		p.Desc = p.Block.Describe(ex.RT, from, func(i int) string {
-			parts := make([]string, len(p.Access[i]))
-			for j, c := range p.Access[i] {
-				parts[j] = c.String()
-			}
-			return strings.Join(parts, " ∩ ")
-		})
+	p.SQL, p.Epoch = norm, epoch
+	return &p, nil
+}
+
+// Bind is Prepare for a statement that runs once: the same bind and the
+// same access choices, returned by value so that an ad hoc statement's
+// plan need not live on the heap. It counts one planning run
+// (ChooseCount) when the statement has a FROM list.
+func Bind(st sql.Stmt, ex *exec.Executor) (Prepared, error) {
+	p, planned, err := bind(st, ex)
+	if err == nil && planned {
+		chooses.Add(1)
 	}
-	return p, nil
+	return p, err
+}
+
+// bind is the one bind/plan phase behind Prepare and Bind; planned
+// reports whether the statement has a FROM list.
+func bind(st sql.Stmt, ex *exec.Executor) (p Prepared, planned bool, err error) {
+	p = Prepared{Text: st.Text, Stmt: st.Statement, NumParams: st.Params}
+	target := plannedStmt(st.Statement)
+	if p.Block, err = ex.Bind(target); err != nil {
+		return Prepared{}, false, err
+	}
+	from, where, planned := exec.FromList(target)
+	if planned {
+		p.Access = chooseAccess(from, where, ex.RT)
+	}
+	return p, planned, nil
+}
+
+// plannedStmt is the statement whose FROM list a plan covers: the
+// SELECT an EXPLAIN names, else the statement itself.
+func plannedStmt(st sql.Statement) sql.Statement {
+	if e, ok := st.(*sql.Explain); ok {
+		return e.Sel
+	}
+	return st
 }
 
 // Candidates evaluates the plan's access choices against the live
@@ -104,11 +116,22 @@ func (p *Prepared) Candidates(rt exec.Runtime, params []model.Value) map[int]*ex
 }
 
 // Describe renders the bind-time plan (access choices and fetch sets
-// per FROM item) without executing anything. Statements without a FROM
-// list report a single generic line.
-func (p *Prepared) Describe() []string {
-	if p.Desc == nil {
+// per FROM item) without executing anything, resolving table types
+// through rt. Statements without a FROM list report a single generic
+// line. It renders on every call: only an explain asks.
+func (p *Prepared) Describe(rt exec.Runtime) []string {
+	var lines []string
+	if from, _, ok := exec.FromList(plannedStmt(p.Stmt)); ok {
+		lines = p.Block.Describe(rt, from, func(i int) string {
+			parts := make([]string, len(p.Access[i]))
+			for j, c := range p.Access[i] {
+				parts[j] = c.String()
+			}
+			return strings.Join(parts, " ∩ ")
+		})
+	}
+	if lines == nil {
 		return []string{fmt.Sprintf("%T: direct execution (no access-path plan)", p.Stmt)}
 	}
-	return p.Desc
+	return lines
 }

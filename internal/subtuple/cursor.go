@@ -8,13 +8,12 @@ import (
 	"repro/internal/page"
 )
 
-// Cursor is the pull-based form of Scan: it streams every
-// current subtuple of the segment one Next at a time, in the same
-// order and under the same TIDs as Scan. Pages are pinned only inside
-// a single Next call — the cursor copies the records of one page at a
-// time into a buffer it reuses from page to page — so an abandoned
-// cursor holds no buffer resources and Close is a plain bookkeeping
-// call.
+// Cursor is the one page walker of a segment (Scan is a loop over
+// one): it streams every current subtuple one Next at a time. Pages
+// are pinned only inside a single Next call — the cursor copies the
+// records of one page at a time into a buffer it reuses from page to
+// page — so an abandoned cursor holds no buffer resources and Close is
+// a plain bookkeeping call.
 type Cursor struct {
 	s      *Store
 	asof   int64
@@ -108,8 +107,8 @@ func (c *Cursor) loadPage() error {
 	f.RLatch()
 	defer f.RUnlatch()
 	if !f.Page.Initialized() {
-		// As in Scan: a zeroed allocated page must not read as "no
-		// records" — silent row loss rather than a detected fault.
+		// A zeroed allocated page must not read as "no records" —
+		// silent row loss rather than a detected fault.
 		return dberr.Corruptf("subtuple: allocated page %d.%d is uninitialized (zeroed?)", c.s.seg, pg)
 	}
 	n := f.Page.NumSlots()

@@ -722,57 +722,23 @@ func (s *Store) Exists(t page.TID) bool {
 // Scan streams every current subtuple in the segment exactly once,
 // under its anchor TID for records that were never moved and under
 // the physical TID for moved ones (the anchor resolves to the same
-// record).
+// record). It is a loop over a Cursor, so the payload handed to fn is
+// valid only during the call.
 func (s *Store) Scan(fn func(t page.TID, data []byte) error) error {
-	st := s.pool.Store(s.seg)
-	if st == nil {
-		return fmt.Errorf("subtuple: segment %d not registered", s.seg)
+	c, err := s.NewCursor()
+	if err != nil {
+		return err
 	}
-	count := st.PageCount()
-	for pg := uint32(1); pg <= count; pg++ {
-		f, err := s.pool.Pin(buffer.PageKey{Seg: s.seg, Page: pg})
-		if err != nil {
+	defer c.Close()
+	for {
+		t, data, ok, err := c.Next()
+		if err != nil || !ok {
 			return err
 		}
-		f.RLatch()
-		if !f.Page.Initialized() {
-			// A zeroed allocated page would otherwise scan as "no
-			// records" — silent row loss rather than a detected fault.
-			f.RUnlatch()
-			s.pool.Unpin(f, false)
-			return dberr.Corruptf("subtuple: allocated page %d.%d is uninitialized (zeroed?)", s.seg, pg)
-		}
-		n := f.Page.NumSlots()
-		type item struct {
-			slot uint16
-			raw  []byte
-		}
-		var items []item
-		for sl := 0; sl < n; sl++ {
-			rec, err := f.Page.Read(uint16(sl))
-			if err != nil {
-				continue
-			}
-			if rec[0]&(fFwd|fChunk|fOld|fTomb) != 0 {
-				continue
-			}
-			cp := make([]byte, len(rec))
-			copy(cp, rec)
-			items = append(items, item{uint16(sl), cp})
-		}
-		f.RUnlatch()
-		s.pool.Unpin(f, false)
-		for _, it := range items {
-			d, err := s.decode(it.raw)
-			if err != nil {
-				return err
-			}
-			if err := fn(page.TID{Page: pg, Slot: it.slot}, d.payload); err != nil {
-				return err
-			}
+		if err := fn(t, data); err != nil {
+			return err
 		}
 	}
-	return nil
 }
 
 // Commit appends a commit record and forces the log to stable
