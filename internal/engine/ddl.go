@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -73,25 +74,44 @@ func (db *DB) DropTable(name string) error {
 	}
 	delete(db.mgrs, name)
 	delete(db.flats, name)
-	for _, ix := range db.indexes[name] {
+	live := db.live[name]
+	for _, ix := range live.value {
 		delete(db.indexByName, ix.Name)
 	}
-	delete(db.indexes, name)
-	for _, ti := range db.textIdx[name] {
+	for _, ti := range live.text {
 		delete(db.textByName, ti.Name)
 	}
-	delete(db.textIdx, name)
+	delete(db.live, name)
 	_ = t
 	db.bumpEpoch()
 	return nil
+}
+
+// ddlLock takes the locks every index DDL runs under, in the lock
+// order: applyMu (no writer is keeping the live indexes), the exclusive
+// heal barrier (no reader is resolving them), then mu. The SQL path
+// holds the first two already and takes only mu around the bodies
+// (createIndexLocked, addIndex, dropIndexLocked).
+func (db *DB) ddlLock() (unlock func()) {
+	db.applyMu.Lock()
+	db.healMu.Lock()
+	db.mu.Lock()
+	return func() {
+		db.mu.Unlock()
+		db.healMu.Unlock()
+		db.applyMu.Unlock()
+	}
 }
 
 // CreateIndex defines and builds a value index. using selects the
 // address strategy (default HIERARCHICAL, AIM-II's conclusion in
 // §4.2); DATA and ROOT exist to reproduce the paper's comparison.
 func (db *DB) CreateIndex(name, table string, path []string, using string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.ddlLock()()
+	return db.createIndexLocked(name, table, path, using)
+}
+
+func (db *DB) createIndexLocked(name, table string, path []string, using string) error {
 	kind := index.Hierarchical
 	switch strings.ToUpper(using) {
 	case "", "HIERARCHICAL", "HIER":
@@ -103,28 +123,22 @@ func (db *DB) CreateIndex(name, table string, path []string, using string) error
 	default:
 		return fmt.Errorf("engine: unknown index strategy %q (DATA, ROOT or HIERARCHICAL)", using)
 	}
-	def := &catalog.IndexDef{Name: name, Table: table, Path: path, Kind: uint8(kind)}
-	if err := db.cat.AddIndex(def); err != nil {
-		return err
-	}
-	if err := db.buildIndex(def); err != nil {
-		db.cat.DropIndex(name)
-		return err
-	}
-	db.bumpEpoch()
-	return nil
+	return db.addIndex(&catalog.IndexDef{Name: name, Table: table, Path: path, Kind: uint8(kind)})
 }
 
 // CreateTextIndex defines and builds a word-fragment text index.
 func (db *DB) CreateTextIndex(name, table string, path []string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	def := &catalog.IndexDef{Name: name, Table: table, Path: path, Text: true}
+	defer db.ddlLock()()
+	return db.addIndex(&catalog.IndexDef{Name: name, Table: table, Path: path, Text: true})
+}
+
+// addIndex catalogs and builds an index definition.
+func (db *DB) addIndex(def *catalog.IndexDef) error {
 	if err := db.cat.AddIndex(def); err != nil {
 		return err
 	}
 	if err := db.buildIndex(def); err != nil {
-		db.cat.DropIndex(name)
+		db.cat.DropIndex(def.Name)
 		return err
 	}
 	db.bumpEpoch()
@@ -133,34 +147,18 @@ func (db *DB) CreateTextIndex(name, table string, path []string) error {
 
 // DropIndex removes an index.
 func (db *DB) DropIndex(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	def, ok := db.cat.Index(name)
-	if !ok {
+	defer db.ddlLock()()
+	return db.dropIndexLocked(name)
+}
+
+func (db *DB) dropIndexLocked(name string) error {
+	if _, ok := db.cat.Index(name); !ok {
 		return fmt.Errorf("engine: no index %q", name)
 	}
 	if err := db.cat.DropIndex(name); err != nil {
 		return err
 	}
-	if def.Text {
-		delete(db.textByName, name)
-		list := db.textIdx[def.Table]
-		for i, ti := range list {
-			if ti.Name == name {
-				db.textIdx[def.Table] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-	} else {
-		delete(db.indexByName, name)
-		list := db.indexes[def.Table]
-		for i, ix := range list {
-			if ix.Name == name {
-				db.indexes[def.Table] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-	}
+	db.detachIndex(name)
 	db.bumpEpoch()
 	return nil
 }
@@ -174,13 +172,23 @@ func (db *DB) buildIndex(def *catalog.IndexDef) error {
 	if err != nil {
 		return err
 	}
+	t, _ := db.cat.Table(def.Table)
+	live := db.live[def.Table]
+	value, text := slices.Clip(live.value), slices.Clip(live.text)
 	if def.Text {
-		db.textIdx[def.Table] = append(db.textIdx[def.Table], ti)
-		db.textByName[def.Name] = ti
-		return nil
+		text = append(text, ti)
+	} else {
+		value = append(value, ix)
 	}
-	db.indexes[def.Table] = append(db.indexes[def.Table], ix)
-	db.indexByName[def.Name] = ix
+	if live, err = newTableIndexes(t, value, text); err != nil {
+		return err
+	}
+	db.live[def.Table] = live
+	if def.Text {
+		db.textByName[def.Name] = ti
+	} else {
+		db.indexByName[def.Name] = ix
+	}
 	return nil
 }
 
@@ -188,48 +196,59 @@ func (db *DB) buildIndex(def *catalog.IndexDef) error {
 // base data without registering the result: exactly one of the two
 // returns is non-nil (the text index for def.Text). The scrubber
 // compares shadow against live to detect index/data divergence, and
-// aimdoctor uses it to rebuild degraded indexes.
+// aimdoctor uses it to rebuild degraded indexes. An NF² table is built
+// by the walks index upkeep uses, one per object.
 func (db *DB) BuildShadowIndex(def *catalog.IndexDef) (*index.Index, *textindex.Index, error) {
 	t, ok := db.cat.Table(def.Table)
 	if !ok {
 		return nil, nil, fmt.Errorf("engine: no table %q", def.Table)
 	}
+	var ix *index.Index
+	var ti *textindex.Index
 	if def.Text {
-		ti := textindex.New(def.Name, def.Table, def.Path)
-		if err := db.forEachText(t, def.Path, func(text string, addr index.Addr) error {
-			ti.Add(text, addr)
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
-		return nil, ti, nil
-	}
-	ix, err := index.New(index.Def{
-		Name: def.Name, Table: def.Table, Path: def.Path, Kind: index.Kind(def.Kind),
-	}, t.Type)
-	if err != nil {
-		return nil, nil, err
-	}
-	if t.Kind == catalog.Flat {
-		fs := db.flats[t.Name]
-		if err := fs.Scan(func(tid page.TID, tup model.Tuple) error {
-			return ix.AddFlat(tid, tup, t.Type)
-		}); err != nil {
-			return nil, nil, err
-		}
+		ti = textindex.New(def.Name, def.Table, def.Path)
 	} else {
-		m := db.mgrs[t.Name]
-		refs, err := db.dirRefs(t)
+		var err error
+		ix, err = index.New(index.Def{
+			Name: def.Name, Table: def.Table, Path: def.Path, Kind: index.Kind(def.Kind),
+		}, t.Type)
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, ref := range refs {
-			if err := ix.AddObject(m, t.Type, ref); err != nil {
-				return nil, nil, err
-			}
+	}
+	var err error
+	switch {
+	case t.Kind == catalog.Flat:
+		err = db.fillFlat(t, ix, ti)
+	case def.Text:
+		err = db.fill(t, nil, []*textindex.Index{ti})
+	default:
+		err = db.fill(t, []*index.Index{ix}, nil)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return ix, ti, nil
+}
+
+// fillFlat builds a value index ix or a text index ti of a flat table:
+// the address is the tuple's TID.
+func (db *DB) fillFlat(t *catalog.Table, ix *index.Index, ti *textindex.Index) error {
+	ai := -1
+	if ti != nil {
+		if ai = t.Type.AttrIndex(ti.Path[0]); ai < 0 || len(ti.Path) != 1 {
+			return fmt.Errorf("engine: bad text index path %v on flat table", ti.Path)
 		}
 	}
-	return ix, nil, nil
+	return db.flats[t.Name].Scan(func(tid page.TID, tup model.Tuple) error {
+		if ix != nil {
+			return ix.AddFlat(tid, tup, t.Type)
+		}
+		if s, ok := tup[ai].(model.Str); ok {
+			ti.Add(string(s), index.Addr{TID: tid})
+		}
+		return nil
+	})
 }
 
 // RebuildIndex drops the live incarnation of a cataloged index and
@@ -241,16 +260,15 @@ func (db *DB) RebuildIndex(name string) error {
 	if !ok {
 		return fmt.Errorf("engine: no index %q", name)
 	}
-	// Swap the incarnations under the heal barrier: aimdoctor (and
-	// tests) rebuild while readers stream, and those readers resolve
-	// indexes by name from the maps buildIndex rewrites. The barrier
-	// order matches the statement path (healMu before db.mu).
-	db.healMu.Lock()
-	db.mu.Lock()
+	// Swap the incarnations under the DDL locks: aimdoctor (and tests)
+	// rebuild while readers stream and writers run, readers resolve
+	// indexes by name from the maps buildIndex rewrites, and a writer
+	// must not update the old incarnation while the new one is built
+	// from base data.
+	unlock := db.ddlLock()
 	db.detachIndex(name)
 	err := db.buildIndex(def)
-	db.mu.Unlock()
-	db.healMu.Unlock()
+	unlock()
 	if err != nil {
 		db.noteDegraded(name, err)
 		db.bumpEpoch()
@@ -259,70 +277,6 @@ func (db *DB) RebuildIndex(name string) error {
 	db.clearDegraded(name)
 	db.bumpEpoch()
 	return nil
-}
-
-// forEachText enumerates the occurrences of a text attribute across
-// the whole table, producing the text and its hierarchical address.
-func (db *DB) forEachText(t *catalog.Table, path []string, fn func(text string, addr index.Addr) error) error {
-	if t.Kind == catalog.Flat {
-		ai := t.Type.AttrIndex(path[0])
-		if ai < 0 || len(path) != 1 {
-			return fmt.Errorf("engine: bad text index path %v on flat table", path)
-		}
-		fs := db.flats[t.Name]
-		return fs.Scan(func(tid page.TID, tup model.Tuple) error {
-			if s, ok := tup[ai].(model.Str); ok {
-				return fn(string(s), index.Addr{TID: tid})
-			}
-			return nil
-		})
-	}
-	tablePath, _, atomPos, kind, err := index.ResolvePath(t.Type, path)
-	if err != nil {
-		return err
-	}
-	if kind != model.KindString {
-		return fmt.Errorf("engine: text index requires a STRING attribute, got %s", kind)
-	}
-	m := db.mgrs[t.Name]
-	refs, err := db.dirRefs(t)
-	if err != nil {
-		return err
-	}
-	for _, ref := range refs {
-		err := m.EnumLevel(t.Type, ref, tablePath, func(dpath []page.MiniTID, atoms []model.Value) error {
-			if atomPos >= len(atoms) {
-				return nil // attribute added after this subtuple was written
-			}
-			if s, ok := atoms[atomPos].(model.Str); ok {
-				return fn(string(s), index.Addr{TID: ref, Path: append([]page.MiniTID(nil), dpath...)})
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// forEachTextOfObject enumerates text occurrences of one object (for
-// incremental maintenance).
-func (db *DB) forEachTextOfObject(t *catalog.Table, ref page.TID, path []string, fn func(text string, addr index.Addr) error) error {
-	tablePath, _, atomPos, _, err := index.ResolvePath(t.Type, path)
-	if err != nil {
-		return err
-	}
-	m := db.mgrs[t.Name]
-	return m.EnumLevel(t.Type, ref, tablePath, func(dpath []page.MiniTID, atoms []model.Value) error {
-		if atomPos >= len(atoms) {
-			return nil
-		}
-		if s, ok := atoms[atomPos].(model.Str); ok {
-			return fn(string(s), index.Addr{TID: ref, Path: append([]page.MiniTID(nil), dpath...)})
-		}
-		return nil
-	})
 }
 
 // AlterTableAdd appends a new atomic attribute at the end of the

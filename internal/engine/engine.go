@@ -113,9 +113,8 @@ type DB struct {
 	mgrs   map[string]*object.Manager
 	flats  map[string]*flat.Store
 
-	indexes     map[string][]*index.Index // by table
+	live        map[string]tableIndexes // by table (upkeep.go)
 	indexByName map[string]*index.Index
-	textIdx     map[string][]*textindex.Index
 	textByName  map[string]*textindex.Index
 
 	exec *exec.Executor
@@ -251,9 +250,8 @@ func Open(opts Options) (*DB, error) {
 		stores:      make(map[segment.ID]*subtuple.Store),
 		mgrs:        make(map[string]*object.Manager),
 		flats:       make(map[string]*flat.Store),
-		indexes:     make(map[string][]*index.Index),
+		live:        make(map[string]tableIndexes),
 		indexByName: make(map[string]*index.Index),
-		textIdx:     make(map[string][]*textindex.Index),
 		textByName:  make(map[string]*textindex.Index),
 		quar:        make(map[quarKey]*QuarantineError),
 		degraded:    make(map[string]string),
@@ -364,9 +362,8 @@ func (db *DB) abandon() {
 func (db *DB) reloadRuntime() error {
 	db.mgrs = make(map[string]*object.Manager)
 	db.flats = make(map[string]*flat.Store)
-	db.indexes = make(map[string][]*index.Index)
+	db.live = make(map[string]tableIndexes)
 	db.indexByName = make(map[string]*index.Index)
-	db.textIdx = make(map[string][]*textindex.Index)
 	db.textByName = make(map[string]*textindex.Index)
 	cat, err := catalog.Open(db.stores[catalog.MetaSegment])
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/testdata"
 )
 
@@ -71,5 +72,85 @@ func TestNestedSelectAllocBudget(t *testing.T) {
 		} else {
 			t.Logf("%s: the nested statement allocates %.0f times (budget %.0f)", c.name, got, c.budget)
 		}
+	}
+}
+
+// TestDMLIndexUpkeepAllocBudget holds the write path of the
+// write_durable benchmark to an allocation budget: departments of 3
+// projects × 4 members with a DNO index and a hierarchical index on
+// PROJECTS.MEMBERS.FUNCTION, and the prepared budget UPDATE, member
+// INSERT and member DELETE it runs. Index upkeep is a delta: the UPDATE
+// compares one root atom, the member writes walk one member. A change
+// that walks whole objects for index upkeep again breaks the budget — and
+// the decode check: an UPDATE of an unindexed root attribute decodes the
+// same subtuples whether the department has 12 members or 48.
+func TestDMLIndexUpkeepAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable("DEPARTMENTS", testdata.DepartmentsType(), TableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	depts := testdata.GenDepartments(testdata.GenConfig{Departments: 8, ProjsPerDept: 3, MembersPerProj: 4, EquipPerDept: 2, Seed: 1, ConsultantEvery: 50}).Tuples
+	big := testdata.GenDepartments(testdata.GenConfig{Departments: 1, ProjsPerDept: 3, MembersPerProj: 16, EquipPerDept: 2, Seed: 2}).Tuples[0]
+	big[0] = model.Int(999)
+	for _, d := range append(depts, big) {
+		if err := db.Insert("DEPARTMENTS", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, path := range map[string][]string{"DEPT_DNO": {"DNO"}, "DEPT_FUNCTION": {"PROJECTS", "MEMBERS", "FUNCTION"}} {
+		if err := db.CreateIndex(name, "DEPARTMENTS", path, "HIERARCHICAL"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prepare := func(q string) *PreparedStmt {
+		ps, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ps
+	}
+	update := prepare(`UPDATE x IN DEPARTMENTS SET BUDGET = ? WHERE x.DNO = ?`)
+	insert := prepare(`INSERT INTO y.MEMBERS FROM x IN DEPARTMENTS, y IN x.PROJECTS WHERE x.DNO = ? AND y.PNO = ? VALUES (?, ?)`)
+	remove := prepare(`DELETE z FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS WHERE x.DNO = ? AND z.EMPNO = ?`)
+	exec := func(ps *PreparedStmt, args ...model.Value) {
+		if res, err := ps.Exec(args...); err != nil || res.Count != 1 {
+			t.Fatalf("%s: %d tuples, %v", ps.Text(), res.Count, err)
+		}
+	}
+	dno, pno := depts[3][0], depts[3][2].(*model.Table).Tuples[1][0]
+	const runs = 200
+	budget, empno := 0, 900000
+	for _, c := range []struct {
+		name   string
+		budget float64
+		run    func()
+	}{
+		// Measured 55, 102 and 111; the budgets leave a margin of three.
+		{"UPDATE SET BUDGET", 58, func() { budget++; exec(update, model.Int(budget), dno) }},
+		{"member INSERT", 105, func() { empno++; exec(insert, dno, pno, model.Int(empno), model.Str("Staff")) }},
+		// The members the inserts added, one per run (plus the warm-up).
+		{"member DELETE", 114, func() { exec(remove, dno, model.Int(empno)); empno-- }},
+	} {
+		got := testing.AllocsPerRun(runs, c.run)
+		if got > c.budget {
+			t.Errorf("%s allocates %.0f times, budget %.0f", c.name, got, c.budget)
+		} else {
+			t.Logf("%s allocates %.0f times (budget %.0f)", c.name, got, c.budget)
+		}
+	}
+	decoded := func(dno model.Value) uint64 {
+		before := db.DecodeCount()
+		exec(update, model.Int(1), dno)
+		return db.DecodeCount() - before
+	}
+	if small, large := decoded(dno), decoded(big[0]); small != large {
+		t.Errorf("an UPDATE of BUDGET decodes %d subtuples of a department with 12 members, %d of one with 48", small, large)
 	}
 }

@@ -186,14 +186,13 @@ func (db *DB) DegradeIndex(name string, reason error) {
 	db.quarMu.Lock()
 	db.degraded[name] = reason.Error()
 	db.quarMu.Unlock()
-	// Detach under the heal barrier: readers resolve indexes by name
-	// from the live maps while holding the shared side, and the
-	// scrubber calls in here concurrently with running queries.
-	db.healMu.Lock()
-	db.mu.Lock()
+	// Detach under the DDL locks: writers keep the live indexes under
+	// applyMu, readers resolve them by name from the live maps under the
+	// shared heal barrier, and the scrubber calls in here concurrently
+	// with both.
+	unlock := db.ddlLock()
 	db.detachIndex(name)
-	db.mu.Unlock()
-	db.healMu.Unlock()
+	unlock()
 	// Cached plans may have chosen this index; detach them all. (They
 	// could not have used it anyway — execute-time resolution is by
 	// name against the live maps — but re-binding promptly restores
@@ -233,26 +232,17 @@ func (db *DB) DegradedIndexes() map[string]string {
 // detachIndex removes a live index (value or text) from the runtime
 // maps without touching its catalog definition.
 func (db *DB) detachIndex(name string) {
+	var table string
 	if ix, ok := db.indexByName[name]; ok {
 		delete(db.indexByName, name)
-		list := db.indexes[ix.Def.Table]
-		for i, other := range list {
-			if other == ix {
-				db.indexes[ix.Def.Table] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-	}
-	if ti, ok := db.textByName[name]; ok {
+		table = ix.Table
+	} else if ti, ok := db.textByName[name]; ok {
 		delete(db.textByName, name)
-		list := db.textIdx[ti.Table]
-		for i, other := range list {
-			if other == ti {
-				db.textIdx[ti.Table] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
+		table = ti.Table
+	} else {
+		return
 	}
+	db.live[table] = db.live[table].without(name)
 }
 
 // --- helpers for external integrity tooling -----------------------------

@@ -73,7 +73,7 @@ func (r *runtime) Indexes(table string) []*index.Index {
 	if r.snap.ts != 0 {
 		return nil
 	}
-	return r.db.indexes[table]
+	return r.db.live[table].value
 }
 
 // TextIndexes implements exec.Runtime (nil under the same rule as
@@ -82,7 +82,7 @@ func (r *runtime) TextIndexes(table string) []*textindex.Index {
 	if r.snap.ts != 0 {
 		return nil
 	}
-	return r.db.textIdx[table]
+	return r.db.live[table].text
 }
 
 // IndexCut implements exec.Runtime. An auto-commit statement reads the
@@ -170,6 +170,11 @@ func (db *DB) Refs(table string) ([]page.TID, error) {
 }
 
 // --- DML with index maintenance -----------------------------------------
+//
+// A write on an NF² table gathers its index delta (upkeep.go), mutates
+// and applies the delta only if the mutation succeeded. A failed
+// statement rebuilds every index anyway: its rollback reloads the
+// runtime.
 
 // Insert adds a tuple to a table, maintaining all indexes.
 func (db *DB) Insert(table string, tup model.Tuple) error {
@@ -187,21 +192,18 @@ func (db *DB) Insert(table string, tup model.Tuple) error {
 		}
 		return db.indexFlat(t, tid, tup, true)
 	}
-	m := db.mgrs[table]
-	ref, err := m.Insert(t.Type, tup)
+	ref, err := db.mgrs[table].Insert(t.Type, tup)
 	if err != nil {
 		return err
 	}
-	if err := db.dirAdd(t, ref); err != nil {
-		return db.guardDir(table, err)
-	}
-	return db.guardRead(table, ref, db.indexObject(t, ref, true))
+	return db.RegisterImported(t, ref)
 }
 
 // indexFlat adds (or removes) one flat tuple's entries in all the
 // table's value and text indexes.
 func (db *DB) indexFlat(t *catalog.Table, tid page.TID, tup model.Tuple, add bool) error {
-	for _, ix := range db.indexes[t.Name] {
+	live := db.live[t.Name]
+	for _, ix := range live.value {
 		var err error
 		if add {
 			err = ix.AddFlat(tid, tup, t.Type)
@@ -212,7 +214,7 @@ func (db *DB) indexFlat(t *catalog.Table, tid page.TID, tup model.Tuple, add boo
 			return err
 		}
 	}
-	for _, ti := range db.textIdx[t.Name] {
+	for _, ti := range live.text {
 		s, ok := tup[t.Type.AttrIndex(ti.Path[0])].(model.Str)
 		if !ok {
 			continue
@@ -221,36 +223,6 @@ func (db *DB) indexFlat(t *catalog.Table, tid page.TID, tup model.Tuple, add boo
 			ti.Add(string(s), index.Addr{TID: tid})
 		} else {
 			ti.Remove(string(s), index.Addr{TID: tid})
-		}
-	}
-	return nil
-}
-
-// indexObject adds (or removes) one object's entries in all indexes.
-func (db *DB) indexObject(t *catalog.Table, ref page.TID, add bool) error {
-	m := db.mgrs[t.Name]
-	for _, ix := range db.indexes[t.Name] {
-		var err error
-		if add {
-			err = ix.AddObject(m, t.Type, ref)
-		} else {
-			err = ix.RemoveObject(m, t.Type, ref)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	for _, ti := range db.textIdx[t.Name] {
-		err := db.forEachTextOfObject(t, ref, ti.Path, func(text string, addr index.Addr) error {
-			if add {
-				ti.Add(text, addr)
-			} else {
-				ti.Remove(text, addr)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
 		}
 	}
 	return nil
@@ -279,13 +251,19 @@ func (db *DB) Delete(table string, ref page.TID) error {
 		}
 		return fs.Delete(ref)
 	}
-	if err := db.indexObject(t, ref, false); err != nil {
+	m := db.mgrs[table]
+	d := newDelta(db.live[table], ref)
+	if err := d.walk(m, t.Type, nil, false); err != nil {
 		return db.guardRead(table, ref, err)
 	}
 	if err := db.dirRemove(t, ref); err != nil {
 		return db.guardDir(table, err)
 	}
-	return db.guardRead(table, ref, db.mgrs[table].Delete(t.Type, ref))
+	if err := m.Delete(t.Type, ref); err != nil {
+		return db.guardRead(table, ref, err)
+	}
+	d.apply()
+	return nil
 }
 
 // UpdateAtoms overwrites the atomic attributes of the (sub)object
@@ -315,76 +293,80 @@ func (db *DB) UpdateAtoms(table string, ref page.TID, steps []object.Step, vals 
 		}
 		return db.indexFlat(t, ref, model.Tuple(vals), true)
 	}
-	// Conservative index maintenance: withdraw the object's entries,
-	// mutate, re-add.
-	if err := db.indexObject(t, ref, false); err != nil {
+	d := newDelta(db.live[table], ref)
+	if err := db.mgrs[table].UpdateAtomsProbed(t.Type, ref, steps, vals, d.ix.probes, d.update); err != nil {
 		return db.guardRead(table, ref, err)
 	}
-	m := db.mgrs[table]
-	if err := m.UpdateAtoms(t.Type, ref, vals, steps...); err != nil {
-		db.indexObject(t, ref, true)
-		return db.guardRead(table, ref, err)
-	}
-	return db.guardRead(table, ref, db.indexObject(t, ref, true))
+	d.apply()
+	return nil
 }
 
 // InsertMember adds a member to a subtable of a stored object.
 func (db *DB) InsertMember(table string, ref page.TID, steps []object.Step, attr int, member model.Tuple) error {
-	t, ok := db.cat.Table(table)
-	if !ok {
-		return fmt.Errorf("engine: no table %q", table)
-	}
-	if t.Kind != catalog.Complex {
-		return fmt.Errorf("engine: table %q is flat; subtable DML needs an NF² table", table)
-	}
-	if err := db.quarCheck(table, ref); err != nil {
+	t, err := db.subtableTarget(table, ref)
+	if err != nil {
 		return err
-	}
-	if err := db.autoConflict(table, ref); err != nil {
-		return err
-	}
-	if err := db.indexObject(t, ref, false); err != nil {
-		return db.guardRead(table, ref, err)
 	}
 	m := db.mgrs[table]
-	if err := m.InsertMember(t.Type, ref, steps, attr, -1, member); err != nil {
-		db.indexObject(t, ref, true)
+	pos, err := m.InsertMemberPos(t.Type, ref, steps, attr, -1, member)
+	if err != nil {
 		return db.guardRead(table, ref, err)
 	}
-	return db.guardRead(table, ref, db.indexObject(t, ref, true))
+	d := newDelta(db.live[table], ref)
+	if err := d.walk(m, t.Type, d.member(steps, attr, pos), true); err != nil {
+		return db.guardRead(table, ref, err)
+	}
+	d.apply()
+	return nil
 }
 
 // DeleteMember removes a member of a subtable of a stored object.
 func (db *DB) DeleteMember(table string, ref page.TID, steps []object.Step, attr, pos int) error {
-	t, ok := db.cat.Table(table)
-	if !ok {
-		return fmt.Errorf("engine: no table %q", table)
-	}
-	if t.Kind != catalog.Complex {
-		return fmt.Errorf("engine: table %q is flat; subtable DML needs an NF² table", table)
-	}
-	if err := db.quarCheck(table, ref); err != nil {
+	t, err := db.subtableTarget(table, ref)
+	if err != nil {
 		return err
-	}
-	if err := db.autoConflict(table, ref); err != nil {
-		return err
-	}
-	if err := db.indexObject(t, ref, false); err != nil {
-		return db.guardRead(table, ref, err)
 	}
 	m := db.mgrs[table]
-	if err := m.DeleteMember(t.Type, ref, steps, attr, pos); err != nil {
-		db.indexObject(t, ref, true)
+	d := newDelta(db.live[table], ref)
+	if err := d.walk(m, t.Type, d.member(steps, attr, pos), false); err != nil {
 		return db.guardRead(table, ref, err)
 	}
-	return db.guardRead(table, ref, db.indexObject(t, ref, true))
+	if err := m.DeleteMember(t.Type, ref, steps, attr, pos); err != nil {
+		return db.guardRead(table, ref, err)
+	}
+	d.apply()
+	return nil
+}
+
+// subtableTarget checks a subtable write on object ref of an NF² table
+// and enrolls it in conflict detection.
+func (db *DB) subtableTarget(table string, ref page.TID) (*catalog.Table, error) {
+	t, ok := db.cat.Table(table)
+	if !ok {
+		return nil, fmt.Errorf("engine: no table %q", table)
+	}
+	if t.Kind != catalog.Complex {
+		return nil, fmt.Errorf("engine: table %q is flat; subtable DML needs an NF² table", table)
+	}
+	if err := db.quarCheck(table, ref); err != nil {
+		return nil, err
+	}
+	if err := db.autoConflict(table, ref); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // RegisterImported adds an already-stored object (e.g. one imported
 // from a page-level checkout) to the table's directory and indexes.
 func (db *DB) RegisterImported(t *catalog.Table, ref page.TID) error {
 	if err := db.dirAdd(t, ref); err != nil {
-		return err
+		return db.guardDir(t.Name, err)
 	}
-	return db.indexObject(t, ref, true)
+	d := newDelta(db.live[t.Name], ref)
+	if err := d.walk(db.mgrs[t.Name], t.Type, nil, true); err != nil {
+		return db.guardRead(t.Name, ref, err)
+	}
+	d.apply()
+	return nil
 }

@@ -288,12 +288,17 @@ func (db *DB) dispatch(ctx context.Context, ex *exec.Executor, s stmt, start sta
 	case *sql.DropTable:
 		return message(db.DropTable(st.Name), "table "+st.Name+" dropped")
 	case *sql.CreateIndex:
+		// run holds applyMu and the exclusive heal barrier already.
+		db.mu.Lock()
+		defer db.mu.Unlock()
 		if st.Text {
-			return message(db.CreateTextIndex(st.Name, st.Table, st.Path), "text index "+st.Name+" created")
+			return message(db.addIndex(&catalog.IndexDef{Name: st.Name, Table: st.Table, Path: st.Path, Text: true}), "text index "+st.Name+" created")
 		}
-		return message(db.CreateIndex(st.Name, st.Table, st.Path, st.Using), "index "+st.Name+" created")
+		return message(db.createIndexLocked(st.Name, st.Table, st.Path, st.Using), "index "+st.Name+" created")
 	case *sql.DropIndex:
-		return message(db.DropIndex(st.Name), "index "+st.Name+" dropped")
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		return message(db.dropIndexLocked(st.Name), "index "+st.Name+" dropped")
 	case *sql.AlterTableAdd:
 		return message(db.AlterTableAdd(st.Table, st.Path, st.Type), "table "+st.Table+" altered")
 	case *sql.ShowTables:

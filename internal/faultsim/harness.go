@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/crashsim"
 	"repro/internal/engine"
+	"repro/internal/scrub"
 	"repro/internal/segment"
 	"repro/internal/simkit"
 )
@@ -168,6 +169,12 @@ func RunFaults(wseed, at, burst int64, transient bool) (int64, error) {
 		}
 		if diff := crashsim.CompareState(eng, oracle); diff != "" {
 			return 0, fmt.Errorf("faultsim: final live state differs from oracle: %s", diff)
+		}
+		// The indexes the live engine kept up across the faults, the
+		// aborts and their rollbacks must equal their rebuild from base
+		// data.
+		if err := scrub.IndexesAgree(eng); err != nil {
+			return 0, fmt.Errorf("faultsim: after the faults: %w", err)
 		}
 		// Power cut on top of the soft faults: every statement either
 		// committed (synced) or rolled back, so the recovered state

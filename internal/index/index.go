@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/model"
 	"repro/internal/object"
@@ -93,47 +95,39 @@ func (ix *Index) Depth() int {
 // Key encodes an atomic value as the index key.
 func (ix *Index) Key(v model.Value) ([]byte, error) { return model.EncodeKeyValue(v) }
 
+// Probe names the indexed attribute as an object walk probe.
+func (ix *Index) Probe() object.Probe {
+	return object.Probe{Level: ix.tablePath, Atom: ix.atomPos}
+}
+
+// EntryAddr is the address of the entry a walk hit of object ref makes
+// under the index's address kind. A hierarchical address shares the
+// hit's path: an entry kept in the tree needs a copy.
+func (ix *Index) EntryAddr(ref object.Ref, h *object.Hit) Addr {
+	switch ix.Kind {
+	case Hierarchical:
+		return Addr{TID: ref, Path: h.Path}
+	case DataTID:
+		return Addr{TID: h.Data}
+	}
+	return Addr{TID: ref}
+}
+
 // AddObject indexes every occurrence of the indexed attribute inside
 // one complex object, with addresses according to the index kind.
 func (ix *Index) AddObject(m *object.Manager, tt *model.TableType, ref object.Ref) error {
-	return ix.eachEntry(m, tt, ref, func(key []byte, addr Addr) {
-		ix.tree.Insert(key, addr)
+	return m.WalkProbes(tt, ref, nil, []object.Probe{ix.Probe()}, func(h *object.Hit) error {
+		a := ix.EntryAddr(ref, h)
+		a.Path = slices.Clone(a.Path)
+		ix.tree.Insert(h.Key, a)
+		return nil
 	})
 }
 
 // RemoveObject removes every index entry contributed by the object.
 func (ix *Index) RemoveObject(m *object.Manager, tt *model.TableType, ref object.Ref) error {
-	return ix.eachEntry(m, tt, ref, func(key []byte, addr Addr) {
-		ix.tree.Delete(key, addr)
-	})
-}
-
-func (ix *Index) eachEntry(m *object.Manager, tt *model.TableType, ref object.Ref, fn func(key []byte, addr Addr)) error {
-	return m.EnumLevel(tt, ref, ix.tablePath, func(dpath []page.MiniTID, atoms []model.Value) error {
-		// Data subtuples written before an ALTER TABLE ADD are short;
-		// the missing attribute reads as null.
-		var v model.Value = model.Null{}
-		if ix.atomPos < len(atoms) {
-			v = atoms[ix.atomPos]
-		}
-		key, err := ix.Key(v)
-		if err != nil {
-			return err
-		}
-		var addr Addr
-		switch ix.Kind {
-		case Hierarchical:
-			addr = Addr{TID: ref, Path: append([]page.MiniTID(nil), dpath...)}
-		case RootTID:
-			addr = Addr{TID: ref}
-		case DataTID:
-			tid, err := m.ResolveDataMini(ref, dpath[len(dpath)-1])
-			if err != nil {
-				return err
-			}
-			addr = Addr{TID: tid}
-		}
-		fn(key, addr)
+	return m.WalkProbes(tt, ref, nil, []object.Probe{ix.Probe()}, func(h *object.Hit) error {
+		ix.tree.Delete(h.Key, ix.EntryAddr(ref, h))
 		return nil
 	})
 }
@@ -256,5 +250,33 @@ func IntersectByPrefix(as, bs []Addr, k int) [][2]Addr {
 			out = append(out, [2]Addr{a, b})
 		}
 	}
+	return out
+}
+
+// Diff compares two indexes entry for entry — a live index against its
+// shadow rebuilt from base data — and describes the first difference.
+func Diff(live, shadow *Index) (string, bool) {
+	a, b := live.entries(), shadow.entries()
+	if len(a) != len(b) {
+		return fmt.Sprintf("live index has %d entries, base data implies %d", len(a), len(b)), true
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return fmt.Sprintf("entry mismatch: live %s, expected %s", a[i], b[i]), true
+		}
+	}
+	return "", false
+}
+
+// entries renders the index as sorted "key/addr" strings.
+func (ix *Index) entries() []string {
+	var out []string
+	ix.tree.Range(nil, nil, func(key []byte, addrs []Addr) bool {
+		for _, a := range addrs {
+			out = append(out, fmt.Sprintf("%x/%v/%v", key, a.TID, a.Path))
+		}
+		return true
+	})
+	sort.Strings(out)
 	return out
 }

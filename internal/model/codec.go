@@ -288,6 +288,27 @@ func (a Atom) Compare(v Value) (int, error) {
 	return Compare(a.value(), v)
 }
 
+// AppendKey appends the atom's index key to dst: the bytes
+// EncodeKeyValue gives the decoded atom.
+func (a Atom) AppendKey(dst []byte) []byte {
+	switch a.Kind {
+	case KindInt:
+		return appendOrderedFloat(dst, float64(a.int()))
+	case KindFloat:
+		return appendOrderedFloat(dst, a.float())
+	case KindTime:
+		return appendTimeKey(dst, a.int())
+	case KindBool:
+		if a.w != 0 {
+			return append(dst, 3, 1)
+		}
+		return append(dst, 3, 0)
+	case KindString:
+		return append(append(dst, 4), a.b...)
+	}
+	return append(dst, 0)
+}
+
 // EncodeKeyValue serializes a single atomic value into an
 // order-preserving byte string suitable as a B-tree key: for every
 // pair of values of the same kind, bytes.Compare of the encodings
@@ -303,8 +324,7 @@ func EncodeKeyValue(v Value) ([]byte, error) {
 	case Float:
 		return appendOrderedFloat(nil, float64(x)), nil
 	case Time:
-		b := []byte{2}
-		return binary.BigEndian.AppendUint64(b, uint64(int64(x))^(1<<63)), nil
+		return appendTimeKey(nil, int64(x)), nil
 	case Bool:
 		if x {
 			return []byte{3, 1}, nil
@@ -314,6 +334,10 @@ func EncodeKeyValue(v Value) ([]byte, error) {
 		return append([]byte{4}, x...), nil
 	}
 	return nil, fmt.Errorf("model: cannot encode %s as key", v.Kind())
+}
+
+func appendTimeKey(b []byte, t int64) []byte {
+	return binary.BigEndian.AppendUint64(append(b, 2), uint64(t)^(1<<63))
 }
 
 // appendOrderedFloat encodes a float64 so that lexicographic byte

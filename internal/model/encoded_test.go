@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
@@ -31,27 +32,28 @@ func genAtom(rng *rand.Rand) Value {
 	return Int(rng.Intn(600) - 300)
 }
 
-// decodedCompare is the reference: decode the payload, then Compare.
-func decodedCompare(data []byte, room, i int, lit Value) (int, error) {
+// decodedAtom is the reference: decode the payload and take atom i
+// (null past the atoms written).
+func decodedAtom(data []byte, room, i int) (Value, error) {
 	vals := make([]Value, room)
 	n, err := DecodeAtomsInto(data, vals, nil, nil)
-	if err != nil {
-		return 0, err
+	if err != nil || i >= n {
+		return Null{}, err
 	}
-	v := Value(Null{})
-	if i < n {
-		v = vals[i]
-	}
-	return Compare(v, lit)
+	return vals[i], nil
 }
 
-// checkEncoded holds AtomAt + Atom.Compare to the reference on one
-// payload: the same corruption verdict (a typed error), the same order
-// and the same comparison errors.
+// checkEncoded holds AtomAt + Atom.Compare and Atom.AppendKey to the
+// reference on one payload: the same corruption verdict (a typed error),
+// the same order, the same comparison errors and the same index key.
 func checkEncoded(t *testing.T, data []byte, room, i int, lit Value) {
 	t.Helper()
 	a, err := AtomAt(data, room, i)
-	wantC, wantErr := decodedCompare(data, room, i, lit)
+	v, wantErr := decodedAtom(data, room, i)
+	wantC := 0
+	if wantErr == nil {
+		wantC, wantErr = Compare(v, lit)
+	}
 	if err != nil {
 		if !dberr.IsCorrupt(err) {
 			t.Fatalf("AtomAt(%x) = %v, not a corruption error", data, err)
@@ -67,6 +69,9 @@ func checkEncoded(t *testing.T, data []byte, room, i int, lit Value) {
 	c, err := a.Compare(lit)
 	if (err == nil) != (wantErr == nil) || c != wantC {
 		t.Fatalf("atom %d of %x against %v: encoded %d, %v; decoded %d, %v", i, data, lit, c, err, wantC, wantErr)
+	}
+	if key, err := EncodeKeyValue(v); err != nil || !bytes.Equal(a.AppendKey(nil), key) {
+		t.Fatalf("atom %d of %x: key %x, decoded key %x (%v)", i, data, a.AppendKey(nil), key, err)
 	}
 }
 

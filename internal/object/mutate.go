@@ -30,11 +30,23 @@ func giOf(tt *model.TableType, attr int) (int, error) {
 // the Mini Directory is not changed at all — the separation of
 // structure and data at work.
 func (m *Manager) UpdateAtoms(tt *model.TableType, ref Ref, vals []model.Value, steps ...Step) error {
-	o, lt, lh, err := m.open(tt, ref, 0, steps)
+	return m.UpdateAtomsProbed(tt, ref, steps, vals, nil, nil)
+}
+
+// UpdateAtomsProbed is UpdateAtoms reporting, for every probe at the
+// updated level, the probed atom before and after: fn(old, new) runs
+// once per such probe, before the new payload is written, with the
+// previous payload cut in place by the same object context that writes
+// the new one. Both hits carry the subobject's data path and data TID,
+// which the update does not change. Probes at other levels cannot
+// change and are not looked at; without a probe at the level the
+// previous payload is not read.
+func (m *Manager) UpdateAtomsProbed(tt *model.TableType, ref Ref, steps []Step, vals []model.Value, probes []Probe, fn func(old, new *Hit) error) error {
+	w, lt, lh, err := m.walkTo(tt, ref, steps, probes)
 	if err != nil {
 		return err
 	}
-	defer o.release()
+	defer w.release()
 	idx := lt.AtomicIndexes()
 	if len(vals) != len(idx) {
 		return fmt.Errorf("object: %d atomic values, level has %d atomic attributes", len(vals), len(idx))
@@ -51,7 +63,28 @@ func (m *Manager) UpdateAtoms(tt *model.TableType, ref Ref, vals []model.Value, 
 	if err != nil {
 		return err
 	}
-	return o.update(lh.d, payload)
+	if fn != nil && w.here() {
+		if err := w.view(lt, lh.d); err != nil {
+			return err
+		}
+		n := len(w.hits)
+		if err := w.cut(payload, len(idx)); err != nil {
+			return err
+		}
+		tid, path, err := w.addr(lh.d)
+		if err != nil {
+			return err
+		}
+		for i, before := range w.hits[:n] {
+			after := w.hits[n+i]
+			w.hit[0] = Hit{Probe: before.probe, Path: path, Data: tid, Key: w.keyOf(before)}
+			w.hit[1] = Hit{Probe: after.probe, Path: path, Data: tid, Key: w.keyOf(after)}
+			if err := fn(&w.hit[0], &w.hit[1]); err != nil {
+				return err
+			}
+		}
+	}
+	return w.o.update(lh.d, payload)
 }
 
 // InsertMember inserts a new member tuple into the subtable attr of
@@ -59,26 +92,34 @@ func (m *Manager) UpdateAtoms(tt *model.TableType, ref Ref, vals []model.Value, 
 // ordered subtables the position defines the list order). Only the
 // affected subtable's structural information is rewritten.
 func (m *Manager) InsertMember(tt *model.TableType, ref Ref, steps []Step, attr, pos int, member model.Tuple) error {
+	_, err := m.InsertMemberPos(tt, ref, steps, attr, pos, member)
+	return err
+}
+
+// InsertMemberPos is InsertMember reporting the position the member
+// took: the subtree of the new member is steps followed by
+// Step{attr, position}.
+func (m *Manager) InsertMemberPos(tt *model.TableType, ref Ref, steps []Step, attr, pos int, member model.Tuple) (int, error) {
 	o, rootBody, err := m.loadCtx(ref, 0)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer o.release()
 	h, err := m.rootHandle(tt, rootBody)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	lt, lh, err := o.locate(tt, h, steps)
+	lt, lh, err := o.locate(tt, h, steps, nil)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	gi, err := giOf(lt, attr)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	sub := lt.Attrs[attr].Type.Table
 	if err := model.Conform(sub, member); err != nil {
-		return err
+		return 0, err
 	}
 
 	switch m.layout {
@@ -96,13 +137,13 @@ func (m *Manager) InsertMember(tt *model.TableType, ref Ref, steps []Step, attr,
 			}
 		}
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if m.layout == SS1 {
 			// Splice the pointer into the subtable MD subtuple.
 			raw, err := o.read(lh.subC[gi])
 			if err != nil {
-				return err
+				return 0, err
 			}
 			r := &reader{b: raw}
 			n := r.count()
@@ -111,20 +152,26 @@ func (m *Manager) InsertMember(tt *model.TableType, ref Ref, steps []Step, attr,
 				ptrs[i] = r.mini()
 			}
 			if r.err != nil {
-				return r.err
+				return 0, r.err
+			}
+			if pos < 0 {
+				pos = n
 			}
 			ptrs, err = spliceIn(ptrs, pos, ptr)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			if err := o.update(lh.subC[gi], encodePtrList(ptrs)); err != nil {
-				return err
+				return 0, err
 			}
 		} else {
 			// SS2: the group lives inline in the parent node body.
+			if pos < 0 {
+				pos = len(lh.groups[gi])
+			}
 			g, err := spliceIn(lh.groups[gi], pos, ptr)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			lh.groups[gi] = g
 			nb := m.encodeNode(lh)
@@ -132,7 +179,7 @@ func (m *Manager) InsertMember(tt *model.TableType, ref Ref, steps []Step, attr,
 				rootBody = nb
 				o.dirty = true
 			} else if err := o.update(lh.self, nb); err != nil {
-				return err
+				return 0, err
 			}
 		}
 	case SS3:
@@ -142,22 +189,22 @@ func (m *Manager) InsertMember(tt *model.TableType, ref Ref, steps []Step, attr,
 		if sub.Flat() {
 			d, err := placeAtoms(o, sub, member)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			entry = page.AppendMiniTID(nil, d)
 		} else {
 			entry, err = m.buildLevel(o, sub, member)
 			if err != nil {
-				return err
+				return 0, err
 			}
 		}
 		raw, err := o.read(lh.subC[gi])
 		if err != nil {
-			return err
+			return 0, err
 		}
 		n, sz := binary.Uvarint(raw)
 		if sz <= 0 {
-			return dberr.Corruptf("object: corrupt subtable MD")
+			return 0, dberr.Corruptf("object: corrupt subtable MD")
 		}
 		es := len(entry)
 		bodyBytes := raw[sz:]
@@ -165,26 +212,23 @@ func (m *Manager) InsertMember(tt *model.TableType, ref Ref, steps []Step, attr,
 			pos = int(n)
 		}
 		if pos > int(n) {
-			return fmt.Errorf("%w: position %d of %d members", ErrBadPath, pos, n)
+			return 0, fmt.Errorf("%w: position %d of %d members", ErrBadPath, pos, n)
 		}
 		nb := binary.AppendUvarint(nil, n+1)
 		nb = append(nb, bodyBytes[:pos*es]...)
 		nb = append(nb, entry...)
 		nb = append(nb, bodyBytes[pos*es:]...)
 		if err := o.update(lh.subC[gi], nb); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if o.dirty {
-		return o.flushRoot(rootBody)
+		return pos, o.flushRoot(rootBody)
 	}
-	return nil
+	return pos, nil
 }
 
 func spliceIn(ptrs []page.MiniTID, pos int, ptr page.MiniTID) ([]page.MiniTID, error) {
-	if pos < 0 {
-		pos = len(ptrs)
-	}
 	if pos > len(ptrs) {
 		return nil, fmt.Errorf("%w: position %d of %d members", ErrBadPath, pos, len(ptrs))
 	}
@@ -215,7 +259,7 @@ func (m *Manager) DeleteMember(tt *model.TableType, ref Ref, steps []Step, attr,
 	if err != nil {
 		return err
 	}
-	lt, lh, err := o.locate(tt, h, steps)
+	lt, lh, err := o.locate(tt, h, steps, nil)
 	if err != nil {
 		return err
 	}

@@ -266,13 +266,15 @@ func TestEnumLevel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Enumerate MEMBERS level (PROJECTS attr 2, MEMBERS attr 2).
+		// Enumerate MEMBERS level (PROJECTS attr 2, MEMBERS attr 2), the
+		// text of FUNCTION (its second atom).
 		var paths [][]page.MiniTID
 		var funcs []string
-		err = m.EnumLevel(tt, ref, []int{2, 2}, func(dpath []page.MiniTID, atoms []model.Value) error {
-			cp := append([]page.MiniTID(nil), dpath...)
+		probes := []Probe{{Level: []int{2, 2}, Atom: 1, Text: true}}
+		err = m.WalkProbes(tt, ref, nil, probes, func(h *Hit) error {
+			cp := append([]page.MiniTID(nil), h.Path...)
 			paths = append(paths, cp)
-			funcs = append(funcs, string(atoms[1].(model.Str)))
+			funcs = append(funcs, string(h.Key))
 			return nil
 		})
 		if err != nil {

@@ -283,12 +283,14 @@ type Step struct {
 }
 
 // locate descends to the handle addressed by steps (all with
-// Pos >= 0) and returns it with the type of its level. The descent
+// Pos >= 0) and returns it with the type of its level; path, when
+// non-nil, collects the data-subtuple Mini TIDs of the subobjects the
+// descent passes (the hierarchical data path of Fig 7b). The descent
 // touches only MD subtuples — "navigation in a complex object can be
 // done on the structural information without having to access the
 // data at all" (§4.1) — except SS2/SS1 member-node reads, which are
 // themselves MD subtuples.
-func (o *objCtx) locate(tt *model.TableType, h levelHandle, steps []Step) (*model.TableType, levelHandle, error) {
+func (o *objCtx) locate(tt *model.TableType, h levelHandle, steps []Step, path *[]page.MiniTID) (*model.TableType, levelHandle, error) {
 	cur, curT := h, tt
 	for _, st := range steps {
 		gi, err := giOf(curT, st.Attr)
@@ -304,6 +306,9 @@ func (o *objCtx) locate(tt *model.TableType, h levelHandle, steps []Step) (*mode
 			return nil, levelHandle{}, fmt.Errorf("%w: position %d of %d members", ErrBadPath, st.Pos, len(hs))
 		}
 		cur, curT = hs[st.Pos], sub
+		if path != nil {
+			*path = append(*path, cur.d)
+		}
 	}
 	return curT, cur, nil
 }
@@ -319,7 +324,7 @@ func (m *Manager) open(tt *model.TableType, ref Ref, asof int64, steps []Step) (
 	h, err := m.rootHandle(tt, body)
 	if err == nil {
 		var lt *model.TableType
-		if lt, h, err = o.locate(tt, h, steps); err == nil {
+		if lt, h, err = o.locate(tt, h, steps, nil); err == nil {
 			return o, lt, h, nil
 		}
 	}
@@ -383,59 +388,6 @@ func (m *Manager) ReadDataPath(ref Ref, dpath []page.MiniTID) ([]model.Value, er
 		return nil, fmt.Errorf("object: empty data path")
 	}
 	return o.readAtoms(dpath[len(dpath)-1])
-}
-
-// EnumLevel walks all subobjects at the level reached by following
-// tablePath (attribute indexes of table-valued attributes, outermost
-// first; empty = the objects' top level) and calls fn with each
-// subobject's hierarchical data path (Fig 7b: data subtuple Mini TIDs
-// of the subobjects from nesting level 1 down to this one — for the
-// top level, just its own data subtuple) and its atomic values. The
-// path slice is reused from call to call; fn copies what it keeps.
-// Used to build indexes with hierarchical addresses.
-func (m *Manager) EnumLevel(tt *model.TableType, ref Ref, tablePath []int, fn func(dpath []page.MiniTID, atoms []model.Value) error) error {
-	o, _, h, err := m.open(tt, ref, 0, nil)
-	if err != nil {
-		return err
-	}
-	defer o.release()
-	if len(tablePath) == 0 {
-		atoms, err := o.readAtoms(h.d)
-		if err != nil {
-			return err
-		}
-		return fn([]page.MiniTID{h.d}, atoms)
-	}
-	return o.enumLevel(tt, &h, tablePath, make([]page.MiniTID, 0, len(tablePath)), fn)
-}
-
-func (o *objCtx) enumLevel(tt *model.TableType, h *levelHandle, tablePath []int, prefix []page.MiniTID, fn func([]page.MiniTID, []model.Value) error) error {
-	gi, err := giOf(tt, tablePath[0])
-	if err != nil {
-		return err
-	}
-	sub := tt.Attrs[tablePath[0]].Type.Table
-	hs, err := o.memberHandles(sub, h, gi)
-	if err != nil {
-		return err
-	}
-	for i := range hs {
-		path := append(prefix, hs[i].d)
-		if len(tablePath) > 1 {
-			if err := o.enumLevel(sub, &hs[i], tablePath[1:], path, fn); err != nil {
-				return err
-			}
-			continue
-		}
-		atoms, err := o.readAtoms(hs[i].d)
-		if err != nil {
-			return err
-		}
-		if err := fn(path, atoms); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Stats describes the physical composition of one complex object —
@@ -551,18 +503,6 @@ func (o *objCtx) statsLevel(tt *model.TableType, h *levelHandle, s *Stats) error
 	return nil
 }
 
-// ResolveDataMini translates a Mini TID of the object's local address
-// space into its segment TID — used to build indexes with data-
-// subtuple addresses (the first, insufficient strategy of §4.2).
-func (m *Manager) ResolveDataMini(ref Ref, mt page.MiniTID) (page.TID, error) {
-	o, _, err := m.loadCtx(ref, 0)
-	if err != nil {
-		return page.TID{}, err
-	}
-	defer o.release()
-	return o.resolve(mt)
-}
-
 // DataPathAt returns the hierarchical data path (the Mini TIDs of the
 // data subtuples of the complex subobjects from level 1 down to the
 // target) for the subobject addressed by steps; empty steps address
@@ -576,14 +516,9 @@ func (m *Manager) DataPathAt(tt *model.TableType, ref Ref, steps ...Step) ([]pag
 	if len(steps) == 0 {
 		return []page.MiniTID{h.d}, nil
 	}
-	var path []page.MiniTID
-	cur, curT := h, tt
-	for _, st := range steps {
-		curT, cur, err = o.locate(curT, cur, []Step{st})
-		if err != nil {
-			return nil, err
-		}
-		path = append(path, cur.d)
+	path := make([]page.MiniTID, 0, len(steps))
+	if _, _, err := o.locate(tt, h, steps, &path); err != nil {
+		return nil, err
 	}
 	return path, nil
 }

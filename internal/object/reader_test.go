@@ -147,9 +147,9 @@ func TestReadErrorsLeaveNothingPinned(t *testing.T) {
 				if _, err := m.ObjectStats(tt, ref); asof == 0 && (err == nil || !want(err)) {
 					t.Errorf("%s: ObjectStats = %v", name, err)
 				}
-				err := m.EnumLevel(tt, ref, []int{2, 2}, func([]page.MiniTID, []model.Value) error { return nil })
+				err := m.WalkProbes(tt, ref, nil, []Probe{{Level: []int{2, 2}}}, func(*Hit) error { return nil })
 				if asof == 0 && (err == nil || !want(err)) {
-					t.Errorf("%s: EnumLevel = %v", name, err)
+					t.Errorf("%s: WalkProbes = %v", name, err)
 				}
 				if n := pool.PinnedCount(); n != 0 {
 					t.Errorf("%s: %d pages pinned after failed walks", name, n)
@@ -164,12 +164,12 @@ func TestReadErrorsLeaveNothingPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dpath, err := m.DataPathAt(tt, ref, Step{Attr: 2, Pos: 9}, Step{Attr: 2, Pos: 39})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tid, err := m.ResolveDataMini(ref, dpath[len(dpath)-1])
-			if err != nil {
+			var tid page.TID
+			last := []Step{{Attr: 2, Pos: 9}, {Attr: 2, Pos: 39}}
+			if err := m.WalkProbes(tt, ref, last, []Probe{{Level: []int{2, 2}}}, func(h *Hit) error {
+				tid = h.Data
+				return nil
+			}); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.Delete(tid); err != nil {

@@ -123,8 +123,9 @@ func Run(db *engine.DB, opts Options) (*Report, error) {
 		return nil, err
 	}
 	// Degradations are applied after the View: DegradeIndex detaches
-	// the live index under the exclusive heal barrier, which cannot be
-	// taken while View holds the shared side.
+	// the live index under the DDL locks (applyMu and the exclusive heal
+	// barrier), which cannot be taken while View holds applyMu and the
+	// shared side.
 	for _, d := range degrade {
 		db.DegradeIndex(d.name, d.reason)
 	}
@@ -286,6 +287,22 @@ func scrubComplexTable(db *engine.DB, t *catalog.Table, opts Options, r *Report)
 	}
 }
 
+// IndexesAgree scrubs the database and fails if a live value or text
+// index disagrees with its rebuild from base data: the check the
+// live-engine simulators end with, proof that index upkeep kept up.
+func IndexesAgree(db *engine.DB) error {
+	r, err := Run(db, Options{})
+	if err != nil {
+		return err
+	}
+	for _, f := range r.Findings {
+		if f.Kind == IndexDiverged || f.Kind == TextDiverged {
+			return fmt.Errorf("scrub: %s %s of %s: %s", f.Kind, f.Index, f.Table, f.Detail)
+		}
+	}
+	return nil
+}
+
 // degradeReq is a deferred DegradeIndex call: scrubIndexes runs
 // inside a View (shared heal barrier held) and the detach needs the
 // exclusive side, so divergent indexes are collected and degraded by
@@ -323,7 +340,7 @@ func scrubIndexes(db *engine.DB, opts Options, r *Report) []degradeReq {
 						Detail: "live text index missing"})
 					continue
 				}
-				if detail, diverged := diffText(live, shadowTi); diverged {
+				if detail, diverged := textindex.Diff(live, shadowTi); diverged {
 					r.add(Finding{Kind: TextDiverged, Table: t.Name, Index: def.Name, Detail: detail})
 					if opts.Quarantine {
 						degrade = append(degrade, degradeReq{def.Name, fmt.Errorf("scrub: %s", detail)})
@@ -337,7 +354,7 @@ func scrubIndexes(db *engine.DB, opts Options, r *Report) []degradeReq {
 					Detail: "live index missing"})
 				continue
 			}
-			if detail, diverged := diffIndex(live, shadowIx); diverged {
+			if detail, diverged := index.Diff(live, shadowIx); diverged {
 				r.add(Finding{Kind: IndexDiverged, Table: t.Name, Index: def.Name, Detail: detail})
 				if opts.Quarantine {
 					degrade = append(degrade, degradeReq{def.Name, fmt.Errorf("scrub: %s", detail)})
@@ -346,57 +363,4 @@ func scrubIndexes(db *engine.DB, opts Options, r *Report) []degradeReq {
 		}
 	}
 	return degrade
-}
-
-// flatten serializes a value index into sorted "key/addr" strings.
-func flatten(ix *index.Index) []string {
-	var out []string
-	ix.Tree().Range(nil, nil, func(key []byte, addrs []index.Addr) bool {
-		for _, a := range addrs {
-			out = append(out, fmt.Sprintf("%x/%v/%v", key, a.TID, a.Path))
-		}
-		return true
-	})
-	sort.Strings(out)
-	return out
-}
-
-// diffIndex compares two value indexes entry-for-entry.
-func diffIndex(live, shadow *index.Index) (string, bool) {
-	a, b := flatten(live), flatten(shadow)
-	if len(a) != len(b) {
-		return fmt.Sprintf("live index has %d entries, base data implies %d", len(a), len(b)), true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Sprintf("entry mismatch: live %s, expected %s", a[i], b[i]), true
-		}
-	}
-	return "", false
-}
-
-// flattenText serializes a text index into sorted "word/addr" strings.
-func flattenText(ix *textindex.Index) []string {
-	var out []string
-	ix.Walk(func(word string, addrs []index.Addr) {
-		for _, a := range addrs {
-			out = append(out, fmt.Sprintf("%s/%v/%v", word, a.TID, a.Path))
-		}
-	})
-	sort.Strings(out)
-	return out
-}
-
-// diffText compares two text indexes posting-for-posting.
-func diffText(live, shadow *textindex.Index) (string, bool) {
-	a, b := flattenText(live), flattenText(shadow)
-	if len(a) != len(b) {
-		return fmt.Sprintf("live text index has %d postings, base data implies %d", len(a), len(b)), true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Sprintf("posting mismatch: live %s, expected %s", a[i], b[i]), true
-		}
-	}
-	return "", false
 }

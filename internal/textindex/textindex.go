@@ -14,6 +14,7 @@
 package textindex
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -401,3 +402,31 @@ func matchWord[T string | []byte](mask string, w T) bool {
 
 // DistinctRoots deduplicates search results to object roots.
 func DistinctRoots(addrs []index.Addr) []page.TID { return index.DistinctRoots(addrs) }
+
+// Diff compares two text indexes posting for posting — a live index
+// against its shadow rebuilt from base data — and describes the first
+// difference.
+func Diff(live, shadow *Index) (string, bool) {
+	a, b := live.postingList(), shadow.postingList()
+	if len(a) != len(b) {
+		return fmt.Sprintf("live text index has %d postings, base data implies %d", len(a), len(b)), true
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return fmt.Sprintf("posting mismatch: live %s, expected %s", a[i], b[i]), true
+		}
+	}
+	return "", false
+}
+
+// postingList renders the index as sorted "word/addr" strings.
+func (ix *Index) postingList() []string {
+	var out []string
+	ix.Walk(func(word string, addrs []index.Addr) {
+		for _, a := range addrs {
+			out = append(out, fmt.Sprintf("%s/%v/%v", word, a.TID, a.Path))
+		}
+	})
+	sort.Strings(out)
+	return out
+}

@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/scrub"
 )
 
 // Config parameterizes one simulation run.
@@ -153,6 +154,13 @@ func Run(cfg Config) (Result, error) {
 	s.res.Checks++
 	if fmt.Sprint(sorted(got)) != fmt.Sprint(sorted(s.committed)) {
 		return fail(cfg.Steps, "final state diverged:\nengine: %v\noracle: %v", sorted(got), sorted(s.committed))
+	}
+	if cfg.Indexed {
+		// The indexes the schedule kept up to date must equal their
+		// rebuild from the final base data.
+		if err := scrub.IndexesAgree(db); err != nil {
+			return fail(cfg.Steps, "%v", err)
+		}
 	}
 	return s.res, nil
 }
