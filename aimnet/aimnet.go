@@ -74,11 +74,13 @@ type Conn struct {
 	// request-response per session.
 	mu sync.Mutex
 	// wmu serializes frame writes so a Cancel from the context watcher
-	// never interleaves with a request write.
-	wmu sync.Mutex
+	// never interleaves with a request write; wbuf, the frame being
+	// written, is used under it.
+	wmu  sync.Mutex
+	wbuf []byte
 
 	c         net.Conn
-	br        *bufio.Reader
+	fr        *netproto.FrameReader // payloads valid until the next read
 	sessionID uint64
 	txnOpen   bool
 	closed    bool
@@ -110,13 +112,13 @@ func dialOnce(addr string, opts Options) (*Conn, error) {
 		return nil, err
 	}
 	nc.SetDeadline(time.Now().Add(opts.DialTimeout))
-	c := &Conn{opts: opts, c: nc, br: bufio.NewReader(nc)}
+	c := &Conn{opts: opts, c: nc, fr: netproto.NewFrameReader(bufio.NewReader(nc))}
 	hello := &netproto.Hello{Version: netproto.Version, Client: opts.Client}
 	if err := netproto.WriteFrame(nc, netproto.TypeHello, hello.Encode()); err != nil {
 		nc.Close()
 		return nil, err
 	}
-	typ, payload, err := netproto.ReadFrame(c.br)
+	typ, payload, err := c.fr.Read()
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("aimnet: handshake: %w", err)
@@ -193,10 +195,19 @@ func (c *Conn) Close() error {
 	return c.c.Close()
 }
 
+// writeFrame writes one frame in one socket write.
 func (c *Conn) writeFrame(typ byte, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return netproto.WriteFrame(c.c, typ, payload)
+	b, err := netproto.AppendFrame(c.wbuf[:0], typ, payload)
+	if err != nil {
+		return err
+	}
+	if cap(b) <= netproto.BufSize {
+		c.wbuf = b
+	}
+	_, err = c.c.Write(b)
+	return err
 }
 
 // watchCancel forwards a context cancellation as a Cancel frame while
@@ -263,7 +274,7 @@ func (c *Conn) execOnce(ctx context.Context, script string) ([]Result, error) {
 	if err := c.writeFrame(netproto.TypeExec, m.Encode()); err != nil {
 		return nil, c.die(err)
 	}
-	typ, payload, err := netproto.ReadFrame(c.br)
+	typ, payload, err := c.fr.Read()
 	if err != nil {
 		return nil, c.die(err)
 	}
@@ -325,7 +336,7 @@ func (c *Conn) Info(ctx context.Context) (map[string]int64, error) {
 	if err := c.writeFrame(netproto.TypeInfo, nil); err != nil {
 		return nil, c.die(err)
 	}
-	typ, payload, err := netproto.ReadFrame(c.br)
+	typ, payload, err := c.fr.Read()
 	if err != nil {
 		return nil, c.die(err)
 	}

@@ -21,11 +21,16 @@ import (
 // client stalls the server after at most Window rows — bounded memory
 // on both sides.
 type Rows struct {
-	c      *Conn
-	ctx    context.Context
-	stop   func()
-	typ    *model.TableType
-	tup    model.Tuple
+	c    *Conn
+	ctx  context.Context
+	stop func()
+	typ  *model.TableType
+	tup  model.Tuple
+	// slab holds the atoms of the rows decoded since the last credit
+	// grant. Its chunks are never reused, so a tuple Next returned stays
+	// valid; a fresh slab per grant keeps what one retained tuple can
+	// hold alive within a window's worth of rows.
+	slab   model.Slab
 	err    error
 	done   bool
 	closed bool
@@ -68,7 +73,7 @@ func (c *Conn) queryOnce(ctx context.Context, sqlText string) (*Rows, error) {
 // Close.
 func (c *Conn) startStream(ctx context.Context) (*Rows, error) {
 	stop := c.watchCancel(ctx)
-	typ, payload, err := netproto.ReadFrame(c.br)
+	typ, payload, err := c.fr.Read()
 	if err != nil {
 		stop()
 		c.mu.Unlock()
@@ -112,20 +117,21 @@ func (r *Rows) Next() bool {
 			return false
 		}
 		r.remaining += grant
+		r.slab = model.Slab{}
 	}
-	typ, payload, err := netproto.ReadFrame(r.c.br)
+	typ, payload, err := r.c.fr.Read()
 	if err != nil {
 		r.fail(r.c.die(err))
 		return false
 	}
 	switch typ {
 	case netproto.TypeRow:
-		m, err := netproto.DecodeRow(payload)
+		tup, err := netproto.DecodeRowSlab(payload, &r.slab)
 		if err != nil {
 			r.fail(r.c.die(err))
 			return false
 		}
-		r.tup = m.Tuple
+		r.tup = tup
 		r.n++
 		if r.remaining > 0 {
 			r.remaining--
@@ -166,7 +172,9 @@ func (r *Rows) finish(txnOpen bool) {
 	r.c.mu.Unlock()
 }
 
-// Tuple is the current row (valid until the next Next).
+// Tuple is the current row. The tuple and its values are the caller's
+// to keep: they stay valid and unchanged after later Next calls and
+// after Close.
 func (r *Rows) Tuple() model.Tuple { return r.tup }
 
 // Err reports the error that ended iteration, if any.
@@ -199,7 +207,7 @@ func (r *Rows) Close() error {
 	}
 	// Drain in-flight rows until the server's Done/Error.
 	for !r.done {
-		typ, payload, err := netproto.ReadFrame(r.c.br)
+		typ, payload, err := r.c.fr.Read()
 		if err != nil {
 			r.fail(r.c.die(err))
 			r.finish(r.c.txnOpen)
@@ -259,7 +267,7 @@ func (c *Conn) prepareOnce(ctx context.Context, sqlText string) (*Stmt, error) {
 	if err := c.writeFrame(netproto.TypePrepare, m.Encode()); err != nil {
 		return nil, c.die(err)
 	}
-	typ, payload, err := netproto.ReadFrame(c.br)
+	typ, payload, err := c.fr.Read()
 	if err != nil {
 		return nil, c.die(err)
 	}
@@ -316,7 +324,7 @@ func (s *Stmt) execOnce(ctx context.Context, args []model.Value) (Result, error)
 	if err := s.c.writeFrame(netproto.TypeStmtExec, payload); err != nil {
 		return Result{}, s.c.die(err)
 	}
-	typ, resp, err := netproto.ReadFrame(s.c.br)
+	typ, resp, err := s.c.fr.Read()
 	if err != nil {
 		return Result{}, s.c.die(err)
 	}
@@ -385,7 +393,7 @@ func (s *Stmt) Close() error {
 	if err := s.c.writeFrame(netproto.TypeStmtClose, m.Encode()); err != nil {
 		return s.c.die(err)
 	}
-	typ, payload, err := netproto.ReadFrame(s.c.br)
+	typ, payload, err := s.c.fr.Read()
 	if err != nil {
 		return s.c.die(err)
 	}

@@ -54,10 +54,10 @@ type preparedMode struct {
 
 // preparedRung pairs the two modes at one client count.
 type preparedRung struct {
-	Clients    int            `json:"clients"`
-	Unprepared preparedMode   `json:"unprepared"`
-	Prepared   preparedMode   `json:"prepared"`
-	Speedup    float64        `json:"speedup_prepared_vs_unprepared"`
+	Clients    int          `json:"clients"`
+	Unprepared preparedMode `json:"unprepared"`
+	Prepared   preparedMode `json:"prepared"`
+	Speedup    float64      `json:"speedup_prepared_vs_unprepared"`
 }
 
 // preparedReport is the JSON artifact of one prepared-ladder run.

@@ -60,7 +60,7 @@ type wgen struct {
 	nextID   int
 	emps     []int
 	hist     []int
-	depts    map[string][]int       // live DNOs per complex table
+	depts    map[string][]int         // live DNOs per complex table
 	projects map[string]map[int][]int // live PNOs per table and DNO
 }
 

@@ -32,6 +32,7 @@ type NetCounters struct {
 	BytesIn      atomic.Uint64 // payload bytes read from clients
 	BytesOut     atomic.Uint64 // payload bytes written to clients
 	RowsStreamed atomic.Uint64 // result rows sent over row streams
+	Writes       atomic.Uint64 // socket writes to clients (one carries one or more whole frames)
 }
 
 // NoteSessionOpen records an admitted session, maintaining the peak.
@@ -78,6 +79,7 @@ type NetStats struct {
 	BytesIn      uint64
 	BytesOut     uint64
 	RowsStreamed uint64
+	Writes       uint64
 }
 
 // Snapshot reads the counters. Each field is read atomically; the
@@ -100,6 +102,7 @@ func (c *NetCounters) Snapshot() NetStats {
 		BytesIn:       c.BytesIn.Load(),
 		BytesOut:      c.BytesOut.Load(),
 		RowsStreamed:  c.RowsStreamed.Load(),
+		Writes:        c.Writes.Load(),
 	}
 }
 

@@ -135,6 +135,7 @@ func TestNetCountersMonotonic(t *testing.T) {
 				ctr.BytesIn.Add(17)
 				ctr.BytesOut.Add(23)
 				ctr.RowsStreamed.Add(3)
+				ctr.Writes.Add(1)
 				ctr.StmtsInFlight.Add(-1)
 				ctr.SessionsOpen.Add(-1)
 			}
@@ -145,7 +146,8 @@ func TestNetCountersMonotonic(t *testing.T) {
 		s := db.NetStats()
 		if s.SessionsTotal < last.SessionsTotal || s.StmtsTotal < last.StmtsTotal ||
 			s.BytesIn < last.BytesIn || s.BytesOut < last.BytesOut ||
-			s.RowsStreamed < last.RowsStreamed || s.SessionsPeak < last.SessionsPeak {
+			s.RowsStreamed < last.RowsStreamed || s.Writes < last.Writes ||
+			s.SessionsPeak < last.SessionsPeak {
 			t.Fatalf("counter went backwards: %+v -> %+v", last, s)
 		}
 		if s.SessionsOpen < 0 || s.StmtsInFlight < 0 || s.QueueDepth < 0 {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -10,43 +11,99 @@ import (
 
 // EncodeAtoms serializes a list of atomic values into the byte payload
 // of a data subtuple. The format is self-describing: a uvarint count
-// followed by, per value, one kind tag byte (0 for null) and a
-// kind-dependent payload. Ints and Times use zigzag varints, Floats 8
-// little-endian bytes, Strings a uvarint length prefix.
+// followed by, per value, one atom as AppendAtom writes it.
 func EncodeAtoms(vals []Value) ([]byte, error) {
 	buf := make([]byte, 0, 16+8*len(vals))
 	buf = binary.AppendUvarint(buf, uint64(len(vals)))
 	for i, v := range vals {
-		if IsNull(v) {
-			buf = append(buf, 0)
-			continue
-		}
-		switch x := v.(type) {
-		case Int:
-			buf = append(buf, byte(KindInt))
-			buf = binary.AppendVarint(buf, int64(x))
-		case Float:
-			buf = append(buf, byte(KindFloat))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(x)))
-		case Str:
-			buf = append(buf, byte(KindString))
-			buf = binary.AppendUvarint(buf, uint64(len(x)))
-			buf = append(buf, x...)
-		case Bool:
-			buf = append(buf, byte(KindBool))
-			if x {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-		case Time:
-			buf = append(buf, byte(KindTime))
-			buf = binary.AppendVarint(buf, int64(x))
-		default:
+		var err error
+		if buf, err = AppendAtom(buf, v); err != nil {
 			return nil, fmt.Errorf("model: cannot encode value %d of kind %s as atom", i, v.Kind())
 		}
 	}
 	return buf, nil
+}
+
+// AppendAtom appends one atomic value to dst: its kind tag byte (0 for
+// null) and a kind-dependent payload. Ints and Times use zigzag
+// varints, Floats 8 little-endian bytes, Strings a uvarint length
+// prefix, Bools one byte. The storage layer's data subtuples and the
+// wire protocol's values both write atoms this way. A table is not an
+// atom; for one, dst comes back unchanged with an error.
+func AppendAtom(dst []byte, v Value) ([]byte, error) {
+	if IsNull(v) {
+		return append(dst, byte(KindInvalid)), nil
+	}
+	switch x := v.(type) {
+	case Int:
+		return binary.AppendVarint(append(dst, byte(KindInt)), int64(x)), nil
+	case Float:
+		return binary.LittleEndian.AppendUint64(append(dst, byte(KindFloat)), math.Float64bits(float64(x))), nil
+	case Str:
+		dst = binary.AppendUvarint(append(dst, byte(KindString)), uint64(len(x)))
+		return append(dst, x...), nil
+	case Bool:
+		if x {
+			return append(dst, byte(KindBool), 1), nil
+		}
+		return append(dst, byte(KindBool), 0), nil
+	case Time:
+		return binary.AppendVarint(append(dst, byte(KindTime)), int64(x)), nil
+	}
+	return dst, fmt.Errorf("model: cannot encode value of kind %s as atom", v.Kind())
+}
+
+// The faults DecodeAtom reports. They say what is wrong with the atom
+// alone; a caller says where it was and what it means (corrupt storage,
+// a bad wire payload).
+var (
+	errAtomTruncated = errors.New("truncated")
+	errAtomVarint    = errors.New("bad varint")
+	errAtomFloat     = errors.New("short float")
+	errAtomString    = errors.New("bad string")
+	errAtomBool      = errors.New("short bool")
+)
+
+// DecodeAtom decodes the atom at the start of p, as AppendAtom wrote
+// it, and returns it with the number of bytes it took. p is only read:
+// the value owns its bytes. With a slab the value lives in it (see
+// Slab); with nil it is a heap box of its own. rest is the number of
+// atoms left to decode, counting this one: the slab sizes a new chunk
+// by it. A table's tag is not an atom's and is reported as unknown.
+func DecodeAtom(p []byte, slab *Slab, rest int) (Value, int, error) {
+	if len(p) == 0 {
+		return nil, 0, errAtomTruncated
+	}
+	tag := Kind(p[0])
+	p = p[1:]
+	switch tag {
+	case KindInvalid:
+		return Null{}, 1, nil
+	case KindInt, KindTime:
+		x, m := binary.Varint(p)
+		if m <= 0 {
+			return nil, 0, errAtomVarint
+		}
+		return slab.word(tag, uint64(x), rest), 1 + m, nil
+	case KindFloat:
+		if len(p) < 8 {
+			return nil, 0, errAtomFloat
+		}
+		return slab.word(tag, binary.LittleEndian.Uint64(p), rest), 9, nil
+	case KindString:
+		l, m := binary.Uvarint(p)
+		if m <= 0 || uint64(len(p)-m) < l {
+			return nil, 0, errAtomString
+		}
+		end := m + int(l)
+		return slab.str(p[m:end], rest, len(p)), 1 + end, nil
+	case KindBool:
+		if len(p) < 1 {
+			return nil, 0, errAtomBool
+		}
+		return Bool(p[0] != 0), 2, nil
+	}
+	return nil, 0, fmt.Errorf("unknown kind tag %d", tag)
 }
 
 // DecodeAtoms parses a data-subtuple payload produced by EncodeAtoms.
@@ -84,44 +141,11 @@ func DecodeAtomsInto(data []byte, dst []Value, slots []int, slab *Slab) (int, er
 		return 0, err
 	}
 	for i := 0; i < n; i++ {
-		if len(p) == 0 {
-			return 0, dberr.Corruptf("model: corrupt atom payload: truncated at value %d", i)
+		v, m, err := DecodeAtom(p, slab, n-i)
+		if err != nil {
+			return 0, dberr.Corruptf("model: corrupt atom payload: %v at value %d", err, i)
 		}
-		tag := Kind(p[0])
-		p = p[1:]
-		var v Value
-		switch tag {
-		case KindInvalid:
-			v = Null{}
-		case KindInt, KindTime:
-			x, m := binary.Varint(p)
-			if m <= 0 {
-				return 0, dberr.Corruptf("model: corrupt atom payload: bad varint at value %d", i)
-			}
-			p = p[m:]
-			v = slab.word(tag, uint64(x), n-i)
-		case KindFloat:
-			if len(p) < 8 {
-				return 0, dberr.Corruptf("model: corrupt atom payload: short float at value %d", i)
-			}
-			v = slab.word(tag, binary.LittleEndian.Uint64(p), n-i)
-			p = p[8:]
-		case KindString:
-			l, m := binary.Uvarint(p)
-			if m <= 0 || uint64(len(p)-m) < l {
-				return 0, dberr.Corruptf("model: corrupt atom payload: bad string at value %d", i)
-			}
-			v = slab.str(p[m:uint64(m)+l], n-i, len(p))
-			p = p[uint64(m)+l:]
-		case KindBool:
-			if len(p) < 1 {
-				return 0, dberr.Corruptf("model: corrupt atom payload: short bool at value %d", i)
-			}
-			v = Bool(p[0] != 0)
-			p = p[1:]
-		default:
-			return 0, dberr.Corruptf("model: corrupt atom payload: unknown kind tag %d at value %d", tag, i)
-		}
+		p = p[m:]
 		if slots != nil {
 			dst[slots[i]] = v
 		} else {

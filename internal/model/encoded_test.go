@@ -215,3 +215,30 @@ func TestSlabGrowsGeometrically(t *testing.T) {
 		t.Errorf("decoding 8192 atoms into one slab allocates %.0f times", allocs)
 	}
 }
+
+// Tuples carved from a slab are independent: filling one, or appending
+// past its room, never writes into another. A nil slab allocates them.
+func TestSlabTuple(t *testing.T) {
+	slab := new(Slab)
+	var tuples []Tuple
+	for i := 0; i < 100; i++ {
+		tup := slab.Tuple(3)
+		if len(tup) != 0 || cap(tup) != 3 {
+			t.Fatalf("tuple %d: len %d cap %d", i, len(tup), cap(tup))
+		}
+		tuples = append(tuples, append(tup, Int(i), Int(i+1), Int(i+2)))
+	}
+	grown := append(tuples[0], Str("past its room"))
+	for i, tup := range tuples {
+		if len(tup) != 3 || tup[0] != Int(i) || tup[2] != Int(i+2) {
+			t.Fatalf("tuple %d is %v", i, tup)
+		}
+	}
+	if len(grown) != 4 || grown[0] != Int(0) {
+		t.Fatalf("grown tuple is %v", grown)
+	}
+	var none *Slab
+	if tup := none.Tuple(2); len(tup) != 0 || cap(tup) != 2 {
+		t.Fatalf("nil slab: len %d cap %d", len(tup), cap(tup))
+	}
+}

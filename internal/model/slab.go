@@ -30,15 +30,18 @@ import (
 //     size and alignment, and no pointers for the collector to miss.
 
 // Slab is the backing store of the atoms one read decodes (see
-// DecodeAtomsInto). Its chunks grow geometrically, a new one at least as
-// large as what is left of the payload being decoded, so a read of n
-// atoms costs O(log n) allocations. The zero value is ready to use; a
-// nil *Slab boxes every value on the heap. A Slab is used by one
-// goroutine; the Values it hands out may be shared freely.
+// DecodeAtom and DecodeAtomsInto), and of the tuples a wire row stream
+// decodes (see Tuple). Its chunks grow geometrically, a new one at
+// least as large as what is left of the payload being decoded, so a
+// read of n atoms costs O(log n) allocations. The zero value is ready
+// to use; a nil *Slab boxes every value on the heap. A Slab is used by
+// one goroutine; the Values and Tuples it hands out may be shared
+// freely.
 type Slab struct {
 	words []uint64 // Int, Float and Time atoms
 	strs  []Str
-	bytes []byte // the bytes of strs
+	bytes []byte  // the bytes of strs
+	vals  []Value // the slots of the tuples Tuple hands out
 }
 
 // boxFree reports whether Go boxes an 8-byte scalar of this bit pattern
@@ -116,4 +119,17 @@ func (s *Slab) str(b []byte, rest, left int) Value {
 	s.bytes = append(s.bytes, b...)
 	s.strs = append(s.strs, Str(unsafe.String(&s.bytes[n], len(b))))
 	return boxAt(strProto, unsafe.Pointer(&s.strs[len(s.strs)-1]))
+}
+
+// Tuple returns an empty tuple with room for n values, carved from the
+// slab; a nil *Slab allocates it. Its capacity ends at n, so appending
+// past n moves it and never writes into a neighbour's slots.
+func (s *Slab) Tuple(n int) Tuple {
+	if s == nil {
+		return make(Tuple, 0, n)
+	}
+	grow(&s.vals, n, n)
+	k := len(s.vals)
+	s.vals = s.vals[:k+n]
+	return s.vals[k : k : k+n]
 }

@@ -3,7 +3,6 @@ package netproto
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/model"
 )
@@ -16,9 +15,9 @@ import (
 
 type enc struct{ b []byte }
 
-func (e *enc) uvarint(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) varint(v int64)    { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) byte(v byte)       { e.b = append(e.b, v) }
+func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
+func (e *enc) byte(v byte)      { e.b = append(e.b, v) }
 func (e *enc) bool(v bool) {
 	if v {
 		e.byte(1)
@@ -26,12 +25,14 @@ func (e *enc) bool(v bool) {
 		e.byte(0)
 	}
 }
-func (e *enc) string(s string)   { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *enc) float(f float64)   { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(f)) }
+func (e *enc) string(s string) { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
 
 type dec struct {
 	b   []byte
 	err error
+	// slab holds the atoms decoded values point into; nil boxes each
+	// on the heap (see model.Slab).
+	slab *model.Slab
 }
 
 func (d *dec) fail(format string, args ...any) {
@@ -95,19 +96,6 @@ func (d *dec) string() string {
 	return s
 }
 
-func (d *dec) float() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.fail("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
 // done checks that the payload was consumed exactly.
 func (d *dec) done() error {
 	if d.err == nil && len(d.b) != 0 {
@@ -124,41 +112,28 @@ const maxDepth = 64
 
 func (e *enc) value(v model.Value) error { return e.valueDepth(v, 0) }
 
+// valueDepth writes a table as its kind tag, order flag and tuples, and
+// every other value as the storage layer's atom (model.AppendAtom).
 func (e *enc) valueDepth(v model.Value, depth int) error {
 	if depth > maxDepth {
 		return fmt.Errorf("netproto: value nesting exceeds %d", maxDepth)
 	}
-	if model.IsNull(v) {
-		e.byte(byte(model.KindInvalid))
+	x, ok := v.(*model.Table)
+	if !ok {
+		b, err := model.AppendAtom(e.b, v)
+		if err != nil {
+			return fmt.Errorf("netproto: %w", err)
+		}
+		e.b = b
 		return nil
 	}
-	switch x := v.(type) {
-	case model.Int:
-		e.byte(byte(model.KindInt))
-		e.varint(int64(x))
-	case model.Float:
-		e.byte(byte(model.KindFloat))
-		e.float(float64(x))
-	case model.Str:
-		e.byte(byte(model.KindString))
-		e.string(string(x))
-	case model.Bool:
-		e.byte(byte(model.KindBool))
-		e.bool(bool(x))
-	case model.Time:
-		e.byte(byte(model.KindTime))
-		e.varint(int64(x))
-	case *model.Table:
-		e.byte(byte(model.KindTable))
-		e.bool(x.Ordered)
-		e.uvarint(uint64(len(x.Tuples)))
-		for _, tup := range x.Tuples {
-			if err := e.tupleDepth(tup, depth+1); err != nil {
-				return err
-			}
+	e.byte(byte(model.KindTable))
+	e.bool(x.Ordered)
+	e.uvarint(uint64(len(x.Tuples)))
+	for _, tup := range x.Tuples {
+		if err := e.tupleDepth(tup, depth+1); err != nil {
+			return err
 		}
-	default:
-		return fmt.Errorf("netproto: cannot encode value of kind %s", v.Kind())
 	}
 	return nil
 }
@@ -175,41 +150,40 @@ func (e *enc) tupleDepth(t model.Tuple, depth int) error {
 	return nil
 }
 
-func (d *dec) value() model.Value { return d.valueDepth(0) }
+func (d *dec) value() model.Value { return d.valueDepth(0, 1) }
 
-func (d *dec) valueDepth(depth int) model.Value {
+// valueDepth decodes one value; rest is the number of values left in
+// the tuple it belongs to, counting this one (the slab's size hint). A
+// bad atom is a protocol fault, never storage corruption: its error
+// does not wrap dberr.ErrCorrupt, so Classify cannot report it as one.
+func (d *dec) valueDepth(depth, rest int) model.Value {
 	if depth > maxDepth {
 		d.fail("value nesting exceeds %d", maxDepth)
 		return nil
 	}
-	switch k := model.Kind(d.byte()); k {
-	case model.KindInvalid:
-		return model.Null{}
-	case model.KindInt:
-		return model.Int(d.varint())
-	case model.KindFloat:
-		return model.Float(d.float())
-	case model.KindString:
-		return model.Str(d.string())
-	case model.KindBool:
-		return model.Bool(d.bool())
-	case model.KindTime:
-		return model.Time(d.varint())
-	case model.KindTable:
-		tbl := &model.Table{Ordered: d.bool()}
-		n := d.uvarint()
-		if n > uint64(len(d.b))+1 {
-			d.fail("table tuple count %d exceeds payload", n)
-			return nil
-		}
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			tbl.Append(d.tupleDepth(depth + 1))
-		}
-		return tbl
-	default:
-		d.fail("unknown value kind tag %d", k)
+	if d.err != nil {
 		return nil
 	}
+	if len(d.b) == 0 || model.Kind(d.b[0]) != model.KindTable {
+		v, n, err := model.DecodeAtom(d.b, d.slab, rest)
+		if err != nil {
+			d.fail("bad value: %v", err)
+			return nil
+		}
+		d.b = d.b[n:]
+		return v
+	}
+	d.b = d.b[1:]
+	tbl := &model.Table{Ordered: d.bool()}
+	n := d.uvarint()
+	if n > uint64(len(d.b))+1 {
+		d.fail("table tuple count %d exceeds payload", n)
+		return nil
+	}
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		tbl.Append(d.tupleDepth(depth + 1))
+	}
+	return tbl
 }
 
 func (d *dec) tuple() model.Tuple { return d.tupleDepth(0) }
@@ -220,9 +194,9 @@ func (d *dec) tupleDepth(depth int) model.Tuple {
 		d.fail("tuple arity %d exceeds payload", n)
 		return nil
 	}
-	tup := make(model.Tuple, 0, n)
+	tup := d.slab.Tuple(int(n))
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		tup = append(tup, d.valueDepth(depth))
+		tup = append(tup, d.valueDepth(depth, int(n-i)))
 	}
 	return tup
 }

@@ -13,6 +13,10 @@
 // a torn or hostile length prefix can cost at most one allocation of
 // MaxFrame bytes, never an unbounded one.
 //
+// Several frames may share one socket write (the server batches a
+// reply's frames, see AppendFrame and AppendRow), but a write holds
+// only whole frames, so a failed write never splits one.
+//
 // The message payloads use the same self-describing varint encoding as
 // the storage layer (see codec.go): NF² values — including arbitrarily
 // nested tables — and table types travel losslessly, and typed error
@@ -25,6 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/model"
 )
 
 // Version is the protocol version exchanged in the handshake. A server
@@ -73,19 +79,51 @@ const (
 // ErrFrameTooLarge reports a length prefix beyond MaxFrame.
 var ErrFrameTooLarge = errors.New("netproto: frame exceeds MaxFrame")
 
-// WriteFrame writes one frame. The caller provides the payload without
-// the type byte.
-func WriteFrame(w io.Writer, typ byte, payload []byte) error {
+// BufSize is the size at which a batching writer flushes its frames
+// to the socket, and the largest frame buffer a reader or writer keeps
+// for the next frame: a buffer grown past it for one big frame is
+// dropped, so a session's buffers stay this small between frames.
+const BufSize = 64 << 10
+
+// AppendFrame appends one frame to dst: the header and the payload
+// (without the type byte). A payload too large for a frame leaves dst
+// as it was. A writer may batch frames appended this way into one
+// socket write, as long as each write holds whole frames: a write that
+// fails then never leaves a half frame for the peer to misparse as the
+// next frame's header.
+func AppendFrame(dst []byte, typ byte, payload []byte) ([]byte, error) {
 	if len(payload)+1 > MaxFrame {
-		return ErrFrameTooLarge
+		return dst, ErrFrameTooLarge
 	}
-	hdr := make([]byte, 5, 5+len(payload))
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload)+1))
-	hdr[4] = typ
-	// One Write call per frame: a frame is either fully queued to the
-	// socket or fails as a unit, so a failed write never leaves a half
-	// frame for the peer to misparse as the next frame's header.
-	_, err := w.Write(append(hdr, payload...))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)+1))
+	return append(append(dst, typ), payload...), nil
+}
+
+// AppendRow appends a whole Row frame carrying t to dst, encoding the
+// tuple in place after a header it patches last. On error dst comes
+// back as it was.
+func AppendRow(dst []byte, t model.Tuple) ([]byte, error) {
+	start := len(dst)
+	e := enc{b: append(dst, 0, 0, 0, 0, TypeRow)}
+	if err := e.tuple(t); err != nil {
+		return dst, err
+	}
+	n := len(e.b) - start - 4
+	if n > MaxFrame {
+		return dst, ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(e.b[start:], uint32(n))
+	return e.b, nil
+}
+
+// WriteFrame writes one frame in one Write call. The caller provides
+// the payload without the type byte.
+func WriteFrame(w io.Writer, typ byte, payload []byte) error {
+	b, err := AppendFrame(make([]byte, 0, 5+len(payload)), typ, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
 	return err
 }
 
@@ -94,6 +132,33 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 // as io.EOF.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var hdr [5]byte
+	return readFrame(r, &hdr, nil)
+}
+
+// FrameReader reads the frames of one stream into memory it reuses: a
+// header scratch and a payload buffer of up to BufSize bytes.
+type FrameReader struct {
+	r   io.Reader
+	hdr [5]byte
+	buf []byte
+}
+
+// NewFrameReader reads frames from r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// Read reads the next frame as ReadFrame does. The payload is valid
+// only until the next Read: a caller that keeps it past then copies it.
+func (fr *FrameReader) Read() (typ byte, payload []byte, err error) {
+	typ, payload, err = readFrame(fr.r, &fr.hdr, fr.buf)
+	if cap(payload) > cap(fr.buf) && cap(payload) <= BufSize {
+		fr.buf = payload[:0]
+	}
+	return typ, payload, err
+}
+
+// readFrame reads one frame, its header into hdr and its payload into
+// buf when it fits, else into a new slice.
+func readFrame(r io.Reader, hdr *[5]byte, buf []byte) (typ byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return 0, nil, err
 	}
@@ -114,7 +179,11 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	if n == 1 {
 		return typ, nil, nil
 	}
-	payload = make([]byte, n-1)
+	if int(n-1) <= cap(buf) {
+		payload = buf[:n-1]
+	} else {
+		payload = make([]byte, n-1)
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

@@ -326,9 +326,18 @@ func (m *Row) Encode() ([]byte, error) {
 }
 
 func DecodeRow(p []byte) (*Row, error) {
-	d := dec{b: p}
-	m := &Row{Tuple: d.tuple()}
-	return m, d.done()
+	t, err := DecodeRowSlab(p, nil)
+	return &Row{Tuple: t}, err
+}
+
+// DecodeRowSlab decodes a Row payload into a tuple whose slots and
+// atoms live in slab (nil: on the heap, a box per atom). p is only
+// read: the tuple owns its bytes, so p's buffer may take the next frame
+// at once.
+func DecodeRowSlab(p []byte, slab *model.Slab) (model.Tuple, error) {
+	d := dec{b: p, slab: slab}
+	t := d.tuple()
+	return t, d.done()
 }
 
 // Done ends a row stream.

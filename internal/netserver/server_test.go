@@ -441,7 +441,7 @@ func TestInfoOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info["sessions_open"] < 1 || info["stmts_total"] < 1 || info["bytes_out"] == 0 {
+	if info["sessions_open"] < 1 || info["stmts_total"] < 1 || info["bytes_out"] == 0 || info["writes"] < 2 {
 		t.Fatalf("implausible info: %v", info)
 	}
 	// The wire snapshot is the same counter block aim.Stats surfaces.

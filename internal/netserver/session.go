@@ -2,6 +2,7 @@ package netserver
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -33,6 +34,10 @@ type frame struct {
 //     prepared-statement registry, the one open row stream. It executes
 //     one request at a time, so session state never needs a lock.
 //
+// The worker appends every frame it sends to one output buffer and
+// writes the buffer to the socket at a few points only (see flush), so
+// a reply that fits the client's credit window is one socket write.
+//
 // Teardown runs exactly once, in the worker, on every exit path —
 // clean Goodbye, dead peer, torn frame, protocol error, idle timeout,
 // drain, hard kill — and always rolls back the open transaction
@@ -43,7 +48,7 @@ type session struct {
 	srv  *Server
 	id   uint64
 	conn net.Conn
-	br   *bufio.Reader
+	fr   *netproto.FrameReader
 
 	// ctx is the session's base context; kill() cancels it.
 	ctx    context.Context
@@ -74,6 +79,11 @@ type session struct {
 	stmts    map[uint64]*engine.PreparedStmt
 	nextStmt uint64
 
+	// out holds the whole frames written since the last flush, and
+	// outBytes their payload bytes (type byte included) for BytesOut.
+	out      []byte
+	outBytes uint64
+
 	// Exit bookkeeping for the drained/killed counters.
 	drained bool
 	failed  bool
@@ -85,7 +95,7 @@ func newSession(s *Server, id uint64, conn net.Conn) *session {
 		srv:      s,
 		id:       id,
 		conn:     conn,
-		br:       bufio.NewReader(conn),
+		fr:       netproto.NewFrameReader(bufio.NewReader(conn)),
 		ctx:      ctx,
 		cancel:   cancel,
 		reqs:     make(chan frame, 1),
@@ -130,7 +140,7 @@ func (sess *session) cancelInFlight() bool {
 // teardown, shared by every path.
 func (sess *session) run() {
 	defer sess.teardown()
-	if err := sess.handshake(); err != nil {
+	if err := sess.handshake(); !sess.flush() || err != nil {
 		sess.failed = true
 		return
 	}
@@ -145,6 +155,7 @@ func (sess *session) run() {
 				Message:    "server draining",
 				RetryAfter: sess.srv.opts.RetryAfter,
 			})
+			sess.flush()
 			return
 		case f, ok := <-sess.reqs:
 			if !ok {
@@ -153,7 +164,8 @@ func (sess *session) run() {
 				return
 			}
 			sess.conn.SetReadDeadline(time.Time{})
-			if exit := sess.handle(f); exit {
+			// The end of every reply is a flush point.
+			if exit := sess.handle(f); !sess.flush() || exit {
 				return
 			}
 		}
@@ -192,7 +204,7 @@ func (sess *session) teardown() {
 // HelloOK.
 func (sess *session) handshake() error {
 	sess.conn.SetReadDeadline(time.Now().Add(sess.srv.opts.HandshakeTimeout))
-	typ, payload, err := netproto.ReadFrame(sess.br)
+	typ, payload, err := sess.fr.Read()
 	if err != nil {
 		return err
 	}
@@ -220,16 +232,17 @@ func (sess *session) handshake() error {
 }
 
 // readLoop owns the socket's read side. Out-of-band frames act
-// immediately; everything else is handed to the worker. Any read error
-// (dead peer, torn frame, idle/kill deadline) closes reqs, which the
-// worker treats as session end.
+// immediately; everything else is handed to the worker in a copy of its
+// own, since the worker reads it while the next frame is read. Any read
+// error (dead peer, torn frame, idle/kill deadline) closes reqs, which
+// the worker treats as session end.
 func (sess *session) readLoop() {
 	defer func() {
 		close(sess.peerGone)
 		close(sess.reqs)
 	}()
 	for {
-		typ, payload, err := netproto.ReadFrame(sess.br)
+		typ, payload, err := sess.fr.Read()
 		if err != nil {
 			return
 		}
@@ -249,7 +262,7 @@ func (sess *session) readLoop() {
 			sess.wakeFlow()
 		default:
 			select {
-			case sess.reqs <- frame{typ, payload}:
+			case sess.reqs <- frame{typ, bytes.Clone(payload)}:
 			case <-sess.dying:
 				return
 			}
@@ -264,17 +277,63 @@ func (sess *session) wakeFlow() {
 	}
 }
 
-// write sends one frame, bounded by WriteTimeout so a stalled client
-// cannot pin the worker. Returns false when the session must die.
+// write appends one frame to the output buffer. Returns false when the
+// session must die.
 func (sess *session) write(typ byte, payload []byte) bool {
-	if d := sess.srv.opts.WriteTimeout; d > 0 {
-		sess.conn.SetWriteDeadline(time.Now().Add(d))
-	}
-	if err := netproto.WriteFrame(sess.conn, typ, payload); err != nil {
+	out, err := netproto.AppendFrame(sess.out, typ, payload)
+	if err != nil {
 		sess.failed = true
 		return false
 	}
-	sess.srv.ctr.BytesOut.Add(uint64(len(payload)) + 1)
+	return sess.queue(out, len(payload)+1)
+}
+
+// send writes one frame and flushes it at once, for the frames of a
+// replication stream, which the follower needs as they are made.
+func (sess *session) send(typ byte, payload []byte) bool {
+	return sess.write(typ, payload) && sess.flush()
+}
+
+// queue takes the output buffer back with one more frame of n payload
+// bytes (type byte included) appended, and flushes it once it reaches
+// netproto.BufSize. Returns false when the session must die.
+func (sess *session) queue(out []byte, n int) bool {
+	sess.out = out
+	sess.outBytes += uint64(n)
+	return len(out) < netproto.BufSize || sess.flush()
+}
+
+// flush writes the buffered frames in one socket write, bounded by
+// WriteTimeout so a stalled client cannot pin the worker. The worker
+// flushes at the end of every reply, in a stream before it parks for
+// credit (so the client holds every row it was granted credit for and
+// can grant more), and when the buffer reaches netproto.BufSize. A
+// buffer grown past that for one big frame is dropped, not kept.
+// Returns false when the session must die.
+func (sess *session) flush() bool {
+	if sess.failed {
+		return false
+	}
+	if len(sess.out) == 0 {
+		return true
+	}
+	if d := sess.srv.opts.WriteTimeout; d > 0 {
+		sess.conn.SetWriteDeadline(time.Now().Add(d))
+	}
+	// Counted first: a client that has read the reply sees it counted.
+	ctr := sess.srv.ctr
+	ctr.Writes.Add(1)
+	if _, err := sess.conn.Write(sess.out); err != nil {
+		sess.failed = true
+		return false
+	}
+	ctr.BytesOut.Add(sess.outBytes)
+	sess.outBytes = 0
+	if cap(sess.out) > netproto.BufSize {
+		sess.out = nil
+	} else {
+		sess.out = sess.out[:0]
+	}
 	return true
 }
 
@@ -576,7 +635,7 @@ func (sess *session) stream(ctx context.Context, rows *engine.Rows, window uint3
 			return sess.write(netproto.TypeDone, done.Encode())
 		}
 		if err := sess.takeCredit(ctx); err != nil {
-			return sess.writeErr(err)
+			return !sess.failed && sess.writeErr(err)
 		}
 		if sess.abort.Load() {
 			continue // takeCredit returned because of the abort
@@ -584,11 +643,12 @@ func (sess *session) stream(ctx context.Context, rows *engine.Rows, window uint3
 		if !rows.Next() {
 			break
 		}
-		rp, err := (&netproto.Row{Tuple: rows.Tuple()}).Encode()
+		start := len(sess.out)
+		out, err := netproto.AppendRow(sess.out, rows.Tuple())
 		if err != nil {
 			return sess.writeErr(err)
 		}
-		if !sess.write(netproto.TypeRow, rp) {
+		if !sess.queue(out, len(out)-start-4) {
 			return false
 		}
 		sent++
@@ -602,9 +662,11 @@ func (sess *session) stream(ctx context.Context, rows *engine.Rows, window uint3
 }
 
 // takeCredit consumes one row credit, waiting for a Fetch grant when
-// the window is exhausted. It returns early (without consuming) when
-// the stream is aborted, and errors when the statement is canceled or
-// the session dies.
+// the window is exhausted. Before it waits it flushes the rows buffered
+// so far: the client grants more credit only for rows it has read. It
+// returns early (without consuming) when the stream is aborted, and
+// errors when the statement is canceled, the session dies or the flush
+// fails (with sess.failed set).
 func (sess *session) takeCredit(ctx context.Context) error {
 	for {
 		c := sess.credits.Load()
@@ -616,6 +678,9 @@ func (sess *session) takeCredit(ctx context.Context) error {
 		}
 		if sess.abort.Load() {
 			return nil
+		}
+		if !sess.flush() {
+			return errors.New("write failed mid-stream")
 		}
 		select {
 		case <-sess.flowCh:
@@ -649,6 +714,7 @@ func (sess *session) sendInfo() bool {
 		{Key: "bytes_in", Val: int64(st.BytesIn)},
 		{Key: "bytes_out", Val: int64(st.BytesOut)},
 		{Key: "rows_streamed", Val: int64(st.RowsStreamed)},
+		{Key: "writes", Val: int64(st.Writes)},
 	}}
 	return sess.write(netproto.TypeInfoResp, resp.Encode())
 }

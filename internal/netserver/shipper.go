@@ -94,7 +94,7 @@ func (sess *session) doRepl(from uint64) bool {
 		}
 		if len(data) > 0 {
 			b := &netproto.ReplBatch{From: pos, DurableEnd: log.SyncedThrough(), Data: data}
-			if !sess.write(netproto.TypeReplBatch, b.Encode()) {
+			if !sess.send(netproto.TypeReplBatch, b.Encode()) {
 				return true
 			}
 			ctr.BatchesShipped.Add(1)
@@ -113,7 +113,7 @@ func (sess *session) doRepl(from uint64) bool {
 		case <-ch:
 		case <-timer.C:
 			hb := &netproto.ReplBatch{From: cur.Pos(), DurableEnd: log.SyncedThrough()}
-			if !sess.write(netproto.TypeReplBatch, hb.Encode()) {
+			if !sess.send(netproto.TypeReplBatch, hb.Encode()) {
 				return true
 			}
 		case <-sess.drainCh:
@@ -146,7 +146,7 @@ func (sess *session) shipSnapshot(db *engine.DB) (end uint64, ok bool) {
 	for _, s := range snap.Segs {
 		begin.Segs = append(begin.Segs, netproto.ReplSnapSeg{Seg: uint32(s.ID), Pages: s.Pages})
 	}
-	if !sess.write(netproto.TypeReplSnapBegin, begin.Encode()) {
+	if !sess.send(netproto.TypeReplSnapBegin, begin.Encode()) {
 		return 0, false
 	}
 	for _, s := range snap.Segs {
@@ -156,7 +156,7 @@ func (sess *session) shipSnapshot(db *engine.DB) (end uint64, ok bool) {
 				hi = len(s.Data)
 			}
 			m := &netproto.ReplSnapPages{Seg: uint32(s.ID), First: uint32(off/page.Size) + 1, Data: s.Data[off:hi]}
-			if !sess.write(netproto.TypeReplSnapPages, m.Encode()) {
+			if !sess.send(netproto.TypeReplSnapPages, m.Encode()) {
 				return 0, false
 			}
 		}
@@ -167,11 +167,11 @@ func (sess *session) shipSnapshot(db *engine.DB) (end uint64, ok bool) {
 			hi = len(snap.WAL)
 		}
 		m := &netproto.ReplSnapPages{WAL: true, Data: snap.WAL[off:hi]}
-		if !sess.write(netproto.TypeReplSnapPages, m.Encode()) {
+		if !sess.send(netproto.TypeReplSnapPages, m.Encode()) {
 			return 0, false
 		}
 	}
-	if !sess.write(netproto.TypeReplSnapEnd, (&netproto.ReplSnapEnd{WALEnd: snap.WALEnd()}).Encode()) {
+	if !sess.send(netproto.TypeReplSnapEnd, (&netproto.ReplSnapEnd{WALEnd: snap.WALEnd()}).Encode()) {
 		return 0, false
 	}
 	return snap.WALEnd(), true
