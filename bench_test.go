@@ -14,7 +14,8 @@
 //     size (§4.1);
 //   - BenchmarkTextSearch: masked search with and without the
 //     word-fragment text index (§5);
-//   - BenchmarkASOF: time-version chain walks (§5);
+//   - BenchmarkASOF: reading the oldest state of a time-version
+//     chain, O(log versions) hops over its skip pointers (§5);
 //   - BenchmarkExistsVsAll: quantifier evaluation (§3 Examples 5-6).
 package aim
 
@@ -416,7 +417,7 @@ func BenchmarkTextSearch(b *testing.B) {
 // --- §5: ASOF version chains -------------------------------------------------
 
 func BenchmarkASOF(b *testing.B) {
-	for _, depth := range []int{1, 10, 100} {
+	for _, depth := range []int{1, 10, 100, 1000} {
 		b.Run(fmt.Sprintf("versions=%d", depth), func(b *testing.B) {
 			pool := buffer.NewPool(1 << 16)
 			pool.Register(1, segment.NewMemStore())

@@ -160,10 +160,10 @@ func TestMeasureCheckoutShape(t *testing.T) {
 	}
 }
 
-// ASOF: reading the oldest version walks the chain; the newest is a
-// constant number of fetches.
+// ASOF: reading the oldest version hops down the chain in O(log
+// versions) records; the newest is a constant number of fetches.
 func TestMeasureASOFShape(t *testing.T) {
-	rows, err := MeasureASOF([]int{1, 10, 50})
+	rows, err := MeasureASOF([]int{1, 10, 50, 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,5 +175,8 @@ func TestMeasureASOFShape(t *testing.T) {
 	}
 	if rows[2].DecodedLatest > 4 {
 		t.Errorf("latest-version read cost %d; should be constant", rows[2].DecodedLatest)
+	}
+	if r := rows[3]; r.DecodedOldest > 28 {
+		t.Errorf("oldest of %d versions decodes %d records; the jump pointers allow 3⌈log₂(versions+1)⌉−2 = 28", r.Versions, r.DecodedOldest)
 	}
 }

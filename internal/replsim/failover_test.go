@@ -97,6 +97,21 @@ func TestFailoverDrill(t *testing.T) {
 // barrier (so it really streams), and the table spans several pages
 // (so most of it is read after the world moved).
 func TestReplicaCursorSnapshotStable(t *testing.T) {
+	replicaCursorSnapshotStable(t, 7)
+}
+
+// TestReplicaCursorSnapshotStableGrowingUpdate is the same scenario
+// with an UPDATE that grows every row past the room left on its page,
+// so rows the cursor has yet to reach are relocated to later pages
+// under it: the cursor must still return each row once, in its state
+// at the horizon.
+func TestReplicaCursorSnapshotStableGrowingUpdate(t *testing.T) {
+	replicaCursorSnapshotStable(t, 7000000000000)
+}
+
+// replicaCursorSnapshotStable runs the scenario of the two tests above,
+// setting V to newV in every row while the cursor is open.
+func replicaCursorSnapshotStable(t *testing.T, newV int64) {
 	leakCheck(t)
 	primary, srv := startPrimary(t, engine.Options{})
 	f := startFollower(t, srv.Addr(), t.TempDir())
@@ -141,7 +156,7 @@ func TestReplicaCursorSnapshotStable(t *testing.T) {
 	// Groups that change every remaining row land and are applied while
 	// the cursor is mid-stream.
 	for _, q := range []string{
-		`UPDATE x IN KV SET V = 7 WHERE x.K >= 0`,
+		fmt.Sprintf(`UPDATE x IN KV SET V = %d WHERE x.K >= 0`, newV),
 		fmt.Sprintf(`DELETE x FROM x IN KV WHERE x.K >= %d`, n/2),
 		`INSERT INTO KV VALUES (1000, 1), (1001, 1), (1002, 1)`,
 	} {

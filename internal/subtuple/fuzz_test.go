@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/dberr"
+	"repro/internal/page"
 	"repro/internal/segment"
 )
 
@@ -48,12 +49,54 @@ func FuzzSubtupleHeader(f *testing.F) {
 	})
 }
 
+// plant stores rec as a raw record image, bypassing the encoder —
+// exactly what bit rot inside a record produces — and after it two
+// well-formed records it can point at: an oldest version stamped 1 and
+// a current record stamped 1. In a fresh store they land at TIDs 1.0,
+// 1.1 and 1.2 unless rec fills the page.
+func plant(s *Store, rec []byte) (page.TID, error) {
+	tid, err := s.insertRawAnywhere(rec)
+	if err != nil {
+		return page.TID{}, err
+	}
+	for _, flags := range []byte{fVer | fOld, fVer} {
+		if _, err := s.insertRawAnywhere([]byte{flags, 0x02, 0, 0, 0, 0, 0, 0, 0, 'o'}); err != nil {
+			return page.TID{}, err
+		}
+	}
+	return tid, nil
+}
+
+// jumpSeeds are records with a jump pointer for the version-walk fuzz
+// targets, planted at 1.0 in front of plant's two records: an old
+// version stamped 3 (varint 0x06) whose previous version is 1.1, with
+// depth, jump length, jump target and jump stamp delta varied.
+var jumpSeeds = [][]byte{
+	// Well formed: one version down to 1.1, stamped 3-2 = 1.
+	{fVer | fOld | fJump, 0x06, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0x04, 'x'},
+	// A jump longer than the depth.
+	{fVer | fOld | fJump, 0x06, 0, 1, 0, 0, 0, 1, 0, 1, 2, 1, 0, 0, 0, 1, 0, 0x04, 'x'},
+	// A jump to itself.
+	{fVer | fOld | fJump, 0x06, 0, 1, 0, 0, 0, 1, 0, 2, 1, 1, 0, 0, 0, 0, 0, 0x00, 'x'},
+	// A jump to a record that is not an old version (1.2), stamped 2.
+	{fVer | fOld | fJump, 0x06, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 2, 0, 0x02, 'x'},
+	// A jump whose stamp (3-1 = 2) is not its target's (1).
+	{fVer | fOld | fJump, 0x06, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0x02, 'x'},
+	// An old version with a previous version and no jump pointer.
+	{fVer | fOld, 0x06, 0, 1, 0, 0, 0, 1, 0, 'x'},
+	// A jump pointer on a current record.
+	{fVer | fJump, 0x06, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0x04, 'x'},
+}
+
 // FuzzReaderView plants arbitrary bytes as a raw record image and
 // reads them through the in-place Reader, current and as of an
 // instant, next to the copying reference read. Both must agree on the
 // outcome — payload, absence, or a classified error — and the Reader
 // must leave no page pinned whichever way it went.
 func FuzzReaderView(f *testing.F) {
+	for _, seed := range jumpSeeds {
+		f.Add(seed)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 'h', 'i'})
 	f.Add([]byte{fTomb})
@@ -69,7 +112,7 @@ func FuzzReaderView(f *testing.F) {
 		pool := buffer.NewPool(16)
 		pool.Register(segment.ID(9), segment.NewMemStore())
 		s := New(Config{Pool: pool, Seg: segment.ID(9)})
-		tid, err := s.insertRawAnywhere(rec)
+		tid, err := plant(s, rec)
 		if err != nil {
 			return // record too large to plant; nothing to test
 		}
@@ -106,15 +149,16 @@ func FuzzVersionWalk(f *testing.F) {
 	f.Add([]byte{fTomb})
 	f.Add([]byte{fVer, 0x04, 0, 0, 0, 0, 0, 0, 'x'})
 	f.Add([]byte{fOld, 'p', 'a', 'y'})
+	for _, seed := range jumpSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		pool := buffer.NewPool(16)
 		pool.Register(segment.ID(9), segment.NewMemStore())
 		var clk int64
 		s := New(Config{Pool: pool, Seg: segment.ID(9), Versioned: true,
 			Clock: func() int64 { clk++; return clk }})
-		// Plant the fuzzed bytes as the raw record image, bypassing the
-		// encoder — exactly what bit rot inside a record produces.
-		tid, err := s.insertRawAnywhere(rec)
+		tid, err := plant(s, rec)
 		if err != nil {
 			return // record too large to plant; nothing to test
 		}

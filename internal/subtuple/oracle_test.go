@@ -11,7 +11,8 @@ import (
 // the reference the Reader is tested against: every record on the way
 // — forwarding stubs, each version, overflow chunks — is pinned,
 // latched, copied out and unpinned on its own (readRaw), then parsed
-// from the copy, and the version walk guards against cycles with a map.
+// from the copy. The version walk takes the same hops as the Reader's,
+// jump pointers included, and checks each with checkHop.
 //
 // One thing it does as the Reader does, not as the old read did: the
 // overflow chain is assembled for the version that is returned only,
@@ -27,21 +28,26 @@ func readCopying(s *Store, t page.TID, ts int64) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	seen := make(map[page.TID]bool)
 	for d.flags&fVer != 0 && d.fromTS > ts {
 		if d.prev.Nil() {
 			return nil, false, nil // did not exist yet
 		}
-		if seen[d.prev] {
-			return nil, false, dberr.Corruptf("subtuple: version chain cycle at %v", d.prev)
+		viaJump := d.flags&fJump != 0 && d.jumpTS > ts
+		at := d.prev
+		if viaJump {
+			at = d.jump
 		}
-		seen[d.prev] = true
-		if raw, err = s.readRaw(d.prev); err != nil {
+		if raw, err = s.readRaw(at); err != nil {
 			return nil, false, broken("version chain", err)
 		}
-		if d, err = s.decodeHeader(raw); err != nil {
+		n, err := s.decodeHeader(raw)
+		if err == nil {
+			err = checkHop(d, n, viaJump, at)
+		}
+		if err != nil {
 			return nil, false, err
 		}
+		d = n
 	}
 	if d.flags&fLong != 0 {
 		if d.payload, err = s.readLong(d); err != nil {

@@ -140,50 +140,64 @@ const Current int64 = math.MaxInt64
 // successful View with ok the caller must call Done before the next
 // View; the payload is dead after Done. A record with an overflow
 // chain is assembled into a fresh slice by the copying fallback.
+//
+// The walk takes a version's jump pointer whenever its target is still
+// newer than asof, its prev pointer otherwise: O(log versions) hops to
+// any instant (Store.link), each checked by checkHop.
 func (r *Reader) View(t page.TID, asof int64) (payload []byte, ok bool, err error) {
 	_, rec, err := r.resolve(t)
 	if err != nil {
 		return nil, false, err
 	}
-	// Brent's cycle detection over the version chain: mark remembers the
-	// TID seen at the last power-of-two hop, so a chain that loops meets
-	// it again without any bookkeeping that grows with the chain.
-	var mark page.TID
-	hops, power := 0, 1
-	for {
-		d, err := r.s.decodeHeader(rec)
-		if err != nil {
-			r.Done()
-			return nil, false, err
-		}
-		if d.flags&fVer == 0 || d.fromTS <= asof {
-			if d.flags&fLong != 0 {
-				r.Done()
-				if d.payload, err = r.s.readLong(d); err != nil {
-					return nil, false, err
-				}
-			}
-			if d.flags&fTomb != 0 {
-				r.Done()
-				return nil, false, nil
-			}
-			return d.payload, true, nil
-		}
+	d, err := r.s.decodeHeader(rec)
+	if err != nil {
+		r.Done()
+		return nil, false, err
+	}
+	for d.flags&fVer != 0 && d.fromTS > asof {
 		r.Done()
 		if d.prev.Nil() {
 			return nil, false, nil // did not exist yet
 		}
-		if d.prev == mark {
-			return nil, false, dberr.Corruptf("subtuple: version chain cycle at %v", d.prev)
-		}
-		if hops++; hops == power {
-			mark, power = d.prev, power*2
-		}
-		// A previous version that cannot be read is lost history.
-		if rec, err = r.record(d.prev); err != nil {
-			return nil, false, broken("version chain", err)
+		if d, err = r.hop(d, d.flags&fJump != 0 && d.jumpTS > asof); err != nil {
+			return nil, false, err
 		}
 	}
+	if d.flags&fLong != 0 {
+		r.Done()
+		if d.payload, err = r.s.readLong(d); err != nil {
+			return nil, false, err
+		}
+	}
+	if d.flags&fTomb != 0 {
+		r.Done()
+		return nil, false, nil
+	}
+	return d.payload, true, nil
+}
+
+// hop steps from version d to its prev (viaJump: its jump target) and
+// returns that version's header, latched in place, once checkHop
+// accepts the step. Nothing is latched on entry or on error.
+func (r *Reader) hop(d decoded, viaJump bool) (decoded, error) {
+	at := d.prev
+	if viaJump {
+		at = d.jump
+	}
+	rec, err := r.record(at)
+	if err != nil {
+		// A version that cannot be read is lost history.
+		return decoded{}, broken("version chain", err)
+	}
+	n, err := r.s.decodeHeader(rec)
+	if err == nil {
+		err = checkHop(d, n, viaJump, at)
+	}
+	if err != nil {
+		r.Done()
+		return decoded{}, err
+	}
+	return n, nil
 }
 
 // resolve follows forwarding stubs from the anchor and returns the

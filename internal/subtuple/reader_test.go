@@ -242,6 +242,21 @@ func TestReaderErrorsReleaseEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An old version of depth 3 whose jump of two versions lands on an
+	// oldest version (depth 0) stamped as the jump says.
+	oldest, err := s.insertRawAnywhere([]byte{fVer | fOld, 0x0a, 0, 0, 0, 0, 0, 0, 0, 'o'})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.encodeBody(decoded{flags: fVer | fOld | fJump, fromTS: 9, prev: oldest,
+		depth: 3, jumpLen: 2, jump: oldest, jumpTS: 5}, []byte("bad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongDepth, err := s.insertRawAnywhere(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		tid     page.TID
@@ -255,6 +270,7 @@ func TestReaderErrorsReleaseEverything(t *testing.T) {
 		{"version cycle", self, 1, true, false},
 		{"dangling previous version", dangling, 1, true, false},
 		{"forward into an unallocated page", stub, Current, true, false},
+		{"jump lands on the wrong depth", wrongDepth, 1, true, false},
 	}
 	for _, c := range cases {
 		r := s.Reader()
@@ -292,10 +308,16 @@ func TestExhaustedPoolIsNotCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := s.InsertOnPage(other, []byte("there"))
+	// The target is an oldest version, which a version record may point at.
+	rec, err := s.encodeBody(decoded{flags: fVer | fOld, fromTS: 1}, []byte("there"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	slot, err := s.pageInsert(other, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := page.TID{Page: other, Slot: slot}
 	plant := func(rec []byte) page.TID {
 		t.Helper()
 		slot, err := s.pageInsert(first, rec)
