@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -228,6 +229,76 @@ func TestTxnLostUpdate(t *testing.T) {
 	_, err = t3.Exec(`UPDATE x IN ACCOUNTS SET BAL = 140 WHERE x.ID = 1`)
 	if !errors.Is(err, ErrWriteConflict) {
 		t.Fatalf("write after a conflicting commit: err = %v, want ErrWriteConflict", err)
+	}
+	if got := balance(t, db, 1); got != 130 {
+		t.Errorf("BAL(1) = %d, want 130 (no lost update)", got)
+	}
+}
+
+// TestTxnLostUpdateRelocatedRow: a row an earlier growing UPDATE
+// relocated off its full page is written by full scan both from a
+// transaction (whose scan reads the snapshot through an ASOF cursor)
+// and from an auto-commit statement (a current-state cursor). Both
+// cursors must name the row by the same TID, or neither the write lock
+// nor the last-write stamp sees the other write and one update is lost.
+func TestTxnLostUpdateRelocatedRow(t *testing.T) {
+	ts := int64(0)
+	db, err := Open(Options{Clock: func() int64 { ts++; return ts }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE ACCOUNTS (ID INT, BAL INT, NOTE STRING) VERSIONED`)
+	fs, ok := db.FlatStore("ACCOUNTS")
+	if !ok {
+		t.Fatal("no flat store for ACCOUNTS")
+	}
+	// Fill the first page, so growing row 1 relocates it.
+	for id := 1; fs.Subtuples().PageCount() < 2; id++ {
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO ACCOUNTS VALUES (%d, 100, '')`, id))
+	}
+	mustExec(t, db, fmt.Sprintf(`UPDATE x IN ACCOUNTS SET NOTE = '%s' WHERE x.ID = 1`, strings.Repeat("n", 2000)))
+
+	// update writes row 1 by full scan (the table has no index) through
+	// a *DB or a *Txn.
+	update := func(q interface {
+		Exec(string) ([]Result, error)
+	}, bal int) error {
+		_, err := q.Exec(fmt.Sprintf(`UPDATE x IN ACCOUNTS SET BAL = %d WHERE x.ID = 1`, bal))
+		return err
+	}
+
+	// The transaction writes first: the auto-commit statement meets its
+	// write lock.
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := update(tx, 110); err != nil {
+		t.Fatal(err)
+	}
+	if err := update(db, 120); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("auto-commit write to the row a transaction holds: err = %v, want ErrWriteConflict", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := balance(t, db, 1); got != 110 {
+		t.Errorf("BAL(1) = %d, want 110 (the transaction's write)", got)
+	}
+
+	// The auto-commit statement writes after the transaction's snapshot:
+	// the transaction's write meets its last-write stamp.
+	tx, err = db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	if err := update(db, 130); err != nil {
+		t.Fatal(err)
+	}
+	if err := update(tx, 140); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("transaction's write after a conflicting auto-commit: err = %v, want ErrWriteConflict", err)
 	}
 	if got := balance(t, db, 1); got != 130 {
 		t.Errorf("BAL(1) = %d, want 130 (no lost update)", got)
