@@ -209,6 +209,10 @@ func runExperiments(scale int) error {
 	}
 	fmt.Printf("%8s %10s %7s %18s\n", "members", "subtuples", "pages", "relocate fetches")
 	for _, r := range checkoutRows {
+		if r.Refused != "" {
+			fmt.Printf("%8d %10d %7d %18s  %s\n", r.Members, r.Subtuples, r.Pages, "refused", r.Refused)
+			continue
+		}
 		fmt.Printf("%8d %10d %7d %18d\n", r.Members, r.Subtuples, r.Pages, r.RelocateFetches)
 	}
 	fmt.Println("shape: relocation cost follows pages, not subtuples (Mini TIDs survive the move)")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -380,6 +381,9 @@ type CheckoutRow struct {
 	Subtuples       int
 	Pages           int
 	RelocateFetches uint64
+	// Refused is why page-level checkout refused the object (an
+	// object.CheckoutError); empty when it moved.
+	Refused string
 }
 
 // MeasureCheckout relocates objects of increasing size and reports
@@ -401,15 +405,15 @@ func MeasureCheckout(memberCounts []int) ([]CheckoutRow, error) {
 			return nil, err
 		}
 		pool.ResetStats()
-		if _, err := m.Relocate(ref); err != nil {
+		row := CheckoutRow{Members: n, Subtuples: stats.MDSubtuples + stats.DataSubtuples, Pages: stats.Pages}
+		var ce *object.CheckoutError
+		if _, err := m.Relocate(ref); errors.As(err, &ce) {
+			row.Refused = ce.Error()
+		} else if err != nil {
 			return nil, err
 		}
-		rows = append(rows, CheckoutRow{
-			Members:         n,
-			Subtuples:       stats.MDSubtuples + stats.DataSubtuples,
-			Pages:           stats.Pages,
-			RelocateFetches: pool.Stats().Fetches,
-		})
+		row.RelocateFetches = pool.Stats().Fetches
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -3,100 +3,38 @@ package crashsim
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/page"
-	"repro/internal/segment"
+	"repro/internal/scrub"
 )
 
 // CheckInvariants audits a (typically just-recovered) engine:
 //
-//   - every durable page of every segment passes its checksum and
-//     carries an LSN within the log's bounds;
-//   - every object of every table materializes: flat tuples decode and
-//     conform to the schema, complex objects walk their full
-//     Mini-Directory (including D/C pointers, via ObjectStats);
+//   - scrub's page and object passes: every durable page of every
+//     segment passes its checksum and the slotted-page structure check
+//     and carries an LSN within the log's bounds; every object of every
+//     table materializes and conforms to the schema, and complex
+//     objects walk their full Mini-Directory. The first finding fails
+//     the audit.
 //   - every index entry round-trips to a live subtuple holding the
 //     indexed value, and every indexed value occurrence in the data is
-//     reachable through the index.
+//     reachable through the index (checkIndexes, an oracle independent
+//     of the index rebuild scrub compares against).
 func CheckInvariants(eng *engine.DB) error {
-	if err := checkPages(eng); err != nil {
-		return err
+	r, err := scrub.Run(eng, scrub.Options{SkipIndexes: true})
+	if err != nil {
+		return fmt.Errorf("crashsim: scrub: %w", err)
 	}
-	if err := checkObjects(eng); err != nil {
-		return err
+	if len(r.Findings) > 0 {
+		f := r.Findings[0]
+		return fmt.Errorf("crashsim: scrub finding %s (seg %d page %d table %q ref %s): %s",
+			f.Kind, f.Seg, f.Page, f.Table, f.Ref, f.Detail)
 	}
 	return checkIndexes(eng)
-}
-
-// checkPages verifies checksums and LSN bounds of the durable image
-// of every segment (the meta segment plus every table segment).
-func checkPages(eng *engine.DB) error {
-	segs := map[uint16]bool{uint16(catalog.MetaSegment): true}
-	for _, t := range eng.Catalog().Tables() {
-		segs[uint16(t.Seg)] = true
-	}
-	ids := make([]int, 0, len(segs))
-	for id := range segs {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	end := uint64(0)
-	if eng.Log() != nil {
-		end = eng.Log().End()
-	}
-	buf := make([]byte, page.Size)
-	for _, id := range ids {
-		st := eng.Pool().Store(segment.ID(id))
-		if st == nil {
-			return fmt.Errorf("crashsim: segment %d has no store", id)
-		}
-		for no := uint32(1); no <= st.PageCount(); no++ {
-			if err := st.ReadPage(no, buf); err != nil {
-				return fmt.Errorf("crashsim: read page %d.%d: %w", id, no, err)
-			}
-			p := page.View(buf)
-			if !p.ChecksumOK(uint16(id), no) {
-				return fmt.Errorf("crashsim: page %d.%d fails checksum after recovery", id, no)
-			}
-			if eng.Log() != nil && p.LSN() > end {
-				return fmt.Errorf("crashsim: page %d.%d LSN %d beyond log end %d", id, no, p.LSN(), end)
-			}
-		}
-	}
-	return nil
-}
-
-// checkObjects materializes every tuple of every table and, for
-// complex tables, walks the full physical object structure.
-func checkObjects(eng *engine.DB) error {
-	rt := eng.Runtime()
-	for _, t := range eng.Catalog().Tables() {
-		refs, err := eng.Refs(t.Name)
-		if err != nil {
-			return fmt.Errorf("crashsim: directory of %s: %w", t.Name, err)
-		}
-		for _, ref := range refs {
-			tup, err := rt.OpenRef(t, ref, 0, nil)
-			if err != nil {
-				return fmt.Errorf("crashsim: read %s %v: %w", t.Name, ref, err)
-			}
-			if err := model.Conform(t.Type, tup); err != nil {
-				return fmt.Errorf("crashsim: %s %v violates schema: %w", t.Name, ref, err)
-			}
-			if t.Kind == catalog.Complex {
-				m, _ := eng.Manager(t.Name)
-				if _, err := m.ObjectStats(t.Type, ref); err != nil {
-					return fmt.Errorf("crashsim: object walk %s %v: %w", t.Name, ref, err)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // occurrence is one indexed value in the data, keyed by the root

@@ -57,43 +57,6 @@ func TestCleanRun(t *testing.T) {
 	}
 }
 
-// TestInjector pins the budget semantics of a session: mutating ops
-// before the budget succeed, the budget-th op fires the crash, and
-// everything after is dead — pages and log alike — and uncounted.
-func TestInjector(t *testing.T) {
-	s := NewDisk().Open(7, 3)
-	st, err := s.OpenStore(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	no := st.Allocate()
-	buf := make([]byte, page.Size)
-	if _, err := openWAL(s, "wal-000001"); err != nil {
-		t.Fatalf("op 1: %v, want clean", err)
-	}
-	if err := st.WritePage(no, buf); err != nil {
-		t.Fatalf("op 2: %v, want clean", err)
-	}
-	if s.Crashed() {
-		t.Fatal("crashed before the budget")
-	}
-	if err := st.Sync(); !errors.Is(err, simkit.ErrCrashed) {
-		t.Fatalf("op 3: err=%v, want ErrCrashed", err)
-	}
-	if !s.Crashed() {
-		t.Fatal("injector not crashed after firing")
-	}
-	if err := st.WritePage(no, buf); !errors.Is(err, simkit.ErrCrashed) {
-		t.Fatalf("op 4: err=%v, want ErrCrashed", err)
-	}
-	if _, err := openWAL(s, "wal-000002"); !errors.Is(err, simkit.ErrCrashed) {
-		t.Fatalf("log create after crash: err=%v, want ErrCrashed", err)
-	}
-	if n := s.Ops(simkit.Mutating); n != 3 {
-		t.Fatalf("counted %d mutating ops, want 3", n)
-	}
-}
-
 // TestFaultStoreCrash verifies that the crashing write applies only a
 // sector prefix and that all subsequent I/O on the session fails.
 func TestFaultStoreCrash(t *testing.T) {

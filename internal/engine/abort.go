@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-
-	"repro/internal/subtuple"
 )
 
 // PanicError is a panic recovered at the statement boundary and
@@ -28,17 +26,17 @@ func (e *PanicError) Error() string {
 }
 
 // rollbackStmt restores the committed state on the live engine after
-// a failed statement, reusing the crash-recovery machinery without a
-// reopen:
+// a failed statement, reusing the crash-recovery sequence (recover)
+// without a reopen:
 //
 //  1. discard the unflushed WAL tail (which also clears any sticky
 //     error a failed flush left in the buffered writer);
 //  2. drop every buffered frame — the statement's uncommitted dirty
 //     pages and any pins leaked by a recovered panic;
-//  3. run log recovery on the live pool: truncate the log at the last
-//     commit, wipe untrusted page images (including uncommitted pages
-//     stolen to disk by eviction), redo committed operations;
-//  4. reload the catalog and rebuild the in-memory runtime structures
+//  3. recover on the live pool: truncate the log at the last commit,
+//     wipe untrusted page images (including uncommitted pages stolen
+//     to disk by eviction), redo committed operations, seal holes,
+//     and reload the catalog and the in-memory runtime structures
 //     (managers, flat stores, memory-resident indexes).
 //
 // Because every successful statement ends with a synced commit
@@ -62,17 +60,8 @@ func (db *DB) rollbackStmt() error {
 		// were observed on; drop them and let reads re-detect whatever
 		// recovery could not cure (WAL-less databases keep theirs).
 		db.ClearQuarantine()
-		if err := subtuple.Recover(db.log, db.pool); err != nil {
-			return fmt.Errorf("engine: replay to last commit: %w", err)
-		}
-		// The aborted statement may have allocated pages it never wrote
-		// durably; seal those holes so later scans can tell legitimate
-		// free pages from zeroed-out committed ones.
-		if err := db.sealHoles(); err != nil {
-			return err
-		}
 	}
-	return db.reloadRuntime()
+	return db.recover()
 }
 
 // abortLocked handles a failed mutating statement (or transaction

@@ -23,8 +23,11 @@ type TableOptions struct {
 // without Mini Directories; nested types as complex objects under the
 // chosen storage structure.
 func (db *DB) CreateTable(name string, tt *model.TableType, opts TableOptions) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.ddlLock()()
+	return db.createTableLocked(name, tt, opts)
+}
+
+func (db *DB) createTableLocked(name string, tt *model.TableType, opts TableOptions) error {
 	if err := tt.Validate(); err != nil {
 		return err
 	}
@@ -63,10 +66,12 @@ func (db *DB) CreateTable(name string, tt *model.TableType, opts TableOptions) e
 // The segment's pages are abandoned (the prototype has no segment
 // garbage collection).
 func (db *DB) DropTable(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.cat.Table(name)
-	if !ok {
+	defer db.ddlLock()()
+	return db.dropTableLocked(name)
+}
+
+func (db *DB) dropTableLocked(name string) error {
+	if _, ok := db.cat.Table(name); !ok {
 		return fmt.Errorf("engine: no table %q", name)
 	}
 	if err := db.cat.DropTable(name); err != nil {
@@ -82,16 +87,16 @@ func (db *DB) DropTable(name string) error {
 		delete(db.textByName, ti.Name)
 	}
 	delete(db.live, name)
-	_ = t
 	db.bumpEpoch()
 	return nil
 }
 
-// ddlLock takes the locks every index DDL runs under, in the lock
-// order: applyMu (no writer is keeping the live indexes), the exclusive
-// heal barrier (no reader is resolving them), then mu. The SQL path
-// holds the first two already and takes only mu around the bodies
-// (createIndexLocked, addIndex, dropIndexLocked).
+// ddlLock takes the locks every table and index DDL runs under, in
+// the lock order: applyMu (no writer is using the tables' stores or
+// keeping the live indexes), the exclusive heal barrier (no reader is
+// resolving them), then mu. The SQL path holds the first two already
+// and takes only mu around the bodies (the …Locked forms and
+// addIndex).
 func (db *DB) ddlLock() (unlock func()) {
 	db.applyMu.Lock()
 	db.healMu.Lock()
@@ -286,8 +291,11 @@ func (db *DB) RebuildIndex(name string) error {
 // therefore every Mini Directory layout, data subtuple and index —
 // valid, which is why only trailing atomic additions are supported.
 func (db *DB) AlterTableAdd(table string, path []string, typ model.Type) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	defer db.ddlLock()()
+	return db.alterTableAddLocked(table, path, typ)
+}
+
+func (db *DB) alterTableAddLocked(table string, path []string, typ model.Type) error {
 	if typ.Kind == model.KindTable || !typ.Kind.Atomic() {
 		return fmt.Errorf("engine: ALTER TABLE ADD supports atomic attributes only")
 	}

@@ -6,6 +6,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -288,7 +289,14 @@ func Open(opts Options) (*DB, error) {
 			return log.EnsureDurable(lsn) // the write-ahead rule
 		}
 	}
-	if err := db.recoverAndLoad(); err != nil {
+	if opts.Replica && db.log == nil {
+		return nil, errors.New("engine: Options.Replica requires a write-ahead log")
+	}
+	if err := db.registerSegment(catalog.MetaSegment, false); err != nil {
+		db.abandon()
+		return nil, err
+	}
+	if err := db.recover(); err != nil {
 		db.abandon()
 		return nil, err
 	}
@@ -300,40 +308,45 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// recoverAndLoad registers the meta segment and every segment the WAL's
-// replay tail mentions, replays the log onto them, and builds the
-// runtime structures.
-func (db *DB) recoverAndLoad() error {
-	if err := db.registerSegment(catalog.MetaSegment, false); err != nil {
-		return err
-	}
+// recover brings the pages back to the last commit in the WAL and
+// rebuilds the runtime from them; Open and statement rollback share
+// it. One scan of the log tail (subtuple.ScanTail) names the segments
+// recovery needs registered — everything else is attached from the
+// catalog afterwards — and the redo pass (subtuple.Recover) replays
+// the tail onto them. Holes left by aborted allocations are then
+// sealed, a replica's counters are set from the tail, and the runtime
+// is rebuilt. Without a WAL there is nothing to replay: the runtime is
+// only reloaded. Callers hold db.mu or own db exclusively.
+func (db *DB) recover() error {
 	if db.log != nil {
-		// Only the replay tail's segments are needed before recovery;
-		// everything else is attached from the catalog afterwards.
-		segs := map[segment.ID]bool{}
-		if err := db.log.ReplayTail(func(r wal.Record) error {
-			if r.Seg != 0 {
-				segs[r.Seg] = true
-			}
-			return nil
-		}); err != nil {
+		t, err := subtuple.ScanTail(db.log)
+		if err != nil {
 			return err
 		}
-		for id := range segs {
-			if err := db.registerSegment(id, false); err != nil {
+		for _, k := range t.Pages {
+			if err := db.registerSegment(k.Seg, false); err != nil {
 				return err
 			}
 		}
-		if err := subtuple.Recover(db.log, db.pool); err != nil {
+		if err := subtuple.Recover(db.log, db.pool, t); err != nil {
 			return fmt.Errorf("engine: recovery failed: %w", err)
 		}
+		// An aborted statement may have allocated pages it never wrote
+		// durably; seal those holes so later scans can tell legitimate
+		// free pages from zeroed-out committed ones.
 		if err := db.sealHoles(); err != nil {
 			return err
 		}
-	}
-	if db.opts.Replica {
-		if err := db.replicaRecover(); err != nil {
-			return err
+		if db.opts.Replica {
+			// The applied horizon is the log's end (recovery truncated
+			// any torn or uncommitted suffix); the visibility horizon is
+			// the newest commit timestamp in the retained tail.
+			ctr := db.ReplCounters()
+			ctr.Role.Store(RoleReplica)
+			if t.CommitTS > 0 {
+				ctr.NoteVisible(t.CommitTS)
+			}
+			ctr.AppliedLSN.Store(db.log.End())
 		}
 	}
 	return db.reloadRuntime()

@@ -98,7 +98,7 @@ func (db *DB) ReplicaApply(start uint64, raw []byte, recs []wal.Record) error {
 					}
 				}
 			}
-			if err := subtuple.ApplyShipped(db.pool, r); err != nil {
+			if err := subtuple.Redo(db.pool, r, term.LSN); err != nil {
 				return err
 			}
 		}
@@ -295,32 +295,4 @@ func RestoreSnapshot(dir string, snap *ReplSnapshot) error {
 		return err
 	}
 	return f.Close()
-}
-
-// replicaRecover initializes the replica-side counters from the
-// recovered log: the applied horizon is the log's end (recovery
-// truncated any torn or uncommitted suffix) and the visibility horizon
-// is the newest commit timestamp in the retained tail.
-func (db *DB) replicaRecover() error {
-	if db.log == nil {
-		return errors.New("engine: Options.Replica requires a write-ahead log")
-	}
-	ctr := db.ReplCounters()
-	ctr.Role.Store(RoleReplica)
-	var vis int64
-	if err := db.log.ReplayTail(func(r wal.Record) error {
-		if r.Op == wal.OpCommit {
-			if _, ts, ok := wal.DecodeCommitPayload(r.Payload); ok && ts > vis {
-				vis = ts
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if vis > 0 {
-		ctr.NoteVisible(vis)
-	}
-	ctr.AppliedLSN.Store(db.log.End())
-	return nil
 }

@@ -270,37 +270,8 @@ func (db *DB) dispatch(ctx context.Context, ex *exec.Executor, s stmt, start sta
 	case *sql.Update:
 		n, err := execDML(ctx, ex, prep, s.args)
 		return counted(n, "updated", err)
-	case *sql.CreateTable:
-		var layout object.Layout
-		switch st.Layout {
-		case "":
-		case "SS1":
-			layout = object.SS1
-		case "SS2":
-			layout = object.SS2
-		case "SS3":
-			layout = object.SS3
-		default:
-			return Result{}, fmt.Errorf("engine: unknown layout %q", st.Layout)
-		}
-		err := db.CreateTable(st.Name, st.Type, TableOptions{Versioned: st.Versioned, Layout: layout})
-		return message(err, "table "+st.Name+" created")
-	case *sql.DropTable:
-		return message(db.DropTable(st.Name), "table "+st.Name+" dropped")
-	case *sql.CreateIndex:
-		// run holds applyMu and the exclusive heal barrier already.
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if st.Text {
-			return message(db.addIndex(&catalog.IndexDef{Name: st.Name, Table: st.Table, Path: st.Path, Text: true}), "text index "+st.Name+" created")
-		}
-		return message(db.createIndexLocked(st.Name, st.Table, st.Path, st.Using), "index "+st.Name+" created")
-	case *sql.DropIndex:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return message(db.dropIndexLocked(st.Name), "index "+st.Name+" dropped")
-	case *sql.AlterTableAdd:
-		return message(db.AlterTableAdd(st.Table, st.Path, st.Type), "table "+st.Table+" altered")
+	case *sql.CreateTable, *sql.DropTable, *sql.CreateIndex, *sql.DropIndex, *sql.AlterTableAdd:
+		return db.execDDL(st)
 	case *sql.ShowTables:
 		tt := model.MustTableType(false,
 			model.Attr{Name: "NAME", Type: model.AtomicType(model.KindString)},
@@ -328,6 +299,44 @@ func (db *DB) dispatch(ctx context.Context, ex *exec.Executor, s stmt, start sta
 		return Result{Message: t.Type.String()}, nil
 	}
 	return Result{}, fmt.Errorf("engine: unsupported statement %T", s.Statement)
+}
+
+// execDDL runs a DDL statement's body. The statement path holds applyMu
+// and the exclusive heal barrier already, the first two of ddlLock's
+// locks; execDDL takes the third, mu, around the …Locked forms of the
+// direct entry points.
+func (db *DB) execDDL(s sql.Statement) (Result, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	switch st := s.(type) {
+	case *sql.CreateTable:
+		var layout object.Layout
+		switch st.Layout {
+		case "":
+		case "SS1":
+			layout = object.SS1
+		case "SS2":
+			layout = object.SS2
+		case "SS3":
+			layout = object.SS3
+		default:
+			return Result{}, fmt.Errorf("engine: unknown layout %q", st.Layout)
+		}
+		err := db.createTableLocked(st.Name, st.Type, TableOptions{Versioned: st.Versioned, Layout: layout})
+		return message(err, "table "+st.Name+" created")
+	case *sql.DropTable:
+		return message(db.dropTableLocked(st.Name), "table "+st.Name+" dropped")
+	case *sql.CreateIndex:
+		if st.Text {
+			return message(db.addIndex(&catalog.IndexDef{Name: st.Name, Table: st.Table, Path: st.Path, Text: true}), "text index "+st.Name+" created")
+		}
+		return message(db.createIndexLocked(st.Name, st.Table, st.Path, st.Using), "index "+st.Name+" created")
+	case *sql.DropIndex:
+		return message(db.dropIndexLocked(st.Name), "index "+st.Name+" dropped")
+	case *sql.AlterTableAdd:
+		return message(db.alterTableAddLocked(st.Table, st.Path, st.Type), "table "+st.Table+" altered")
+	}
+	return Result{}, fmt.Errorf("engine: unsupported DDL statement %T", s)
 }
 
 // counted is the Result of a DML statement that affected n tuples.

@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/crashsim"
-	"repro/internal/page"
-	"repro/internal/segment"
 	"repro/internal/simkit"
 )
 
@@ -53,53 +51,6 @@ func TestSoftChaosMatrix(t *testing.T) {
 			t.Fatalf("workload %d at %d/%d burst %d transient %v: %v",
 				wseed, at, total, sh.burst, sh.transient, err)
 		}
-	}
-}
-
-// TestInjectorWindow pins the window semantics on a session's store:
-// operations are counted across kinds, only masked kinds inside
-// [at, at+burst) fault, and the errors carry the transient flag the
-// retry layer keys on.
-func TestInjectorWindow(t *testing.T) {
-	s := crashsim.NewDisk().Open(1, -1)
-	s.Arm(simkit.Burst{At: 3, N: 2, Transient: true, Mask: simkit.PageWrite})
-	st, err := s.OpenStore(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	no := st.Allocate()
-	buf := make([]byte, page.Size)
-	seq := []simkit.OpKind{simkit.PageWrite, simkit.PageRead, simkit.PageRead, simkit.PageWrite, simkit.PageWrite, simkit.PageWrite}
-	var failed []int
-	for i, k := range seq {
-		var err error
-		if k == simkit.PageRead {
-			err = st.ReadPage(no, buf)
-		} else {
-			err = st.WritePage(no, buf)
-		}
-		if err != nil {
-			failed = append(failed, i)
-			if !segment.IsTransient(err) {
-				t.Fatalf("op %d: armed transient, got %v", i, err)
-			}
-		}
-	}
-	// Window is ops 3..4 (1-based): op index 2 is an unmasked read
-	// (consumes a slot without faulting), op index 3 is a masked write.
-	if len(failed) != 1 || failed[0] != 3 {
-		t.Fatalf("faulted ops %v, want [3]", failed)
-	}
-	if s.Ops(simkit.DataPath) != int64(len(seq)) || s.Faults() != 1 {
-		t.Fatalf("ops=%d faults=%d, want %d and 1", s.Ops(simkit.DataPath), s.Faults(), len(seq))
-	}
-
-	s = crashsim.NewDisk().Open(2, -1)
-	s.Arm(simkit.Burst{At: 1, N: 1, Mask: simkit.DataPath})
-	st, _ = s.OpenStore(5)
-	err = st.Sync()
-	if err == nil || segment.IsTransient(err) {
-		t.Fatalf("persistent fault classified transient: %v", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/dberr"
 	"repro/internal/page"
+	"repro/internal/subtuple"
 )
 
 // This file implements the page-level relocation and check-out that
@@ -37,8 +38,49 @@ type Snapshot struct {
 	Root page.MiniTID
 }
 
+// CheckoutError refuses to check out or import an object that is not
+// self-contained: a record on one of its pages is a forwarding stub or
+// the head of an overflow chain, whose target lies outside the local
+// address space (a record grown past its page, or a payload longer than
+// a page). Copying its pages would carry a segment TID that names an
+// unrelated record once the object lives elsewhere. The check reads the
+// pages, not the object's structure, so a directory chunk of the table
+// that was placed on one of the object's pages and later moved refuses
+// the object too.
+type CheckoutError struct {
+	// Ref is the object's root on export; zero on import.
+	Ref Ref
+	// Root is the root's position in the local address space.
+	Root page.MiniTID
+	// At is the record that leaves the local address space, as a
+	// local Mini TID.
+	At page.MiniTID
+}
+
+func (e *CheckoutError) Error() string {
+	return fmt.Sprintf("object: %v (root %v) is not self-contained: %v is a forwarding stub or overflow chain outside its local address space",
+		e.Ref, e.Root, e.At)
+}
+
+// selfContained refuses a snapshot whose pages hold a record that
+// reaches outside them (CheckoutError).
+func selfContained(ref Ref, snap *Snapshot) error {
+	pi := 0
+	for i, used := range snap.Local {
+		if !used {
+			continue
+		}
+		if slot, found := subtuple.OffPage(snap.Pages[pi]); found {
+			return &CheckoutError{Ref: ref, Root: snap.Root, At: page.MiniTID{Page: uint16(i), Slot: slot}}
+		}
+		pi++
+	}
+	return nil
+}
+
 // Export checks the complex object out of the database at page level.
 // No subtuple is visited individually; the pages are copied verbatim.
+// An object that is not self-contained is refused (CheckoutError).
 func (m *Manager) Export(ref Ref) (*Snapshot, error) {
 	o, _, err := m.loadCtx(ref, 0)
 	if err != nil {
@@ -70,13 +112,18 @@ func (m *Manager) Export(ref Ref) (*Snapshot, error) {
 		return nil, fmt.Errorf("object: root MD subtuple outside the object's local address space")
 	}
 	snap.Root = page.MiniTID{Page: uint16(rootLocal), Slot: ref.Slot}
+	if err := selfContained(ref, snap); err != nil {
+		return nil, err
+	}
 	return snap, nil
 }
 
 // Import brings a checked-out object back into the database: fresh
 // pages are allocated, the page images are written verbatim, and only
 // the page list in the root MD subtuple is rewritten to the new page
-// numbers. Returns the new object reference.
+// numbers. Returns the new object reference. A snapshot that is not
+// self-contained is refused (CheckoutError) before any page is
+// allocated.
 //
 // Import writes pages physically; callers using a WAL should force a
 // checkpoint (pool flush) afterwards, as recovery does not replay
@@ -84,6 +131,9 @@ func (m *Manager) Export(ref Ref) (*Snapshot, error) {
 func (m *Manager) Import(snap *Snapshot) (Ref, error) {
 	if snap.Layout != m.layout {
 		return Ref{}, fmt.Errorf("object: snapshot layout %s, manager uses %s", snap.Layout, m.layout)
+	}
+	if err := selfContained(Ref{}, snap); err != nil {
+		return Ref{}, err
 	}
 	pool := m.st.Pool()
 	seg := m.st.Segment()

@@ -3,6 +3,7 @@ package simkit
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/page"
@@ -11,8 +12,9 @@ import (
 )
 
 // op is one operation issued through the wrappers: a page operation on
-// page no (a write fills the page with fill), or a log operation on the
-// one log file the sequence creates first.
+// page no (a write fills the page with fill), or a log operation: a
+// create makes a new log file, a write or read goes to the last one
+// created.
 type op struct {
 	kind OpKind
 	no   uint32
@@ -35,6 +37,7 @@ func TestInjector(t *testing.T) {
 		pages            []PageFault
 		ops              []op
 		mutating, faults int64 // counters after the sequence
+		dataPath         int64 // DataPath positions taken, when nonzero
 		fired            int
 		check            func(t *testing.T, st *segment.MemStore)
 	}{
@@ -69,6 +72,20 @@ func TestInjector(t *testing.T) {
 			},
 		},
 		{
+			// A crash on a sync kills the session as a torn write does:
+			// page writes and log segment creation fail after it, and
+			// no dead operation is counted.
+			name: "crash on a sync", budget: 3,
+			ops: []op{
+				{kind: LogCreate, want: "ok"},
+				{kind: PageWrite, no: 1, fill: 0x11, want: "ok"},
+				{kind: PageSync, want: "crashed"},
+				{kind: PageWrite, no: 1, fill: 0x22, want: "crashed"},
+				{kind: LogCreate, want: "crashed"},
+			},
+			mutating: 3,
+		},
+		{
 			// Positions count every DataPath kind; only masked kinds in
 			// [At, At+N) fail, and log-directory operations take no
 			// position at all.
@@ -82,7 +99,7 @@ func TestInjector(t *testing.T) {
 				{kind: PageWrite, no: 1, fill: 2, want: "transient"}, // position 4
 				{kind: PageWrite, no: 1, fill: 3, want: "ok"},        // position 5: past the window
 			},
-			mutating: 4, faults: 1,
+			mutating: 4, faults: 1, dataPath: 5,
 		},
 		{
 			name: "persistent burst", budget: -1,
@@ -138,7 +155,8 @@ func TestInjector(t *testing.T) {
 			mem := segment.NewMemStore()
 			st := in.WrapStore(7, mem)
 			log := in.WrapWAL(wal.NewDirStorage(t.TempDir()))
-			var f wal.File
+			var f wal.File // the last log file created
+			creates := 0
 			do := func(o op) (err error) {
 				switch o.kind {
 				case PageRead:
@@ -148,7 +166,8 @@ func TestInjector(t *testing.T) {
 				case PageSync:
 					return st.Sync()
 				case LogCreate:
-					f, err = log.Open("wal.log")
+					creates++
+					f, err = log.Open(fmt.Sprintf("wal-%d.log", creates))
 					return err
 				case LogWrite:
 					_, err = f.Write([]byte("record"))
@@ -183,6 +202,9 @@ func TestInjector(t *testing.T) {
 			}
 			if in.Ops(Mutating) != tc.mutating || in.Faults() != tc.faults {
 				t.Fatalf("mutating ops %d, faults %d; want %d and %d", in.Ops(Mutating), in.Faults(), tc.mutating, tc.faults)
+			}
+			if tc.dataPath != 0 && in.Ops(DataPath) != tc.dataPath {
+				t.Fatalf("data-path positions %d, want %d", in.Ops(DataPath), tc.dataPath)
 			}
 			if fired := in.Fired(); len(fired) != tc.fired {
 				t.Fatalf("fired %v, want %d faults", fired, tc.fired)

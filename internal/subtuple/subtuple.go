@@ -39,6 +39,27 @@ const (
 	fJump  = 0x80 // old version with an older one: depth, jump length, jump TID and jump fromTS follow prev
 )
 
+// OffPage returns the first slot of a page image whose current record
+// keeps part of itself elsewhere in the segment: a forwarding stub, or
+// the head of an overflow chain. Records placed anywhere in the segment
+// by relocation, versioning or spilling (fMoved, fOld, fChunk) are
+// skipped; the stub or head that reaches them is what counts. Page-level
+// checkout copies an object's own pages only, so it can move an object
+// only when none of them holds such a record.
+func OffPage(img []byte) (slot uint16, found bool) {
+	p := page.View(img)
+	for i := 0; i < p.NumSlots(); i++ {
+		rec, err := p.Read(uint16(i))
+		if err != nil || len(rec) == 0 || rec[0]&(fMoved|fOld|fChunk) != 0 {
+			continue
+		}
+		if rec[0]&(fFwd|fLong) != 0 {
+			return uint16(i), true
+		}
+	}
+	return 0, false
+}
+
 // maxRecord bounds a single on-page record; larger bodies are split
 // into overflow chunks.
 const maxRecord = page.Size - 64

@@ -361,7 +361,7 @@ func TestWALRecovery(t *testing.T) {
 	defer fs2.Close()
 	pool2 := buffer.NewPool(64)
 	pool2.Register(1, fs2)
-	if err := Recover(log2, pool2); err != nil {
+	if err := recoverLog(log2, pool2); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	s2 := New(Config{Pool: pool2, Seg: 1, Log: log2})
@@ -401,7 +401,7 @@ func TestWALUncommittedTailIgnored(t *testing.T) {
 	defer fs2.Close()
 	pool2 := buffer.NewPool(64)
 	pool2.Register(1, fs2)
-	if err := Recover(log2, pool2); err != nil {
+	if err := recoverLog(log2, pool2); err != nil {
 		t.Fatal(err)
 	}
 	s2 := New(Config{Pool: pool2, Seg: 1, Log: log2})

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -391,6 +393,29 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	}
 	if l2.End() != ckptB-1 {
 		t.Fatalf("end after cutting torn checkpoint = %d, want %d", l2.End(), ckptB-1)
+	}
+
+	// A front whose header claims the largest legal body over a short
+	// file is torn as well, and probing it must not allocate the claim.
+	f, err := os.OpenFile(filepath.Join(dir, nameB), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var hdr [recHeader]byte
+	binary.LittleEndian.PutUint32(hdr[:], 1<<26)
+	if _, err := f.WriteAt(append(hdr[:], "short"...), 0); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ok, err := firstRecordOp(f)
+	runtime.ReadMemStats(&after)
+	if err != nil || ok {
+		t.Fatalf("probe of a front claiming 1<<26 bytes = ok %v, err %v; want ok=false", ok, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("probe of a torn front allocated %d bytes, want < 1 MiB", grew)
 	}
 }
 

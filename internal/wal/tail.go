@@ -1,13 +1,9 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-
-	"repro/internal/segment"
 )
 
 // This file is the replication face of the log. A primary ships its
@@ -293,30 +289,19 @@ func DecodeRecords(buf []byte, base uint64) ([]Record, int, error) {
 		if len(rest) < recHeader {
 			return recs, consumed, nil
 		}
-		n := binary.LittleEndian.Uint32(rest[0:])
-		crc := binary.LittleEndian.Uint32(rest[4:])
-		if n < 13 || n > 1<<26 {
-			return recs, consumed, fmt.Errorf("wal: corrupt shipped record at offset %d: length %d", base+uint64(consumed), n)
+		at := base + uint64(consumed)
+		n, err := frameLen(rest)
+		if err != nil {
+			return recs, consumed, fmt.Errorf("wal: corrupt shipped record at offset %d: %w", at, err)
 		}
-		if len(rest) < recHeader+int(n) {
+		if len(rest) < recHeader+n {
 			return recs, consumed, nil
 		}
-		body := rest[recHeader : recHeader+int(n)]
-		if crc32.ChecksumIEEE(body) != crc {
-			return recs, consumed, fmt.Errorf("wal: corrupt shipped record at offset %d: bad checksum", base+uint64(consumed))
+		rec, err := decodeFrame(rest, rest[recHeader:recHeader+n], at)
+		if err != nil {
+			return recs, consumed, fmt.Errorf("wal: corrupt shipped record at offset %d: %w", at, err)
 		}
-		plen := binary.LittleEndian.Uint32(body[9:])
-		if int(plen) != len(body)-13 {
-			return recs, consumed, fmt.Errorf("wal: corrupt shipped record at offset %d: payload length mismatch", base+uint64(consumed))
-		}
-		recs = append(recs, Record{
-			LSN:     base + uint64(consumed) + 1,
-			Op:      Op(body[0]),
-			Seg:     segment.ID(binary.LittleEndian.Uint16(body[1:])),
-			Page:    binary.LittleEndian.Uint32(body[3:]),
-			Slot:    binary.LittleEndian.Uint16(body[7:]),
-			Payload: body[13:],
-		})
-		consumed += recHeader + int(n)
+		recs = append(recs, rec)
+		consumed += recHeader + n
 	}
 }

@@ -192,8 +192,6 @@ const recHeader = 8
 // Size returns the record's on-disk length including the header.
 func (r *Record) Size() int { return recHeader + 13 + len(r.Payload) }
 
-func recordSize(r *Record) int { return r.Size() }
-
 func (l *Log) active() *segFile { return l.segs[len(l.segs)-1] }
 
 // Append writes the record to the log buffer and returns its LSN. The
@@ -543,17 +541,6 @@ func (l *Log) ReplayTail(fn func(Record) error) error {
 	return l.replayFrom(start, fn)
 }
 
-// TailRecords counts the records a reopen would replay; the
-// recovery-bound tests assert it depends on the tail, not on the
-// total history length.
-func (l *Log) TailRecords() (int, error) {
-	n := 0
-	if err := l.ReplayTail(func(Record) error { n++; return nil }); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
 func (l *Log) replayFrom(off uint64, fn func(Record) error) error {
 	r, err := l.readerFrom(off)
 	if err != nil {
@@ -573,52 +560,17 @@ func replayReader(r io.Reader, start uint64, fn func(Record) error) error {
 	br := bufio.NewReader(r)
 	pos := start
 	for {
-		var hdr [recHeader]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return errTorn
-			}
-			// A real I/O error must not masquerade as a torn tail:
-			// recovery truncates at the torn point, and doing that on a
-			// transient read failure would cut off committed records.
-			return fmt.Errorf("wal: read log at offset %d: %w", pos, err)
+		rec, err := readFrame(br, pos)
+		if errors.Is(err, io.EOF) {
+			return nil
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:])
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if n < 13 || n > 1<<26 {
-			return errTorn
-		}
-		// Read the body incrementally so a corrupt length claim cannot
-		// force a huge up-front allocation.
-		body, err := readExact(br, int(n))
 		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return errTorn
-			}
-			return fmt.Errorf("wal: read log at offset %d: %w", pos, err)
+			return err
 		}
-		if crc32.ChecksumIEEE(body) != crc {
-			return errTorn
-		}
-		rec := Record{
-			LSN:  pos + 1,
-			Op:   Op(body[0]),
-			Seg:  segment.ID(binary.LittleEndian.Uint16(body[1:])),
-			Page: binary.LittleEndian.Uint32(body[3:]),
-			Slot: binary.LittleEndian.Uint16(body[7:]),
-		}
-		plen := binary.LittleEndian.Uint32(body[9:])
-		if int(plen) != len(body)-13 {
-			return errTorn
-		}
-		rec.Payload = body[13:]
 		if err := fn(rec); err != nil {
 			return err
 		}
-		pos += uint64(recHeader + n)
+		pos += uint64(rec.Size())
 	}
 }
 
@@ -628,29 +580,91 @@ func replayReader(r io.Reader, start uint64, fn func(Record) error) error {
 // such — only a short file demotes to ok=false, so a transient I/O
 // fault can never silently move the replay start.
 func firstRecordOp(f File) (Op, bool, error) {
-	var hdr [recHeader]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, false, nil
-		}
+	rec, err := readFrame(io.NewSectionReader(f, 0, 1<<62), 0)
+	switch {
+	case err == nil:
+		return rec.Op, true, nil
+	case errors.Is(err, io.EOF) || errors.Is(err, errTorn):
+		return 0, false, nil
+	default:
 		return 0, false, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:])
-	crc := binary.LittleEndian.Uint32(hdr[4:])
+}
+
+// Every record is one frame: an 8-byte header (body length, CRC-32 of
+// the body) and a body of op, segment, page, slot and payload length
+// (13 bytes) followed by the payload, as appendLocked writes it. The
+// three readers of frames — replay, the segment probe and the decoder
+// of shipped bytes — check them with frameLen and decodeFrame.
+
+// frameLen returns the body length a frame header claims, or an error
+// when it lies outside what appendLocked can write.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(hdr)
 	if n < 13 || n > 1<<26 {
-		return 0, false, nil
+		return 0, fmt.Errorf("length %d", n)
 	}
-	body := make([]byte, n)
-	if _, err := f.ReadAt(body, recHeader); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, false, nil
+	return int(n), nil
+}
+
+// decodeFrame checks a frame's body against its header's CRC and the
+// body layout, and decodes it as the record at global offset pos. The
+// payload aliases body.
+func decodeFrame(hdr, body []byte, pos uint64) (Record, error) {
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:]) {
+		return Record{}, errors.New("bad checksum")
+	}
+	if int(binary.LittleEndian.Uint32(body[9:])) != len(body)-13 {
+		return Record{}, errors.New("payload length mismatch")
+	}
+	return Record{
+		LSN:     pos + 1,
+		Op:      Op(body[0]),
+		Seg:     segment.ID(binary.LittleEndian.Uint16(body[1:])),
+		Page:    binary.LittleEndian.Uint32(body[3:]),
+		Slot:    binary.LittleEndian.Uint16(body[7:]),
+		Payload: body[13:],
+	}, nil
+}
+
+// readFrame reads the frame at global offset pos from r. It returns
+// io.EOF at a clean end and errTorn for a short, out-of-bounds or
+// corrupt frame. A real I/O error is returned as such: it must not
+// masquerade as a torn tail, because recovery truncates at the torn
+// point and doing that on a transient read failure would cut off
+// committed records.
+func readFrame(r io.Reader, pos uint64) (Record, error) {
+	var hdr [recHeader]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if errors.Is(err, io.EOF) {
+			return Record{}, io.EOF
 		}
-		return 0, false, err
+		return Record{}, readErr(err, pos)
 	}
-	if crc32.ChecksumIEEE(body) != crc {
-		return 0, false, nil
+	n, err := frameLen(hdr[:])
+	if err != nil {
+		return Record{}, errTorn
 	}
-	return Op(body[0]), true, nil
+	// Read the body incrementally so a corrupt length claim cannot
+	// force a huge up-front allocation.
+	body, err := readExact(r, n)
+	if err != nil {
+		return Record{}, readErr(err, pos)
+	}
+	rec, err := decodeFrame(hdr[:], body, pos)
+	if err != nil {
+		return Record{}, errTorn
+	}
+	return rec, nil
+}
+
+// readErr classifies a failed read inside a frame: running out of
+// bytes is a torn frame, anything else a read error.
+func readErr(err error, pos uint64) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return errTorn
+	}
+	return fmt.Errorf("wal: read log at offset %d: %w", pos, err)
 }
 
 // readExact reads exactly n bytes, growing the buffer as bytes
