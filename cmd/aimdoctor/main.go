@@ -9,33 +9,45 @@
 //	aimdoctor -dir DB -json verify
 //
 // The exit status is 0 when the database is healthy (after repair, in
-// repair mode), 1 when problems remain, 2 on usage or I/O errors.
+// repair mode), 1 when problems remain, 2 on usage or I/O errors and
+// on a directory that holds no database, which is left as it is.
 // With -json the machine-readable report is written to stdout.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/doctor"
 	"repro/internal/engine"
 )
 
-func main() {
-	dir := flag.String("dir", "", "database directory (required)")
-	jsonOut := flag.Bool("json", false, "emit the machine-readable JSON report")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: aimdoctor -dir DB [-json] {scan|verify|repair|checkpoint}")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	mode := flag.Arg(0)
-	if *dir == "" || flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+// run is the command with its arguments and output streams; it returns
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("aimdoctor", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	dir := fl.String("dir", "", "database directory (required)")
+	jsonOut := fl.Bool("json", false, "emit the machine-readable JSON report")
+	fl.Usage = func() {
+		fmt.Fprintln(stderr, "usage: aimdoctor -dir DB [-json] {scan|verify|repair|checkpoint}")
+		fl.PrintDefaults()
+	}
+	if err := fl.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	mode := fl.Arg(0)
+	if *dir == "" || fl.NArg() != 1 {
+		fl.Usage()
+		return 2
 	}
 	opts := engine.Options{Dir: *dir}
 
@@ -49,32 +61,28 @@ func main() {
 	case "repair":
 		rep, err = doctor.Repair(opts)
 	case "checkpoint":
-		if err := checkpoint(opts, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "aimdoctor:", err)
-			os.Exit(2)
-		}
-		return
+		err = checkpoint(opts, *jsonOut, stdout)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fl.Usage()
+		return 2
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "aimdoctor:", err)
-		os.Exit(2)
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "aimdoctor:", err)
-			os.Exit(2)
+	if err == nil && rep != nil {
+		if *jsonOut {
+			enc := json.NewEncoder(stdout)
+			enc.SetIndent("", "  ")
+			err = enc.Encode(rep)
+		} else {
+			fmt.Fprint(stdout, doctor.FormatText(rep))
 		}
-	} else {
-		fmt.Print(doctor.FormatText(rep))
 	}
-	if !rep.Healthy {
-		os.Exit(1)
+	switch {
+	case err != nil:
+		fmt.Fprintln(stderr, "aimdoctor:", err)
+		return 2
+	case rep != nil && !rep.Healthy:
+		return 1
 	}
+	return 0
 }
 
 // checkpoint opens the database (running recovery if needed), writes
@@ -82,8 +90,8 @@ func main() {
 // durable horizon — and retires the WAL segments recovery can no
 // longer need. It prints the log's shape before and after, so an
 // operator can see how much replay work the checkpoint saved.
-func checkpoint(opts engine.Options, jsonOut bool) error {
-	db, err := engine.Open(opts)
+func checkpoint(opts engine.Options, jsonOut bool, w io.Writer) error {
+	db, err := doctor.Open(opts)
 	if err != nil {
 		return err
 	}
@@ -94,15 +102,15 @@ func checkpoint(opts engine.Options, jsonOut bool) error {
 	}
 	after := db.WALStats()
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(struct {
 			Before engine.WALStats `json:"before"`
 			After  engine.WALStats `json:"after"`
 		}{before, after})
 	}
-	fmt.Printf("checkpoint written at LSN %d\n", after.CheckpointLSN)
-	fmt.Printf("replay tail: %d bytes -> %d bytes\n", before.End-before.TailStart, after.End-after.TailStart)
-	fmt.Printf("retained segments: %d -> %d\n", before.Segments, after.Segments)
+	fmt.Fprintf(w, "checkpoint written at LSN %d\n", after.CheckpointLSN)
+	fmt.Fprintf(w, "replay tail: %d bytes -> %d bytes\n", before.End-before.TailStart, after.End-after.TailStart)
+	fmt.Fprintf(w, "retained segments: %d -> %d\n", before.Segments, after.Segments)
 	return nil
 }

@@ -33,7 +33,8 @@ type PageKey struct {
 }
 
 // Frame is one buffered page. The Page view is valid while the frame
-// is pinned.
+// is pinned, or while a shared latch is held and Gen still reads the
+// generation seen when the page was pinned.
 //
 // Concurrent pinners of the same frame coordinate through the frame
 // latch (RLatch/Latch): readers of the page image take the shared
@@ -47,6 +48,10 @@ type Frame struct {
 	buf   []byte
 	pins  int
 	dirty bool
+	// gen counts the times the frame left its page. Eviction bumps it
+	// under the exclusive latch; InvalidateAll, whose frames are never
+	// reused, without (a recovered panic may have leaked the latch).
+	gen atomic.Uint64
 	// prev/next link the frame into its shard's LRU ring while it is
 	// unpinned (both nil otherwise). The links live in the frame so that
 	// an Unpin allocates nothing.
@@ -54,6 +59,11 @@ type Frame struct {
 
 	latch sync.RWMutex
 }
+
+// Gen returns the frame's generation. Read under the shared latch, an
+// unchanged generation proves the frame still holds the page it held
+// when the generation was first read, pinned or not.
+func (f *Frame) Gen() uint64 { return f.gen.Load() }
 
 // RLatch takes the frame's shared latch for reading the page image.
 func (f *Frame) RLatch() { f.latch.RLock() }
@@ -130,12 +140,10 @@ type Pool struct {
 
 	// FlushHook, when set, runs before a dirty frame is written back;
 	// the WAL uses it to enforce the write-ahead rule. It is invoked
-	// under the owning shard's lock (never under any global pool lock)
-	// with the frame's LSN, which is stable at that point: the frame is
-	// unpinned or being flushed under the engine's exclusive statement
-	// lock, so no mutator can advance its LSN concurrently. Lock
-	// ordering: shard lock ≺ log mutex; the hook must not call back
-	// into the pool.
+	// under the owning shard's lock and the frame's exclusive latch
+	// (never under any global pool lock) with the frame's LSN, which is
+	// stable at that point. Lock ordering: shard lock ≺ frame latch ≺
+	// log mutex; the hook must not call back into the pool.
 	FlushHook func(key PageKey, lsn uint64) error
 }
 
@@ -217,11 +225,6 @@ func (sh *shard) lruRemove(f *Frame) {
 // shardOf maps a page key to its stripe.
 func (p *Pool) shardOf(key PageKey) *shard { return p.shards[p.ShardIndex(key)] }
 
-// ShardFrames returns the capacity of one shard in frames: how many
-// pins can be outstanding on the pages of one stripe. A caller that
-// holds more than one pin at a time sizes that number from it.
-func (p *Pool) ShardFrames() int { return p.shards[0].capacity }
-
 // ShardCount returns the number of lock stripes.
 func (p *Pool) ShardCount() int { return len(p.shards) }
 
@@ -291,7 +294,7 @@ func (p *Pool) Allocate(id segment.ID) (uint32, error) {
 var ErrCorrupt = fmt.Errorf("buffer: page failed verification: %w", dberr.ErrCorrupt)
 
 // ErrExhausted reports a pin that found every frame of the page's
-// shard pinned: more pins are outstanding than the pool has frames for.
+// shard pinned or latched: more frames are in use than the pool has.
 // It says nothing about the page, so the layers above pass it on as it
 // is and never read it as a broken reference.
 var ErrExhausted = errors.New("buffer: pool exhausted")
@@ -435,31 +438,37 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 // freeFrameLocked finds or evicts a frame in sh; sh.mu is held.
 // In-flight reads count against the shard's capacity — their frames
 // are reserved even though they are not yet in sh.frames.
+// The victim is the least recently used unpinned frame whose latch
+// TryLock gets, so eviction never waits under the shard mutex for a
+// reader viewing a frame it has not pinned.
 func (p *Pool) freeFrameLocked(sh *shard) (*Frame, error) {
 	if len(sh.frames)+len(sh.reading) < sh.capacity {
 		buf := make([]byte, page.Size)
 		return &Frame{buf: buf, Page: page.View(buf)}, nil
 	}
-	// Evict the least recently used unpinned frame.
-	victim := sh.lru.prev
-	if victim == &sh.lru {
-		return nil, fmt.Errorf("%w (%d frames, all pinned)", ErrExhausted, sh.capacity)
-	}
-	sh.lruRemove(victim)
-	if victim.dirty {
-		if err := p.writeBackLocked(sh, victim); err != nil {
-			// Put the victim back on the LRU: it is still a valid
-			// buffered page. Leaving it off the list while it stays in
-			// sh.frames would make it unevictable forever, shrinking the
-			// pool by one frame per failed write-back.
-			sh.lruInsert(victim, sh.lru.prev)
-			return nil, err
+	for victim := sh.lru.prev; victim != &sh.lru; victim = victim.prev {
+		if !victim.latch.TryLock() {
+			continue
 		}
+		if victim.dirty {
+			if err := p.writeBackLocked(sh, victim); err != nil {
+				// The victim stays on the LRU: it is still a valid
+				// buffered page.
+				victim.Unlatch()
+				return nil, err
+			}
+		}
+		victim.gen.Add(1)
+		victim.Unlatch()
+		sh.lruRemove(victim)
+		delete(sh.frames, victim.Key)
+		return victim, nil
 	}
-	delete(sh.frames, victim.Key)
-	return victim, nil
+	return nil, fmt.Errorf("%w (%d frames, all pinned or latched)", ErrExhausted, sh.capacity)
 }
 
+// writeBackLocked seals a dirty frame and writes it to its store;
+// sh.mu and the frame's exclusive latch are held.
 func (p *Pool) writeBackLocked(sh *shard, f *Frame) error {
 	if p.FlushHook != nil {
 		if err := p.FlushHook(f.Key, f.Page.LSN()); err != nil {
@@ -470,18 +479,11 @@ func (p *Pool) writeBackLocked(sh *shard, f *Frame) error {
 	if st == nil {
 		return fmt.Errorf("buffer: segment %d not registered", f.Key.Seg)
 	}
-	// Seal mutates the page header and WritePage reads the whole image;
-	// both must exclude concurrent pinners of the frame. Latch holders
-	// never block on a shard mutex, so taking the latch under sh.mu
-	// cannot deadlock.
-	f.Latch()
 	f.Page.Seal(uint16(f.Key.Seg), f.Key.Page)
 	sh.stats.writes.Add(1)
 	if err := st.WritePage(f.Key.Page, f.buf); err != nil {
-		f.Unlatch()
 		return err
 	}
-	f.Unlatch()
 	sh.sealed[f.Key] = struct{}{}
 	f.dirty = false
 	return nil
@@ -508,7 +510,12 @@ func (p *Pool) FlushAll() error {
 		sh.mu.Lock()
 		for _, f := range sh.frames {
 			if f.dirty {
-				if err := p.writeBackLocked(sh, f); err != nil {
+				// Latch holders never wait on a shard mutex, so waiting
+				// for the latch under sh.mu cannot deadlock.
+				f.Latch()
+				err := p.writeBackLocked(sh, f)
+				f.Unlatch()
+				if err != nil {
 					sh.mu.Unlock()
 					return err
 				}
@@ -532,10 +539,15 @@ func (p *Pool) FlushAll() error {
 // statement-abort path uses it to discard an aborted statement's
 // buffered effects — and any pins leaked by a recovered panic —
 // before rebuilding the committed state from the log. Callers hold
-// the exclusive statement lock, so no reads are in flight.
+// the exclusive statement lock, so no reads are in flight. Every
+// dropped frame's generation is bumped, so no reader's window serves
+// its image again.
 func (p *Pool) InvalidateAll() {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
+		for _, f := range sh.frames {
+			f.gen.Add(1)
+		}
 		sh.frames = make(map[PageKey]*Frame)
 		sh.lruInit()
 		sh.mu.Unlock()

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/page"
@@ -162,5 +163,62 @@ func TestUnregisteredSegment(t *testing.T) {
 	}
 	if _, err := p.Allocate(9); err == nil {
 		t.Error("allocate on unregistered segment succeeded")
+	}
+}
+
+// TestFrameGeneration: a frame's generation changes exactly when the
+// frame leaves its page — by eviction or InvalidateAll — and eviction
+// passes over an unpinned frame whose shared latch a reader holds,
+// taking the next least recently used one instead.
+func TestFrameGeneration(t *testing.T) {
+	p, _ := newPoolWithSeg(t, 2)
+	pin := func(no uint32) *Frame {
+		t.Helper()
+		f, err := p.PinNew(PageKey{Seg: 1, Page: no})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(f, true)
+		return f
+	}
+	var pages []uint32
+	for i := 0; i < 4; i++ {
+		no, _ := p.Allocate(1)
+		pages = append(pages, no)
+	}
+	a, b := pin(pages[0]), pin(pages[1]) // a is the LRU victim
+	genA, genB := a.Gen(), b.Gen()
+	if f, err := p.Pin(PageKey{Seg: 1, Page: pages[0]}); err != nil || f != a {
+		t.Fatalf("hit on a buffered page: %v, %v", f, err)
+	} else {
+		p.Unpin(f, false)
+	}
+	if a.Gen() != genA {
+		t.Fatal("a pin of a buffered page changed its frame's generation")
+	}
+
+	// b is now least recently used, but a reader holds its latch.
+	b.RLatch()
+	if c := pin(pages[2]); c != a {
+		t.Fatal("eviction took the latched frame, or a fresh one")
+	}
+	b.RUnlatch()
+	if a.Gen() == genA || b.Gen() != genB {
+		t.Fatalf("after evicting a: gen a %d -> %d, gen b %d -> %d", genA, a.Gen(), genB, b.Gen())
+	}
+
+	// With every unpinned frame latched there is no victim.
+	a.RLatch()
+	b.RLatch()
+	if _, err := p.PinNew(PageKey{Seg: 1, Page: pages[3]}); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("pin with every frame latched: %v, want ErrExhausted", err)
+	}
+	a.RUnlatch()
+	b.RUnlatch()
+
+	genA, genB = a.Gen(), b.Gen()
+	p.InvalidateAll()
+	if a.Gen() == genA || b.Gen() == genB {
+		t.Fatal("InvalidateAll left a frame's generation unchanged")
 	}
 }

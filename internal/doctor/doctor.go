@@ -93,10 +93,29 @@ func Repair(opts engine.Options) (*Report, error) {
 	return run(opts, "repair", RepairDB)
 }
 
-func run(opts engine.Options, mode string, fn func(*engine.DB) (*Report, error)) (*Report, error) {
+// NoDatabaseError reports a directory that holds no database. The
+// doctor audits and repairs databases; it never creates one.
+type NoDatabaseError struct{ Dir string }
+
+func (e *NoDatabaseError) Error() string { return fmt.Sprintf("doctor: %s holds no database", e.Dir) }
+
+// Open opens the database in opts.Dir, refusing a directory that holds
+// none (engine.HasDatabase) with *NoDatabaseError before writing to it.
+func Open(opts engine.Options) (*engine.DB, error) {
+	if opts.Dir != "" && !engine.HasDatabase(opts.Dir) {
+		return nil, &NoDatabaseError{Dir: opts.Dir}
+	}
 	db, err := engine.Open(opts)
 	if err != nil {
 		return nil, fmt.Errorf("doctor: open: %w", err)
+	}
+	return db, nil
+}
+
+func run(opts engine.Options, mode string, fn func(*engine.DB) (*Report, error)) (*Report, error) {
+	db, err := Open(opts)
+	if err != nil {
+		return nil, err
 	}
 	rep, ferr := fn(db)
 	if cerr := db.Close(); ferr == nil && cerr != nil {

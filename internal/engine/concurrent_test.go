@@ -372,12 +372,11 @@ func TestScansAndWriterOnTheSameObjects(t *testing.T) {
 	}
 }
 
-// TestManyReadersOnSmallPool runs more readers than fixed windows of
-// pinned pages would leave room for on an 8-frame pool: six snapshot
-// scans and a writer over objects of about 25 pages each. A reader's
-// window is its share of the pool (one pin at a time here), so the pool
-// never runs out of frames, no statement fails and nothing is
-// quarantined.
+// TestManyReadersOnSmallPool runs more readers than windows of pinned
+// pages would leave room for on an 8-frame pool: six snapshot scans and
+// a writer over objects of about 25 pages each. A reader's window holds
+// no pins (one pin at most, during a view), so the pool never runs out
+// of frames, no statement fails and nothing is quarantined.
 func TestManyReadersOnSmallPool(t *testing.T) {
 	db, err := engine.Open(engine.Options{PoolPages: 8})
 	if err != nil {

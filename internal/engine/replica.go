@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -237,6 +238,19 @@ func (db *DB) ReplicaSnapshot() (*ReplSnapshot, error) {
 	return snap, nil
 }
 
+// dbFile reports whether a file of a database directory belongs to the
+// database: a segment file or a log segment.
+func dbFile(name string) bool {
+	return strings.HasSuffix(name, ".log") || (strings.HasPrefix(name, "seg_") && strings.HasSuffix(name, ".dat"))
+}
+
+// HasDatabase reports whether dir holds a database: a segment file or
+// a log segment. A missing or unreadable directory holds none.
+func HasDatabase(dir string) bool {
+	entries, _ := os.ReadDir(dir)
+	return slices.ContainsFunc(entries, func(e os.DirEntry) bool { return dbFile(e.Name()) })
+}
+
 // RestoreSnapshot materializes a snapshot into dir, replacing any
 // database already there: segment files are written verbatim (page
 // LSNs and checksums travel with the bytes) and the WAL tail becomes
@@ -253,9 +267,8 @@ func RestoreSnapshot(dir string, snap *ReplSnapshot) error {
 		return err
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".log") || (strings.HasPrefix(name, "seg_") && strings.HasSuffix(name, ".dat")) {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+		if dbFile(e.Name()) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
 				return err
 			}
 		}

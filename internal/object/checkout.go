@@ -86,7 +86,7 @@ func (m *Manager) Export(ref Ref) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer o.release()
+	defer o.done()
 	snap := &Snapshot{Layout: m.layout, Local: make([]bool, len(o.pages))}
 	rootLocal := -1
 	for i, pg := range o.pages {

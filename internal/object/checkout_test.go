@@ -21,7 +21,7 @@ func rawSnapshot(t *testing.T, m *Manager, ref Ref) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer o.release()
+	defer o.done()
 	snap := &Snapshot{Layout: m.layout, Local: make([]bool, len(o.pages))}
 	for i, pg := range o.pages {
 		if pg == 0 {

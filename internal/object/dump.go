@@ -17,7 +17,7 @@ func (m *Manager) DumpMD(tt *model.TableType, ref Ref) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	defer o.release()
+	defer o.done()
 	var b strings.Builder
 	fmt.Fprintf(&b, "[root MD subtuple %v, layout %s, page list %v]\n", ref, m.layout, o.pages)
 	if err := m.dumpLevel(o, tt, h, &b, "", true); err != nil {

@@ -46,7 +46,7 @@ func (m *Manager) UpdateAtomsProbed(tt *model.TableType, ref Ref, steps []Step, 
 	if err != nil {
 		return err
 	}
-	defer w.release()
+	defer w.o.done()
 	idx := lt.AtomicIndexes()
 	if len(vals) != len(idx) {
 		return fmt.Errorf("object: %d atomic values, level has %d atomic attributes", len(vals), len(idx))
@@ -104,7 +104,7 @@ func (m *Manager) InsertMemberPos(tt *model.TableType, ref Ref, steps []Step, at
 	if err != nil {
 		return 0, err
 	}
-	defer o.release()
+	defer o.done()
 	h, err := m.rootHandle(tt, rootBody)
 	if err != nil {
 		return 0, err
@@ -254,7 +254,7 @@ func (m *Manager) DeleteMember(tt *model.TableType, ref Ref, steps []Step, attr,
 	if err != nil {
 		return err
 	}
-	defer o.release()
+	defer o.done()
 	h, err := m.rootHandle(tt, rootBody)
 	if err != nil {
 		return err
@@ -396,7 +396,7 @@ func (m *Manager) Delete(tt *model.TableType, ref Ref) error {
 	if err != nil {
 		return err
 	}
-	defer o.release()
+	defer o.done()
 	if err := m.freeLevel(o, tt, h); err != nil {
 		return err
 	}

@@ -99,15 +99,15 @@ const recOverhead = 32
 
 // objCtx carries the state needed to work inside one complex object's
 // local address space: its root TID, its page list, the window of
-// pinned pages its reads go through and, on the write path, a
+// pages its reads go through and, on the write path, a
 // free-space cache so bulk builds do not re-probe every page per
 // insert. The page-list scan semantics follow §4.1: to place a new
 // subtuple, the pages already owned by the object are tried first;
 // only when none has room is a new page allocated and appended to the
 // list (reusing a gap if one exists).
 //
-// Every context obtained from loadCtx must be released: its window
-// keeps each page the operation touched pinned until then.
+// Every operation that loads a context defers its done: an error path
+// or a panic may leave the window's last view latched.
 type objCtx struct {
 	m     *Manager
 	root  page.TID // zero until the root MD subtuple is stored
@@ -129,7 +129,7 @@ func (m *Manager) newCtx() *objCtx {
 // loadCtx views the root MD subtuple and decodes the envelope: the
 // page list into the context, the root node body into a copy the
 // caller may keep. On success the caller owns the context and must
-// release it.
+// call its done.
 func (m *Manager) loadCtx(ref Ref, asof int64) (*objCtx, []byte, error) {
 	o := &objCtx{m: m, root: ref, asof: asof, win: m.st.Reader()}
 	raw, err := o.viewTID(ref)
@@ -141,7 +141,7 @@ func (m *Manager) loadCtx(ref Ref, asof int64) (*objCtx, []byte, error) {
 			return o, body, nil
 		}
 	}
-	o.release()
+	o.done()
 	return nil, nil, err
 }
 
@@ -176,13 +176,8 @@ func (o *objCtx) view(mt page.MiniTID) ([]byte, error) {
 	return data, nil
 }
 
-// done ends the current view.
+// done ends the current view, if any.
 func (o *objCtx) done() { o.win.Done() }
-
-// release unpins the context's window (and ends a view an error path
-// left open). Deferred by every operation that loads a context, so it
-// also runs when a decode panics.
-func (o *objCtx) release() { o.win.Release() }
 
 // envelope: [layout byte][pageCount uvarint][pageNo uint32 ...][body]
 func (o *objCtx) encodeEnvelope(body []byte) []byte {

@@ -253,16 +253,16 @@ func (m *Manager) ReadAsOf(tt *model.TableType, ref Ref, asof int64) (model.Tupl
 // This is the path-pruned read the access layer uses for projection
 // and predicate pushdown — the promise of §4.1: the read touches the
 // MD subtuples along the requested paths plus the data subtuples of
-// the levels whose atoms are requested, and pins each page of the
+// the levels whose atoms are requested, and fetches each page of the
 // object once. When ps carries a pre-test, it runs first, in the same
-// window of pinned pages; an object that fails it is reported as a nil
+// window of pages; an object that fails it is reported as a nil
 // tuple with a nil error, and nothing of it is materialized.
 func (m *Manager) ReadPruned(tt *model.TableType, ref Ref, asof int64, ps *PathSet) (model.Tuple, error) {
 	o, _, h, err := m.open(tt, ref, asof, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer o.release()
+	defer o.done()
 	if ps == nil {
 		ps = allSet
 	}
@@ -315,7 +315,7 @@ func (o *objCtx) locate(tt *model.TableType, h levelHandle, steps []Step, path *
 
 // open loads the object's context as of an instant (0 = current) and
 // its root handle, and descends to the level addressed by steps. The
-// caller releases the context.
+// caller ends the context with done.
 func (m *Manager) open(tt *model.TableType, ref Ref, asof int64, steps []Step) (*objCtx, *model.TableType, levelHandle, error) {
 	o, body, err := m.loadCtx(ref, asof)
 	if err != nil {
@@ -328,7 +328,7 @@ func (m *Manager) open(tt *model.TableType, ref Ref, asof int64, steps []Step) (
 			return o, lt, h, nil
 		}
 	}
-	o.release()
+	o.done()
 	return nil, nil, levelHandle{}, err
 }
 
@@ -339,7 +339,7 @@ func (m *Manager) ReadSubobject(tt *model.TableType, ref Ref, steps ...Step) (mo
 	if err != nil {
 		return nil, err
 	}
-	defer o.release()
+	defer o.done()
 	var slab model.Slab
 	return o.fetch(lt, &lh, allSet, &slab)
 }
@@ -352,7 +352,7 @@ func (m *Manager) ReadSubtable(tt *model.TableType, ref Ref, attr int, steps ...
 	if err != nil {
 		return nil, err
 	}
-	defer o.release()
+	defer o.done()
 	gi, err := giOf(lt, attr)
 	if err != nil {
 		return nil, err
@@ -369,7 +369,7 @@ func (m *Manager) ReadAtomsAt(tt *model.TableType, ref Ref, steps ...Step) ([]mo
 	if err != nil {
 		return nil, err
 	}
-	defer o.release()
+	defer o.done()
 	return o.readAtoms(lh.d)
 }
 
@@ -383,7 +383,7 @@ func (m *Manager) ReadDataPath(ref Ref, dpath []page.MiniTID) ([]model.Value, er
 	if err != nil {
 		return nil, err
 	}
-	defer o.release()
+	defer o.done()
 	if len(dpath) == 0 {
 		return nil, fmt.Errorf("object: empty data path")
 	}
@@ -411,7 +411,7 @@ func (m *Manager) ObjectStats(tt *model.TableType, ref Ref) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	defer o.release()
+	defer o.done()
 	s := Stats{Layout: m.layout, MDSubtuples: 1, PageListLen: len(o.pages)}
 	raw, err := o.viewTID(ref)
 	if err != nil {
@@ -512,7 +512,7 @@ func (m *Manager) DataPathAt(tt *model.TableType, ref Ref, steps ...Step) ([]pag
 	if err != nil {
 		return nil, err
 	}
-	defer o.release()
+	defer o.done()
 	if len(steps) == 0 {
 		return []page.MiniTID{h.d}, nil
 	}
@@ -532,7 +532,7 @@ func (m *Manager) FindByDataPath(tt *model.TableType, ref Ref, dpath []page.Mini
 	if err != nil {
 		return nil, err
 	}
-	defer o.release()
+	defer o.done()
 	if len(dpath) == 1 && dpath[0] == h.d {
 		return []Step{}, nil
 	}
@@ -574,7 +574,7 @@ func (m *Manager) HistoryAt(tt *model.TableType, ref Ref, steps ...Step) ([]Atom
 	if err != nil {
 		return nil, err
 	}
-	defer o.release()
+	defer o.done()
 	tid, err := o.resolve(lh.d)
 	if err != nil {
 		return nil, err

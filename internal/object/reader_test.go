@@ -283,7 +283,7 @@ func TestEveryOperationReleasesItsContext(t *testing.T) {
 	})
 }
 
-// TestReadPinsEachPageOnce is the pinned-window rule seen from the
+// TestReadPinsEachPageOnce is the reader's window seen from the
 // pool: a full read of an object fetches exactly the pages of its
 // local address space, however many subtuples it decodes on them.
 func TestReadPinsEachPageOnce(t *testing.T) {
@@ -291,7 +291,6 @@ func TestReadPinsEachPageOnce(t *testing.T) {
 	// Two pages: the window is never recycled.
 	dept := testdata.GenDepartments(testdata.GenConfig{Departments: 1, ProjsPerDept: 8, MembersPerProj: 12, EquipPerDept: 4, Seed: 1}).Tuples[0]
 	for _, l := range []Layout{SS1, SS2, SS3} {
-		// One shard of 64 frames: a reader's share is the full window.
 		pool := buffer.NewPoolShards(64, 1)
 		pool.Register(1, segment.NewMemStore())
 		m := NewManager(subtuple.New(subtuple.Config{Pool: pool, Seg: 1}), l)

@@ -35,7 +35,7 @@ func (m *Manager) Salvage(tt *model.TableType, ref Ref) (*SalvageResult, error) 
 		res.Lost = append(res.Lost, fmt.Sprintf("root MD subtuple %v: %v", ref, err))
 		return res, nil
 	}
-	defer o.release()
+	defer o.done()
 	h, err := m.rootHandle(tt, body)
 	if err != nil {
 		res.Lost = append(res.Lost, fmt.Sprintf("root node of %v: %v", ref, err))

@@ -85,14 +85,11 @@ func (m *Manager) walkTo(tt *model.TableType, ref Ref, steps []Step, probes []Pr
 		lt, h, err = o.locate(tt, h, steps, &w.path)
 	}
 	if err != nil {
-		w.release()
+		w.o.done()
 		return nil, nil, levelHandle{}, err
 	}
 	return w, lt, h, nil
 }
-
-// release gives back the object context.
-func (w *walker) release() { w.o.release() }
 
 // WalkProbes opens the object once and calls fn for every probe whose
 // level lies in the subtree rooted at the subobject steps address
@@ -110,7 +107,7 @@ func (m *Manager) WalkProbes(tt *model.TableType, ref Ref, steps []Step, probes 
 	if err != nil {
 		return err
 	}
-	defer w.release()
+	defer w.o.done()
 	w.fn = fn
 	return w.level(lt, &h)
 }

@@ -121,9 +121,9 @@ func FuzzReaderView(f *testing.F) {
 			r := s.Reader()
 			p, ok, err := r.View(tid, asof)
 			got := append([]byte(nil), p...)
-			r.Release()
+			r.Done()
 			if n := pool.PinnedCount(); n != 0 {
-				t.Fatalf("asof %d: %d pages pinned after Release", asof, n)
+				t.Fatalf("asof %d: %d pages pinned after Done", asof, n)
 			}
 			if (err != nil) != (wantErr != nil) || ok != wantOK {
 				t.Fatalf("asof %d: reader (%v, %v), copying read (%v, %v)", asof, ok, err, wantOK, wantErr)

@@ -3,6 +3,7 @@ package subtuple
 import (
 	"errors"
 
+	"repro/internal/buffer"
 	"repro/internal/dberr"
 	"repro/internal/page"
 )
@@ -10,7 +11,7 @@ import (
 // readCopying is ReadAsOf as it was before the Reader existed, kept as
 // the reference the Reader is tested against: every record on the way
 // — forwarding stubs, each version, overflow chunks — is pinned,
-// latched, copied out and unpinned on its own (readRaw), then parsed
+// latched, copied out and unpinned on its own (copyRecord), then parsed
 // from the copy. The version walk takes the same hops as the Reader's,
 // jump pointers included, and checks each with checkHop.
 //
@@ -37,7 +38,7 @@ func readCopying(s *Store, t page.TID, ts int64) ([]byte, bool, error) {
 		if viaJump {
 			at = d.jump
 		}
-		if raw, err = s.readRaw(at); err != nil {
+		if raw, err = copyRecord(s, at); err != nil {
 			return nil, false, broken("version chain", err)
 		}
 		n, err := s.decodeHeader(raw)
@@ -63,7 +64,7 @@ func readCopying(s *Store, t page.TID, ts int64) ([]byte, bool, error) {
 // resolveCopying follows forwarding stubs one copied record at a time.
 func resolveCopying(s *Store, t page.TID) ([]byte, error) {
 	for hop := 0; ; hop++ {
-		raw, err := s.readRaw(t)
+		raw, err := copyRecord(s, t)
 		if err != nil {
 			if hop > 0 && !dberr.IsCorrupt(err) && !errors.Is(err, ErrNotFound) {
 				return nil, dberr.Corruptf("subtuple: broken forwarding chain at %v: %v", t, err)
@@ -85,4 +86,24 @@ func resolveCopying(s *Store, t page.TID) ([]byte, error) {
 		}
 		t = next
 	}
+}
+
+// copyRecord pins, latches, copies and unpins one record, sharing no
+// code with the Reader it is the reference for.
+func copyRecord(s *Store, t page.TID) ([]byte, error) {
+	f, err := s.pool.Pin(buffer.PageKey{Seg: s.seg, Page: t.Page})
+	if err != nil {
+		return nil, err
+	}
+	defer s.pool.Unpin(f, false)
+	f.RLatch()
+	defer f.RUnlatch()
+	if !f.Page.Initialized() {
+		return nil, dberr.Corruptf("subtuple: reference %v into uninitialized page %d.%d", t, s.seg, t.Page)
+	}
+	rec, err := f.Page.Read(t.Slot)
+	if err != nil {
+		return nil, ErrNotFound
+	}
+	return append([]byte(nil), rec...), nil
 }

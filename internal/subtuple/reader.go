@@ -9,110 +9,83 @@ import (
 	"repro/internal/page"
 )
 
-// maxKeep is the most pages a Reader keeps pinned between two views,
-// and pinShare the fraction of one pool shard a goroutine's pins may
-// take. A complex object's local address space is a short page list
-// (§4.1), so a few frames cover one object read. Sizing the window as a
-// share of the shard means pinShare readers and writers always fit one
-// shard together, however small the pool — exhaustion cannot come from
-// the windows themselves.
-const (
-	maxKeep  = 4
-	pinShare = 8
-)
+// window is the number of pages a Reader remembers. A complex
+// object's local address space is a short page list (§4.1), so a few
+// pages cover one object read.
+const window = 4
 
-// keepPinned is the number of pages a Reader on the pool keeps pinned
-// between two views: its share of a shard, less the one frame that the
-// page being viewed — or, between views, a write or an overflow read of
-// the same operation — needs. On a shard of fewer than 2*pinShare
-// frames that is none: every record is pinned and unpinned on its own,
-// exactly as Store.Read did before the Reader existed.
-func keepPinned(pool *buffer.Pool) int {
-	return min(max(pool.ShardFrames()/pinShare-1, 0), maxKeep)
+// slot is one remembered page, the frame that held it and the frame's
+// generation then (Frame.Key is written without the latch).
+type slot struct {
+	f    *buffer.Frame
+	gen  uint64
+	page uint32
 }
 
-// Reader reads the records of one store in place. Where Store.Read
-// pins, latches, copies and unpins once per record, a Reader keeps the
-// pages it touched last pinned until Release and hands out each
-// record's payload as a slice of the page image, valid under the
-// frame's shared latch until Done.
+// Reader reads the records of one store in place. Where a copying read
+// pins, latches, copies and unpins once per record, a Reader remembers
+// the last pages it viewed and hands out each record's payload as a
+// slice of the page image, valid under the frame's shared latch until
+// Done.
 //
 // The rules that make this safe:
 //
-//   - The window is bounded: at most keep pages (keepPinned) stay
-//     pinned between views and one more while a record is viewed, the
-//     oldest released first. The copying overflow fallback and the
-//     writes of the same operation pin their one page between views, so
-//     a goroutine never holds more than keep+1 pins.
-//   - Pins are held across calls, latches never: View returns with at
-//     most one shared latch held, Done drops it, and a Reader never
-//     pins (which may evict, and eviction latches its victim under the
-//     shard mutex) or latches a second frame while it holds one.
-//     Forwarding and version chains are followed by reading the next
-//     TID out of the record, unlatching, and only then moving on.
+//   - The window holds no pins. A view of a remembered page takes the
+//     frame's shared latch and checks the frame's generation: unchanged,
+//     the frame still holds the page (buffer.Frame.Gen). No pin, no
+//     shard mutex, no map lookup. On a new page or a changed generation
+//     the Reader pins once, latches, remembers the frame and unpins at
+//     Done, after unlatching: at most one pin, only during a view.
+//   - Latches are never held across calls: View returns with at most
+//     one shared latch held, Done drops it, and a Reader never pins or
+//     latches a second frame while it holds one. Forwarding and version
+//     chains are followed by reading the next TID out of the record,
+//     unlatching, and only then moving on.
 //   - The bytes a View returns are the live page image. The caller
 //     decodes them before Done and keeps no reference past it.
-//   - Release returns every pin (and a latch still held on an error
-//     path), so the pool sees no pinned frame once a read is over.
 //
 // A Reader is used by one goroutine. The zero value is not usable;
 // obtain one from Store.Reader.
 type Reader struct {
 	s       *Store
-	keep    int                        // pages kept pinned between views
-	win     [maxKeep + 1]*buffer.Frame // win[:n] are pinned, oldest first
-	n       int
+	win     [window]slot
+	next    int           // the slot a new page replaces: oldest first
 	latched *buffer.Frame // frame whose shared latch the current View holds
+	pinned  *buffer.Frame // frame pinned for the current View, if any
 }
 
-// Reader returns an empty reader over the store, its window sized by
-// keepPinned.
-func (s *Store) Reader() Reader { return Reader{s: s, keep: s.keep} }
+// Reader returns an empty reader over the store.
+func (s *Store) Reader() Reader { return Reader{s: s} }
 
-// single returns a reader for one record, which keeps nothing pinned
-// between the hops of its one walk: its caller may be an operation
-// that holds a window already.
-func (s *Store) single() Reader { return Reader{s: s} }
-
-// frame returns the pinned frame of a page, pinning it on first use.
-// Nothing is latched, so at most keep pages are pinned and the window
-// has room for one more.
-func (r *Reader) frame(pageNo uint32) (*buffer.Frame, error) {
-	for _, f := range r.win[:r.n] {
-		if f.Key.Page == pageNo {
-			return f, nil
+// record latches the page of t — through the window if the frame it
+// remembers still holds the page, else by pinning it — and returns the
+// raw record in place. On error nothing is latched or pinned.
+func (r *Reader) record(t page.TID) ([]byte, error) {
+	var f *buffer.Frame
+	i := -1
+	for j := range r.win {
+		if sl := &r.win[j]; sl.f != nil && sl.page == t.Page {
+			if sl.f.RLatch(); sl.f.Gen() == sl.gen {
+				f = sl.f
+			} else {
+				sl.f.RUnlatch()
+				i = j
+			}
+			break
 		}
 	}
-	f, err := r.s.pool.Pin(buffer.PageKey{Seg: r.s.seg, Page: pageNo})
-	if err != nil {
-		return nil, err
+	if f == nil {
+		var err error
+		if f, err = r.s.pool.Pin(buffer.PageKey{Seg: r.s.seg, Page: t.Page}); err != nil {
+			return nil, err
+		}
+		f.RLatch()
+		r.pinned = f
+		if i < 0 {
+			i, r.next = r.next, (r.next+1)%window
+		}
+		r.win[i] = slot{f: f, gen: f.Gen(), page: t.Page}
 	}
-	r.win[r.n] = f
-	r.n++
-	return f, nil
-}
-
-// shrink unpins the oldest pages until at most keep stay pinned.
-func (r *Reader) shrink(keep int) {
-	drop := r.n - keep
-	if drop <= 0 {
-		return
-	}
-	for _, f := range r.win[:drop] {
-		r.s.pool.Unpin(f, false)
-	}
-	r.n = copy(r.win[:], r.win[drop:r.n])
-	clear(r.win[r.n:])
-}
-
-// record latches the page of t and returns the raw record in place.
-// On error nothing is latched.
-func (r *Reader) record(t page.TID) ([]byte, error) {
-	f, err := r.frame(t.Page)
-	if err != nil {
-		return nil, err
-	}
-	f.RLatch()
 	r.latched = f
 	if !f.Page.Initialized() {
 		// A reference into an all-zero page means the page was zeroed
@@ -235,20 +208,16 @@ func (r *Reader) resolve(t page.TID) (page.TID, []byte, error) {
 	}
 }
 
-// Done ends the current View: the shared latch is dropped, the payload
-// must not be touched again, and the window shrinks to the pages kept
-// between views. A no-op when nothing is latched.
+// Done ends the current View: the shared latch is dropped, then the
+// pin the View took, if any. The payload must not be touched again. A
+// no-op when nothing is latched.
 func (r *Reader) Done() {
 	if r.latched != nil {
 		r.latched.RUnlatch()
 		r.latched = nil
-		r.shrink(r.keep)
 	}
-}
-
-// Release ends any View and unpins every page of the window. The
-// reader is empty afterwards and can be used again.
-func (r *Reader) Release() {
-	r.Done()
-	r.shrink(0)
+	if r.pinned != nil {
+		r.s.pool.Unpin(r.pinned, false)
+		r.pinned = nil
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/buffer"
@@ -16,7 +17,7 @@ import (
 // viewCopy reads t through a fresh Reader and copies the payload out.
 func viewCopy(s *Store, tid page.TID, asof int64) ([]byte, bool, error) {
 	r := s.Reader()
-	defer r.Release()
+	defer r.Done()
 	p, ok, err := r.View(tid, asof)
 	return append([]byte(nil), p...), ok, err
 }
@@ -27,9 +28,10 @@ func viewCopy(s *Store, tid page.TID, asof int64) ([]byte, bool, error) {
 // in the versioned run, version chains and tombstones — and after
 // every step reads every subtuple through the in-place Reader and
 // through the copying reference read, at the current state and at
-// every instant so far. One Reader serves a whole pass, so on the
-// one-shard pool its window fills and recycles across records; on the
-// eight-shard pool the window is a single page.
+// every instant so far. One Reader serves a whole pass, so its window
+// fills and recycles across records; on the eight-shard pool of 8-frame
+// shards the frames it remembers are reused under it too. On every pool
+// one page at most is pinned during a view and none between views.
 func TestReaderMatchesCopyingRead(t *testing.T) {
 	for _, c := range []struct {
 		versioned bool
@@ -92,22 +94,18 @@ func TestReaderMatchesCopyingRead(t *testing.T) {
 					for _, asof := range instants {
 						want, wantOK, wantErr := readCopying(s, tid, asof)
 						got, ok, err := r.View(tid, asof)
-						if n := pool.PinnedCount(); n > s.keep+1 {
-							t.Fatalf("step %d: %d pages pinned during a view, window is %d", step, n, s.keep+1)
+						if n := pool.PinnedCount(); n > 1 {
+							t.Fatalf("step %d: %d pages pinned during a view, want at most 1", step, n)
 						}
 						if (err != nil) != (wantErr != nil) || ok != wantOK || !bytes.Equal(got, want) {
 							t.Fatalf("step %d %v asof %d: reader (%d bytes, %v, %v), copying read (%d bytes, %v, %v)",
 								step, tid, asof, len(got), ok, err, len(want), wantOK, wantErr)
 						}
 						r.Done()
-						if n := pool.PinnedCount(); n > s.keep {
-							t.Fatalf("step %d: %d pages pinned between views, want at most %d", step, n, s.keep)
+						if n := pool.PinnedCount(); n != 0 {
+							t.Fatalf("step %d: %d pages pinned between views, want none", step, n)
 						}
 					}
-				}
-				r.Release()
-				if n := pool.PinnedCount(); n != 0 {
-					t.Fatalf("step %d: %d pages pinned between reads", step, n)
 				}
 			}
 			if !sawFwd || !sawLong {
@@ -146,15 +144,12 @@ func TestReaderDecodeCountMatches(t *testing.T) {
 	}
 }
 
-// TestReaderWindow checks the pinned-window rule on pools of every
-// window size: a reader's pins are an eighth of a shard and at most
-// five; that many pages are pinned during a view and one fewer between
-// views; a page in the window is not fetched again; Release returns
-// everything. On the smallest pools the window is one page and every
-// record costs one fetch, as the copying read did.
-func TestReaderWindow(t *testing.T) {
+// pagesOnDisk writes pages pages of perPage records each, record i of
+// page pg holding the bytes {pg, i}, and returns their TIDs in page
+// order and the backing store, flushed.
+func pagesOnDisk(t *testing.T, pages, perPage int) ([]page.TID, segment.Store) {
+	t.Helper()
 	s, pool := newStore(t, false)
-	const pages, perPage = 7, 3
 	var tids []page.TID
 	for pg := 0; pg < pages; pg++ {
 		no, err := s.AllocatePage()
@@ -172,42 +167,188 @@ func TestReaderWindow(t *testing.T) {
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ frames, window int }{{2, 1}, {8, 1}, {15, 1}, {16, 2}, {24, 3}, {40, 5}, {256, 5}} {
-		pool := buffer.NewPoolShards(c.frames, 1)
-		pool.Register(1, s.pool.Store(1))
-		s := New(Config{Pool: pool, Seg: 1})
-		if s.keep != c.window-1 {
-			t.Fatalf("%d frames: reader keeps %d pages, want %d", c.frames, s.keep, c.window-1)
-		}
+	return tids, pool.Store(1)
+}
+
+// storeOn returns an unversioned store of segment 1 over st on a
+// one-shard pool of frames frames.
+func storeOn(st segment.Store, frames int) (*Store, *buffer.Pool) {
+	pool := buffer.NewPoolShards(frames, 1)
+	pool.Register(1, st)
+	return New(Config{Pool: pool, Seg: 1}), pool
+}
+
+// TestReaderWindow checks the window rule on shards of 2 to 256
+// frames: one page at most is pinned during a view and none after
+// Done; a page is fetched once however many of its records are viewed
+// in a row; and a page still in the window and still buffered costs no
+// fetch when viewed again, while one whose frame was reused costs one.
+func TestReaderWindow(t *testing.T) {
+	const pages, perPage = 7, 3
+	tids, st := pagesOnDisk(t, pages, perPage)
+	for _, frames := range []int{2, 3, 8, 15, 16, 24, 40, 256} {
+		s, pool := storeOn(st, frames)
 		r := s.Reader()
-		// Twice over the pages in order: the second pass finds the last
-		// pages of the first still in the window, oldest released first.
-		for pass := 0; pass < 2; pass++ {
-			for _, tid := range tids {
-				p, ok, err := r.View(tid, Current)
-				if err != nil || !ok || p[0] != byte(tid.Page-tids[0].Page) {
-					t.Fatalf("%d frames: view %v = %v, %v, %v", c.frames, tid, p, ok, err)
-				}
-				if n := pool.PinnedCount(); n > c.window {
-					t.Fatalf("%d frames: %d pages pinned during a view, window is %d", c.frames, n, c.window)
-				}
-				r.Done()
-				if n := pool.PinnedCount(); n > c.window-1 {
-					t.Fatalf("%d frames: %d pages pinned between views, want at most %d", c.frames, n, c.window-1)
-				}
+		view := func(tid page.TID) {
+			p, ok, err := r.View(tid, Current)
+			if err != nil || !ok || p[0] != byte(tid.Page-tids[0].Page) {
+				t.Fatalf("%d frames: view %v = %v, %v, %v", frames, tid, p, ok, err)
+			}
+			if n := pool.PinnedCount(); n > 1 {
+				t.Fatalf("%d frames: %d pages pinned during a view, want at most 1", frames, n)
+			}
+			r.Done()
+			if n := pool.PinnedCount(); n != 0 {
+				t.Fatalf("%d frames: %d pages pinned after Done, want none", frames, n)
 			}
 		}
-		want := uint64(2 * pages) // every page left the window before its turn came again
-		if c.window == 1 {
-			want = 2 * pages * perPage
+		for _, tid := range tids {
+			view(tid)
 		}
+		if got := pool.Stats().Fetches; got != pages {
+			t.Errorf("%d frames: first pass fetched %d pages, want %d", frames, got, pages)
+		}
+		// Back over the pages, newest first: the window's pages come
+		// first, and those still buffered cost nothing.
+		pool.ResetStats()
+		for i := len(tids) - 1; i >= 0; i-- {
+			view(tids[i])
+		}
+		want := uint64(pages - min(frames, window))
 		if got := pool.Stats().Fetches; got != want {
-			t.Errorf("%d frames: %d page fetches for %d views, want %d", c.frames, got, 2*len(tids), want)
+			t.Errorf("%d frames: second pass fetched %d pages, want %d", frames, got, want)
 		}
-		r.Release()
-		if n := pool.PinnedCount(); n != 0 {
-			t.Fatalf("%d frames: %d pages pinned after Release", c.frames, n)
+	}
+}
+
+// TestReaderSeesFrameReuse: the one frame of a pool holds page A while
+// a reader views it, then is reused for page B. The reader's window
+// still names that frame for A; viewing A again must notice the new
+// generation and fetch A, not read B's image at A's slot.
+func TestReaderSeesFrameReuse(t *testing.T) {
+	tids, st := pagesOnDisk(t, 2, 1)
+	a, b := tids[0], tids[1]
+	s, pool := storeOn(st, 1)
+	r := s.Reader()
+	for round := uint64(1); round <= 3; round++ {
+		p, ok, err := r.View(a, Current)
+		if err != nil || !ok || !bytes.Equal(p, []byte{0, 0}) {
+			t.Fatalf("round %d: view of A = %v, %v, %v", round, p, ok, err)
 		}
+		r.Done()
+		if got := pool.Stats().Fetches; got != 2*round-1 {
+			t.Fatalf("round %d: %d fetches after viewing A, want %d", round, got, 2*round-1)
+		}
+		f, err := pool.Pin(buffer.PageKey{Seg: 1, Page: b.Page})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(f, false)
+	}
+}
+
+// TestReaderUnderEviction runs four readers over one store on a
+// two-frame pool while a fifth goroutine keeps pinning other pages, so
+// the frames the readers remember are reused under them all the time.
+// Every view must return what the copying read returned before the run
+// (the store is not written), or fail with buffer.ErrExhausted. Run
+// under -race it checks the latch and generation protocol.
+func TestReaderUnderEviction(t *testing.T) {
+	s, big := newStore(t, true)
+	rng := rand.New(rand.NewSource(3))
+	var tids []page.TID
+	for i := 0; i < 24; i++ {
+		n := 20 + rng.Intn(900)
+		if i%8 == 7 {
+			n = maxRecord + 100 // overflow chain
+		}
+		tid, err := s.Insert(bytes.Repeat([]byte{byte('a' + i)}, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tids = append(tids, tid)
+	}
+	for i := 0; i < 60; i++ {
+		tid := tids[rng.Intn(len(tids))]
+		if err := s.Update(tid, bytes.Repeat([]byte{byte('A' + i%26)}, 20+rng.Intn(1500))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := s.clock()
+	type want struct {
+		data []byte
+		ok   bool
+	}
+	instants := []int64{Current, now / 3, 2 * now / 3}
+	wants := make(map[page.TID][]want)
+	for _, tid := range tids {
+		for _, asof := range instants {
+			data, ok, err := readCopying(s, tid, asof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wants[tid] = append(wants[tid], want{data, ok})
+		}
+	}
+	if err := big.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	pool := buffer.NewPoolShards(2, 1)
+	pool.Register(1, big.Store(1))
+	s = New(Config{Pool: pool, Seg: 1, Versioned: true, Clock: s.clock})
+	pages := big.Store(1).PageCount()
+
+	stop := make(chan struct{})
+	var evictor sync.WaitGroup
+	evictor.Add(1)
+	go func() {
+		defer evictor.Done()
+		for pg := uint32(1); ; pg = pg%pages + 1 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if f, err := pool.Pin(buffer.PageKey{Seg: 1, Page: pg}); err == nil {
+				pool.Unpin(f, false)
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			r := s.Reader()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for n := 0; n < 400; n++ {
+				tid := tids[rng.Intn(len(tids))]
+				i := rng.Intn(len(instants))
+				got, ok, err := r.View(tid, instants[i])
+				if errors.Is(err, buffer.ErrExhausted) {
+					continue
+				}
+				w := wants[tid][i]
+				if err != nil || ok != w.ok || !bytes.Equal(got, w.data) {
+					errs <- fmt.Errorf("reader %d: %v asof %d = (%d bytes, %v, %v), copying read (%d bytes, %v)",
+						g, tid, instants[i], len(got), ok, err, len(w.data), w.ok)
+					r.Done()
+					return
+				}
+				r.Done()
+			}
+		}(g)
+	}
+	readers.Wait()
+	close(stop)
+	evictor.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := pool.PinnedCount(); n != 0 {
+		t.Fatalf("%d pages pinned after the run", n)
 	}
 }
 
@@ -278,7 +419,7 @@ func TestReaderErrorsReleaseEverything(t *testing.T) {
 		if ok || dberr.IsCorrupt(err) != c.corrupt || errors.Is(err, ErrNotFound) != c.missing {
 			t.Errorf("%s: View = %v, %v", c.name, ok, err)
 		}
-		// No Done, no Release yet: an error or an absent record must
+		// No Done yet: an error or an absent record must
 		// leave nothing latched by itself.
 		f, perr := pool.Pin(buffer.PageKey{Seg: 1, Page: live.Page})
 		if perr != nil {
@@ -287,9 +428,9 @@ func TestReaderErrorsReleaseEverything(t *testing.T) {
 		f.Latch()
 		f.Unlatch()
 		pool.Unpin(f, false)
-		r.Release()
+		r.Done()
 		if n := pool.PinnedCount(); n != 0 {
-			t.Errorf("%s: %d pages pinned after Release", c.name, n)
+			t.Errorf("%s: %d pages pinned after Done", c.name, n)
 		}
 	}
 }

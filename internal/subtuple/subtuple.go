@@ -82,7 +82,6 @@ type Store struct {
 	log       *wal.Log
 	versioned bool
 	clock     func() int64
-	keep      int // pages a Reader keeps pinned between views, see keepPinned
 
 	mu         sync.Mutex
 	hint       uint32   // last page that accepted an insert
@@ -115,8 +114,7 @@ type Config struct {
 
 // New creates a store over a registered segment.
 func New(cfg Config) *Store {
-	s := &Store{pool: cfg.Pool, seg: cfg.Seg, log: cfg.Log, versioned: cfg.Versioned, clock: cfg.Clock,
-		keep: keepPinned(cfg.Pool)}
+	s := &Store{pool: cfg.Pool, seg: cfg.Seg, log: cfg.Log, versioned: cfg.Versioned, clock: cfg.Clock}
 	if s.versioned && s.clock == nil {
 		// Deliberately a panic, not an error: this is a construction-time
 		// misconfiguration by the embedding code (the engine always
@@ -231,27 +229,15 @@ func (s *Store) pageDelete(t page.TID) error {
 	return err
 }
 
+// readRaw copies one raw record out of its page.
 func (s *Store) readRaw(t page.TID) ([]byte, error) {
-	f, err := s.pool.Pin(buffer.PageKey{Seg: s.seg, Page: t.Page})
+	r := s.Reader()
+	defer r.Done()
+	rec, err := r.record(t)
 	if err != nil {
 		return nil, err
 	}
-	defer s.pool.Unpin(f, false)
-	f.RLatch()
-	defer f.RUnlatch()
-	if !f.Page.Initialized() {
-		// An allocated page can never legitimately revert to the
-		// uninitialized (all-zero) state: a reference into one means the
-		// page was zeroed underneath us, not that the record is absent.
-		return nil, dberr.Corruptf("subtuple: reference %v into uninitialized page %d.%d", t, s.seg, t.Page)
-	}
-	rec, err := f.Page.Read(t.Slot)
-	if err != nil {
-		return nil, ErrNotFound
-	}
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, nil
+	return append([]byte(nil), rec...), nil
 }
 
 // --- free-space management -----------------------------------------
@@ -609,8 +595,8 @@ func broken(chain string, err error) error {
 // physical location plus a copy of the raw record found there, for the
 // write path to rewrite.
 func (s *Store) resolve(t page.TID) (page.TID, []byte, error) {
-	r := s.single()
-	defer r.Release()
+	r := s.Reader()
+	defer r.Done()
 	loc, rec, err := r.resolve(t)
 	if err != nil {
 		return page.TID{}, nil, err
@@ -671,8 +657,8 @@ func (s *Store) Read(t page.TID) ([]byte, error) {
 // copied out of its page. The boolean reports whether the subtuple
 // existed at that time.
 func (s *Store) ReadAsOf(t page.TID, ts int64) ([]byte, bool, error) {
-	r := s.single()
-	defer r.Release()
+	r := s.Reader()
+	defer r.Done()
 	p, ok, err := r.View(t, ts)
 	if err != nil || !ok {
 		return nil, false, err
@@ -762,8 +748,8 @@ func (s *Store) preserve(t page.TID, old decoded) (page.TID, error) {
 // skew-binary number, and a read reaches any depth in O(log versions)
 // hops (Reader.View). It reads two headers at most, in place.
 func (s *Store) link(h *decoded) error {
-	r := s.single()
-	defer r.Release()
+	r := s.Reader()
+	defer r.Done()
 	p, err := r.hop(*h, false)
 	if err != nil {
 		return err

@@ -118,7 +118,7 @@ func TestVersionWalkMatchesHistory(t *testing.T) {
 			}
 
 			r := s.Reader()
-			defer r.Release()
+			defer r.Done()
 			for who, sub := range subjects {
 				if loc, rec, err := s.resolve(sub.tid); err == nil {
 					sawFwd = sawFwd || loc != sub.tid
