@@ -9,13 +9,6 @@
 //	aimbench -run F7      # one figure
 //	aimbench -experiments # only the quantitative experiments
 //	aimbench -scale 4     # scale factor for the experiment workloads
-//	aimbench -clients 8 -duration 5s -out BENCH_5.json
-//	                      # concurrent read-throughput mode: a 1, N/2, N
-//	                      # client ladder over the Example-1..8 workload
-//	aimbench -net -clients 256 -nout BENCH_9.json
-//	                      # the same workload through aimserver over
-//	                      # loopback: qps/p50/p99/sheds vs the
-//	                      # in-process baseline
 //	aimbench -repl -duration 3s -rout BENCH_10.json
 //	                      # replication ladder: primary write qps with
 //	                      # 0/1/2 WAL-shipping followers, follower read
@@ -39,64 +32,19 @@ func main() {
 	experimentsOnly := flag.Bool("experiments", false, "run only the quantitative experiments")
 	scale := flag.Int("scale", 1, "workload scale factor for the experiments")
 	dir := flag.String("dir", "", "materialize the office database on disk at this directory after the run (inspect it with aimdoctor)")
-	clients := flag.Int("clients", 0, "concurrent-throughput mode: measure a 1..N client ladder instead of the paper artifacts")
-	duration := flag.Duration("duration", 2*time.Second, "how long each throughput rung runs (with -clients)")
-	iolat := flag.Duration("iolat", 150*time.Microsecond, "simulated device latency per physical page read (with -clients)")
-	out := flag.String("out", "BENCH_5.json", "throughput report path (with -clients; empty disables the file)")
-	writers := flag.Int("writers", 0, "group-commit write mode: measure a 1..N concurrent-writer ladder (commits/s, latency, fsyncs)")
-	groupWait := flag.Duration("groupwait", 200*time.Microsecond, "group-commit leader wait (with -writers)")
-	fsyncLat := flag.Duration("fsynclat", 2*time.Millisecond, "simulated device latency per WAL fsync (with -writers)")
-	wout := flag.String("wout", "BENCH_7.json", "write-ladder report path (with -writers; empty disables the file)")
-	prepared := flag.Int("prepared", 0, "prepared-statement mode: measure a prepared-vs-unprepared point-query ladder up to N clients")
-	pout := flag.String("pout", "BENCH_8.json", "prepared-ladder report path (with -prepared; empty disables the file)")
-	netMode := flag.Bool("net", false, "network mode: drive the -clients ladder through aimserver over loopback instead of in-process")
-	nout := flag.String("nout", "BENCH_9.json", "network-ladder report path (with -net; empty disables the file)")
 	replMode := flag.Bool("repl", false, "replication mode: primary write qps with 0/1/2 WAL-shipping followers, follower read qps and apply lag")
+	duration := flag.Duration("duration", 2*time.Second, "how long each replication rung runs (with -repl)")
 	rout := flag.String("rout", "BENCH_10.json", "replication report path (with -repl; empty disables the file)")
 	flag.Parse()
 
 	if *replMode {
-		if err := runReplBench(*writers, *duration, *rout, os.Stdout); err != nil {
+		if err := runReplBench(*duration, *rout, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "aimbench:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	if *netMode {
-		n := *clients
-		if n == 0 {
-			n = 8
-		}
-		if err := runNetBench(n, *scale, *duration, *nout, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "aimbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *prepared > 0 {
-		if err := runPreparedLadder(*prepared, *scale, *duration, *pout, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "aimbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *writers > 0 {
-		if err := runWriteLadder(*writers, *duration, *groupWait, *fsyncLat, *wout, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "aimbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *clients > 0 {
-		if err := runThroughput(*clients, *scale, *duration, *iolat, *out, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "aimbench:", err)
-			os.Exit(1)
-		}
-		materialize(*dir)
-		return
-	}
 	if *run != "" {
 		if err := runOne(*run, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "aimbench:", err)

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestRunOneSmoke drives a small paper artifact end-to-end through the
@@ -22,38 +18,6 @@ func TestRunOneSmoke(t *testing.T) {
 	}
 	if !strings.Contains(out, "DEPARTMENTS_1NF") {
 		t.Fatalf("T1 report missing expected table dump:\n%s", out)
-	}
-}
-
-// TestThroughputSmoke drives the -clients mode end-to-end with a tiny
-// duration and checks the JSON report is well-formed and plausible.
-func TestThroughputSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_5.json")
-	var buf strings.Builder
-	if err := runThroughput(2, 1, 100*time.Millisecond, 20*time.Microsecond, out, &buf); err != nil {
-		t.Fatalf("runThroughput: %v", err)
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("ladder points = %d, want 2 (1 and 2 clients)", len(rep.Points))
-	}
-	for _, pt := range rep.Points {
-		if pt.Queries == 0 || pt.QPS <= 0 {
-			t.Errorf("rung %d made no progress: %+v", pt.Clients, pt)
-		}
-		if pt.HitRate <= 0 || pt.HitRate >= 1 {
-			t.Errorf("rung %d hit rate %.2f; pool smaller than the data must mix hits and faults", pt.Clients, pt.HitRate)
-		}
-	}
-	if rep.PoolShards < 1 {
-		t.Errorf("pool shards = %d", rep.PoolShards)
 	}
 }
 

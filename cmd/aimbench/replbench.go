@@ -48,22 +48,23 @@ type replBenchReport struct {
 	Points      []replPoint `json:"points"`
 }
 
+// replWriters is the number of concurrent writer goroutines on the
+// primary at every rung.
+const replWriters = 4
+
 // runReplBench measures the 0/1/2-follower ladder, writing
 // BENCH_10.json.
-func runReplBench(writers int, duration time.Duration, outPath string, w io.Writer) error {
-	if writers < 1 {
-		writers = 4
-	}
+func runReplBench(duration time.Duration, outPath string, w io.Writer) error {
 	rep := replBenchReport{
 		Bench:       "BENCH_10 WAL-shipping replication: primary write qps vs followers, follower read qps, apply lag",
-		Workload:    fmt.Sprintf("%d concurrent auto-commit INSERT/UPDATE writers on KV(K,V) VERSIONED; one point-SELECT reader per follower", writers),
+		Workload:    fmt.Sprintf("%d concurrent auto-commit INSERT/UPDATE writers on KV(K,V) VERSIONED; one point-SELECT reader per follower", replWriters),
 		DurationSec: duration.Seconds(),
 	}
-	fmt.Fprintf(w, "\n================ replication ladder (%s per rung, %d writers) ================\n\n", duration, writers)
+	fmt.Fprintf(w, "\n================ replication ladder (%s per rung, %d writers) ================\n\n", duration, replWriters)
 	fmt.Fprintf(w, "%10s %10s %12s %14s %12s %12s %10s %12s\n",
 		"followers", "commits", "write qps", "follower qps", "lag p50", "lag max", "drain ms", "shipped")
 	for _, followers := range []int{0, 1, 2} {
-		pt, err := measureReplPoint(followers, writers, duration)
+		pt, err := measureReplPoint(followers, duration)
 		if err != nil {
 			return err
 		}
@@ -87,9 +88,9 @@ func runReplBench(writers int, duration time.Duration, outPath string, w io.Writ
 }
 
 // measureReplPoint runs one rung: a fresh durable primary, `followers`
-// live replicas, `writers` concurrent writer goroutines for the
+// live replicas, replWriters concurrent writer goroutines for the
 // duration, one reader per follower.
-func measureReplPoint(followers, writers int, duration time.Duration) (replPoint, error) {
+func measureReplPoint(followers int, duration time.Duration) (replPoint, error) {
 	dir, err := os.MkdirTemp("", "aimbench-repl-*")
 	if err != nil {
 		return replPoint{}, err
@@ -137,9 +138,9 @@ func measureReplPoint(followers, writers int, duration time.Duration) (replPoint
 	var commits, reads atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	errs := make([]error, writers+followers)
+	errs := make([]error, replWriters+followers)
 
-	for wi := 0; wi < writers; wi++ {
+	for wi := 0; wi < replWriters; wi++ {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
@@ -178,7 +179,7 @@ func measureReplPoint(followers, writers int, duration time.Duration) (replPoint
 				}
 				q := fmt.Sprintf(`SELECT x.V FROM x IN KV WHERE x.K = %d`, rng.Intn(256))
 				if _, _, err := f.DB().Query(q); err != nil {
-					errs[writers+fi] = err
+					errs[replWriters+fi] = err
 					return
 				}
 				reads.Add(1)
@@ -217,7 +218,7 @@ func measureReplPoint(followers, writers int, duration time.Duration) (replPoint
 
 	pt := replPoint{
 		Followers: followers,
-		Writers:   writers,
+		Writers:   replWriters,
 		Commits:   int(commits.Load()),
 		WriteQPS:  float64(commits.Load()) / duration.Seconds(),
 	}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/engine"
-	"repro/internal/testdata"
-)
+import "repro/internal/engine"
 
 // ExampleQuery is one of the paper's worked examples (§3) as a
 // self-contained read-only statement against the office database.
@@ -12,11 +9,10 @@ type ExampleQuery struct {
 	Text string
 }
 
-// ExampleQueries returns the read workload shared by the concurrency
-// stress tests and aimbench's throughput mode: Examples 1-8 of the
-// paper, from the cheap full-table retrieval (E1) to restructuring
-// (E3), unnesting (E4), quantifiers (E5, E6), cross-level joins (E7)
-// and list indexing (E8). All are pure reads, so any interleaving of
+// ExampleQueries returns the read workload of the concurrency stress
+// tests: Examples 1-8 of the paper, from the cheap full-table
+// retrieval (E1) to restructuring (E3), unnesting (E4), quantifiers
+// (E5, E6), cross-level joins (E7) and list indexing (E8). All are pure reads, so any interleaving of
 // them against a quiescent office database must produce the serial
 // results.
 func ExampleQueries() []ExampleQuery {
@@ -65,59 +61,11 @@ WHERE x.AUTHORS[1].NAME = 'Jones'`},
 	}
 }
 
-// BenchQueries is the subset of ExampleQueries that stays linear in
-// the data it touches, for running against a generated DEPARTMENTS
-// table much larger than the buffer pool. Example 7 is excluded: its
-// unindexed cross-level join rescans EMPLOYEES_1NF once per member,
-// so at benchmark scale it measures join CPU, not the read path.
-// Examples 3 and 8 run against the fixture-sized 1NF and REPORTS
-// tables and contribute cache-hit traffic to the mix.
-func BenchQueries() []ExampleQuery {
-	var out []ExampleQuery
-	for _, q := range ExampleQueries() {
-		if q.ID != "E7" {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// BenchOffice opens a database with the office schema at benchmark
-// scale: DEPARTMENTS is generated from cfg (Table 5's shape scaled
-// up), while REPORTS, the 1NF decomposition and EMPLOYEES_1NF stay
-// the paper's fixtures. aimbench's throughput mode uses it with a
-// pool far smaller than the generated table so queries keep faulting
-// pages in.
-func BenchOffice(cfg testdata.GenConfig, opts engine.Options) (*engine.DB, error) {
-	if opts.Clock == nil {
-		ts := int64(0)
-		opts.Clock = func() int64 { ts++; return ts }
-	}
-	db, err := engine.Open(opts)
-	if err != nil {
-		return nil, err
-	}
-	loads := []tableLoad{
-		{"DEPARTMENTS", testdata.DepartmentsType(), testdata.GenDepartments(cfg), engine.TableOptions{}},
-		{"REPORTS", testdata.ReportsType(), testdata.Reports(), engine.TableOptions{}},
-		{"DEPARTMENTS_1NF", testdata.DepartmentsFlatType(), testdata.DepartmentsFlat(), engine.TableOptions{}},
-		{"PROJECTS_1NF", testdata.ProjectsFlatType(), testdata.ProjectsFlat(), engine.TableOptions{}},
-		{"MEMBERS_1NF", testdata.MembersFlatType(), testdata.MembersFlat(), engine.TableOptions{}},
-		{"EQUIP_1NF", testdata.EquipFlatType(), testdata.EquipFlat(), engine.TableOptions{}},
-		{"EMPLOYEES_1NF", testdata.EmployeesType(), testdata.Employees(), engine.TableOptions{}},
-	}
-	if err := loadTables(db, loads); err != nil {
-		db.Close()
-		return nil, err
-	}
-	return db, nil
-}
-
 // OfficeWith is OfficeAt with full control over the engine options:
 // the office fixtures are loaded into a database opened with opts.
 // A deterministic logical clock is installed unless the caller set
-// one. The concurrency tests and aimbench use it to force small,
-// sharded buffer pools.
+// one. The concurrency tests use it to force small, sharded buffer
+// pools.
 func OfficeWith(opts engine.Options) (*engine.DB, error) {
 	if opts.Clock == nil {
 		ts := int64(0)

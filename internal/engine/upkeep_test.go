@@ -239,39 +239,51 @@ func (u *upRun) atomsNoTopKey(l *upLevel) []upAttr {
 	return out
 }
 
-// write draws one DML statement, named by its kind: an object insert
-// or delete, an UPDATE at any level, a member insert or delete at levels
-// 2 and 3.
-func (u *upRun) write() (kind, stmt string) {
+// upDraws maps a draw of ten to the kind of write it produces.
+var upDraws = [10]string{"insert object", "insert object", "delete object", "update level 1", "update level 2",
+	"update level 3", "insert member level 2", "insert member level 3", "delete member level 2", "delete member level 3"}
+
+// write returns one DML statement of the given kind, or of a kind drawn
+// by upDraws when kind is "": an object insert or delete, an UPDATE at
+// any level, a member insert or delete at levels 2 and 3. A drawn member
+// insert at level 2 sometimes goes to the unindexed subtable F instead.
+func (u *upRun) write(kind string) (string, string) {
 	T, A, B := u.levels[0], u.levels[1], u.levels[2]
 	k, n, m := u.pickKey(), u.r.Intn(3), u.r.Intn(3)
-	switch u.r.Intn(10) {
-	case 0, 1:
+	drawn := kind == ""
+	if drawn {
+		kind = upDraws[u.r.Intn(len(upDraws))]
+	}
+	switch kind {
+	case "insert object":
 		u.next++
-		return "insert object", `INSERT INTO T VALUES ` + upTuple(u.r, T, u.next)
-	case 2:
-		return "delete object", fmt.Sprintf(`DELETE x FROM x IN T WHERE x.K = %d`, k)
-	case 3:
+		return kind, `INSERT INTO T VALUES ` + upTuple(u.r, T, u.next)
+	case "delete object":
+		return kind, fmt.Sprintf(`DELETE x FROM x IN T WHERE x.K = %d`, k)
+	case "update level 1":
 		if u.r.Intn(4) == 0 {
 			u.next++
-			return "update level 1", fmt.Sprintf(`UPDATE x IN T SET K = %d WHERE x.K = %d`, u.next, k)
+			return kind, fmt.Sprintf(`UPDATE x IN T SET K = %d WHERE x.K = %d`, u.next, k)
 		}
-		return "update level 1", fmt.Sprintf(`UPDATE x IN T SET %s WHERE x.K = %d`, u.set(T), k)
-	case 4:
-		return "update level 2", fmt.Sprintf(`UPDATE y FROM x IN T, y IN x.A SET %s WHERE x.K = %d AND y.N = %d`, u.set(A), k, n)
-	case 5:
-		return "update level 3", fmt.Sprintf(`UPDATE z FROM x IN T, y IN x.A, z IN y.B SET %s WHERE x.K = %d AND y.N = %d AND z.M = %d`, u.set(B), k, n, m)
-	case 6:
-		if T.attr("F") != nil && u.r.Intn(3) == 0 {
+		return kind, fmt.Sprintf(`UPDATE x IN T SET %s WHERE x.K = %d`, u.set(T), k)
+	case "update level 2":
+		return kind, fmt.Sprintf(`UPDATE y FROM x IN T, y IN x.A SET %s WHERE x.K = %d AND y.N = %d`, u.set(A), k, n)
+	case "update level 3":
+		return kind, fmt.Sprintf(`UPDATE z FROM x IN T, y IN x.A, z IN y.B SET %s WHERE x.K = %d AND y.N = %d AND z.M = %d`, u.set(B), k, n, m)
+	case "insert member level 2":
+		if drawn && T.attr("F") != nil && u.r.Intn(3) == 0 {
 			return "insert unindexed member", fmt.Sprintf(`INSERT INTO x.F FROM x IN T WHERE x.K = %d VALUES (%s)`, k, upAtom(u.r, model.KindString))
 		}
-		return "insert member level 2", fmt.Sprintf(`INSERT INTO x.A FROM x IN T WHERE x.K = %d VALUES %s`, k, upTuple(u.r, A, n))
-	case 7:
-		return "insert member level 3", fmt.Sprintf(`INSERT INTO y.B FROM x IN T, y IN x.A WHERE x.K = %d AND y.N = %d VALUES %s`, k, n, upTuple(u.r, B, m))
-	case 8:
-		return "delete member level 2", fmt.Sprintf(`DELETE y FROM x IN T, y IN x.A WHERE x.K = %d AND y.N = %d`, k, n)
+		return kind, fmt.Sprintf(`INSERT INTO x.A FROM x IN T WHERE x.K = %d VALUES %s`, k, upTuple(u.r, A, n))
+	case "insert member level 3":
+		return kind, fmt.Sprintf(`INSERT INTO y.B FROM x IN T, y IN x.A WHERE x.K = %d AND y.N = %d VALUES %s`, k, n, upTuple(u.r, B, m))
+	case "delete member level 2":
+		return kind, fmt.Sprintf(`DELETE y FROM x IN T, y IN x.A WHERE x.K = %d AND y.N = %d`, k, n)
+	case "delete member level 3":
+		return kind, fmt.Sprintf(`DELETE z FROM x IN T, y IN x.A, z IN y.B WHERE x.K = %d AND y.N = %d AND z.M = %d`, k, n, m)
 	}
-	return "delete member level 3", fmt.Sprintf(`DELETE z FROM x IN T, y IN x.A, z IN y.B WHERE x.K = %d AND y.N = %d AND z.M = %d`, k, n, m)
+	u.t.Fatalf("unknown kind of write %q", kind)
+	return "", ""
 }
 
 // alter appends an atom to a random level; the subtuples written before
@@ -302,7 +314,7 @@ func (u *upRun) step() string {
 	case n == 0 && u.nalter < 3:
 		return u.alter()
 	case n < 12:
-		kind, stmt := u.write()
+		kind, stmt := u.write("")
 		u.hits[kind+", auto-commit"] += u.exec(stmt)
 		return stmt
 	case n < 17:
@@ -312,7 +324,7 @@ func (u *upRun) step() string {
 		}
 		var stmts []string
 		for i := 0; i < 1+u.r.Intn(3); i++ {
-			kind, stmt := u.write()
+			kind, stmt := u.write("")
 			res, err := tx.Exec(stmt)
 			if err != nil {
 				u.t.Fatalf("in a transaction: %s: %v", stmt, err)
@@ -365,6 +377,43 @@ func (u *upRun) step() string {
 	return "conflicting: " + hold + "; " + stmt
 }
 
+// upCovered lists the kinds of write the coverage check requires to
+// have written something in both the auto-commit and committed scopes.
+var upCovered = []string{"insert object", "delete object", "update level 1", "update level 2", "update level 3",
+	"insert member level 2", "insert member level 3", "delete member level 2", "delete member level 3"}
+
+// topUp ends a run: each covered (kind, scope) pair that no run has
+// written yet is issued, at most upTopUpTries times until it writes,
+// and every attempt is checked like a step. A short run draws too few
+// writes for each pair to land by chance; the top-up still proves the
+// property for every pair the coverage check names.
+func (u *upRun) topUp() {
+	const upTopUpTries = 20
+	for _, kind := range upCovered {
+		for try := 0; try < upTopUpTries && u.hits[kind+", auto-commit"] == 0; try++ {
+			_, stmt := u.write(kind)
+			u.hits[kind+", auto-commit"] += u.exec(stmt)
+			checkIndexesMatchRebuild(u.t, u.db, "T", "top-up "+stmt)
+		}
+		for try := 0; try < upTopUpTries && u.hits[kind+", committed"] == 0; try++ {
+			_, stmt := u.write(kind)
+			tx, err := u.db.Begin()
+			if err != nil {
+				u.t.Fatal(err)
+			}
+			res, err := tx.Exec(stmt)
+			if err != nil {
+				u.t.Fatalf("in a transaction: %s: %v", stmt, err)
+			}
+			if err := tx.Commit(); err != nil {
+				u.t.Fatalf("commit of %s: %v", stmt, err)
+			}
+			u.hits[kind+", committed"] += res[0].Count
+			checkIndexesMatchRebuild(u.t, u.db, "T", "top-up committed: "+stmt)
+		}
+	}
+}
+
 // TestIndexUpkeepMatchesRebuild is the property behind delta index
 // upkeep: after any write, every live index equals its rebuild from base
 // data. Random three-level schemas under SS1, SS2 and SS3 carry
@@ -399,13 +448,13 @@ func TestIndexUpkeepMatchesRebuild(t *testing.T) {
 					what := u.step()
 					checkIndexesMatchRebuild(t, u.db, "T", fmt.Sprintf("step %d (%s)", i, what))
 				}
+				u.topUp()
 			})
 		}
 	}
 	// Every kind of write must have written something in both scopes,
 	// or the property proved nothing about it.
-	for _, kind := range []string{"insert object", "delete object", "update level 1", "update level 2", "update level 3",
-		"insert member level 2", "insert member level 3", "delete member level 2", "delete member level 3"} {
+	for _, kind := range upCovered {
 		for _, scope := range []string{"auto-commit", "committed"} {
 			if hits[kind+", "+scope] == 0 {
 				t.Errorf("no %s wrote anything %s", kind, scope)

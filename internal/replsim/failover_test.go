@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -241,6 +243,103 @@ func TestReplicaQuantifierReadsHorizon(t *testing.T) {
 	if tab.Len() != 0 {
 		t.Fatalf("fresh replica query returned %d rows, want 0", tab.Len())
 	}
+	noPins(t, "replica", fdb)
+}
+
+// TestReplicaReadsDuringApply runs follower point reads on a flat and
+// an NF² VERSIONED table while the primary commits updates, inserts and
+// member inserts that the follower applies underneath them. Applying a
+// plain commit group takes no barrier, so the apply step must change a
+// page only under its exclusive frame latch: a reader that saw a page
+// half-rewritten would fail with "record not found" or corrupt-record
+// errors, and quarantine objects that are healthy on the primary.
+func TestReplicaReadsDuringApply(t *testing.T) {
+	leakCheck(t)
+	primary, srv := startPrimary(t, engine.Options{})
+	const keys, objects, writers, readers, steps = 64, 16, 2, 2, 150
+	exec := func(q string) error {
+		_, err := primary.Exec(q)
+		return err
+	}
+	if err := exec(`CREATE TABLE D (K INT, NOTE STRING, S TABLE OF (V INT, W STRING)) VERSIONED`); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < keys; k++ {
+		if err := exec(fmt.Sprintf(`INSERT INTO KV VALUES (%d, 0)`, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < objects; k++ {
+		if err := exec(fmt.Sprintf(`INSERT INTO D VALUES (%d, 'n', {(1, 'a'), (2, 'b')})`, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := startFollower(t, srv.Addr(), t.TempDir())
+	catchUp(t, primary, f)
+	fdb := f.DB()
+
+	var writes, reads sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writes.Add(1)
+		go func(w int) {
+			defer writes.Done()
+			for i := 0; i < steps; i++ {
+				n := w*steps + i
+				for _, q := range []string{
+					fmt.Sprintf(`UPDATE x IN KV SET V = %d WHERE x.K = %d`, n, n%keys),
+					fmt.Sprintf(`INSERT INTO KV VALUES (%d, %d)`, keys+n, n),
+					fmt.Sprintf(`UPDATE x IN D SET NOTE = 'note %d' WHERE x.K = %d`, n, n%objects),
+					fmt.Sprintf(`INSERT INTO x.S FROM x IN D WHERE x.K = %d VALUES (%d, 'grown')`, n%objects, 100+n),
+				} {
+					if err := exec(q); err != nil {
+						t.Errorf("primary %q: %v", q, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	var readCount atomic.Int64
+	var readErr atomic.Pointer[error]
+	for r := 0; r < readers; r++ {
+		reads.Add(1)
+		go func(r int) {
+			defer reads.Done()
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				q := fmt.Sprintf(`SELECT x.V FROM x IN KV WHERE x.K = %d`, i%keys)
+				if i%2 == 1 {
+					q = fmt.Sprintf(`SELECT x.NOTE, S = (SELECT y.V, y.W FROM y IN x.S) FROM x IN D WHERE x.K = %d`, i%objects)
+				}
+				if _, _, err := fdb.Query(q); err != nil {
+					err = fmt.Errorf("follower %q: %w", q, err)
+					readErr.CompareAndSwap(nil, &err)
+					return
+				}
+				readCount.Add(1)
+			}
+		}(r)
+	}
+	writes.Wait()
+	close(done)
+	reads.Wait()
+	if p := readErr.Load(); p != nil {
+		t.Fatal(*p)
+	}
+	if readCount.Load() == 0 {
+		t.Fatal("follower readers made no reads while the primary wrote")
+	}
+	if q := fdb.Quarantined(); len(q) != 0 {
+		t.Fatalf("follower quarantined %d objects, first: %v", len(q), q[0])
+	}
+	catchUp(t, primary, f)
+	f.Stop()
+	compareFrozen(t, "after concurrent reads", primary, fdb)
 	noPins(t, "replica", fdb)
 }
 

@@ -147,6 +147,11 @@ func Redo(pool *buffer.Pool, r wal.Record, horizon uint64) error {
 		return err
 	}
 	defer pool.Unpin(f, true)
+	// A replica redoes plain commit groups while its readers hold the
+	// shared latch on the same frames; change the page only under the
+	// exclusive latch, as logAndApply does on the primary.
+	f.Latch()
+	defer f.Unlatch()
 	if r.Op == wal.OpPageImage {
 		eff := min(r.LSN, horizon)
 		if f.Page.LSN() >= eff {
