@@ -10,10 +10,15 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/dberr"
+	"repro/internal/lorie"
 	"repro/internal/model"
+	"repro/internal/object"
 	"repro/internal/plan"
+	"repro/internal/segment"
 	"repro/internal/sql"
+	"repro/internal/subtuple"
 )
 
 // Re-executing a PreparedStmt performs zero parser and zero planner
@@ -444,27 +449,69 @@ func TestPreparedArgCount(t *testing.T) {
 // Property matrix: prepared execution with bound arguments is
 // observationally identical to unprepared execution with the literals
 // inlined, and both to execution without projection pushdown, over
-// seeded random nested schemas and values.
+// seeded random nested schemas and values, with the rounds spread over
+// the SS1, SS2 and SS3 layouts.
 func TestPreparedMatchesUnpreparedMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
+	layouts := []object.Layout{object.SS1, object.SS2, object.SS3}
 	for round := 0; round < 5; round++ {
 		round := round
 		t.Run(fmt.Sprintf("round%d", round), func(t *testing.T) {
-			runPreparedMatrixRound(t, rand.New(rand.NewSource(int64(100+round))), rng.Intn(2) == 0)
+			runPreparedMatrixRound(t, rand.New(rand.NewSource(int64(100+round))), rng.Intn(2) == 0, layouts[round%len(layouts)])
 		})
 	}
 }
 
 // matrixQuery is one statement of the prepared-vs-unprepared matrix: its
 // prepared text, a generator of arguments, the same statement with the
-// arguments inlined as literals and, for a statement with sub-blocks, its
+// arguments inlined as literals, for a statement with sub-blocks its
 // answer computed here from the rows of T read whole (K, NAME, KIDS of
-// (N, TAG, GK of (G)), W), which no sub-block took part in.
+// (N, TAG, GK of (G)), W), which no sub-block took part in, and a twin:
+// a statement that must answer the same, prepared with the same
+// arguments.
 type matrixQuery struct {
 	sql     string
 	argf    func() []model.Value
 	inlinef func(args []model.Value) string
 	oracle  func(all []model.Tuple, args []model.Value) *model.Table
+	twin    string
+}
+
+// twinned is the matrix entry of a statement of one `?` that projects
+// subtables, written as a format: %[1]s marks where each sub-block
+// without a WHERE may take one, %[2]s the end of an existing WHERE. The
+// statement leaves both empty; its twin fills them with a condition every
+// member passes, so that it rebuilds every nested result the statement
+// may take as fetched.
+func twinned(format string, argf func() []model.Value, oracle func([]model.Tuple, []model.Value) *model.Table) matrixQuery {
+	q := fmt.Sprintf(format, "", "")
+	return matrixQuery{
+		sql:     q,
+		argf:    argf,
+		inlinef: func(a []model.Value) string { return strings.Replace(q, "?", a[0].String(), 1) },
+		oracle:  oracle,
+		twin:    fmt.Sprintf(format, " WHERE TRUE", " AND TRUE"),
+	}
+}
+
+// lorieRows stores the rows of a nested table as Lorie's linked tuples
+// (internal/lorie) and returns them as that baseline reads them back.
+func lorieRows(t *testing.T, tt *model.TableType, rows []model.Tuple) []model.Tuple {
+	t.Helper()
+	pool := buffer.NewPool(256)
+	pool.Register(1, segment.NewMemStore())
+	ls := lorie.New(subtuple.New(subtuple.Config{Pool: pool, Seg: 1}), tt)
+	out := make([]model.Tuple, len(rows))
+	for i, tup := range rows {
+		root, err := ls.Insert(tup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i], err = ls.Read(root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // members returns the member tuples of a table value.
@@ -489,10 +536,10 @@ func always[T any](T) bool { return true }
 // the literal-inlined unprepared API against the other; after every
 // statement both databases must agree exactly, and the unprepared
 // statement must return the same under FullPaths.
-func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool) {
+func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool, layout object.Layout) {
 	open := func() *DB {
 		ts := int64(0)
-		db, err := Open(Options{Clock: func() int64 { ts++; return ts }})
+		db, err := Open(Options{Clock: func() int64 { ts++; return ts }, DefaultLayout: layout})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -742,14 +789,58 @@ func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool) {
 			},
 		},
 	}
-	whole, _, err := dbP.Query(`SELECT * FROM x IN T`)
+	below := func(x model.Tuple, a []model.Value) bool { return x[3].(model.Int) < a[0].(model.Int) }
+	identityGK := `GK = (SELECT g.G FROM g IN y.GK%[1]s)`
+	queries = append(queries,
+		// Every subtable projected whole, at both levels: the row takes
+		// KIDS as fetched.
+		twinned(`SELECT x.K, KIDS = (SELECT y.N, y.TAG, `+identityGK+` FROM y IN x.KIDS%[1]s), x.W FROM x IN T WHERE x.W < ?`, anInt(1000),
+			func(all []model.Tuple, a []model.Value) *model.Table {
+				return relation(all, func(x model.Tuple) bool { return below(x, a) }, func(x model.Tuple) model.Tuple { return model.Tuple{x[0], x[2], x[3]} })
+			}),
+		// A path item takes the subtable too; its twin rebuilds it.
+		matrixQuery{
+			sql:  `SELECT x.K, x.KIDS FROM x IN T WHERE x.W < ?`,
+			argf: anInt(1000),
+			inlinef: func(a []model.Value) string {
+				return fmt.Sprintf(`SELECT x.K, x.KIDS FROM x IN T WHERE x.W < %d`, a[0])
+			},
+			oracle: func(all []model.Tuple, a []model.Value) *model.Table {
+				return relation(all, func(x model.Tuple) bool { return below(x, a) }, func(x model.Tuple) model.Tuple { return model.Tuple{x[0], x[2]} })
+			},
+			twin: `SELECT x.K, KIDS = (SELECT y.N, y.TAG, y.GK FROM y IN x.KIDS WHERE TRUE) FROM x IN T WHERE x.W < ?`,
+		},
+		// Near-identity shapes, rebuilt: a subset of the attributes,
+		// reordered, renamed, a WHERE, DISTINCT, ORDER BY; and a null
+		// subtable.
+		twinned(`SELECT x.K, KIDS = (SELECT y.N, y.TAG FROM y IN x.KIDS%[1]s) FROM x IN T WHERE x.W < ?`, anInt(1000), nil),
+		twinned(`SELECT x.K, KIDS = (SELECT y.TAG, y.N, `+identityGK+` FROM y IN x.KIDS%[1]s) FROM x IN T WHERE x.W < ?`, anInt(1000), nil),
+		twinned(`SELECT x.K, KIDS = (SELECT y.N AS M, y.TAG, `+identityGK+` FROM y IN x.KIDS%[1]s) FROM x IN T WHERE x.W < ?`, anInt(1000), nil),
+		twinned(`SELECT x.K, KIDS = (SELECT y.N, y.TAG, `+identityGK+` FROM y IN x.KIDS WHERE y.N >= ?%[2]s) FROM x IN T`, anInt(5), nil),
+		twinned(`SELECT x.K, KIDS = (SELECT DISTINCT y.N, y.TAG, `+identityGK+` FROM y IN x.KIDS%[1]s) FROM x IN T WHERE x.W < ?`, anInt(1000), nil),
+		twinned(`SELECT x.K, KIDS = (SELECT y.N, y.TAG, `+identityGK+` FROM y IN x.KIDS%[1]s ORDER BY y.N DESC) FROM x IN T WHERE x.W < ?`, anInt(1000), nil),
+		twinned(`SELECT x.K, SECOND = (SELECT g.G FROM g IN x.KIDS[2].GK%[1]s) FROM x IN T WHERE x.W < ?`, anInt(1000), nil),
+	)
+	whole, tt, err := dbP.Query(`SELECT * FROM x IN T`)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The oracles read T's rows as Lorie's linked tuples, the on-top
+	// baseline of §4.1, materialize them.
+	all := lorieRows(t, tt, whole.Tuples)
+	if !model.TableEqual(&model.Table{Tuples: all}, whole) {
+		t.Fatalf("Lorie's linked tuples read back differently:\n%v\n%v", all, whole.Tuples)
 	}
 	for qi, q := range queries {
 		ps, err := dbP.Prepare(q.sql)
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
+		}
+		var twin *PreparedStmt
+		if q.twin != "" {
+			if twin, err = dbP.Prepare(q.twin); err != nil {
+				t.Fatalf("query %d twin: %v", qi, err)
+			}
 		}
 		for rep := 0; rep < 4; rep++ {
 			args := q.argf()
@@ -782,10 +873,19 @@ func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool) {
 					model.FormatTable("pushdown", ttU, gotU),
 					model.FormatTable("full objects", ttF, gotF))
 			}
+			if twin != nil {
+				gotT, _, err := twin.Query(args...)
+				if err != nil {
+					t.Fatalf("query %d twin: %v", qi, err)
+				}
+				if !model.TableEqual(gotP, gotT) {
+					t.Fatalf("query %d args %v: differs from its twin %s:\n%v\n%v", qi, args, q.twin, gotP, gotT)
+				}
+			}
 			if q.oracle == nil {
 				continue
 			}
-			if want := q.oracle(whole.Tuples, args); !model.TableEqual(gotP, want) {
+			if want := q.oracle(all, args); !model.TableEqual(gotP, want) {
 				t.Fatalf("query %d args %v: result differs from the oracle:\n%s\n%s",
 					qi, args,
 					model.FormatTable("prepared", ttP, gotP),

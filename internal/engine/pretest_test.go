@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -216,39 +217,47 @@ func preTestRound(t *testing.T, rnd *rand.Rand, layout object.Layout, round int)
 	tbl, _ := db.cat.Table("T")
 	tt = tbl.Type
 
-	// run executes one statement pushed and under FullPaths and compares.
-	run := func(q string, inTxn bool) {
+	// exec1 executes one statement, auto-commit or in a transaction it
+	// rolls back.
+	exec1 := func(q string, inTxn bool) (Result, error) {
+		t.Helper()
+		if !inTxn {
+			return db.ExecStmtContext(context.Background(), mustStmt(t, q))
+		}
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Rollback()
+		res, err := tx.Exec(q)
+		if err != nil {
+			return Result{}, err
+		}
+		return res[0], nil
+	}
+	// compare executes two statements, or one pushed (b) and under
+	// FullPaths (a), and fails unless both return the same.
+	compare := func(a, b string, inTxn bool) {
 		t.Helper()
 		var out [2]Result
 		var errs [2]error
-		for i, full := range []bool{true, false} {
-			db.exec.FullPaths = full
-			if inTxn {
-				tx, err := db.Begin()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var res []Result
-				res, errs[i] = tx.Exec(q)
-				if errs[i] == nil {
-					out[i] = res[0]
-				}
-				tx.Rollback()
-			} else {
-				out[i], errs[i] = db.ExecStmtContext(context.Background(), mustStmt(t, q))
-			}
+		for i, q := range []string{a, b} {
+			db.exec.FullPaths = a == b && i == 0
+			out[i], errs[i] = exec1(q, inTxn)
 		}
 		db.exec.FullPaths = false
 		if (errs[0] == nil) != (errs[1] == nil) {
-			t.Fatalf("%s: %s\nfull: %v\npushed: %v", name, q, errs[0], errs[1])
+			t.Fatalf("%s: %s\nvs %s\n%v\nvs %v", name, b, a, errs[1], errs[0])
 		}
 		if out[0].Count != out[1].Count || (out[0].Table != nil && !model.TableEqual(out[0].Table, out[1].Table)) {
-			t.Fatalf("%s: %s (schema %s)\npushed differs from full:\n%v\nvs\n%v", name, q, tt, out[1].Table, out[0].Table)
+			t.Fatalf("%s: %s (schema %s)\ndiffers from %s:\n%v\nvs\n%v", name, b, tt, a, out[1].Table, out[0].Table)
 		}
 		if n := db.pool.PinnedCount(); n != 0 {
-			t.Fatalf("%s: %s: %d pages pinned", name, q, n)
+			t.Fatalf("%s: %s: %d pages pinned", name, b, n)
 		}
 	}
+	// run executes one statement pushed and under FullPaths and compares.
+	run := func(q string, inTxn bool) { t.Helper(); compare(q, q, inTxn) }
 
 	rejected := 0
 	g := &predGen{rnd: rnd}
@@ -274,6 +283,18 @@ func preTestRound(t *testing.T, rnd *rand.Rand, layout object.Layout, round int)
 			run(q, true)
 		}
 		run(`UPDATE x IN T SET A0 = x.A0 WHERE `+p, false)
+		// Every subtable projected whole, which the row takes as fetched,
+		// then a near-identity shape, which is rebuilt: each equals its
+		// twin, rebuilt by a WHERE that every member passes.
+		for _, mode := range []string{"", nearIdentity[i%len(nearIdentity)]} {
+			for _, from := range []string{`T`, fmt.Sprintf(`T ASOF %d`, asof)} {
+				q, twin := subtableSelect(tt, from, p, mode, false), subtableSelect(tt, from, p, mode, true)
+				for _, inTxn := range []bool{false, true} {
+					run(q, inTxn)
+					compare(twin, q, inTxn)
+				}
+			}
+		}
 		rejected += checkRejections(t, db, name, `SELECT * FROM x IN T WHERE `+p, 0)
 		rejected += checkRejections(t, db, name, fmt.Sprintf(`SELECT * FROM x IN T ASOF %d WHERE %s`, asof, p), asof)
 	}
@@ -281,6 +302,60 @@ func preTestRound(t *testing.T, rnd *rand.Rand, layout object.Layout, round int)
 		t.Fatalf("%s: quarantined %v", name, q)
 	}
 	return rejected
+}
+
+// nearIdentity lists the ways subtableSelect departs from projecting a
+// subtable whole: a subset of its attributes, reordered, one renamed, a
+// WHERE, DISTINCT and ORDER BY.
+var nearIdentity = []string{"subset", "reorder", "rename", "where", "distinct", "order"}
+
+// subtableSelect renders a SELECT of x.A0 and every subtable of tt over
+// the FROM source from and WHERE p, each subtable as a sub-block that
+// projects it whole, at every level. mode alters the first level of each
+// (nearIdentity; "" alters nothing); twin adds to every level a WHERE
+// that holds for every member, which makes the executor rebuild what it
+// would otherwise take as fetched.
+func subtableSelect(tt *model.TableType, from, p, mode string, twin bool) string {
+	items := []string{"x.A0"}
+	for _, ti := range tt.TableIndexes() {
+		items = append(items, subtableBlock("x", tt.Attrs[ti].Name, tt.Attrs[ti].Type.Table, 1, mode, twin))
+	}
+	return `SELECT ` + strings.Join(items, ", ") + ` FROM x IN ` + from + ` WHERE ` + p
+}
+
+func subtableBlock(outer, name string, mt *model.TableType, depth int, mode string, twin bool) string {
+	v := fmt.Sprintf("v%d", depth)
+	var items []string
+	for _, a := range mt.Attrs {
+		if a.Type.Kind == model.KindTable {
+			items = append(items, subtableBlock(v, a.Name, a.Type.Table, depth+1, "", twin))
+		} else {
+			items = append(items, v+"."+a.Name)
+		}
+	}
+	// The first attribute of every level is its INT A0 (genKindsType).
+	a0 := items[0]
+	var distinct, where, order string
+	switch mode {
+	case "subset":
+		items = items[:len(items)-1]
+	case "reorder":
+		slices.Reverse(items)
+	case "rename":
+		items[0] += " AS RENAMED"
+	case "where":
+		where = " WHERE " + a0 + " >= 0"
+	case "distinct":
+		distinct = "DISTINCT "
+	case "order":
+		order = " ORDER BY " + a0 + " DESC"
+	}
+	if twin && where == "" {
+		where = " WHERE TRUE"
+	} else if twin {
+		where += " AND TRUE"
+	}
+	return fmt.Sprintf("%s = (SELECT %s%s FROM %s IN %s.%s%s%s)", name, distinct, strings.Join(items, ", "), v, outer, name, where, order)
 }
 
 // rootPaths returns the fetch set and pre-test q binds for its first FROM

@@ -82,7 +82,11 @@ func (r *Rows) Next() bool {
 	return true
 }
 
-// Tuple returns the current result tuple (valid after a true Next).
+// Tuple returns the current result tuple (valid after a true Next). The
+// caller owns it: the row shares storage with no other row of this or
+// any other statement and with no stored or buffered state, so changing
+// it — overwriting atoms, appending members to its subtables at any
+// level — changes nothing else (TestResultRowsOwnTheirStorage).
 func (r *Rows) Tuple() model.Tuple {
 	r.mu.Lock()
 	defer r.mu.Unlock()

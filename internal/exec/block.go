@@ -30,6 +30,14 @@ type Block struct {
 	// quants holds the fetch set and pre-test of each quantifier over a
 	// stored table in the block's own expressions.
 	quants []boundQuant
+	// ident records that a sub-block is an identity projection of the
+	// subtable it iterates (identity).
+	ident bool
+	// take marks, by select item of a top-level block, the items whose
+	// value a result row takes from the fetched tuple itself instead of
+	// copying it (takes); for SELECT * its one entry stands for the whole
+	// tuple. nil when the row takes nothing.
+	take []bool
 }
 
 type boundQuant struct {
@@ -137,6 +145,11 @@ func (e *Executor) bindSelect(sel *sql.Select, outer *pathScope) (blk *Block, ok
 			return nil, false, err
 		}
 	}
+	if outer == nil {
+		blk.take = takes(sel, blk)
+	} else {
+		blk.ident = identity(sel, blk, scope)
+	}
 	ok = e.markExpr(sel.Where, scope) == nil && ok
 	for _, ob := range sel.OrderBy {
 		ok = e.markExpr(ob.Expr, scope) == nil && ok
@@ -164,13 +177,123 @@ func selectOrdered(sel *sql.Select, scope *pathScope) bool {
 	return false
 }
 
+// identity reports whether a sub-block projects the subtable it iterates
+// unchanged: one FROM item v.A, no WHERE, DISTINCT, ORDER BY or ASOF, the
+// source's ordering, and as select list SELECT * or every attribute of
+// the member type in order under its own name, each a plain path to the
+// attribute or an identity sub-block over it. Its result for a row then
+// equals the subtable as fetched, member for member.
+func identity(sel *sql.Select, blk *Block, scope *pathScope) bool {
+	if len(sel.From) != 1 || sel.Where != nil || sel.Distinct || len(sel.OrderBy) > 0 {
+		return false
+	}
+	fi := sel.From[0]
+	if fi.AsOf != nil || attrStep(fi.Source.Path) == "" {
+		return false
+	}
+	mt := scope.vars[fi.Var].tt
+	if blk.Type.Ordered != mt.Ordered {
+		return false
+	}
+	if sel.Star {
+		return true
+	}
+	if len(sel.Items) != len(mt.Attrs) {
+		return false
+	}
+	for i, item := range sel.Items {
+		name := mt.Attrs[i].Name
+		p, _ := item.Expr.(*sql.PathExpr)
+		if item.Sub != nil && blk.Subs[i].ident {
+			p = item.Sub.From[0].Source.Path
+		}
+		if p == nil || p.Var != fi.Var || attrStep(p) != name || blk.Type.Attrs[i].Name != name {
+			return false
+		}
+	}
+	return true
+}
+
+// takes decides, for a top-level block, where a result row may take a
+// fetched value itself instead of a copy. The row must be the value's
+// only holder:
+//
+//   - (a) the block has one FROM item x, a stored table, so every row
+//     comes from a fetch of its own (the Runtime contract: OpenScan and
+//     OpenRef hand out tuples nothing else holds);
+//   - (b) no earlier item of the row took the same subtable (every
+//     value an item may take is a subtable x.A, so none contains
+//     another).
+//
+// The items that may take are SELECT *, a path item x.A denoting a
+// subtable and an identity sub-block over x.A (takeable); every other
+// item, and every item of a sub-block, copies what it keeps.
+func takes(sel *sql.Select, blk *Block) []bool {
+	if len(sel.From) != 1 || sel.From[0].Source.Table == "" {
+		return nil
+	}
+	if sel.Star {
+		return takeRow
+	}
+	x := sel.From[0].Var
+	var take []bool
+next:
+	for i := range sel.Items {
+		a := blk.takeable(i, x)
+		if a == "" {
+			continue
+		}
+		for j := range i {
+			if take != nil && take[j] && blk.takeable(j, x) == a {
+				continue next
+			}
+		}
+		if take == nil {
+			take = make([]bool, len(sel.Items))
+		}
+		take[i] = true
+	}
+	return take
+}
+
+// takeRow is the take of a SELECT * row, which takes the fetched tuple.
+var takeRow = []bool{true}
+
+// takeable returns the attribute A of x whose subtable select item i
+// would take — as the source of an identity sub-block, or as a path item
+// x.A denoting a subtable — and "" for any other item.
+func (b *Block) takeable(i int, x string) string {
+	item := b.Sel.Items[i]
+	p, _ := item.Expr.(*sql.PathExpr)
+	if item.Sub != nil && b.Subs[i].ident {
+		p = item.Sub.From[0].Source.Path
+	} else if b.Type.Attrs[i].Type.Kind != model.KindTable {
+		return ""
+	}
+	if p == nil || p.Var != x {
+		return ""
+	}
+	return attrStep(p)
+}
+
+// attrStep returns the attribute a path of one attribute step names, and
+// "" for any other path. Only such a path from a tuple reaches a
+// subtable without a [k] step.
+func attrStep(p *sql.PathExpr) string {
+	if p == nil || len(p.Steps) != 1 {
+		return ""
+	}
+	return p.Steps[0].Name
+}
+
 // Describe renders the block tree for EXPLAIN, one line per FROM item of
 // from. A path item iterates the subtable of its outer binding; a stored
 // item is read by the access path access(i) names — a full table scan
 // when it names none, as for every stored item of a sub-block — with its
 // fetch set and pre-test. Each quantifier over a stored table follows
 // with its own fetch set and pre-test, then the lines of each sub-block,
-// indented under a line naming the select item that owns it.
+// indented under a line naming the select item that owns it; the line
+// says so when the row takes the fetched subtable instead.
 func (b *Block) Describe(rt Runtime, from []sql.FromItem, access func(i int) string) []string {
 	return b.describe(rt, from, access, "", nil)
 }
@@ -198,7 +321,11 @@ func (b *Block) describe(rt Runtime, from []sql.FromItem, access func(int) strin
 	}
 	for i, sub := range b.Subs {
 		if sub != nil {
-			out = append(out, fmt.Sprintf("%s%s = (SELECT …):", indent, b.Type.Attrs[i].Name))
+			how := ""
+			if b.take != nil && b.take[i] {
+				how = " fetched subtable, not rebuilt"
+			}
+			out = append(out, fmt.Sprintf("%s%s = (SELECT …):%s", indent, b.Type.Attrs[i].Name, how))
 			out = sub.describe(rt, sub.Sel.From, nil, indent+"  ", out)
 		}
 	}

@@ -100,8 +100,9 @@ func TestExplainShowsPreTest(t *testing.T) {
 	// select item that owns it — a path iteration, or a stored scan with
 	// its fetch set and pre-test — and the fetch set and pre-test of each
 	// quantifier over a stored table, in the block whose expression holds
-	// it. The prepared plan renders the same tree, with the access path
-	// chosen at bind time.
+	// it. An identity sub-block the row takes says so on its own line. The
+	// prepared plan renders the same tree, with the access path chosen at
+	// bind time.
 	if err := db.CreateIndex("DEPT_DNO", "DEPARTMENTS", []string{"DNO"}, "HIERARCHICAL"); err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +112,11 @@ func TestExplainShowsPreTest(t *testing.T) {
 	}{
 		{scanColdStatements(17)[0], []string{
 			`x IN DEPARTMENTS: full table scan, fetch {atoms, PROJECTS: {atoms, MEMBERS: {atoms}}, EQUIP: {atoms}}, no test`,
-			`PROJECTS = (SELECT …):`,
+			`PROJECTS = (SELECT …): fetched subtable, not rebuilt`,
 			`  y IN x.PROJECTS: iterate subtable of outer binding`,
 			`  MEMBERS = (SELECT …):`,
 			`    z IN y.MEMBERS: iterate subtable of outer binding`,
-			`EQUIP = (SELECT …):`,
+			`EQUIP = (SELECT …): fetched subtable, not rebuilt`,
 			`  v IN x.EQUIP: iterate subtable of outer binding`,
 		}},
 		{`SELECT x.DNO, PEERS = (SELECT d.DNO, d.BUDGET FROM d IN DEPARTMENTS WHERE d.MGRNO <> x.MGRNO AND d.BUDGET > 100 AND EXISTS r IN REPORTS: EXISTS a IN r.AUTHORS: a.NAME = 'Jones') FROM x IN DEPARTMENTS WHERE x.DNO = 314`, []string{

@@ -22,7 +22,10 @@ import (
 
 // Runtime is the storage interface the executor runs against; the
 // engine implements it. All reads accept an as-of timestamp (0 =
-// current state).
+// current state). A tuple OpenScan or OpenRef returns, subtables
+// included, is held by nothing else — no cache, no other caller, no
+// stored or buffered state — so a result row may keep parts of it as
+// they are (Block.take).
 type Runtime interface {
 	// Table resolves a stored table by name.
 	Table(name string) (*catalog.Table, bool)
@@ -110,9 +113,7 @@ type binding struct {
 	tbl   *catalog.Table
 	ref   page.TID
 	steps []object.Step // navigation from the object root to tup
-	// parentAttr/parentPos locate tup inside its parent subtable when
-	// steps is non-empty (== last step).
-	asof int64
+	asof  int64
 }
 
 // env is one scope of a chained variable scope: the range variables a

@@ -121,16 +121,29 @@ func (e *Executor) evalFromPath(p *sql.PathExpr, scope *env, prov *provenance) (
 	return tbl, cur.tt, hasProv, nil
 }
 
-// buildResult constructs one result tuple for the current bindings.
+// buildResult constructs one result tuple for the current bindings. What
+// the block takes (Block.take) goes into the row as fetched; everything
+// else is copied.
 func (c *Cursor) buildResult() (model.Tuple, error) {
+	take := c.blk.take
 	if c.sel.Star {
 		b, _ := c.scope.lookup(c.sel.From[0].Var)
+		if take != nil {
+			return b.tup, nil
+		}
 		return b.tup.Clone(), nil
 	}
 	tup := c.newTuple(len(c.sel.Items))
 	for i, item := range c.sel.Items {
+		taken := take != nil && take[i]
 		if item.Sub != nil {
-			sub, err := c.subTable(i)
+			var sub *model.Table
+			var err error
+			if taken {
+				sub, err = c.fetchedSubtable(i)
+			} else {
+				sub, err = c.subTable(i)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -145,10 +158,30 @@ func (c *Cursor) buildResult() (model.Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
-		if t, ok := a.(*model.Table); ok {
+		if t, ok := a.(*model.Table); ok && !taken {
 			a = t.Clone()
 		}
 		tup[i] = a
 	}
 	return tup, nil
+}
+
+// fetchedSubtable is the result of the identity sub-block of select item
+// i when the row takes it: the subtable its FROM path names in the
+// fetched tuple, or, for a null path, an empty table of the sub-block's
+// ordering, as subTable would build.
+func (c *Cursor) fetchedSubtable(i int) (*model.Table, error) {
+	sub := c.blk.Subs[i]
+	p := sub.Sel.From[0].Source.Path
+	v, err := c.e.evalPath(p, &c.scope)
+	if err != nil {
+		return nil, err
+	}
+	if v.isNull() {
+		return &model.Table{Ordered: sub.Type.Ordered}, nil
+	}
+	if tbl, ok := v.atom.(*model.Table); ok && !v.isTuple() {
+		return tbl, nil
+	}
+	return nil, fmt.Errorf("exec: FROM %s does not denote a table", p)
 }
