@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"sort"
@@ -484,14 +485,9 @@ type matrixQuery struct {
 // member passes, so that it rebuilds every nested result the statement
 // may take as fetched.
 func twinned(format string, argf func() []model.Value, oracle func([]model.Tuple, []model.Value) *model.Table) matrixQuery {
-	q := fmt.Sprintf(format, "", "")
-	return matrixQuery{
-		sql:     q,
-		argf:    argf,
-		inlinef: func(a []model.Value) string { return strings.Replace(q, "?", a[0].String(), 1) },
-		oracle:  oracle,
-		twin:    fmt.Sprintf(format, " WHERE TRUE", " AND TRUE"),
-	}
+	q := oneArg(fmt.Sprintf(format, "", ""), argf, oracle)
+	q.twin = fmt.Sprintf(format, " WHERE TRUE", " AND TRUE")
+	return q
 }
 
 // lorieRows stores the rows of a nested table as Lorie's linked tuples
@@ -531,6 +527,40 @@ func relation[T any](items []T, keep func(T) bool, row func(T) model.Tuple) *mod
 
 func always[T any](T) bool { return true }
 
+// unnested builds an unordered table of the rows each item yields.
+func unnested[T any](items []T, yield func(T) []model.Tuple) *model.Table {
+	out := &model.Table{}
+	for _, it := range items {
+		for _, row := range yield(it) {
+			out.Append(row)
+		}
+	}
+	return out
+}
+
+// oneArg is the matrix entry of a statement of one integer `?`.
+func oneArg(q string, argf func() []model.Value, oracle func([]model.Tuple, []model.Value) *model.Table) matrixQuery {
+	return matrixQuery{
+		sql:     q,
+		argf:    argf,
+		inlinef: func(a []model.Value) string { return strings.Replace(q, "?", a[0].String(), 1) },
+		oracle:  oracle,
+	}
+}
+
+// unnestGK answers Example 4's shape over T,
+// SELECT x.K, y.N, y.TAG, g.G FROM x IN T, y IN x.KIDS, g IN y.GK WHERE x.W < a.
+func unnestGK(all []model.Tuple, a []model.Value) *model.Table {
+	return unnested(all, func(x model.Tuple) []model.Tuple {
+		if x[3].(model.Int) >= a[0].(model.Int) {
+			return nil
+		}
+		return unnested(members(x[2]), func(y model.Tuple) []model.Tuple {
+			return relation(members(y[2]), always, func(g model.Tuple) model.Tuple { return model.Tuple{x[0], y[0], y[1], g[0]} }).Tuples
+		}).Tuples
+	})
+}
+
 // runPreparedMatrixRound builds one random three-level schema in two
 // identical databases, then drives the prepared API against one and
 // the literal-inlined unprepared API against the other; after every
@@ -549,10 +579,20 @@ func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool, layout o
 	defer dbP.Close()
 	defer dbU.Close()
 
-	schema := `CREATE TABLE T (K INT, NAME STRING, KIDS TABLE OF (N INT, TAG STRING, GK TABLE OF (G INT)), W INT)`
+	// T is versioned for the ASOF shapes; F is a flat table.
+	schema := `CREATE TABLE T (K INT, NAME STRING, KIDS TABLE OF (N INT, TAG STRING, GK TABLE OF (G INT)), W INT) VERSIONED; CREATE TABLE F (A INT, B STRING, C INT)`
+	var flatRows []model.Tuple
+	for i := range 12 {
+		flatRows = append(flatRows, model.Tuple{model.Int(i % 8), model.Str(fmt.Sprint("f", i)), model.Int(i * 37 % 11)})
+	}
 	for _, db := range []*DB{dbP, dbU} {
 		if _, err := db.Exec(schema); err != nil {
 			t.Fatal(err)
+		}
+		for _, f := range flatRows {
+			if _, err := db.Exec(fmt.Sprintf(`INSERT INTO F VALUES (%d, '%s', %d)`, f[0], f[1], f[2])); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if indexed {
 			if err := db.CreateIndex("T_K", "T", []string{"K"}, "HIERARCHICAL"); err != nil {
@@ -821,76 +861,247 @@ func runPreparedMatrixRound(t *testing.T, rng *rand.Rand, indexed bool, layout o
 		twinned(`SELECT x.K, KIDS = (SELECT y.N, y.TAG, `+identityGK+` FROM y IN x.KIDS%[1]s ORDER BY y.N DESC) FROM x IN T WHERE x.W < ?`, anInt(1000), nil),
 		twinned(`SELECT x.K, SECOND = (SELECT g.G FROM g IN x.KIDS[2].GK%[1]s) FROM x IN T WHERE x.W < ?`, anInt(1000), nil),
 	)
-	whole, tt, err := dbP.Query(`SELECT * FROM x IN T`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The oracles read T's rows as Lorie's linked tuples, the on-top
-	// baseline of §4.1, materialize them.
-	all := lorieRows(t, tt, whole.Tuples)
-	if !model.TableEqual(&model.Table{Tuples: all}, whole) {
-		t.Fatalf("Lorie's linked tuples read back differently:\n%v\n%v", all, whole.Tuples)
-	}
-	for qi, q := range queries {
-		ps, err := dbP.Prepare(q.sql)
-		if err != nil {
-			t.Fatalf("query %d: %v", qi, err)
+	// Items a row copies from its binding at a position fixed at bind
+	// (every plain v.A of a variable of the block's own FROM list) next
+	// to items evaluated: computed ones, [k] steps, outer variables.
+	withK := func(x model.Tuple, a []model.Value) bool { return x[3].(model.Int) < a[0].(model.Int) }
+	kid1 := func(x model.Tuple, i int) model.Value {
+		if kids := members(x[2]); len(kids) > 0 {
+			return kids[0][i]
 		}
+		return model.Null{}
+	}
+	queries = append(queries,
+		// A shadowed variable: x is the member, bound by the last FROM item.
+		oneArg(`SELECT x.N, x.TAG FROM x IN T, x IN x.KIDS WHERE x.N >= ?`, anInt(5),
+			func(all []model.Tuple, a []model.Value) *model.Table {
+				return unnested(all, func(x model.Tuple) []model.Tuple {
+					return relation(members(x[2]), func(y model.Tuple) bool { return y[0].(model.Int) >= a[0].(model.Int) },
+						func(y model.Tuple) model.Tuple { return model.Tuple{y[0], y[1]} }).Tuples
+				})
+			}),
+		oneArg(`SELECT x.K, x.W + 1, x.NAME, x.K * 2, x.W FROM x IN T WHERE x.W < ?`, anInt(1000),
+			func(all []model.Tuple, a []model.Value) *model.Table {
+				return relation(all, func(x model.Tuple) bool { return withK(x, a) }, func(x model.Tuple) model.Tuple {
+					return model.Tuple{x[0], x[3].(model.Int) + 1, x[1], x[0].(model.Int) * 2, x[3]}
+				})
+			}),
+		oneArg(`SELECT x.K, x.KIDS[1].N, x.KIDS[1].TAG, x.W FROM x IN T WHERE x.W < ?`, anInt(1000),
+			func(all []model.Tuple, a []model.Value) *model.Table {
+				return relation(all, func(x model.Tuple) bool { return withK(x, a) }, func(x model.Tuple) model.Tuple {
+					return model.Tuple{x[0], kid1(x, 0), kid1(x, 1), x[3]}
+				})
+			}),
+		// Outer variables in a correlated sub-block are evaluated.
+		oneArg(`SELECT x.K, KIDS = (SELECT x.NAME, y.N, x.W FROM y IN x.KIDS WHERE y.N >= ?) FROM x IN T`, anInt(5),
+			func(all []model.Tuple, a []model.Value) *model.Table {
+				return relation(all, always, func(x model.Tuple) model.Tuple {
+					return model.Tuple{x[0], relation(members(x[2]), func(y model.Tuple) bool { return y[0].(model.Int) >= a[0].(model.Int) },
+						func(y model.Tuple) model.Tuple { return model.Tuple{x[1], y[0], x[3]} })}
+				})
+			}),
+		// Example 4's shape: three levels unnested, the innermost flat,
+		// many of its subtables empty.
+		oneArg(`SELECT x.K, y.N, y.TAG, g.G FROM x IN T, y IN x.KIDS, g IN y.GK WHERE x.W < ?`, anInt(1000), unnestGK),
+		// Null subtables under flat members: most objects have no second
+		// kid.
+		oneArg(`SELECT x.K, g.G FROM x IN T, g IN x.KIDS[2].GK WHERE g.G <> ?`, anInt(10),
+			func(all []model.Tuple, a []model.Value) *model.Table {
+				return unnested(all, func(x model.Tuple) []model.Tuple {
+					kids := members(x[2])
+					if len(kids) < 2 {
+						return nil
+					}
+					return relation(members(kids[1][2]), func(g model.Tuple) bool { return g[0] != a[0] },
+						func(g model.Tuple) model.Tuple { return model.Tuple{x[0], g[0]} }).Tuples
+				})
+			}),
+		// A flat table, alone and beside T.
+		oneArg(`SELECT f.C, f.A, f.B FROM f IN F WHERE f.A < ?`, anInt(8),
+			func(_ []model.Tuple, a []model.Value) *model.Table {
+				return relation(flatRows, func(f model.Tuple) bool { return f[0].(model.Int) < a[0].(model.Int) },
+					func(f model.Tuple) model.Tuple { return model.Tuple{f[2], f[0], f[1]} })
+			}),
+		oneArg(`SELECT f.B, x.NAME, f.A, x.W FROM f IN F, x IN T WHERE f.A = x.K AND x.W < ?`, anInt(1000),
+			func(all []model.Tuple, a []model.Value) *model.Table {
+				return unnested(flatRows, func(f model.Tuple) []model.Tuple {
+					return relation(all, func(x model.Tuple) bool { return x[0] == f[0] && withK(x, a) },
+						func(x model.Tuple) model.Tuple { return model.Tuple{f[1], x[1], f[0], x[3]} }).Tuples
+				})
+			}),
+	)
+	reread := func(q interface {
+		Query(string) (*model.Table, *model.TableType, error)
+	}) []model.Tuple {
+		t.Helper()
+		whole, tt, err := q.Query(`SELECT * FROM x IN T`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The oracles read T's rows as Lorie's linked tuples, the on-top
+		// baseline of §4.1, materialize them.
+		all := lorieRows(t, tt, whole.Tuples)
+		if !model.TableEqual(&model.Table{Tuples: all}, whole) {
+			t.Fatalf("Lorie's linked tuples read back differently:\n%v\n%v", all, whole.Tuples)
+		}
+		return all
+	}
+	all := reread(dbP)
+	prepare := func(q string) *PreparedStmt {
+		t.Helper()
+		ps, err := dbP.Prepare(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return ps
+	}
+	// check runs a prepared statement of dbP against q on dbU, inlined,
+	// with and without pushdown, against its twin and against its oracle
+	// over all.
+	check := func(label string, ps *PreparedStmt, q matrixQuery, all []model.Tuple) {
+		t.Helper()
 		var twin *PreparedStmt
 		if q.twin != "" {
-			if twin, err = dbP.Prepare(q.twin); err != nil {
-				t.Fatalf("query %d twin: %v", qi, err)
-			}
+			twin = prepare(q.twin)
 		}
 		for rep := 0; rep < 4; rep++ {
 			args := q.argf()
 			gotP, ttP, err := ps.Query(args...)
 			if err != nil {
-				t.Fatalf("query %d prepared: %v", qi, err)
+				t.Fatalf("%s prepared: %v", label, err)
 			}
 			gotU, ttU, err := dbU.Query(q.inlinef(args))
 			if err != nil {
-				t.Fatalf("query %d unprepared: %v", qi, err)
+				t.Fatalf("%s unprepared: %v", label, err)
 			}
 			dbU.exec.FullPaths = true
 			gotF, ttF, err := dbU.Query(q.inlinef(args))
 			dbU.exec.FullPaths = false
 			if err != nil {
-				t.Fatalf("query %d without pushdown: %v", qi, err)
+				t.Fatalf("%s without pushdown: %v", label, err)
 			}
 			if !ttP.Equal(ttU) || !ttU.Equal(ttF) {
-				t.Fatalf("query %d args %v: schema mismatch: %s vs %s vs %s", qi, args, ttP, ttU, ttF)
+				t.Fatalf("%s args %v: schema mismatch: %s vs %s vs %s", label, args, ttP, ttU, ttF)
 			}
 			if !model.TableEqual(gotP, gotU) {
-				t.Fatalf("query %d args %v: prepared and unprepared disagree:\n%s\n%s",
-					qi, args,
+				t.Fatalf("%s args %v: prepared and unprepared disagree:\n%s\n%s",
+					label, args,
 					model.FormatTable("prepared", ttP, gotP),
 					model.FormatTable("unprepared", ttU, gotU))
 			}
 			if !model.TableEqual(gotU, gotF) {
-				t.Fatalf("query %d args %v: pushdown and full objects disagree:\n%s\n%s",
-					qi, args,
+				t.Fatalf("%s args %v: pushdown and full objects disagree:\n%s\n%s",
+					label, args,
 					model.FormatTable("pushdown", ttU, gotU),
 					model.FormatTable("full objects", ttF, gotF))
 			}
 			if twin != nil {
 				gotT, _, err := twin.Query(args...)
 				if err != nil {
-					t.Fatalf("query %d twin: %v", qi, err)
+					t.Fatalf("%s twin: %v", label, err)
 				}
 				if !model.TableEqual(gotP, gotT) {
-					t.Fatalf("query %d args %v: differs from its twin %s:\n%v\n%v", qi, args, q.twin, gotP, gotT)
+					t.Fatalf("%s args %v: differs from its twin %s:\n%v\n%v", label, args, q.twin, gotP, gotT)
 				}
 			}
 			if q.oracle == nil {
 				continue
 			}
 			if want := q.oracle(all, args); !model.TableEqual(gotP, want) {
-				t.Fatalf("query %d args %v: result differs from the oracle:\n%s\n%s",
-					qi, args,
+				t.Fatalf("%s args %v: result differs from the oracle:\n%s\n%s",
+					label, args,
 					model.FormatTable("prepared", ttP, gotP),
 					model.FormatTable("oracle", ttP, want))
 			}
+		}
+	}
+	for qi, q := range queries {
+		check(fmt.Sprint("query ", qi), prepare(q.sql), q, all)
+	}
+
+	// The same shapes while the data, the schema and the snapshot move.
+	// ASOF an instant of each database before an update: the oracle reads
+	// the rows of then.
+	asof := `SELECT x.K, y.N, y.TAG, g.G FROM x IN T ASOF %d, y IN x.KIDS, g IN y.GK WHERE x.W < ?`
+	atP, atU := dbP.Now(), dbU.Now()
+	for _, db := range []*DB{dbP, dbU} {
+		if _, err := db.Exec(`UPDATE x IN T SET W = x.W + 1 WHERE x.K < 4; DELETE y FROM x IN T, y IN x.KIDS WHERE y.N = 2`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := oneArg(fmt.Sprintf(asof, atU), anInt(1000), unnestGK)
+	check("ASOF", prepare(fmt.Sprintf(asof, atP)), q, all)
+	all = reread(dbP)
+	check("after the update", prepare(strings.Replace(asof, " ASOF %d", "", 1)), oneArg(strings.Replace(asof, " ASOF %d", "", 1), anInt(1000), unnestGK), all)
+
+	// One prepared statement before and after ALTER TABLE ADD, and the
+	// added attributes, null in every subtuple written before.
+	byW := oneArg(`SELECT x.K, x.NAME, x.W FROM x IN T WHERE x.W < ?`, anInt(1000),
+		func(all []model.Tuple, a []model.Value) *model.Table {
+			return relation(all, func(x model.Tuple) bool { return withK(x, a) }, func(x model.Tuple) model.Tuple { return model.Tuple{x[0], x[1], x[3]} })
+		})
+	psW := prepare(byW.sql)
+	check("before ALTER TABLE ADD", psW, byW, all)
+	for _, db := range []*DB{dbP, dbU} {
+		if _, err := db.Exec(`ALTER TABLE T ADD V INT; ALTER TABLE T ADD KIDS.X STRING; INSERT INTO T VALUES (3, 'zeta', {(1, 'red', {(4), (5)}, 'new')}, 5, 6)`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all = reread(dbP)
+	check("after ALTER TABLE ADD", psW, byW, all)
+	added := oneArg(`SELECT x.K, x.V, y.N, y.X, x.W FROM x IN T, y IN x.KIDS WHERE x.W < ?`, anInt(1000),
+		func(all []model.Tuple, a []model.Value) *model.Table {
+			return unnested(all, func(x model.Tuple) []model.Tuple {
+				if !withK(x, a) {
+					return nil
+				}
+				return relation(members(x[2]), always, func(y model.Tuple) model.Tuple { return model.Tuple{x[0], x[4], y[0], y[3], x[3]} }).Tuples
+			})
+		})
+	check("ALTER-added attributes", prepare(added.sql), added, all)
+
+	// A transaction over a pending object: its rows come from the
+	// transaction's own writes.
+	ctx := context.Background()
+	txP, err := dbP.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	txU, err := dbU.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range []*Txn{txP, txU} {
+		if _, err := tx.Exec(`INSERT INTO T VALUES (2, 'eta', {(3, 'blue', {}, 'p'), (4, 'amber', {(7), (8)}, 'q')}, 1, 8)`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending := reread(txP)
+	psA := prepare(added.sql)
+	for rep := 0; rep < 4; rep++ {
+		args := added.argf()
+		rows, err := txP.QueryRowsPrepared(ctx, psA, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotP := &model.Table{Ordered: rows.Type().Ordered}
+		for rows.Next() {
+			gotP.Append(rows.Tuple())
+		}
+		if err := rows.Close(); err != nil || rows.Err() != nil {
+			t.Fatalf("in a transaction: %v %v", err, rows.Err())
+		}
+		gotU, _, err := txU.Query(added.inlinef(args))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := added.oracle(pending, args); !model.TableEqual(gotP, gotU) || !model.TableEqual(gotP, want) {
+			t.Fatalf("in a transaction, args %v:\nprepared   %v\nunprepared %v\noracle     %v", args, gotP.Tuples, gotU.Tuples, want.Tuples)
+		}
+	}
+	for _, tx := range []*Txn{txP, txU} {
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -921,6 +1132,20 @@ func TestPreparedConcurrentDDL(t *testing.T) {
 	}
 	const q = `SELECT x.DNO, x.MGRNO FROM x IN DEPARTMENTS WHERE x.DNO = ?`
 	want := map[model.Int]model.Int{314: 56194, 218: 71349, 417: 91093}
+	// Example 4, the hierarchy read as a flat table: every item is copied
+	// from its binding at a position fixed at bind, and the churn below
+	// adds attributes at both ends of the path it unnests.
+	const unnest = `SELECT x.DNO, x.MGRNO, y.PNO, y.PNAME, z.EMPNO, z.FUNCTION FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS`
+	db.Executor().FullPaths = true
+	wantUnnest, _, err := db.Query(unnest)
+	db.Executor().FullPaths = false
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows, wantHash := wantUnnest.Len(), rowsHash(wantUnnest)
+	if wantRows != 17 {
+		t.Fatalf("Example 4 has %d rows, want 17", wantRows)
+	}
 
 	stop := make(chan struct{})
 	var wg, warm sync.WaitGroup
@@ -937,6 +1162,13 @@ func TestPreparedConcurrentDDL(t *testing.T) {
 				}
 			}()
 			dnos := []model.Int{314, 218, 417}
+			// One prepared Example 4 for the client's whole run, so that
+			// its plan lives across the churn.
+			ups, err := db.Prepare(unnest)
+			if err != nil {
+				errCh <- err
+				return
+			}
 			for i := 0; ; i++ {
 				if i > 0 && !warmed {
 					// First Prepare+executions done; let the churn start.
@@ -951,6 +1183,15 @@ func TestPreparedConcurrentDDL(t *testing.T) {
 				ps, err := db.Prepare(q)
 				if err != nil {
 					errCh <- err
+					return
+				}
+				tbl, _, err := ups.Query()
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if tbl.Len() != wantRows || rowsHash(tbl) != wantHash {
+					errCh <- fmt.Errorf("client %d: Example 4 returned %d rows, hash %x; want %d, %x", c, tbl.Len(), rowsHash(tbl), wantRows, wantHash)
 					return
 				}
 				for j := 0; j < 10; j++ {
@@ -969,7 +1210,8 @@ func TestPreparedConcurrentDDL(t *testing.T) {
 		}(c)
 	}
 	// Churn the catalog: create/drop an unrelated table, degrade and
-	// rebuild the index the queries want to use.
+	// rebuild the index the queries want to use, and add attributes to
+	// the root and the innermost level of the table the queries read.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -987,6 +1229,10 @@ func TestPreparedConcurrentDDL(t *testing.T) {
 				return
 			}
 			if _, err := db.Exec(fmt.Sprintf(`DROP TABLE CHURN%d`, i)); err != nil {
+				errCh <- err
+				return
+			}
+			if _, err := db.Exec(fmt.Sprintf(`ALTER TABLE DEPARTMENTS ADD C%d INT; ALTER TABLE DEPARTMENTS ADD PROJECTS.MEMBERS.M%d STRING`, i, i)); err != nil {
 				errCh <- err
 				return
 			}
@@ -1083,6 +1329,22 @@ func TestPreparedConcurrentDDL(t *testing.T) {
 	if n := db.Pool().PinnedCount(); n != 0 {
 		t.Errorf("%d pages pinned after the nested readers finished", n)
 	}
+}
+
+// rowsHash fingerprints the rows of a table in any order: an FNV-1a
+// hash of their canonical encodings, sorted.
+func rowsHash(tbl *model.Table) uint64 {
+	keys := make([]string, len(tbl.Tuples))
+	for i, tup := range tbl.Tuples {
+		keys[i] = model.CanonicalTuple(tup)
+	}
+	sort.Strings(keys)
+	h := fnv.New64a()
+	for _, k := range keys {
+		h.Write([]byte(k))
+		h.Write([]byte{0})
+	}
+	return h.Sum64()
 }
 
 // Prepared statements inside transactions: arguments bind against the

@@ -38,6 +38,18 @@ type Block struct {
 	// copying it (takes); for SELECT * its one entry stands for the whole
 	// tuple. nil when the row takes nothing.
 	take []bool
+	// pos holds, by select item, the position a row copies the item's
+	// value from instead of evaluating it (positions); nil when no item
+	// has one.
+	pos []itemPos
+}
+
+// itemPos is where a select item v.A reads its atom: attribute attr of
+// the binding of FROM item from, whose type at bind was tt. A zero
+// itemPos (tt nil) marks an item that is evaluated.
+type itemPos struct {
+	from, attr int
+	tt         *model.TableType
 }
 
 type boundQuant struct {
@@ -144,6 +156,7 @@ func (e *Executor) bindSelect(sel *sql.Select, outer *pathScope) (blk *Block, ok
 		if blk.Type, err = model.NewTableType(ordered, attrs...); err != nil {
 			return nil, false, err
 		}
+		blk.pos = positions(sel, scope)
 	}
 	if outer == nil {
 		blk.take = takes(sel, blk)
@@ -212,6 +225,45 @@ func identity(sel *sql.Select, blk *Block, scope *pathScope) bool {
 		}
 	}
 	return true
+}
+
+// positions decides, per select item, whether a row copies the item's
+// atom from a binding at a position fixed here instead of evaluating
+// the item: an item v.A naming an atomic attribute of a variable v that
+// the block's own FROM list binds. Several FROM items may bind v; the
+// last of them is the binding in scope when a row is built (env.bind).
+// Every other item — computed, with a [k] step, a subtable, or through
+// an outer variable — is evaluated. The position records the binding's
+// type, and a row whose binding has another (a schema changed under a
+// running plan) evaluates the item instead.
+func positions(sel *sql.Select, scope *pathScope) []itemPos {
+	var pos []itemPos
+	for i, item := range sel.Items {
+		p, _ := item.Expr.(*sql.PathExpr)
+		name := attrStep(p)
+		if name == "" {
+			continue
+		}
+		from := -1
+		for j, fi := range sel.From {
+			if fi.Var == p.Var {
+				from = j
+			}
+		}
+		if from < 0 {
+			continue
+		}
+		tt := scope.vars[p.Var].tt
+		ai := tt.AttrIndex(name)
+		if ai < 0 || tt.Attrs[ai].Type.Kind == model.KindTable {
+			continue
+		}
+		if pos == nil {
+			pos = make([]itemPos, len(sel.Items))
+		}
+		pos[i] = itemPos{from: from, attr: ai, tt: tt}
+	}
+	return pos
 }
 
 // takes decides, for a top-level block, where a result row may take a

@@ -1,13 +1,17 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/model"
+	"repro/internal/sql"
 	"repro/internal/testdata"
 	"repro/internal/tname"
 )
@@ -514,5 +518,81 @@ func TestFromRebindsVariableName(t *testing.T) {
 	}
 	if want.Len() == 0 || !model.TableEqual(got, want) {
 		t.Errorf("rebinding x: %v, want %v", got, want)
+	}
+}
+
+// Which select items a row copies from a binding at a position fixed at
+// bind, and from where: a plain v.A to an atom of a variable the block's
+// own FROM list binds — the last FROM item of that name — and nothing
+// else.
+func TestItemsCopiedByPosition(t *testing.T) {
+	db := openDB(t)
+	none := [2]int{-1, -1}
+	for _, c := range []struct {
+		q         string
+		top, sub1 [][2]int
+	}{
+		// Example 4: every item, from its own level.
+		{q: `SELECT x.DNO, x.MGRNO, y.PNO, y.PNAME, z.EMPNO, z.FUNCTION FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS`,
+			top: [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}}},
+		// The shadowing FROM item, not the first.
+		{q: `SELECT x.PNAME FROM x IN DEPARTMENTS, x IN x.PROJECTS`, top: [][2]int{{1, 1}}},
+		// Computed, [k], a subtable, then an atom.
+		{q: `SELECT x.DNO + 1, x.PROJECTS[1].PNO, x.EQUIP, x.BUDGET FROM x IN DEPARTMENTS`,
+			top: [][2]int{none, none, none, {0, 3}}},
+		// A sub-block's outer variable is evaluated, its own copied.
+		{q: `SELECT x.DNO, P = (SELECT x.MGRNO, y.PNO FROM y IN x.PROJECTS) FROM x IN DEPARTMENTS`,
+			top: [][2]int{{0, 0}, none}, sub1: [][2]int{none, {0, 0}}},
+		{q: `SELECT * FROM x IN DEPARTMENTS`, top: [][2]int{}},
+	} {
+		st, err := sql.ParseOne(c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		blk, err := db.Executor().Bind(st)
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		if got := exec.CopiedItems(blk); !slices.Equal(got, c.top) {
+			t.Errorf("%s:\n got %v\nwant %v", c.q, got, c.top)
+		}
+		if c.sub1 != nil {
+			if got := exec.CopiedItems(blk.Subs[1]); !slices.Equal(got, c.sub1) {
+				t.Errorf("%s, sub-block:\n got %v\nwant %v", c.q, got, c.sub1)
+			}
+		}
+	}
+}
+
+// A block bound before its table was dropped and created again with its
+// attributes in another order still answers by name: a position is only
+// used on a binding of the type it was fixed for.
+func TestStalePositionsEvaluate(t *testing.T) {
+	db := openDB(t)
+	if _, err := db.Exec(`CREATE TABLE R (A INT, B STRING); INSERT INTO R VALUES (1, 'one')`); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sql.ParseOne(`SELECT r.B, r.A FROM r IN R`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := db.Executor().Bind(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`DROP TABLE R; CREATE TABLE R (B STRING, A INT); INSERT INTO R VALUES ('two', 2)`); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := db.Executor().OpenPrepared(context.Background(), blk, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	tup, ok, err := cur.Next()
+	if err != nil || !ok {
+		t.Fatalf("Next = %v, %v", ok, err)
+	}
+	if want := (model.Tuple{model.Str("two"), model.Int(2)}); !model.TupleEqual(tup, want) {
+		t.Errorf("stale block read %v, want %v", tup, want)
 	}
 }

@@ -122,10 +122,11 @@ func (e *Executor) evalFromPath(p *sql.PathExpr, scope *env, prov *provenance) (
 }
 
 // buildResult constructs one result tuple for the current bindings. What
-// the block takes (Block.take) goes into the row as fetched; everything
-// else is copied.
+// the block takes (Block.take) goes into the row as fetched; an item
+// with a position (Block.pos) is copied from its binding; everything
+// else is evaluated and copied.
 func (c *Cursor) buildResult() (model.Tuple, error) {
-	take := c.blk.take
+	take, pos := c.blk.take, c.blk.pos
 	if c.sel.Star {
 		b, _ := c.scope.lookup(c.sel.From[0].Var)
 		if take != nil {
@@ -135,6 +136,12 @@ func (c *Cursor) buildResult() (model.Tuple, error) {
 	}
 	tup := c.newTuple(len(c.sel.Items))
 	for i, item := range c.sel.Items {
+		if pos != nil && pos[i].tt != nil {
+			if b := &c.pipe.iters[pos[i].from].b; b.tt == pos[i].tt {
+				tup[i] = b.tup[pos[i].attr]
+				continue
+			}
+		}
 		taken := take != nil && take[i]
 		if item.Sub != nil {
 			var sub *model.Table

@@ -3,8 +3,8 @@ package object
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
-	"repro/internal/dberr"
 	"repro/internal/model"
 	"repro/internal/page"
 )
@@ -145,17 +145,12 @@ func (m *Manager) InsertMemberPos(tt *model.TableType, ref Ref, steps []Step, at
 			if err != nil {
 				return 0, err
 			}
-			r := &reader{b: raw}
-			n := r.count()
-			ptrs := make([]page.MiniTID, n)
-			for i := range ptrs {
-				ptrs[i] = r.mini()
-			}
-			if r.err != nil {
-				return 0, r.err
+			ptrs, err := decodePtrList(raw)
+			if err != nil {
+				return 0, err
 			}
 			if pos < 0 {
-				pos = n
+				pos = len(ptrs)
 			}
 			ptrs, err = spliceIn(ptrs, pos, ptr)
 			if err != nil {
@@ -202,19 +197,18 @@ func (m *Manager) InsertMemberPos(tt *model.TableType, ref Ref, steps []Step, at
 		if err != nil {
 			return 0, err
 		}
-		n, sz := binary.Uvarint(raw)
-		if sz <= 0 {
-			return 0, dberr.Corruptf("object: corrupt subtable MD")
-		}
 		es := len(entry)
-		bodyBytes := raw[sz:]
-		if pos < 0 {
-			pos = int(n)
+		n, bodyBytes, err := mdEntries(raw, es)
+		if err != nil {
+			return 0, err
 		}
-		if pos > int(n) {
+		if pos < 0 {
+			pos = n
+		}
+		if pos > n {
 			return 0, fmt.Errorf("%w: position %d of %d members", ErrBadPath, pos, n)
 		}
-		nb := binary.AppendUvarint(nil, n+1)
+		nb := binary.AppendUvarint(nil, uint64(n+1))
 		nb = append(nb, bodyBytes[:pos*es]...)
 		nb = append(nb, entry...)
 		nb = append(nb, bodyBytes[pos*es:]...)
@@ -298,19 +292,11 @@ func (m *Manager) DeleteMember(tt *model.TableType, ref Ref, steps []Step, attr,
 		if err != nil {
 			return err
 		}
-		r := &reader{b: raw}
-		n := r.count()
-		ptrs := make([]page.MiniTID, 0, n-1)
-		for i := 0; i < n; i++ {
-			p := r.mini()
-			if i != pos {
-				ptrs = append(ptrs, p)
-			}
+		ptrs, err := decodePtrList(raw)
+		if err != nil {
+			return err
 		}
-		if r.err != nil {
-			return r.err
-		}
-		if err := o.update(lh.subC[gi], encodePtrList(ptrs)); err != nil {
+		if err := o.update(lh.subC[gi], encodePtrList(slices.Delete(ptrs, pos, pos+1))); err != nil {
 			return err
 		}
 	case SS2:
@@ -328,16 +314,12 @@ func (m *Manager) DeleteMember(tt *model.TableType, ref Ref, steps []Step, attr,
 		if err != nil {
 			return err
 		}
-		n, sz := binary.Uvarint(raw)
-		if sz <= 0 {
-			return dberr.Corruptf("object: corrupt subtable MD")
-		}
 		es := entrySize(sub)
-		if sub.Flat() {
-			es = page.EncodedMiniTIDLen
+		n, bodyBytes, err := mdEntries(raw, es)
+		if err != nil {
+			return err
 		}
-		bodyBytes := raw[sz:]
-		nb := binary.AppendUvarint(nil, n-1)
+		nb := binary.AppendUvarint(nil, uint64(n-1))
 		nb = append(nb, bodyBytes[:pos*es]...)
 		nb = append(nb, bodyBytes[(pos+1)*es:]...)
 		if err := o.update(lh.subC[gi], nb); err != nil {

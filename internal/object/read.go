@@ -57,40 +57,87 @@ func (o *objCtx) memberHandles(sub *model.TableType, h *levelHandle, gi int) ([]
 	return hs, err
 }
 
+// memberPtrs returns the pointers the parent structure of subtable gi
+// of the level under h records, one per member in stored order: the
+// inline group h holds under SS2, the subtable MD's pointer list under
+// SS1, and under SS3 — for a flat subtable only, whose entries are bare
+// pointers — likewise its pointer list. A flat member's pointer is its
+// D pointer under every layout, and all its read needs.
+func (o *objCtx) memberPtrs(h *levelHandle, gi int) ([]page.MiniTID, error) {
+	if o.m.layout == SS2 {
+		return h.groups[gi], nil
+	}
+	raw, err := o.view(h.subC[gi])
+	if err != nil {
+		return nil, err
+	}
+	ptrs, err := decodePtrList(raw)
+	o.done()
+	return ptrs, err
+}
+
+// mdEntries splits a subtable MD subtuple — a count, then one entry of
+// es bytes per member — into the count and the entries. The count is
+// compared with the body before anything is multiplied or sized by it:
+// a rotten count is a corruption error, not a slab of its size, and so
+// are bytes after the last entry.
+func mdEntries(raw []byte, es int) (int, []byte, error) {
+	n, sz := binary.Uvarint(raw)
+	if sz <= 0 {
+		return 0, nil, dberr.Corruptf("object: corrupt subtable MD")
+	}
+	body := raw[sz:]
+	if n > uint64(len(body)/es) || len(body) != int(n)*es {
+		return 0, nil, dberr.Corruptf("object: subtable MD has %d bytes, want %d entries × %d", len(body), n, es)
+	}
+	return int(n), body, nil
+}
+
+// decodePtrList decodes a pointer list — an SS1 subtable MD subtuple,
+// or an SS3 one of a flat subtable — into a fresh slice: the one
+// decoder of the format for the readers and writers that want the
+// pointers themselves rather than handles (parseSubtableMD).
+func decodePtrList(raw []byte) ([]page.MiniTID, error) {
+	n, body, err := mdEntries(raw, page.EncodedMiniTIDLen)
+	if err != nil {
+		return nil, err
+	}
+	ptrs := make([]page.MiniTID, n)
+	for i := range ptrs {
+		if ptrs[i], err = page.DecodeMiniTID(body[i*page.EncodedMiniTIDLen:]); err != nil {
+			return nil, err
+		}
+	}
+	return ptrs, nil
+}
+
 // parseSubtableMD decodes a subtable MD subtuple (SS1: a count and one
 // pointer per member; SS3: a count and one embedded entry per member)
 // in place. Under SS1 the pointer is left in each handle's d, for
 // memberNodes to follow.
 func (m *Manager) parseSubtableMD(sub *model.TableType, raw []byte) ([]levelHandle, error) {
-	n, sz := binary.Uvarint(raw)
-	if sz <= 0 {
-		return nil, dberr.Corruptf("object: corrupt subtable MD")
-	}
-	body := raw[sz:]
 	es := page.EncodedMiniTIDLen
 	nsub := len(sub.TableIndexes())
 	embedded := m.layout == SS3 && nsub > 0
 	if embedded {
 		es = entrySize(sub)
 	}
-	// Compare before multiplying: a rotten count must not size a slab.
-	if n > uint64(len(body)) || len(body) != int(n)*es {
-		return nil, dberr.Corruptf("object: subtable MD has %d bytes, want %d entries × %d", len(body), n, es)
+	n, body, err := mdEntries(raw, es)
+	if err != nil {
+		return nil, err
 	}
 	hs := make([]levelHandle, n)
 	var cs []page.MiniTID
 	if embedded {
-		cs = make([]page.MiniTID, int(n)*nsub)
+		cs = make([]page.MiniTID, n*nsub)
 	}
 	for i := range hs {
 		hs[i].self = page.NilMini
 		entry := body[i*es : (i+1)*es]
 		if !embedded {
-			d, err := page.DecodeMiniTID(entry)
-			if err != nil {
+			if hs[i].d, err = page.DecodeMiniTID(entry); err != nil {
 				return nil, err
 			}
-			hs[i].d = d
 			continue
 		}
 		if err := m.parseNode(&hs[i], nsub, entry, cs[i*nsub:(i+1)*nsub]); err != nil {
@@ -188,12 +235,8 @@ func (o *objCtx) fetch(tt *model.TableType, h *levelHandle, ps *PathSet, slab *m
 }
 
 func (o *objCtx) fetchInto(dst model.Tuple, tt *model.TableType, h *levelHandle, ps *PathSet, slab *model.Slab) error {
-	if ps.All || ps.Atoms {
-		if err := o.readAtomsInto(dst, tt, h.d, slab); err != nil {
-			return err
-		}
-	} else {
-		nullAtoms(dst, tt.AtomicIndexes())
+	if err := o.fetchAtoms(dst, tt, h.d, ps, slab); err != nil {
+		return err
 	}
 	for gi, ti := range tt.TableIndexes() {
 		sub := tt.Attrs[ti].Type.Table
@@ -211,24 +254,50 @@ func (o *objCtx) fetchInto(dst model.Tuple, tt *model.TableType, h *levelHandle,
 	return nil
 }
 
+// fetchAtoms fills the atomic attributes of a level from its data
+// subtuple d when ps requests them, and with nulls when it does not.
+func (o *objCtx) fetchAtoms(dst model.Tuple, tt *model.TableType, d page.MiniTID, ps *PathSet, slab *model.Slab) error {
+	if ps.All || ps.Atoms {
+		return o.readAtomsInto(dst, tt, d, slab)
+	}
+	nullAtoms(dst, tt.AtomicIndexes())
+	return nil
+}
+
 // fetchSubtable materializes subtable gi of the level under h. The
 // member tuples are cut from one slab of values, each capped to its
-// own length so that appending to one cannot reach the next.
+// own length so that appending to one cannot reach the next. A flat
+// member is read straight from the D pointer its parent structure
+// records (memberPtrs); only complex members get handles.
 func (o *objCtx) fetchSubtable(sub *model.TableType, h *levelHandle, gi int, ps *PathSet, slab *model.Slab) (*model.Table, error) {
-	hs, err := o.memberHandles(sub, h, gi)
+	flat := sub.Flat()
+	var ptrs []page.MiniTID
+	var hs []levelHandle
+	var err error
+	if flat {
+		ptrs, err = o.memberPtrs(h, gi)
+	} else {
+		hs, err = o.memberHandles(sub, h, gi)
+	}
 	if err != nil {
 		return nil, err
 	}
 	tbl := &model.Table{Ordered: sub.Ordered}
-	if len(hs) == 0 {
+	n := len(ptrs) + len(hs)
+	if n == 0 {
 		return tbl, nil
 	}
 	k := len(sub.Attrs)
-	vals := make([]model.Value, len(hs)*k)
-	tbl.Tuples = make([]model.Tuple, len(hs))
-	for i := range hs {
+	vals := make([]model.Value, n*k)
+	tbl.Tuples = make([]model.Tuple, n)
+	for i := range n {
 		mt := model.Tuple(vals[i*k : (i+1)*k : (i+1)*k])
-		if err := o.fetchInto(mt, sub, &hs[i], ps, slab); err != nil {
+		if flat {
+			err = o.fetchAtoms(mt, sub, ptrs[i], ps, slab)
+		} else {
+			err = o.fetchInto(mt, sub, &hs[i], ps, slab)
+		}
+		if err != nil {
 			return nil, err
 		}
 		tbl.Tuples[i] = mt

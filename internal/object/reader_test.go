@@ -1,9 +1,11 @@
 package object
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -214,7 +216,64 @@ func TestReadErrorsLeaveNothingPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			failing("not found at asof", m, ref, before, func(err error) bool { return errors.Is(err, subtuple.ErrNotFound) })
+
+			// A rotten member count in a subtable MD subtuple (SS2 keeps
+			// its member pointers inline in the node instead): reads and
+			// member inserts and deletes size nothing by it.
+			if layout == SS2 {
+				return
+			}
+			st, pool = newTestStore(t, false)
+			m = NewManager(st, layout)
+			ref, err = m.Insert(tt, bigDepartment())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rotMemberCount(t, m, tt, ref)
+			failing("rotten member count", m, ref, 0, dberr.IsCorrupt)
+			member := model.Tuple{model.Int(1), model.Str("Staff")}
+			for _, op := range []struct {
+				name string
+				run  func() error
+			}{
+				{"InsertMember", func() error { return m.InsertMember(tt, ref, []Step{{Attr: 2, Pos: 0}}, 2, -1, member) }},
+				{"DeleteMember", func() error { return m.DeleteMember(tt, ref, []Step{{Attr: 2, Pos: 0}}, 2, 0) }},
+			} {
+				if err := op.run(); !dberr.IsCorrupt(err) {
+					t.Errorf("rotten member count: %s = %v, want a corruption error", op.name, err)
+				}
+				if n := pool.PinnedCount(); n != 0 {
+					t.Errorf("rotten member count: %d pages pinned after %s", n, op.name)
+				}
+			}
 		})
+	}
+}
+
+// rotMemberCount rewrites the member count in the subtable MD subtuple
+// of project 0's MEMBERS to 2^63, keeping its pointers.
+func rotMemberCount(t *testing.T, m *Manager, tt *model.TableType, ref Ref) {
+	t.Helper()
+	o, lt, lh, err := m.open(tt, ref, 0, []Step{{Attr: 2, Pos: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.done()
+	gi, err := giOf(lt, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := o.read(lh.subC[gi])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid, err := o.resolve(lh.subC[gi])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sz := binary.Uvarint(raw)
+	if err := m.st.Update(tid, append(binary.AppendUvarint(nil, 1<<63), raw[sz:]...)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -326,13 +385,18 @@ func TestReadPinsEachPageOnce(t *testing.T) {
 // geometrically — plus a fixed handful per object and per subtable for
 // the context and the handles. A change that allocates per subtuple or
 // per atom again breaks the budget under every layout.
+//
+// It also holds a whole read of an 8 × 12 × 4 department, the shape
+// the benchmark's point and scan workloads read, to a budget of bytes:
+// a flat member costs its atoms and the 4-byte D pointer its parent
+// structure records, not a handle of its own (fetchSubtable).
 func TestReadPrunedAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	tt := testdata.DepartmentsType()
 	dept := testdata.Departments().Tuples[0]
-	budgets := map[Layout][2]float64{SS1: {34, 8}, SS2: {39, 10}, SS3: {34, 8}}
+	budgets := map[Layout][2]float64{SS1: {34, 8}, SS2: {36, 10}, SS3: {34, 8}}
 	for _, layout := range []Layout{SS1, SS2, SS3} {
 		st, _ := newTestStore(t, false)
 		m := NewManager(st, layout)
@@ -351,6 +415,33 @@ func TestReadPrunedAllocBudget(t *testing.T) {
 			} else {
 				t.Logf("%s: ReadPruned(%s) allocates %.0f times (budget %.0f)", layout, ps.Describe(tt), got, budget)
 			}
+		}
+	}
+
+	// Measured: 11 838, 12 112 and 11 832 bytes.
+	big := testdata.GenDepartments(testdata.GenConfig{Departments: 1, ProjsPerDept: 8, MembersPerProj: 12, EquipPerDept: 4, Seed: 1}).Tuples[0]
+	byteBudgets := map[Layout]uint64{SS1: 12430, SS2: 12718, SS3: 12424}
+	for _, layout := range []Layout{SS1, SS2, SS3} {
+		st, _ := newTestStore(t, false)
+		m := NewManager(st, layout)
+		ref, err := m.Insert(tt, big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const reads = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range reads {
+			if _, err := m.Read(tt, ref); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / reads
+		if budget := byteBudgets[layout]; got > budget {
+			t.Errorf("%s: a whole 8 × 12 × 4 department allocates %d bytes per read, budget %d", layout, got, budget)
+		} else {
+			t.Logf("%s: a whole 8 × 12 × 4 department allocates %d bytes per read (budget %d)", layout, got, budget)
 		}
 	}
 }
