@@ -141,7 +141,7 @@ func resolveEntry(eng *engine.DB, t *catalog.Table, ix *index.Index, addr index.
 // indexedOccurrences collects every value the index ought to contain
 // by walking the logical data along the index path.
 func indexedOccurrences(eng *engine.DB, t *catalog.Table, path []string) ([]occurrence, error) {
-	sc, err := eng.Runtime().OpenScan(t, 0, nil)
+	sc, err := eng.Runtime().OpenScan(t, 0, nil, false)
 	if err != nil {
 		return nil, fmt.Errorf("crashsim: scan %s: %w", t.Name, err)
 	}

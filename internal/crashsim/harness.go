@@ -306,7 +306,7 @@ func histSnapshot(eng *engine.DB, ts int64) (*snapshot, error) {
 // TableRows materializes a stored table (optionally as of an instant)
 // into a table value for comparison.
 func TableRows(eng *engine.DB, t *catalog.Table, asof int64) (*model.Table, error) {
-	sc, err := eng.Runtime().OpenScan(t, asof, nil)
+	sc, err := eng.Runtime().OpenScan(t, asof, nil, false)
 	if err != nil {
 		return nil, err
 	}

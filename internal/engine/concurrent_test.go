@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/object"
 	"repro/internal/testdata"
 )
 
@@ -188,16 +189,29 @@ func TestRetainedRowsAreNotScratch(t *testing.T) {
 	}
 }
 
-// TestRetainedRowsSurviveGCAndWrites keeps every row of Examples 1-8
-// and of the seven scan_cold statements exactly as Rows handed it out.
-// The atoms of those rows live in the readers' slabs; the test then
-// collects garbage, runs every statement again, rewrites every object
-// they were read from, collects again, and compares the kept rows with
-// the oracle computed up front by full-object execution. Nothing a row
-// holds may alias a page or a slab chunk that is reused. Run under
-// -race, which also checks the slab's pointer conversions.
+// TestRetainedRowsSurviveGCAndWrites keeps every row of Examples 1-8,
+// of the seven scan_cold statements and of shapes around them — ORDER
+// BY, DISTINCT, two stored FROM items, a correlated sub-block over a
+// stored table, SELECT * rows that take the fetched tuple, a sub-block
+// that is not an identity — exactly as Rows handed it out, under each
+// Mini Directory layout. The atoms of those rows live in the readers'
+// slabs, and a scan whose rows take nothing reads every object into the
+// containers of the last (object.Arena). The test then collects
+// garbage, runs every statement again, rewrites every object they were
+// read from, collects again, and compares the kept rows with the oracle
+// computed up front by full-object execution, each oracle row cloned
+// the moment it arrived. The first rows of two cursors abandoned
+// mid-scan before the next statement are kept too. Nothing a row holds
+// may alias a page, a slab chunk or a container that is reused. Run
+// under -race, which also checks the slab's pointer conversions.
 func TestRetainedRowsSurviveGCAndWrites(t *testing.T) {
-	db, err := core.OfficeWith(engine.Options{PoolPages: 64})
+	for _, layout := range []object.Layout{object.SS1, object.SS2, object.SS3} {
+		t.Run(layout.String(), func(t *testing.T) { retainedRowsSurviveGCAndWrites(t, layout) })
+	}
+}
+
+func retainedRowsSurviveGCAndWrites(t *testing.T, layout object.Layout) {
+	db, err := core.OfficeWith(engine.Options{PoolPages: 64, DefaultLayout: layout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +238,48 @@ func TestRetainedRowsSurviveGCAndWrites(t *testing.T) {
 		texts = append(texts, q.Text)
 	}
 	texts = append(texts, scanColdStatements(77)...)
+	const allAll = 3 // the ALL ... ALL statement of scan_cold, counted from its first
+	allAllAt := len(texts) - len(scanColdStatements(0)) + allAll
+	texts = append(texts,
+		`SELECT x.DNO, y.PNO, y.PNAME FROM x IN DEPARTMENTS, y IN x.PROJECTS ORDER BY y.PNAME DESC, y.PNO`,
+		`SELECT DISTINCT x.MGRNO, z.FUNCTION FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS`,
+		`SELECT x.DNO, w.MGRNO, w.PROJECTS FROM x IN DEPARTMENTS, w IN DEPARTMENTS WHERE w.BUDGET > x.BUDGET`,
+		`SELECT x.DNO, PEERS = (SELECT w.DNO, w.EQUIP FROM w IN DEPARTMENTS WHERE w.MGRNO = x.MGRNO) FROM x IN DEPARTMENTS`,
+		`SELECT * FROM x IN DEPARTMENTS WHERE EXISTS y IN x.EQUIP: y.TYPE = 'PC/AT'`,
+		`SELECT x.DNO, x.PROJECTS, x.EQUIP FROM x IN DEPARTMENTS`,
+		`SELECT x.DNO, PROJECTS = (SELECT y.PNAME, y.PNO, y.MEMBERS FROM y IN x.PROJECTS) FROM x IN DEPARTMENTS`,
+		`SELECT x.REPNO, x.AUTHORS[1], D = (SELECT d.WORD FROM d IN x.DESCRIPTORS) FROM x IN REPORTS`,
+	)
+
+	// query streams q and returns its first limit rows (all when limit is
+	// 0), each cloned on arrival when clone is set and kept as handed out
+	// otherwise, with the cursor closed unless abandon is set.
+	query := func(q string, limit int, clone, abandon bool) (*model.Table, *model.TableType) {
+		rows, err := db.QueryRows(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		kept := &model.Table{Ordered: rows.Type().Ordered}
+		for (limit == 0 || kept.Len() < limit) && rows.Next() {
+			tup := rows.Tuple()
+			if clone {
+				tup = tup.Clone()
+			}
+			kept.Append(tup)
+		}
+		if abandon {
+			return kept, rows.Type()
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return kept, rows.Type()
+	}
 
 	oracle := make([]string, len(texts))
 	db.Executor().FullPaths = true
 	for i, q := range texts {
-		tbl, tt, err := db.Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
+		tbl, tt := query(q, 0, true, false)
 		oracle[i] = model.FormatTable("", tt, tbl)
 	}
 	db.Executor().FullPaths = false
@@ -239,21 +287,23 @@ func TestRetainedRowsSurviveGCAndWrites(t *testing.T) {
 	kept := make([]*model.Table, len(texts))
 	types := make([]*model.TableType, len(texts))
 	for i, q := range texts {
-		rows, err := db.QueryRows(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		kept[i] = &model.Table{Ordered: rows.Type().Ordered}
-		for rows.Next() {
-			kept[i].Append(rows.Tuple())
-		}
-		if err := rows.Close(); err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		types[i] = rows.Type()
+		kept[i], types[i] = query(q, 0, false, false)
 	}
-	if kept[len(kept)-4].Len() == 0 {
+	if kept[allAllAt].Len() == 0 {
 		t.Fatal("the ALL ... ALL statement has no survivor")
+	}
+	// Two cursors abandoned after their first rows: Example 4's unnest,
+	// whose rows take nothing, and Example 1's SELECT *, whose rows take
+	// the fetched tuple.
+	abandoned := []string{texts[3], texts[0]}
+	const prefix = 5
+	prefixes := make([]string, len(abandoned))
+	heads := make([]*model.Table, len(abandoned))
+	headTypes := make([]*model.TableType, len(abandoned))
+	for i, q := range abandoned {
+		want, tt := query(q, prefix, true, false)
+		prefixes[i] = model.FormatTable("", tt, want)
+		heads[i], headTypes[i] = query(q, prefix, false, true)
 	}
 
 	runtime.GC()
@@ -276,6 +326,14 @@ func TestRetainedRowsSurviveGCAndWrites(t *testing.T) {
 	for i, q := range texts {
 		if got := model.FormatTable("", types[i], kept[i]); got != oracle[i] {
 			t.Errorf("%.60s: kept rows changed\ngot:\n%s\nwant:\n%s", q, got, oracle[i])
+		}
+	}
+	for i, q := range abandoned {
+		if heads[i].Len() != prefix {
+			t.Fatalf("%.60s: %d rows before the cursor was abandoned, want %d", q, heads[i].Len(), prefix)
+		}
+		if got := model.FormatTable("", headTypes[i], heads[i]); got != prefixes[i] {
+			t.Errorf("%.60s: rows of an abandoned cursor changed\ngot:\n%s\nwant:\n%s", q, got, prefixes[i])
 		}
 	}
 }

@@ -81,8 +81,35 @@ func TestNestedSelectAllocBudget(t *testing.T) {
 // (8 projects × 12 members, 4 pieces of equipment), prepared and streamed
 // to the end. The row takes PROJECTS and EQUIP as fetched, so a department
 // costs its object read and its result row; a change that rebuilds the
-// nested results again breaks the budget.
+// nested results again, or that reads each object with scaffolding and an
+// atom slab grown from empty, breaks the budget.
 func TestExample2AllocBudget(t *testing.T) {
+	// Measured 38.1; 67.6 before the scan's objects were read through one
+	// arena, 98.6 when every nested result was rebuilt.
+	scanAllocBudget(t, "Example 2", example2, 16, 41)
+}
+
+// example4 is Example 4 of the paper, the three-level unnest.
+const example4 = `SELECT x.DNO, x.MGRNO, y.PNO, y.PNAME, z.EMPNO, z.FUNCTION FROM x IN DEPARTMENTS, y IN x.PROJECTS, z IN y.MEMBERS`
+
+// TestExample4AllocBudget holds Example 4 to an allocation budget per
+// department over the same 16 departments: its rows take nothing, so the
+// scan reads every department into the containers of the one before
+// (object.Arena) and a department costs its 96 result rows, its atoms
+// and a small constant. A change that allocates an object's containers or
+// scaffolding afresh again breaks the budget.
+func TestExample4AllocBudget(t *testing.T) {
+	// Measured 104.2: 96 rows, one atom slab chunk of each kind (ints,
+	// strings, string bytes) and the statement's own allocations spread
+	// over 16 departments; 159.8 when every object was read afresh.
+	scanAllocBudget(t, "Example 4", example4, 16*8*12, 107)
+}
+
+// scanAllocBudget loads 16 departments of the scan_cold benchmark's shape
+// and holds the prepared statement q, streamed to the end with rows rows,
+// to budget allocations per department.
+func scanAllocBudget(t *testing.T, name, q string, rows int, budget float64) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -100,29 +127,27 @@ func TestExample2AllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ps, err := db.Prepare(example2)
+	ps, err := db.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(50, func() {
-		rows, err := ps.QueryRows()
+		rs, err := ps.QueryRows()
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := 0
-		for rows.Next() {
+		for rs.Next() {
 			n++
 		}
-		if err := rows.Close(); err != nil || n != depts {
-			t.Fatalf("%d rows, %v", n, err)
+		if err := rs.Close(); err != nil || n != rows {
+			t.Fatalf("%s: %d rows, want %d, %v", name, n, rows, err)
 		}
 	}) / depts
-	// Measured 67.6, against 98.6 when every nested result was rebuilt.
-	const budget = 70
 	if got > budget {
-		t.Errorf("Example 2 allocates %.1f times per department, budget %d", got, budget)
+		t.Errorf("%s allocates %.1f times per department, budget %.0f", name, got, budget)
 	} else {
-		t.Logf("Example 2 allocates %.1f times per department (budget %d)", got, budget)
+		t.Logf("%s allocates %.1f times per department (budget %.0f)", name, got, budget)
 	}
 }
 

@@ -37,8 +37,11 @@ import (
 
 // OpenScan implements exec.Runtime: it opens a pull cursor over the
 // table, fetching only the paths in ps of each complex object (nil =
-// full objects; flat tables are one data subtuple and ignore ps).
-func (r *runtime) OpenScan(t *catalog.Table, asof int64, ps *object.PathSet) (exec.ScanCursor, error) {
+// full objects; flat tables are one data subtuple and ignore ps). With
+// reuse the objects are read through one arena whose containers the
+// next object overwrites; a transaction's overlay scan keeps them
+// fresh.
+func (r *runtime) OpenScan(t *catalog.Table, asof int64, ps *object.PathSet, reuse bool) (exec.ScanCursor, error) {
 	db, tx := r.db, r.snap.overlay(asof)
 	asof = r.snap.pin(t, asof)
 	if err := db.quarCheck(t.Name, page.TID{}); err != nil {
@@ -52,7 +55,7 @@ func (r *runtime) OpenScan(t *catalog.Table, asof int64, ps *object.PathSet) (ex
 		}
 		sc = &flatCursor{db: db, table: t.Name, c: fc}
 	} else {
-		sc = &objectCursor{db: db, t: t, m: db.mgrs[t.Name], asof: asof, ps: ps, dir: db.openDir(t, asof), keepRejected: tx != nil}
+		sc = &objectCursor{db: db, t: t, ar: db.mgrs[t.Name].NewArena(reuse && tx == nil), asof: asof, ps: ps, dir: db.openDir(t, asof), keepRejected: tx != nil}
 	}
 	if tx != nil {
 		sc = tx.overlayScan(t, sc)
@@ -129,11 +132,12 @@ func (fc *flatCursor) Close() error { return fc.c.Close() }
 // skipped — unless a transaction's overlay sits on top (keepRejected):
 // the transaction may have rewritten the object so that it passes, and
 // the overlay only substitutes its image for refs the cursor yields, so
-// the ref is yielded with a nil tuple for the overlay to decide on.
+// the ref is yielded with a nil tuple for the overlay to decide on. All
+// objects are read through one arena (object.Arena).
 type objectCursor struct {
 	db           *DB
 	t            *catalog.Table
-	m            *object.Manager
+	ar           *object.Arena
 	asof         int64
 	ps           *object.PathSet
 	dir          dirCursor
@@ -153,7 +157,7 @@ func (oc *objectCursor) Next() (page.TID, model.Tuple, bool, error) {
 		if err := oc.db.quarCheck(oc.t.Name, ref); err != nil {
 			return page.TID{}, nil, false, err
 		}
-		tup, err := oc.m.ReadPruned(oc.t.Type, ref, oc.asof, oc.ps)
+		tup, err := oc.ar.ReadPruned(oc.t.Type, ref, oc.asof, oc.ps)
 		if err != nil {
 			if dberr.IsCorrupt(err) {
 				// A broken object must fail the scan loudly, never read

@@ -36,7 +36,8 @@ type Block struct {
 	// take marks, by select item of a top-level block, the items whose
 	// value a result row takes from the fetched tuple itself instead of
 	// copying it (takes); for SELECT * its one entry stands for the whole
-	// tuple. nil when the row takes nothing.
+	// tuple. nil when the row takes nothing: the block's scans then
+	// recycle their containers (newCursor).
 	take []bool
 	// pos holds, by select item, the position a row copies the item's
 	// value from instead of evaluating it (positions); nil when no item

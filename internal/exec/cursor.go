@@ -31,6 +31,9 @@ type pipeline struct {
 	scope *env
 	cands map[int]*Candidates
 	paths map[int]*object.PathSet // per FROM item; nil map = full reads
+	// reuse opens the stored-table scans with reuse (Runtime.OpenScan):
+	// the block builds its rows of copied atoms and cloned tables.
+	reuse bool
 
 	iters     []fromIter
 	started   bool
@@ -182,7 +185,7 @@ func (p *pipeline) openIter(i int) error {
 			it.refs = c.Refs
 			return nil
 		}
-		sc, err := p.e.RT.OpenScan(t, it.asof, p.paths[i])
+		sc, err := p.e.RT.OpenScan(t, it.asof, p.paths[i], p.reuse)
 		if err != nil {
 			return err
 		}
@@ -303,11 +306,14 @@ func (e *Executor) OpenPrepared(ctx context.Context, blk *Block, cands map[int]*
 }
 
 // newCursor sets up the cursor of a bound block in an outer scope (nil
-// at the top).
+// at the top). A top-level block whose rows take nothing (Block.take)
+// keeps nothing of a fetched tuple but atoms: its scans recycle their
+// containers. A sub-block's scans do not.
 func (e *Executor) newCursor(ctx context.Context, blk *Block, outer *env, params []model.Value, cands map[int]*Candidates) *Cursor {
 	c := &Cursor{e: e, ctx: ctx, blk: blk, sel: blk.Sel}
 	c.scope = env{slots: make([]slot, 0, len(blk.Sel.From)), parent: outer, params: params, blk: blk}
 	c.pipe.init(e, ctx, blk.Sel.From, &c.scope, cands, blk.Paths)
+	c.pipe.reuse = outer == nil && blk.take == nil
 	return c
 }
 

@@ -349,7 +349,7 @@ func (e *Executor) evalQuant(q *sql.Quant, en *env) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("exec: unknown table %q", q.Source.Table)
 		}
-		sc, err := e.RT.OpenScan(t, 0, en.blk.quantFetch(q))
+		sc, err := e.RT.OpenScan(t, 0, en.blk.quantFetch(q), false)
 		if err != nil {
 			return false, err
 		}

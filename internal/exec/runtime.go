@@ -25,7 +25,10 @@ import (
 // current state). A tuple OpenScan or OpenRef returns, subtables
 // included, is held by nothing else — no cache, no other caller, no
 // stored or buffered state — so a result row may keep parts of it as
-// they are (Block.take).
+// they are (Block.take). The one exception is a scan opened with reuse:
+// its containers — the tuple, its tables and their member tuples — are
+// valid only until the cursor's next Next, which may overwrite them;
+// its atoms stay valid for good.
 type Runtime interface {
 	// Table resolves a stored table by name.
 	Table(name string) (*catalog.Table, bool)
@@ -34,8 +37,10 @@ type Runtime interface {
 	// tuple TID for flat ones) and fetching only the paths in ps (nil =
 	// everything) of each object. Objects that fail ps's pre-test may be
 	// left out. The cursor must hold no buffer pages between calls, so
-	// abandoning it leaks nothing.
-	OpenScan(t *catalog.Table, asof int64, ps *object.PathSet) (ScanCursor, error)
+	// abandoning it leaks nothing. reuse says that the caller keeps
+	// nothing of a tuple but its atoms past the next Next, so the cursor
+	// may recycle the tuple's containers for the next object.
+	OpenScan(t *catalog.Table, asof int64, ps *object.PathSet, reuse bool) (ScanCursor, error)
 	// OpenRef reads one tuple by reference, fetching only the paths in
 	// ps (nil = everything). It returns a nil tuple and no error for an
 	// object that fails ps's pre-test.

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -351,5 +352,44 @@ func TestAttrPositionsFollowAppend(t *testing.T) {
 	}
 	if cp := tt.Clone(); len(cp.AtomicIndexes()) != atoms+1 || !cp.Equal(tt) {
 		t.Errorf("clone positions = %v", cp.AtomicIndexes())
+	}
+}
+
+// TestSlabRenew: a read after Renew gets chunks of its own — the values
+// of the read before keep theirs — and its first chunk of each kind is
+// as large as what the read before used, so a read like it makes one
+// chunk per kind: a payload of 64 large Ints and 64 Strs decodes with
+// three allocations (words, string headers, string bytes) instead of
+// growing through several, and a renewal after a read that used nothing
+// keeps the size.
+func TestSlabRenew(t *testing.T) {
+	vals := make([]Value, 0, 128)
+	for i := range 64 {
+		vals = append(vals, Int(1000+i), Str("member "+strconv.Itoa(i)))
+	}
+	enc, err := EncodeAtoms(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slab Slab
+	first := make(Tuple, len(vals))
+	if _, err := DecodeAtomsInto(enc, first, nil, &slab); err != nil {
+		t.Fatal(err)
+	}
+	dst := make(Tuple, len(vals))
+	allocs := testing.AllocsPerRun(20, func() {
+		slab.Renew()
+		slab.Renew() // a read that used nothing in between
+		if _, err := DecodeAtomsInto(enc, dst, nil, &slab); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Errorf("a read like the last allocates %.0f times after Renew, want 3", allocs)
+	}
+	for i := range vals {
+		if !AtomEqual(first[i], vals[i]) || !AtomEqual(dst[i], vals[i]) {
+			t.Fatalf("atom %d reads %v and %v, want %v", i, first[i], dst[i], vals[i])
+		}
 	}
 }

@@ -33,15 +33,45 @@ import (
 // DecodeAtom and DecodeAtomsInto), and of the tuples a wire row stream
 // decodes (see Tuple). Its chunks grow geometrically, a new one at
 // least as large as what is left of the payload being decoded, so a
-// read of n atoms costs O(log n) allocations. The zero value is ready
-// to use; a nil *Slab boxes every value on the heap. A Slab is used by
-// one goroutine; the Values and Tuples it hands out may be shared
-// freely.
+// read of n atoms costs O(log n) allocations; a run of similar reads
+// renews the slab between them (Renew) and costs one chunk of each kind
+// per read. The zero value is ready to use; a nil *Slab boxes every
+// value on the heap. A Slab is used by one goroutine; the Values and
+// Tuples it hands out may be shared freely.
 type Slab struct {
-	words []uint64 // Int, Float and Time atoms
-	strs  []Str
-	bytes []byte  // the bytes of strs
-	vals  []Value // the slots of the tuples Tuple hands out
+	words chunks[uint64] // Int, Float and Time atoms
+	strs  chunks[Str]
+	bytes chunks[byte]  // the bytes of strs
+	vals  chunks[Value] // the slots of the tuples Tuple hands out
+}
+
+// chunks is the storage of one kind of element: the chunk being
+// filled, how many elements the chunks filled before it hold since the
+// last Renew, and the capacity Renew asked of the next first chunk.
+type chunks[T any] struct {
+	buf   []T
+	spent int
+	first int
+}
+
+// Renew starts s over for the next read of a run. The chunks filled so
+// far are left to the Values that point into them — the next read
+// shares none of them — and the first chunk of each kind the next read
+// makes is as large as what this read used of that kind, so a read like
+// the last one fills one chunk per kind instead of growing through
+// several. A read that used none of a kind leaves its size as it was.
+func (s *Slab) Renew() {
+	s.words.renew()
+	s.strs.renew()
+	s.bytes.renew()
+	s.vals.renew()
+}
+
+func (c *chunks[T]) renew() {
+	if used := c.spent + len(c.buf); used > 0 {
+		c.first = used
+	}
+	c.buf, c.spent = nil, 0
 }
 
 // boxFree reports whether Go boxes an 8-byte scalar of this bit pattern
@@ -49,14 +79,16 @@ type Slab struct {
 // those stay out of the slab.
 func boxFree(w uint64) bool { return w < 256 }
 
-// grow makes room for n more elements in *buf: when it has none, *buf
-// becomes a new empty chunk twice as large as the old one, and at least
-// hint. The old chunk is left as it is: Values point into it. *buf is
-// written only then — a slice store is a pointer store, which costs a
-// write barrier while the collector runs.
-func grow[T any](buf *[]T, n, hint int) {
-	if cap(*buf)-len(*buf) < n {
-		*buf = make([]T, 0, max(2*cap(*buf), hint, n))
+// grow makes room for n more elements in c.buf: when it has none,
+// c.buf becomes a new empty chunk twice as large as the old one, and at
+// least hint and the size Renew asked for. The old chunk is left as it
+// is: Values point into it. c.buf is written only then — a slice store
+// is a pointer store, which costs a write barrier while the collector
+// runs.
+func (c *chunks[T]) grow(n, hint int) {
+	if cap(c.buf)-len(c.buf) < n {
+		c.spent += len(c.buf)
+		c.buf = make([]T, 0, max(2*cap(c.buf), hint, n, c.first))
 	}
 }
 
@@ -102,9 +134,9 @@ func (s *Slab) word(k Kind, w uint64, rest int) Value {
 			return Float(math.Float64frombits(w))
 		}
 	}
-	grow(&s.words, 1, rest)
-	s.words = append(s.words, w)
-	return boxAt(proto, unsafe.Pointer(&s.words[len(s.words)-1]))
+	s.words.grow(1, rest)
+	s.words.buf = append(s.words.buf, w)
+	return boxAt(proto, unsafe.Pointer(&s.words.buf[len(s.words.buf)-1]))
 }
 
 // str returns a Str holding a copy of b. rest is the number of atoms
@@ -113,12 +145,12 @@ func (s *Slab) str(b []byte, rest, left int) Value {
 	if s == nil || len(b) == 0 {
 		return Str(b)
 	}
-	grow(&s.strs, 1, rest)
-	grow(&s.bytes, len(b), left)
-	n := len(s.bytes)
-	s.bytes = append(s.bytes, b...)
-	s.strs = append(s.strs, Str(unsafe.String(&s.bytes[n], len(b))))
-	return boxAt(strProto, unsafe.Pointer(&s.strs[len(s.strs)-1]))
+	s.strs.grow(1, rest)
+	s.bytes.grow(len(b), left)
+	n := len(s.bytes.buf)
+	s.bytes.buf = append(s.bytes.buf, b...)
+	s.strs.buf = append(s.strs.buf, Str(unsafe.String(&s.bytes.buf[n], len(b))))
+	return boxAt(strProto, unsafe.Pointer(&s.strs.buf[len(s.strs.buf)-1]))
 }
 
 // Tuple returns an empty tuple with room for n values, carved from the
@@ -128,8 +160,8 @@ func (s *Slab) Tuple(n int) Tuple {
 	if s == nil {
 		return make(Tuple, 0, n)
 	}
-	grow(&s.vals, n, n)
-	k := len(s.vals)
-	s.vals = s.vals[:k+n]
-	return s.vals[k : k : k+n]
+	s.vals.grow(n, n)
+	k := len(s.vals.buf)
+	s.vals.buf = s.vals.buf[:k+n]
+	return s.vals.buf[k : k : k+n]
 }

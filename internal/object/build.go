@@ -159,21 +159,21 @@ func entrySize(tt *model.TableType) int {
 // level with nsub subtables, into h (d, and subC or groups; the other
 // fields are the caller's). The body may be a view of a page: nothing
 // in h aliases it. subC is stored in cs when the caller brings a
-// slab slice of nsub pointers, in a fresh slice otherwise.
-func (m *Manager) parseNode(h *levelHandle, nsub int, body []byte, cs []page.MiniTID) error {
+// slice of nsub pointers, in a carve of the context's otherwise.
+func (o *objCtx) parseNode(h *levelHandle, nsub int, body []byte, cs []page.MiniTID) error {
 	r := reader{b: body}
 	h.d = r.mini()
-	switch m.layout {
+	switch o.m.layout {
 	case SS1, SS3:
 		if cs == nil {
-			cs = make([]page.MiniTID, nsub)
+			cs = o.minis.take(nsub)
 		}
 		for i := range cs {
 			cs[i] = r.mini()
 		}
 		h.subC = cs
 	case SS2:
-		h.groups = make([][]page.MiniTID, nsub)
+		h.groups = o.groups.take(nsub)
 		for i := range h.groups {
 			n := r.count()
 			// Each member pointer occupies EncodedMiniTIDLen bytes, so a
@@ -182,7 +182,7 @@ func (m *Manager) parseNode(h *levelHandle, nsub int, body []byte, cs []page.Min
 			if n > len(r.b)/page.EncodedMiniTIDLen {
 				return dberr.Corruptf("object: member count %d exceeds node body", n)
 			}
-			g := make([]page.MiniTID, n)
+			g := o.minis.take(n)
 			for j := range g {
 				g[j] = r.mini()
 			}

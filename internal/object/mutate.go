@@ -105,7 +105,7 @@ func (m *Manager) InsertMemberPos(tt *model.TableType, ref Ref, steps []Step, at
 		return 0, err
 	}
 	defer o.done()
-	h, err := m.rootHandle(tt, rootBody)
+	h, err := o.rootHandle(tt, rootBody)
 	if err != nil {
 		return 0, err
 	}
@@ -145,7 +145,7 @@ func (m *Manager) InsertMemberPos(tt *model.TableType, ref Ref, steps []Step, at
 			if err != nil {
 				return 0, err
 			}
-			ptrs, err := decodePtrList(raw)
+			ptrs, err := o.decodePtrList(raw)
 			if err != nil {
 				return 0, err
 			}
@@ -249,7 +249,7 @@ func (m *Manager) DeleteMember(tt *model.TableType, ref Ref, steps []Step, attr,
 		return err
 	}
 	defer o.done()
-	h, err := m.rootHandle(tt, rootBody)
+	h, err := o.rootHandle(tt, rootBody)
 	if err != nil {
 		return err
 	}
@@ -292,7 +292,7 @@ func (m *Manager) DeleteMember(tt *model.TableType, ref Ref, steps []Step, attr,
 		if err != nil {
 			return err
 		}
-		ptrs, err := decodePtrList(raw)
+		ptrs, err := o.decodePtrList(raw)
 		if err != nil {
 			return err
 		}
@@ -337,22 +337,25 @@ func (m *Manager) DeleteMember(tt *model.TableType, ref Ref, steps []Step, attr,
 
 // freeLevel deletes all subtuples reachable from the handle (data
 // subtuples, subtable MDs and member nodes), excluding the node
-// record of the handle itself.
+// record of the handle itself. A flat member is removed through the D
+// pointer its parent structure records (members).
 func (m *Manager) freeLevel(o *objCtx, tt *model.TableType, h levelHandle) error {
 	for gi, ti := range tt.TableIndexes() {
 		sub := tt.Attrs[ti].Type.Table
-		hs, err := o.memberHandles(sub, &h, gi)
+		ms, err := o.members(sub, &h, gi)
 		if err != nil {
 			return err
 		}
-		for _, mh := range hs {
+		var flat levelHandle
+		for i := range ms.len() {
+			mh := ms.at(i, &flat)
 			if sub.Flat() {
 				if err := o.remove(mh.d); err != nil {
 					return err
 				}
 				continue
 			}
-			if err := m.freeLevel(o, sub, mh); err != nil {
+			if err := m.freeLevel(o, sub, *mh); err != nil {
 				return err
 			}
 			if (m.layout == SS1 || m.layout == SS2) && !mh.self.Nil() {

@@ -33,9 +33,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/buffer"
 	"repro/internal/dberr"
+	"repro/internal/model"
 	"repro/internal/page"
 	"repro/internal/subtuple"
 )
@@ -99,12 +101,12 @@ const recOverhead = 32
 
 // objCtx carries the state needed to work inside one complex object's
 // local address space: its root TID, its page list, the window of
-// pages its reads go through and, on the write path, a
-// free-space cache so bulk builds do not re-probe every page per
-// insert. The page-list scan semantics follow §4.1: to place a new
-// subtuple, the pages already owned by the object are tried first;
-// only when none has room is a new page allocated and appended to the
-// list (reusing a gap if one exists).
+// pages its reads go through, what its reads carve (arena.go) and, on
+// the write path, a free-space cache so bulk builds do not re-probe
+// every page per insert. The page-list scan semantics follow §4.1: to
+// place a new subtuple, the pages already owned by the object are tried
+// first; only when none has room is a new page allocated and appended
+// to the list (reusing a gap if one exists).
 //
 // Every operation that loads a context defers its done: an error path
 // or a panic may leave the window's last view latched.
@@ -120,29 +122,55 @@ type objCtx struct {
 	// turn fully emptied pages into page-list gaps (§4.1: "when a page
 	// number is removed from the page list, the gap ... is not closed").
 	removedOn map[int]bool
+
+	// The root node body and the scaffolding of a read, which no tuple
+	// it returns reaches.
+	body   []byte
+	hs     bump[levelHandle]
+	minis  bump[page.MiniTID]
+	groups bump[[]page.MiniTID]
+	// The containers of the tuples a read returns, rewound with the
+	// scaffolding when reuse is set, and the slab of their atoms.
+	reuse bool
+	vals  bump[model.Value]
+	tups  bump[model.Tuple]
+	tbls  bump[model.Table]
+	slab  model.Slab
 }
 
 func (m *Manager) newCtx() *objCtx {
 	return &objCtx{m: m, win: m.st.Reader()}
 }
 
-// loadCtx views the root MD subtuple and decodes the envelope: the
-// page list into the context, the root node body into a copy the
-// caller may keep. On success the caller owns the context and must
-// call its done.
+// loadCtx loads a fresh context on the object at ref (load). On success
+// the caller owns the context and must call its done.
 func (m *Manager) loadCtx(ref Ref, asof int64) (*objCtx, []byte, error) {
-	o := &objCtx{m: m, root: ref, asof: asof, win: m.st.Reader()}
+	o := &objCtx{m: m}
+	body, err := o.load(ref, asof)
+	if err != nil {
+		return nil, nil, err
+	}
+	return o, body, nil
+}
+
+// load starts the context on the object at ref as of an instant: it
+// views the root MD subtuple and decodes the envelope, the page list
+// into the context and the root node body into o.body, which it
+// returns. The caller may keep the body until the context's next load.
+func (o *objCtx) load(ref Ref, asof int64) ([]byte, error) {
+	o.root, o.asof, o.win = ref, asof, o.m.st.Reader()
 	raw, err := o.viewTID(ref)
 	if err == nil {
 		var body []byte
 		if body, err = o.decodeEnvelope(raw); err == nil {
-			body = append([]byte(nil), body...)
-			o.done()
-			return o, body, nil
+			o.body = append(o.body[:0], body...)
 		}
 	}
 	o.done()
-	return nil, nil, err
+	if err != nil {
+		return nil, err
+	}
+	return o.body, nil
 }
 
 // viewTID returns the payload of the subtuple at t in place, as of the
@@ -206,7 +234,7 @@ func (o *objCtx) decodeEnvelope(raw []byte) ([]byte, error) {
 	if n > uint64(len(p))/4 { // n*4 could overflow; divide instead
 		return nil, dberr.Corruptf("object: corrupt page list")
 	}
-	o.pages = make([]uint32, n)
+	o.pages = slices.Grow(o.pages[:0], int(n))[:n]
 	for i := range o.pages {
 		o.pages[i] = binary.LittleEndian.Uint32(p)
 		p = p[4:]

@@ -97,7 +97,8 @@ var errUndecided = errors.New("object: pre-test undecided")
 
 // test decides t on the level of the object under h, of type tt. It
 // views data subtuples only for the atoms t compares, and visits the
-// members of a quantified subtable in stored order until one decides.
+// members of a quantified subtable in stored order until one decides,
+// a flat subtable's straight from their D pointers (members).
 func (o *objCtx) test(t *Test, tt *model.TableType, h *levelHandle) (bool, error) {
 	switch t.Op {
 	case TestAnd, TestOr:
@@ -120,12 +121,13 @@ func (o *objCtx) test(t *Test, tt *model.TableType, h *levelHandle) (bool, error
 		return false, err
 	}
 	sub := tt.Attrs[t.Attr].Type.Table
-	hs, err := o.memberHandles(sub, h, gi)
+	ms, err := o.members(sub, h, gi)
 	if err != nil {
 		return false, err
 	}
-	for i := range hs {
-		ok, err := o.test(t.Args[0], sub, &hs[i])
+	var flat levelHandle
+	for i := range ms.len() {
+		ok, err := o.test(t.Args[0], sub, ms.at(i, &flat))
 		if err != nil {
 			return false, err
 		}

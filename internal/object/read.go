@@ -25,21 +25,22 @@ type levelHandle struct {
 }
 
 // rootHandle decodes the root node body.
-func (m *Manager) rootHandle(tt *model.TableType, body []byte) (levelHandle, error) {
+func (o *objCtx) rootHandle(tt *model.TableType, body []byte) (levelHandle, error) {
 	h := levelHandle{self: page.NilMini, isRoot: true}
-	err := m.parseNode(&h, len(tt.TableIndexes()), body, nil)
+	err := o.parseNode(&h, len(tt.TableIndexes()), body, nil)
 	return h, err
 }
 
 // memberHandles returns the handles of all members of subtable gi
 // (index among table-valued attributes) of the object level h, in
 // stored order. For flat subtables the handles carry only the data
-// pointer. The handles of one subtable are one slab, and so are their
-// C pointers under SS1 and SS3: decoding a subtable costs a fixed
-// number of allocations, not one per member.
+// pointer. The handles of one subtable are one carve of the read's
+// handles, and so are their C pointers under SS1 and SS3: decoding a
+// subtable costs a fixed number of allocations, not one per member,
+// and none at all in an arena the last object sized.
 func (o *objCtx) memberHandles(sub *model.TableType, h *levelHandle, gi int) ([]levelHandle, error) {
 	if o.m.layout == SS2 {
-		hs := make([]levelHandle, len(h.groups[gi]))
+		hs := o.hs.take(len(h.groups[gi]))
 		for i, ptr := range h.groups[gi] {
 			hs[i] = levelHandle{d: ptr, self: page.NilMini}
 		}
@@ -49,7 +50,7 @@ func (o *objCtx) memberHandles(sub *model.TableType, h *levelHandle, gi int) ([]
 	if err != nil {
 		return nil, err
 	}
-	hs, err := o.m.parseSubtableMD(sub, raw)
+	hs, err := o.parseSubtableMD(sub, raw)
 	o.done()
 	if err == nil && o.m.layout == SS1 {
 		err = o.memberNodes(sub, hs)
@@ -71,9 +72,44 @@ func (o *objCtx) memberPtrs(h *levelHandle, gi int) ([]page.MiniTID, error) {
 	if err != nil {
 		return nil, err
 	}
-	ptrs, err := decodePtrList(raw)
+	ptrs, err := o.decodePtrList(raw)
 	o.done()
 	return ptrs, err
+}
+
+// memberList holds the members of one subtable in stored order, as
+// members returns them.
+type memberList struct {
+	ptrs []page.MiniTID // a flat subtable's: the members' D pointers
+	hs   []levelHandle  // a complex subtable's: the members' handles
+}
+
+// members returns the members of subtable gi of the level under h: a
+// flat subtable's as the D pointers its parent structure records
+// (memberPtrs), with no handle built for them, a complex one's as
+// handles (memberHandles).
+func (o *objCtx) members(sub *model.TableType, h *levelHandle, gi int) (memberList, error) {
+	var l memberList
+	var err error
+	if sub.Flat() {
+		l.ptrs, err = o.memberPtrs(h, gi)
+	} else {
+		l.hs, err = o.memberHandles(sub, h, gi)
+	}
+	return l, err
+}
+
+func (l *memberList) len() int { return len(l.ptrs) + len(l.hs) }
+
+// at returns the handle of member i: a complex member's own, a flat
+// member's built in *flat. The caller brings flat, so that no pointer
+// into l escapes through the recursion it walks.
+func (l *memberList) at(i int, flat *levelHandle) *levelHandle {
+	if l.hs != nil {
+		return &l.hs[i]
+	}
+	*flat = levelHandle{d: l.ptrs[i], self: page.NilMini}
+	return flat
 }
 
 // mdEntries splits a subtable MD subtuple — a count, then one entry of
@@ -94,15 +130,15 @@ func mdEntries(raw []byte, es int) (int, []byte, error) {
 }
 
 // decodePtrList decodes a pointer list — an SS1 subtable MD subtuple,
-// or an SS3 one of a flat subtable — into a fresh slice: the one
-// decoder of the format for the readers and writers that want the
-// pointers themselves rather than handles (parseSubtableMD).
-func decodePtrList(raw []byte) ([]page.MiniTID, error) {
+// or an SS3 one of a flat subtable — into a carve of the context's Mini
+// TIDs: the one decoder of the format for the readers and writers that
+// want the pointers themselves rather than handles (parseSubtableMD).
+func (o *objCtx) decodePtrList(raw []byte) ([]page.MiniTID, error) {
 	n, body, err := mdEntries(raw, page.EncodedMiniTIDLen)
 	if err != nil {
 		return nil, err
 	}
-	ptrs := make([]page.MiniTID, n)
+	ptrs := o.minis.take(n)
 	for i := range ptrs {
 		if ptrs[i], err = page.DecodeMiniTID(body[i*page.EncodedMiniTIDLen:]); err != nil {
 			return nil, err
@@ -115,10 +151,10 @@ func decodePtrList(raw []byte) ([]page.MiniTID, error) {
 // pointer per member; SS3: a count and one embedded entry per member)
 // in place. Under SS1 the pointer is left in each handle's d, for
 // memberNodes to follow.
-func (m *Manager) parseSubtableMD(sub *model.TableType, raw []byte) ([]levelHandle, error) {
+func (o *objCtx) parseSubtableMD(sub *model.TableType, raw []byte) ([]levelHandle, error) {
 	es := page.EncodedMiniTIDLen
 	nsub := len(sub.TableIndexes())
-	embedded := m.layout == SS3 && nsub > 0
+	embedded := o.m.layout == SS3 && nsub > 0
 	if embedded {
 		es = entrySize(sub)
 	}
@@ -126,10 +162,10 @@ func (m *Manager) parseSubtableMD(sub *model.TableType, raw []byte) ([]levelHand
 	if err != nil {
 		return nil, err
 	}
-	hs := make([]levelHandle, n)
+	hs := o.hs.take(n)
 	var cs []page.MiniTID
 	if embedded {
-		cs = make([]page.MiniTID, n*nsub)
+		cs = o.minis.take(n * nsub)
 	}
 	for i := range hs {
 		hs[i].self = page.NilMini
@@ -140,7 +176,7 @@ func (m *Manager) parseSubtableMD(sub *model.TableType, raw []byte) ([]levelHand
 			}
 			continue
 		}
-		if err := m.parseNode(&hs[i], nsub, entry, cs[i*nsub:(i+1)*nsub]); err != nil {
+		if err := o.parseNode(&hs[i], nsub, entry, cs[i*nsub:(i+1)*nsub]); err != nil {
 			return nil, err
 		}
 	}
@@ -158,7 +194,7 @@ func (o *objCtx) memberNodes(sub *model.TableType, hs []levelHandle) error {
 	}
 	var cs []page.MiniTID
 	if o.m.layout == SS1 {
-		cs = make([]page.MiniTID, len(hs)*nsub)
+		cs = o.minis.take(len(hs) * nsub)
 	}
 	for i := range hs {
 		self := hs[i].d
@@ -170,7 +206,7 @@ func (o *objCtx) memberNodes(sub *model.TableType, hs []levelHandle) error {
 		if cs != nil {
 			c = cs[i*nsub : (i+1)*nsub]
 		}
-		err = o.m.parseNode(&hs[i], nsub, raw, c)
+		err = o.parseNode(&hs[i], nsub, raw, c)
 		o.done()
 		if err != nil {
 			return err
@@ -192,17 +228,16 @@ func (o *objCtx) readAtoms(d page.MiniTID) ([]model.Value, error) {
 }
 
 // readAtomsInto decodes the data subtuple of a level straight into
-// the level's tuple, its atoms into the read's slab (nil: a heap box
-// each). Data subtuples
+// the level's tuple, its atoms into the read's slab. Data subtuples
 // written before an ALTER TABLE ADD carry fewer atoms than the current
 // schema; the missing (newest) attributes read as null.
-func (o *objCtx) readAtomsInto(dst model.Tuple, tt *model.TableType, d page.MiniTID, slab *model.Slab) error {
+func (o *objCtx) readAtomsInto(dst model.Tuple, tt *model.TableType, d page.MiniTID) error {
 	raw, err := o.view(d)
 	if err != nil {
 		return err
 	}
 	slots := tt.AtomicIndexes()
-	n, err := model.DecodeAtomsInto(raw, dst, slots, slab)
+	n, err := model.DecodeAtomsInto(raw, dst, slots, &o.slab)
 	o.done()
 	if err != nil {
 		return err
@@ -218,34 +253,36 @@ func nullAtoms(dst model.Tuple, slots []int) {
 }
 
 // fetch is the one materializer: it builds the (sub)object under the
-// handle as a fresh tuple of the full schema shape, reading only what
-// ps selects. Unrequested atomic attributes read as null and
-// unrequested subtables as empty tables; requested subtable levels
-// carry their true membership. Each subtuple is viewed in place,
-// decoded into its destination and let go before the next one is
-// touched; nothing the tuple references is shared with the reader. The
-// atoms of one read share slab, which lives no longer than the read
-// itself: only the Values it handed out keep its chunks.
-func (o *objCtx) fetch(tt *model.TableType, h *levelHandle, ps *PathSet, slab *model.Slab) (model.Tuple, error) {
-	tup := make(model.Tuple, len(tt.Attrs))
-	if err := o.fetchInto(tup, tt, h, ps, slab); err != nil {
+// handle as a tuple of the full schema shape, reading only what ps
+// selects. Unrequested atomic attributes read as null and unrequested
+// subtables as empty tables; requested subtable levels carry their true
+// membership. Each subtuple is viewed in place, decoded into its
+// destination and let go before the next one is touched; nothing the
+// tuple references is shared with a page. The containers — the tuple,
+// its subtable headers, Tuples slices and member tuples — are carved
+// from the context: fresh, unless the context is an arena with reuse,
+// where they are valid until its next read. The atoms of one read share
+// a slab whose chunks no other read shares: they stay valid for good.
+func (o *objCtx) fetch(tt *model.TableType, h *levelHandle, ps *PathSet) (model.Tuple, error) {
+	tup := model.Tuple(o.vals.take(len(tt.Attrs)))
+	if err := o.fetchInto(tup, tt, h, ps); err != nil {
 		return nil, err
 	}
 	return tup, nil
 }
 
-func (o *objCtx) fetchInto(dst model.Tuple, tt *model.TableType, h *levelHandle, ps *PathSet, slab *model.Slab) error {
-	if err := o.fetchAtoms(dst, tt, h.d, ps, slab); err != nil {
+func (o *objCtx) fetchInto(dst model.Tuple, tt *model.TableType, h *levelHandle, ps *PathSet) error {
+	if err := o.fetchAtoms(dst, tt, h.d, ps); err != nil {
 		return err
 	}
 	for gi, ti := range tt.TableIndexes() {
 		sub := tt.Attrs[ti].Type.Table
 		sps := ps.sub(ti)
 		if sps == nil {
-			dst[ti] = &model.Table{Ordered: sub.Ordered}
+			dst[ti] = o.table(sub.Ordered)
 			continue
 		}
-		tbl, err := o.fetchSubtable(sub, h, gi, sps, slab)
+		tbl, err := o.fetchSubtable(sub, h, gi, sps)
 		if err != nil {
 			return err
 		}
@@ -256,48 +293,36 @@ func (o *objCtx) fetchInto(dst model.Tuple, tt *model.TableType, h *levelHandle,
 
 // fetchAtoms fills the atomic attributes of a level from its data
 // subtuple d when ps requests them, and with nulls when it does not.
-func (o *objCtx) fetchAtoms(dst model.Tuple, tt *model.TableType, d page.MiniTID, ps *PathSet, slab *model.Slab) error {
+func (o *objCtx) fetchAtoms(dst model.Tuple, tt *model.TableType, d page.MiniTID, ps *PathSet) error {
 	if ps.All || ps.Atoms {
-		return o.readAtomsInto(dst, tt, d, slab)
+		return o.readAtomsInto(dst, tt, d)
 	}
 	nullAtoms(dst, tt.AtomicIndexes())
 	return nil
 }
 
 // fetchSubtable materializes subtable gi of the level under h. The
-// member tuples are cut from one slab of values, each capped to its
+// member tuples are cut from one carve of values, each capped to its
 // own length so that appending to one cannot reach the next. A flat
 // member is read straight from the D pointer its parent structure
-// records (memberPtrs); only complex members get handles.
-func (o *objCtx) fetchSubtable(sub *model.TableType, h *levelHandle, gi int, ps *PathSet, slab *model.Slab) (*model.Table, error) {
-	flat := sub.Flat()
-	var ptrs []page.MiniTID
-	var hs []levelHandle
-	var err error
-	if flat {
-		ptrs, err = o.memberPtrs(h, gi)
-	} else {
-		hs, err = o.memberHandles(sub, h, gi)
-	}
+// records (members); only complex members get handles.
+func (o *objCtx) fetchSubtable(sub *model.TableType, h *levelHandle, gi int, ps *PathSet) (*model.Table, error) {
+	ms, err := o.members(sub, h, gi)
 	if err != nil {
 		return nil, err
 	}
-	tbl := &model.Table{Ordered: sub.Ordered}
-	n := len(ptrs) + len(hs)
+	tbl := o.table(sub.Ordered)
+	n := ms.len()
 	if n == 0 {
 		return tbl, nil
 	}
 	k := len(sub.Attrs)
-	vals := make([]model.Value, n*k)
-	tbl.Tuples = make([]model.Tuple, n)
+	vals := o.vals.take(n * k)
+	tbl.Tuples = o.tups.take(n)
+	var flat levelHandle
 	for i := range n {
 		mt := model.Tuple(vals[i*k : (i+1)*k : (i+1)*k])
-		if flat {
-			err = o.fetchAtoms(mt, sub, ptrs[i], ps, slab)
-		} else {
-			err = o.fetchInto(mt, sub, &hs[i], ps, slab)
-		}
-		if err != nil {
+		if err := o.fetchInto(mt, sub, ms.at(i, &flat), ps); err != nil {
 			return nil, err
 		}
 		tbl.Tuples[i] = mt
@@ -326,20 +351,11 @@ func (m *Manager) ReadAsOf(tt *model.TableType, ref Ref, asof int64) (model.Tupl
 // object once. When ps carries a pre-test, it runs first, in the same
 // window of pages; an object that fails it is reported as a nil
 // tuple with a nil error, and nothing of it is materialized.
+//
+// A one-shot read carves from an arena of its own, fresh everything;
+// an object cursor reads through one Arena for all its objects.
 func (m *Manager) ReadPruned(tt *model.TableType, ref Ref, asof int64, ps *PathSet) (model.Tuple, error) {
-	o, _, h, err := m.open(tt, ref, asof, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer o.done()
-	if ps == nil {
-		ps = allSet
-	}
-	if ok, err := o.passes(tt, &h, ps); !ok || err != nil {
-		return nil, err
-	}
-	var slab model.Slab
-	return o.fetch(tt, &h, ps, &slab)
+	return m.NewArena(false).ReadPruned(tt, ref, asof, ps)
 }
 
 // Step addresses one navigation move: descend into the table-valued
@@ -390,7 +406,7 @@ func (m *Manager) open(tt *model.TableType, ref Ref, asof int64, steps []Step) (
 	if err != nil {
 		return nil, nil, levelHandle{}, err
 	}
-	h, err := m.rootHandle(tt, body)
+	h, err := o.rootHandle(tt, body)
 	if err == nil {
 		var lt *model.TableType
 		if lt, h, err = o.locate(tt, h, steps, nil); err == nil {
@@ -409,8 +425,7 @@ func (m *Manager) ReadSubobject(tt *model.TableType, ref Ref, steps ...Step) (mo
 		return nil, err
 	}
 	defer o.done()
-	var slab model.Slab
-	return o.fetch(lt, &lh, allSet, &slab)
+	return o.fetch(lt, &lh, allSet)
 }
 
 // ReadSubtable materializes one subtable instance: steps address a
@@ -426,8 +441,7 @@ func (m *Manager) ReadSubtable(tt *model.TableType, ref Ref, attr int, steps ...
 	if err != nil {
 		return nil, err
 	}
-	var slab model.Slab
-	return o.fetchSubtable(lt.Attrs[attr].Type.Table, &lh, gi, allSet, &slab)
+	return o.fetchSubtable(lt.Attrs[attr].Type.Table, &lh, gi, allSet)
 }
 
 // ReadAtomsAt returns only the atomic attribute values of the

@@ -36,7 +36,7 @@ func (m *Manager) Salvage(tt *model.TableType, ref Ref) (*SalvageResult, error) 
 		return res, nil
 	}
 	defer o.done()
-	h, err := m.rootHandle(tt, body)
+	h, err := o.rootHandle(tt, body)
 	if err != nil {
 		res.Lost = append(res.Lost, fmt.Sprintf("root node of %v: %v", ref, err))
 		return res, nil
@@ -50,7 +50,7 @@ func (m *Manager) Salvage(tt *model.TableType, ref Ref) (*SalvageResult, error) 
 // loss instead of an error.
 func (o *objCtx) salvageLevel(tt *model.TableType, h *levelHandle, path string, res *SalvageResult) model.Tuple {
 	tup := make(model.Tuple, len(tt.Attrs))
-	if err := o.readAtomsInto(tup, tt, h.d, nil); err != nil {
+	if err := o.readAtomsInto(tup, tt, h.d); err != nil {
 		res.Lost = append(res.Lost, fmt.Sprintf("data subtuple at %q: %v", path, err))
 		nullAtoms(tup, tt.AtomicIndexes()) // all attributes read as null
 	}
@@ -71,7 +71,7 @@ func (o *objCtx) salvageLevel(tt *model.TableType, h *levelHandle, path string, 
 				continue
 			}
 			mt := make(model.Tuple, len(sub.Attrs))
-			if err := o.readAtomsInto(mt, sub, hs[i].d, nil); err != nil {
+			if err := o.readAtomsInto(mt, sub, hs[i].d); err != nil {
 				res.Lost = append(res.Lost, fmt.Sprintf("member %s: %v", memberPath, err))
 				continue
 			}

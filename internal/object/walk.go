@@ -46,6 +46,7 @@ type walker struct {
 	keys   []byte
 	hits   []cut
 	hit    [2]Hit
+	flat   levelHandle // the handle of the flat member being walked
 	fn     func(*Hit) error
 }
 
@@ -79,7 +80,7 @@ func (m *Manager) walkTo(tt *model.TableType, ref Ref, steps []Step, probes []Pr
 	for _, st := range steps {
 		w.attrs = append(w.attrs, st.Attr)
 	}
-	h, err := m.rootHandle(tt, body)
+	h, err := o.rootHandle(tt, body)
 	var lt *model.TableType
 	if err == nil {
 		lt, h, err = o.locate(tt, h, steps, &w.path)
@@ -113,7 +114,8 @@ func (m *Manager) WalkProbes(tt *model.TableType, ref Ref, steps []Step, probes 
 }
 
 // level emits the hits of the level under h and descends into every
-// subtable some probe continues into.
+// subtable some probe continues into, a flat one's members straight
+// from their D pointers (members).
 func (w *walker) level(lt *model.TableType, h *levelHandle) error {
 	if w.here() {
 		if err := w.view(lt, h.d); err != nil {
@@ -138,14 +140,15 @@ func (w *walker) level(lt *model.TableType, h *levelHandle) error {
 			continue
 		}
 		sub := lt.Attrs[ti].Type.Table
-		hs, err := w.o.memberHandles(sub, h, gi)
+		ms, err := w.o.members(sub, h, gi)
 		if err != nil {
 			return err
 		}
 		w.attrs = append(w.attrs, ti)
-		for i := range hs {
-			w.path = append(w.path, hs[i].d)
-			if err := w.level(sub, &hs[i]); err != nil {
+		for i := range ms.len() {
+			mh := ms.at(i, &w.flat) // a flat member has no level below it
+			w.path = append(w.path, mh.d)
+			if err := w.level(sub, mh); err != nil {
 				return err
 			}
 			w.path = w.path[:len(w.path)-1]

@@ -411,22 +411,32 @@ func (p *Page) Initialized() bool { return p.u16(offFreeEnd) != 0 }
 // pages recovery proved to hold committed data (see buffer.MarkSealed).
 
 // checksumOf folds the CRC of the page image and its identity to 16
-// bits, never returning the reserved "unsealed" value 0.
+// bits, never returning the reserved "unsealed" value 0. Every verified
+// page read and every write-back computes one, and it allocates
+// nothing: the image goes to crc32.Update as it lies, and the identity
+// and the zeroed checksum field are folded in byte by byte (crcBytes).
 func (p *Page) checksumOf(seg uint16, no uint32) uint16 {
-	var id [6]byte
-	binary.LittleEndian.PutUint16(id[0:], seg)
-	binary.LittleEndian.PutUint32(id[2:], no)
-	crc := crc32.NewIEEE()
-	crc.Write(id[:])
-	crc.Write(p.b[:offChecksum])
-	crc.Write([]byte{0, 0})
-	crc.Write(p.b[offChecksum+2:])
-	sum := crc.Sum32()
+	sum := crcBytes(0, byte(seg), byte(seg>>8), byte(no), byte(no>>8), byte(no>>16), byte(no>>24))
+	sum = crc32.Update(sum, crc32.IEEETable, p.b[:offChecksum])
+	sum = crcBytes(sum, 0, 0)
+	sum = crc32.Update(sum, crc32.IEEETable, p.b[offChecksum+2:])
 	c := uint16(sum) ^ uint16(sum>>16)
 	if c == 0 {
 		c = 0xFFFF
 	}
 	return c
+}
+
+// crcBytes is crc32.Update over the IEEE table for a few bytes. A slice
+// handed to crc32.Update escapes to the heap — it calls through a
+// function variable — so a stack array given to it costs an allocation
+// per call; this loop costs none.
+func crcBytes(sum uint32, bs ...byte) uint32 {
+	sum = ^sum
+	for _, b := range bs {
+		sum = crc32.IEEETable[byte(sum)^b] ^ sum>>8
+	}
+	return ^sum
 }
 
 // Seal stamps the page checksum, binding the image to its location;

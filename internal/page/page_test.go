@@ -3,6 +3,7 @@ package page
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 )
@@ -281,4 +282,40 @@ func TestViewPanicsOnWrongSize(t *testing.T) {
 func ExampleTID_String() {
 	fmt.Println(TID{Page: 3, Slot: 7})
 	// Output: TID(3.7)
+}
+
+// TestChecksumAllocatesNothing: sealing a page and verifying it — once
+// per page write-back and once per verified page read — allocate
+// nothing, and the checksum is the one a hash.Hash32 over the page's
+// identity and its image with the checksum field zeroed gives, so
+// images sealed before stay valid.
+func TestChecksumAllocatesNothing(t *testing.T) {
+	p := newPage()
+	if _, err := p.Insert([]byte("a record to checksum")); err != nil {
+		t.Fatal(err)
+	}
+	const seg, no = 3, 70001
+	if n := testing.AllocsPerRun(100, func() { p.Seal(seg, no) }); n != 0 {
+		t.Errorf("Seal allocates %.0f times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if !p.ChecksumOK(seg, no) {
+			t.Fatal("a sealed page fails its checksum")
+		}
+	}); n != 0 {
+		t.Errorf("ChecksumOK allocates %.0f times", n)
+	}
+	img := append([]byte(nil), p.b...)
+	img[offChecksum], img[offChecksum+1] = 0, 0
+	crc := crc32.NewIEEE()
+	crc.Write([]byte{seg, 0, 0x71, 0x11, 0x01, 0})
+	crc.Write(img)
+	sum := crc.Sum32()
+	want := uint16(sum) ^ uint16(sum>>16)
+	if got := p.u16(offChecksum); got != want {
+		t.Errorf("checksum %#x, want %#x", got, want)
+	}
+	if p.ChecksumOK(seg, no+1) {
+		t.Error("the image verifies at another page's identity")
+	}
 }
