@@ -124,11 +124,6 @@ type Options struct {
 	// CheckpointEvery starts a background checkpointer with the given
 	// period. 0 disables it; Checkpoint can always be called directly.
 	CheckpointEvery time.Duration
-	// GroupCommitWait is the extra time a group-commit leader waits for
-	// concurrent committers to join its fsync when some are already
-	// pending. 0 means leaders never dally; a lone committer never
-	// waits either way.
-	GroupCommitWait time.Duration
 }
 
 // DB is a database handle.
@@ -150,7 +145,6 @@ func Open(opts Options) (*DB, error) {
 		Clock:           opts.Clock,
 		WALSegmentBytes: opts.WALSegmentBytes,
 		CheckpointEvery: opts.CheckpointEvery,
-		GroupCommitWait: opts.GroupCommitWait,
 	})
 	if err != nil {
 		return nil, err

@@ -53,19 +53,25 @@ func main() {
 		materialize(*dir)
 		return
 	}
-	if !*experimentsOnly {
-		for _, id := range core.AllIDs() {
-			if err := runOne(id, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "aimbench: %s: %v\n", id, err)
-				os.Exit(1)
-			}
-		}
-	}
-	if err := runExperiments(*scale); err != nil {
+	if err := runAll(os.Stdout, *experimentsOnly, *scale); err != nil {
 		fmt.Fprintln(os.Stderr, "aimbench:", err)
 		os.Exit(1)
 	}
 	materialize(*dir)
+}
+
+// runAll writes what aimbench prints without -run or -repl: every
+// paper artifact (unless experimentsOnly), then the quantitative
+// experiments. Its output carries no timings, so it is deterministic.
+func runAll(out io.Writer, experimentsOnly bool, scale int) error {
+	if !experimentsOnly {
+		for _, id := range core.AllIDs() {
+			if err := runOne(id, out); err != nil {
+				return fmt.Errorf("%s: %w", id, err)
+			}
+		}
+	}
+	return runExperiments(out, scale)
 }
 
 // materialize writes the office database to disk at dir (when set) so
@@ -105,26 +111,26 @@ func printReport(out io.Writer, rep core.Report) {
 	fmt.Fprintln(out, rep.Text)
 }
 
-func runExperiments(scale int) error {
-	fmt.Printf("\n================ quantitative experiments (scale %d) ================\n", scale)
+func runExperiments(out io.Writer, scale int) error {
+	fmt.Fprintf(out, "\n================ quantitative experiments (scale %d) ================\n", scale)
 
-	fmt.Println("\n--- E1: storage structures SS1/SS2/SS3 at scale (§4.1, /DGW85/) ---")
+	fmt.Fprintln(out, "\n--- E1: storage structures SS1/SS2/SS3 at scale (§4.1, /DGW85/) ---")
 	layoutRows, err := core.CompareLayouts(testdata.GenConfig{
 		Departments: 50 * scale, ProjsPerDept: 8, MembersPerProj: 15, EquipPerDept: 5, Seed: 42,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-6s %12s %10s %10s %8s %12s %11s %13s %10s %12s\n",
+	fmt.Fprintf(out, "%-6s %12s %10s %10s %8s %12s %11s %13s %10s %12s\n",
 		"layout", "MD subtuples", "MD bytes", "pointers", "pages", "build fetch", "read pages", "read decoded", "nav pages", "nav decoded")
 	for _, r := range layoutRows {
-		fmt.Printf("%-6s %12d %10d %10d %8d %12d %11d %13d %10d %12d\n",
+		fmt.Fprintf(out, "%-6s %12d %10d %10d %8d %12d %11d %13d %10d %12d\n",
 			r.Layout, r.MDSubtuples, r.MDBytes, r.Pointers, r.Pages,
 			r.BuildFetches, r.ReadFetches, r.ReadDecoded, r.NavFetches, r.NavDecoded)
 	}
-	fmt.Println("shape: #MD subtuples and subtuples decoded per read SS1 > SS3 > SS2; pages pinned per read = pages of the object under every layout")
+	fmt.Fprintln(out, "shape: #MD subtuples and subtuples decoded per read SS1 > SS3 > SS2; pages pinned per read = pages of the object under every layout")
 
-	fmt.Println("\n--- E2: index address strategies (Fig 7 at scale, §4.2) ---")
+	fmt.Fprintln(out, "\n--- E2: index address strategies (Fig 7 at scale, §4.2) ---")
 	stratRes, err := core.CompareIndexStrategies(testdata.GenConfig{
 		Departments: 100 * scale, ProjsPerDept: 8, MembersPerProj: 15, EquipPerDept: 4,
 		Seed: 7, ConsultantEvery: 9,
@@ -132,48 +138,48 @@ func runExperiments(scale int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("conjunctive query: project PNO=%d with a Consultant\n", stratRes.TargetPNO)
-	fmt.Printf("%-14s %18s %13s %10s\n", "strategy", "subtuple accesses", "pages pinned", "results")
+	fmt.Fprintf(out, "conjunctive query: project PNO=%d with a Consultant\n", stratRes.TargetPNO)
+	fmt.Fprintf(out, "%-14s %18s %13s %10s\n", "strategy", "subtuple accesses", "pages pinned", "results")
 	for _, r := range stratRes.Rows {
-		fmt.Printf("%-14s %18d %13d %10d\n", r.Strategy, r.Decoded, r.Fetches, r.Results)
+		fmt.Fprintf(out, "%-14s %18d %13d %10d\n", r.Strategy, r.Decoded, r.Fetches, r.Results)
 	}
-	fmt.Println("shape: HIERARCHICAL << ROOT << DATA (hierarchical addresses avoid all scans)")
+	fmt.Fprintln(out, "shape: HIERARCHICAL << ROOT << DATA (hierarchical addresses avoid all scans)")
 
-	fmt.Println("\n--- E3: clustering — local address spaces vs Lorie's 'on top' tuples (§1, §4.1) ---")
+	fmt.Fprintln(out, "\n--- E3: clustering — local address spaces vs Lorie's 'on top' tuples (§1, §4.1) ---")
 	clusterRows, err := core.CompareClustering(16*scale, 5, 12, 40, 3)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-34s %14s %10s %8s\n", "system", "physical reads", "fetches", "pages")
+	fmt.Fprintf(out, "%-34s %14s %10s %8s\n", "system", "physical reads", "fetches", "pages")
 	for _, r := range clusterRows {
-		fmt.Printf("%-34s %14d %10d %8d\n", r.System, r.PhysicalReads, r.Fetches, r.PagesTotal)
+		fmt.Fprintf(out, "%-34s %14d %10d %8d\n", r.System, r.PhysicalReads, r.Fetches, r.PagesTotal)
 	}
-	fmt.Println("shape: cold whole-object reads touch far fewer pages with clustering")
+	fmt.Fprintln(out, "shape: cold whole-object reads touch far fewer pages with clustering")
 
-	fmt.Println("\n--- E4: page-level checkout cost vs object size (§4.1) ---")
+	fmt.Fprintln(out, "\n--- E4: page-level checkout cost vs object size (§4.1) ---")
 	checkoutRows, err := core.MeasureCheckout([]int{10, 100, 1000, 5000})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%8s %10s %7s %18s\n", "members", "subtuples", "pages", "relocate fetches")
+	fmt.Fprintf(out, "%8s %10s %7s %18s\n", "members", "subtuples", "pages", "relocate fetches")
 	for _, r := range checkoutRows {
 		if r.Refused != "" {
-			fmt.Printf("%8d %10d %7d %18s  %s\n", r.Members, r.Subtuples, r.Pages, "refused", r.Refused)
+			fmt.Fprintf(out, "%8d %10d %7d %18s  %s\n", r.Members, r.Subtuples, r.Pages, "refused", r.Refused)
 			continue
 		}
-		fmt.Printf("%8d %10d %7d %18d\n", r.Members, r.Subtuples, r.Pages, r.RelocateFetches)
+		fmt.Fprintf(out, "%8d %10d %7d %18d\n", r.Members, r.Subtuples, r.Pages, r.RelocateFetches)
 	}
-	fmt.Println("shape: relocation cost follows pages, not subtuples (Mini TIDs survive the move)")
+	fmt.Fprintln(out, "shape: relocation cost follows pages, not subtuples (Mini TIDs survive the move)")
 
-	fmt.Println("\n--- E5: ASOF cost vs version-chain depth (§5) ---")
+	fmt.Fprintln(out, "\n--- E5: ASOF cost vs version-chain depth (§5) ---")
 	asofRows, err := core.MeasureASOF([]int{1, 10, 100, 1000, 10000})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%10s %16s %16s\n", "versions", "latest decoded", "oldest decoded")
+	fmt.Fprintf(out, "%10s %16s %16s\n", "versions", "latest decoded", "oldest decoded")
 	for _, r := range asofRows {
-		fmt.Printf("%10d %16d %16d\n", r.Versions, r.DecodedLatest, r.DecodedOldest)
+		fmt.Fprintf(out, "%10d %16d %16d\n", r.Versions, r.DecodedLatest, r.DecodedOldest)
 	}
-	fmt.Println("shape: current state is O(1); time travel is O(log versions)")
+	fmt.Fprintln(out, "shape: current state is O(1); time travel is O(log versions)")
 	return nil
 }

@@ -2,6 +2,7 @@ package corruptsim
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,6 +29,24 @@ func pointsPerCell(t *testing.T) int {
 		return 3
 	}
 	return 25
+}
+
+// replay executes the statement groups in order on a fresh in-memory
+// engine: the oracle a corrupted database is judged against.
+func replay(stmts ...[]string) (*engine.DB, error) {
+	ref, err := engine.Open(engine.Options{})
+	if err != nil {
+		return nil, err
+	}
+	for _, group := range stmts {
+		for _, stmt := range group {
+			if _, err := ref.Exec(stmt); err != nil {
+				ref.Close()
+				return nil, fmt.Errorf("oracle replay failed: %w\n%s", err, stmt)
+			}
+		}
+	}
+	return ref, nil
 }
 
 // buildTemplate materializes the seeded workload into dir and closes
@@ -127,7 +146,7 @@ func multisetSubset(got, want *model.Table) bool {
 func TestCorruptionMatrix(t *testing.T) {
 	per := pointsPerCell(t)
 	w := crashsim.NewWorkload(1, 50)
-	orc, err := crashsim.Replay(nil, w.Setup, w.Stmts)
+	orc, err := replay(w.Setup, w.Stmts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +293,7 @@ func TestCorruptionMatrix(t *testing.T) {
 				n := len(in.Fired())
 				fired[kind] += n
 
-				porc, err := crashsim.Replay(nil, w.Setup, w.Stmts, extra.Stmts)
+				porc, err := replay(w.Setup, w.Stmts, extra.Stmts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -353,7 +372,7 @@ func TestCorruptionMatrix(t *testing.T) {
 // deterministic fault point.
 func TestCorruptionContainment(t *testing.T) {
 	w := crashsim.NewWorkload(2, 40)
-	orc, err := crashsim.Replay(nil, w.Setup, w.Stmts)
+	orc, err := replay(w.Setup, w.Stmts)
 	if err != nil {
 		t.Fatal(err)
 	}

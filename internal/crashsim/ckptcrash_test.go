@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/segment"
 	"repro/internal/simkit"
 )
 
@@ -20,17 +19,16 @@ func TestCkptCrashMatrix(t *testing.T) {
 		iterations = 12
 	}
 	var total int64
-	wseed := int64(-1)
+	var w *Workload
 	for i := 0; i < iterations; i++ {
-		ws := int64(1 + i/10) // fresh workload every 10 crash points
-		if ws != wseed {
-			wseed = ws
-			var err error
-			total, err = RunCrash(Checkpointing, wseed, -1, -1)
+		wseed := int64(1 + i/10) // fresh workload every 10 crash points
+		if w == nil || w.Seed != wseed {
+			w = NewWorkload(wseed, stmtCount)
+			ops, err := RunCrash(Checkpointing, w, -1, -1)
 			if err != nil {
 				t.Fatalf("workload %d probe: %v", wseed, err)
 			}
-			if total < 40 {
+			if total = ops.Mutating; total < 40 {
 				t.Fatalf("workload %d issues only %d mutating ops; harness miswired", wseed, total)
 			}
 		}
@@ -39,7 +37,7 @@ func TestCkptCrashMatrix(t *testing.T) {
 		if i%7 == 2 {
 			recBudget = 1 + int64(i)%29 // also crash the recovery run
 		}
-		if _, err := RunCrash(Checkpointing, wseed, budget, recBudget); err != nil {
+		if _, err := RunCrash(Checkpointing, w, budget, recBudget); err != nil {
 			t.Fatalf("workload %d budget %d/%d recBudget %d: %v", wseed, budget, total, recBudget, err)
 		}
 	}
@@ -59,15 +57,17 @@ func TestCompositeFaults(t *testing.T) {
 		seeds, points = 3, 1
 	}
 	for wseed := int64(1); wseed <= seeds; wseed++ {
-		total, err := RunCrash(Checkpointing, wseed, -1, -1)
+		w := NewWorkload(wseed, stmtCount)
+		ops, err := RunCrash(Checkpointing, w, -1, -1)
 		if err != nil {
 			t.Fatalf("workload %d probe: %v", wseed, err)
 		}
+		total := ops.Mutating
 		for j := int64(0); j < points; j++ {
 			c := Checkpointing
-			c.Burst = simkit.Burst{At: total/8 + j*total/16, N: int64(segment.DefaultRetry.Tries) + 1, Transient: true, Mask: simkit.DataPath}
+			c.Burst = simkit.Burst{At: total/8 + j*total/16, N: RetryTries + 1, Transient: true, Mask: simkit.DataPath}
 			budget := total/2 + j*total/8
-			if _, err := RunCrash(c, wseed, budget, -1); err != nil {
+			if _, err := RunCrash(c, w, budget, -1); err != nil {
 				t.Fatalf("workload %d burst at %d, crash at %d/%d: %v", wseed, c.Burst.At, budget, total, err)
 			}
 		}
@@ -78,7 +78,7 @@ func TestCompositeFaults(t *testing.T) {
 // full workload with periodic checkpoints, clean close, reopen, and
 // the state must equal the full replay.
 func TestCkptCleanRun(t *testing.T) {
-	if _, err := RunCrash(Checkpointing, 9, -1, -1); err != nil {
+	if _, err := RunCrash(Checkpointing, NewWorkload(9, stmtCount), -1, -1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -140,7 +140,7 @@ func replayTailAfter(t *testing.T, h int) (tail, end uint64, segs int) {
 	clock := func() int64 { return clk.Add(1) }
 	d := NewDisk()
 	s := d.Open(1, -1)
-	eng, err := Checkpointing.open(s, clock, 8)
+	eng, err := Checkpointing.Open(s, clock, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func replayTailAfter(t *testing.T, h int) (tail, end uint64, segs int) {
 		t.Fatal(err)
 	}
 	rs := d.Open(2, -1)
-	eng2, err := Checkpointing.open(rs, clock, 64)
+	eng2, err := Checkpointing.Open(rs, clock, 64)
 	if err != nil {
 		t.Fatalf("reopen after %d statements: %v", h, err)
 	}

@@ -12,6 +12,9 @@ import (
 	"repro/internal/wal"
 )
 
+// stmtCount is the length of the generated DML sequence per workload.
+const stmtCount = 40
+
 // TestCrashMatrix sweeps seeded crash points across the whole
 // workload: for each workload seed it measures the total number of
 // mutating I/O operations, then crashes runs at budgets striding that
@@ -24,17 +27,16 @@ func TestCrashMatrix(t *testing.T) {
 		iterations = 25
 	}
 	var total int64
-	wseed := int64(-1)
+	var w *Workload
 	for i := 0; i < iterations; i++ {
-		ws := int64(1 + i/8) // fresh workload every 8 crash points
-		if ws != wseed {
-			wseed = ws
-			var err error
-			total, err = RunCrash(Plain, wseed, -1, -1)
+		wseed := int64(1 + i/8) // fresh workload every 8 crash points
+		if w == nil || w.Seed != wseed {
+			w = NewWorkload(wseed, stmtCount)
+			ops, err := RunCrash(Plain, w, -1, -1)
 			if err != nil {
 				t.Fatalf("workload %d probe: %v", wseed, err)
 			}
-			if total < 20 {
+			if total = ops.Mutating; total < 20 {
 				t.Fatalf("workload %d issues only %d mutating ops; harness miswired", wseed, total)
 			}
 		}
@@ -43,7 +45,7 @@ func TestCrashMatrix(t *testing.T) {
 		if i%9 == 3 {
 			recBudget = 1 + int64(i)%23 // also crash the recovery run
 		}
-		if _, err := RunCrash(Plain, wseed, budget, recBudget); err != nil {
+		if _, err := RunCrash(Plain, w, budget, recBudget); err != nil {
 			t.Fatalf("workload %d budget %d/%d recBudget %d: %v", wseed, budget, total, recBudget, err)
 		}
 	}
@@ -52,7 +54,7 @@ func TestCrashMatrix(t *testing.T) {
 // TestCleanRun exercises the no-crash path: run everything, close,
 // settle, recover, and the state must equal the full replay.
 func TestCleanRun(t *testing.T) {
-	if _, err := RunCrash(Plain, 12, -1, -1); err != nil {
+	if _, err := RunCrash(Plain, NewWorkload(12, stmtCount), -1, -1); err != nil {
 		t.Fatal(err)
 	}
 }

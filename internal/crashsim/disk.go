@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/page"
 	"repro/internal/segment"
@@ -50,6 +51,10 @@ type Session struct {
 
 	walSegFiles map[string]*sessWALSeg // log: session view per segment file
 	walRemoved  map[string]bool        // log: removals pending settle
+
+	// syncDelay is how long a log sync takes: a modelled device's
+	// flush latency, zero unless a scenario needs a slow device.
+	syncDelay time.Duration
 }
 
 // Open settles the previous session (if any) using outcomes drawn

@@ -1,30 +1,34 @@
 package crashsim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/simkit"
+)
 
 // TestTxnCrashMatrix sweeps seeded crash points across the
 // prefix-then-transaction run: budgets stride the full range of
 // mutating I/O operations, so crashes land before the transaction,
 // during its commit's apply phase, and after its commit record is
-// durable. Every recovery must satisfy transactional atomicity (see
-// RunTxnCrash).
+// durable. Every recovery must equal the committed statements, or —
+// once Commit was called — those plus the whole block: the block's
+// effects survive all together or not at all.
 func TestTxnCrashMatrix(t *testing.T) {
 	iterations := 60
 	if testing.Short() {
 		iterations = 12
 	}
 	var total int64
-	wseed := int64(-1)
+	var w *Workload
 	for i := 0; i < iterations; i++ {
-		ws := int64(1 + i/12) // fresh workload every 12 crash points
-		if ws != wseed {
-			wseed = ws
-			var err error
-			total, err = RunTxnCrash(wseed, -1)
+		wseed := int64(1 + i/12) // fresh workload every 12 crash points
+		if w == nil || w.Seed != wseed {
+			w = TxnWorkload(wseed)
+			ops, err := RunCrash(Plain, w, -1, -1)
 			if err != nil {
 				t.Fatalf("txn workload %d probe: %v", wseed, err)
 			}
-			if total < 20 {
+			if total = ops.Mutating; total < 20 {
 				t.Fatalf("txn workload %d issues only %d mutating ops; harness miswired", wseed, total)
 			}
 		}
@@ -37,7 +41,7 @@ func TestTxnCrashMatrix(t *testing.T) {
 				budget = 1
 			}
 		}
-		if _, err := RunTxnCrash(wseed, budget); err != nil {
+		if _, err := RunCrash(Plain, w, budget, -1); err != nil {
 			t.Fatalf("wseed=%d budget=%d: %v", wseed, budget, err)
 		}
 	}
@@ -47,7 +51,43 @@ func TestTxnCrashMatrix(t *testing.T) {
 // the committed transaction must be fully present after a clean
 // close and reopen.
 func TestTxnCleanRun(t *testing.T) {
-	if _, err := RunTxnCrash(5, -1); err != nil {
+	if _, err := RunCrash(Plain, TxnWorkload(5), -1, -1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTxnCompositeFaults combines three things no single fault class
+// covers: the transaction workload, on the Checkpointing shape, under
+// a transient burst longer than the retry budget aimed at the commit
+// of the block — one point per data-path operation of the probe's
+// commit, in the last quarter of its data-path operations — and a
+// crash after the burst, in the close. The commit the burst aborts
+// must roll back live; the recovered database must equal the committed
+// units, with the block all or nothing. RunCrash refuses a point where
+// either fault did not fire.
+func TestTxnCompositeFaults(t *testing.T) {
+	seeds := int64(4)
+	if testing.Short() {
+		seeds = 1
+	}
+	for wseed := int64(1); wseed <= seeds; wseed++ {
+		w := TxnWorkload(wseed)
+		ops, err := RunCrash(Checkpointing, w, -1, -1)
+		if err != nil {
+			t.Fatalf("txn workload %d probe: %v", wseed, err)
+		}
+		if ops.TxnAt < ops.DataPath*3/4 {
+			t.Fatalf("txn workload %d: the block starts at data-path operation %d of %d, before the last quarter", wseed, ops.TxnAt, ops.DataPath)
+		}
+		for j := int64(1); j <= 5; j++ {
+			c := Checkpointing
+			c.Burst = simkit.Burst{At: ops.TxnAt + j, N: RetryTries + 1, Transient: true, Mask: simkit.DataPath}
+			// The rollback of an aborted commit adds mutating operations,
+			// so the probe's last ones still lie ahead, in the close.
+			budget := ops.Mutating + 2
+			if _, err := RunCrash(c, w, budget, -1); err != nil {
+				t.Fatalf("txn workload %d burst at %d/%d, crash at %d/%d: %v", wseed, c.Burst.At, ops.DataPath, budget, ops.Mutating, err)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"repro/internal/wal"
 )
@@ -96,6 +97,9 @@ func (f *memFile) Write(p []byte) (int, error) {
 }
 
 func (f *memFile) Sync() error {
+	if f.s.syncDelay > 0 {
+		time.Sleep(f.s.syncDelay)
+	}
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
 	f.ws.synced = len(f.ws.data)

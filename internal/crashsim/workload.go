@@ -7,16 +7,54 @@ import (
 )
 
 // Workload is a seeded NF² SQL script: a fixed schema setup followed
-// by a generated DML sequence. Statements are generated up front from
-// the seed alone, so a crashed run and its replay oracle execute
-// byte-identical statements.
+// by a generated DML sequence, optionally ending in one transaction
+// block. Statements are generated up front from the seed alone, so a
+// crashed run and its replay oracle execute byte-identical statements.
 type Workload struct {
+	// Seed generated the statements and seeds a run's sessions.
+	Seed int64
 	// Setup creates the tables and indexes: a flat table, one complex
 	// table per Mini-Directory layout (SS1..SS3, with unordered and
 	// ordered subtables), and a versioned table for ASOF history.
 	Setup []string
 	// Stmts is the DML sequence.
 	Stmts []string
+	// Txn, when set, runs last: Begin, these statements, Commit.
+	Txn []string
+}
+
+// units returns the workload's units in order: every setup and DML
+// statement alone, then the transaction block.
+func (w *Workload) units() [][]string {
+	var us [][]string
+	for _, stmt := range append(append([]string{}, w.Setup...), w.Stmts...) {
+		us = append(us, []string{stmt})
+	}
+	if w.Txn != nil {
+		us = append(us, w.Txn)
+	}
+	return us
+}
+
+// TxnWorkload is a short seeded DML sequence plus two rows, then a
+// transaction block that inserts rows (IDs far above the generator's)
+// and updates and deletes rows the sequence committed, so the commit's
+// apply phase touches both fresh inserts and buffered updates of
+// stored objects.
+func TxnWorkload(seed int64) *Workload {
+	w := NewWorkload(seed, 10)
+	w.Stmts = append(w.Stmts,
+		`INSERT INTO HIST VALUES (900009, 'base-upd')`,
+		`INSERT INTO HIST VALUES (900008, 'base-del')`)
+	w.Txn = []string{
+		`INSERT INTO HIST VALUES (900001, 'txn-a')`,
+		`INSERT INTO HIST VALUES (900002, 'txn-b')`,
+		`INSERT INTO EMP VALUES (900003, 'TXN', 7)`,
+		`UPDATE x IN HIST SET NOTE = 'txn-upd' WHERE x.ID = 900009`,
+		`UPDATE x IN HIST SET NOTE = 'txn-c' WHERE x.ID = 900001`,
+		`DELETE x FROM x IN HIST WHERE x.ID = 900008`,
+	}
+	return w
 }
 
 // deptTables are the complex tables, one per storage layout.
@@ -35,6 +73,7 @@ func NewWorkload(seed int64, n int) *Workload {
 		depts:    make(map[string][]int),
 	}
 	w := &Workload{
+		Seed: seed,
 		Setup: []string{
 			`CREATE TABLE EMP (ENO INT, NAME STRING, SAL INT)`,
 			`CREATE TABLE DEPT1 ` + deptBody + ` VERSIONED LAYOUT SS1`,

@@ -147,7 +147,7 @@ func (db *DB) waitCommitDurable(end, epoch uint64) error {
 	if db.log == nil {
 		return nil
 	}
-	return db.log.WaitDurable(end, epoch, db.opts.GroupCommitWait)
+	return db.log.WaitDurable(end, epoch)
 }
 
 // abandonCommit resolves a commit whose durability wait failed:

@@ -70,12 +70,6 @@ type Options struct {
 	// background checkpointer; WALCheckpoint can still be called
 	// explicitly.
 	CheckpointEvery time.Duration
-	// GroupCommitWait is the longest a group-commit leader dallies for
-	// stragglers before issuing the batch fsync. Zero means commits
-	// only batch when they genuinely overlap (a lone committer never
-	// waits); larger values trade single-writer latency for fewer
-	// fsyncs under write-heavy concurrency.
-	GroupCommitWait time.Duration
 	// Retry bounds the automatic retries of transient store and log
 	// faults (errors implementing segment.TransientError). The zero
 	// value means segment.DefaultRetry; Tries: 1 disables retries.

@@ -10,14 +10,33 @@ import (
 	"repro/internal/simkit"
 )
 
+// stmtCount is the length of the seeded DML sequence, the same as the
+// crash matrix's.
+const stmtCount = 40
+
+// burstAt runs w with a burst of n data-path operations at position at
+// and no crash budget.
+func burstAt(w *crashsim.Workload, at, n int64, transient bool) error {
+	c := crashsim.Plain
+	c.Burst = simkit.Burst{At: at, N: n, Transient: transient, Mask: simkit.DataPath}
+	_, err := crashsim.RunCrash(c, w, -1, -1)
+	return err
+}
+
+// probe runs w fault-free and returns its data-path operations, the
+// range a matrix sweeps burst windows across.
+func probe(w *crashsim.Workload) (int64, error) {
+	ops, err := crashsim.RunCrash(crashsim.Plain, w, -1, -1)
+	return ops.DataPath, err
+}
+
 // TestSoftChaosMatrix sweeps seeded fault windows across the whole
 // workload: for each workload seed a run with no window measures the
 // total number of data-path I/O operations, then arms bursts at
-// operations striding
-// that range — absorbed transient blips, statement-killing transient
-// storms, and persistent failures — verifying statement containment
-// against the oracle after every abort and finishing each run with a
-// power cut plus full recovery audit.
+// operations striding that range — absorbed transient blips,
+// statement-killing transient storms, and persistent failures —
+// verifying containment against the oracle after every abort and
+// finishing each run with a power cut plus full recovery audit.
 func TestSoftChaosMatrix(t *testing.T) {
 	iterations := 160
 	if testing.Short() {
@@ -31,13 +50,13 @@ func TestSoftChaosMatrix(t *testing.T) {
 		{5, true}, {1, false}, {7, true}, {3, true},
 	}
 	var total int64
-	wseed := int64(-1)
+	var w *crashsim.Workload
 	for i := 0; i < iterations; i++ {
-		ws := int64(1 + i/8) // fresh workload every 8 fault points
-		if ws != wseed {
-			wseed = ws
+		wseed := int64(1 + i/8) // fresh workload every 8 fault points
+		if w == nil || w.Seed != wseed {
+			w = crashsim.NewWorkload(wseed, stmtCount)
 			var err error
-			total, err = RunFaults(wseed, 0, 0, false)
+			total, err = probe(w)
 			if err != nil {
 				t.Fatalf("workload %d probe: %v", wseed, err)
 			}
@@ -47,7 +66,7 @@ func TestSoftChaosMatrix(t *testing.T) {
 		}
 		at := 1 + (int64(i)*2654435761)%total
 		sh := shapes[i%len(shapes)]
-		if _, err := RunFaults(wseed, at, sh.burst, sh.transient); err != nil {
+		if err := burstAt(w, at, sh.burst, sh.transient); err != nil {
 			t.Fatalf("workload %d at %d/%d burst %d transient %v: %v",
 				wseed, at, total, sh.burst, sh.transient, err)
 		}
@@ -59,7 +78,8 @@ func TestSoftChaosMatrix(t *testing.T) {
 // persistent fault that must abort exactly one statement, and a
 // transient storm long enough to exhaust the retry budget.
 func TestDirectedFaults(t *testing.T) {
-	total, err := RunFaults(5, 0, 0, false)
+	w := crashsim.NewWorkload(5, stmtCount)
+	total, err := probe(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +88,11 @@ func TestDirectedFaults(t *testing.T) {
 		burst     int64
 		transient bool
 	}{
-		{2, true},                 // absorbed
-		{1, false},                // persistent, aborts
-		{MaxTransientBurst, true}, // retry budget exhausted, aborts, rollback drains the tail
+		{2, true},                          // absorbed
+		{1, false},                         // persistent, aborts
+		{crashsim.MaxTransientBurst, true}, // retry budget exhausted, aborts, rollback drains the tail
 	} {
-		if _, err := RunFaults(5, at, tc.burst, tc.transient); err != nil {
+		if err := burstAt(w, at, tc.burst, tc.transient); err != nil {
 			t.Fatalf("at %d burst %d transient %v: %v", at, tc.burst, tc.transient, err)
 		}
 	}
@@ -90,7 +110,7 @@ func TestConcurrentReadersDuringAbort(t *testing.T) {
 	var clk atomic.Int64
 	clock := func() int64 { return clk.Add(1) }
 	s := crashsim.NewDisk().Open(7, -1)
-	eng, err := openLive(s, clock, 32)
+	eng, err := crashsim.Plain.Open(s, clock, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +162,7 @@ func TestConcurrentReadersDuringAbort(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		// Fault only the write side, a few operations ahead, so reader
 		// page reads never fault directly. Bursts stay within
-		// MaxTransientBurst so a failed statement always leaves enough
+		// crashsim.MaxTransientBurst so a failed statement always leaves enough
 		// retry headroom for its own rollback, even when readers
 		// consume window slots.
 		burst, transient := int64(5), true

@@ -1,9 +1,6 @@
 package wal
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // ErrCommitLost reports that a commit record was physically cut from
 // the log before it ever became durable: a concurrent statement
@@ -16,7 +13,7 @@ var ErrCommitLost = errors.New("wal: commit discarded before becoming durable")
 // AppendCommit appends a commit record and returns the log position
 // that must become durable for the commit to count, plus the
 // truncation epoch observed at append time. The caller releases its
-// locks and then calls WaitDurable(end, epoch, ...) — the split is
+// locks and then calls WaitDurable(end, epoch) — the split is
 // what lets concurrent committers share one fsync.
 func (l *Log) AppendCommit(payload []byte) (end, epoch uint64, err error) {
 	l.mu.Lock()
@@ -32,16 +29,16 @@ func (l *Log) AppendCommit(payload []byte) (end, epoch uint64, err error) {
 // leader/follower group commit: the first waiter through the leader
 // lock issues one fsync that covers every record appended before it —
 // including the other waiters' commit records, which were appended
-// before they started waiting. With maxWait > 0 a leader that sees
-// other waiters pending dallies briefly so committers arriving a
-// moment later join the same fsync; a lone committer never waits.
+// before they started waiting. A leader never dallies: commits batch
+// exactly when they overlap an fsync in flight, so a lone committer
+// never waits.
 //
 // If the truncation epoch changed while waiting, the commit record
 // was cut by a concurrent rollback before it was flushed and
 // ErrCommitLost is returned. The check order (durable first) makes
 // false losses impossible: once flushed covers end, nothing in live
 // operation cuts below it.
-func (l *Log) WaitDurable(end, epoch uint64, maxWait time.Duration) error {
+func (l *Log) WaitDurable(end, epoch uint64) error {
 	for {
 		if l.flushed.Load() >= end {
 			return nil
@@ -49,26 +46,19 @@ func (l *Log) WaitDurable(end, epoch uint64, maxWait time.Duration) error {
 		if l.epoch.Load() != epoch {
 			return ErrCommitLost
 		}
-		l.waiters.Add(1)
 		l.syncMu.Lock()
 		if l.flushed.Load() >= end {
 			l.syncMu.Unlock()
-			l.waiters.Add(-1)
 			return nil
 		}
 		if l.epoch.Load() != epoch {
 			l.syncMu.Unlock()
-			l.waiters.Add(-1)
 			return ErrCommitLost
 		}
-		// This goroutine is the leader. Give stragglers a moment to
-		// append their commits, then sync once for the whole batch.
-		if maxWait > 0 && l.waiters.Load() > 1 {
-			time.Sleep(maxWait)
-		}
+		// This goroutine is the leader: one sync covers every commit
+		// appended before it, its followers' included.
 		err := l.syncUnderLeader()
 		l.syncMu.Unlock()
-		l.waiters.Add(-1)
 		if err != nil {
 			// An overlapping earlier sync may have covered our record
 			// before this one failed: durable is durable.

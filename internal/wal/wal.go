@@ -173,8 +173,7 @@ type Log struct {
 
 	// syncMu serializes group-commit leaders and excludes them while
 	// DiscardUnflushed cuts the log. Lock order: syncMu before mu.
-	syncMu  sync.Mutex
-	waiters atomic.Int32
+	syncMu sync.Mutex
 
 	// cuts and tailCh serve tail-following replication readers (see
 	// tail.go): cuts is a suffix-min stack of truncation points so a
