@@ -6,11 +6,12 @@
 //
 // The pool is lock-striped for concurrent readers: page keys hash to
 // independent shards, each with its own mutex, frame map, LRU list and
-// sealed-page set, so pins of unrelated pages never contend. Physical
-// reads happen outside the shard lock, deduplicated through a
-// per-shard in-flight read table: when N goroutines fault the same
-// absent page, exactly one performs the store read and the other N-1
-// wait on it and share the resulting frame (counted as buffer hits).
+// sealed-page set, so pins of unrelated pages never contend. A miss
+// loads its frame in place: the frame enters the shard's map at once,
+// exclusively latched and marked loading, and the physical read runs
+// outside the shard lock. When N goroutines fault the same absent
+// page, exactly one performs the store read and the other N-1 pin the
+// loading frame and wait on its latch (counted as buffer hits).
 // Access counters are shard-local atomics merged on demand, so Stats()
 // never takes a lock and never serializes the hot path.
 package buffer
@@ -52,6 +53,12 @@ type Frame struct {
 	// under the exclusive latch; InvalidateAll, whose frames are never
 	// reused, without (a recovered panic may have leaked the latch).
 	gen atomic.Uint64
+	// loading is set while the pin that missed reads the page into the
+	// frame under its exclusive latch. loadErr is that read's error; it
+	// is set, before the latch is released, only on a frame that has
+	// left the map for good.
+	loading atomic.Bool
+	loadErr error
 	// prev/next link the frame into its shard's LRU ring while it is
 	// unpinned (both nil otherwise). The links live in the frame so that
 	// an Unpin allocates nothing.
@@ -80,8 +87,8 @@ func (f *Frame) Unlatch() { f.latch.Unlock() }
 // Stats counts buffer pool traffic. Fetches is the number of logical
 // page accesses (Pin calls); Reads and Writes count physical I/O to
 // the backing stores. For successful pins Fetches == Hits + Reads: a
-// pin that joins an in-flight read of the same page counts as a hit
-// (it performed no physical I/O of its own).
+// pin that finds the page still loading counts as a hit (it performed
+// no physical I/O of its own).
 type Stats struct {
 	Fetches uint64
 	Hits    uint64
@@ -99,26 +106,13 @@ type shardStats struct {
 	writes  atomic.Uint64
 }
 
-// inflight is one pending physical read. The goroutine that installed
-// it performs the store read and publishes the frame (or the error),
-// then closes done; every other goroutine that faulted the same page
-// in the meantime has registered in waiters and receives an extra pin
-// on the published frame.
-type inflight struct {
-	done    chan struct{}
-	frame   *Frame
-	err     error
-	waiters int
-}
-
 // shard is one lock stripe of the pool: an independent frame map with
-// its own LRU, in-flight read table and sealed-page set.
+// its own LRU and sealed-page set.
 type shard struct {
 	mu       sync.Mutex
 	capacity int
-	frames   map[PageKey]*Frame
-	lru      Frame // ring sentinel: lru.next = most recently used; only unpinned frames
-	reading  map[PageKey]*inflight
+	frames   map[PageKey]*Frame // loading frames included
+	lru      Frame              // ring sentinel: lru.next = most recently used; only unpinned frames
 	// sealed records every page known to hold a sealed (checksummed)
 	// image on its backing store: pages this shard wrote back plus
 	// pages recovery proved to hold committed data (MarkSealed). A
@@ -197,7 +191,6 @@ func NewPoolShards(capacity, shards int) *Pool {
 		sh := &shard{
 			capacity: perShard,
 			frames:   make(map[PageKey]*Frame),
-			reading:  make(map[PageKey]*inflight),
 			sealed:   make(map[PageKey]struct{}),
 		}
 		sh.lruInit()
@@ -281,7 +274,7 @@ func (p *Pool) Allocate(id segment.ID) (uint32, error) {
 	if st == nil {
 		return 0, fmt.Errorf("buffer: segment %d not registered", id)
 	}
-	return st.Allocate(), nil
+	return st.Allocate()
 }
 
 // ErrCorrupt reports a page image that failed checksum verification
@@ -313,27 +306,24 @@ func (p *Pool) pin(key PageKey, verify bool) (*Frame, error) {
 	sh.stats.fetches.Add(1)
 	sh.mu.Lock()
 	if f, ok := sh.frames[key]; ok {
-		sh.stats.hits.Add(1)
 		if f.next != nil {
 			sh.lruRemove(f)
 		}
 		f.pins++
 		sh.mu.Unlock()
-		return f, nil
-	}
-	if fl, ok := sh.reading[key]; ok {
-		// Another goroutine is already reading this page: join its
-		// read instead of issuing a second one. The reader pins the
-		// published frame once per registered waiter, so the frame
-		// cannot be evicted between publish and wake-up.
-		fl.waiters++
-		sh.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
-			return nil, fl.err
+		if f.loading.Load() {
+			// Another goroutine is reading this page into f: wait for
+			// its exclusive latch. A failed read took f out of the map
+			// and abandoned its pins, this one included.
+			f.RLatch()
+			err := f.loadErr
+			f.RUnlatch()
+			if err != nil {
+				return nil, err
+			}
 		}
 		sh.stats.hits.Add(1)
-		return fl.frame, nil
+		return f, nil
 	}
 	st := p.Store(key.Seg)
 	if st == nil {
@@ -345,8 +335,13 @@ func (p *Pool) pin(key PageKey, verify bool) (*Frame, error) {
 		sh.mu.Unlock()
 		return nil, err
 	}
-	fl := &inflight{done: make(chan struct{})}
-	sh.reading[key] = fl
+	// The frame enters the map now, exclusively latched and marked
+	// loading, so a concurrent pin of the page joins this read.
+	f.Key = key
+	f.pins = 1
+	f.dirty = false
+	f.loading.Store(true)
+	sh.frames[key] = f
 	_, wasSealed := sh.sealed[key]
 	sh.stats.reads.Add(1)
 	sh.mu.Unlock()
@@ -364,25 +359,23 @@ func (p *Pool) pin(key PageKey, verify bool) (*Frame, error) {
 			err = fmt.Errorf("%w: sealed page %v.%d reads back all-zero", ErrCorrupt, key.Seg, key.Page)
 		}
 	}
-
-	sh.mu.Lock()
-	delete(sh.reading, key)
 	if err != nil {
-		// The frame is simply dropped (it was never in sh.frames); the
-		// waiters all see this error, and a later Pin starts a fresh
-		// read — a transient fault is not replayed to them K times.
-		fl.err = err
+		// The frame leaves the map with its pins abandoned; every
+		// waiter sees this error, and a later Pin starts a fresh read
+		// — a transient fault is not replayed to them K times. The
+		// latch is still held here: a loading frame is pinned and
+		// clean, so no shard-lock holder waits for it (DESIGN §6).
+		f.loadErr = err
+		sh.mu.Lock()
+		if sh.frames[key] == f {
+			delete(sh.frames, key)
+		}
 		sh.mu.Unlock()
-		close(fl.done)
+		f.Unlatch()
 		return nil, err
 	}
-	f.Key = key
-	f.pins = 1 + fl.waiters
-	f.dirty = false
-	sh.frames[key] = f
-	fl.frame = f
-	sh.mu.Unlock()
-	close(fl.done)
+	f.loading.Store(false)
+	f.Unlatch()
 	return f, nil
 }
 
@@ -396,9 +389,6 @@ func (p *Pool) PinNew(key PageKey) (*Frame, error) {
 	if _, ok := sh.frames[key]; ok {
 		return nil, fmt.Errorf("buffer: PinNew of already-buffered page %v", key)
 	}
-	if _, ok := sh.reading[key]; ok {
-		return nil, fmt.Errorf("buffer: PinNew of page %v with a read in flight", key)
-	}
 	f, err := p.freeFrameLocked(sh)
 	if err != nil {
 		return nil, err
@@ -408,6 +398,7 @@ func (p *Pool) PinNew(key PageKey) (*Frame, error) {
 	f.dirty = true
 	f.Page.Init()
 	sh.frames[key] = f
+	f.Unlatch()
 	return f, nil
 }
 
@@ -435,16 +426,18 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 	}
 }
 
-// freeFrameLocked finds or evicts a frame in sh; sh.mu is held.
-// In-flight reads count against the shard's capacity — their frames
-// are reserved even though they are not yet in sh.frames.
+// freeFrameLocked finds or evicts a frame in sh and returns it
+// exclusively latched, out of the map; sh.mu is held. Loading frames
+// are in sh.frames and count against the shard's capacity.
 // The victim is the least recently used unpinned frame whose latch
 // TryLock gets, so eviction never waits under the shard mutex for a
 // reader viewing a frame it has not pinned.
 func (p *Pool) freeFrameLocked(sh *shard) (*Frame, error) {
-	if len(sh.frames)+len(sh.reading) < sh.capacity {
+	if len(sh.frames) < sh.capacity {
 		buf := make([]byte, page.Size)
-		return &Frame{buf: buf, Page: page.View(buf)}, nil
+		f := &Frame{buf: buf, Page: page.View(buf)}
+		f.Latch()
+		return f, nil
 	}
 	for victim := sh.lru.prev; victim != &sh.lru; victim = victim.prev {
 		if !victim.latch.TryLock() {
@@ -459,7 +452,6 @@ func (p *Pool) freeFrameLocked(sh *shard) (*Frame, error) {
 			}
 		}
 		victim.gen.Add(1)
-		victim.Unlatch()
 		sh.lruRemove(victim)
 		delete(sh.frames, victim.Key)
 		return victim, nil
@@ -539,7 +531,7 @@ func (p *Pool) FlushAll() error {
 // statement-abort path uses it to discard an aborted statement's
 // buffered effects — and any pins leaked by a recovered panic —
 // before rebuilding the committed state from the log. Callers hold
-// the exclusive statement lock, so no reads are in flight. Every
+// the exclusive statement lock, so no page is loading. Every
 // dropped frame's generation is bumped, so no reader's window serves
 // its image again.
 func (p *Pool) InvalidateAll() {

@@ -62,25 +62,24 @@ func sealPage(t *testing.T, p *Pool, seg segment.ID) PageKey {
 	return key
 }
 
-// waitForWaiters blocks until n goroutines are registered on the
-// page's in-flight read (the reader itself is not a waiter).
+// waitForWaiters blocks until n goroutines have pinned the page's
+// loading frame (the reader itself is not a waiter).
 func waitForWaiters(t *testing.T, p *Pool, key PageKey, n int) {
 	t.Helper()
 	sh := p.shardOf(key)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		sh.mu.Lock()
-		fl := sh.reading[key]
 		w := -1
-		if fl != nil {
-			w = fl.waiters
+		if f := sh.frames[key]; f != nil && f.loading.Load() {
+			w = f.pins - 1
 		}
 		sh.mu.Unlock()
 		if w >= n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d in-flight waiters (have %d)", n, w)
+			t.Fatalf("timed out waiting for %d waiters on the loading frame (have %d)", n, w)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -199,8 +198,8 @@ func TestReadDeduplicationTransientFault(t *testing.T) {
 }
 
 // TestReadDeduplicationFailure: a persistently failing read reports
-// the same error to every waiter, removes the in-flight entry so a
-// later pin starts fresh, and leaves the pool fully usable.
+// the same error to every waiter, takes the loading frame out of the
+// pool so a later pin starts fresh, and leaves the pool fully usable.
 func TestReadDeduplicationFailure(t *testing.T) {
 	const K = 8
 	p := NewPoolShards(64, 4)

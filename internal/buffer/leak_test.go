@@ -133,27 +133,62 @@ func TestUnpinUnderflowPanics(t *testing.T) {
 	p.Unpin(f, false)
 }
 
-// TestPinUnpinHitAllocatesNothing pins and unpins a buffered page: the
-// LRU links live in the frame, so moving it off and back onto the
-// replacement list costs no allocation.
+// TestPinUnpinHitAllocatesNothing pins and unpins pages and counts
+// allocations. A hit: the LRU links live in the frame, so moving it
+// off and back onto the replacement list costs nothing. A miss on a
+// full shard: the victim frame is reused in place, its read goes
+// straight into the frame, and no per-miss record is made.
 func TestPinUnpinHitAllocatesNothing(t *testing.T) {
-	p := NewPool(4)
-	p.Register(1, segment.NewMemStore())
-	no, _ := p.Allocate(1)
-	key := PageKey{Seg: 1, Page: no}
-	f, err := p.PinNew(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Unpin(f, true)
-	allocs := testing.AllocsPerRun(1000, func() {
-		f, err := p.Pin(key)
+	t.Run("hit", func(t *testing.T) {
+		p := NewPool(4)
+		p.Register(1, segment.NewMemStore())
+		no, _ := p.Allocate(1)
+		key := PageKey{Seg: 1, Page: no}
+		f, err := p.PinNew(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Unpin(f, false)
+		p.Unpin(f, true)
+		allocs := testing.AllocsPerRun(1000, func() {
+			f, err := p.Pin(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(f, false)
+		})
+		if allocs != 0 {
+			t.Errorf("a pin/unpin of a buffered page allocates %.0f times, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Errorf("a pin/unpin of a buffered page allocates %.0f times, want 0", allocs)
-	}
+	t.Run("miss", func(t *testing.T) {
+		const frames, pages = 4, 8
+		p := NewPool(frames)
+		p.Register(1, segment.NewMemStore())
+		keys := make([]PageKey, pages)
+		for i := range keys {
+			keys[i] = sealPage(t, p, 1)
+		}
+		// Cycling over twice as many pages as frames misses every time
+		// once the shard is full.
+		i := 0
+		pin := func() {
+			f, err := p.Pin(keys[i%pages])
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(f, false)
+			i++
+		}
+		for range frames {
+			pin()
+		}
+		p.ResetStats()
+		allocs := testing.AllocsPerRun(1000, pin)
+		if s := p.Stats(); s.Hits != 0 || s.Reads != s.Fetches {
+			t.Fatalf("stats = %+v, want every pin a read", s)
+		}
+		if allocs != 0 {
+			t.Errorf("a miss that evicts allocates %.0f times, want 0", allocs)
+		}
+	})
 }

@@ -307,7 +307,7 @@ func TestMarkSealedVerdict(t *testing.T) {
 	p := NewPoolShards(8, 2)
 	st := segment.NewMemStore()
 	p.Register(1, st)
-	no := st.Allocate()
+	no, _ := st.Allocate()
 	key := PageKey{Seg: 1, Page: no}
 
 	// Unsealed zero page: reads fine (a fresh page).

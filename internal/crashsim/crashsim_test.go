@@ -68,7 +68,7 @@ func TestFaultStoreCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	no := st.Allocate()
+	no, _ := st.Allocate()
 	ones := bytes.Repeat([]byte{0xAA}, page.Size)
 	if err := st.WritePage(no, ones); err != nil {
 		t.Fatalf("first write: %v", err)
@@ -126,7 +126,7 @@ func TestSettleDeterminism(t *testing.T) {
 		ws, _ := s.OpenWALStorage()
 		f, err := ws.Open("wal-00000000000000000012.log")
 		for i := 0; err == nil && i < 10; i++ {
-			no := st.Allocate()
+			no, _ := st.Allocate()
 			buf := bytes.Repeat([]byte{byte(i + 1)}, page.Size)
 			if err = st.WritePage(no, buf); err != nil {
 				break

@@ -255,15 +255,15 @@ func (ms *memStore) PageCount() uint32 {
 	return ms.s.countOf(ms.id)
 }
 
-func (ms *memStore) Allocate() uint32 {
-	// Allocation only moves the in-memory extent (segment.Store has no
-	// error path here); a dead session's allocations are harmless
-	// because every subsequent write fails.
+func (ms *memStore) Allocate() (uint32, error) {
+	// Allocation only moves the in-memory extent and never fails; a
+	// dead session's allocations are harmless because every subsequent
+	// write fails.
 	ms.s.mu.Lock()
 	defer ms.s.mu.Unlock()
 	c := ms.s.countOf(ms.id) + 1
 	ms.s.counts[ms.id] = c
-	return c
+	return c, nil
 }
 
 func (ms *memStore) Sync() error {

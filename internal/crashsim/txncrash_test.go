@@ -91,3 +91,25 @@ func TestTxnCompositeFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestHolesSealedInUntouchedSegments: a burst aborts an allocation in
+// a table's segment, and the crash comes after a checkpoint, so the
+// log tail recovery scans never names that segment. Recovery must
+// still seal the hole the aborted allocation left there; an unsealed
+// one reads as a zeroed page ("allocated page is uninitialized").
+func TestHolesSealedInUntouchedSegments(t *testing.T) {
+	cells := []struct {
+		seed, burstAt, budget int64
+	}{
+		{9, 116, 155},
+		{9, 116, 158},
+		{11, 114, 155},
+	}
+	for _, cell := range cells {
+		c := Checkpointing
+		c.Burst = simkit.Burst{At: cell.burstAt, N: RetryTries + 1, Transient: true, Mask: simkit.DataPath}
+		if _, err := RunCrash(c, TxnWorkload(cell.seed), cell.budget, -1); err != nil {
+			t.Errorf("txn workload %d, burst at %d, crash at %d: %v", cell.seed, cell.burstAt, cell.budget, err)
+		}
+	}
+}

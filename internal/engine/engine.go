@@ -305,11 +305,11 @@ func Open(opts Options) (*DB, error) {
 // recover brings the pages back to the last commit in the WAL and
 // rebuilds the runtime from them; Open and statement rollback share
 // it. One scan of the log tail (subtuple.ScanTail) names the segments
-// recovery needs registered — everything else is attached from the
-// catalog afterwards — and the redo pass (subtuple.Recover) replays
-// the tail onto them. Holes left by aborted allocations are then
-// sealed, a replica's counters are set from the tail, and the runtime
-// is rebuilt. Without a WAL there is nothing to replay: the runtime is
+// the redo pass (subtuple.Recover) replays the tail onto. The holes
+// left by aborted allocations are then sealed in every segment, at
+// Open after registering the cataloged ones the tail did not name, a
+// replica's counters are set from the tail, and the runtime is
+// rebuilt. Without a WAL there is nothing to replay: the runtime is
 // only reloaded. Callers hold db.mu or own db exclusively.
 func (db *DB) recover() error {
 	if db.log != nil {
@@ -328,8 +328,31 @@ func (db *DB) recover() error {
 		// An aborted statement may have allocated pages it never wrote
 		// durably; seal those holes so later scans can tell legitimate
 		// free pages from zeroed-out committed ones.
-		if err := db.sealHoles(); err != nil {
-			return err
+		for id := range db.stores {
+			if err := db.sealHoles(id); err != nil {
+				return err
+			}
+		}
+		if db.cat == nil {
+			// At Open, a table whose segment the tail does not name is
+			// not registered yet, and its segment may hold a hole too:
+			// an allocation aborted before the last checkpoint. The
+			// catalog, its own holes sealed, names them all.
+			cat, err := catalog.Open(db.stores[catalog.MetaSegment])
+			if err != nil {
+				return err
+			}
+			for _, tb := range cat.Tables() {
+				if _, ok := db.stores[tb.Seg]; ok {
+					continue
+				}
+				if err := db.registerSegment(tb.Seg, tb.Versioned); err != nil {
+					return err
+				}
+				if err := db.sealHoles(tb.Seg); err != nil {
+					return err
+				}
+			}
 		}
 		if db.opts.Replica {
 			// The applied horizon is the log's end (recovery truncated

@@ -8,40 +8,39 @@ import (
 	"repro/internal/model"
 	"repro/internal/object"
 	"repro/internal/page"
+	"repro/internal/segment"
 )
 
-// sealHoles formats every allocated-but-uninitialized durable page as
-// a sealed empty page. It runs right after WAL recovery: by then
-// every page holding committed data has been rebuilt from the log, so
-// a remaining all-zero in-range page can only be a hole left by an
-// aborted allocation — legitimate free space. Sealing the holes
+// sealHoles formats every allocated-but-uninitialized durable page of
+// segment id as a sealed empty page. It runs right after WAL recovery:
+// by then every page holding committed data has been rebuilt from the
+// log, so a remaining all-zero in-range page can only be a hole left
+// by an aborted allocation — legitimate free space. Sealing the holes
 // establishes the invariant that no in-range page is uninitialized at
 // rest, which makes a page that later READS back zeroed an
 // unambiguous sign of lost content (see the uninitialized-page checks
 // in subtuple reads and scans) instead of something a scan may
 // silently skip.
-func (db *DB) sealHoles() error {
-	for id := range db.stores {
-		st := db.pool.Store(id)
-		if st == nil {
+func (db *DB) sealHoles(id segment.ID) error {
+	st := db.pool.Store(id)
+	if st == nil {
+		return nil
+	}
+	buf := make([]byte, page.Size)
+	for no := uint32(1); no <= st.PageCount(); no++ {
+		if err := st.ReadPage(no, buf); err != nil {
+			return fmt.Errorf("engine: seal holes: read %d.%d: %w", id, no, err)
+		}
+		if !allZero(buf) {
 			continue
 		}
-		buf := make([]byte, page.Size)
-		for no := uint32(1); no <= st.PageCount(); no++ {
-			if err := st.ReadPage(no, buf); err != nil {
-				return fmt.Errorf("engine: seal holes: read %d.%d: %w", id, no, err)
-			}
-			if !allZero(buf) {
-				continue
-			}
-			p := page.View(buf)
-			p.Init()
-			p.Seal(uint16(id), no)
-			if err := st.WritePage(no, buf); err != nil {
-				return fmt.Errorf("engine: seal holes: write %d.%d: %w", id, no, err)
-			}
-			db.pool.MarkSealed(buffer.PageKey{Seg: id, Page: no})
+		p := page.View(buf)
+		p.Init()
+		p.Seal(uint16(id), no)
+		if err := st.WritePage(no, buf); err != nil {
+			return fmt.Errorf("engine: seal holes: write %d.%d: %w", id, no, err)
 		}
+		db.pool.MarkSealed(buffer.PageKey{Seg: id, Page: no})
 	}
 	return nil
 }

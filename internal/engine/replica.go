@@ -147,14 +147,16 @@ func (db *DB) ReplicaApply(start uint64, raw []byte, recs []wal.Record) error {
 			return err
 		}
 	}
+	// Visibility first: a reader that saw AppliedLSN reach this group
+	// must find its commit visible (ReplCounters).
 	ctr := db.ReplCounters()
-	ctr.AppliedLSN.Store(start + uint64(len(raw)))
-	ctr.GroupsApplied.Add(1)
 	if term.Op == wal.OpCommit {
 		if _, ts, ok := wal.DecodeCommitPayload(term.Payload); ok && ts > 0 {
 			ctr.NoteVisible(ts)
 		}
 	}
+	ctr.AppliedLSN.Store(start + uint64(len(raw)))
+	ctr.GroupsApplied.Add(1)
 	return nil
 }
 

@@ -15,6 +15,11 @@ const (
 // apply-side block. They live in the engine for the same reason
 // NetCounters do: aim.Stats() surfaces them without depending on the
 // server or the follower.
+//
+// A replica publishes each applied group's VisibleTS before its
+// AppliedLSN, so a reader that waited for an applied LSN
+// (repl.Follower.WaitApplied) always finds that group's commit
+// visible.
 type ReplCounters struct {
 	Role atomic.Int32
 

@@ -90,6 +90,12 @@ func (r *retryStore) Sync() error {
 	return r.p.Do(func() error { return r.st.Sync() })
 }
 
+// Allocate is retried like a write: a failed allocation reserves no
+// page, so another attempt reserves the same one.
+func (r *retryStore) Allocate() (no uint32, err error) {
+	err = r.p.Do(func() (e error) { no, e = r.st.Allocate(); return e })
+	return no, err
+}
+
 func (r *retryStore) PageCount() uint32 { return r.st.PageCount() }
-func (r *retryStore) Allocate() uint32  { return r.st.Allocate() }
 func (r *retryStore) Close() error      { return r.st.Close() }

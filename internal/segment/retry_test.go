@@ -69,7 +69,7 @@ func TestIsTransient(t *testing.T) {
 func TestRetryAbsorbsTransientBurst(t *testing.T) {
 	fs := &flakyStore{MemStore: NewMemStore(), fail: 3, err: blinkErr{}}
 	st := WithRetry(fs, RetryPolicy{Tries: 4})
-	no := st.Allocate()
+	no, _ := st.Allocate()
 	buf := make([]byte, page.Size)
 	buf[0] = 0xAB
 	if err := st.WritePage(no, buf); err != nil {
@@ -87,7 +87,7 @@ func TestRetryAbsorbsTransientBurst(t *testing.T) {
 func TestRetryGivesUpAfterTries(t *testing.T) {
 	fs := &flakyStore{MemStore: NewMemStore(), fail: 10, err: blinkErr{}}
 	st := WithRetry(fs, RetryPolicy{Tries: 4})
-	no := st.Allocate()
+	no, _ := st.Allocate()
 	err := st.WritePage(no, make([]byte, page.Size))
 	if !IsTransient(err) {
 		t.Fatalf("exhausted retries must surface the transient error, got %v", err)
@@ -100,7 +100,7 @@ func TestRetryGivesUpAfterTries(t *testing.T) {
 func TestRetryDoesNotRetryPersistent(t *testing.T) {
 	fs := &flakyStore{MemStore: NewMemStore(), fail: 10, err: stoneErr}
 	st := WithRetry(fs, RetryPolicy{Tries: 4})
-	no := st.Allocate()
+	no, _ := st.Allocate()
 	if err := st.WritePage(no, make([]byte, page.Size)); !errors.Is(err, stoneErr) {
 		t.Fatalf("want stoneErr, got %v", err)
 	}

@@ -10,9 +10,12 @@
 package segment
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sync"
+	"syscall"
 
 	"repro/internal/page"
 )
@@ -30,8 +33,9 @@ type Store interface {
 	WritePage(no uint32, buf []byte) error
 	// PageCount returns the highest allocated page number.
 	PageCount() uint32
-	// Allocate reserves the next page number.
-	Allocate() uint32
+	// Allocate reserves the next page number. On error no page is
+	// reserved.
+	Allocate() (uint32, error)
 	// Sync flushes to stable storage.
 	Sync() error
 	// Close releases resources.
@@ -91,11 +95,11 @@ func (m *MemStore) PageCount() uint32 {
 }
 
 // Allocate implements Store.
-func (m *MemStore) Allocate() uint32 {
+func (m *MemStore) Allocate() (uint32, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.pages = append(m.pages, nil)
-	return uint32(len(m.pages) - 1)
+	return uint32(len(m.pages) - 1), nil
 }
 
 // Sync implements Store.
@@ -105,13 +109,21 @@ func (m *MemStore) Sync() error { return nil }
 func (m *MemStore) Close() error { return nil }
 
 // FileStore is a file-backed Store; page n lives at offset
-// (n-1)*page.Size. Reads take a shared lock: ReadAt is positioned
-// I/O, safe to issue concurrently, so parallel page faults overlap at
-// the file level too.
+// (n-1)*page.Size. Reads copy the page out of a read-only shared
+// mapping of the file, under a shared lock, so parallel page faults
+// overlap and a read costs one copy and no system call. Writes stay
+// positioned writes (pwrite) and Sync stays fsync: the operating
+// system's unified page cache makes a write visible through the
+// mapping, and durability does not depend on it.
+//
+// The mapping always covers pages 1..count. Where count grows
+// (Allocate, WritePage) it is remapped, at least doubling, under the
+// exclusive lock, so no reader copies out of an unmapped range.
 type FileStore struct {
 	mu    sync.RWMutex
 	f     *os.File
 	count uint32
+	m     []byte // read-only mapping; len is a multiple of page.Size
 }
 
 // OpenFileStore opens (or creates) the segment file at path.
@@ -125,7 +137,39 @@ func OpenFileStore(path string) (*FileStore, error) {
 		f.Close()
 		return nil, err
 	}
-	return &FileStore{f: f, count: uint32(st.Size() / page.Size)}, nil
+	s := &FileStore{f: f, count: uint32(st.Size() / page.Size)}
+	if err := s.cover(s.count); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("segment: map %s: %w", path, err)
+	}
+	return s, nil
+}
+
+// minMapPages is the smallest mapping a store with any page makes, so
+// a growing segment's first pages do not each remap.
+const minMapPages = 64
+
+// cover makes the mapping reach page n, remapping to at least twice
+// its length when it is short; s.mu is held exclusively (or s is not
+// yet shared).
+func (s *FileStore) cover(n uint32) error {
+	have := len(s.m) / page.Size
+	if int(n) <= have {
+		return nil
+	}
+	pages := max(2*have, int(n), minMapPages)
+	// A mapping may reach past the end of the file: those pages are
+	// never read, because count never passes the file's end.
+	m, err := syscall.Mmap(int(s.f.Fd()), 0, pages*page.Size, syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return err
+	}
+	if s.m != nil {
+		// Unmapping fails only for a range this store did not map.
+		_ = syscall.Munmap(s.m)
+	}
+	s.m = m
+	return nil
 }
 
 // ReadPage implements Store.
@@ -135,10 +179,32 @@ func (s *FileStore) ReadPage(no uint32, buf []byte) error {
 	if no == 0 || no > s.count {
 		return fmt.Errorf("segment: read of unallocated page %d", no)
 	}
-	n, err := s.f.ReadAt(buf, int64(no-1)*page.Size)
-	if err != nil && n != page.Size {
+	if s.m == nil {
+		return fmt.Errorf("segment: read page %d: store closed", no)
+	}
+	off := int(no-1) * page.Size
+	if err := copyFault(buf, s.m[off:off+page.Size]); err != nil {
 		return fmt.Errorf("segment: read page %d: %w", no, err)
 	}
+	return nil
+}
+
+// copyFault copies src to dst and turns a fault on src into an error:
+// a file truncated under the mapping, or an I/O error behind it,
+// arrives as SIGBUS while copying, and must fail this one read rather
+// than the process.
+func copyFault(dst, src []byte) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			fault, ok := r.(interface{ Addr() uintptr })
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("fault at %#x in the mapped file", fault.Addr())
+		}
+	}()
+	copy(dst, src)
 	return nil
 }
 
@@ -149,12 +215,25 @@ func (s *FileStore) WritePage(no uint32, buf []byte) error {
 	if no == 0 {
 		return fmt.Errorf("segment: write of page 0")
 	}
-	if no > s.count {
-		s.count = no
-	}
-	if _, err := s.f.WriteAt(buf, int64(no-1)*page.Size); err != nil {
+	if err := s.writeLocked(no, buf); err != nil {
 		return fmt.Errorf("segment: write page %d: %w", no, err)
 	}
+	return nil
+}
+
+// writeLocked writes page no and, when it lies past the end, maps it
+// and advances count; s.mu is held exclusively. On error count stays.
+func (s *FileStore) writeLocked(no uint32, buf []byte) error {
+	if _, err := s.f.WriteAt(buf, int64(no-1)*page.Size); err != nil {
+		return err
+	}
+	if no <= s.count {
+		return nil
+	}
+	if err := s.cover(no); err != nil {
+		return err
+	}
+	s.count = no
 	return nil
 }
 
@@ -165,15 +244,19 @@ func (s *FileStore) PageCount() uint32 {
 	return s.count
 }
 
+// zeroPage is the image Allocate materializes.
+var zeroPage = make([]byte, page.Size)
+
 // Allocate implements Store.
-func (s *FileStore) Allocate() uint32 {
+func (s *FileStore) Allocate() (uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.count++
 	// Materialize the page so later reads succeed.
-	zero := make([]byte, page.Size)
-	s.f.WriteAt(zero, int64(s.count-1)*page.Size)
-	return s.count
+	no := s.count + 1
+	if err := s.writeLocked(no, zeroPage); err != nil {
+		return 0, fmt.Errorf("segment: allocate page %d: %w", no, err)
+	}
+	return no, nil
 }
 
 // Sync implements Store.
@@ -187,5 +270,10 @@ func (s *FileStore) Sync() error {
 func (s *FileStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.f.Close()
+	var err error
+	if s.m != nil {
+		err = syscall.Munmap(s.m)
+		s.m = nil
+	}
+	return errors.Join(err, s.f.Close())
 }

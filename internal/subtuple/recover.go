@@ -188,7 +188,10 @@ func ensurePage(pool *buffer.Pool, seg segment.ID, pageNo uint32) error {
 		return fmt.Errorf("subtuple: recovery for unregistered segment %d", seg)
 	}
 	for st.PageCount() < pageNo {
-		no := st.Allocate()
+		no, err := st.Allocate()
+		if err != nil {
+			return err
+		}
 		f, err := pool.PinNew(buffer.PageKey{Seg: seg, Page: no})
 		if err != nil {
 			return err
