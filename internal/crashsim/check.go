@@ -112,7 +112,7 @@ func checkIndexes(eng *engine.DB) error {
 func resolveEntry(eng *engine.DB, t *catalog.Table, ix *index.Index, addr index.Addr, atomPos int, key []byte) error {
 	if len(addr.Path) == 0 {
 		// Flat (or root-TID) address: the tuple itself must exist.
-		if _, err := eng.Runtime().OpenRef(t, addr.TID, 0, nil); err != nil {
+		if _, err := eng.Runtime().OpenRef(t, addr.TID, 0, nil, false); err != nil {
 			return err
 		}
 		return nil

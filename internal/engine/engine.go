@@ -114,12 +114,18 @@ type DB struct {
 
 	exec *exec.Executor
 
+	// decoded is the decode tally every store of the database counts
+	// in (subtuple.Config.Decoded), so that a statement's mark reads one
+	// counter, however many tables there are, and a store replaced by
+	// attachTable takes nothing of the count with it.
+	decoded atomic.Uint64
+
 	// lastStmt holds the most recently finished statement's access
 	// counters. Queries record it under the shared statement lock, so
-	// it is an atomic pointer rather than a mutex-guarded field: the
-	// hot path never serializes on statistics bookkeeping and Stats()
-	// snapshots cannot tear.
-	lastStmt atomic.Pointer[StmtStats]
+	// it is a lock-free slot rather than a mutex-guarded field: the hot
+	// path never serializes on statistics bookkeeping, publishing
+	// allocates nothing, and LastStmtStats snapshots cannot tear.
+	lastStmt stmtSlot
 
 	// quarMu guards the corruption-containment state: the set of
 	// quarantined objects and the out-of-service (degraded) indexes.
@@ -131,7 +137,7 @@ type DB struct {
 	// fatalErr poisons the database after a failed statement rollback:
 	// the live state can no longer be trusted, so every subsequent
 	// statement returns this error until the database is reopened. An
-	// atomic pointer like lastStmt; use fatal()/setFatal.
+	// atomic pointer; use fatal()/setFatal.
 	fatalErr atomic.Pointer[error]
 
 	// Transaction manager state (see txn.go): the id counter, the
@@ -469,6 +475,7 @@ func (db *DB) registerSegment(id segment.ID, versioned bool) error {
 		Log:       db.log,
 		Versioned: versioned,
 		Clock:     db.opts.Clock,
+		Decoded:   &db.decoded,
 	})
 	return nil
 }
@@ -485,7 +492,7 @@ func (db *DB) attachTable(t *catalog.Table) error {
 		} else {
 			db.stores[t.Seg] = subtuple.New(subtuple.Config{
 				Pool: db.pool, Seg: t.Seg, Log: db.log,
-				Versioned: t.Versioned, Clock: db.opts.Clock,
+				Versioned: t.Versioned, Clock: db.opts.Clock, Decoded: &db.decoded,
 			})
 		}
 	}

@@ -518,7 +518,7 @@ INSERT INTO x.S FROM x IN D WHERE x.K = 3 VALUES (2, 'hit')`
 		refs, _ := db.Refs("D")
 		ps := rootPaths(t, db, byNote)
 		for _, ref := range refs {
-			if tup, err := db.Runtime().OpenRef(tbl, ref, 0, ps); err != nil {
+			if tup, err := db.Runtime().OpenRef(tbl, ref, 0, ps, false); err != nil {
 				t.Errorf("OpenRef through a pre-test = %v", err)
 			} else if tup == nil && ref == refs[1] {
 				t.Errorf("object 2 now satisfies the pre-test, but OpenRef rejected it")

@@ -46,7 +46,9 @@ type Rows struct {
 
 // Next advances to the next result tuple. It returns false at the end
 // of the result, on error (see Err) and after Close; the cursor closes
-// itself in all three cases.
+// itself in all three cases — at the end of the result, and when the
+// database is poisoned, inside the same hold of the heal barrier that
+// found it.
 func (r *Rows) Next() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -55,31 +57,33 @@ func (r *Rows) Next() bool {
 	}
 	r.db.healMu.RLock()
 	if ferr := r.db.fatal(); ferr != nil {
-		r.db.healMu.RUnlock()
 		r.err = ferr
-		r.closeLocked()
+		r.finish()
+		r.db.healMu.RUnlock()
 		return false
 	}
-	var tup model.Tuple
-	var ok bool
-	var err error
-	func() {
-		defer recoverPanic(r.text, &err)
-		tup, ok, err = r.cur.Next()
-	}()
+	tup, ok, err := r.next()
+	if err == nil {
+		if !ok {
+			r.finish()
+		}
+		r.db.healMu.RUnlock()
+		if ok {
+			r.tup = tup
+			r.rows++
+		}
+		return ok
+	}
 	r.db.healMu.RUnlock()
-	if err != nil {
-		r.err = r.db.healIfPanic(err)
-		r.closeLocked()
-		return false
-	}
-	if !ok {
-		r.closeLocked()
-		return false
-	}
-	r.tup = tup
-	r.rows++
-	return true
+	r.err = r.db.healIfPanic(err)
+	r.closeLocked()
+	return false
+}
+
+// next pulls the cursor's next tuple, a panic turned into a *PanicError.
+func (r *Rows) next() (tup model.Tuple, ok bool, err error) {
+	defer recoverPanic(r.text, &err)
+	return r.cur.Next()
 }
 
 // Tuple returns the current result tuple (valid after a true Next). The
@@ -182,11 +186,18 @@ func (r *Rows) closeLocked() {
 	if r.closed {
 		return
 	}
-	r.closed = true
 	r.db.healMu.RLock()
+	r.finish()
+	r.db.healMu.RUnlock()
+}
+
+// finish closes the cursor and records the statement's statistics; the
+// caller holds r.mu and the shared heal barrier, which the cursor's scans
+// need to close.
+func (r *Rows) finish() {
+	r.closed = true
 	r.cur.Close()
 	stats := r.db.since(r.start)
-	r.db.healMu.RUnlock()
 	stats.Rows = r.rows
 	r.db.noteStmtStats(stats)
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	goruntime "runtime"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/dberr"
@@ -64,11 +66,13 @@ func (r *runtime) OpenScan(t *catalog.Table, asof int64, ps *object.PathSet, reu
 }
 
 // OpenRef implements exec.Runtime: it reads one tuple by reference,
-// pruned to ps. Buffered images are returned whole; projection pruning
-// is an optimization for stored objects only.
-func (r *runtime) OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object.PathSet) (model.Tuple, error) {
-	db := r.db
-	if tx := r.snap.overlay(asof); tx != nil {
+// pruned to ps, through an arena of its own; with reuse it builds
+// nothing ps does not request (object.NewArena). Buffered images are
+// returned whole; projection pruning is an optimization for stored
+// objects only.
+func (r *runtime) OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object.PathSet, reuse bool) (model.Tuple, error) {
+	db, tx := r.db, r.snap.overlay(asof)
+	if tx != nil {
 		if p, ok := tx.pending[wkey{t.Name, ref}]; ok {
 			if p.deleted {
 				return nil, subtuple.ErrNotFound
@@ -84,7 +88,7 @@ func (r *runtime) OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object
 		return nil, err
 	}
 	if t.Kind == catalog.Complex {
-		tup, err := db.mgrs[t.Name].ReadPruned(t.Type, ref, asof, ps)
+		tup, err := db.mgrs[t.Name].NewArena(reuse && tx == nil).ReadPruned(t.Type, ref, asof, ps)
 		return tup, db.guardRead(t.Name, ref, err)
 	}
 	fs := db.flats[t.Name]
@@ -386,30 +390,55 @@ func (db *DB) since(m statsMark) StmtStats {
 	}
 }
 
-// DecodeCount sums the subtuple records decoded across all stores
-// since the engine was opened.
-func (db *DB) DecodeCount() uint64 {
-	var n uint64
-	for _, st := range db.stores {
-		n += st.DecodeCount()
-	}
-	return n
-}
+// DecodeCount returns the subtuple records decoded across all stores
+// since the engine was opened: the one tally they share.
+func (db *DB) DecodeCount() uint64 { return db.decoded.Load() }
 
 // noteStmtStats records the counters of the most recently finished
-// statement (retrievable with LastStmtStats). Lock-free: concurrent
-// readers publish whole snapshots, so a reader never sees a torn mix
-// of two statements' counters.
-func (db *DB) noteStmtStats(s StmtStats) {
-	db.lastStmt.Store(&s)
-}
+// statement (retrievable with LastStmtStats), without allocating.
+func (db *DB) noteStmtStats(s StmtStats) { db.lastStmt.store(s) }
 
 // LastStmtStats returns the access counters of the most recently
 // completed statement (for queries consumed through a Rows cursor,
 // the statement completes at Close).
-func (db *DB) LastStmtStats() StmtStats {
-	if s := db.lastStmt.Load(); s != nil {
-		return *s
+func (db *DB) LastStmtStats() StmtStats { return db.lastStmt.load() }
+
+// stmtSlot publishes one statement's counters in place, as a seqlock:
+// seq is odd while a statement writes the fields, and a reader retries
+// until it has read them all between two equal even values, so it never
+// sees a torn mix of two statements. A statement that finds another one
+// writing leaves the slot to it: two statements that finish at once
+// have no order for "the most recent" to keep.
+type stmtSlot struct {
+	seq                                 atomic.Uint64
+	fetches, hits, reads, decoded, rows atomic.Uint64
+}
+
+func (s *stmtSlot) store(st StmtStats) {
+	q := s.seq.Load()
+	if q&1 != 0 || !s.seq.CompareAndSwap(q, q+1) {
+		return
 	}
-	return StmtStats{}
+	s.fetches.Store(st.Fetches)
+	s.hits.Store(st.Hits)
+	s.reads.Store(st.Reads)
+	s.decoded.Store(st.Decoded)
+	s.rows.Store(uint64(st.Rows))
+	s.seq.Store(q + 2)
+}
+
+func (s *stmtSlot) load() StmtStats {
+	for {
+		q := s.seq.Load()
+		if q&1 == 0 {
+			st := StmtStats{
+				Fetches: s.fetches.Load(), Hits: s.hits.Load(), Reads: s.reads.Load(),
+				Decoded: s.decoded.Load(), Rows: int(s.rows.Load()),
+			}
+			if s.seq.Load() == q {
+				return st
+			}
+		}
+		goruntime.Gosched()
+	}
 }

@@ -142,8 +142,6 @@ func (db *DB) run(ctx context.Context, tx *Txn, s stmt, form resultForm) (res Re
 			tx.beginStmt()
 		}
 		res, err = db.dispatch(ctx, ex, s, start, rows)
-		// Snapshot the counters before releasing the barrier: since walks
-		// the per-table stores, which DDL replaces under the exclusive side.
 		if err == nil && rows == nil {
 			stats = db.since(start)
 		}
@@ -226,14 +224,21 @@ func (db *DB) awaitDurable(end, epoch, txn uint64) error {
 // dispatch executes one statement through executor ex, converting a
 // panic into a PanicError tagged with the statement text — the bind
 // included, so a re-bind after an epoch bump fails the statement like
-// any other panic. Every statement runs a bound plan: a prepared one
-// from its own last bind or the plan cache, an ad hoc one bound here by
-// the scope's executor, off the heap and never cached. A SELECT streams
-// into rows when rows is non-nil and is materialized otherwise.
+// any other panic.
 func (db *DB) dispatch(ctx context.Context, ex *exec.Executor, s stmt, start statsMark, rows *Rows) (res Result, err error) {
 	defer recoverPanic(s.Text, &err)
+	return db.execStmt(ctx, ex, s, start, rows)
+}
+
+// execStmt is dispatch's body. Every statement runs a bound plan: a
+// prepared one from its own last bind or the plan cache, an ad hoc one
+// bound here by the scope's executor, off the heap and never cached. A
+// SELECT streams into rows when rows is non-nil and is materialized
+// otherwise.
+func (db *DB) execStmt(ctx context.Context, ex *exec.Executor, s stmt, start statsMark, rows *Rows) (Result, error) {
 	var adhoc plan.Prepared
 	prep := &adhoc
+	var err error
 	if s.ps != nil {
 		prep, err = s.ps.bindLocked()
 	} else {
@@ -252,13 +257,7 @@ func (db *DB) dispatch(ctx context.Context, ex *exec.Executor, s stmt, start sta
 			rows.cur, rows.tt = cur, cur.Type()
 			return Result{}, nil
 		}
-		defer cur.Close()
-		out := &model.Table{Ordered: cur.Type().Ordered}
-		n, err := drain(cur, out)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Table: out, Type: cur.Type(), Count: n}, nil
+		return materialize(cur)
 	case *sql.Explain:
 		return db.explain(ctx, ex, prep, s.args, start)
 	case *sql.Insert:
@@ -299,6 +298,18 @@ func (db *DB) dispatch(ctx context.Context, ex *exec.Executor, s stmt, start sta
 		return Result{Message: t.Type.String()}, nil
 	}
 	return Result{}, fmt.Errorf("engine: unsupported statement %T", s.Statement)
+}
+
+// materialize drains a query's cursor into its result table and closes
+// it.
+func materialize(cur *exec.Cursor) (Result, error) {
+	defer cur.Close()
+	out := &model.Table{Ordered: cur.Type().Ordered}
+	n, err := drain(cur, out)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Table: out, Type: cur.Type(), Count: n}, nil
 }
 
 // execDDL runs a DDL statement's body. The statement path holds applyMu

@@ -59,7 +59,7 @@ func (rt *txnRuntime) DeleteTuple(t *catalog.Table, ref page.TID) error {
 	tx := rt.snap.tx
 	k := wkey{t.Name, ref}
 	if ref.Page >= synthBase {
-		if _, err := rt.OpenRef(t, ref, 0, nil); err != nil {
+		if _, err := rt.OpenRef(t, ref, 0, nil, false); err != nil {
 			return err
 		}
 		// Deleting a tuple inserted in this transaction elides the
@@ -70,7 +70,7 @@ func (rt *txnRuntime) DeleteTuple(t *catalog.Table, ref page.TID) error {
 	if err := tx.registerWrite(k); err != nil {
 		return err
 	}
-	if _, err := rt.OpenRef(t, ref, 0, nil); err != nil {
+	if _, err := rt.OpenRef(t, ref, 0, nil, false); err != nil {
 		return err
 	}
 	tx.setPending(k, &pendingObj{deleted: true})
@@ -87,7 +87,7 @@ func (rt *txnRuntime) UpdateAtoms(t *catalog.Table, ref page.TID, steps []object
 			return err
 		}
 	}
-	img, err := rt.OpenRef(t, ref, 0, nil)
+	img, err := rt.OpenRef(t, ref, 0, nil, false)
 	if err != nil {
 		return err
 	}
@@ -114,7 +114,7 @@ func (rt *txnRuntime) InsertMember(t *catalog.Table, ref page.TID, steps []objec
 			return err
 		}
 	}
-	img, err := rt.OpenRef(t, ref, 0, nil)
+	img, err := rt.OpenRef(t, ref, 0, nil, false)
 	if err != nil {
 		return err
 	}
@@ -141,7 +141,7 @@ func (rt *txnRuntime) DeleteMember(t *catalog.Table, ref page.TID, steps []objec
 			return err
 		}
 	}
-	img, err := rt.OpenRef(t, ref, 0, nil)
+	img, err := rt.OpenRef(t, ref, 0, nil, false)
 	if err != nil {
 		return err
 	}

@@ -29,10 +29,11 @@ type pipeline struct {
 	ctx   context.Context
 	items []sql.FromItem
 	scope *env
-	cands map[int]*Candidates
+	cands []Candidates            // per FROM item; nil = scan every item
 	paths map[int]*object.PathSet // per FROM item; nil map = full reads
-	// reuse opens the stored-table scans with reuse (Runtime.OpenScan):
-	// the block builds its rows of copied atoms and cloned tables.
+	// reuse opens the stored-table scans and reads with reuse
+	// (Runtime.OpenScan, Runtime.OpenRef): the block builds its rows of
+	// copied atoms and cloned tables.
 	reuse bool
 
 	iters     []fromIter
@@ -70,11 +71,22 @@ type fromIter struct {
 	pos     int
 }
 
-func (p *pipeline) init(e *Executor, ctx context.Context, items []sql.FromItem, scope *env, cands map[int]*Candidates, paths map[int]*object.PathSet) {
-	*p = pipeline{
-		e: e, ctx: ctx, items: items, scope: scope, cands: cands, paths: paths,
-		iters: make([]fromIter, len(items)),
+// init sets the pipeline up over items, its iterators in iters when
+// the caller brings them (one per item), else in a fresh slice.
+func (p *pipeline) init(e *Executor, ctx context.Context, items []sql.FromItem, scope *env, cands []Candidates, paths map[int]*object.PathSet, iters []fromIter) {
+	if iters == nil {
+		iters = make([]fromIter, len(items))
 	}
+	*p = pipeline{e: e, ctx: ctx, items: items, scope: scope, cands: cands, paths: paths, iters: iters}
+}
+
+// cand returns the candidate list of FROM item i, nil when the item is
+// scanned.
+func (p *pipeline) cand(i int) *Candidates {
+	if i < len(p.cands) && p.cands[i].Path != nil {
+		return &p.cands[i]
+	}
+	return nil
 }
 
 // rewind closes every open iterator and makes the pipeline start over at
@@ -180,7 +192,7 @@ func (p *pipeline) openIter(i int) error {
 			return fmt.Errorf("exec: table %q is not versioned; ASOF unavailable", t.Name)
 		}
 		it.t = t
-		if c := p.cands[i]; c != nil {
+		if c := p.cand(i); c != nil {
 			it.candMode = true
 			it.refs = c.Refs
 			return nil
@@ -208,7 +220,7 @@ func (p *pipeline) advance(i int) (bool, error) {
 			for it.refi < len(it.refs) {
 				ref := it.refs[it.refi]
 				it.refi++
-				tup, err := p.e.RT.OpenRef(it.t, ref, it.asof, p.paths[i])
+				tup, err := p.e.RT.OpenRef(it.t, ref, it.asof, p.paths[i], p.reuse)
 				if err != nil {
 					if errors.Is(err, subtuple.ErrNotFound) {
 						continue // candidate vanished between planning and execution
@@ -292,13 +304,18 @@ type Cursor struct {
 	sorti   int
 	drained bool
 	closed  bool
+
+	// The scope slot and the iterator of a block over one FROM item live
+	// in the cursor itself: opening it is one allocation.
+	slot1 [1]slot
+	iter1 [1]fromIter
 }
 
 // OpenPrepared opens a streaming cursor over a top-level select bound
 // ahead of time (Bind), with the candidate lists of this execution. It
 // performs no inference, no path derivation and no access-path planning;
 // every query runs through here. No data is read until the first Next.
-func (e *Executor) OpenPrepared(ctx context.Context, blk *Block, cands map[int]*Candidates, params []model.Value) (*Cursor, error) {
+func (e *Executor) OpenPrepared(ctx context.Context, blk *Block, cands []Candidates, params []model.Value) (*Cursor, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -309,10 +326,17 @@ func (e *Executor) OpenPrepared(ctx context.Context, blk *Block, cands map[int]*
 // at the top). A top-level block whose rows take nothing (Block.take)
 // keeps nothing of a fetched tuple but atoms: its scans recycle their
 // containers. A sub-block's scans do not.
-func (e *Executor) newCursor(ctx context.Context, blk *Block, outer *env, params []model.Value, cands map[int]*Candidates) *Cursor {
+func (e *Executor) newCursor(ctx context.Context, blk *Block, outer *env, params []model.Value, cands []Candidates) *Cursor {
 	c := &Cursor{e: e, ctx: ctx, blk: blk, sel: blk.Sel}
-	c.scope = env{slots: make([]slot, 0, len(blk.Sel.From)), parent: outer, params: params, blk: blk}
-	c.pipe.init(e, ctx, blk.Sel.From, &c.scope, cands, blk.Paths)
+	from := blk.Sel.From
+	slots, iters := c.slot1[:0], []fromIter(nil)
+	if len(from) <= 1 {
+		iters = c.iter1[:len(from)]
+	} else {
+		slots = make([]slot, 0, len(from))
+	}
+	c.scope = env{slots: slots, parent: outer, params: params, blk: blk}
+	c.pipe.init(e, ctx, from, &c.scope, cands, blk.Paths, iters)
 	c.pipe.reuse = outer == nil && blk.take == nil
 	return c
 }
@@ -324,8 +348,8 @@ func (c *Cursor) Type() *model.TableType { return c.blk.Type }
 // top-level FROM item (Block.Describe), on demand: only EXPLAIN asks.
 func (c *Cursor) AccessPlan() []string {
 	return c.blk.Describe(c.e.RT, c.sel.From, func(i int) string {
-		if cd := c.pipe.cands[i]; cd != nil {
-			return fmt.Sprintf("%s -> %d candidate object(s)", cd.Why, len(cd.Refs))
+		if cd := c.pipe.cand(i); cd != nil {
+			return fmt.Sprintf("%s -> %d candidate object(s)", cd.Why(c.scope.params), len(cd.Refs))
 		}
 		return ""
 	})

@@ -114,7 +114,7 @@ func FromList(st sql.Statement) ([]sql.FromItem, sql.Expr, bool) {
 // same pipeline a SELECT reads through, the WHERE re-tested on every
 // binding, and collected before anything is written. Every DML
 // statement runs through here.
-func (e *Executor) ExecPreparedDML(ctx context.Context, st sql.Statement, blk *Block, cands map[int]*Candidates, params []model.Value) (int, error) {
+func (e *Executor) ExecPreparedDML(ctx context.Context, st sql.Statement, blk *Block, cands []Candidates, params []model.Value) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -131,7 +131,7 @@ func (e *Executor) ExecPreparedDML(ctx context.Context, st sql.Statement, blk *B
 
 // execInsert adds whole tuples to a stored table, or members to the
 // subtable addressed by ins.Path for every binding of its FROM list.
-func (e *Executor) execInsert(ctx context.Context, ins *sql.Insert, blk *Block, cands map[int]*Candidates, params []model.Value) (int, error) {
+func (e *Executor) execInsert(ctx context.Context, ins *sql.Insert, blk *Block, cands []Candidates, params []model.Value) (int, error) {
 	if ins.Table != "" {
 		t, ok := e.RT.Table(ins.Table)
 		if !ok {
@@ -240,7 +240,7 @@ func dedupeTargets[T any](ts []T, key func(T) targetKey) []T {
 // afterwards — whole objects when the variable ranges over a stored
 // table, subtable members when it ranges over a subtable (deleting
 // "arbitrary parts of complex objects", §4.1).
-func (e *Executor) execDelete(ctx context.Context, del *sql.Delete, blk *Block, cands map[int]*Candidates, params []model.Value) (int, error) {
+func (e *Executor) execDelete(ctx context.Context, del *sql.Delete, blk *Block, cands []Candidates, params []model.Value) (int, error) {
 	type victim struct {
 		tbl   *catalog.Table
 		ref   page.TID
@@ -298,7 +298,7 @@ func (e *Executor) execDelete(ctx context.Context, del *sql.Delete, blk *Block, 
 
 // execUpdate overwrites the atomic attributes of the target variable's
 // level.
-func (e *Executor) execUpdate(ctx context.Context, upd *sql.Update, blk *Block, cands map[int]*Candidates, params []model.Value) (int, error) {
+func (e *Executor) execUpdate(ctx context.Context, upd *sql.Update, blk *Block, cands []Candidates, params []model.Value) (int, error) {
 	type change struct {
 		tbl   *catalog.Table
 		ref   page.TID

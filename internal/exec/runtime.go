@@ -25,10 +25,12 @@ import (
 // current state). A tuple OpenScan or OpenRef returns, subtables
 // included, is held by nothing else — no cache, no other caller, no
 // stored or buffered state — so a result row may keep parts of it as
-// they are (Block.take). The one exception is a scan opened with reuse:
-// its containers — the tuple, its tables and their member tuples — are
-// valid only until the cursor's next Next, which may overwrite them;
-// its atoms stay valid for good.
+// they are (Block.take). The one exception is a read with reuse: a
+// scan's containers — the tuple, its tables and their member tuples —
+// are valid only until the cursor's next Next, which may overwrite them;
+// its atoms stay valid for good. A tuple read with reuse may also carry
+// null for a subtable ps does not request, where a read without it
+// builds an empty table.
 type Runtime interface {
 	// Table resolves a stored table by name.
 	Table(name string) (*catalog.Table, bool)
@@ -43,8 +45,9 @@ type Runtime interface {
 	OpenScan(t *catalog.Table, asof int64, ps *object.PathSet, reuse bool) (ScanCursor, error)
 	// OpenRef reads one tuple by reference, fetching only the paths in
 	// ps (nil = everything). It returns a nil tuple and no error for an
-	// object that fails ps's pre-test.
-	OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object.PathSet) (model.Tuple, error)
+	// object that fails ps's pre-test. reuse says, as for OpenScan, that
+	// the caller keeps nothing of the tuple but its atoms.
+	OpenRef(t *catalog.Table, ref page.TID, asof int64, ps *object.PathSet, reuse bool) (model.Tuple, error)
 	// Indexes returns the live value indexes of a table (none where the
 	// runtime reads at an instant nobody maintains them for).
 	Indexes(table string) []*index.Index
@@ -89,11 +92,32 @@ type ScanCursor interface {
 }
 
 // Candidates restricts the scan of one FROM item to a pre-computed
-// reference list (produced by the planner from index information).
+// reference list, produced by the planner from index information. The
+// candidate lists of a statement are a slice indexed by FROM item; an
+// element whose Path is nil (or a nil slice) leaves its item to a scan.
 type Candidates struct {
 	Refs []page.TID
-	// Why describes the access path for EXPLAIN output.
-	Why string
+	// Path is the access path the list came from. Used marks the choices
+	// of Path that answered (bit j: choice j), Changed that the references
+	// written since the snapshot joined the list. An execution keeps only
+	// these; the text EXPLAIN prints is rendered from them by Why.
+	Path    AccessPath
+	Used    uint64
+	Changed bool
+}
+
+// Why describes the access path for EXPLAIN output, with the operands
+// bound to params.
+func (c *Candidates) Why(params []model.Value) string {
+	return c.Path.Why(c.Used, c.Changed, params)
+}
+
+// AccessPath is the planner's access path of one FROM item: its index
+// choices, which Why renders — those marked in used, their operands
+// bound to params, and the union with the references written since the
+// snapshot when changed is set.
+type AccessPath interface {
+	Why(used uint64, changed bool, params []model.Value) string
 }
 
 // Executor binds statements (Bind) and runs bound ones (OpenPrepared,

@@ -20,9 +20,9 @@ import (
 // binding that satisfies it. The context is checked once per binding,
 // so a cancelled scan stops within one tuple's worth of work, with no
 // pages left pinned.
-func (e *Executor) forEach(ctx context.Context, items []sql.FromItem, where sql.Expr, scope *env, cands map[int]*Candidates, paths map[int]*object.PathSet, body func() error) error {
+func (e *Executor) forEach(ctx context.Context, items []sql.FromItem, where sql.Expr, scope *env, cands []Candidates, paths map[int]*object.PathSet, body func() error) error {
 	var p pipeline
-	p.init(e, ctx, items, scope, cands, paths)
+	p.init(e, ctx, items, scope, cands, paths, nil)
 	defer p.close()
 	for {
 		ok, err := p.next()

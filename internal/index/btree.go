@@ -250,6 +250,19 @@ func (t *BTree) Search(key []byte) []Addr {
 	return append([]Addr(nil), l.posts[i]...)
 }
 
+// SearchRoots returns the distinct roots of key's address list
+// (DistinctRoots), read under the tree's lock: Search without the copy
+// of the list.
+func (t *BTree) SearchRoots(key []byte) []page.TID {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	l, i := t.findLeaf(key)
+	if l == nil {
+		return nil
+	}
+	return DistinctRoots(l.posts[i])
+}
+
 func (t *BTree) findLeaf(key []byte) (*leaf, int) {
 	n := t.root
 	for {

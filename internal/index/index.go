@@ -166,12 +166,29 @@ func (ix *Index) flatKey(tup model.Tuple, tt *model.TableType) ([]byte, error) {
 
 // Lookup returns the address list for an exact key value.
 func (ix *Index) Lookup(v model.Value) ([]Addr, error) {
-	key, err := ix.Key(v)
+	var buf [keyBuf]byte
+	key, err := model.AppendKeyValue(buf[:0], v)
 	if err != nil {
 		return nil, err
 	}
 	return ix.tree.Search(key), nil
 }
+
+// LookupRoots returns the distinct complex objects of the address list
+// for an exact key value (DistinctRoots of Lookup), without copying the
+// list on the way: a point probe's one allocation is its result.
+func (ix *Index) LookupRoots(v model.Value) ([]page.TID, error) {
+	var buf [keyBuf]byte
+	key, err := model.AppendKeyValue(buf[:0], v)
+	if err != nil {
+		return nil, err
+	}
+	return ix.tree.SearchRoots(key), nil
+}
+
+// keyBuf is the key length a probe encodes without a heap allocation:
+// every number, time and bool, and the short strings.
+const keyBuf = 32
 
 // LookupRange streams the addresses of all keys in [lo, hi]; nil
 // bounds are open. Exclusive bounds are handled by the caller via key
@@ -196,10 +213,23 @@ func (ix *Index) LookupRange(lo, hi model.Value, fn func(addrs []Addr) bool) err
 // DistinctRoots deduplicates an address list to the distinct complex
 // objects it references — the "multiple access to the same complex
 // object can be avoided" property of root-TID and hierarchical
-// addresses (§4.2).
+// addresses (§4.2). A short list is deduplicated by comparison, a long
+// one through a set.
 func DistinctRoots(addrs []Addr) []page.TID {
+	out := make([]page.TID, 0, len(addrs))
+	if len(addrs) <= shortList {
+	next:
+		for _, a := range addrs {
+			for _, r := range out {
+				if r == a.TID {
+					continue next
+				}
+			}
+			out = append(out, a.TID)
+		}
+		return out
+	}
 	seen := make(map[page.TID]bool, len(addrs))
-	var out []page.TID
 	for _, a := range addrs {
 		if !seen[a.TID] {
 			seen[a.TID] = true
@@ -208,6 +238,10 @@ func DistinctRoots(addrs []Addr) []page.TID {
 	}
 	return out
 }
+
+// shortList is the longest address list DistinctRoots deduplicates by
+// comparing every pair.
+const shortList = 16
 
 // IntersectByPrefix returns the pairs of addresses from as and bs
 // that refer to the same complex subobject at nesting depth k — the

@@ -338,24 +338,28 @@ func (a Atom) AppendKey(dst []byte) []byte {
 // pair of values of the same kind, bytes.Compare of the encodings
 // agrees with Compare. Nulls sort first; Int and Float share one
 // numeric encoding so cross-kind numeric comparisons work.
-func EncodeKeyValue(v Value) ([]byte, error) {
+func EncodeKeyValue(v Value) ([]byte, error) { return AppendKeyValue(nil, v) }
+
+// AppendKeyValue appends the key EncodeKeyValue gives v to dst, so
+// that a probe can encode its key into a buffer of its own.
+func AppendKeyValue(dst []byte, v Value) ([]byte, error) {
 	if IsNull(v) {
-		return []byte{0}, nil
+		return append(dst, 0), nil
 	}
 	switch x := v.(type) {
 	case Int:
-		return appendOrderedFloat(nil, float64(x)), nil
+		return appendOrderedFloat(dst, float64(x)), nil
 	case Float:
-		return appendOrderedFloat(nil, float64(x)), nil
+		return appendOrderedFloat(dst, float64(x)), nil
 	case Time:
-		return appendTimeKey(nil, int64(x)), nil
+		return appendTimeKey(dst, int64(x)), nil
 	case Bool:
 		if x {
-			return []byte{3, 1}, nil
+			return append(dst, 3, 1), nil
 		}
-		return []byte{3, 0}, nil
+		return append(dst, 3, 0), nil
 	case Str:
-		return append([]byte{4}, x...), nil
+		return append(append(dst, 4), x...), nil
 	}
 	return nil, fmt.Errorf("model: cannot encode %s as key", v.Kind())
 }

@@ -83,8 +83,10 @@ type Arena struct{ o objCtx }
 // the containers of a read — its tuple, subtable headers, Tuples slices
 // and member tuples — are valid only until the next read through the
 // arena, which overwrites them; the atoms stay valid for good. The
-// caller may keep atoms only. Without reuse every read's containers are
-// fresh and the caller's, as Manager.ReadPruned's are.
+// caller may keep atoms only, and a subtable the path set does not
+// request reads as null: no header is built for it. Without reuse every
+// read's containers are fresh and the caller's, as Manager.ReadPruned's
+// are. A one-shot read with reuse is a fresh arena used once.
 func (m *Manager) NewArena(reuse bool) *Arena {
 	return &Arena{o: objCtx{m: m, reuse: reuse}}
 }
@@ -93,12 +95,13 @@ func (m *Manager) NewArena(reuse bool) *Arena {
 func (a *Arena) ReadPruned(tt *model.TableType, ref Ref, asof int64, ps *PathSet) (model.Tuple, error) {
 	o := &a.o
 	o.rewind()
-	body, err := o.load(ref, asof)
+	body, err := o.viewRoot(ref, asof)
 	if err != nil {
 		return nil, err
 	}
-	defer o.done()
-	h, err := o.rootHandle(tt, body)
+	defer o.end()
+	h, err := o.rootHandle(tt, body) // copies what it keeps of the body
+	o.done()
 	if err != nil {
 		return nil, err
 	}

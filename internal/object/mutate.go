@@ -46,7 +46,7 @@ func (m *Manager) UpdateAtomsProbed(tt *model.TableType, ref Ref, steps []Step, 
 	if err != nil {
 		return err
 	}
-	defer w.o.done()
+	defer w.o.end()
 	idx := lt.AtomicIndexes()
 	if len(vals) != len(idx) {
 		return fmt.Errorf("object: %d atomic values, level has %d atomic attributes", len(vals), len(idx))
@@ -104,7 +104,7 @@ func (m *Manager) InsertMemberPos(tt *model.TableType, ref Ref, steps []Step, at
 	if err != nil {
 		return 0, err
 	}
-	defer o.done()
+	defer o.end()
 	h, err := o.rootHandle(tt, rootBody)
 	if err != nil {
 		return 0, err
@@ -248,7 +248,7 @@ func (m *Manager) DeleteMember(tt *model.TableType, ref Ref, steps []Step, attr,
 	if err != nil {
 		return err
 	}
-	defer o.done()
+	defer o.end()
 	h, err := o.rootHandle(tt, rootBody)
 	if err != nil {
 		return err
@@ -381,7 +381,7 @@ func (m *Manager) Delete(tt *model.TableType, ref Ref) error {
 	if err != nil {
 		return err
 	}
-	defer o.done()
+	defer o.end()
 	if err := m.freeLevel(o, tt, h); err != nil {
 		return err
 	}

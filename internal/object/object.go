@@ -39,6 +39,7 @@ import (
 	"repro/internal/dberr"
 	"repro/internal/model"
 	"repro/internal/page"
+	"repro/internal/segment"
 	"repro/internal/subtuple"
 )
 
@@ -153,24 +154,34 @@ func (m *Manager) loadCtx(ref Ref, asof int64) (*objCtx, []byte, error) {
 	return o, body, nil
 }
 
-// load starts the context on the object at ref as of an instant: it
-// views the root MD subtuple and decodes the envelope, the page list
-// into the context and the root node body into o.body, which it
+// load starts the context on the object at ref as of an instant
+// (viewRoot) and copies the root node body into o.body, which it
 // returns. The caller may keep the body until the context's next load.
 func (o *objCtx) load(ref Ref, asof int64) ([]byte, error) {
-	o.root, o.asof, o.win = ref, asof, o.m.st.Reader()
-	raw, err := o.viewTID(ref)
-	if err == nil {
-		var body []byte
-		if body, err = o.decodeEnvelope(raw); err == nil {
-			o.body = append(o.body[:0], body...)
-		}
-	}
-	o.done()
+	body, err := o.viewRoot(ref, asof)
 	if err != nil {
 		return nil, err
 	}
+	o.body = append(o.body[:0], body...)
+	o.done()
 	return o.body, nil
+}
+
+// viewRoot starts the context on the object at ref as of an instant: it
+// views the root MD subtuple, decodes the page list of its envelope
+// into the context and returns the root node body in place, valid until
+// done. On error the context is ended.
+func (o *objCtx) viewRoot(ref Ref, asof int64) ([]byte, error) {
+	o.root, o.asof, o.win = ref, asof, o.m.st.Reader()
+	raw, err := o.viewTID(ref)
+	if err == nil {
+		raw, err = o.decodeEnvelope(raw)
+	}
+	if err != nil {
+		o.end()
+		return nil, err
+	}
+	return raw, nil
 }
 
 // viewTID returns the payload of the subtuple at t in place, as of the
@@ -205,7 +216,12 @@ func (o *objCtx) view(mt page.MiniTID) ([]byte, error) {
 }
 
 // done ends the current view, if any.
-func (o *objCtx) done() { o.win.Done() }
+func (o *objCtx) done() { o.win.Release() }
+
+// end ends the context's work on its object: the current view, if any,
+// and the decode tally of its reader, which it adds to the store's
+// count (subtuple.Reader.Done) — once per object read, not per record.
+func (o *objCtx) end() { o.win.Done() }
 
 // envelope: [layout byte][pageCount uvarint][pageNo uint32 ...][body]
 func (o *objCtx) encodeEnvelope(body []byte) []byte {
@@ -271,10 +287,11 @@ func (o *objCtx) read(mt page.MiniTID) ([]byte, error) {
 // space as corruption: the page list and the MD pointers promised a
 // record at t, so any shape of failure there (unallocated page,
 // missing record aside) means the object structure lies. A pool out
-// of frames is not such a failure: it says nothing about the object,
-// which must not be quarantined for it.
+// of frames is not such a failure, nor is a transient device fault
+// that outlasted the store's retries: they say nothing about the
+// object, which must not be quarantined for them.
 func (o *objCtx) classify(t page.TID, err error) error {
-	if dberr.IsCorrupt(err) || errors.Is(err, subtuple.ErrNotFound) || errors.Is(err, buffer.ErrExhausted) {
+	if dberr.IsCorrupt(err) || errors.Is(err, subtuple.ErrNotFound) || errors.Is(err, buffer.ErrExhausted) || segment.IsTransient(err) {
 		return err
 	}
 	return dberr.Corruptf("object: broken pointer to %v: %v", t, err)

@@ -255,7 +255,8 @@ func nullAtoms(dst model.Tuple, slots []int) {
 // fetch is the one materializer: it builds the (sub)object under the
 // handle as a tuple of the full schema shape, reading only what ps
 // selects. Unrequested atomic attributes read as null and unrequested
-// subtables as empty tables; requested subtable levels carry their true
+// subtables as empty tables — as null too in an arena with reuse, whose
+// caller keeps atoms only; requested subtable levels carry their true
 // membership. Each subtuple is viewed in place, decoded into its
 // destination and let go before the next one is touched; nothing the
 // tuple references is shared with a page. The containers — the tuple,
@@ -279,7 +280,11 @@ func (o *objCtx) fetchInto(dst model.Tuple, tt *model.TableType, h *levelHandle,
 		sub := tt.Attrs[ti].Type.Table
 		sps := ps.sub(ti)
 		if sps == nil {
-			dst[ti] = o.table(sub.Ordered)
+			if o.reuse {
+				dst[ti] = model.Null{} // the caller keeps atoms only
+			} else {
+				dst[ti] = o.table(sub.Ordered)
+			}
 			continue
 		}
 		tbl, err := o.fetchSubtable(sub, h, gi, sps)
@@ -413,7 +418,7 @@ func (m *Manager) open(tt *model.TableType, ref Ref, asof int64, steps []Step) (
 			return o, lt, h, nil
 		}
 	}
-	o.done()
+	o.end()
 	return nil, nil, levelHandle{}, err
 }
 
@@ -424,7 +429,7 @@ func (m *Manager) ReadSubobject(tt *model.TableType, ref Ref, steps ...Step) (mo
 	if err != nil {
 		return nil, err
 	}
-	defer o.done()
+	defer o.end()
 	return o.fetch(lt, &lh, allSet)
 }
 
@@ -436,7 +441,7 @@ func (m *Manager) ReadSubtable(tt *model.TableType, ref Ref, attr int, steps ...
 	if err != nil {
 		return nil, err
 	}
-	defer o.done()
+	defer o.end()
 	gi, err := giOf(lt, attr)
 	if err != nil {
 		return nil, err
@@ -452,7 +457,7 @@ func (m *Manager) ReadAtomsAt(tt *model.TableType, ref Ref, steps ...Step) ([]mo
 	if err != nil {
 		return nil, err
 	}
-	defer o.done()
+	defer o.end()
 	return o.readAtoms(lh.d)
 }
 
@@ -466,7 +471,7 @@ func (m *Manager) ReadDataPath(ref Ref, dpath []page.MiniTID) ([]model.Value, er
 	if err != nil {
 		return nil, err
 	}
-	defer o.done()
+	defer o.end()
 	if len(dpath) == 0 {
 		return nil, fmt.Errorf("object: empty data path")
 	}
@@ -494,7 +499,7 @@ func (m *Manager) ObjectStats(tt *model.TableType, ref Ref) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	defer o.done()
+	defer o.end()
 	s := Stats{Layout: m.layout, MDSubtuples: 1, PageListLen: len(o.pages)}
 	raw, err := o.viewTID(ref)
 	if err != nil {
@@ -595,7 +600,7 @@ func (m *Manager) DataPathAt(tt *model.TableType, ref Ref, steps ...Step) ([]pag
 	if err != nil {
 		return nil, err
 	}
-	defer o.done()
+	defer o.end()
 	if len(steps) == 0 {
 		return []page.MiniTID{h.d}, nil
 	}
@@ -615,7 +620,7 @@ func (m *Manager) FindByDataPath(tt *model.TableType, ref Ref, dpath []page.Mini
 	if err != nil {
 		return nil, err
 	}
-	defer o.done()
+	defer o.end()
 	if len(dpath) == 1 && dpath[0] == h.d {
 		return []Step{}, nil
 	}
@@ -657,7 +662,7 @@ func (m *Manager) HistoryAt(tt *model.TableType, ref Ref, steps ...Step) ([]Atom
 	if err != nil {
 		return nil, err
 	}
-	defer o.done()
+	defer o.end()
 	tid, err := o.resolve(lh.d)
 	if err != nil {
 		return nil, err

@@ -86,7 +86,7 @@ func (m *Manager) walkTo(tt *model.TableType, ref Ref, steps []Step, probes []Pr
 		lt, h, err = o.locate(tt, h, steps, &w.path)
 	}
 	if err != nil {
-		w.o.done()
+		w.o.end()
 		return nil, nil, levelHandle{}, err
 	}
 	return w, lt, h, nil
@@ -108,7 +108,7 @@ func (m *Manager) WalkProbes(tt *model.TableType, ref Ref, steps []Step, probes 
 	if err != nil {
 		return err
 	}
-	defer w.o.done()
+	defer w.o.end()
 	w.fn = fn
 	return w.level(lt, &h)
 }

@@ -94,32 +94,81 @@ func operandString(x sql.Expr) string {
 	return fmt.Sprintf("%v", x)
 }
 
+// AccessList is the access choices of one top-level FROM item, in the
+// order of the WHERE conjuncts they answer. An execution intersects the
+// root sets of those that evaluate; its candidate list keeps the list
+// itself (exec.Candidates.Path) and renders the EXPLAIN text from it
+// only when asked (Why).
+type AccessList []AccessChoice
+
+// maxChoices bounds the choices an item records: exec.Candidates marks
+// the ones that answered in one word. Dropping a conjunct only widens
+// the candidate list, which the executor's WHERE re-test narrows again.
+const maxChoices = 64
+
+// Why implements exec.AccessPath: the choices marked in used, their
+// operands bound to params, joined by ∩, and the union with the objects
+// written since the snapshot when changed is set.
+func (l *AccessList) Why(used uint64, changed bool, params []model.Value) string {
+	var b strings.Builder
+	for j, c := range *l {
+		if used&(1<<j) == 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString(" ∩ ")
+		}
+		b.WriteString(c.why(params))
+	}
+	if changed {
+		b.WriteString(" ∪ written since the snapshot")
+	}
+	return b.String()
+}
+
+// why renders one choice that answered, its operand bound to params.
+func (c *AccessChoice) why(params []model.Value) string {
+	if c.Text {
+		return fmt.Sprintf("text index %s CONTAINS %q", c.Index, c.Mask)
+	}
+	val, _ := operandValue(c.Operand, params)
+	path := strings.Join(c.Path, ".")
+	if c.Op == "=" {
+		return fmt.Sprintf("index %s(%s)=%v", c.Index, path, val)
+	}
+	return fmt.Sprintf("index %s(%s) %s %v (range)", c.Index, path, c.Op, val)
+}
+
 // chooseAccess records the access choices for every item of a
-// top-level FROM list — a SELECT's or a DML statement's — keyed by item
-// index. Only uncorrelated stored tables read without an explicit ASOF
-// are considered: the indexes describe the current state, and nothing
-// records which entries an older instant had.
-func chooseAccess(from []sql.FromItem, where sql.Expr, rt exec.Runtime) map[int][]AccessChoice {
+// top-level FROM list — a SELECT's or a DML statement's — indexed by
+// item; nil when no item has one. Only uncorrelated stored tables read
+// without an explicit ASOF are considered: the indexes describe the
+// current state, and nothing records which entries an older instant
+// had.
+func chooseAccess(from []sql.FromItem, where sql.Expr, rt exec.Runtime) []AccessList {
 	if where == nil {
 		return nil
 	}
-	out := make(map[int][]AccessChoice)
+	var out []AccessList
 	for i, fi := range from {
 		if fi.Source.Table == "" || fi.AsOf != nil {
 			continue
 		}
-		var choices []AccessChoice
+		var choices AccessList
 		for _, conj := range conjuncts(where) {
+			if len(choices) == maxChoices {
+				break
+			}
 			if c, ok := tryConjunct(conj, fi.Var, fi.Source.Table, rt); ok {
 				choices = append(choices, c)
 			}
 		}
 		if len(choices) > 0 {
+			if out == nil {
+				out = make([]AccessList, len(from))
+			}
 			out[i] = choices
 		}
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }
@@ -132,83 +181,71 @@ func chooseAccess(from []sql.FromItem, where sql.Expr, rt exec.Runtime) map[int]
 // snapshot either still carries the entries that find it, or was
 // written since and is among the changed (DESIGN.md §5.1, "Access
 // paths per scope"). The executor re-tests the WHERE on whatever it
-// reads, so the union only has to be a superset.
-func evalAccess(access map[int][]AccessChoice, rt exec.Runtime, params []model.Value) map[int]*exec.Candidates {
-	if len(access) == 0 {
+// reads, so the union only has to be a superset. The result is indexed
+// by FROM item, nil when no choice evaluates; it holds the root sets
+// and which choices answered, and no text.
+func evalAccess(access []AccessList, rt exec.Runtime, params []model.Value) []exec.Candidates {
+	if access == nil {
 		return nil
 	}
 	changed, release := rt.IndexCut()
 	defer release()
-	out := make(map[int]*exec.Candidates)
-	for i, choices := range access {
-		var sets []rootSet
-		for _, c := range choices {
-			if s, ok := evalChoice(c, rt, params); ok {
-				sets = append(sets, s)
+	var out []exec.Candidates
+	for i := range access {
+		choices := &access[i]
+		var c exec.Candidates
+		for j := range *choices {
+			refs, ok := evalChoice(&(*choices)[j], rt, params)
+			if !ok {
+				continue
 			}
+			if c.Used == 0 {
+				c.Refs = refs
+			} else {
+				c.Refs = intersectRefs(c.Refs, refs)
+			}
+			c.Used |= 1 << j
 		}
-		if len(sets) == 0 {
+		if c.Used == 0 {
 			continue
 		}
-		refs := sets[0].refs
-		why := sets[0].why
-		for _, s := range sets[1:] {
-			refs = intersectRefs(refs, s.refs)
-			why += " ∩ " + s.why
-		}
 		if changed != nil {
-			if extra := changed(choices[0].Table); len(extra) > 0 {
-				refs = unionRefs(refs, extra)
-				why += " ∪ written since the snapshot"
+			if extra := changed((*choices)[0].Table); len(extra) > 0 {
+				c.Refs, c.Changed = unionRefs(c.Refs, extra), true
 			}
 		}
-		out[i] = &exec.Candidates{Refs: refs, Why: why}
-	}
-	if len(out) == 0 {
-		return nil
+		c.Path = choices
+		if out == nil {
+			out = make([]exec.Candidates, len(access))
+		}
+		out[i] = c
 	}
 	return out
 }
 
-type rootSet struct {
-	refs []page.TID
-	why  string
-}
-
 // evalChoice runs one access choice: resolve the operand, re-resolve
-// the index by name, and look up. Any failure reports not-ok and the
-// conjunct is answered by the scan instead.
-func evalChoice(c AccessChoice, rt exec.Runtime, params []model.Value) (rootSet, bool) {
+// the index by name, and look up the distinct roots. Any failure
+// reports not-ok and the conjunct is answered by the scan instead.
+func evalChoice(c *AccessChoice, rt exec.Runtime, params []model.Value) ([]page.TID, bool) {
 	if c.Text {
 		for _, ti := range rt.TextIndexes(c.Table) {
-			if ti.Name != c.Index {
-				continue
+			if ti.Name == c.Index {
+				return textindex.DistinctRoots(ti.Search(c.Mask)), true
 			}
-			addrs := ti.Search(c.Mask)
-			return rootSet{
-				refs: textindex.DistinctRoots(addrs),
-				why:  fmt.Sprintf("text index %s CONTAINS %q", ti.Name, c.Mask),
-			}, true
 		}
-		return rootSet{}, false
+		return nil, false
 	}
 	val, ok := operandValue(c.Operand, params)
 	if !ok {
-		return rootSet{}, false
+		return nil, false
 	}
 	for _, ix := range rt.Indexes(c.Table) {
 		if ix.Name != c.Index || ix.Kind == index.DataTID {
 			continue
 		}
 		if c.Op == "=" {
-			addrs, err := ix.Lookup(val)
-			if err != nil {
-				return rootSet{}, false
-			}
-			return rootSet{
-				refs: index.DistinctRoots(addrs),
-				why:  fmt.Sprintf("index %s(%s)=%v", ix.Name, strings.Join(c.Path, "."), val),
-			}, true
+			refs, err := ix.LookupRoots(val)
+			return refs, err == nil
 		}
 		var lo, hi model.Value
 		switch c.Op {
@@ -217,21 +254,18 @@ func evalChoice(c AccessChoice, rt exec.Runtime, params []model.Value) (rootSet,
 		case ">", ">=":
 			lo = val
 		default:
-			return rootSet{}, false
+			return nil, false
 		}
 		var addrs []index.Addr
 		if err := ix.LookupRange(lo, hi, func(as []index.Addr) bool {
 			addrs = append(addrs, as...)
 			return true
 		}); err != nil {
-			return rootSet{}, false
+			return nil, false
 		}
-		return rootSet{
-			refs: index.DistinctRoots(addrs),
-			why:  fmt.Sprintf("index %s(%s) %s %v (range)", ix.Name, strings.Join(c.Path, "."), c.Op, val),
-		}, true
+		return index.DistinctRoots(addrs), true
 	}
-	return rootSet{}, false
+	return nil, false
 }
 
 // operandValue resolves a choice operand: literals carry their value,

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/exec"
 	"repro/internal/model"
+	"repro/internal/page"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/testdata"
@@ -48,9 +48,15 @@ func openIndexed(t testing.TB) *engine.DB {
 	return db
 }
 
+// choice is the candidate list of one FROM item with its EXPLAIN text.
+type choice struct {
+	Refs []page.TID
+	Why  string
+}
+
 // choose binds q as an ad hoc statement and evaluates its access
-// choices against the auto-commit runtime.
-func choose(t *testing.T, db *engine.DB, q string) map[int]*exec.Candidates {
+// choices against the auto-commit runtime, keyed by FROM item.
+func choose(t *testing.T, db *engine.DB, q string) map[int]*choice {
 	t.Helper()
 	st, err := sql.ParseOneStmt(q)
 	if err != nil {
@@ -60,7 +66,17 @@ func choose(t *testing.T, db *engine.DB, q string) map[int]*exec.Candidates {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.Candidates(db.Runtime(), nil)
+	var out map[int]*choice
+	for i, c := range p.Candidates(db.Runtime(), nil) {
+		if c.Path == nil {
+			continue
+		}
+		if out == nil {
+			out = make(map[int]*choice)
+		}
+		out[i] = &choice{Refs: c.Refs, Why: c.Why(nil)}
+	}
+	return out
 }
 
 func TestChooseDirectEquality(t *testing.T) {

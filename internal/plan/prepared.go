@@ -48,8 +48,9 @@ type Prepared struct {
 	// nil. Embedded, so that its select (Sel), result schema (Type) and
 	// root path sets (Paths) read as fields of the plan.
 	*exec.Block
-	// Access holds the access-path choices per top-level FROM item.
-	Access map[int][]AccessChoice
+	// Access holds the access-path choices per top-level FROM item,
+	// indexed by item; nil when no item has any.
+	Access []AccessList
 }
 
 // Prepare runs the bind/plan phase for the plan cache: it binds the
@@ -108,10 +109,11 @@ func plannedStmt(st sql.Statement) sql.Statement {
 
 // Candidates evaluates the plan's access choices against the live
 // runtime and the bound parameters, yielding the candidate root sets
-// for this execution. Indexes are re-resolved by name, so a choice
-// whose index has since been dropped or degraded quietly widens to a
-// full scan — a stale plan can never touch a quarantined index.
-func (p *Prepared) Candidates(rt exec.Runtime, params []model.Value) map[int]*exec.Candidates {
+// for this execution, indexed by FROM item. Indexes are re-resolved by
+// name, so a choice whose index has since been dropped or degraded
+// quietly widens to a full scan — a stale plan can never touch a
+// quarantined index.
+func (p *Prepared) Candidates(rt exec.Runtime, params []model.Value) []exec.Candidates {
 	return evalAccess(p.Access, rt, params)
 }
 
@@ -123,6 +125,9 @@ func (p *Prepared) Describe(rt exec.Runtime) []string {
 	var lines []string
 	if from, _, ok := exec.FromList(plannedStmt(p.Stmt)); ok {
 		lines = p.Block.Describe(rt, from, func(i int) string {
+			if i >= len(p.Access) {
+				return ""
+			}
 			parts := make([]string, len(p.Access[i]))
 			for j, c := range p.Access[i] {
 				parts[j] = c.String()

@@ -261,7 +261,7 @@ func scrubComplexTable(db *engine.DB, t *catalog.Table, opts Options, r *Report)
 	rt := db.Runtime()
 	for _, ref := range refs {
 		r.ObjectsChecked++
-		tup, err := rt.OpenRef(t, ref, 0, nil)
+		tup, err := rt.OpenRef(t, ref, 0, nil, false)
 		if err != nil {
 			r.add(Finding{Kind: Object, Table: t.Name, Ref: ref.String(),
 				Detail: fmt.Sprintf("object does not materialize: %v", err)})

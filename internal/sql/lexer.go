@@ -103,9 +103,12 @@ func (lt *lineTracker) at(off int) (line, col int) {
 
 // Lex splits the input into tokens. Every token carries its byte
 // offset and 1-based line/column position, so parse errors can point
-// at the offending token.
+// at the offending token. The token slice is sized once from the input
+// length: statements average well over two bytes a token (keywords,
+// names and the spaces between them), so only input denser than that
+// grows it.
 func Lex(input string) ([]Token, error) {
-	var toks []Token
+	toks := make([]Token, 0, len(input)/2+2)
 	lt := &lineTracker{input: input}
 	i := 0
 	n := len(input)

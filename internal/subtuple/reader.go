@@ -7,6 +7,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/dberr"
 	"repro/internal/page"
+	"repro/internal/segment"
 )
 
 // window is the number of pages a Reader remembers. A complex
@@ -52,6 +53,10 @@ type Reader struct {
 	next    int           // the slot a new page replaces: oldest first
 	latched *buffer.Frame // frame whose shared latch the current View holds
 	pinned  *buffer.Frame // frame pinned for the current View, if any
+	// tally counts the records parsed since the last Done, which adds it
+	// to the store's decode count: one write of the shared counter per
+	// read, not one per record.
+	tally uint64
 }
 
 // Reader returns an empty reader over the store.
@@ -91,12 +96,12 @@ func (r *Reader) record(t page.TID) ([]byte, error) {
 		// A reference into an all-zero page means the page was zeroed
 		// underneath us (lost write, zeroed sector), not that the record
 		// is absent.
-		r.Done()
+		r.Release()
 		return nil, dberr.Corruptf("subtuple: reference %v into uninitialized page %d.%d", t, r.s.seg, t.Page)
 	}
 	rec, err := f.Page.Read(t.Slot)
 	if err != nil {
-		r.Done()
+		r.Release()
 		return nil, ErrNotFound
 	}
 	return rec, nil
@@ -110,8 +115,8 @@ const Current int64 = math.MaxInt64
 // down to the state visible at instant asof (Current: the newest) —
 // and returns the payload in place. ok is false when no record is
 // visible: a tombstone, or a subtuple that did not exist at asof. After a
-// successful View with ok the caller must call Done before the next
-// View; the payload is dead after Done. A record with an overflow
+// successful View with ok the caller must call Release or Done before
+// the next View; the payload is dead after either. A record with an overflow
 // chain is assembled into a fresh slice by the copying fallback.
 //
 // The walk takes a version's jump pointer whenever its target is still
@@ -122,13 +127,13 @@ func (r *Reader) View(t page.TID, asof int64) (payload []byte, ok bool, err erro
 	if err != nil {
 		return nil, false, err
 	}
-	d, err := r.s.decodeHeader(rec)
+	d, err := r.header(rec)
 	if err != nil {
-		r.Done()
+		r.Release()
 		return nil, false, err
 	}
 	for d.flags&fVer != 0 && d.fromTS > asof {
-		r.Done()
+		r.Release()
 		if d.prev.Nil() {
 			return nil, false, nil // did not exist yet
 		}
@@ -137,13 +142,13 @@ func (r *Reader) View(t page.TID, asof int64) (payload []byte, ok bool, err erro
 		}
 	}
 	if d.flags&fLong != 0 {
-		r.Done()
+		r.Release()
 		if d.payload, err = r.s.readLong(d); err != nil {
 			return nil, false, err
 		}
 	}
 	if d.flags&fTomb != 0 {
-		r.Done()
+		r.Release()
 		return nil, false, nil
 	}
 	return d.payload, true, nil
@@ -162,12 +167,12 @@ func (r *Reader) hop(d decoded, viaJump bool) (decoded, error) {
 		// A version that cannot be read is lost history.
 		return decoded{}, broken("version chain", err)
 	}
-	n, err := r.s.decodeHeader(rec)
+	n, err := r.header(rec)
 	if err == nil {
 		err = checkHop(d, n, viaJump, at)
 	}
 	if err != nil {
-		r.Done()
+		r.Release()
 		return decoded{}, err
 	}
 	return n, nil
@@ -182,25 +187,26 @@ func (r *Reader) resolve(t page.TID) (page.TID, []byte, error) {
 			// The anchor may simply not exist (caller's problem), but a
 			// forwarding stub promised a record at t: any failure past
 			// hop 0 is a broken forwarding chain, i.e. corruption — unless
-			// it only says the pool is out of frames.
-			if hop > 0 && !dberr.IsCorrupt(err) && !errors.Is(err, ErrNotFound) && !errors.Is(err, buffer.ErrExhausted) {
+			// it only says the pool is out of frames or the device failed
+			// transiently.
+			if hop > 0 && !dberr.IsCorrupt(err) && !errors.Is(err, ErrNotFound) && !errors.Is(err, buffer.ErrExhausted) && !segment.IsTransient(err) {
 				return page.TID{}, nil, dberr.Corruptf("subtuple: broken forwarding chain at %v: %v", t, err)
 			}
 			return page.TID{}, nil, err
 		}
 		if len(rec) == 0 {
-			r.Done()
+			r.Release()
 			return page.TID{}, nil, dberr.Corruptf("subtuple: empty record at %v", t)
 		}
 		if rec[0]&fFwd == 0 {
 			return t, rec, nil
 		}
 		if hop > 8 {
-			r.Done()
+			r.Release()
 			return page.TID{}, nil, dberr.Corruptf("subtuple: forwarding loop at %v", t)
 		}
 		next, err := page.DecodeTID(rec[1:])
-		r.Done()
+		r.Release()
 		if err != nil {
 			return page.TID{}, nil, dberr.Corruptf("subtuple: corrupt forwarding stub at %v: %v", t, err)
 		}
@@ -208,10 +214,31 @@ func (r *Reader) resolve(t page.TID) (page.TID, []byte, error) {
 	}
 }
 
-// Done ends the current View: the shared latch is dropped, then the
+// header parses a record's header (parseHeader), counting it in the
+// reader's tally.
+func (r *Reader) header(rec []byte) (decoded, error) {
+	if len(rec) > 0 {
+		r.tally++
+	}
+	return parseHeader(rec)
+}
+
+// Done ends the current View (Release) and adds the records parsed
+// since the last Done to the store's decode count. A reader that views
+// many records for one read — an object's — releases each view and
+// calls Done once at the end.
+func (r *Reader) Done() {
+	r.Release()
+	if r.tally != 0 {
+		r.s.decoded.Add(r.tally)
+		r.tally = 0
+	}
+}
+
+// Release ends the current View: the shared latch is dropped, then the
 // pin the View took, if any. The payload must not be touched again. A
 // no-op when nothing is latched.
-func (r *Reader) Done() {
+func (r *Reader) Release() {
 	if r.latched != nil {
 		r.latched.RUnlatch()
 		r.latched = nil

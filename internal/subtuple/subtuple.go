@@ -87,7 +87,10 @@ type Store struct {
 	hint       uint32   // last page that accepted an insert
 	candidates []uint32 // pages known to have reclaimed space
 
-	nDecoded atomic.Uint64 // records decoded since store creation
+	// decoded counts the records decoded since store creation: own, or
+	// the tally Config.Decoded names.
+	decoded *atomic.Uint64
+	own     atomic.Uint64
 
 	// applyTxn/applyTS are the transaction apply context: while a
 	// transaction's write set is applied (always under the engine's
@@ -110,11 +113,18 @@ type Config struct {
 	Versioned bool
 	// Clock supplies version timestamps; required when Versioned.
 	Clock func() int64
+	// Decoded is the tally the store counts its decoded records in, which
+	// stores may share (an engine counts all its tables in one); nil
+	// gives the store a tally of its own.
+	Decoded *atomic.Uint64
 }
 
 // New creates a store over a registered segment.
 func New(cfg Config) *Store {
-	s := &Store{pool: cfg.Pool, seg: cfg.Seg, log: cfg.Log, versioned: cfg.Versioned, clock: cfg.Clock}
+	s := &Store{pool: cfg.Pool, seg: cfg.Seg, log: cfg.Log, versioned: cfg.Versioned, clock: cfg.Clock, decoded: cfg.Decoded}
+	if s.decoded == nil {
+		s.decoded = &s.own
+	}
 	if s.versioned && s.clock == nil {
 		// Deliberately a panic, not an error: this is a construction-time
 		// misconfiguration by the embedding code (the engine always
@@ -136,9 +146,11 @@ func (s *Store) Segment() segment.ID { return s.seg }
 func (s *Store) Versioned() bool { return s.versioned }
 
 // DecodeCount returns the number of subtuple records decoded since
-// the store was created. The counter only grows; callers snapshot it
-// around a statement to obtain per-statement figures.
-func (s *Store) DecodeCount() uint64 { return s.nDecoded.Load() }
+// the store was created — in all the stores that share its tally
+// (Config.Decoded). The counter only grows; callers snapshot it around
+// a statement to obtain per-statement figures. A Reader's decodes count
+// from its Done on.
+func (s *Store) DecodeCount() uint64 { return s.decoded.Load() }
 
 // now returns the version timestamp for the current operation: the
 // transaction commit timestamp while an apply context is set, a fresh
@@ -397,15 +409,24 @@ type decoded struct {
 	first page.TID
 }
 
-// decodeHeader parses the record's header without copying anything:
+// decodeHeader is parseHeader for a record read by copying: it counts
+// the record as decoded at once. A Reader counts the records it parses
+// in a tally of its own and publishes it at Done.
+func (s *Store) decodeHeader(rec []byte) (decoded, error) {
+	if len(rec) > 0 {
+		s.decoded.Add(1)
+	}
+	return parseHeader(rec)
+}
+
+// parseHeader parses the record's header without copying anything:
 // payload aliases rec. For an fLong record payload is nil and
 // total/first describe the overflow chain, which readLong assembles.
-// This is the one place a record counts as decoded.
-func (s *Store) decodeHeader(rec []byte) (decoded, error) {
+// Every non-empty record it is given counts as decoded, by its caller.
+func parseHeader(rec []byte) (decoded, error) {
 	if len(rec) == 0 {
 		return decoded{}, dberr.Corruptf("subtuple: empty record")
 	}
-	s.nDecoded.Add(1)
 	d := decoded{flags: rec[0]}
 	p := rec[1:]
 	if d.flags&fVer != 0 {
@@ -579,13 +600,15 @@ func (s *Store) freeOverflow(d decoded) error {
 // broken reports the failed read of a record that another record
 // points at. The pointer promised a record, so a dangling chunk or
 // version reference is lost data — classified corruption — however the
-// read failed (missing record, unallocated page). The one exception is
-// a pool out of frames, which says nothing about the record.
+// read failed (missing record, unallocated page). The exceptions say
+// nothing about the record: a pool out of frames, and a transient
+// device fault that outlasted the store's retries, which is passed on
+// as what it is.
 func broken(chain string, err error) error {
 	switch {
 	case errors.Is(err, buffer.ErrExhausted):
 		return err
-	case dberr.IsCorrupt(err):
+	case dberr.IsCorrupt(err), segment.IsTransient(err):
 		return fmt.Errorf("subtuple: broken %s: %w", chain, err)
 	}
 	return dberr.Corruptf("subtuple: broken %s: %v", chain, err)
