@@ -416,7 +416,9 @@ func (db *DB) explain(ctx context.Context, ex *exec.Executor, p *plan.Prepared, 
 	stats := db.since(start)
 	stats.Rows = rows
 	var b strings.Builder
-	for _, line := range cur.AccessPlan() {
+	for _, line := range cur.AccessPlan(func(i int, cd *exec.Candidates) string {
+		return p.Access[i].Why(cd.Used, cd.Changed, args)
+	}) {
 		b.WriteString(line)
 		b.WriteByte('\n')
 	}

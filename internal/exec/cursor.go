@@ -83,7 +83,7 @@ func (p *pipeline) init(e *Executor, ctx context.Context, items []sql.FromItem, 
 // cand returns the candidate list of FROM item i, nil when the item is
 // scanned.
 func (p *pipeline) cand(i int) *Candidates {
-	if i < len(p.cands) && p.cands[i].Path != nil {
+	if i < len(p.cands) && p.cands[i].Used != 0 {
 		return &p.cands[i]
 	}
 	return nil
@@ -346,10 +346,12 @@ func (c *Cursor) Type() *model.TableType { return c.blk.Type }
 
 // AccessPlan renders the block tree with the chosen access path of each
 // top-level FROM item (Block.Describe), on demand: only EXPLAIN asks.
-func (c *Cursor) AccessPlan() []string {
+// why renders the access path of item i from its candidate list; the
+// planner that made the list knows the choices it marks.
+func (c *Cursor) AccessPlan(why func(i int, cd *Candidates) string) []string {
 	return c.blk.Describe(c.e.RT, c.sel.From, func(i int) string {
 		if cd := c.pipe.cand(i); cd != nil {
-			return fmt.Sprintf("%s -> %d candidate object(s)", cd.Why(c.scope.params), len(cd.Refs))
+			return fmt.Sprintf("%s -> %d candidate object(s)", why(i, cd), len(cd.Refs))
 		}
 		return ""
 	})

@@ -94,30 +94,15 @@ type ScanCursor interface {
 // Candidates restricts the scan of one FROM item to a pre-computed
 // reference list, produced by the planner from index information. The
 // candidate lists of a statement are a slice indexed by FROM item; an
-// element whose Path is nil (or a nil slice) leaves its item to a scan.
+// element whose Used is zero (or a nil slice) leaves its item to a scan.
+// Used marks the planner's access choices of the item that answered (bit
+// j: choice j), Changed that the references written since the snapshot
+// joined the list. An execution keeps only these; the text EXPLAIN
+// prints is rendered from them by the planner, when asked.
 type Candidates struct {
-	Refs []page.TID
-	// Path is the access path the list came from. Used marks the choices
-	// of Path that answered (bit j: choice j), Changed that the references
-	// written since the snapshot joined the list. An execution keeps only
-	// these; the text EXPLAIN prints is rendered from them by Why.
-	Path    AccessPath
+	Refs    []page.TID
 	Used    uint64
 	Changed bool
-}
-
-// Why describes the access path for EXPLAIN output, with the operands
-// bound to params.
-func (c *Candidates) Why(params []model.Value) string {
-	return c.Path.Why(c.Used, c.Changed, params)
-}
-
-// AccessPath is the planner's access path of one FROM item: its index
-// choices, which Why renders — those marked in used, their operands
-// bound to params, and the union with the references written since the
-// snapshot when changed is set.
-type AccessPath interface {
-	Why(used uint64, changed bool, params []model.Value) string
 }
 
 // Executor binds statements (Bind) and runs bound ones (OpenPrepared,

@@ -251,16 +251,18 @@ func (t *BTree) Search(key []byte) []Addr {
 }
 
 // SearchRoots returns the distinct roots of key's address list
-// (DistinctRoots), read under the tree's lock: Search without the copy
-// of the list.
+// (DistinctRoots): Search copying only the root TIDs under the tree's
+// lock, and deduplicating them after it is released.
 func (t *BTree) SearchRoots(key []byte) []page.TID {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
 	l, i := t.findLeaf(key)
 	if l == nil {
+		t.mu.RUnlock()
 		return nil
 	}
-	return DistinctRoots(l.posts[i])
+	roots := rootsOf(l.posts[i])
+	t.mu.RUnlock()
+	return distinct(roots)
 }
 
 func (t *BTree) findLeaf(key []byte) (*leaf, int) {

@@ -175,8 +175,8 @@ func (ix *Index) Lookup(v model.Value) ([]Addr, error) {
 }
 
 // LookupRoots returns the distinct complex objects of the address list
-// for an exact key value (DistinctRoots of Lookup), without copying the
-// list on the way: a point probe's one allocation is its result.
+// for an exact key value (DistinctRoots of Lookup), copying only the
+// roots out of the tree: a point probe's one allocation is its result.
 func (ix *Index) LookupRoots(v model.Value) ([]page.TID, error) {
 	var buf [keyBuf]byte
 	key, err := model.AppendKeyValue(buf[:0], v)
@@ -213,35 +213,37 @@ func (ix *Index) LookupRange(lo, hi model.Value, fn func(addrs []Addr) bool) err
 // DistinctRoots deduplicates an address list to the distinct complex
 // objects it references — the "multiple access to the same complex
 // object can be avoided" property of root-TID and hierarchical
-// addresses (§4.2). A short list is deduplicated by comparison, a long
-// one through a set.
+// addresses (§4.2).
 func DistinctRoots(addrs []Addr) []page.TID {
-	out := make([]page.TID, 0, len(addrs))
-	if len(addrs) <= shortList {
-	next:
-		for _, a := range addrs {
-			for _, r := range out {
-				if r == a.TID {
-					continue next
-				}
-			}
-			out = append(out, a.TID)
-		}
-		return out
+	return distinct(rootsOf(addrs))
+}
+
+// rootsOf copies the root TIDs of an address list into a fresh slice.
+func rootsOf(addrs []Addr) []page.TID {
+	roots := make([]page.TID, len(addrs))
+	for i, a := range addrs {
+		roots[i] = a.TID
 	}
-	seen := make(map[page.TID]bool, len(addrs))
-	for _, a := range addrs {
-		if !seen[a.TID] {
-			seen[a.TID] = true
-			out = append(out, a.TID)
+	return roots
+}
+
+// distinct drops repeated roots in place, keeping first occurrences in
+// order. A list of one root — a unique key's posting, which every point
+// probe reads — has nothing to drop and builds no set.
+func distinct(roots []page.TID) []page.TID {
+	if len(roots) <= 1 {
+		return roots
+	}
+	seen := make(map[page.TID]bool, len(roots))
+	out := roots[:0]
+	for _, r := range roots {
+		if !seen[r] {
+			seen[r] = true
+			out = append(out, r)
 		}
 	}
 	return out
 }
-
-// shortList is the longest address list DistinctRoots deduplicates by
-// comparing every pair.
-const shortList = 16
 
 // IntersectByPrefix returns the pairs of addresses from as and bs
 // that refer to the same complex subobject at nesting depth k — the

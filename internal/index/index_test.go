@@ -337,3 +337,34 @@ func ExampleDistinctRoots() {
 	fmt.Println(len(DistinctRoots(addrs)))
 	// Output: 2
 }
+
+// TestDistinctRootsKeepsFirstOccurrences: deduplication keeps each root
+// once, in the order of its first address, and leaves the list it reads
+// alone.
+func TestDistinctRootsKeepsFirstOccurrences(t *testing.T) {
+	r := func(p uint32) Addr { return Addr{TID: page.TID{Page: p}} }
+	for _, tc := range []struct {
+		in   []Addr
+		want []uint32
+	}{
+		{nil, nil},
+		{[]Addr{r(7)}, []uint32{7}},
+		{[]Addr{r(1), r(2), r(1), r(3), r(2)}, []uint32{1, 2, 3}},
+	} {
+		in := append([]Addr(nil), tc.in...)
+		got := DistinctRoots(tc.in)
+		if len(got) != len(tc.want) {
+			t.Fatalf("DistinctRoots(%v) = %v, want pages %v", in, got, tc.want)
+		}
+		for i, p := range tc.want {
+			if got[i].Page != p {
+				t.Errorf("DistinctRoots(%v)[%d] = %v, want page %d", in, i, got[i], p)
+			}
+		}
+		for i := range in {
+			if tc.in[i].TID != in[i].TID {
+				t.Errorf("DistinctRoots changed its input at %d", i)
+			}
+		}
+	}
+}

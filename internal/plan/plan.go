@@ -96,9 +96,9 @@ func operandString(x sql.Expr) string {
 
 // AccessList is the access choices of one top-level FROM item, in the
 // order of the WHERE conjuncts they answer. An execution intersects the
-// root sets of those that evaluate; its candidate list keeps the list
-// itself (exec.Candidates.Path) and renders the EXPLAIN text from it
-// only when asked (Why).
+// root sets of those that evaluate; its candidate list marks which did
+// (exec.Candidates.Used), and Why renders the EXPLAIN text from the marks
+// only when asked.
 type AccessList []AccessChoice
 
 // maxChoices bounds the choices an item records: exec.Candidates marks
@@ -106,12 +106,12 @@ type AccessList []AccessChoice
 // the candidate list, which the executor's WHERE re-test narrows again.
 const maxChoices = 64
 
-// Why implements exec.AccessPath: the choices marked in used, their
-// operands bound to params, joined by ∩, and the union with the objects
-// written since the snapshot when changed is set.
-func (l *AccessList) Why(used uint64, changed bool, params []model.Value) string {
+// Why renders the access path of one execution: the choices marked in
+// used, their operands bound to params, joined by ∩, and the union with
+// the objects written since the snapshot when changed is set.
+func (l AccessList) Why(used uint64, changed bool, params []model.Value) string {
 	var b strings.Builder
-	for j, c := range *l {
+	for j, c := range l {
 		if used&(1<<j) == 0 {
 			continue
 		}
@@ -191,11 +191,10 @@ func evalAccess(access []AccessList, rt exec.Runtime, params []model.Value) []ex
 	changed, release := rt.IndexCut()
 	defer release()
 	var out []exec.Candidates
-	for i := range access {
-		choices := &access[i]
+	for i, choices := range access {
 		var c exec.Candidates
-		for j := range *choices {
-			refs, ok := evalChoice(&(*choices)[j], rt, params)
+		for j := range choices {
+			refs, ok := evalChoice(&choices[j], rt, params)
 			if !ok {
 				continue
 			}
@@ -210,11 +209,10 @@ func evalAccess(access []AccessList, rt exec.Runtime, params []model.Value) []ex
 			continue
 		}
 		if changed != nil {
-			if extra := changed((*choices)[0].Table); len(extra) > 0 {
+			if extra := changed(choices[0].Table); len(extra) > 0 {
 				c.Refs, c.Changed = unionRefs(c.Refs, extra), true
 			}
 		}
-		c.Path = choices
 		if out == nil {
 			out = make([]exec.Candidates, len(access))
 		}

@@ -68,13 +68,13 @@ func choose(t *testing.T, db *engine.DB, q string) map[int]*choice {
 	}
 	var out map[int]*choice
 	for i, c := range p.Candidates(db.Runtime(), nil) {
-		if c.Path == nil {
+		if c.Used == 0 {
 			continue
 		}
 		if out == nil {
 			out = make(map[int]*choice)
 		}
-		out[i] = &choice{Refs: c.Refs, Why: c.Why(nil)}
+		out[i] = &choice{Refs: c.Refs, Why: p.Access[i].Why(c.Used, c.Changed, nil)}
 	}
 	return out
 }

@@ -90,6 +90,11 @@ type lineTracker struct {
 	lineStart int // byte offset where the current line begins
 }
 
+// maxTokenHint bounds the tokens Lex reserves before it has read any:
+// every statement of the benchmark workloads and the paper's examples
+// fits, and a token is 48 bytes, so the bound is 12 KB.
+const maxTokenHint = 256
+
 func (lt *lineTracker) at(off int) (line, col int) {
 	for lt.pos < off && lt.pos < len(lt.input) {
 		if lt.input[lt.pos] == '\n' {
@@ -106,9 +111,11 @@ func (lt *lineTracker) at(off int) (line, col int) {
 // at the offending token. The token slice is sized once from the input
 // length: statements average well over two bytes a token (keywords,
 // names and the spaces between them), so only input denser than that
-// grows it.
+// grows it. The first reservation is capped at maxTokenHint, so that a
+// long statement — most often one long string literal — reserves no
+// more than a short one and grows only as its tokens arrive.
 func Lex(input string) ([]Token, error) {
-	toks := make([]Token, 0, len(input)/2+2)
+	toks := make([]Token, 0, min(len(input)/2+2, maxTokenHint))
 	lt := &lineTracker{input: input}
 	i := 0
 	n := len(input)
