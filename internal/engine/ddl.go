@@ -9,7 +9,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/object"
-	"repro/internal/page"
 	"repro/internal/textindex"
 )
 
@@ -221,39 +220,63 @@ func (db *DB) BuildShadowIndex(def *catalog.IndexDef) (*index.Index, *textindex.
 			return nil, nil, err
 		}
 	}
+	var newest int64
 	var err error
 	switch {
 	case t.Kind == catalog.Flat:
-		err = db.fillFlat(t, ix, ti)
+		newest, err = db.fillFlat(t, ix, ti)
 	case def.Text:
-		err = db.fill(t, nil, []*textindex.Index{ti})
+		newest, err = db.fill(t, nil, []*textindex.Index{ti})
 	default:
-		err = db.fill(t, []*index.Index{ix}, nil)
+		newest, err = db.fill(t, []*index.Index{ix}, nil)
 	}
 	if err != nil {
 		return nil, nil, err
+	}
+	// The index holds every entry of every instant from w on: from the
+	// newest version stamp the fill read, each record it indexed reads as
+	// it did, and every write this process made is stamped before a clock
+	// reading taken now.
+	w := max(db.opts.Clock(), newest)
+	if ti != nil {
+		ti.SetWatermark(w)
+	} else {
+		ix.Tree().SetWatermark(w)
 	}
 	return ix, ti, nil
 }
 
 // fillFlat builds a value index ix or a text index ti of a flat table:
-// the address is the tuple's TID.
-func (db *DB) fillFlat(t *catalog.Table, ix *index.Index, ti *textindex.Index) error {
+// the address is the tuple's TID. newest is the scan's
+// (flat.Cursor.Newest).
+func (db *DB) fillFlat(t *catalog.Table, ix *index.Index, ti *textindex.Index) (newest int64, err error) {
 	ai := -1
 	if ti != nil {
 		if ai = t.Type.AttrIndex(ti.Path[0]); ai < 0 || len(ti.Path) != 1 {
-			return fmt.Errorf("engine: bad text index path %v on flat table", ti.Path)
+			return 0, fmt.Errorf("engine: bad text index path %v on flat table", ti.Path)
 		}
 	}
-	return db.flats[t.Name].Scan(func(tid page.TID, tup model.Tuple) error {
-		if ix != nil {
-			return ix.AddFlat(tid, tup, t.Type)
+	c, err := db.flats[t.Name].NewCursor(0)
+	if err != nil {
+		return 0, err
+	}
+	defer c.Close()
+	for {
+		tid, tup, ok, err := c.Next()
+		if err != nil {
+			return 0, err
 		}
-		if s, ok := tup[ai].(model.Str); ok {
+		if !ok {
+			return c.Newest(), nil
+		}
+		if ix != nil {
+			if err := ix.AddFlat(tid, tup, t.Type); err != nil {
+				return 0, err
+			}
+		} else if s, ok := tup[ai].(model.Str); ok {
 			ti.Add(string(s), index.Addr{TID: tid})
 		}
-		return nil
-	})
+	}
 }
 
 // RebuildIndex drops the live incarnation of a cataloged index and

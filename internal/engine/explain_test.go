@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -28,17 +29,7 @@ func TestPreparedExplainRendersCandidates(t *testing.T) {
 	}
 	line := func(res Result, err error) string {
 		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range strings.Split(res.Message, "\n") {
-			if strings.HasPrefix(l, "x IN T: ") {
-				l, _, _ = strings.Cut(l, ", fetch")
-				return l
-			}
-		}
-		t.Fatalf("no access line for x in %q", res.Message)
-		return ""
+		return accessLine(t, res, err)
 	}
 	adhoc := func(q string) (Result, error) {
 		res, err := db.Exec(q)
@@ -76,5 +67,70 @@ func TestPreparedExplainRendersCandidates(t *testing.T) {
 	want := "x IN T: index TA(A)=9 ∩ index TC(C) > 5 (range) ∪ written since the snapshot -> 1 candidate object(s)"
 	if got != want {
 		t.Errorf("in a transaction:\n got %q\nwant %q", got, want)
+	}
+}
+
+// accessLine returns the access line of FROM item x over table T in an
+// EXPLAIN result, up to its fetch set.
+func accessLine(t *testing.T, res Result, err error) string {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range strings.Split(res.Message, "\n") {
+		if strings.HasPrefix(l, "x IN T: ") {
+			l, _, _ = strings.Cut(l, ", fetch")
+			return l
+		}
+	}
+	t.Fatalf("no access line for x in %q", res.Message)
+	return ""
+}
+
+// TestExplainASOFDecision: EXPLAIN of an item read at an ASOF instant
+// names the index and the instant when the index answered, and the
+// index's watermark when the instant lies before it and the item was
+// scanned — prepared and ad hoc alike.
+func TestExplainASOFDecision(t *testing.T) {
+	ts := int64(0)
+	db, err := Open(Options{Clock: func() int64 { ts++; return ts }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE T (A INT, B STRING) VERSIONED; INSERT INTO T VALUES (1, 'a'), (2, 'b')`)
+	before := db.Now()
+	mustExec(t, db, `CREATE INDEX TA ON T (A)`)
+	after := db.Now()
+	ix, _ := db.IndexByName("TA")
+	w := ix.Watermark()
+	explain := func(q string, args ...model.Value) string {
+		t.Helper()
+		ps, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ps.Exec(args...)
+		return accessLine(t, res, err)
+	}
+	adhoc := func(q string) string {
+		t.Helper()
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return accessLine(t, res[0], nil)
+	}
+	used := fmt.Sprintf("x IN T: index TA(A)=2 at %d -> 1 candidate object(s)", after)
+	scanned := fmt.Sprintf("x IN T: scan: index TA holds no entries before %d", w)
+	for _, c := range []struct{ name, got, want string }{
+		{"prepared, after the build", explain(fmt.Sprintf(`EXPLAIN SELECT x.B FROM x IN T ASOF %d WHERE x.A = ?`, after), model.Int(2)), used},
+		{"ad hoc, after the build", adhoc(fmt.Sprintf(`EXPLAIN SELECT x.B FROM x IN T ASOF %d WHERE x.A = 2`, after)), used},
+		{"prepared, before the build", explain(fmt.Sprintf(`EXPLAIN SELECT x.B FROM x IN T ASOF %d WHERE x.A = ?`, before), model.Int(2)), scanned},
+		{"ad hoc, before the build", adhoc(fmt.Sprintf(`EXPLAIN SELECT x.B FROM x IN T ASOF %d WHERE x.A = 2`, before)), scanned},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s:\n got %q\nwant %q", c.name, c.got, c.want)
+		}
 	}
 }

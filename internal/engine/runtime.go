@@ -67,8 +67,8 @@ func (r *runtime) Table(name string) (*catalog.Table, bool) { return r.db.cat.Ta
 // and a transaction reads through them under the rule IndexCut states.
 // A replica horizon (snap.ts) exposes none: its applier redoes page
 // writes only and maintains no index (promotion rebuilds them). An
-// explicit ASOF never gets here — the planner keeps ASOF items on the
-// scan.
+// explicit ASOF gets them too: each answers a lookup at an instant no
+// earlier than its watermark, before which the planner scans.
 func (r *runtime) Indexes(table string) []*index.Index {
 	if r.snap.ts != 0 {
 		return nil
@@ -165,7 +165,7 @@ func (db *DB) Refs(table string) ([]page.TID, error) {
 		})
 		return refs, db.guardRead(table, page.TID{}, err)
 	}
-	refs, err := db.dirRefs(t)
+	refs, _, err := db.dirRefs(t)
 	return refs, db.guardDir(table, err)
 }
 
@@ -200,14 +200,21 @@ func (db *DB) Insert(table string, tup model.Tuple) error {
 }
 
 // indexFlat adds (or removes) one flat tuple's entries in all the
-// table's value and text indexes.
+// table's value and text indexes. A removal follows the storage change
+// that made the entries stale, and first raises each index's watermark
+// to a clock reading taken now (index.BTree).
 func (db *DB) indexFlat(t *catalog.Table, tid page.TID, tup model.Tuple, add bool) error {
 	live := db.live[t.Name]
+	var at int64
+	if !add {
+		at = db.opts.Clock()
+	}
 	for _, ix := range live.value {
 		var err error
 		if add {
 			err = ix.AddFlat(tid, tup, t.Type)
 		} else {
+			ix.Tree().Raise(at)
 			err = ix.RemoveFlat(tid, tup, t.Type)
 		}
 		if err != nil {
@@ -222,6 +229,7 @@ func (db *DB) indexFlat(t *catalog.Table, tid page.TID, tup model.Tuple, add boo
 		if add {
 			ti.Add(string(s), index.Addr{TID: tid})
 		} else {
+			ti.Raise(at)
 			ti.Remove(string(s), index.Addr{TID: tid})
 		}
 	}
@@ -246,14 +254,14 @@ func (db *DB) Delete(table string, ref page.TID) error {
 		if err != nil {
 			return db.guardRead(table, ref, err)
 		}
-		if err := db.indexFlat(t, ref, tup, false); err != nil {
+		if err := fs.Delete(ref); err != nil {
 			return err
 		}
-		return fs.Delete(ref)
+		return db.indexFlat(t, ref, tup, false)
 	}
 	m := db.mgrs[table]
 	d := newDelta(db.live[table], ref)
-	if err := d.walk(m, t.Type, nil, false); err != nil {
+	if _, err := d.walk(m, t.Type, nil, false); err != nil {
 		return db.guardRead(table, ref, err)
 	}
 	if err := db.dirRemove(t, ref); err != nil {
@@ -262,7 +270,7 @@ func (db *DB) Delete(table string, ref page.TID) error {
 	if err := m.Delete(t.Type, ref); err != nil {
 		return db.guardRead(table, ref, err)
 	}
-	d.apply()
+	d.apply(db.opts.Clock)
 	return nil
 }
 
@@ -285,10 +293,10 @@ func (db *DB) UpdateAtoms(table string, ref page.TID, steps []object.Step, vals 
 		if err != nil {
 			return db.guardRead(table, ref, err)
 		}
-		if err := db.indexFlat(t, ref, old, false); err != nil {
+		if err := fs.Update(ref, model.Tuple(vals)); err != nil {
 			return err
 		}
-		if err := fs.Update(ref, model.Tuple(vals)); err != nil {
+		if err := db.indexFlat(t, ref, old, false); err != nil {
 			return err
 		}
 		return db.indexFlat(t, ref, model.Tuple(vals), true)
@@ -297,7 +305,7 @@ func (db *DB) UpdateAtoms(table string, ref page.TID, steps []object.Step, vals 
 	if err := db.mgrs[table].UpdateAtomsProbed(t.Type, ref, steps, vals, d.ix.probes, d.update); err != nil {
 		return db.guardRead(table, ref, err)
 	}
-	d.apply()
+	d.apply(db.opts.Clock)
 	return nil
 }
 
@@ -313,10 +321,10 @@ func (db *DB) InsertMember(table string, ref page.TID, steps []object.Step, attr
 		return db.guardRead(table, ref, err)
 	}
 	d := newDelta(db.live[table], ref)
-	if err := d.walk(m, t.Type, d.member(steps, attr, pos), true); err != nil {
+	if _, err := d.walk(m, t.Type, d.member(steps, attr, pos), true); err != nil {
 		return db.guardRead(table, ref, err)
 	}
-	d.apply()
+	d.apply(db.opts.Clock)
 	return nil
 }
 
@@ -328,13 +336,13 @@ func (db *DB) DeleteMember(table string, ref page.TID, steps []object.Step, attr
 	}
 	m := db.mgrs[table]
 	d := newDelta(db.live[table], ref)
-	if err := d.walk(m, t.Type, d.member(steps, attr, pos), false); err != nil {
+	if _, err := d.walk(m, t.Type, d.member(steps, attr, pos), false); err != nil {
 		return db.guardRead(table, ref, err)
 	}
 	if err := m.DeleteMember(t.Type, ref, steps, attr, pos); err != nil {
 		return db.guardRead(table, ref, err)
 	}
-	d.apply()
+	d.apply(db.opts.Clock)
 	return nil
 }
 
@@ -364,9 +372,9 @@ func (db *DB) RegisterImported(t *catalog.Table, ref page.TID) error {
 		return db.guardDir(t.Name, err)
 	}
 	d := newDelta(db.live[t.Name], ref)
-	if err := d.walk(db.mgrs[t.Name], t.Type, nil, true); err != nil {
+	if _, err := d.walk(db.mgrs[t.Name], t.Type, nil, true); err != nil {
 		return db.guardRead(t.Name, ref, err)
 	}
-	d.apply()
+	d.apply(db.opts.Clock)
 	return nil
 }

@@ -206,17 +206,27 @@ func (db *DB) openDir(t *catalog.Table, asof int64) dirCursor {
 	return dirCursor{st: db.stores[t.Seg], cur: t.DirHead, asof: asof}
 }
 
-// dirRefs lists the object roots currently in the table's directory.
-func (db *DB) dirRefs(t *catalog.Table) ([]page.TID, error) {
-	dc := db.openDir(t, 0)
-	var refs []page.TID
-	for {
-		ref, ok, err := dc.next()
-		if err != nil || !ok {
-			return refs, err
+// dirRefs lists the object roots currently in the table's directory,
+// and the newest version stamp among its chunks (subtuple.Reader.Newest).
+func (db *DB) dirRefs(t *catalog.Table) (refs []page.TID, newest int64, err error) {
+	rd := db.stores[t.Seg].Reader()
+	defer rd.Done()
+	for cur := t.DirHead; !cur.Nil(); {
+		raw, ok, err := rd.View(cur, subtuple.Current)
+		if err == nil && !ok {
+			err = subtuple.ErrNotFound
 		}
-		refs = append(refs, ref)
+		if err != nil {
+			return nil, 0, err
+		}
+		next, chunk, err := decodeDirChunk(raw)
+		rd.Release()
+		if err != nil {
+			return nil, 0, err
+		}
+		refs, cur = append(refs, chunk...), next
 	}
+	return refs, rd.Newest(), nil
 }
 
 func (dc *dirCursor) next() (page.TID, bool, error) {

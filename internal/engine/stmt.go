@@ -81,10 +81,13 @@ const (
 //     failure discards only that statement's buffered effects.
 //   - auto-commit DML: applyMu, then snapMu across statement plus
 //     commit-record append, so a snapshot never lands inside the write
-//     window. The record is synced after the locks drop, so overlapping
-//     committers share one fsync; it carries a timestamp sampled under
-//     snapMu (every version the statement wrote is strictly older), which
-//     a replica publishes as its visibility horizon.
+//     window. Every version the statement writes carries one instant,
+//     sampled under snapMu as it starts (setApply), as a transaction's
+//     carry its commit timestamp: an ASOF read sees the statement whole
+//     or not at all. The record is synced after the locks drop, so
+//     overlapping committers share one fsync; it carries a timestamp
+//     sampled under snapMu (every version the statement wrote is strictly
+//     older), which a replica publishes as its visibility horizon.
 //   - auto-commit DDL: applyMu, then the exclusive heal barrier — DDL
 //     rewrites the managers, stores and index maps readers traverse
 //     without latches, and Begin samples its snapshot under the shared
@@ -164,6 +167,7 @@ func (db *DB) run(ctx context.Context, tx *Txn, s stmt, form resultForm) (res Re
 	default:
 		db.stmtWrites = db.stmtWrites[:0]
 		db.snapMu.Lock()
+		db.setApply(0, db.opts.Clock())
 		res, err = db.dispatch(ctx, ex, s, start, nil)
 		if err == nil {
 			end, epoch, err = db.appendCommit(wal.CommitPayload(0, db.opts.Clock()))
@@ -171,6 +175,7 @@ func (db *DB) run(ctx context.Context, tx *Txn, s stmt, form resultForm) (res Re
 				err = fmt.Errorf("engine: commit: %w", err)
 			}
 		}
+		db.clearApply()
 		db.publishStmtWrites() // a failed statement's too, see there
 		db.snapMu.Unlock()
 	}
@@ -417,7 +422,10 @@ func (db *DB) explain(ctx context.Context, ex *exec.Executor, p *plan.Prepared, 
 	stats.Rows = rows
 	var b strings.Builder
 	for _, line := range cur.AccessPlan(func(i int, cd *exec.Candidates) string {
-		return p.Access[i].Why(cd.Used, cd.Changed, args)
+		if i >= len(p.Access) {
+			return ""
+		}
+		return p.Access[i].Why(cd.Used, cd.Changed, args, ex.RT)
 	}) {
 		b.WriteString(line)
 		b.WriteByte('\n')

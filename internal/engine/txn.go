@@ -316,17 +316,13 @@ func (tx *Txn) Commit() error {
 	db.applying = true
 	db.snapMu.Lock()
 	commitTS := db.opts.Clock()
-	for _, st := range db.stores {
-		st.SetApply(tx.id, commitTS)
-	}
+	db.setApply(tx.id, commitTS)
 	err := db.applyOps(tx)
 	var end, epoch uint64
 	if err == nil {
 		end, epoch, err = db.appendCommit(wal.CommitPayload(tx.id, commitTS))
 	}
-	for _, st := range db.stores {
-		st.ClearApply()
-	}
+	db.clearApply()
 	db.snapMu.Unlock()
 	db.applying = false
 
@@ -348,6 +344,23 @@ func (tx *Txn) Commit() error {
 	}
 	tx.finish(commitTS)
 	return nil
+}
+
+// setApply stamps every version written until clearApply with the one
+// instant ts and transaction txn (0: an auto-commit statement), in every
+// store (subtuple.Store.SetApply). The caller holds applyMu and snapMu
+// exclusively.
+func (db *DB) setApply(txn uint64, ts int64) {
+	for _, st := range db.stores {
+		st.SetApply(txn, ts)
+	}
+}
+
+// clearApply ends setApply: versions take fresh clock readings again.
+func (db *DB) clearApply() {
+	for _, st := range db.stores {
+		st.ClearApply()
+	}
 }
 
 // applyOps replays the transaction's buffered writes against the

@@ -118,7 +118,8 @@ func (d *delta) reset(ref page.TID) {
 
 // walk gathers the entries of every index of the table inside the
 // subtree steps address (empty: the whole object), to add or to remove.
-func (d *delta) walk(m *object.Manager, tt *model.TableType, steps []object.Step, add bool) error {
+// newest is the walk's (object.Manager.WalkProbes).
+func (d *delta) walk(m *object.Manager, tt *model.TableType, steps []object.Step, add bool) (newest int64, err error) {
 	d.add = add
 	return m.WalkProbes(tt, d.ref, steps, d.ix.probes, d.hit)
 }
@@ -165,9 +166,16 @@ func (d *delta) record(h *object.Hit, add bool) {
 }
 
 // apply carries the delta out on the live indexes. An added entry gets
-// its own copy of its path; a removal only compares.
-func (d *delta) apply() {
+// its own copy of its path; a removal only compares. The caller has made
+// the storage change the delta follows: each removal first raises its
+// index's watermark to one clock reading taken now, after that change
+// (index.BTree).
+func (d *delta) apply(clock func() int64) {
+	var at int64
 	for _, e := range d.ents {
+		if !e.add && at == 0 {
+			at = clock()
+		}
 		key := d.keys[e.key0:e.key1]
 		addr := index.Addr{TID: e.tid}
 		if e.path1 > e.path0 {
@@ -181,6 +189,7 @@ func (d *delta) apply() {
 			if e.add {
 				tree.Insert(key, addr)
 			} else {
+				tree.Raise(at)
 				tree.Delete(key, addr)
 			}
 			continue
@@ -189,30 +198,35 @@ func (d *delta) apply() {
 		if e.add {
 			ti.Add(string(key), addr)
 		} else {
+			ti.Raise(at)
 			ti.Remove(string(key), addr)
 		}
 	}
 }
 
 // fill adds the entries of every object of a complex table to the
-// given indexes, one walk per object.
-func (db *DB) fill(t *catalog.Table, value []*index.Index, text []*textindex.Index) error {
+// given indexes, one walk per object. newest is the largest version
+// stamp among the directory chunks and the subtuples the walks read: as
+// of any instant from it on, the table holds the entries filled.
+func (db *DB) fill(t *catalog.Table, value []*index.Index, text []*textindex.Index) (newest int64, err error) {
 	ix, err := newTableIndexes(t, value, text)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	refs, err := db.dirRefs(t)
+	refs, newest, err := db.dirRefs(t)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	m := db.mgrs[t.Name]
 	d := newDelta(ix, page.TID{})
 	for _, ref := range refs {
 		d.reset(ref)
-		if err := d.walk(m, t.Type, nil, true); err != nil {
-			return err
+		n, err := d.walk(m, t.Type, nil, true)
+		if err != nil {
+			return 0, err
 		}
-		d.apply()
+		newest = max(newest, n)
+		d.apply(db.opts.Clock)
 	}
-	return nil
+	return newest, nil
 }

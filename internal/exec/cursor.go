@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/catalog"
 	"repro/internal/model"
 	"repro/internal/object"
 	"repro/internal/page"
@@ -31,44 +30,40 @@ type pipeline struct {
 	scope *env
 	cands []Candidates            // per FROM item; nil = scan every item
 	paths map[int]*object.PathSet // per FROM item; nil map = full reads
+	iters []fromIter
+
 	// reuse opens the stored-table scans and reads with reuse
 	// (Runtime.OpenScan, Runtime.OpenRef): the block builds its rows of
 	// copied atoms and cloned tables.
-	reuse bool
-
-	iters     []fromIter
-	started   bool
-	exhausted bool
+	reuse              bool
+	started, exhausted bool
 }
 
 // fromIter is the live state of one FROM item's iterator.
 type fromIter struct {
-	open bool
-	asof int64
-
 	// b is the item's range variable: advance overwrites it in place and
 	// the scope keeps pointing at it, so a binding costs no allocation.
 	// Nothing holds on to a binding or its steps across an advance:
-	// result construction and DML targets copy what they keep. steps is
-	// the storage b.steps is rebuilt in; it survives closeIter.
-	b     binding
-	steps []object.Step
+	// result construction and DML targets copy what they keep. Between
+	// advances b also keeps what the next one rebuilds it from: the table
+	// and the instant of a stored source (tbl, asof), the member type of a
+	// path source (tt), and the storage its steps are rebuilt in, which
+	// survives closeIter.
+	b binding
 
-	// Stored-table source: either a scan cursor or a candidate list.
-	t        *catalog.Table
-	sc       ScanCursor
-	refs     []page.TID
-	refi     int
-	candMode bool
+	// Stored-table source: either a scan cursor or the candidates not yet
+	// read.
+	sc   ScanCursor
+	refs []page.TID
 
 	// Path source: the subtable of the current outer binding, and where
 	// it lives when it has stored provenance (hasProv). prov.steps, like
-	// steps, is storage that survives closeIter.
-	tbl     *model.Table
-	mt      *model.TableType
-	prov    provenance
-	hasProv bool
-	pos     int
+	// b.steps, is storage that survives closeIter.
+	tbl  *model.Table
+	prov provenance
+	pos  int
+
+	open, candMode, hasProv bool
 }
 
 // init sets the pipeline up over items, its iterators in iters when
@@ -171,7 +166,7 @@ func (p *pipeline) step(i int) (bool, error) {
 func (p *pipeline) openIter(i int) error {
 	it := &p.iters[i]
 	fi := p.items[i]
-	*it = fromIter{open: true, steps: it.steps[:0], prov: provenance{steps: it.prov.steps[:0]}}
+	*it = fromIter{open: true, b: binding{steps: it.b.steps[:0]}, prov: provenance{steps: it.prov.steps[:0]}}
 	if fi.AsOf != nil {
 		lit, ok := fi.AsOf.(*sql.Literal)
 		if !ok {
@@ -181,23 +176,23 @@ func (p *pipeline) openIter(i int) error {
 		if err != nil {
 			return err
 		}
-		it.asof = asof
+		it.b.asof = asof
 	}
 	if fi.Source.Table != "" {
 		t, ok := p.e.RT.Table(fi.Source.Table)
 		if !ok {
 			return fmt.Errorf("exec: unknown table %q", fi.Source.Table)
 		}
-		if it.asof != 0 && !t.Versioned {
+		if it.b.asof != 0 && !t.Versioned {
 			return fmt.Errorf("exec: table %q is not versioned; ASOF unavailable", t.Name)
 		}
-		it.t = t
+		it.b.tbl = t
 		if c := p.cand(i); c != nil {
 			it.candMode = true
 			it.refs = c.Refs
 			return nil
 		}
-		sc, err := p.e.RT.OpenScan(t, it.asof, p.paths[i], p.reuse)
+		sc, err := p.e.RT.OpenScan(t, it.b.asof, p.paths[i], p.reuse)
 		if err != nil {
 			return err
 		}
@@ -205,7 +200,7 @@ func (p *pipeline) openIter(i int) error {
 		return nil
 	}
 	var err error
-	it.tbl, it.mt, it.hasProv, err = p.e.evalFromPath(fi.Source.Path, p.scope, &it.prov)
+	it.tbl, it.b.tt, it.hasProv, err = p.e.evalFromPath(fi.Source.Path, p.scope, &it.prov)
 	return err // a nil table (null subtable) yields no bindings
 }
 
@@ -215,12 +210,13 @@ func (p *pipeline) openIter(i int) error {
 func (p *pipeline) advance(i int) (bool, error) {
 	it := &p.iters[i]
 	p.scope.bind(p.items[i].Var, &it.b)
-	if it.t != nil {
+	if p.items[i].Source.Table != "" {
+		t := it.b.tbl
 		if it.candMode {
-			for it.refi < len(it.refs) {
-				ref := it.refs[it.refi]
-				it.refi++
-				tup, err := p.e.RT.OpenRef(it.t, ref, it.asof, p.paths[i], p.reuse)
+			for len(it.refs) > 0 {
+				ref := it.refs[0]
+				it.refs = it.refs[1:]
+				tup, err := p.e.RT.OpenRef(t, ref, it.b.asof, p.paths[i], p.reuse)
 				if err != nil {
 					if errors.Is(err, subtuple.ErrNotFound) {
 						continue // candidate vanished between planning and execution
@@ -230,7 +226,7 @@ func (p *pipeline) advance(i int) (bool, error) {
 				if tup == nil {
 					continue // the pre-test ruled the candidate out
 				}
-				it.b = binding{tt: it.t.Type, tup: tup, tbl: it.t, ref: ref, asof: it.asof}
+				it.b = binding{tt: t.Type, tup: tup, tbl: t, ref: ref, asof: it.b.asof}
 				return true, nil
 			}
 			return false, nil
@@ -239,7 +235,7 @@ func (p *pipeline) advance(i int) (bool, error) {
 		if err != nil || !ok {
 			return false, err
 		}
-		it.b = binding{tt: it.t.Type, tup: tup, tbl: it.t, ref: ref, asof: it.asof}
+		it.b = binding{tt: t.Type, tup: tup, tbl: t, ref: ref, asof: it.b.asof}
 		return true, nil
 	}
 	if it.tbl == nil || it.pos >= len(it.tbl.Tuples) {
@@ -247,10 +243,11 @@ func (p *pipeline) advance(i int) (bool, error) {
 	}
 	pos := it.pos
 	it.pos++
-	it.b = binding{tt: it.mt, tup: it.tbl.Tuples[pos]}
+	steps := it.b.steps[:0]
+	it.b = binding{tt: it.b.tt, tup: it.tbl.Tuples[pos]}
 	if it.hasProv {
-		it.steps = append(append(it.steps[:0], it.prov.steps...), object.Step{Attr: it.prov.attr, Pos: pos})
-		it.b.tbl, it.b.ref, it.b.steps, it.b.asof = it.prov.tbl, it.prov.ref, it.steps, it.prov.asof
+		it.b.steps = append(append(steps, it.prov.steps...), object.Step{Attr: it.prov.attr, Pos: pos})
+		it.b.tbl, it.b.ref, it.b.asof = it.prov.tbl, it.prov.ref, it.prov.asof
 	}
 	return true, nil
 }
@@ -260,7 +257,7 @@ func (p *pipeline) closeIter(i int) {
 	if it.sc != nil {
 		it.sc.Close()
 	}
-	*it = fromIter{steps: it.steps[:0], prov: provenance{steps: it.prov.steps[:0]}}
+	*it = fromIter{b: binding{steps: it.b.steps[:0]}, prov: provenance{steps: it.prov.steps[:0]}}
 }
 
 // close releases every open iterator; idempotent.
@@ -283,27 +280,28 @@ func (p *pipeline) close() {
 // on the first outer row that needs it and rewound, not rebuilt, for every
 // later one — its pipeline, iterators, scope and provenance included —
 // while each nested result it produces is fresh (subTable).
+//
+// The cursor runs on its pipeline's executor and context (pipe.e,
+// pipe.ctx) and reads its select as blk.Sel: it holds nothing twice, so
+// that with its inline iterator it fits Go's 512-byte size class, which
+// allocates without a header.
 type Cursor struct {
-	e     *Executor
-	ctx   context.Context
 	blk   *Block
-	sel   *sql.Select
 	scope env
 	pipe  pipeline
 	seen  map[string]bool // DISTINCT filter, made on first use
 	subs  []*Cursor       // sub-block cursors by select item, opened on first use
 
-	// A sub-block's cursor cuts its result tuples from slab, a run of
-	// values fresh for each nested result; slabRows is the row count of
-	// the last piece, which the next one doubles.
-	nested   bool
-	slab     []model.Value
-	slabRows int
+	// A sub-block's cursor (nested) cuts its result tuples from slab, a
+	// run of values fresh for each nested result; slabRows is the row
+	// count of the last piece, which the next one doubles.
+	slab []model.Value
 
-	sorted  []model.Tuple // ORDER BY buffer after the sort barrier
-	sorti   int
-	drained bool
-	closed  bool
+	sorted []model.Tuple // ORDER BY buffer after the sort barrier
+	sorti  int
+
+	slabRows                int32
+	nested, drained, closed bool
 
 	// The scope slot and the iterator of a block over one FROM item live
 	// in the cursor itself: opening it is one allocation.
@@ -327,7 +325,7 @@ func (e *Executor) OpenPrepared(ctx context.Context, blk *Block, cands []Candida
 // keeps nothing of a fetched tuple but atoms: its scans recycle their
 // containers. A sub-block's scans do not.
 func (e *Executor) newCursor(ctx context.Context, blk *Block, outer *env, params []model.Value, cands []Candidates) *Cursor {
-	c := &Cursor{e: e, ctx: ctx, blk: blk, sel: blk.Sel}
+	c := &Cursor{blk: blk}
 	from := blk.Sel.From
 	slots, iters := c.slot1[:0], []fromIter(nil)
 	if len(from) <= 1 {
@@ -346,14 +344,15 @@ func (c *Cursor) Type() *model.TableType { return c.blk.Type }
 
 // AccessPlan renders the block tree with the chosen access path of each
 // top-level FROM item (Block.Describe), on demand: only EXPLAIN asks.
-// why renders the access path of item i from its candidate list; the
-// planner that made the list knows the choices it marks.
+// why renders the access path of item i from its candidate list — an
+// empty one for an item that is scanned, which renders as "" for a plain
+// full scan —; the planner that made the list knows the choices it marks.
 func (c *Cursor) AccessPlan(why func(i int, cd *Candidates) string) []string {
-	return c.blk.Describe(c.e.RT, c.sel.From, func(i int) string {
+	return c.blk.Describe(c.pipe.e.RT, c.blk.Sel.From, func(i int) string {
 		if cd := c.pipe.cand(i); cd != nil {
 			return fmt.Sprintf("%s -> %d candidate object(s)", why(i, cd), len(cd.Refs))
 		}
-		return ""
+		return why(i, &Candidates{})
 	})
 }
 
@@ -364,11 +363,11 @@ func (c *Cursor) AccessPlan(why func(i int, cd *Candidates) string) []string {
 // of a row the caller may keep.
 func (c *Cursor) subTable(i int) (*model.Table, error) {
 	if c.subs == nil {
-		c.subs = make([]*Cursor, len(c.sel.Items))
+		c.subs = make([]*Cursor, len(c.blk.Sel.Items))
 	}
 	sub := c.subs[i]
 	if sub == nil {
-		sub = c.e.newCursor(c.ctx, c.blk.Subs[i], &c.scope, c.scope.params, nil)
+		sub = c.pipe.e.newCursor(c.pipe.ctx, c.blk.Subs[i], &c.scope, c.scope.params, nil)
 		sub.nested = true
 		c.subs[i] = sub
 	} else {
@@ -410,8 +409,8 @@ func (c *Cursor) newTuple(n int) model.Tuple {
 		return make(model.Tuple, n)
 	}
 	if len(c.slab) < n {
-		c.slabRows = max(c.pipe.sizeHint(), 2*c.slabRows, 4)
-		c.slab = make([]model.Value, c.slabRows*n)
+		c.slabRows = int32(max(c.pipe.sizeHint(), 2*int(c.slabRows), 4))
+		c.slab = make([]model.Value, int(c.slabRows)*n)
 	}
 	tup := c.slab[:n:n]
 	c.slab = c.slab[n:]
@@ -425,7 +424,7 @@ func (c *Cursor) Next() (model.Tuple, bool, error) {
 	if c.closed {
 		return nil, false, nil
 	}
-	if len(c.sel.OrderBy) > 0 {
+	if len(c.blk.Sel.OrderBy) > 0 {
 		if !c.drained {
 			if err := c.drainSorted(); err != nil {
 				c.Close()
@@ -459,7 +458,7 @@ func (c *Cursor) Next() (model.Tuple, bool, error) {
 
 // distinctDup reports whether tup is a duplicate under DISTINCT.
 func (c *Cursor) distinctDup(tup model.Tuple) bool {
-	if !c.sel.Distinct {
+	if !c.blk.Sel.Distinct {
 		return false
 	}
 	if c.seen == nil {
@@ -481,8 +480,8 @@ func (c *Cursor) nextUnfiltered() (model.Tuple, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if c.sel.Where != nil {
-			keep, err := c.e.evalCond(c.sel.Where, &c.scope)
+		if c.blk.Sel.Where != nil {
+			keep, err := c.pipe.e.evalCond(c.blk.Sel.Where, &c.scope)
 			if err != nil {
 				return nil, false, err
 			}
@@ -515,8 +514,8 @@ func (c *Cursor) drainSorted() error {
 			break
 		}
 		k := keyed{tup: tup}
-		for _, ob := range c.sel.OrderBy {
-			v, err := c.e.evalExpr(ob.Expr, &c.scope)
+		for _, ob := range c.blk.Sel.OrderBy {
+			v, err := c.pipe.e.evalExpr(ob.Expr, &c.scope)
 			if err != nil {
 				return err
 			}
@@ -530,7 +529,7 @@ func (c *Cursor) drainSorted() error {
 	}
 	var sortErr error
 	sort.SliceStable(rows, func(i, j int) bool {
-		for k, ob := range c.sel.OrderBy {
+		for k, ob := range c.blk.Sel.OrderBy {
 			cm, err := model.Compare(rows[i].keys[k], rows[j].keys[k])
 			if err != nil {
 				sortErr = err

@@ -127,15 +127,15 @@ func (e *Executor) evalFromPath(p *sql.PathExpr, scope *env, prov *provenance) (
 // else is evaluated and copied.
 func (c *Cursor) buildResult() (model.Tuple, error) {
 	take, pos := c.blk.take, c.blk.pos
-	if c.sel.Star {
-		b, _ := c.scope.lookup(c.sel.From[0].Var)
+	if c.blk.Sel.Star {
+		b, _ := c.scope.lookup(c.blk.Sel.From[0].Var)
 		if take != nil {
 			return b.tup, nil
 		}
 		return b.tup.Clone(), nil
 	}
-	tup := c.newTuple(len(c.sel.Items))
-	for i, item := range c.sel.Items {
+	tup := c.newTuple(len(c.blk.Sel.Items))
+	for i, item := range c.blk.Sel.Items {
 		if pos != nil && pos[i].tt != nil {
 			if b := &c.pipe.iters[pos[i].from].b; b.tt == pos[i].tt {
 				tup[i] = b.tup[pos[i].attr]
@@ -157,7 +157,7 @@ func (c *Cursor) buildResult() (model.Tuple, error) {
 			tup[i] = sub
 			continue
 		}
-		v, err := c.e.evalExpr(item.Expr, &c.scope)
+		v, err := c.pipe.e.evalExpr(item.Expr, &c.scope)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +180,7 @@ func (c *Cursor) buildResult() (model.Tuple, error) {
 func (c *Cursor) fetchedSubtable(i int) (*model.Table, error) {
 	sub := c.blk.Subs[i]
 	p := sub.Sel.From[0].Source.Path
-	v, err := c.e.evalPath(p, &c.scope)
+	v, err := c.pipe.e.evalPath(p, &c.scope)
 	if err != nil {
 		return nil, err
 	}

@@ -173,6 +173,10 @@ func (c *Cursor) Next() (page.TID, model.Tuple, bool, error) {
 // Close releases the cursor (idempotent, never fails).
 func (c *Cursor) Close() error { return c.c.Close() }
 
+// Newest returns the largest version stamp among the tuples the cursor
+// has met, deleted ones included (subtuple.Cursor.Newest).
+func (c *Cursor) Newest() int64 { return c.c.Newest() }
+
 // All materializes the whole table.
 func (s *Store) All() (*model.Table, error) {
 	t := &model.Table{Ordered: s.tt.Ordered}

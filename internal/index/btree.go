@@ -21,6 +21,7 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/page"
@@ -120,19 +121,58 @@ func (*inner) isNode() {}
 // shared lock, mutations an exclusive one, so index reads proceed in
 // parallel with each other and with concurrent statements on other
 // tables while DML on the indexed table maintains its entries.
+//
+// A tree describes the current state, and past instants from its
+// watermark w on: it holds every entry of every instant ≥ w (and maybe
+// entries of later ones, which a read at the instant drops). Entries
+// only ever leave by Delete, so w starts where the build that filled
+// the tree knew the state to be unchanged (SetWatermark), and whoever
+// deletes raises w first (Raise) to an instant after the storage change
+// that made the entry stale. A lookup as of an instant reads w under
+// the same lock hold as the entries, and answers only at instants ≥ w.
 type BTree struct {
 	mu      sync.RWMutex
 	root    node
 	first   *leaf
-	entries int // number of (key, addr) pairs
-	keys    int // number of distinct keys
+	entries int   // number of (key, addr) pairs
+	keys    int   // number of distinct keys
+	w       int64 // the watermark
 }
 
-// NewBTree returns an empty tree.
+// NewBTree returns an empty tree. Its watermark is the largest instant:
+// until SetWatermark, it answers no lookup as of a past instant.
 func NewBTree() *BTree {
 	l := &leaf{}
-	return &BTree{root: l, first: l}
+	return &BTree{root: l, first: l, w: math.MaxInt64}
 }
+
+// SetWatermark sets the watermark of a tree its builder has just filled
+// from the state at every instant ≥ w.
+func (t *BTree) SetWatermark(w int64) {
+	t.mu.Lock()
+	t.w = w
+	t.mu.Unlock()
+}
+
+// Raise raises the watermark to w, if it is lower. A writer calls it
+// before each Delete with a clock reading taken after the storage change
+// the deletion follows.
+func (t *BTree) Raise(w int64) {
+	t.mu.Lock()
+	t.w = max(t.w, w)
+	t.mu.Unlock()
+}
+
+// Watermark returns the watermark.
+func (t *BTree) Watermark() int64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.w
+}
+
+// covers reports whether the tree holds every entry of instant at
+// (0: the current state). The caller holds the lock.
+func (t *BTree) covers(at int64) bool { return at == 0 || t.w <= at }
 
 // Len returns the number of (key, address) pairs in the tree.
 func (t *BTree) Len() int {
@@ -251,18 +291,24 @@ func (t *BTree) Search(key []byte) []Addr {
 }
 
 // SearchRoots returns the distinct roots of key's address list
-// (DistinctRoots): Search copying only the root TIDs under the tree's
-// lock, and deduplicating them after it is released.
-func (t *BTree) SearchRoots(key []byte) []page.TID {
+// (DistinctRoots) as of instant at (0: the current state): Search
+// copying only the root TIDs under the tree's lock, and deduplicating
+// them after it is released. ok is false when the tree does not cover
+// at (the watermark is later).
+func (t *BTree) SearchRoots(key []byte, at int64) (roots []page.TID, ok bool) {
 	t.mu.RLock()
+	if !t.covers(at) {
+		t.mu.RUnlock()
+		return nil, false
+	}
 	l, i := t.findLeaf(key)
 	if l == nil {
 		t.mu.RUnlock()
-		return nil
+		return nil, true
 	}
-	roots := rootsOf(l.posts[i])
+	roots = rootsOf(l.posts[i])
 	t.mu.RUnlock()
-	return distinct(roots)
+	return distinct(roots), true
 }
 
 func (t *BTree) findLeaf(key []byte) (*leaf, int) {
@@ -286,8 +332,17 @@ func (t *BTree) findLeaf(key []byte) (*leaf, int) {
 // key order. fn returning false stops the scan. fn runs under the
 // tree's shared lock and must not mutate the tree.
 func (t *BTree) Range(lo, hi []byte, fn func(key []byte, addrs []Addr) bool) {
+	t.RangeAt(lo, hi, 0, fn)
+}
+
+// RangeAt is Range as of instant at (0: the current state). It reports
+// false, calling fn for no key, when the tree does not cover at.
+func (t *BTree) RangeAt(lo, hi []byte, at int64, fn func(key []byte, addrs []Addr) bool) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	if !t.covers(at) {
+		return false
+	}
 	var l *leaf
 	var i int
 	if lo == nil {
@@ -298,14 +353,15 @@ func (t *BTree) Range(lo, hi []byte, fn func(key []byte, addrs []Addr) bool) {
 	for l != nil {
 		for ; i < len(l.keys); i++ {
 			if hi != nil && bytes.Compare(l.keys[i], hi) > 0 {
-				return
+				return true
 			}
 			if !fn(l.keys[i], l.posts[i]) {
-				return
+				return true
 			}
 		}
 		l, i = l.next, 0
 	}
+	return true
 }
 
 // seek positions at the first key >= lo.

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -116,20 +117,24 @@ func (ix *Index) EntryAddr(ref object.Ref, h *object.Hit) Addr {
 // AddObject indexes every occurrence of the indexed attribute inside
 // one complex object, with addresses according to the index kind.
 func (ix *Index) AddObject(m *object.Manager, tt *model.TableType, ref object.Ref) error {
-	return m.WalkProbes(tt, ref, nil, []object.Probe{ix.Probe()}, func(h *object.Hit) error {
+	_, err := m.WalkProbes(tt, ref, nil, []object.Probe{ix.Probe()}, func(h *object.Hit) error {
 		a := ix.EntryAddr(ref, h)
 		a.Path = slices.Clone(a.Path)
 		ix.tree.Insert(h.Key, a)
 		return nil
 	})
+	return err
 }
 
 // RemoveObject removes every index entry contributed by the object.
+// Like every removal it leaves raising the watermark to the caller
+// (BTree.Raise).
 func (ix *Index) RemoveObject(m *object.Manager, tt *model.TableType, ref object.Ref) error {
-	return m.WalkProbes(tt, ref, nil, []object.Probe{ix.Probe()}, func(h *object.Hit) error {
+	_, err := m.WalkProbes(tt, ref, nil, []object.Probe{ix.Probe()}, func(h *object.Hit) error {
 		ix.tree.Delete(h.Key, ix.EntryAddr(ref, h))
 		return nil
 	})
+	return err
 }
 
 // AddFlat indexes one tuple of a flat table (the classic System R
@@ -143,7 +148,8 @@ func (ix *Index) AddFlat(tid page.TID, tup model.Tuple, tt *model.TableType) err
 	return nil
 }
 
-// RemoveFlat removes one flat tuple's entry.
+// RemoveFlat removes one flat tuple's entry. Like every removal it
+// leaves raising the watermark to the caller (BTree.Raise).
 func (ix *Index) RemoveFlat(tid page.TID, tup model.Tuple, tt *model.TableType) error {
 	key, err := ix.flatKey(tup, tt)
 	if err != nil {
@@ -174,26 +180,41 @@ func (ix *Index) Lookup(v model.Value) ([]Addr, error) {
 	return ix.tree.Search(key), nil
 }
 
+// ErrWatermark is the answer of a lookup as of an instant before the
+// index's watermark (BTree): entries of that instant may have left it.
+var ErrWatermark = errors.New("index: entries of that instant are no longer kept")
+
+// Watermark returns the instant from which on the index holds every
+// entry of every state (BTree).
+func (ix *Index) Watermark() int64 { return ix.tree.Watermark() }
+
 // LookupRoots returns the distinct complex objects of the address list
-// for an exact key value (DistinctRoots of Lookup), copying only the
-// roots out of the tree: a point probe's one allocation is its result.
-func (ix *Index) LookupRoots(v model.Value) ([]page.TID, error) {
+// for an exact key value (DistinctRoots of Lookup) as of instant at (0:
+// the current state), copying only the roots out of the tree: a point
+// probe's one allocation is its result. Before the watermark it fails
+// with ErrWatermark.
+func (ix *Index) LookupRoots(v model.Value, at int64) ([]page.TID, error) {
 	var buf [keyBuf]byte
 	key, err := model.AppendKeyValue(buf[:0], v)
 	if err != nil {
 		return nil, err
 	}
-	return ix.tree.SearchRoots(key), nil
+	roots, ok := ix.tree.SearchRoots(key, at)
+	if !ok {
+		return nil, ErrWatermark
+	}
+	return roots, nil
 }
 
 // keyBuf is the key length a probe encodes without a heap allocation:
 // every number, time and bool, and the short strings.
 const keyBuf = 32
 
-// LookupRange streams the addresses of all keys in [lo, hi]; nil
-// bounds are open. Exclusive bounds are handled by the caller via key
-// filtering.
-func (ix *Index) LookupRange(lo, hi model.Value, fn func(addrs []Addr) bool) error {
+// LookupRange streams the addresses of all keys in [lo, hi] as of
+// instant at (0: the current state); nil bounds are open. Exclusive
+// bounds are handled by the caller via key filtering. Before the
+// watermark it fails with ErrWatermark.
+func (ix *Index) LookupRange(lo, hi model.Value, at int64, fn func(addrs []Addr) bool) error {
 	var lk, hk []byte
 	var err error
 	if !model.IsNull(lo) {
@@ -206,7 +227,9 @@ func (ix *Index) LookupRange(lo, hi model.Value, fn func(addrs []Addr) bool) err
 			return err
 		}
 	}
-	ix.tree.Range(lk, hk, func(_ []byte, addrs []Addr) bool { return fn(addrs) })
+	if !ix.tree.RangeAt(lk, hk, at, func(_ []byte, addrs []Addr) bool { return fn(addrs) }) {
+		return ErrWatermark
+	}
 	return nil
 }
 

@@ -115,6 +115,44 @@ func TestBTreeDelete(t *testing.T) {
 
 // Property: the tree agrees with a map of multisets under random
 // inserts and deletes.
+// TestBTreeWatermark: a tree answers the current state at once, and an
+// instant only from its watermark on; the builder sets the watermark,
+// a removal can only raise it, and a point or range lookup before it
+// reports that it cannot answer instead of a partial list.
+func TestBTreeWatermark(t *testing.T) {
+	bt := NewBTree()
+	key := []byte("k")
+	bt.Insert(key, Addr{TID: page.TID{Page: 1}})
+	lookup := func(at int64) (int, bool) {
+		roots, ok := bt.SearchRoots(key, at)
+		n := 0
+		if bt.RangeAt(nil, nil, at, func([]byte, []Addr) bool { n++; return true }) != ok {
+			t.Fatalf("at %d: point and range lookups disagree on the watermark %d", at, bt.Watermark())
+		}
+		return len(roots), ok
+	}
+	if n, ok := lookup(0); !ok || n != 1 {
+		t.Fatalf("current lookup of a tree never built: %d roots, ok %v", n, ok)
+	}
+	if _, ok := lookup(1 << 40); ok {
+		t.Fatal("a tree never built answers a past instant")
+	}
+	bt.SetWatermark(10)
+	for at, want := range map[int64]bool{0: true, 9: false, 10: true, 11: true} {
+		if _, ok := lookup(at); ok != want {
+			t.Errorf("watermark 10, at %d: ok %v, want %v", at, ok, want)
+		}
+	}
+	bt.Raise(5)
+	if w := bt.Watermark(); w != 10 {
+		t.Errorf("Raise(5) moved the watermark 10 to %d", w)
+	}
+	bt.Raise(20)
+	if _, ok := lookup(15); ok || bt.Watermark() != 20 {
+		t.Errorf("after Raise(20): watermark %d, lookup at 15 ok %v", bt.Watermark(), ok)
+	}
+}
+
 func TestBTreeQuick(t *testing.T) {
 	f := func(ops []struct {
 		K   uint8
@@ -297,7 +335,7 @@ func TestFlatIndex(t *testing.T) {
 	}
 	// Range over a name interval.
 	n := 0
-	ix.LookupRange(model.Str("A"), model.Str("L"), func(addrs []Addr) bool {
+	ix.LookupRange(model.Str("A"), model.Str("L"), 0, func(addrs []Addr) bool {
 		n += len(addrs)
 		return true
 	})

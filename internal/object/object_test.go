@@ -271,7 +271,7 @@ func TestEnumLevel(t *testing.T) {
 		var paths [][]page.MiniTID
 		var funcs []string
 		probes := []Probe{{Level: []int{2, 2}, Atom: 1, Text: true}}
-		err = m.WalkProbes(tt, ref, nil, probes, func(h *Hit) error {
+		_, err = m.WalkProbes(tt, ref, nil, probes, func(h *Hit) error {
 			cp := append([]page.MiniTID(nil), h.Path...)
 			paths = append(paths, cp)
 			funcs = append(funcs, string(h.Key))

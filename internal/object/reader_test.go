@@ -149,7 +149,7 @@ func TestReadErrorsLeaveNothingPinned(t *testing.T) {
 				if _, err := m.ObjectStats(tt, ref); asof == 0 && (err == nil || !want(err)) {
 					t.Errorf("%s: ObjectStats = %v", name, err)
 				}
-				err := m.WalkProbes(tt, ref, nil, []Probe{{Level: []int{2, 2}}}, func(*Hit) error { return nil })
+				_, err := m.WalkProbes(tt, ref, nil, []Probe{{Level: []int{2, 2}}}, func(*Hit) error { return nil })
 				if asof == 0 && (err == nil || !want(err)) {
 					t.Errorf("%s: WalkProbes = %v", name, err)
 				}
@@ -168,7 +168,7 @@ func TestReadErrorsLeaveNothingPinned(t *testing.T) {
 			}
 			var tid page.TID
 			last := []Step{{Attr: 2, Pos: 9}, {Attr: 2, Pos: 39}}
-			if err := m.WalkProbes(tt, ref, last, []Probe{{Level: []int{2, 2}}}, func(h *Hit) error {
+			if _, err := m.WalkProbes(tt, ref, last, []Probe{{Level: []int{2, 2}}}, func(h *Hit) error {
 				tid = h.Data
 				return nil
 			}); err != nil {

@@ -99,18 +99,21 @@ func (m *Manager) walkTo(tt *model.TableType, ref Ref, steps []Step, probes []Pr
 // its level, and only the probed atoms are cut from it, in place; the
 // data subtuples of levels no probe names are not read at all. fn runs
 // with no page latched. A walk that no probe reaches does not open the
-// object.
-func (m *Manager) WalkProbes(tt *model.TableType, ref Ref, steps []Step, probes []Probe, fn func(*Hit) error) error {
+// object. newest is the largest version stamp among the subtuples the
+// walk viewed (subtuple.Reader.Newest): as of any instant from it on,
+// the walk's hits are those of the object's state at that instant.
+func (m *Manager) WalkProbes(tt *model.TableType, ref Ref, steps []Step, probes []Probe, fn func(*Hit) error) (newest int64, err error) {
 	if !reaches(probes, steps) {
-		return nil
+		return 0, nil
 	}
 	w, lt, h, err := m.walkTo(tt, ref, steps, probes)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer w.o.end()
 	w.fn = fn
-	return w.level(lt, &h)
+	err = w.level(lt, &h)
+	return w.o.win.Newest(), err
 }
 
 // level emits the hits of the level under h and descends into every

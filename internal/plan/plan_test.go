@@ -1,10 +1,12 @@
 package plan_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/page"
 	"repro/internal/plan"
@@ -74,7 +76,7 @@ func choose(t *testing.T, db *engine.DB, q string) map[int]*choice {
 		if out == nil {
 			out = make(map[int]*choice)
 		}
-		out[i] = &choice{Refs: c.Refs, Why: p.Access[i].Why(c.Used, c.Changed, nil)}
+		out[i] = &choice{Refs: c.Refs, Why: p.Access[i].Why(c.Used, c.Changed, nil, db.Runtime())}
 	}
 	return out
 }
@@ -151,9 +153,12 @@ func TestChooseDeclinesUnindexable(t *testing.T) {
 	}
 }
 
-func TestChooseIgnoresASOFItems(t *testing.T) {
-	// ASOF state may differ from the index (which reflects now), so
-	// the planner must not use indexes for ASOF items.
+// TestChooseASOFByWatermark: an item read at an explicit ASOF instant
+// uses its index from the index's watermark on and is scanned before it.
+// The watermark starts at the index's build and rises past every
+// key-changing write, so an ASOF before the build or before the last
+// such write scans, and one after it uses the index.
+func TestChooseASOFByWatermark(t *testing.T) {
 	ts := int64(0)
 	db, err := engine.Open(engine.Options{Clock: func() int64 { ts++; return ts }})
 	if err != nil {
@@ -163,15 +168,73 @@ func TestChooseIgnoresASOFItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tup := range testdata.Departments().Tuples {
-		db.Insert("DEPARTMENTS", tup)
+		if err := db.Insert("DEPARTMENTS", tup); err != nil {
+			t.Fatal(err)
+		}
 	}
+	beforeIndex := db.Now()
 	if err := db.CreateIndex("dno", "DEPARTMENTS", []string{"DNO"}, "HIERARCHICAL"); err != nil {
 		t.Fatal(err)
 	}
-	cands := choose(t, db, `SELECT x.DNO FROM x IN DEPARTMENTS ASOF 1 WHERE x.DNO = 314`)
-	if cands != nil && cands[0] != nil {
-		t.Error("planner used an index for an ASOF item")
+	ix, _ := db.IndexByName("dno")
+	afterIndex := db.Now()
+	// at evaluates the one item of an ASOF point query: its candidate
+	// list (nil when it is scanned) and its EXPLAIN text.
+	at := func(instant int64, dno int) ([]page.TID, bool, string) {
+		t.Helper()
+		q := fmt.Sprintf(`SELECT x.DNO FROM x IN DEPARTMENTS ASOF %d WHERE x.DNO = %d`, instant, dno)
+		st, err := sql.ParseOneStmt(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := plan.Bind(st, db.Executor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Access) != 1 || len(p.Access[0]) != 1 || p.Access[0][0].AsOf != instant {
+			t.Fatalf("%s: access choices %+v, want one at %d", q, p.Access, instant)
+		}
+		var c exec.Candidates
+		if cs := p.Candidates(db.Runtime(), nil); cs != nil {
+			c = cs[0]
+		}
+		return c.Refs, c.Used != 0, p.Access[0].Why(c.Used, c.Changed, nil, db.Runtime())
 	}
+	scans := func(instant int64, dno int) {
+		t.Helper()
+		w := ix.Watermark()
+		if _, used, why := at(instant, dno); used || why != fmt.Sprintf("scan: index dno holds no entries before %d", w) {
+			t.Errorf("ASOF %d (watermark %d): used %v, %q; want a scan", instant, w, used, why)
+		}
+	}
+	uses := func(instant int64, dno int, want int) {
+		t.Helper()
+		refs, used, why := at(instant, dno)
+		if !used || len(refs) != want || why != fmt.Sprintf("index dno(DNO)=%d at %d", dno, instant) {
+			t.Errorf("ASOF %d (watermark %d): used %v, %d candidates, %q; want the index, %d candidates", instant, ix.Watermark(), used, len(refs), why, want)
+		}
+	}
+
+	if w := ix.Watermark(); w <= beforeIndex || w >= afterIndex {
+		t.Fatalf("watermark %d after a build between %d and %d", w, beforeIndex, afterIndex)
+	}
+	scans(beforeIndex, 314)
+	uses(afterIndex, 314, 1)
+
+	// A write that keeps the key removes no entry: the watermark stays.
+	if _, err := db.Exec(`UPDATE x IN DEPARTMENTS SET BUDGET = 1 WHERE x.DNO = 314`); err != nil {
+		t.Fatal(err)
+	}
+	uses(afterIndex, 314, 1)
+
+	// A key-changing write removes the old entry after its stamp.
+	if _, err := db.Exec(`UPDATE x IN DEPARTMENTS SET DNO = 999 WHERE x.DNO = 314`); err != nil {
+		t.Fatal(err)
+	}
+	afterUpdate := db.Now()
+	scans(afterIndex, 314)
+	uses(afterUpdate, 314, 0)
+	uses(afterUpdate, 999, 1)
 }
 
 func TestChooseSkipsDataTIDIndexes(t *testing.T) {

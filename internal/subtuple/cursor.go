@@ -2,6 +2,7 @@ package subtuple
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/buffer"
 	"repro/internal/dberr"
@@ -30,6 +31,11 @@ type Cursor struct {
 	items  []cursorItem
 	i      int
 	closed bool
+
+	// rd reads the records Next cannot take from the loaded page; newest
+	// is the largest version stamp of the others (Newest).
+	rd     Reader
+	newest int64
 }
 
 type cursorItem struct {
@@ -55,8 +61,15 @@ func (s *Store) NewAsOfCursor(ts int64) (*Cursor, error) {
 	if st == nil {
 		return nil, fmt.Errorf("subtuple: segment %d not registered", s.seg)
 	}
-	return &Cursor{s: s, asof: ts, count: st.PageCount(), pg: 1}, nil
+	return &Cursor{s: s, asof: ts, count: st.PageCount(), pg: 1, rd: s.Reader()}, nil
 }
+
+// Newest returns the largest version stamp among the current records the
+// cursor has met so far, tombstones included (Reader.Newest). A
+// current-state scan run to its end has met every subtuple of the
+// segment: as of any instant from its Newest on, the segment reads as the
+// scan returned it.
+func (c *Cursor) Newest() int64 { return max(c.newest, c.rd.Newest()) }
 
 // Next returns the next subtuple. The boolean is false when the scan
 // is exhausted (or the cursor closed); the payload is only valid until
@@ -70,7 +83,7 @@ func (c *Cursor) Next() (page.TID, []byte, bool, error) {
 			it := c.items[c.i]
 			c.i++
 			if it.off < 0 {
-				data, ok, err := c.s.ReadAsOf(it.tid, c.asof)
+				data, ok, err := c.rd.read(it.tid, c.asof)
 				if err != nil {
 					return page.TID{}, nil, false, err
 				}
@@ -83,6 +96,7 @@ func (c *Cursor) Next() (page.TID, []byte, bool, error) {
 			if err != nil {
 				return page.TID{}, nil, false, err
 			}
+			c.newest = max(c.newest, d.fromTS)
 			return it.tid, d.payload, true, nil
 		}
 		if c.pg > c.count {
@@ -129,6 +143,13 @@ func (c *Cursor) loadPage() error {
 			continue
 		}
 		if rec[0]&fTomb != 0 {
+			// A tombstone whose stamp cannot be read leaves no instant
+			// at which the scan is known to be the current state.
+			d, err := parseHeader(rec)
+			if err != nil {
+				d.fromTS = math.MaxInt64
+			}
+			c.newest = max(c.newest, d.fromTS)
 			continue
 		}
 		off := len(c.buf)

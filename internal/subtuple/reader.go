@@ -57,6 +57,9 @@ type Reader struct {
 	// to the store's decode count: one write of the shared counter per
 	// read, not one per record.
 	tally uint64
+	// newest is the largest version stamp of a record View found at its
+	// head (Newest).
+	newest int64
 }
 
 // Reader returns an empty reader over the store.
@@ -132,6 +135,7 @@ func (r *Reader) View(t page.TID, asof int64) (payload []byte, ok bool, err erro
 		r.Release()
 		return nil, false, err
 	}
+	r.newest = max(r.newest, d.fromTS)
 	for d.flags&fVer != 0 && d.fromTS > asof {
 		r.Release()
 		if d.prev.Nil() {
@@ -152,6 +156,26 @@ func (r *Reader) View(t page.TID, asof int64) (payload []byte, ok bool, err erro
 		return nil, false, nil
 	}
 	return d.payload, true, nil
+}
+
+// Newest returns the largest version stamp among the head records — the
+// current states, tombstones included — of every subtuple the reader has
+// viewed, 0 in a store that keeps no history. As of any instant from it
+// on, each of those subtuples reads as its current state.
+func (r *Reader) Newest() int64 { return r.newest }
+
+// read is View as of asof with the payload copied out and the view ended
+// (Done), for callers that keep the bytes.
+func (r *Reader) read(t page.TID, asof int64) ([]byte, bool, error) {
+	defer r.Done()
+	p, ok, err := r.View(t, asof)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	if r.latched != nil {
+		p = append([]byte(nil), p...)
+	}
+	return p, true, nil
 }
 
 // hop steps from version d to its prev (viaJump: its jump target) and

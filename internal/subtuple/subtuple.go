@@ -681,15 +681,7 @@ func (s *Store) Read(t page.TID) ([]byte, error) {
 // existed at that time.
 func (s *Store) ReadAsOf(t page.TID, ts int64) ([]byte, bool, error) {
 	r := s.Reader()
-	defer r.Done()
-	p, ok, err := r.View(t, ts)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if r.latched != nil {
-		p = append([]byte(nil), p...)
-	}
-	return p, true, nil
+	return r.read(t, ts)
 }
 
 // Update replaces the subtuple's payload. The TID stays valid: if the

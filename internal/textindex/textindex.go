@@ -15,6 +15,7 @@ package textindex
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -31,7 +32,9 @@ const boundary = '\x01'
 
 // Index is a word-fragment text index over one string attribute of a
 // table. It is safe for concurrent use: searches take a shared lock,
-// Add/Remove an exclusive one.
+// Add/Remove an exclusive one. It keeps a watermark under the same rule
+// as a value index (index.BTree): it holds every posting of every
+// instant ≥ w.
 type Index struct {
 	Name  string
 	Table string
@@ -43,9 +46,10 @@ type Index struct {
 	postings map[string][]index.Addr
 	// fragments: trigram -> set of words containing it.
 	fragments map[string]map[string]struct{}
+	w         int64 // the watermark
 }
 
-// New creates an empty text index.
+// New creates an empty text index, its watermark the largest instant.
 func New(name, table string, path []string) *Index {
 	return &Index{
 		Name:      name,
@@ -53,7 +57,32 @@ func New(name, table string, path []string) *Index {
 		Path:      path,
 		postings:  make(map[string][]index.Addr),
 		fragments: make(map[string]map[string]struct{}),
+		w:         math.MaxInt64,
 	}
+}
+
+// SetWatermark sets the watermark of an index its builder has just
+// filled from the state at every instant ≥ w.
+func (ix *Index) SetWatermark(w int64) {
+	ix.mu.Lock()
+	ix.w = w
+	ix.mu.Unlock()
+}
+
+// Raise raises the watermark to w, if it is lower: a writer calls it
+// before each Remove with a clock reading taken after the storage change
+// the removal follows.
+func (ix *Index) Raise(w int64) {
+	ix.mu.Lock()
+	ix.w = max(ix.w, w)
+	ix.mu.Unlock()
+}
+
+// Watermark returns the watermark.
+func (ix *Index) Watermark() int64 {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.w
 }
 
 // Words returns the vocabulary size.
@@ -296,8 +325,18 @@ func (ix *Index) candidateWordsLocked(mask string) []string {
 // word matching the mask. A mask without wildcards is an exact word
 // search.
 func (ix *Index) Search(mask string) []index.Addr {
+	out, _ := ix.SearchAt(mask, 0)
+	return out
+}
+
+// SearchAt is Search as of instant at (0: the current state). Before the
+// watermark it fails with index.ErrWatermark.
+func (ix *Index) SearchAt(mask string, at int64) ([]index.Addr, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	if at != 0 && ix.w > at {
+		return nil, index.ErrWatermark
+	}
 	var out []index.Addr
 	seen := map[string]bool{}
 	addrKey := func(a index.Addr) string {
@@ -318,7 +357,7 @@ func (ix *Index) Search(mask string) []index.Addr {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Contains is the evaluator's fallback when no text index exists: it
