@@ -99,7 +99,11 @@ const (
 
 // Options configures a database.
 type Options struct {
-	// Dir is the database directory; empty means in-memory.
+	// Dir is the database directory; empty means in-memory. An
+	// in-memory database keeps no log, so it cannot roll a failed
+	// statement back: what the statement wrote before it failed stays
+	// (of an INSERT whose second row is rejected, the first row
+	// remains).
 	Dir string
 	// PoolPages is the buffer pool capacity in 4 KiB pages
 	// (default 1024).
@@ -109,7 +113,8 @@ type Options struct {
 	// automatically for large capacities; set this only to force a
 	// specific stripe count in benchmarks or tests.
 	PoolShards int
-	// DisableWAL turns off write-ahead logging for on-disk databases.
+	// DisableWAL turns off write-ahead logging for on-disk databases,
+	// and with it the rollback of a failed statement (see Dir).
 	DisableWAL bool
 	// DefaultLayout is the storage structure for new NF² tables
 	// (default SS3).

@@ -422,8 +422,9 @@ func runDMLEquivalence(t *testing.T, versioned bool, seed int64) {
 
 // TestDMLOldSnapshotFindsObject pins the soundness rule for pinned
 // snapshots: index entries are removed when a key changes, so a
-// transaction whose snapshot predates the change must find the object
-// through the written-since set — whether the change was committed by
+// transaction whose snapshot predates the change must find the object,
+// by index at its snapshot or by the scan the raised watermark of the
+// index sends it to — whether the change was committed by
 // an auto-commit statement, committed by a transaction, or is still
 // committing (applied, write locks held, lastWrite not yet stamped), or
 // was made by an auto-commit statement that then failed and is not yet
@@ -520,7 +521,7 @@ func oldSnapshotScenario(t *testing.T, schema, change string, scan bool) string 
 	obs = append(obs, fmt.Sprint(sortedRows(inline)))
 	for _, o := range obs {
 		if o != "[(1, 10)]" {
-			t.Errorf("old snapshot read %s, want [(1, 10)] (found through the written-since set, the newer object skipped)", o)
+			t.Errorf("old snapshot read %s, want [(1, 10)] (found at the snapshot, the newer object skipped)", o)
 		}
 	}
 	_, uerr := old.Exec(`UPDATE x IN T SET W = 11 WHERE x.K = 1`)
@@ -542,7 +543,7 @@ func oldSnapshotScenario(t *testing.T, schema, change string, scan bool) string 
 // which another transaction has write-locked. Its writes stay in the
 // pages and the index until its rollback, which waits for the heal
 // barrier; a statement of the old transaction already holding that
-// barrier takes its index cut in between and must still find (1, 10).
+// barrier reads in between and must still find (1, 10).
 // The writer parks at its first version write, inside its snapMu window,
 // until the read holds the barrier (or, scanning, has finished).
 func failedWriterScenario(t *testing.T, schema, _ string, scan bool) string {

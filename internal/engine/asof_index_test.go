@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -32,13 +34,17 @@ var (
 	asofFuncs = []string{"a", "b", "c"}
 )
 
-// asofPair is one ASOF query at instant at, twice: in a form the planner
-// answers by index, and in an equivalent one it cannot (a disjunction),
-// which scans.
+// asofPairs are queries at instant at (0: without an ASOF), each twice:
+// in a form the planner answers by index, and in an equivalent one it
+// cannot (a disjunction), which scans.
 func asofPairs(at int64) [][2]string {
 	var out [][2]string
+	asof := ""
+	if at != 0 {
+		asof = fmt.Sprintf(" ASOF %d", at)
+	}
 	add := func(from, cond string) {
-		q := fmt.Sprintf("SELECT * FROM x IN %s ASOF %d WHERE ", from, at)
+		q := fmt.Sprintf("SELECT * FROM x IN %s%s WHERE ", from, asof)
 		out = append(out, [2]string{q + cond, q + cond + " OR " + cond})
 	}
 	for k := 1; k <= 5; k++ {
@@ -50,7 +56,7 @@ func asofPairs(at int64) [][2]string {
 	for i, w := range asofWords {
 		add("D", fmt.Sprintf("x.NAME CONTAINS '%s'", w))
 		add("F", fmt.Sprintf("x.S CONTAINS '%s*'", w[:2]))
-		q := fmt.Sprintf("SELECT x.DNO FROM x IN D ASOF %d WHERE EXISTS y IN x.PROJECTS EXISTS z IN y.MEMBERS: ", at)
+		q := fmt.Sprintf("SELECT x.DNO FROM x IN D%s WHERE EXISTS y IN x.PROJECTS EXISTS z IN y.MEMBERS: ", asof)
 		cond := fmt.Sprintf("z.FUNCTION = '%s'", asofFuncs[i])
 		out = append(out, [2]string{q + cond, q + cond + " OR " + cond})
 	}
@@ -148,15 +154,7 @@ func (h *asofHistory) check(phase string) {
 	h.t.Helper()
 	uses := 0
 	for at := int64(1); at <= h.last; at++ {
-		for _, p := range asofPairs(at) {
-			got, want := h.rows(p[0]), h.rows(p[1])
-			if !slices.Equal(got, want) {
-				h.t.Fatalf("%s, ASOF %d:\n%s\n indexed: %v\n%s\n scanned: %v", phase, at, p[0], got, p[1], want)
-			}
-			if h.indexed(p[0]) {
-				uses++
-			}
-		}
+		uses += h.compare(fmt.Sprintf("%s, ASOF %d", phase, at), asofPairs(at), h.db.Executor(), h.db.Query)
 	}
 	if uses == 0 {
 		h.t.Fatalf("%s: no ASOF item was answered by an index at any of %d instants", phase, h.last)
@@ -164,10 +162,28 @@ func (h *asofHistory) check(phase string) {
 	h.uses += uses
 }
 
-// rows runs q and renders its rows, sorted.
-func (h *asofHistory) rows(q string) []string {
+// compare runs both forms of every pair through query, fails on the
+// first pair whose rows differ, and returns how many indexed forms an
+// index answered when bound by ex.
+func (h *asofHistory) compare(phase string, pairs [][2]string, ex *exec.Executor, query func(string) (*model.Table, *model.TableType, error)) int {
 	h.t.Helper()
-	tbl, _, err := h.db.Query(q)
+	uses := 0
+	for _, p := range pairs {
+		got, want := h.rows(p[0], query), h.rows(p[1], query)
+		if !slices.Equal(got, want) {
+			h.t.Fatalf("%s:\n%s\n indexed: %v\n%s\n scanned: %v", phase, p[0], got, p[1], want)
+		}
+		if h.indexed(p[0], ex) {
+			uses++
+		}
+	}
+	return uses
+}
+
+// rows runs q through query and renders its rows, sorted.
+func (h *asofHistory) rows(q string, query func(string) (*model.Table, *model.TableType, error)) []string {
+	h.t.Helper()
+	tbl, _, err := query(q)
 	if err != nil {
 		h.t.Fatalf("%s: %v", q, err)
 	}
@@ -179,19 +195,67 @@ func (h *asofHistory) rows(q string) []string {
 	return out
 }
 
-// indexed reports whether an index answers the FROM item of q.
-func (h *asofHistory) indexed(q string) bool {
+// indexed reports whether an index answers the FROM item of q, bound and
+// evaluated by ex.
+func (h *asofHistory) indexed(q string, ex *exec.Executor) bool {
 	h.t.Helper()
 	st, err := sql.ParseOneStmt(q)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	p, err := plan.Bind(st, h.db.Executor())
+	p, err := plan.Bind(st, ex)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	cs := p.Candidates(h.db.Runtime(), nil)
+	cs := p.Candidates(ex.RT, nil)
 	return len(cs) > 0 && cs[0].Used != 0
+}
+
+// begin opens a transaction at the history's current instant.
+func (h *asofHistory) begin() *Txn {
+	h.t.Helper()
+	tx, err := h.db.Begin()
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.last = max(h.last, h.db.Now())
+	return tx
+}
+
+// checkTxns reads every pair without an ASOF in each transaction, at
+// its snapshot, and rolls it back. Every other transaction first buffers
+// key changes of its own: an insert into each table, a key update on
+// each, and two random statements (one that a later writer refuses with
+// ErrWriteConflict is dropped, as a statement).
+func (h *asofHistory) checkTxns(phase string, txs []*Txn) {
+	h.t.Helper()
+	uses := 0
+	for i, tx := range txs {
+		own := i%2 == 1
+		if own {
+			k := 1 + h.rng.Intn(5)
+			for _, q := range []string{
+				fmt.Sprintf(`INSERT INTO D VALUES (%d, 'red blue', {(1, {(3, 'a')})})`, k),
+				fmt.Sprintf(`INSERT INTO F VALUES (%d, 'green')`, k),
+				fmt.Sprintf(`UPDATE x IN D SET DNO = %d WHERE x.DNO = %d`, 1+h.rng.Intn(5), 1+h.rng.Intn(5)),
+				fmt.Sprintf(`UPDATE x IN F SET K = %d WHERE x.K = %d`, 1+h.rng.Intn(5), 1+h.rng.Intn(5)),
+				h.stmt(),
+				h.stmt(),
+			} {
+				if _, err := tx.Exec(q); err != nil && !errors.Is(err, ErrWriteConflict) {
+					h.t.Fatalf("%s: %s: %v", phase, q, err)
+				}
+			}
+		}
+		uses += h.compare(fmt.Sprintf("%s, transaction %d at %d (own writes %v)", phase, i, tx.SnapshotTS(), own), asofPairs(0), tx.exec, tx.Query)
+		if err := tx.Rollback(); err != nil {
+			h.t.Fatal(err)
+		}
+	}
+	if uses == 0 {
+		h.t.Fatalf("%s: no item of %d transactions was answered by an index", phase, len(txs))
+	}
+	h.uses += uses
 }
 
 // TestASOFIndexedMatchesScan: at every instant of random histories, an
@@ -202,7 +266,12 @@ func (h *asofHistory) indexed(q string) bool {
 // object inserts and deletes, a committed transaction; then a failed
 // statement, whose rollback rebuilds every index; then a close and an
 // open under a counter clock restarted at 1, whose rebuild bounds the
-// watermark by the version stamps it reads.
+// watermark by the version stamps it reads. The txn configurations read
+// the same way inside transactions, with no ASOF, over versioned and
+// unversioned tables: one transaction begins at each instant of a
+// random history, and after it each compares its indexed and scanned
+// reads at its snapshot, every other one after buffering key changes of
+// its own.
 func TestASOFIndexedMatchesScan(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	steps := 20
@@ -234,6 +303,36 @@ func TestASOFIndexedMatchesScan(t *testing.T) {
 			h.check("after a reopen")
 			t.Logf("%d instants, %d ASOF items answered by an index", h.last, h.uses)
 		})
+	}
+	for _, kind := range []string{"versioned", "unversioned"} {
+		schema := asofSchema
+		if kind == "unversioned" {
+			schema = strings.ReplaceAll(schema, " VERSIONED", "")
+		}
+		for _, seed := range seeds {
+			t.Run(fmt.Sprintf("txn/%s/seed%d", kind, seed), func(t *testing.T) {
+				h := &asofHistory{t: t, rng: rand.New(rand.NewSource(seed)), dir: t.TempDir()}
+				h.open()
+				defer h.db.Close()
+				mustExec(t, h.db, schema)
+				var txs []*Txn
+				for range steps {
+					txs = append(txs, h.begin())
+					h.run(1)
+				}
+				txs = append(txs, h.begin())
+				h.txn(3)
+				txs = append(txs, h.begin())
+				if _, err := h.db.Exec(`INSERT INTO F VALUES (2, 'green'), ('notint', 'x')`); err == nil {
+					t.Fatal("a row of the wrong type was inserted")
+				}
+				txs = append(txs, h.begin())
+				h.run(steps)
+				txs = append(txs, h.begin(), h.begin())
+				h.checkTxns("random history", txs)
+				t.Logf("%d transactions, %d items answered by an index", len(txs), h.uses)
+			})
+		}
 	}
 }
 

@@ -519,7 +519,7 @@ func TestManyReadersOnSmallPool(t *testing.T) {
 
 // TestManyIndexedReadersOnSmallPool is TestManyReadersOnSmallPool with
 // an index on K: six snapshot readers look each object up through the
-// index (plus the objects written since their snapshot) while the
+// index (at their snapshot, or by scan past its watermark) while the
 // writer's DML locates its victims through it too, all on an 8-frame
 // pool. A candidate read that runs out of frames must fail its
 // statement with the transient error, never be skipped or quarantined:

@@ -29,7 +29,10 @@ import (
 // Options configures a database instance.
 type Options struct {
 	// Dir is the database directory; empty means a purely in-memory
-	// database (no files, no WAL).
+	// database (no files, no WAL). A database without a log cannot roll
+	// a failed statement back: what the statement wrote before it failed
+	// stays (of an INSERT whose second row is rejected, the first row
+	// remains).
 	Dir string
 	// PoolPages is the buffer pool capacity in pages (default 1024).
 	PoolPages int
@@ -37,7 +40,8 @@ type Options struct {
 	// power of two; 0 derives it from PoolPages). Concurrency tests
 	// and benchmarks use it to force sharding on small pools.
 	PoolShards int
-	// DisableWAL turns off logging even for on-disk databases.
+	// DisableWAL turns off logging even for on-disk databases, and with
+	// it the rollback of a failed statement (see Dir).
 	DisableWAL bool
 	// DefaultLayout is the Mini Directory storage structure used for
 	// new NF² tables unless CREATE TABLE overrides it (default SS3,
@@ -148,14 +152,14 @@ type DB struct {
 	txnMu      sync.Mutex
 	nextTxn    uint64
 	activeTxns map[uint64]*Txn
-	writeLocks keyMap[uint64]
-	lastWrite  keyMap[int64]
+	writeLocks map[wkey]uint64
+	lastWrite  map[wkey]int64
 
 	// applying is true while a transaction commit replays its buffered
 	// ops through the runtime mutators; those calls must not re-enter
 	// auto-commit conflict detection. stmtWrites collects the conflict
 	// keys an auto-commit statement wrote, published to lastWrite when
-	// the statement ends. Both are guarded by applyMu.
+	// the statement commits. Both are guarded by applyMu.
 	applying   bool
 	stmtWrites []wkey
 
@@ -257,8 +261,8 @@ func Open(opts Options) (*DB, error) {
 		quar:        make(map[quarKey]*QuarantineError),
 		degraded:    make(map[string]string),
 		activeTxns:  make(map[uint64]*Txn),
-		writeLocks:  make(keyMap[uint64]),
-		lastWrite:   make(keyMap[int64]),
+		writeLocks:  make(map[wkey]uint64),
+		lastWrite:   make(map[wkey]int64),
 		plans:       newPlanCache(planCacheLimit),
 	}
 	if (opts.Dir != "" || opts.OpenWALStorage != nil) && !opts.DisableWAL {

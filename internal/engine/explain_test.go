@@ -12,8 +12,8 @@ import (
 // TestPreparedExplainRendersCandidates: an execution keeps only which
 // access choices answered and the arguments it was bound to, and EXPLAIN
 // renders the candidate line from them: each bound operand, the
-// intersection of two indexes, the union with the objects written since
-// a transaction's snapshot, and the candidate count — the same text
+// intersection of two indexes, the union with a transaction's own
+// writes, and the candidate count — the same text
 // whether the statement is prepared or ad hoc.
 func TestPreparedExplainRendersCandidates(t *testing.T) {
 	db, err := Open(Options{})
@@ -64,7 +64,7 @@ func TestPreparedExplainRendersCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := line(tx.ExecPrepared(context.Background(), ps, model.Int(9), model.Int(5)))
-	want := "x IN T: index TA(A)=9 ∩ index TC(C) > 5 (range) ∪ written since the snapshot -> 1 candidate object(s)"
+	want := "x IN T: index TA(A)=9 ∩ index TC(C) > 5 (range) ∪ this transaction's writes -> 1 candidate object(s)"
 	if got != want {
 		t.Errorf("in a transaction:\n got %q\nwant %q", got, want)
 	}
@@ -132,5 +132,42 @@ func TestExplainASOFDecision(t *testing.T) {
 		if c.got != c.want {
 			t.Errorf("%s:\n got %q\nwant %q", c.name, c.got, c.want)
 		}
+	}
+}
+
+// TestExplainTxnWatermark: EXPLAIN in a transaction on a versioned table
+// names the index while no entry removal followed its snapshot, and the
+// index's watermark once one did and sent the item to the scan — which
+// still reads the snapshot.
+func TestExplainTxnWatermark(t *testing.T) {
+	ts := int64(0)
+	db, err := Open(Options{Clock: func() int64 { ts++; return ts }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE T (A INT, B STRING) VERSIONED; INSERT INTO T VALUES (1, 'a'), (2, 'b'); CREATE INDEX TA ON T (A)`)
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	const q = `EXPLAIN SELECT x.B FROM x IN T WHERE x.A = 1`
+	explain := func() (string, int) {
+		t.Helper()
+		res, err := tx.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return accessLine(t, res[0], nil), res[0].Count
+	}
+	if got, n := explain(); got != "x IN T: index TA(A)=1 -> 1 candidate object(s)" || n != 1 {
+		t.Errorf("before any removal: %q, %d rows; want the index and 1 row", got, n)
+	}
+	mustExec(t, db, `UPDATE x IN T SET A = 3 WHERE x.A = 1`)
+	ix, _ := db.IndexByName("TA")
+	want := fmt.Sprintf("x IN T: scan: index TA holds no entries before %d", ix.Watermark())
+	if got, n := explain(); got != want || n != 1 {
+		t.Errorf("after a key change: %q, %d rows; want %q and the snapshot's 1 row", got, n, want)
 	}
 }

@@ -128,8 +128,7 @@ func (db *DB) planFor(st sql.Stmt, key string, epoch uint64) (*plan.Prepared, bo
 // run executes the statement with the given arguments (one per `?`, in
 // order) in scope tx. The plan is bound by the statement envelope
 // (dispatch) in every scope: its access choices are evaluated against
-// the scope's runtime, whose IndexCut makes the live indexes sound for
-// a transaction's snapshot too.
+// the scope's runtime, at the instant it resolves for each FROM item.
 func (ps *PreparedStmt) run(ctx context.Context, tx *Txn, args []model.Value, form resultForm) (Result, *Rows, error) {
 	return ps.db.run(ctx, tx, stmt{Stmt: ps.st, args: args, ps: ps}, form)
 }

@@ -63,12 +63,12 @@ type runtime struct {
 func (r *runtime) Table(name string) (*catalog.Table, bool) { return r.db.cat.Table(name) }
 
 // Indexes implements exec.Runtime. The live indexes describe the
-// current committed state; auto-commit statements read exactly that,
-// and a transaction reads through them under the rule IndexCut states.
-// A replica horizon (snap.ts) exposes none: its applier redoes page
-// writes only and maintains no index (promotion rebuilds them). An
-// explicit ASOF gets them too: each answers a lookup at an instant no
-// earlier than its watermark, before which the planner scans.
+// current committed state, and each answers a lookup at an earlier
+// instant from its watermark on, before which the planner scans: every
+// read but a replica's goes through them at the instant ReadAt
+// resolves. A replica horizon (snap.ts) exposes none: its applier
+// redoes page writes only and maintains no index (promotion rebuilds
+// them).
 func (r *runtime) Indexes(table string) []*index.Index {
 	if r.snap.ts != 0 {
 		return nil
@@ -85,24 +85,26 @@ func (r *runtime) TextIndexes(table string) []*textindex.Index {
 	return r.db.live[table].text
 }
 
-// IndexCut implements exec.Runtime. An auto-commit statement reads the
-// state the indexes describe and takes nothing (a writer calls in
-// holding snapMu exclusively; a reader's lookups are as current as its
-// reads). A transaction reads its snapshot, which the indexes may no
-// longer describe: an entry is removed when its key changes, so a key
-// changed after the snapshot hides the object from a lookup of the old
-// key. Under snapMu shared — no commit can publish between the lookups
-// and the list — changedSince names every object that may be so hidden.
-func (r *runtime) IndexCut() (func(table string) []page.TID, func()) {
-	tx := r.snap.tx
-	if tx == nil {
-		return nil, noCut
+// ReadAt implements exec.Runtime: a read observes the instant pin
+// resolves — an explicit ASOF's, a transaction's snapTS on a versioned
+// table, the current state everywhere else — and a transaction's
+// overlay adds the objects of its own pending writes, which no index
+// holds yet. Lookups at the instant need no lock: an index answers one
+// only from its watermark on (DESIGN.md §5.1).
+func (r *runtime) ReadAt(table string, asof int64) (int64, []page.TID) {
+	if asof != 0 || r.snap == (snapshot{}) {
+		return asof, nil
 	}
-	r.db.snapMu.RLock()
-	return tx.changedSince, r.db.snapMu.RUnlock
+	t, ok := r.db.cat.Table(table)
+	if !ok {
+		return 0, nil
+	}
+	at := r.snap.pin(t, 0)
+	if r.snap.tx == nil {
+		return at, nil
+	}
+	return at, r.snap.tx.ownRefs(table)
 }
-
-func noCut() {}
 
 // InsertTuple implements exec.Runtime.
 func (r *runtime) InsertTuple(t *catalog.Table, tup model.Tuple) error {

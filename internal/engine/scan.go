@@ -168,7 +168,7 @@ func (oc *objectCursor) Next() (page.TID, model.Tuple, bool, error) {
 				// as "absent at asof" or "deleted meanwhile".
 				return page.TID{}, nil, false, oc.db.guardRead(oc.t.Name, ref, err)
 			}
-			if oc.asof != 0 || errors.Is(err, subtuple.ErrNotFound) {
+			if errors.Is(err, subtuple.ErrNotFound) {
 				continue // nonexistent at asof, or deleted since the chunk was read
 			}
 			return page.TID{}, nil, false, err

@@ -176,7 +176,9 @@ func (db *DB) run(ctx context.Context, tx *Txn, s stmt, form resultForm) (res Re
 			}
 		}
 		db.clearApply()
-		db.publishStmtWrites() // a failed statement's too, see there
+		if err == nil {
+			db.publishStmtWrites()
+		}
 		db.snapMu.Unlock()
 	}
 	if writer {
@@ -425,7 +427,7 @@ func (db *DB) explain(ctx context.Context, ex *exec.Executor, p *plan.Prepared, 
 		if i >= len(p.Access) {
 			return ""
 		}
-		return p.Access[i].Why(cd.Used, cd.Changed, args, ex.RT)
+		return p.Access[i].Why(cd.Used, cd.Own, args, ex.RT)
 	}) {
 		b.WriteString(line)
 		b.WriteByte('\n')

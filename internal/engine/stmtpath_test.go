@@ -271,7 +271,7 @@ func TestStmtPathMatrix(t *testing.T) {
 							case stream: // a cursor carries no message
 							case k.name == "explain":
 								// Same row count, and the live index in every scope:
-								// a transaction's lookups run under IndexCut's rule.
+								// a transaction's lookups run at its read instant.
 								if want := fmt.Sprintf("rows %d", ref.count); !strings.Contains(got.message, want) {
 									t.Errorf("message %q lacks %q", got.message, want)
 								}
@@ -321,10 +321,10 @@ func TestStmtPathExplainInTxn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The index does not know the buffered row; the objects written since
-	// the snapshot join its candidates (IndexCut), and that finds it.
+	// The index does not know the buffered row; the transaction's own
+	// writes join its candidates, and that finds it.
 	if res[0].Count != 1 || !strings.Contains(res[0].Message, "rows 1") ||
-		!strings.Contains(res[0].Message, "TA") || !strings.Contains(res[0].Message, "written since the snapshot") {
+		!strings.Contains(res[0].Message, "TA") || !strings.Contains(res[0].Message, "this transaction's writes") {
 		t.Errorf("EXPLAIN in txn: count %d, message %q; want the 1 buffered row through the index and the written set", res[0].Count, res[0].Message)
 	}
 	ps, err := db.Prepare(`EXPLAIN SELECT x.B FROM x IN T WHERE x.A = ?`)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/exec"
 	"repro/internal/model"
@@ -37,33 +36,6 @@ var (
 type wkey struct {
 	table string
 	ref   page.TID
-}
-
-// keyMap maps conflict units table by table, so changedSince walks only
-// the table it is asked about.
-type keyMap[V any] map[string]map[page.TID]V
-
-func (m keyMap[V]) get(k wkey) (V, bool) {
-	v, ok := m[k.table][k.ref]
-	return v, ok
-}
-
-func (m keyMap[V]) set(k wkey, v V) {
-	refs := m[k.table]
-	if refs == nil {
-		refs = make(map[page.TID]V)
-		m[k.table] = refs
-	}
-	refs[k.ref] = v
-}
-
-func (m keyMap[V]) del(k wkey) {
-	if refs := m[k.table]; refs != nil {
-		delete(refs, k.ref)
-		if len(refs) == 0 {
-			delete(m, k.table)
-		}
-	}
 }
 
 // synthBase is the first synthetic page number handed to refs of
@@ -207,50 +179,27 @@ func (tx *Txn) registerWrite(k wkey) error {
 	defer db.snapMu.RUnlock()
 	db.txnMu.Lock()
 	defer db.txnMu.Unlock()
-	if holder, held := db.writeLocks.get(k); held && holder != tx.id {
+	if holder, held := db.writeLocks[k]; held && holder != tx.id {
 		return fmt.Errorf("%w (object %v of %s, held by transaction %d)", ErrWriteConflict, k.ref, k.table, holder)
 	}
-	if ts, ok := db.lastWrite.get(k); ok && ts > tx.snapTS {
+	if ts, ok := db.lastWrite[k]; ok && ts > tx.snapTS {
 		return fmt.Errorf("%w (object %v of %s, committed at %d after snapshot %d)", ErrWriteConflict, k.ref, k.table, ts, tx.snapTS)
 	}
-	db.writeLocks.set(k, tx.id)
+	db.writeLocks[k] = tx.id
 	tx.locked[k] = true
 	return nil
 }
 
-// changedSince lists, in TID order, the objects of table whose live
-// index entries may not describe them as of the snapshot: those stamped
-// in lastWrite after it (auto-commit writes, failed ones included, and
-// finished commits), those write-locked by any transaction (a commit
-// applies its writes before finish stamps them), and this transaction's
-// own pending objects, synthetic inserts included. Duplicates are
-// possible; the order is fixed so that a transaction's rows do not follow
-// map iteration. The caller holds snapMu shared, the cut its index
-// lookups are taken under (IndexCut).
-func (tx *Txn) changedSince(table string) []page.TID {
+// ownRefs lists, in the order they were first written, the objects of
+// table this transaction's pending writes touched, synthetic inserts
+// included: no index holds their buffered images.
+func (tx *Txn) ownRefs(table string) []page.TID {
 	var refs []page.TID
-	db := tx.db
-	db.txnMu.Lock()
-	for ref, ts := range db.lastWrite[table] {
-		if ts > tx.snapTS {
-			refs = append(refs, ref)
-		}
-	}
-	for ref := range db.writeLocks[table] {
-		refs = append(refs, ref)
-	}
-	db.txnMu.Unlock()
 	for _, k := range tx.order {
 		if k.table == table {
 			refs = append(refs, k.ref)
 		}
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Page != refs[j].Page {
-			return refs[i].Page < refs[j].Page
-		}
-		return refs[i].Slot < refs[j].Slot
-	})
 	return refs
 }
 
@@ -263,16 +212,16 @@ func (tx *Txn) finish(commitTS int64) {
 	db := tx.db
 	db.txnMu.Lock()
 	for k := range tx.locked {
-		if holder, _ := db.writeLocks.get(k); holder == tx.id {
-			db.writeLocks.del(k)
+		if db.writeLocks[k] == tx.id {
+			delete(db.writeLocks, k)
 		}
 		if commitTS != 0 {
-			db.lastWrite.set(k, commitTS)
+			db.lastWrite[k] = commitTS
 		}
 	}
 	delete(db.activeTxns, tx.id)
 	if len(db.activeTxns) == 0 {
-		db.lastWrite = make(keyMap[int64])
+		db.lastWrite = make(map[wkey]int64)
 	}
 	db.txnMu.Unlock()
 	tx.done = true
@@ -420,26 +369,23 @@ func (db *DB) autoConflict(table string, ref page.TID) error {
 	k := wkey{table, ref}
 	db.txnMu.Lock()
 	defer db.txnMu.Unlock()
-	if holder, held := db.writeLocks.get(k); held {
+	if holder, held := db.writeLocks[k]; held {
 		return fmt.Errorf("%w (object %v of %s, held by transaction %d)", ErrWriteConflict, k.ref, k.table, holder)
 	}
 	db.stmtWrites = append(db.stmtWrites, k)
 	return nil
 }
 
-// publishStmtWrites stamps the objects an auto-commit statement wrote
-// into lastWrite, under the statement's exclusive snapMu — a transaction
-// whose snapshot predates this commit will conflict if it later writes
-// one of them. A failed statement stamps too: its writes stay in the
-// pages and indexes until abortLocked rolls them back after snapMu is
-// released, and a transaction statement already holding the heal
-// barrier may take its index cut in between, so changedSince must name
-// them (the price is a spurious conflict on those objects for older
-// snapshots). With no transaction active the stamps are skipped: no
-// snapshot old enough to race can exist (Begin samples its timestamp and
-// registers the transaction under snapMu's shared side, so a transaction
-// not registered yet takes its snapshot after this statement), and
-// finish would only have to prune them again.
+// publishStmtWrites stamps the objects a committing auto-commit
+// statement wrote into lastWrite, under the statement's exclusive
+// snapMu — a transaction whose snapshot predates this commit will
+// conflict if it later writes one of them. A failed statement stamps
+// nothing: its rollback removes its writes. With no transaction active
+// the stamps are skipped: no snapshot old enough to race can exist
+// (Begin samples its timestamp and registers the transaction under
+// snapMu's shared side, so a transaction not registered yet takes its
+// snapshot after this statement), and finish would only have to prune
+// them again.
 func (db *DB) publishStmtWrites() {
 	if len(db.stmtWrites) == 0 {
 		return
@@ -448,11 +394,10 @@ func (db *DB) publishStmtWrites() {
 	if len(db.activeTxns) > 0 {
 		ts := db.opts.Clock()
 		for _, k := range db.stmtWrites {
-			db.lastWrite.set(k, ts)
+			db.lastWrite[k] = ts
 		}
 	}
 	db.txnMu.Unlock()
-	db.stmtWrites = db.stmtWrites[:0]
 }
 
 // --- statement surface --------------------------------------------------

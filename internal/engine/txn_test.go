@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 )
@@ -686,5 +687,81 @@ func TestTxnStmtRollbackRestoresOwnKeys(t *testing.T) {
 	tbl, _, err := db.Query(`SELECT x.B FROM x IN T WHERE x.A <= 2 OR x.A = 5000`)
 	if got := fmt.Sprint(sortedRows(tbl)); err != nil || got != `[("b") ("kept")]` {
 		t.Errorf("committed rows 1, 2, 5000 = %s, %v", got, err)
+	}
+}
+
+// TestTxnIndexedReadDuringWriterWindow: a transaction's indexed read
+// takes no lock a writer holds. With snapMu held exclusively, as an
+// auto-commit writer holds it from its first page write to its commit
+// record, an indexed SELECT in a transaction — its snapshot on a
+// versioned table, the current state on an unversioned one, its own
+// buffered key change either way — completes, by index, and returns
+// what the same read by scan returns.
+func TestTxnIndexedReadDuringWriterWindow(t *testing.T) {
+	for _, versioned := range []string{" VERSIONED", ""} {
+		t.Run(fmt.Sprintf("versioned=%v", versioned != ""), func(t *testing.T) {
+			db := openBank(t)
+			mustExec(t, db, `CREATE TABLE T (K INT, W INT)`+versioned+`;
+				CREATE INDEX TK ON T (K);
+				INSERT INTO T VALUES (1, 10), (2, 20), (3, 30)`)
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tx.Rollback()
+			if _, err := tx.Exec(`UPDATE x IN T SET K = 5 WHERE x.K = 1`); err != nil {
+				t.Fatal(err)
+			}
+			type read struct {
+				indexed, scanned, explain string
+				err                       error
+			}
+			done := make(chan read, 1)
+			db.snapMu.Lock()
+			go func() {
+				var r read
+				for _, q := range []struct {
+					text string
+					out  *string
+				}{
+					{`SELECT x.K, x.W FROM x IN T WHERE x.K >= 2 OR x.K >= 2`, &r.scanned},
+					{`SELECT x.K, x.W FROM x IN T WHERE x.K >= 2`, &r.indexed},
+				} {
+					tbl, _, err := tx.Query(q.text)
+					if err != nil {
+						r.err = err
+						break
+					}
+					*q.out = fmt.Sprint(sortedRows(tbl))
+				}
+				if r.err == nil {
+					var res []Result
+					res, r.err = tx.Exec(`EXPLAIN SELECT x.K, x.W FROM x IN T WHERE x.K >= 2`)
+					if r.err == nil {
+						r.explain = res[0].Message
+					}
+				}
+				done <- r
+			}()
+			var r read
+			select {
+			case r = <-done:
+				db.snapMu.Unlock()
+			case <-time.After(5 * time.Second):
+				db.snapMu.Unlock()
+				r = <-done
+				t.Errorf("a transaction's indexed SELECT waited for snapMu, which a writer holds")
+			}
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			want := "[(2, 20) (3, 30) (5, 10)]"
+			if r.indexed != want || r.scanned != want {
+				t.Errorf("indexed %s, scanned %s; want %s", r.indexed, r.scanned, want)
+			}
+			if !strings.Contains(r.explain, "index TK(K) >= 2 (range) ∪ this transaction's writes") {
+				t.Errorf("the read was not answered by the index and the transaction's writes:\n%s", r.explain)
+			}
+		})
 	}
 }

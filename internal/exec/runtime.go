@@ -53,15 +53,13 @@ type Runtime interface {
 	Indexes(table string) []*index.Index
 	// TextIndexes returns the live text indexes of a table.
 	TextIndexes(table string) []*textindex.Index
-	// IndexCut holds the live indexes at one cut of the committed state
-	// until release is called: every index lookup in between, and every
-	// call of changed, observes the same instant. The indexes describe the
-	// current state; changed(table) lists the references of table whose
-	// entries may disagree with what this runtime reads (objects written
-	// since its snapshot), which the planner adds to every candidate list
-	// of that table. changed is nil when the indexes answer for the
-	// runtime's reads exactly.
-	IndexCut() (changed func(table string) []page.TID, release func())
+	// ReadAt resolves a read of table at asof (0: the item has no ASOF)
+	// for the planner: the instant it observes (0 = the current state),
+	// at which the indexes answer it, and the references of table that
+	// writes of the runtime's own have touched but not yet published,
+	// which join every candidate list of the table (nil when the read
+	// overlays none).
+	ReadAt(table string, asof int64) (at int64, own []page.TID)
 
 	// InsertTuple adds a tuple to a stored table.
 	InsertTuple(t *catalog.Table, tup model.Tuple) error
@@ -96,13 +94,13 @@ type ScanCursor interface {
 // candidate lists of a statement are a slice indexed by FROM item; an
 // element whose Used is zero (or a nil slice) leaves its item to a scan.
 // Used marks the planner's access choices of the item that answered (bit
-// j: choice j), Changed that the references written since the snapshot
-// joined the list. An execution keeps only these; the text EXPLAIN
-// prints is rendered from them by the planner, when asked.
+// j: choice j), Own that the runtime's own unpublished writes
+// (Runtime.ReadAt) joined the list. An execution keeps only these; the
+// text EXPLAIN prints is rendered from them by the planner, when asked.
 type Candidates struct {
-	Refs    []page.TID
-	Used    uint64
-	Changed bool
+	Refs []page.TID
+	Used uint64
+	Own  bool
 }
 
 // Executor binds statements (Bind) and runs bound ones (OpenPrepared,

@@ -21,16 +21,17 @@
 // and runs the same way from there. The execute phase (evalChoice)
 // resolves the operand against the bound arguments and runs the index
 // lookup, producing the candidate root set for this execution. Conjunctions
-// intersect the sets; objects the runtime reports written since its
-// snapshot are added back (evalAccess). A FROM item read at an explicit
-// ASOF instant is planned like any other, its instant recorded on its
-// choices: an index keeps every entry of every instant from its
-// watermark on (index.BTree), so a lookup at an instant no earlier than
-// the watermark answers and one before it falls back to the scan, and
-// the candidates are read at the instant. Data-TID indexes are never
-// chosen: as §4.2 shows, their addresses cannot locate the containing
-// complex object at all. The executor re-verifies the full WHERE clause on the
-// candidates, so planning only needs superset correctness — a choice
+// intersect the sets; the runtime's own unpublished writes are added
+// back (evalAccess). Every FROM item is looked up at the instant it
+// reads — its explicit ASOF, recorded on its choices, or else the one
+// the runtime resolves per execution: an index keeps every entry of
+// every instant from its watermark on (index.BTree), so a lookup at an
+// instant no earlier than the watermark answers and one before it falls
+// back to the scan, and the candidates are read at the instant.
+// Data-TID indexes are never chosen: as §4.2 shows, their addresses
+// cannot locate the containing complex object at all. The executor
+// re-verifies the full WHERE clause on the candidates, so planning only
+// needs superset correctness — a choice
 // that cannot be evaluated (missing index, unbound parameter) simply
 // falls back to a full scan.
 package plan
@@ -80,7 +81,8 @@ type AccessChoice struct {
 	// Mask is the CONTAINS mask for text indexes.
 	Mask string
 	// AsOf is the instant of the FROM item's explicit ASOF, 0 when it
-	// reads the current state. The index answers at AsOf only from its
+	// has none and the runtime resolves its instant per execution
+	// (exec.Runtime.ReadAt). The index answers an instant only from its
 	// watermark on (index.BTree); before it the item is scanned.
 	AsOf int64
 }
@@ -125,19 +127,19 @@ const maxChoices = 64
 
 // Why renders the access path of one execution: the choices marked in
 // used, their operands bound to params, joined by ∩, and the union with
-// the objects written since the snapshot when changed is set. An item
-// no choice answered (used 0) renders as "", a full scan — or, when a
-// choice's index keeps no entries of the item's ASOF instant, as a scan
-// that names the index and its watermark, read from rt.
-func (l AccessList) Why(used uint64, changed bool, params []model.Value, rt exec.Runtime) string {
+// the runtime's own writes when own is set. An item no choice answered
+// (used 0) renders as "", a full scan — or, when a choice's index keeps
+// no entries of the instant rt reads the item at, as a scan that names
+// the index and its watermark.
+func (l AccessList) Why(used uint64, own bool, params []model.Value, rt exec.Runtime) string {
 	if used == 0 {
+		if len(l) == 0 {
+			return ""
+		}
+		at, _ := rt.ReadAt(l[0].Table, l[0].AsOf)
 		for j := range l {
-			c := &l[j]
-			if c.AsOf == 0 {
-				continue
-			}
-			if w, ok := c.watermark(rt); ok && w > c.AsOf {
-				return fmt.Sprintf("scan: index %s holds no entries before %d", c.Index, w)
+			if w, ok := l[j].watermark(rt); ok && at != 0 && w > at {
+				return fmt.Sprintf("scan: index %s holds no entries before %d", l[j].Index, w)
 			}
 		}
 		return ""
@@ -152,8 +154,8 @@ func (l AccessList) Why(used uint64, changed bool, params []model.Value, rt exec
 		}
 		b.WriteString(c.why(params))
 	}
-	if changed {
-		b.WriteString(" ∪ written since the snapshot")
+	if own {
+		b.WriteString(" ∪ this transaction's writes")
 	}
 	return b.String()
 }
@@ -175,9 +177,10 @@ func (c *AccessChoice) why(params []model.Value) string {
 // top-level FROM list — a SELECT's or a DML statement's — indexed by
 // item; nil when no item has one. Only uncorrelated stored tables are
 // considered. An item with an explicit ASOF records its instant on its
-// choices: the indexes describe the current state, and each keeps every
-// entry of every instant from its watermark on, so an execution uses
-// the index at an instant no earlier than the watermark and scans
+// choices; any other is read at the instant its execution's runtime
+// resolves. The indexes describe the current state, and each keeps
+// every entry of every instant from its watermark on, so an execution
+// uses the index at an instant no earlier than the watermark and scans
 // otherwise (evalChoice).
 func chooseAccess(from []sql.FromItem, where sql.Expr, rt exec.Runtime) []AccessList {
 	if where == nil {
@@ -229,29 +232,30 @@ func instant(fi sql.FromItem, rt exec.Runtime) (int64, bool) {
 }
 
 // evalAccess evaluates recorded choices against the live runtime and
-// the bound parameters, intersecting the root sets per FROM item. The
-// lookups run inside one index cut of the runtime, and the references
-// it reports changed since the runtime's snapshot join every candidate
-// list of their table: an object that satisfied the predicate at the
-// snapshot either still carries the entries that find it, or was
-// written since and is among the changed (DESIGN.md §5.1, "Access
-// paths per scope"). An item read at an explicit ASOF instant takes no
-// union: its lookups answer only from the watermark on, where the index
-// holds every entry of that instant. The executor re-tests the WHERE on
-// whatever it reads, so the union only has to be a superset. The result
-// is indexed by FROM item, nil when no choice evaluates; it holds the
-// root sets and which choices answered, and no text.
+// the bound parameters, intersecting the root sets per FROM item. Each
+// item is looked up at the instant the runtime reads it at
+// (exec.Runtime.ReadAt): an index answers an instant only from its
+// watermark on, where it holds every entry of that instant, so an object
+// that satisfied the predicate then still carries the entries that find
+// it (DESIGN.md §5.1, "Access paths per scope"). The references of the
+// runtime's own unpublished writes join every candidate list of their
+// table: no index holds their images. The executor re-tests the WHERE
+// on whatever it reads, so the candidates only have to be a superset.
+// The result is indexed by FROM item, nil when no choice evaluates; it
+// holds the root sets and which choices answered, and no text.
 func evalAccess(access []AccessList, rt exec.Runtime, params []model.Value) []exec.Candidates {
 	if access == nil {
 		return nil
 	}
-	changed, release := rt.IndexCut()
-	defer release()
 	var out []exec.Candidates
 	for i, choices := range access {
+		if len(choices) == 0 {
+			continue
+		}
+		at, own := rt.ReadAt(choices[0].Table, choices[0].AsOf)
 		var c exec.Candidates
 		for j := range choices {
-			refs, ok := evalChoice(&choices[j], rt, params)
+			refs, ok := evalChoice(&choices[j], at, rt, params)
 			if !ok {
 				continue
 			}
@@ -265,10 +269,8 @@ func evalAccess(access []AccessList, rt exec.Runtime, params []model.Value) []ex
 		if c.Used == 0 {
 			continue
 		}
-		if changed != nil && choices[0].AsOf == 0 {
-			if extra := changed(choices[0].Table); len(extra) > 0 {
-				c.Refs, c.Changed = unionRefs(c.Refs, extra), true
-			}
+		if len(own) > 0 {
+			c.Refs, c.Own = unionRefs(c.Refs, own), true
 		}
 		if out == nil {
 			out = make([]exec.Candidates, len(access))
@@ -279,17 +281,17 @@ func evalAccess(access []AccessList, rt exec.Runtime, params []model.Value) []ex
 }
 
 // evalChoice runs one access choice: resolve the operand, re-resolve
-// the index by name, and look up the distinct roots at the choice's
-// instant. Any failure — an instant before the index's watermark
-// included (index.ErrWatermark) — reports not-ok and the conjunct is
-// answered by the scan instead.
-func evalChoice(c *AccessChoice, rt exec.Runtime, params []model.Value) ([]page.TID, bool) {
+// the index by name, and look up the distinct roots at instant at (0 =
+// the current state). Any failure — an instant before the index's
+// watermark included (index.ErrWatermark) — reports not-ok and the
+// conjunct is answered by the scan instead.
+func evalChoice(c *AccessChoice, at int64, rt exec.Runtime, params []model.Value) ([]page.TID, bool) {
 	if c.Text {
 		ti := c.textIndex(rt)
 		if ti == nil {
 			return nil, false
 		}
-		addrs, err := ti.SearchAt(c.Mask, c.AsOf)
+		addrs, err := ti.SearchAt(c.Mask, at)
 		return textindex.DistinctRoots(addrs), err == nil
 	}
 	val, ok := operandValue(c.Operand, params)
@@ -298,7 +300,7 @@ func evalChoice(c *AccessChoice, rt exec.Runtime, params []model.Value) ([]page.
 		return nil, false
 	}
 	if c.Op == "=" {
-		refs, err := ix.LookupRoots(val, c.AsOf)
+		refs, err := ix.LookupRoots(val, at)
 		return refs, err == nil
 	}
 	var lo, hi model.Value
@@ -311,7 +313,7 @@ func evalChoice(c *AccessChoice, rt exec.Runtime, params []model.Value) ([]page.
 		return nil, false
 	}
 	var addrs []index.Addr
-	if err := ix.LookupRange(lo, hi, c.AsOf, func(as []index.Addr) bool {
+	if err := ix.LookupRange(lo, hi, at, func(as []index.Addr) bool {
 		addrs = append(addrs, as...)
 		return true
 	}); err != nil {

@@ -76,7 +76,7 @@ func choose(t *testing.T, db *engine.DB, q string) map[int]*choice {
 		if out == nil {
 			out = make(map[int]*choice)
 		}
-		out[i] = &choice{Refs: c.Refs, Why: p.Access[i].Why(c.Used, c.Changed, nil, db.Runtime())}
+		out[i] = &choice{Refs: c.Refs, Why: p.Access[i].Why(c.Used, c.Own, nil, db.Runtime())}
 	}
 	return out
 }
@@ -198,7 +198,7 @@ func TestChooseASOFByWatermark(t *testing.T) {
 		if cs := p.Candidates(db.Runtime(), nil); cs != nil {
 			c = cs[0]
 		}
-		return c.Refs, c.Used != 0, p.Access[0].Why(c.Used, c.Changed, nil, db.Runtime())
+		return c.Refs, c.Used != 0, p.Access[0].Why(c.Used, c.Own, nil, db.Runtime())
 	}
 	scans := func(instant int64, dno int) {
 		t.Helper()

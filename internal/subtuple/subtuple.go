@@ -92,14 +92,15 @@ type Store struct {
 	decoded *atomic.Uint64
 	own     atomic.Uint64
 
-	// applyTxn/applyTS are the transaction apply context: while a
-	// transaction's write set is applied (always under the engine's
-	// exclusive apply lock), every version written is stamped with the
-	// creator/deleter transaction id and carries the transaction's
-	// single commit timestamp instead of a fresh clock reading — the
-	// whole transaction becomes visible to snapshot readers atomically,
-	// at one instant. Zero means "no transaction": timestamps come from
-	// the clock and versions are stamped txn 0.
+	// applyTxn/applyTS are the apply context: while a transaction's
+	// write set or an auto-commit statement is applied (always under the
+	// engine's exclusive apply lock), every version written carries the
+	// one instant applyTS instead of a fresh clock reading, and is
+	// stamped with the creator/deleter transaction id applyTxn (0 for a
+	// statement) — the whole transaction or statement becomes visible to
+	// snapshot and ASOF readers atomically, at one instant. applyTS zero
+	// means no context: timestamps come from the clock and versions are
+	// stamped txn 0.
 	applyTxn atomic.Uint64
 	applyTS  atomic.Int64
 }
@@ -153,8 +154,8 @@ func (s *Store) Versioned() bool { return s.versioned }
 func (s *Store) DecodeCount() uint64 { return s.decoded.Load() }
 
 // now returns the version timestamp for the current operation: the
-// transaction commit timestamp while an apply context is set, a fresh
-// clock reading otherwise.
+// context's instant while an apply context is set, a fresh clock
+// reading otherwise.
 func (s *Store) now() int64 {
 	if ts := s.applyTS.Load(); ts != 0 {
 		return ts
@@ -162,7 +163,7 @@ func (s *Store) now() int64 {
 	return s.clock()
 }
 
-// SetApply installs the transaction apply context (see applyTxn).
+// SetApply installs the apply context (see applyTxn).
 // Callers must serialize SetApply/ClearApply with all mutating
 // operations — the engine does so under its exclusive apply lock.
 func (s *Store) SetApply(txn uint64, ts int64) {
@@ -170,7 +171,7 @@ func (s *Store) SetApply(txn uint64, ts int64) {
 	s.applyTS.Store(ts)
 }
 
-// ClearApply removes the transaction apply context.
+// ClearApply removes the apply context.
 func (s *Store) ClearApply() {
 	s.applyTxn.Store(0)
 	s.applyTS.Store(0)

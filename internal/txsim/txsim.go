@@ -36,8 +36,10 @@ type Config struct {
 	MaxTxns int // max concurrently open transactions (default 4)
 	// Indexed adds hierarchical indexes on DEPARTMENTS.DNO and
 	// PROJECTS.MEMBERS.FUNCTION, so every read and write of the schedule
-	// locates its object through the DNO index — inside transactions
-	// under the written-since rule of engine IndexCut.
+	// locates its object through the DNO index — inside a transaction
+	// looked up at its snapshot, as an ASOF read is, unioned with its
+	// own pending writes, and scanned when the index's watermark is
+	// later than the snapshot.
 	Indexed bool
 }
 

@@ -23,8 +23,9 @@ func TestMatrix(t *testing.T) { runMatrix(t, false) }
 // TestMatrixIndexed is the same matrix with hierarchical indexes on
 // DEPARTMENTS.DNO and PROJECTS.MEMBERS.FUNCTION: every lookup of the
 // schedule goes through the DNO index — auto-commit directly, inside a
-// transaction through the index plus the objects written since its
-// snapshot — so the oracle judges indexed snapshot reads too.
+// transaction at its snapshot plus its own writes, or by scan where the
+// index's watermark is later — so the oracle judges indexed snapshot
+// reads too.
 func TestMatrixIndexed(t *testing.T) { runMatrix(t, true) }
 
 func runMatrix(t *testing.T, indexed bool) {
