@@ -625,33 +625,17 @@ func (db *DB) Checkout(table string, ref ObjectRef) ([]byte, error) {
 }
 
 // CheckIn imports a checked-out object into an NF² table of the same
-// schema and layout, returning its new reference.
+// schema and layout as one committed write, returning its new
+// reference.
 func (db *DB) CheckIn(table string, snapshot []byte) (ObjectRef, error) {
-	m, ok := db.eng.Manager(table)
-	if !ok {
+	if _, ok := db.eng.Manager(table); !ok {
 		return ObjectRef{}, errNoNF2(table)
 	}
 	snap, err := object.DecodeSnapshot(snapshot)
 	if err != nil {
 		return ObjectRef{}, err
 	}
-	ref, err := m.Import(snap)
-	if err != nil {
-		return ObjectRef{}, err
-	}
-	t, _ := db.eng.Catalog().Table(table)
-	tup, err := m.Read(t.Type, ref)
-	if err != nil {
-		return ObjectRef{}, err
-	}
-	if err := model.Conform(t.Type, tup); err != nil {
-		return ObjectRef{}, err
-	}
-	// Register the imported object like a fresh insert.
-	if err := db.eng.RegisterImported(t, ref); err != nil {
-		return ObjectRef{}, err
-	}
-	return ref, nil
+	return db.eng.CheckIn(table, snap)
 }
 
 // Format renders a table in the paper's nested layout (relations in

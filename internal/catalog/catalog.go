@@ -149,13 +149,6 @@ func (c *Catalog) encode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// Save persists the catalog.
-func (c *Catalog) Save() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.saveLocked()
-}
-
 func (c *Catalog) saveLocked() error {
 	raw, err := c.encode()
 	if err != nil {

@@ -48,8 +48,6 @@ func (e *PanicError) Error() string {
 // are still reloaded so the session stays internally consistent.
 // Callers must hold applyMu and healMu exclusively.
 func (db *DB) rollbackStmt() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	if db.log != nil {
 		if err := db.log.DiscardUnflushed(); err != nil {
 			return fmt.Errorf("engine: discard WAL buffer: %w", err)

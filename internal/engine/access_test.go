@@ -75,6 +75,41 @@ func (c *parkingClock) now() int64 {
 	return ts
 }
 
+// TestCommitWaitsForWriter: DB.Commit takes the write lock, so it waits
+// for a statement parked inside its window instead of committing
+// between its writes.
+func TestCommitWaitsForWriter(t *testing.T) {
+	clock := &parkingClock{}
+	db, err := Open(Options{Clock: clock.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE T (K INT)`)
+	entered, release := clock.arm()
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := db.Exec(`INSERT INTO T VALUES (1)`)
+		wrote <- err
+	}()
+	<-entered
+	committed := make(chan error, 1)
+	go func() { committed <- db.Commit() }()
+	select {
+	case err := <-committed:
+		close(release)
+		t.Fatalf("Commit returned (%v) while a writer was parked in its window", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // openWALMem opens a WAL-backed in-memory database with a logical
 // clock: a failed auto-commit statement rolls back exactly, whatever
 // order its targets were visited in.

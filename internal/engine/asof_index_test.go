@@ -258,6 +258,33 @@ func (h *asofHistory) checkTxns(phase string, txs []*Txn) {
 	h.uses += uses
 }
 
+// TestDirectInsertIndexedMatchesScan: an object a loader inserts with
+// DB.Insert, outside any statement, carries one instant on every
+// version, so at no instant does an index find it while a scan does not.
+func TestDirectInsertIndexedMatchesScan(t *testing.T) {
+	h := &asofHistory{t: t, rng: rand.New(rand.NewSource(7)), dir: t.TempDir()}
+	h.open()
+	defer h.db.Close()
+	mustExec(t, h.db, asofSchema)
+	h.run(5)
+	members := model.NewRelation()
+	members.Append(model.Tuple{model.Int(3), model.Str("a")})
+	members.Append(model.Tuple{model.Int(4), model.Str("b")})
+	projects := model.NewRelation()
+	projects.Append(model.Tuple{model.Int(1), members})
+	if err := h.db.Insert("D", model.Tuple{model.Int(2), model.Str("red green"), projects}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.db.Insert("F", model.Tuple{model.Int(2), model.Str("blue")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	h.last = max(h.last, h.db.Now())
+	h.check("direct inserts")
+}
+
 // TestASOFIndexedMatchesScan: at every instant of random histories, an
 // ASOF read answered by an index returns what the same read answered by
 // a scan returns. The histories run on a versioned NF² and a versioned

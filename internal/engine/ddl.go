@@ -92,16 +92,13 @@ func (db *DB) dropTableLocked(name string) error {
 
 // ddlLock takes the locks every table and index DDL runs under, in
 // the lock order: applyMu (no writer is using the tables' stores or
-// keeping the live indexes), the exclusive heal barrier (no reader is
-// resolving them), then mu. The SQL path holds the first two already
-// and takes only mu around the bodies (the …Locked forms and
-// addIndex).
+// keeping the live indexes), then the exclusive heal barrier (no reader
+// is resolving them). The SQL path holds both already around the
+// bodies (the …Locked forms and addIndex).
 func (db *DB) ddlLock() (unlock func()) {
 	db.applyMu.Lock()
 	db.healMu.Lock()
-	db.mu.Lock()
 	return func() {
-		db.mu.Unlock()
 		db.healMu.Unlock()
 		db.applyMu.Unlock()
 	}

@@ -90,16 +90,16 @@ type Options struct {
 
 // DB is one database instance.
 type DB struct {
-	// Concurrency control is six mutexes with one lock order, written
+	// Concurrency control is five mutexes with one lock order, written
 	// down once in DESIGN.md §6 "Lock order": applyMu ≻ (snapMu |
-	// healMu) ≻ mu ≻ (txnMu | quarMu). In one line each: mu serializes
-	// the DDL entry points and runtime reloads; applyMu admits one
-	// storage mutator at a time (readers never take it); snapMu keeps
-	// snapshot acquisition out of a commit's publication window; healMu
-	// is the barrier that drains readers before pages or runtime
-	// structures are rebuilt under them (rollback, DDL) — a normal
-	// commit never takes it, so open cursors stream across commits.
-	mu      sync.Mutex
+	// healMu) ≻ (txnMu | quarMu). In one line each: applyMu admits one
+	// storage mutator at a time (statements, transaction commits,
+	// check-ins, loaders, DDL and runtime reloads; readers never take
+	// it); snapMu keeps snapshot acquisition out of a commit's
+	// publication window; healMu is the barrier that drains readers
+	// before pages or runtime structures are rebuilt under them
+	// (rollback, DDL) — a normal commit never takes it, so open cursors
+	// stream across commits.
 	applyMu sync.Mutex
 	snapMu  sync.RWMutex
 	healMu  sync.RWMutex
@@ -155,12 +155,9 @@ type DB struct {
 	writeLocks map[wkey]uint64
 	lastWrite  map[wkey]int64
 
-	// applying is true while a transaction commit replays its buffered
-	// ops through the runtime mutators; those calls must not re-enter
-	// auto-commit conflict detection. stmtWrites collects the conflict
-	// keys an auto-commit statement wrote, published to lastWrite when
-	// the statement commits. Both are guarded by applyMu.
-	applying   bool
+	// stmtWrites collects the conflict keys an auto-commit statement
+	// wrote, published to lastWrite when the statement commits. Guarded
+	// by applyMu.
 	stmtWrites []wkey
 
 	// Background checkpointer state (see ckpt.go): stop channel, done
@@ -320,7 +317,8 @@ func Open(opts Options) (*DB, error) {
 // Open after registering the cataloged ones the tail did not name, a
 // replica's counters are set from the tail, and the runtime is
 // rebuilt. Without a WAL there is nothing to replay: the runtime is
-// only reloaded. Callers hold db.mu or own db exclusively.
+// only reloaded. Callers hold applyMu and the exclusive healMu, or own
+// db exclusively.
 func (db *DB) recover() error {
 	if db.log != nil {
 		t, err := subtuple.ScanTail(db.log)
@@ -559,25 +557,6 @@ func (db *DB) TextIndexByName(name string) (*textindex.Index, bool) {
 
 // Now returns the current timestamp from the database clock.
 func (db *DB) Now() int64 { return db.opts.Clock() }
-
-// Commit appends a commit record and syncs the log; a no-op for
-// in-memory databases. The SQL layer commits after every statement
-// (the prototype is single-user with statement-level transactions).
-func (db *DB) Commit() error {
-	if db.log == nil {
-		return nil
-	}
-	if db.opts.Replica {
-		return ErrReadOnlyReplica
-	}
-	// The commit record carries a timestamp so a replica can publish a
-	// visibility horizon covering every version this commit wrote (the
-	// clock is strictly increasing: all of them are older).
-	if _, err := db.log.Append(&wal.Record{Op: wal.OpCommit, Payload: wal.CommitPayload(0, db.opts.Clock())}); err != nil {
-		return err
-	}
-	return db.log.Sync()
-}
 
 // Checkpoint flushes all dirty pages to the segment files. It does
 // not write a WAL checkpoint record — the scrubber calls it from

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dberr"
+	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/page"
 )
@@ -41,8 +42,8 @@ func TestQuarantineContainsObject(t *testing.T) {
 		t.Fatalf("other table: %v", err)
 	}
 	// DML against the quarantined object fails fast.
-	if err := db.Delete("DEPARTMENTS", bad); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("Delete(bad) = %v, want ErrQuarantined", err)
+	if err := db.Runtime().Write(exec.Write{Op: exec.WDelete, Table: "DEPARTMENTS", Ref: bad}); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("delete of bad = %v, want ErrQuarantined", err)
 	}
 
 	// Listing and lifting.

@@ -106,29 +106,15 @@ func (r *runtime) ReadAt(table string, asof int64) (int64, []page.TID) {
 	return at, r.snap.tx.ownRefs(table)
 }
 
-// InsertTuple implements exec.Runtime.
-func (r *runtime) InsertTuple(t *catalog.Table, tup model.Tuple) error {
-	return r.db.Insert(t.Name, tup)
-}
-
-// DeleteTuple implements exec.Runtime.
-func (r *runtime) DeleteTuple(t *catalog.Table, ref page.TID) error {
-	return r.db.Delete(t.Name, ref)
-}
-
-// UpdateAtoms implements exec.Runtime.
-func (r *runtime) UpdateAtoms(t *catalog.Table, ref page.TID, steps []object.Step, vals []model.Value) error {
-	return r.db.UpdateAtoms(t.Name, ref, steps, vals)
-}
-
-// InsertMember implements exec.Runtime.
-func (r *runtime) InsertMember(t *catalog.Table, ref page.TID, steps []object.Step, attr int, member model.Tuple) error {
-	return r.db.InsertMember(t.Name, ref, steps, attr, member)
-}
-
-// DeleteMember implements exec.Runtime.
-func (r *runtime) DeleteMember(t *catalog.Table, ref page.TID, steps []object.Step, attr, pos int) error {
-	return r.db.DeleteMember(t.Name, ref, steps, attr, pos)
+// Write implements exec.Runtime: an auto-commit write enrolls its
+// object in conflict detection and goes to storage at once.
+func (r *runtime) Write(w exec.Write) error {
+	if w.Op != exec.WInsert {
+		if err := r.db.autoConflict(w.Table, w.Ref); err != nil {
+			return err
+		}
+	}
+	return r.db.apply(w)
 }
 
 // ParseTime implements exec.Runtime.
@@ -171,34 +157,125 @@ func (db *DB) Refs(table string) ([]page.TID, error) {
 	return refs, db.guardDir(table, err)
 }
 
-// --- DML with index maintenance -----------------------------------------
+// --- the one apply ---------------------------------------------------------
 //
-// A write on an NF² table gathers its index delta (upkeep.go), mutates
-// and applies the delta only if the mutation succeeded. A failed
-// statement rebuilds every index anyway: its rollback reloads the
-// runtime.
+// Every storage mutation is one exec.Write carried out by apply: an
+// auto-commit statement's as it runs (runtime.Write), a transaction's
+// at commit (applyWrites), a loader's through Insert. A write on an NF²
+// table gathers its index delta (upkeep.go), mutates, and applies the
+// delta only if the mutation succeeded. A failed statement rebuilds
+// every index anyway: its rollback reloads the runtime.
 
-// Insert adds a tuple to a table, maintaining all indexes.
-func (db *DB) Insert(table string, tup model.Tuple) error {
-	t, ok := db.cat.Table(table)
+// apply carries write w out on storage and the live indexes. It
+// resolves the table by name, since a directory head move replaces the
+// catalog's entry (setDirHead). The caller holds applyMu.
+func (db *DB) apply(w exec.Write) error {
+	t, ok := db.cat.Table(w.Table)
 	if !ok {
-		return fmt.Errorf("engine: no table %q", table)
+		return fmt.Errorf("engine: no table %q", w.Table)
 	}
-	if err := model.Conform(t.Type, tup); err != nil {
+	if w.Op == exec.WInsert {
+		if err := model.Conform(t.Type, w.Tuple); err != nil {
+			return err
+		}
+	} else if err := db.quarCheck(t.Name, w.Ref); err != nil {
 		return err
 	}
 	if t.Kind == catalog.Flat {
-		tid, err := db.flats[table].Insert(tup)
+		return db.applyFlat(t, w)
+	}
+	m, ix := db.mgrs[t.Name], db.live[t.Name]
+	switch w.Op {
+	case exec.WInsert:
+		ref, err := m.Insert(t.Type, w.Tuple)
 		if err != nil {
 			return err
 		}
-		return db.indexFlat(t, tid, tup, true)
+		return db.register(t, ref)
+	case exec.WUpdateAtoms:
+		// A delta of its own: only a walk moves one to the heap.
+		u := newDelta(ix, w.Ref)
+		if err := m.UpdateAtomsProbed(t.Type, w.Ref, w.Steps, w.Vals, u.ix.probes, u.update); err != nil {
+			return db.guardRead(t.Name, w.Ref, err)
+		}
+		u.apply(db.opts.Clock)
+		return nil
 	}
-	ref, err := db.mgrs[table].Insert(t.Type, tup)
+	d := newDelta(ix, w.Ref)
+	var err error
+	switch w.Op {
+	case exec.WDelete:
+		if _, err := d.walk(m, t.Type, nil, false); err != nil {
+			return db.guardRead(t.Name, w.Ref, err)
+		}
+		if err := db.dirRemove(t, w.Ref); err != nil {
+			return db.guardDir(t.Name, err)
+		}
+		err = m.Delete(t.Type, w.Ref)
+	case exec.WInsertMember:
+		var pos int
+		if pos, err = m.InsertMemberPos(t.Type, w.Ref, w.Steps, w.Attr, -1, w.Tuple); err == nil {
+			_, err = d.walk(m, t.Type, d.member(w.Steps, w.Attr, pos), true)
+		}
+	case exec.WDeleteMember:
+		if _, err = d.walk(m, t.Type, d.member(w.Steps, w.Attr, w.Pos), false); err == nil {
+			err = m.DeleteMember(t.Type, w.Ref, w.Steps, w.Attr, w.Pos)
+		}
+	default:
+		return fmt.Errorf("engine: unknown write op %d", w.Op)
+	}
+	if err != nil {
+		return db.guardRead(t.Name, w.Ref, err)
+	}
+	d.apply(db.opts.Clock)
+	return nil
+}
+
+// applyFlat is apply on a flat table, whose tuple is the whole object:
+// indexFlat keeps its entries.
+func (db *DB) applyFlat(t *catalog.Table, w exec.Write) error {
+	fs := db.flats[t.Name]
+	switch w.Op {
+	case exec.WInsert:
+		tid, err := fs.Insert(w.Tuple)
+		if err != nil {
+			return err
+		}
+		return db.indexFlat(t, tid, w.Tuple, true)
+	case exec.WDelete, exec.WUpdateAtoms:
+	default:
+		return fmt.Errorf("engine: table %q is flat; subtable DML needs an NF² table", t.Name)
+	}
+	old, err := fs.Read(w.Ref)
+	if err != nil {
+		return db.guardRead(t.Name, w.Ref, err)
+	}
+	if w.Op == exec.WDelete {
+		err = fs.Delete(w.Ref)
+	} else {
+		err = fs.Update(w.Ref, model.Tuple(w.Vals))
+	}
 	if err != nil {
 		return err
 	}
-	return db.RegisterImported(t, ref)
+	if err := db.indexFlat(t, w.Ref, old, false); err != nil || w.Op == exec.WDelete {
+		return err
+	}
+	return db.indexFlat(t, w.Ref, model.Tuple(w.Vals), true)
+}
+
+// register adds object ref, already stored, to table t's directory and
+// indexes: the end of an insert and of a check-in.
+func (db *DB) register(t *catalog.Table, ref page.TID) error {
+	if err := db.dirAdd(t, ref); err != nil {
+		return db.guardDir(t.Name, err)
+	}
+	d := newDelta(db.live[t.Name], ref)
+	if _, err := d.walk(db.mgrs[t.Name], t.Type, nil, true); err != nil {
+		return db.guardRead(t.Name, ref, err)
+	}
+	d.apply(db.opts.Clock)
+	return nil
 }
 
 // indexFlat adds (or removes) one flat tuple's entries in all the
@@ -235,148 +312,5 @@ func (db *DB) indexFlat(t *catalog.Table, tid page.TID, tup model.Tuple, add boo
 			ti.Remove(string(s), index.Addr{TID: tid})
 		}
 	}
-	return nil
-}
-
-// Delete removes a tuple/object by reference, maintaining indexes.
-func (db *DB) Delete(table string, ref page.TID) error {
-	t, ok := db.cat.Table(table)
-	if !ok {
-		return fmt.Errorf("engine: no table %q", table)
-	}
-	if err := db.quarCheck(table, ref); err != nil {
-		return err
-	}
-	if err := db.autoConflict(table, ref); err != nil {
-		return err
-	}
-	if t.Kind == catalog.Flat {
-		fs := db.flats[table]
-		tup, err := fs.Read(ref)
-		if err != nil {
-			return db.guardRead(table, ref, err)
-		}
-		if err := fs.Delete(ref); err != nil {
-			return err
-		}
-		return db.indexFlat(t, ref, tup, false)
-	}
-	m := db.mgrs[table]
-	d := newDelta(db.live[table], ref)
-	if _, err := d.walk(m, t.Type, nil, false); err != nil {
-		return db.guardRead(table, ref, err)
-	}
-	if err := db.dirRemove(t, ref); err != nil {
-		return db.guardDir(table, err)
-	}
-	if err := m.Delete(t.Type, ref); err != nil {
-		return db.guardRead(table, ref, err)
-	}
-	d.apply(db.opts.Clock)
-	return nil
-}
-
-// UpdateAtoms overwrites the atomic attributes of the (sub)object
-// addressed by steps (for flat tables vals covers all attributes).
-func (db *DB) UpdateAtoms(table string, ref page.TID, steps []object.Step, vals []model.Value) error {
-	t, ok := db.cat.Table(table)
-	if !ok {
-		return fmt.Errorf("engine: no table %q", table)
-	}
-	if err := db.quarCheck(table, ref); err != nil {
-		return err
-	}
-	if err := db.autoConflict(table, ref); err != nil {
-		return err
-	}
-	if t.Kind == catalog.Flat {
-		fs := db.flats[table]
-		old, err := fs.Read(ref)
-		if err != nil {
-			return db.guardRead(table, ref, err)
-		}
-		if err := fs.Update(ref, model.Tuple(vals)); err != nil {
-			return err
-		}
-		if err := db.indexFlat(t, ref, old, false); err != nil {
-			return err
-		}
-		return db.indexFlat(t, ref, model.Tuple(vals), true)
-	}
-	d := newDelta(db.live[table], ref)
-	if err := db.mgrs[table].UpdateAtomsProbed(t.Type, ref, steps, vals, d.ix.probes, d.update); err != nil {
-		return db.guardRead(table, ref, err)
-	}
-	d.apply(db.opts.Clock)
-	return nil
-}
-
-// InsertMember adds a member to a subtable of a stored object.
-func (db *DB) InsertMember(table string, ref page.TID, steps []object.Step, attr int, member model.Tuple) error {
-	t, err := db.subtableTarget(table, ref)
-	if err != nil {
-		return err
-	}
-	m := db.mgrs[table]
-	pos, err := m.InsertMemberPos(t.Type, ref, steps, attr, -1, member)
-	if err != nil {
-		return db.guardRead(table, ref, err)
-	}
-	d := newDelta(db.live[table], ref)
-	if _, err := d.walk(m, t.Type, d.member(steps, attr, pos), true); err != nil {
-		return db.guardRead(table, ref, err)
-	}
-	d.apply(db.opts.Clock)
-	return nil
-}
-
-// DeleteMember removes a member of a subtable of a stored object.
-func (db *DB) DeleteMember(table string, ref page.TID, steps []object.Step, attr, pos int) error {
-	t, err := db.subtableTarget(table, ref)
-	if err != nil {
-		return err
-	}
-	m := db.mgrs[table]
-	d := newDelta(db.live[table], ref)
-	if _, err := d.walk(m, t.Type, d.member(steps, attr, pos), false); err != nil {
-		return db.guardRead(table, ref, err)
-	}
-	if err := m.DeleteMember(t.Type, ref, steps, attr, pos); err != nil {
-		return db.guardRead(table, ref, err)
-	}
-	d.apply(db.opts.Clock)
-	return nil
-}
-
-// subtableTarget checks a subtable write on object ref of an NF² table
-// and enrolls it in conflict detection.
-func (db *DB) subtableTarget(table string, ref page.TID) (*catalog.Table, error) {
-	t, ok := db.cat.Table(table)
-	if !ok {
-		return nil, fmt.Errorf("engine: no table %q", table)
-	}
-	if t.Kind != catalog.Complex {
-		return nil, fmt.Errorf("engine: table %q is flat; subtable DML needs an NF² table", table)
-	}
-	if err := db.quarCheck(table, ref); err != nil {
-		return nil, err
-	}
-	if err := db.autoConflict(table, ref); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// RegisterImported adds an already-stored object (e.g. one imported
-// from a page-level checkout) to the table's directory and indexes.
-func (db *DB) RegisterImported(t *catalog.Table, ref page.TID) error {
-	if err := db.dirAdd(t, ref); err != nil {
-		return db.guardDir(t.Name, err)
-	}
-	d := newDelta(db.live[t.Name], ref)
-	if _, err := d.walk(db.mgrs[t.Name], t.Type, nil, true); err != nil {
-		return db.guardRead(t.Name, ref, err)
-	}
-	d.apply(db.opts.Clock)
 	return nil
 }

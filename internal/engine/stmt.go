@@ -12,7 +12,6 @@ import (
 	"repro/internal/object"
 	"repro/internal/plan"
 	"repro/internal/sql"
-	"repro/internal/wal"
 )
 
 // Result is the outcome of one statement.
@@ -79,15 +78,14 @@ const (
 //     barrier only, so any number run concurrently, even while a
 //     transaction commits. A transaction's DML buffers its writes; a
 //     failure discards only that statement's buffered effects.
-//   - auto-commit DML: applyMu, then snapMu across statement plus
-//     commit-record append, so a snapshot never lands inside the write
-//     window. Every version the statement writes carries one instant,
-//     sampled under snapMu as it starts (setApply), as a transaction's
-//     carry its commit timestamp: an ASOF read sees the statement whole
-//     or not at all. The record is synced after the locks drop, so
-//     overlapping committers share one fsync; it carries a timestamp
-//     sampled under snapMu (every version the statement wrote is strictly
-//     older), which a replica publishes as its visibility horizon.
+//   - auto-commit DML: the commit envelope (DB.write) that a
+//     transaction's commit shares: applyMu, then snapMu across the
+//     statement and its commit-record append, so a snapshot never lands
+//     inside the write window, and one instant on every version the
+//     statement writes and on its commit record: an ASOF read sees the
+//     statement whole or not at all, and a replica publishes the instant
+//     as its visibility horizon. The record is synced after the locks
+//     drop, so overlapping committers share one fsync.
 //   - auto-commit DDL: applyMu, then the exclusive heal barrier — DDL
 //     rewrites the managers, stores and index maps readers traverse
 //     without latches, and Begin samples its snapshot under the shared
@@ -113,24 +111,6 @@ func (db *DB) run(ctx context.Context, tx *Txn, s stmt, form resultForm) (res Re
 	case tx != nil && class == classDDL:
 		return Result{}, nil, ErrTxnDDL
 	}
-	writer := tx == nil && class != classRead
-	if writer {
-		db.applyMu.Lock()
-	} else {
-		db.healMu.RLock()
-	}
-	if err = db.fatal(); err != nil {
-		if writer {
-			db.applyMu.Unlock()
-		} else {
-			db.healMu.RUnlock()
-		}
-		return Result{}, nil, err
-	}
-	start := db.mark()
-	if form == formRows {
-		rows = &Rows{db: db, text: s.Text, start: start}
-	}
 	var ex *exec.Executor
 	if tx != nil {
 		ex = tx.exec
@@ -138,9 +118,44 @@ func (db *DB) run(ctx context.Context, tx *Txn, s stmt, form resultForm) (res Re
 		ex = db.readExec() // a replica never gets here with a writer
 	}
 	var stats StmtStats
-	var end, epoch uint64
 	switch {
-	case !writer:
+	case tx == nil && class == classDML:
+		_, err = db.write(0, func() error {
+			start := db.mark()
+			if res, err = db.dispatch(ctx, ex, s, start, nil); err == nil {
+				stats = db.since(start)
+			}
+			return err
+		})
+	case tx == nil && class == classDDL:
+		db.applyMu.Lock()
+		if err = db.fatal(); err == nil {
+			db.healMu.Lock()
+			start := db.mark()
+			res, err = db.dispatch(ctx, ex, s, start, nil)
+			if err == nil {
+				if err = db.commit(); err != nil {
+					err = fmt.Errorf("engine: commit: %w", err)
+				}
+			}
+			db.healMu.Unlock()
+			if err != nil {
+				err = db.abortLocked(err)
+			} else {
+				stats = db.since(start)
+			}
+		}
+		db.applyMu.Unlock()
+	default:
+		db.healMu.RLock()
+		if err = db.fatal(); err != nil {
+			db.healMu.RUnlock()
+			return Result{}, nil, err
+		}
+		start := db.mark()
+		if form == formRows {
+			rows = &Rows{db: db, text: s.Text, start: start}
+		}
 		if class == classDML {
 			tx.beginStmt()
 		}
@@ -155,42 +170,6 @@ func (db *DB) run(ctx context.Context, tx *Txn, s stmt, form resultForm) (res Re
 		if err != nil {
 			err = db.healIfPanic(err)
 		}
-	case class == classDDL:
-		db.healMu.Lock()
-		res, err = db.dispatch(ctx, ex, s, start, nil)
-		if err == nil {
-			if cerr := db.Commit(); cerr != nil {
-				err = fmt.Errorf("engine: commit: %w", cerr)
-			}
-		}
-		db.healMu.Unlock()
-	default:
-		db.stmtWrites = db.stmtWrites[:0]
-		db.snapMu.Lock()
-		db.setApply(0, db.opts.Clock())
-		res, err = db.dispatch(ctx, ex, s, start, nil)
-		if err == nil {
-			end, epoch, err = db.appendCommit(wal.CommitPayload(0, db.opts.Clock()))
-			if err != nil {
-				err = fmt.Errorf("engine: commit: %w", err)
-			}
-		}
-		db.clearApply()
-		if err == nil {
-			db.publishStmtWrites()
-		}
-		db.snapMu.Unlock()
-	}
-	if writer {
-		if err != nil {
-			err = db.abortLocked(err)
-		} else {
-			stats = db.since(start)
-		}
-		db.applyMu.Unlock()
-		if err == nil && class == classDML {
-			err = db.awaitDurable(end, epoch, 0)
-		}
 	}
 	if err != nil {
 		return Result{}, nil, err
@@ -201,31 +180,6 @@ func (db *DB) run(ctx context.Context, tx *Txn, s stmt, form resultForm) (res Re
 	stats.Rows = res.Count
 	db.noteStmtStats(stats)
 	return res, nil, nil
-}
-
-// awaitDurable establishes the durability of the commit record appended
-// at end, outside the apply lock (group commit): the writer's effects
-// are already visible to readers, but it is acknowledged only once the
-// record is on disk. If the record was lost the engine rolls back to
-// the last durable commit and the statement (txn == 0) or transaction
-// fails.
-func (db *DB) awaitDurable(end, epoch, txn uint64) error {
-	derr := db.waitCommitDurable(end, epoch)
-	if derr == nil {
-		return nil
-	}
-	lost, aerr := db.abandonCommit(end)
-	if !lost {
-		return nil // an overlapping sync made the record durable after all
-	}
-	if aerr != nil {
-		derr = fmt.Errorf("%v (discarding the record: %v)", derr, aerr)
-	}
-	what := "commit"
-	if txn != 0 {
-		what = fmt.Sprintf("transaction %d commit", txn)
-	}
-	return db.abort(fmt.Errorf("engine: %s: %w", what, derr))
 }
 
 // dispatch executes one statement through executor ex, converting a
@@ -319,13 +273,10 @@ func materialize(cur *exec.Cursor) (Result, error) {
 	return Result{Table: out, Type: cur.Type(), Count: n}, nil
 }
 
-// execDDL runs a DDL statement's body. The statement path holds applyMu
-// and the exclusive heal barrier already, the first two of ddlLock's
-// locks; execDDL takes the third, mu, around the …Locked forms of the
-// direct entry points.
+// execDDL runs a DDL statement's body. The statement path holds
+// ddlLock's locks already, applyMu and the exclusive heal barrier, around
+// the …Locked forms of the direct entry points.
 func (db *DB) execDDL(s sql.Statement) (Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	switch st := s.(type) {
 	case *sql.CreateTable:
 		var layout object.Layout

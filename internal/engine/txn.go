@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/model"
-	"repro/internal/object"
 	"repro/internal/page"
 	"repro/internal/sql"
-	"repro/internal/wal"
 )
 
 // Transaction errors.
@@ -44,32 +42,6 @@ type wkey struct {
 // collide; the synthetic refs are translated to real TIDs at commit.
 const synthBase uint32 = 1 << 31
 
-// txOpKind enumerates the buffered logical operations.
-type txOpKind uint8
-
-const (
-	opInsert txOpKind = iota + 1
-	opDelete
-	opUpdateAtoms
-	opInsertMember
-	opDeleteMember
-)
-
-// txOp is one buffered write. A transaction mutates no storage until
-// commit: its statements append ops here and maintain the pending
-// read-your-own-writes images; Commit replays the ops against the
-// engine under the apply lock.
-type txOp struct {
-	kind  txOpKind
-	table string
-	ref   page.TID // synthetic for tuples inserted by this transaction
-	steps []object.Step
-	attr  int
-	pos   int
-	vals  []model.Value
-	tup   model.Tuple
-}
-
 // pendingObj is the transaction-local image of one written object:
 // what this transaction's own reads see. Values are immutable once
 // stored (writers replace the whole entry), so statement-level
@@ -98,17 +70,17 @@ type Txn struct {
 	done   bool
 
 	exec    *exec.Executor
-	ops     []txOp
+	writes  []exec.Write // buffered until Commit replays them (applyWrites)
 	pending map[wkey]*pendingObj
 	order   []wkey // insertion order of pending keys, for stable scans
 	locked  map[wkey]bool
 	synth   uint32
 
 	// Statement-level rollback state (beginStmt/undoStmt): the pending
-	// entries the running statement replaced, and where its ops and
+	// entries the running statement replaced, and where its writes and
 	// order entries start.
-	undo               []pendingUndo
-	opsMark, orderMark int
+	undo                  []pendingUndo
+	writesMark, orderMark int
 }
 
 // pendingUndo is one pending entry as it was before the running
@@ -240,164 +212,45 @@ func (tx *Txn) Rollback() error {
 }
 
 // Commit applies the transaction's buffered writes atomically and
-// makes them durable. All versions written carry the transaction's id
+// makes them durable, in the commit envelope auto-commit statements
+// share (DB.write): every version written carries the transaction's id
 // and one commit timestamp, taken under the exclusive side of snapMu —
-// a concurrent snapshot sees either none or all of the transaction.
-// On an apply error the engine rolls back to the last commit (the
-// standard statement-abort path) and the transaction fails.
+// a concurrent snapshot sees either none or all of the transaction. On
+// an apply error the engine rolls back to the last commit (the
+// statement-abort path) and the transaction fails.
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return ErrTxnDone
 	}
-	db := tx.db
-	if len(tx.ops) == 0 {
+	if len(tx.writes) == 0 {
 		// Read-only transaction: nothing to apply or log.
 		tx.finish(0)
 		return nil
 	}
-	db.applyMu.Lock()
-	if err := db.fatal(); err != nil {
-		db.applyMu.Unlock()
-		tx.finish(0)
-		return err
-	}
-
-	db.applying = true
-	db.snapMu.Lock()
-	commitTS := db.opts.Clock()
-	db.setApply(tx.id, commitTS)
-	err := db.applyOps(tx)
-	var end, epoch uint64
-	if err == nil {
-		end, epoch, err = db.appendCommit(wal.CommitPayload(tx.id, commitTS))
-	}
-	db.clearApply()
-	db.snapMu.Unlock()
-	db.applying = false
-
-	if err != nil {
-		// The partial application is wiped by rolling back to the last
-		// WAL commit. (Between releasing snapMu and the rollback taking
-		// the heal barrier there is a small window in which a new
-		// snapshot could glimpse the doomed writes; the failure path
-		// trades that edge for a deadlock-free lock order.)
-		err = db.abortLocked(fmt.Errorf("engine: transaction %d commit: %w", tx.id, err))
-		db.applyMu.Unlock()
-		tx.finish(0)
-		return err
-	}
-	db.applyMu.Unlock()
-	if err := db.awaitDurable(end, epoch, tx.id); err != nil {
-		tx.finish(0)
-		return err
-	}
-	tx.finish(commitTS)
-	return nil
+	ts, err := tx.db.write(tx.id, tx.applyWrites)
+	tx.finish(ts) // 0 on failure
+	return err
 }
 
-// setApply stamps every version written until clearApply with the one
-// instant ts and transaction txn (0: an auto-commit statement), in every
-// store (subtuple.Store.SetApply). The caller holds applyMu and snapMu
-// exclusively.
-func (db *DB) setApply(txn uint64, ts int64) {
-	for _, st := range db.stores {
-		st.SetApply(txn, ts)
-	}
-}
-
-// clearApply ends setApply: versions take fresh clock readings again.
-func (db *DB) clearApply() {
-	for _, st := range db.stores {
-		st.ClearApply()
-	}
-}
-
-// applyOps replays the transaction's buffered writes against the
-// storage layer (with index maintenance), translating synthetic refs
-// of tuples the transaction inserted to the real TIDs they receive.
-// Ops that target a synthetic ref are skipped: the insert applies the
-// final pending image, which already folds them in, and inserts of
-// objects deleted again before commit are elided entirely.
-func (db *DB) applyOps(tx *Txn) error {
-	for _, op := range tx.ops {
-		k := wkey{op.table, op.ref}
-		if op.ref.Page >= synthBase {
-			if op.kind != opInsert {
-				continue
-			}
-			p := tx.pending[k]
+// applyWrites replays the transaction's buffered writes through apply.
+// An insert applies the final pending image of its tuple, which folds
+// in the transaction's later writes to it (those are not buffered), and
+// is elided when the tuple was deleted again; the tuple gets its real
+// TID there.
+func (tx *Txn) applyWrites() error {
+	for _, w := range tx.writes {
+		if w.Op == exec.WInsert {
+			p := tx.pending[wkey{w.Table, w.Ref}]
 			if p == nil || p.deleted {
 				continue
 			}
-			if err := db.Insert(op.table, p.tup); err != nil {
-				return err
-			}
-			continue
+			w.Tuple = p.tup
 		}
-		var err error
-		switch op.kind {
-		case opDelete:
-			err = db.Delete(op.table, op.ref)
-		case opUpdateAtoms:
-			err = db.UpdateAtoms(op.table, op.ref, op.steps, op.vals)
-		case opInsertMember:
-			err = db.InsertMember(op.table, op.ref, op.steps, op.attr, op.tup)
-		case opDeleteMember:
-			err = db.DeleteMember(op.table, op.ref, op.steps, op.attr, op.pos)
-		default:
-			err = fmt.Errorf("engine: unknown buffered op %d", op.kind)
-		}
-		if err != nil {
-			return err
+		if err := tx.db.apply(w); err != nil {
+			return fmt.Errorf("engine: %s: %w", commitName(tx.id), err)
 		}
 	}
 	return nil
-}
-
-// autoConflict enrolls an auto-commit DML write in first-writer-wins
-// conflict detection. The runtime mutators call it before touching the
-// object (skipped while a transaction commit replays its own buffered
-// ops — the transaction already holds those locks). An object
-// write-locked by an active transaction fails the statement with
-// ErrWriteConflict immediately; otherwise the key is collected so the
-// statement's commit can stamp it into lastWrite, where transactions
-// with older snapshots will find it.
-func (db *DB) autoConflict(table string, ref page.TID) error {
-	if db.applying {
-		return nil
-	}
-	k := wkey{table, ref}
-	db.txnMu.Lock()
-	defer db.txnMu.Unlock()
-	if holder, held := db.writeLocks[k]; held {
-		return fmt.Errorf("%w (object %v of %s, held by transaction %d)", ErrWriteConflict, k.ref, k.table, holder)
-	}
-	db.stmtWrites = append(db.stmtWrites, k)
-	return nil
-}
-
-// publishStmtWrites stamps the objects a committing auto-commit
-// statement wrote into lastWrite, under the statement's exclusive
-// snapMu — a transaction whose snapshot predates this commit will
-// conflict if it later writes one of them. A failed statement stamps
-// nothing: its rollback removes its writes. With no transaction active
-// the stamps are skipped: no snapshot old enough to race can exist
-// (Begin samples its timestamp and registers the transaction under
-// snapMu's shared side, so a transaction not registered yet takes its
-// snapshot after this statement), and finish would only have to prune
-// them again.
-func (db *DB) publishStmtWrites() {
-	if len(db.stmtWrites) == 0 {
-		return
-	}
-	db.txnMu.Lock()
-	if len(db.activeTxns) > 0 {
-		ts := db.opts.Clock()
-		for _, k := range db.stmtWrites {
-			db.lastWrite[k] = ts
-		}
-	}
-	db.txnMu.Unlock()
 }
 
 // --- statement surface --------------------------------------------------
@@ -472,10 +325,10 @@ func (tx *Txn) QueryRowsPrepared(ctx context.Context, ps *PreparedStmt, args ...
 // beginStmt marks where a DML statement's buffered effects start:
 // setPending logs every entry the statement overwrites (pendingObj
 // values are immutable once stored, so the previous pointer is the
-// whole undo image), and the op and order logs only grow.
+// whole undo image), and the write and order logs only grow.
 func (tx *Txn) beginStmt() {
 	tx.undo = tx.undo[:0]
-	tx.opsMark, tx.orderMark = len(tx.ops), len(tx.order)
+	tx.writesMark, tx.orderMark = len(tx.writes), len(tx.order)
 }
 
 // undoStmt discards the buffered effects of the statement begun at the
@@ -489,7 +342,7 @@ func (tx *Txn) undoStmt() {
 			tx.pending[u.k] = u.prev
 		}
 	}
-	tx.ops, tx.order = tx.ops[:tx.opsMark], tx.order[:tx.orderMark]
+	tx.writes, tx.order = tx.writes[:tx.writesMark], tx.order[:tx.orderMark]
 }
 
 // newSynthRef mints a transaction-local ref for an inserted tuple.

@@ -661,7 +661,7 @@ func TestTxnStmtRollbackRestoresOwnKeys(t *testing.T) {
 		return sortedRows(tbl)
 	}
 	before := image()
-	pending, order, ops := len(tx.pending), len(tx.order), len(tx.ops)
+	pending, order, writes := len(tx.pending), len(tx.order), len(tx.writes)
 	if pending != 1000 {
 		t.Fatalf("%d buffered writes, want 1000", pending)
 	}
@@ -674,9 +674,9 @@ func TestTxnStmtRollbackRestoresOwnKeys(t *testing.T) {
 	if _, err := tx.Exec(`INSERT INTO T VALUES (5000, 'lost'), ('bad', 'y')`); err == nil {
 		t.Fatal("ill-typed insert succeeded")
 	}
-	if len(tx.pending) != pending || len(tx.order) != order || len(tx.ops) != ops {
-		t.Errorf("buffer after the failed statements: %d pending, %d order, %d ops; want %d, %d, %d",
-			len(tx.pending), len(tx.order), len(tx.ops), pending, order, ops)
+	if len(tx.pending) != pending || len(tx.order) != order || len(tx.writes) != writes {
+		t.Errorf("buffer after the failed statements: %d pending, %d order, %d writes; want %d, %d, %d",
+			len(tx.pending), len(tx.order), len(tx.writes), pending, order, writes)
 	}
 	if after := image(); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Errorf("the failed statements changed the transaction's image (%d rows before, %d after)", len(before), len(after))

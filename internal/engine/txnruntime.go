@@ -2,11 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/object"
-	"repro/internal/page"
 )
 
 // txnRuntime is the storage interface a transaction's executor runs
@@ -39,122 +40,51 @@ func (tx *Txn) wasInserted(k wkey) bool {
 	return p != nil && p.inserted
 }
 
-// InsertTuple implements exec.Runtime: the tuple gets a synthetic ref
-// and lives in the buffer until commit. A brand-new tuple cannot
-// conflict with anything, so no write lock is taken.
-func (rt *txnRuntime) InsertTuple(t *catalog.Table, tup model.Tuple) error {
+// Write implements exec.Runtime: the write is buffered until commit,
+// and the pending image of its object takes it at once (applyImage). An
+// inserted tuple gets a synthetic ref; a brand-new tuple cannot
+// conflict with anything, so it takes no write lock, and nor does a
+// write to one. Writes to a tuple inserted in this transaction are not
+// buffered: commit inserts its final image.
+func (rt *txnRuntime) Write(w exec.Write) error {
 	tx := rt.snap.tx
-	if err := model.Conform(t.Type, tup); err != nil {
-		return err
+	t, ok := rt.Table(w.Table)
+	if !ok {
+		return fmt.Errorf("engine: no table %q", w.Table)
 	}
-	ref := tx.newSynthRef()
-	k := wkey{t.Name, ref}
-	tx.setPending(k, &pendingObj{tup: tup.Clone(), inserted: true})
-	tx.ops = append(tx.ops, txOp{kind: opInsert, table: t.Name, ref: ref})
-	return nil
-}
-
-// DeleteTuple implements exec.Runtime.
-func (rt *txnRuntime) DeleteTuple(t *catalog.Table, ref page.TID) error {
-	tx := rt.snap.tx
-	k := wkey{t.Name, ref}
-	if ref.Page >= synthBase {
-		if _, err := rt.OpenRef(t, ref, 0, nil, false); err != nil {
+	if w.Op == exec.WInsert {
+		if err := model.Conform(t.Type, w.Tuple); err != nil {
 			return err
 		}
-		// Deleting a tuple inserted in this transaction elides the
-		// insert at commit; no stored object is touched.
-		tx.setPending(k, &pendingObj{deleted: true, inserted: true})
+		ref := tx.newSynthRef()
+		tx.setPending(wkey{t.Name, ref}, &pendingObj{tup: w.Tuple.Clone(), inserted: true})
+		tx.writes = append(tx.writes, exec.Write{Op: exec.WInsert, Table: t.Name, Ref: ref})
 		return nil
 	}
-	if err := tx.registerWrite(k); err != nil {
-		return err
-	}
-	if _, err := rt.OpenRef(t, ref, 0, nil, false); err != nil {
-		return err
-	}
-	tx.setPending(k, &pendingObj{deleted: true})
-	tx.ops = append(tx.ops, txOp{kind: opDelete, table: t.Name, ref: ref})
-	return nil
-}
-
-// UpdateAtoms implements exec.Runtime.
-func (rt *txnRuntime) UpdateAtoms(t *catalog.Table, ref page.TID, steps []object.Step, vals []model.Value) error {
-	tx := rt.snap.tx
-	k := wkey{t.Name, ref}
-	if ref.Page < synthBase {
+	k := wkey{t.Name, w.Ref}
+	stored := w.Ref.Page < synthBase
+	if stored {
 		if err := tx.registerWrite(k); err != nil {
 			return err
 		}
 	}
-	img, err := rt.OpenRef(t, ref, 0, nil, false)
+	img, err := rt.OpenRef(t, w.Ref, 0, nil, false)
 	if err != nil {
 		return err
 	}
-	if err := applyUpdateAtoms(t, img, steps, vals); err != nil {
-		return err
-	}
-	tx.setPending(k, &pendingObj{tup: img, inserted: tx.wasInserted(k)})
-	if ref.Page < synthBase {
-		tx.ops = append(tx.ops, txOp{
-			kind: opUpdateAtoms, table: t.Name, ref: ref,
-			steps: append([]object.Step(nil), steps...),
-			vals:  append([]model.Value(nil), vals...),
-		})
-	}
-	return nil
-}
-
-// InsertMember implements exec.Runtime.
-func (rt *txnRuntime) InsertMember(t *catalog.Table, ref page.TID, steps []object.Step, attr int, member model.Tuple) error {
-	tx := rt.snap.tx
-	k := wkey{t.Name, ref}
-	if ref.Page < synthBase {
-		if err := tx.registerWrite(k); err != nil {
+	p := &pendingObj{deleted: w.Op == exec.WDelete, inserted: tx.wasInserted(k)}
+	if !p.deleted {
+		if err := applyImage(t, img, w); err != nil {
 			return err
 		}
+		p.tup = img
 	}
-	img, err := rt.OpenRef(t, ref, 0, nil, false)
-	if err != nil {
-		return err
-	}
-	if err := applyInsertMember(t, img, steps, attr, member); err != nil {
-		return err
-	}
-	tx.setPending(k, &pendingObj{tup: img, inserted: tx.wasInserted(k)})
-	if ref.Page < synthBase {
-		tx.ops = append(tx.ops, txOp{
-			kind: opInsertMember, table: t.Name, ref: ref,
-			steps: append([]object.Step(nil), steps...),
-			attr:  attr, tup: member.Clone(),
-		})
-	}
-	return nil
-}
-
-// DeleteMember implements exec.Runtime.
-func (rt *txnRuntime) DeleteMember(t *catalog.Table, ref page.TID, steps []object.Step, attr, pos int) error {
-	tx := rt.snap.tx
-	k := wkey{t.Name, ref}
-	if ref.Page < synthBase {
-		if err := tx.registerWrite(k); err != nil {
-			return err
-		}
-	}
-	img, err := rt.OpenRef(t, ref, 0, nil, false)
-	if err != nil {
-		return err
-	}
-	if err := applyDeleteMember(t, img, steps, attr, pos); err != nil {
-		return err
-	}
-	tx.setPending(k, &pendingObj{tup: img, inserted: tx.wasInserted(k)})
-	if ref.Page < synthBase {
-		tx.ops = append(tx.ops, txOp{
-			kind: opDeleteMember, table: t.Name, ref: ref,
-			steps: append([]object.Step(nil), steps...),
-			attr:  attr, pos: pos,
-		})
+	tx.setPending(k, p)
+	if stored {
+		w.Steps = slices.Clone(w.Steps)
+		w.Vals = slices.Clone(w.Vals)
+		w.Tuple = w.Tuple.Clone()
+		tx.writes = append(tx.writes, w)
 	}
 	return nil
 }
@@ -187,68 +117,51 @@ func navigate(tt *model.TableType, tup model.Tuple, steps []object.Step) (model.
 	return cur, lt, nil
 }
 
-// applyUpdateAtoms overwrites the atomic attributes of the level at
-// steps in place. For flat tables vals covers all attributes; for
-// complex ones it matches the level's AtomicIndexes order. Nulls
+// applyImage carries write w out on img, the buffered image of its
+// object, in place. An UpdateAtoms of a flat tuple covers all its
+// attributes, one of an NF² level its AtomicIndexes order; nulls
 // overwrite, as in the stored form.
-func applyUpdateAtoms(t *catalog.Table, img model.Tuple, steps []object.Step, vals []model.Value) error {
-	if t.Kind == catalog.Flat {
-		if len(vals) != len(img) {
-			return fmt.Errorf("engine: update has %d values, tuple %d attributes", len(vals), len(img))
+func applyImage(t *catalog.Table, img model.Tuple, w exec.Write) error {
+	if t.Kind == catalog.Flat && w.Op == exec.WUpdateAtoms {
+		if len(w.Vals) != len(img) {
+			return fmt.Errorf("engine: update has %d values, tuple %d attributes", len(w.Vals), len(img))
 		}
-		copy(img, vals)
+		copy(img, w.Vals)
 		return nil
 	}
-	cur, lt, err := navigate(t.Type, img, steps)
+	cur, lt, err := navigate(t.Type, img, w.Steps)
 	if err != nil {
 		return err
 	}
-	ai := lt.AtomicIndexes()
-	if len(vals) != len(ai) {
-		return fmt.Errorf("engine: update has %d values, level has %d atomic attributes", len(vals), len(ai))
+	if w.Op == exec.WUpdateAtoms {
+		ai := lt.AtomicIndexes()
+		if len(w.Vals) != len(ai) {
+			return fmt.Errorf("engine: update has %d values, level has %d atomic attributes", len(w.Vals), len(ai))
+		}
+		for j, i := range ai {
+			cur[i] = w.Vals[j]
+		}
+		return nil
 	}
-	for j, i := range ai {
-		cur[i] = vals[j]
+	if w.Attr < 0 || w.Attr >= len(lt.Attrs) || lt.Attrs[w.Attr].Type.Kind != model.KindTable {
+		return fmt.Errorf("engine: attribute %d is not a subtable", w.Attr)
 	}
-	return nil
-}
-
-// applyInsertMember appends a member to the subtable at steps/attr.
-func applyInsertMember(t *catalog.Table, img model.Tuple, steps []object.Step, attr int, member model.Tuple) error {
-	cur, lt, err := navigate(t.Type, img, steps)
-	if err != nil {
+	st := lt.Attrs[w.Attr].Type.Table
+	sub, ok := cur[w.Attr].(*model.Table)
+	if w.Op == exec.WDeleteMember {
+		if !ok || w.Pos < 0 || w.Pos >= len(sub.Tuples) {
+			return fmt.Errorf("engine: member position %d out of range", w.Pos)
+		}
+		sub.Tuples = append(sub.Tuples[:w.Pos], sub.Tuples[w.Pos+1:]...)
+		return nil
+	}
+	if err := model.Conform(st, w.Tuple); err != nil {
 		return err
 	}
-	if attr < 0 || attr >= len(lt.Attrs) || lt.Attrs[attr].Type.Kind != model.KindTable {
-		return fmt.Errorf("engine: attribute %d is not a subtable", attr)
-	}
-	st := lt.Attrs[attr].Type.Table
-	if err := model.Conform(st, member); err != nil {
-		return err
-	}
-	sub, ok := cur[attr].(*model.Table)
 	if !ok {
 		sub = &model.Table{Ordered: st.Ordered}
-		cur[attr] = sub
+		cur[w.Attr] = sub
 	}
-	sub.Append(member.Clone())
-	return nil
-}
-
-// applyDeleteMember removes the member at pos of the subtable at
-// steps/attr.
-func applyDeleteMember(t *catalog.Table, img model.Tuple, steps []object.Step, attr, pos int) error {
-	cur, lt, err := navigate(t.Type, img, steps)
-	if err != nil {
-		return err
-	}
-	if attr < 0 || attr >= len(lt.Attrs) || lt.Attrs[attr].Type.Kind != model.KindTable {
-		return fmt.Errorf("engine: attribute %d is not a subtable", attr)
-	}
-	sub, ok := cur[attr].(*model.Table)
-	if !ok || pos < 0 || pos >= len(sub.Tuples) {
-		return fmt.Errorf("engine: member position %d out of range", pos)
-	}
-	sub.Tuples = append(sub.Tuples[:pos], sub.Tuples[pos+1:]...)
+	sub.Append(w.Tuple.Clone())
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/catalog"
 	"repro/internal/model"
 	"repro/internal/object"
 	"repro/internal/page"
@@ -143,7 +142,7 @@ func (e *Executor) execInsert(ctx context.Context, ins *sql.Insert, blk *Block, 
 			if err != nil {
 				return n, err
 			}
-			if err := e.RT.InsertTuple(t, tup); err != nil {
+			if err := e.RT.Write(Write{Op: WInsert, Table: t.Name, Tuple: tup}); err != nil {
 				return n, err
 			}
 			n++
@@ -152,11 +151,8 @@ func (e *Executor) execInsert(ctx context.Context, ins *sql.Insert, blk *Block, 
 	}
 	// Subtable insert: INSERT INTO path FROM ... WHERE ... VALUES ...
 	type target struct {
-		tbl   *catalog.Table
-		ref   page.TID
-		steps []object.Step
-		attr  int
-		tt    *model.TableType
+		w  Write
+		tt *model.TableType
 	}
 	var targets []target
 	var prov provenance
@@ -169,19 +165,18 @@ func (e *Executor) execInsert(ctx context.Context, ins *sql.Insert, blk *Block, 
 		if !hasProv {
 			return fmt.Errorf("exec: INSERT target %s is not updatable (no stored provenance)", ins.Path)
 		}
-		targets = append(targets, target{
-			tbl: prov.tbl, ref: prov.ref,
-			steps: append([]object.Step(nil), prov.steps...),
-			attr:  prov.attr, tt: memberType,
-		})
+		targets = append(targets, target{Write{
+			Op: WInsertMember, Table: prov.tbl.Name, Ref: prov.ref,
+			Steps: append([]object.Step(nil), prov.steps...), Attr: prov.attr,
+		}, memberType})
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
 	targets = dedupeTargets(targets, func(tg target) targetKey {
-		k := newTargetKey(tg.tbl, tg.ref, tg.steps)
-		k.attr = tg.attr
+		k := newTargetKey(tg.w)
+		k.attr = tg.w.Attr
 		return k
 	})
 	n := 0
@@ -191,7 +186,9 @@ func (e *Executor) execInsert(ctx context.Context, ins *sql.Insert, blk *Block, 
 			if err != nil {
 				return n, err
 			}
-			if err := e.RT.InsertMember(tg.tbl, tg.ref, tg.steps, tg.attr, member); err != nil {
+			w := tg.w
+			w.Tuple = member
+			if err := e.RT.Write(w); err != nil {
 				return n, err
 			}
 			n++
@@ -213,13 +210,13 @@ type targetKey struct {
 	vals  string
 }
 
-func newTargetKey(tbl *catalog.Table, ref page.TID, steps []object.Step) targetKey {
-	b := make([]byte, 0, 4*len(steps))
-	for _, st := range steps {
+func newTargetKey(w Write) targetKey {
+	b := make([]byte, 0, 4*len(w.Steps))
+	for _, st := range w.Steps {
 		b = binary.AppendVarint(b, int64(st.Attr))
 		b = binary.AppendVarint(b, int64(st.Pos))
 	}
-	return targetKey{table: tbl.Name, ref: ref, steps: string(b)}
+	return targetKey{table: w.Table, ref: w.Ref, steps: string(b)}
 }
 
 // dedupeTargets keeps the first target of every key, in order.
@@ -241,12 +238,7 @@ func dedupeTargets[T any](ts []T, key func(T) targetKey) []T {
 // table, subtable members when it ranges over a subtable (deleting
 // "arbitrary parts of complex objects", §4.1).
 func (e *Executor) execDelete(ctx context.Context, del *sql.Delete, blk *Block, cands []Candidates, params []model.Value) (int, error) {
-	type victim struct {
-		tbl   *catalog.Table
-		ref   page.TID
-		steps []object.Step
-	}
-	var victims []victim
+	var victims []Write // Steps address the victim itself
 	scope := rootEnv(params, blk)
 	err := e.forEach(ctx, del.From, del.Where, scope, cands, blk.Paths, func() error {
 		b, ok := scope.lookup(del.Var)
@@ -256,40 +248,36 @@ func (e *Executor) execDelete(ctx context.Context, del *sql.Delete, blk *Block, 
 		if b.tbl == nil {
 			return fmt.Errorf("exec: DELETE target %q has no stored provenance", del.Var)
 		}
-		victims = append(victims, victim{tbl: b.tbl, ref: b.ref, steps: append([]object.Step(nil), b.steps...)})
+		victims = append(victims, Write{Table: b.tbl.Name, Ref: b.ref, Steps: append([]object.Step(nil), b.steps...)})
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
-	victims = dedupeTargets(victims, func(v victim) targetKey { return newTargetKey(v.tbl, v.ref, v.steps) })
+	victims = dedupeTargets(victims, newTargetKey)
 	// Delete nested members before whole objects, and members of the
 	// same subtable in descending position order so earlier positions
 	// stay valid.
 	sort.SliceStable(victims, func(i, j int) bool {
 		a, b := victims[i], victims[j]
-		if len(a.steps) != len(b.steps) {
-			return len(a.steps) > len(b.steps)
+		if len(a.Steps) != len(b.Steps) {
+			return len(a.Steps) > len(b.Steps)
 		}
-		for k := range a.steps {
-			if a.steps[k].Pos != b.steps[k].Pos {
-				return a.steps[k].Pos > b.steps[k].Pos
+		for k := range a.Steps {
+			if a.Steps[k].Pos != b.Steps[k].Pos {
+				return a.Steps[k].Pos > b.Steps[k].Pos
 			}
 		}
 		return false
 	})
 	n := 0
-	for _, v := range victims {
-		if len(v.steps) == 0 {
-			if err := e.RT.DeleteTuple(v.tbl, v.ref); err != nil {
-				return n, err
-			}
-		} else {
-			last := v.steps[len(v.steps)-1]
-			parent := v.steps[:len(v.steps)-1]
-			if err := e.RT.DeleteMember(v.tbl, v.ref, parent, last.Attr, last.Pos); err != nil {
-				return n, err
-			}
+	for _, w := range victims {
+		w.Op = WDelete
+		if k := len(w.Steps) - 1; k >= 0 {
+			w.Op, w.Attr, w.Pos, w.Steps = WDeleteMember, w.Steps[k].Attr, w.Steps[k].Pos, w.Steps[:k]
+		}
+		if err := e.RT.Write(w); err != nil {
+			return n, err
 		}
 		n++
 	}
@@ -299,13 +287,7 @@ func (e *Executor) execDelete(ctx context.Context, del *sql.Delete, blk *Block, 
 // execUpdate overwrites the atomic attributes of the target variable's
 // level.
 func (e *Executor) execUpdate(ctx context.Context, upd *sql.Update, blk *Block, cands []Candidates, params []model.Value) (int, error) {
-	type change struct {
-		tbl   *catalog.Table
-		ref   page.TID
-		steps []object.Step
-		vals  []model.Value
-	}
-	var changes []change
+	var changes []Write
 	scope := rootEnv(params, blk)
 	err := e.forEach(ctx, upd.From, upd.Where, scope, cands, blk.Paths, func() error {
 		b, ok := scope.lookup(upd.Var)
@@ -350,19 +332,19 @@ func (e *Executor) execUpdate(ctx context.Context, upd *sql.Update, blk *Block, 
 				pos++
 			}
 		}
-		changes = append(changes, change{tbl: b.tbl, ref: b.ref, steps: append([]object.Step(nil), b.steps...), vals: vals})
+		changes = append(changes, Write{Op: WUpdateAtoms, Table: b.tbl.Name, Ref: b.ref, Steps: append([]object.Step(nil), b.steps...), Vals: vals})
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
-	changes = dedupeTargets(changes, func(c change) targetKey {
-		k := newTargetKey(c.tbl, c.ref, c.steps)
-		k.vals = model.CanonicalTuple(c.vals)
+	changes = dedupeTargets(changes, func(w Write) targetKey {
+		k := newTargetKey(w)
+		k.vals = model.CanonicalTuple(w.Vals)
 		return k
 	})
-	for _, c := range changes {
-		if err := e.RT.UpdateAtoms(c.tbl, c.ref, c.steps, c.vals); err != nil {
+	for _, w := range changes {
+		if err := e.RT.Write(w); err != nil {
 			return 0, err
 		}
 	}

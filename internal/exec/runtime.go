@@ -61,24 +61,47 @@ type Runtime interface {
 	// overlays none).
 	ReadAt(table string, asof int64) (at int64, own []page.TID)
 
-	// InsertTuple adds a tuple to a stored table.
-	InsertTuple(t *catalog.Table, tup model.Tuple) error
-	// DeleteTuple removes a whole tuple/object.
-	DeleteTuple(t *catalog.Table, ref page.TID) error
-	// UpdateAtoms overwrites the atomic attributes of the (sub)object
-	// addressed by steps (empty steps = the top level; for flat
-	// tables vals covers all attributes).
-	UpdateAtoms(t *catalog.Table, ref page.TID, steps []object.Step, vals []model.Value) error
-	// InsertMember adds a member tuple to a subtable of an object.
-	InsertMember(t *catalog.Table, ref page.TID, steps []object.Step, attr int, member model.Tuple) error
-	// DeleteMember removes a subtable member.
-	DeleteMember(t *catalog.Table, ref page.TID, steps []object.Step, attr, pos int) error
+	// Write carries out one storage mutation: the auto-commit runtime
+	// applies it to storage and the live indexes at once, a
+	// transaction's runtime buffers it until commit.
+	Write(w Write) error
 
 	// ParseTime converts an ASOF literal into a timestamp.
 	ParseTime(v model.Value) (int64, error)
 	// TName mints the tuple name (§4.3) of the (sub)object addressed
 	// by ref and steps, as an opaque token.
 	TName(t *catalog.Table, ref page.TID, steps []object.Step) (string, error)
+}
+
+// WriteOp is the kind of one Write.
+type WriteOp uint8
+
+// The DML vocabulary of §3: insert, update and delete of whole objects
+// and of any part of them.
+const (
+	WInsert       WriteOp = iota + 1 // Tuple becomes a new object (flat tuple) of Table
+	WDelete                          // object Ref goes
+	WUpdateAtoms                     // Vals overwrite the atoms of the level Steps addresses
+	WInsertMember                    // Tuple joins subtable Attr of the level at Steps
+	WDeleteMember                    // member Pos of subtable Attr of the level at Steps goes
+)
+
+// Write is one storage mutation, the only one an executor asks its
+// runtime for. Table names the stored table: the runtime resolves it
+// when it applies the write, as a table's catalog entry is replaced
+// whenever its directory head moves. Ref is the object root (tuple TID
+// of a flat table); empty Steps address the top level. An UpdateAtoms
+// of a flat table covers all its attributes, one of an NF² level its
+// AtomicIndexes in order.
+type Write struct {
+	Op    WriteOp
+	Table string
+	Ref   page.TID
+	Steps []object.Step
+	Attr  int
+	Pos   int
+	Vals  []model.Value
+	Tuple model.Tuple
 }
 
 // ScanCursor is a pull iterator over a stored table, produced by

@@ -119,15 +119,12 @@ func (m *Manager) Export(ref Ref) (*Snapshot, error) {
 }
 
 // Import brings a checked-out object back into the database: fresh
-// pages are allocated, the page images are written verbatim, and only
+// pages receive the records of the snapshot's page images slot for
+// slot, each logged as an insert (subtuple.Store.ImportPage), and only
 // the page list in the root MD subtuple is rewritten to the new page
 // numbers. Returns the new object reference. A snapshot that is not
 // self-contained is refused (CheckoutError) before any page is
-// allocated.
-//
-// Import writes pages physically; callers using a WAL should force a
-// checkpoint (pool flush) afterwards, as recovery does not replay
-// page-level imports.
+// allocated. The import is durable once a commit record follows it.
 func (m *Manager) Import(snap *Snapshot) (Ref, error) {
 	if snap.Layout != m.layout {
 		return Ref{}, fmt.Errorf("object: snapshot layout %s, manager uses %s", snap.Layout, m.layout)
@@ -135,24 +132,16 @@ func (m *Manager) Import(snap *Snapshot) (Ref, error) {
 	if err := selfContained(Ref{}, snap); err != nil {
 		return Ref{}, err
 	}
-	pool := m.st.Pool()
-	seg := m.st.Segment()
 	newPages := make([]uint32, len(snap.Local))
 	pi := 0
 	for i, used := range snap.Local {
 		if !used {
 			continue
 		}
-		no, err := pool.Allocate(seg)
+		no, err := m.st.ImportPage(snap.Pages[pi])
 		if err != nil {
 			return Ref{}, err
 		}
-		f, err := pool.PinNew(buffer.PageKey{Seg: seg, Page: no})
-		if err != nil {
-			return Ref{}, err
-		}
-		copy(f.Page.Bytes(), snap.Pages[pi])
-		pool.Unpin(f, true)
 		newPages[i] = no
 		pi++
 	}
@@ -243,6 +232,11 @@ func DecodeSnapshot(raw []byte) (*Snapshot, error) {
 	for i := 0; i < used; i++ {
 		img := make([]byte, page.Size)
 		copy(img, p[i*page.Size:])
+		// A snapshot comes from outside the database: a slot that points
+		// past its page is corruption, not a record to slice out.
+		if err := page.View(img).Validate(); err != nil {
+			return nil, err
+		}
 		s.Pages = append(s.Pages, img)
 	}
 	return s, nil

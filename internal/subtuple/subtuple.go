@@ -283,6 +283,44 @@ func (s *Store) AllocatePage() (uint32, error) {
 	return no, nil
 }
 
+// ImportPage allocates a fresh page and fills it with the records of
+// img, a page image from elsewhere (a checked-out object), each at its
+// own slot and logged as an insert, under one pin: the page is
+// recovered, shipped and rolled back like any other, and carries this
+// log's LSNs.
+func (s *Store) ImportPage(img []byte) (uint32, error) {
+	no, err := s.pool.Allocate(s.seg)
+	if err != nil {
+		return 0, err
+	}
+	f, err := s.pool.PinNew(buffer.PageKey{Seg: s.seg, Page: no})
+	if err != nil {
+		return 0, err
+	}
+	defer s.pool.Unpin(f, true)
+	f.Latch()
+	defer f.Unlatch()
+	src := page.View(img)
+	for i := range src.NumSlots() {
+		slot := uint16(i)
+		rec, err := src.Read(slot)
+		if err != nil {
+			continue // a dead slot
+		}
+		if err := f.Page.InsertAt(slot, rec); err != nil {
+			return 0, err
+		}
+		if s.log != nil {
+			lsn, err := s.log.Append(&wal.Record{Op: wal.OpInsert, Seg: s.seg, Page: no, Slot: slot, Payload: rec})
+			if err != nil {
+				return 0, err
+			}
+			f.Page.SetLSN(lsn)
+		}
+	}
+	return no, nil
+}
+
 // PageEmpty reports whether a page holds no live records.
 func (s *Store) PageEmpty(pageNo uint32) (bool, error) {
 	f, err := s.pool.Pin(buffer.PageKey{Seg: s.seg, Page: pageNo})

@@ -264,19 +264,6 @@ func Reports() *model.Table {
 	)
 }
 
-// UnnestedType is the schema of Table 7, the result of §3 Example 4
-// (the unnest of Table 5 projected to six atomic attributes).
-func UnnestedType() *model.TableType {
-	return model.MustTableType(false,
-		atom("DNO", model.KindInt),
-		atom("MGRNO", model.KindInt),
-		atom("PNO", model.KindInt),
-		atom("PNAME", model.KindString),
-		atom("EMPNO", model.KindInt),
-		atom("FUNCTION", model.KindString),
-	)
-}
-
 // Unnested returns the contents of Table 7, derived from Table 5.
 func Unnested() *model.Table {
 	t := model.NewRelation()
@@ -355,12 +342,6 @@ type GenConfig struct {
 	ProjectNoRange int
 }
 
-// DefaultGenConfig is a mid-size workload: 100 departments, each with
-// 10 projects of 20 members and 8 equipment items (20k members).
-func DefaultGenConfig() GenConfig {
-	return GenConfig{Departments: 100, ProjsPerDept: 10, MembersPerProj: 20, EquipPerDept: 8, Seed: 42, ConsultantEvery: 10}
-}
-
 var functions = []string{"Leader", "Staff", "Secretary", "Engineer", "Analyst"}
 var equipTypes = []string{"3278", "3270", "3179", "PC", "PC/AT", "PC/XT", "4361"}
 var projectNames = []string{"CGA", "HEAP", "TEXT", "NEBS", "AIM", "CAD", "CAM", "CIM", "VLSI", "ROBOT"}
@@ -407,32 +388,6 @@ func GenDepartments(cfg GenConfig) *model.Table {
 			eq,
 		})
 		empno++
-	}
-	return t
-}
-
-// GenEmployees generates an EMPLOYEES-1NF table covering every EMPNO
-// in the generated DEPARTMENTS table (for join benchmarks).
-func GenEmployees(depts *model.Table, seed int64) *model.Table {
-	rng := rand.New(rand.NewSource(seed))
-	lnames := []string{"Kramer", "Mayes", "Andrews", "Walter", "Berger", "Huber", "Lang", "Fischer", "Weber", "Becker"}
-	fnames := []string{"Klaus", "Roy", "Andrea", "Hans", "Anna", "Eva", "Peter", "Karl", "Marta", "Paul"}
-	t := model.NewRelation()
-	add := func(empno model.Value) {
-		t.Append(model.Tuple{
-			empno,
-			model.Str(lnames[rng.Intn(len(lnames))]),
-			model.Str(fnames[rng.Intn(len(fnames))]),
-			model.Str([]string{"male", "female"}[rng.Intn(2)]),
-		})
-	}
-	for _, d := range depts.Tuples {
-		add(d[1])
-		for _, p := range d[2].(*model.Table).Tuples {
-			for _, m := range p[2].(*model.Table).Tuples {
-				add(m[0])
-			}
-		}
 	}
 	return t
 }

@@ -109,13 +109,6 @@ func (ix *Index) Walk(fn func(word string, addrs []index.Addr)) {
 	}
 }
 
-// Fragments returns the number of distinct fragments.
-func (ix *Index) Fragments() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.fragments)
-}
-
 // Tokenize splits a text into lowercase words (letter/digit runs).
 func Tokenize(text string) []string {
 	var words []string
